@@ -166,14 +166,14 @@ fn eviction_churn(reports: usize) -> (f64, u64, u64) {
     let model = ModelConfig::fast(2, 0);
     let auth = Authenticator::new(model.build_for(&probe), spec);
     let monitor = MacAddr::station(0xAC_CE55);
-    let engine = Engine::start(
+    let engine = Engine::start_frozen(
         EngineConfig {
             workers: 2,
             backpressure: Backpressure::Block,
             max_device_states: Some(16),
             ..EngineConfig::default()
         },
-        auth,
+        auth.freeze(),
         deepcsi_serve::DeviceRegistry::new(),
     );
     let frame_for = |id: u64, seq: u16| {

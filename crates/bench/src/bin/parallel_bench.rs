@@ -1,23 +1,19 @@
 //! Parallel-serving scaling sweep: worker-count × per-worker
-//! `infer_threads` engine throughput, the frozen model's lane-split
-//! thread scaling (spawn-per-call `infer_batch_par` next to the
-//! persistent `InferPool` the engine actually serves with), and the
-//! SELU/sigmoid polynomial-exp before/after numbers — as
-//! machine-readable `RESULT parallel …` lines (collected by `run_all`
-//! into `BENCH_parallel.json`; keys documented in
-//! `crates/bench/README.md`).
+//! `infer_threads` engine throughput, the persistent `InferPool`'s
+//! lane-split scaling, and the SELU/sigmoid polynomial-exp
+//! before/after numbers — as machine-readable `RESULT parallel …`
+//! lines (collected by `run_all` into `BENCH_parallel.json`; keys
+//! documented in `crates/bench/README.md`).
 //!
-//! On a single-core container the spawn-path thread sweeps fall *below*
-//! 1x (each call pays `threads − 1` spawn/joins and buys no
-//! parallelism); the pool rows should recover to ~1x there, since
-//! parked lanes cost only a channel round-trip. The interesting scaling
-//! numbers come from multi-core hosts, where the lane split spreads the
-//! one shared weight snapshot across cores without any weight clone.
+//! On a single-core container the pool rows sit at ~1x (parked lanes
+//! cost a channel round-trip and buy no parallelism). The interesting
+//! scaling numbers come from multi-core hosts, where the lane split
+//! spreads the one shared weight snapshot across cores without any
+//! weight clone.
 
 use deepcsi_bench::result_line;
 use deepcsi_bench::serve_bench::{
-    engine_reports_per_sec_threads, fast_cnn, measure_par_batch_s, measure_pool_batch_s, paper_cnn,
-    serve_dataset,
+    engine_reports_per_sec_threads, fast_cnn, measure_pool_batch_s, paper_cnn, serve_dataset,
 };
 use deepcsi_nn::poly_exp;
 use std::time::Instant;
@@ -58,9 +54,6 @@ fn main() {
     }
     // A cache-resident activation plane (the real layers' working set),
     // so the exp comparison measures compute, not DRAM bandwidth.
-    // The cnn rep counts are sized for the pool-vs-spawn comparison:
-    // at t=2 the spawn tax is ~1% of a fast_cnn batch, so the paired
-    // rows need sub-percent timing resolution to order reliably.
     let (exp_elems, exp_reps, cnn_reps, snapshots, repeat) = if quick {
         (16_384usize, 200usize, 8usize, 10usize, 1usize)
     } else {
@@ -85,44 +78,32 @@ fn main() {
     result_line("parallel", "selu_exp_poly_ns_per_elem", ns_per(poly_s));
     result_line("parallel", "poly_exp_speedup", std_s / poly_s);
 
-    // --- Frozen model: raw lane-split thread scaling -----------------
-    println!("\n== FrozenModel::infer_batch_par thread scaling (batch {BATCH}) ==");
+    // --- Frozen model: pool lane-split scaling ------------------------
+    println!("\n== InferPool lane scaling (batch {BATCH}) ==");
     let mut workloads = vec![fast_cnn()];
     if !quick {
         workloads.push(paper_cnn());
     }
     for w in workloads {
-        let base_s = measure_par_batch_s(&w, BATCH, 1, cnn_reps);
-        for threads in [1usize, 2, 4] {
+        let base_s = measure_pool_batch_s(&w, BATCH, 1, cnn_reps);
+        for lanes in [1usize, 2, 4] {
             // t=1 *is* the baseline: reuse the measurement so its row
             // reads exactly 1.0 instead of run-to-run noise.
-            let s = if threads == 1 {
+            let s = if lanes == 1 {
                 base_s
             } else {
-                measure_par_batch_s(&w, BATCH, threads, cnn_reps)
+                measure_pool_batch_s(&w, BATCH, lanes, cnn_reps)
             };
-            // The same split through the persistent pool: parked lanes
-            // replace the per-call spawn/join, so the pool row should
-            // never fall below the spawn row at the same lane count.
-            let pool_s = measure_pool_batch_s(&w, BATCH, threads, cnn_reps);
             println!(
-                "{:<10} t={threads}: spawn {:>9.3} ms/batch ({:.2}x vs t=1)   pool {:>9.3} ms/batch ({:.2}x vs t=1, {:.2}x vs spawn)",
+                "{:<10} t={lanes}: pool {:>9.3} ms/batch ({:.2}x vs t=1)",
                 w.name,
                 s * 1e3,
-                base_s / s,
-                pool_s * 1e3,
-                base_s / pool_s,
-                s / pool_s
+                base_s / s
             );
             result_line(
                 "parallel",
-                &format!("infer_batch_{}_t{threads}_speedup", w.name),
+                &format!("infer_batch_{}_t{lanes}_pool_speedup", w.name),
                 base_s / s,
-            );
-            result_line(
-                "parallel",
-                &format!("infer_batch_{}_t{threads}_pool_speedup", w.name),
-                base_s / pool_s,
             );
         }
     }

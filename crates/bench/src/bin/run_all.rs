@@ -1,13 +1,11 @@
 //! Runs every figure binary in sequence and collects the `RESULT` lines
 //! into `bench_results/summary.txt` — the data behind EXPERIMENTS.md.
-//! Also runs the serving/capture throughput benches, the decision-policy
-//! comparison, the parallel-serving scaling sweep, the int8-vs-f32
-//! quantization comparison and the observability overhead sweep
-//! (`serve_throughput`, `capture_throughput`, `policy_bench`,
-//! `parallel_bench`, `quant_bench`, `obs_bench`) and emits their
-//! numbers as `BENCH_serve.json` / `BENCH_capture.json` /
-//! `BENCH_policy.json` / `BENCH_parallel.json` / `BENCH_quant.json` /
-//! `BENCH_obs.json` (schema documented in `crates/bench/README.md`).
+//! Also runs the benches whose rows the repo benchmark (`benchmark/`)
+//! does not report yet — the parallel-serving scaling sweep, the
+//! observability overhead sweep, the scenario matrix and the cluster
+//! tier (`parallel_bench`, `obs_bench`, `scenario_bench`,
+//! `cluster_bench`) — and emits their numbers as `BENCH_<tag>.json`
+//! (schema documented in `crates/bench/README.md`).
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -68,17 +66,7 @@ fn main() {
         summary.lines().count()
     );
 
-    run_result_bench(&exe_dir, &forwarded, &out_dir, "serve_throughput", "serve");
-    run_result_bench(
-        &exe_dir,
-        &forwarded,
-        &out_dir,
-        "capture_throughput",
-        "capture",
-    );
-    run_result_bench(&exe_dir, &forwarded, &out_dir, "policy_bench", "policy");
     run_result_bench(&exe_dir, &forwarded, &out_dir, "parallel_bench", "parallel");
-    run_result_bench(&exe_dir, &forwarded, &out_dir, "quant_bench", "quant");
     run_result_bench(&exe_dir, &forwarded, &out_dir, "obs_bench", "obs");
     run_result_bench(
         &exe_dir,

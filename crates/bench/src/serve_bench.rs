@@ -1,9 +1,9 @@
 //! Shared measurement helpers for the serving benchmarks
-//! (`benches/serve.rs` and the `serve_throughput` binary).
+//! (`parallel_bench` and `obs_bench`).
 
 use deepcsi_core::{Authenticator, ModelConfig};
 use deepcsi_data::{generate_d1, Dataset, GenConfig, InputSpec};
-use deepcsi_nn::{Dense, Network, Selu, Tensor};
+use deepcsi_nn::{Network, Tensor};
 use deepcsi_serve::{Backpressure, Engine, EngineConfig, ReplaySource};
 use std::time::Instant;
 
@@ -35,25 +35,6 @@ pub fn fast_cnn() -> Workload {
     }
 }
 
-/// A dense-stack classifier head at serving scale — the workload where
-/// micro-batching converts memory-bound mat-vec into a register-blocked
-/// mat-mul (the headline forward_batch speedup).
-pub fn dense_stack() -> Workload {
-    let mut net = Network::new();
-    net.push(Dense::new(1170, 2048, 1));
-    net.push(Selu::new());
-    net.push(Dense::new(2048, 2048, 2));
-    net.push(Selu::new());
-    net.push(Dense::new(2048, 1024, 3));
-    net.push(Selu::new());
-    net.push(Dense::new(1024, 10, 4));
-    Workload {
-        name: "dense_stack",
-        net,
-        input_shape: vec![1170],
-    }
-}
-
 /// Deterministic pseudo-random inputs for a workload.
 pub fn inputs(w: &Workload, batch: usize) -> Vec<Tensor> {
     let len: usize = w.input_shape.iter().product();
@@ -69,98 +50,8 @@ pub fn inputs(w: &Workload, batch: usize) -> Vec<Tensor> {
         .collect()
 }
 
-/// Measured per-sample vs micro-batched inference for one workload.
-#[derive(Debug, Clone, Copy)]
-pub struct SpeedupMeasurement {
-    /// Wall time of `batch` sequential `forward` calls, seconds.
-    pub sequential_s: f64,
-    /// Wall time of one `forward_batch` over the same inputs, seconds.
-    pub batched_s: f64,
-}
-
-impl SpeedupMeasurement {
-    /// Throughput ratio (sequential time / batched time).
-    pub fn speedup(&self) -> f64 {
-        self.sequential_s / self.batched_s
-    }
-}
-
-/// Prints one workload's speedup measurement: the human-readable line
-/// plus the machine-readable `RESULT serve …` line `run_all` collects
-/// into `BENCH_serve.json` (single source of the key format for the
-/// bench and the `serve_throughput` binary).
-pub fn report_speedup(w: &Workload, batch: usize, m: SpeedupMeasurement) {
-    println!(
-        "{:<12} sequential {:>9.3} ms  batched {:>9.3} ms  speedup {:>5.1}x",
-        w.name,
-        m.sequential_s * 1e3,
-        m.batched_s * 1e3,
-        m.speedup()
-    );
-    crate::result_line(
-        "serve",
-        &format!("forward_batch_speedup_{}_b{batch}", w.name),
-        m.speedup(),
-    );
-}
-
-/// Times the frozen batched path (`FrozenModel::infer_batch` with a warm
-/// [`deepcsi_nn::InferCtx`] — the serving engine's steady state) against
-/// `batch` sequential `forward` calls.
-pub fn measure_speedup(w: &mut Workload, batch: usize, min_reps: usize) -> SpeedupMeasurement {
-    let xs = inputs(w, batch);
-    let frozen = w.net.freeze();
-    let mut ctx = frozen.ctx();
-    // Warm-up both paths (and the ctx's buffer high-water mark).
-    let _ = frozen.infer_batch(&xs, &mut ctx);
-    for x in &xs {
-        let _ = w.net.forward(x, false);
-    }
-    let reps = min_reps.max(1);
-    let t = Instant::now();
-    for _ in 0..reps {
-        for x in &xs {
-            std::hint::black_box(w.net.forward(x, false));
-        }
-    }
-    let sequential_s = t.elapsed().as_secs_f64() / reps as f64;
-    let t = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(frozen.infer_batch(&xs, &mut ctx));
-    }
-    let batched_s = t.elapsed().as_secs_f64() / reps as f64;
-    SpeedupMeasurement {
-        sequential_s,
-        batched_s,
-    }
-}
-
-/// Times `FrozenModel::infer_batch_par` at a given context (thread)
-/// count, seconds per batch. `threads = 1` is the no-spawn baseline the
-/// scaling sweep normalises against.
-pub fn measure_par_batch_s(w: &Workload, batch: usize, threads: usize, min_reps: usize) -> f64 {
-    let xs = inputs(w, batch);
-    let frozen = w.net.freeze();
-    let mut ctxs: Vec<deepcsi_nn::InferCtx> = (0..threads).map(|_| frozen.ctx()).collect();
-    let _ = frozen.infer_batch_par(&xs, &mut ctxs); // warm-up
-    let reps = min_reps.max(1);
-    // Best of 5 windows, as in the SELU pass: the minimum is robust
-    // against preemption on shared hosts, which matters doubly here —
-    // the spawn-vs-pool comparison is decided by margins smaller than
-    // one descheduling.
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let t = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(frozen.infer_batch_par(&xs, &mut ctxs));
-        }
-        best = best.min(t.elapsed().as_secs_f64() / reps as f64);
-    }
-    best
-}
-
-/// Times the same lane split through a persistent [`deepcsi_nn::InferPool`]
-/// at a given lane count, seconds per batch. The pool is built once
+/// Times one batch through a persistent [`deepcsi_nn::InferPool`] at a
+/// given lane count, seconds per batch. The pool is built once
 /// outside the timed loop — exactly how the serving engine holds it —
 /// so the measurement sees the steady-state hot path (channel handoff,
 /// no spawn/join) rather than pool construction.
@@ -170,7 +61,8 @@ pub fn measure_pool_batch_s(w: &Workload, batch: usize, lanes: usize, min_reps: 
     let mut pool = deepcsi_nn::InferPool::new(lanes);
     let _ = pool.infer_batch(&frozen, &xs); // warm-up (grows lane buffers)
     let reps = min_reps.max(1);
-    // Best of 5 windows, matching `measure_par_batch_s` exactly.
+    // Best of 5 windows: the minimum is robust against preemption on
+    // shared hosts.
     let mut best = f64::INFINITY;
     for _ in 0..5 {
         let t = Instant::now();
@@ -202,13 +94,9 @@ pub fn serve_authenticator(ds: &Dataset, classes: usize) -> Authenticator {
     Authenticator::new(ModelConfig::fast(classes, 0).build_for(&probe), spec)
 }
 
-/// End-to-end engine throughput for one replay pass, reports/second.
-pub fn engine_reports_per_sec(ds: &Dataset, workers: usize, repeat: usize) -> f64 {
-    engine_reports_per_sec_threads(ds, workers, 1, repeat)
-}
-
-/// [`engine_reports_per_sec`] with an explicit per-worker
-/// `infer_threads` count (the `parallel_bench` scaling sweep).
+/// End-to-end engine throughput for `repeat` replay passes at a given
+/// worker and per-worker `infer_threads` count, reports/second (the
+/// `parallel_bench` scaling sweep).
 pub fn engine_reports_per_sec_threads(
     ds: &Dataset,
     workers: usize,
@@ -250,9 +138,9 @@ pub fn engine_reports_per_sec_observed<T>(
     detach: impl FnOnce(T),
 ) -> f64 {
     let replay = ReplaySource::from_dataset(ds);
-    let engine = Engine::start(
+    let engine = Engine::start_frozen(
         cfg,
-        serve_authenticator(ds, ds.modules().len().max(2)),
+        serve_authenticator(ds, ds.modules().len().max(2)).freeze(),
         ReplaySource::registry(ds),
     );
     let observers = attach(&engine);
@@ -274,16 +162,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn speedup_measurement_is_positive() {
-        let mut w = fast_cnn();
-        let m = measure_speedup(&mut w, 4, 1);
-        assert!(m.sequential_s > 0.0 && m.batched_s > 0.0);
-        assert!(m.speedup() > 0.0);
-    }
-
-    #[test]
     fn engine_throughput_is_positive() {
         let ds = serve_dataset(1, 3);
-        assert!(engine_reports_per_sec(&ds, 1, 1) > 0.0);
+        assert!(engine_reports_per_sec_threads(&ds, 1, 1, 1) > 0.0);
     }
 }

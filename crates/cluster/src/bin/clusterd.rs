@@ -3,20 +3,14 @@
 //! Three subcommands, one wire protocol:
 //!
 //! ```text
-//! deepcsi-clusterd node --listen ADDR
-//!                  [--modules N] [--snapshots N] [--epochs N]
-//!                  [--workers N] [--infer-threads N] [--queue N]
-//!                  [--policy fixed|confidence|adaptive] [--drop]
-//!                  [--max-devices N] [--snapshot-file PATH]
-//!                  [--obs-listen ADDR]
-//!
-//! deepcsi-clusterd listen --listen ADDR --node ADDR [--node ADDR]...
-//!                  [--queue N] [--drop]
-//!
-//! deepcsi-clusterd send --connect ADDR
-//!                  [--modules N] [--snapshots N] [--epochs N]
-//!                  [--repeat N] [--compare-local] [--shutdown]
+//! deepcsi-clusterd node --listen ADDR [flags]
+//! deepcsi-clusterd listen --listen ADDR --node ADDR [--node ADDR]... [flags]
+//! deepcsi-clusterd send --connect ADDR [flags]
 //! ```
+//!
+//! `deepcsi-clusterd <subcommand> --help` lists the subcommand's flags
+//! (the `*_FLAGS` tables below are the whole grammar; an unknown flag
+//! exits 2).
 //!
 //! * `node` trains the deterministic demo model (same recipe and seed
 //!   as `deepcsi-served` — every node in a cluster independently
@@ -49,7 +43,7 @@ use deepcsi_cluster::{
     ShardRouter, WireDecision,
 };
 use deepcsi_serve::{
-    Backpressure, DecisionPolicyConfig, Engine, EngineConfig, EngineSnapshot, ObsPlane,
+    Backpressure, DecisionPolicyConfig, Engine, EngineConfig, EngineSnapshot, Flags, ObsPlane,
     ObsPlaneConfig, PolicyKind, ReplaySource,
 };
 use std::sync::Arc;
@@ -58,127 +52,113 @@ use std::time::{Duration, Instant};
 /// Poll interval while waiting for a shutdown request.
 const POLL: Duration = Duration::from_millis(100);
 
-fn usage() -> ! {
-    eprintln!("usage: deepcsi-clusterd <node|listen|send> [flags] (see src/bin/clusterd.rs)");
-    std::process::exit(2);
+/// A subcommand's flags: `(flag, takes_value, help)`.
+type FlagTable = &'static [(&'static str, bool, &'static str)];
+
+#[rustfmt::skip]
+const NODE_FLAGS: FlagTable = &[
+    ("--listen", true, "address to serve on (required; port 0 picks one)"),
+    ("--modules", true, "demo model modules (default 2)"),
+    ("--snapshots", true, "demo snapshots per trace (default 16)"),
+    ("--epochs", true, "demo training epochs (default 2)"),
+    ("--workers", true, "shard workers (default 2)"),
+    ("--infer-threads", true, "inference-pool lanes per worker (default 1)"),
+    ("--queue", true, "per-worker queue capacity (default 1024)"),
+    ("--policy", true, "fixed|confidence|adaptive (default fixed)"),
+    ("--drop", false, "drop on a full queue instead of blocking"),
+    ("--max-devices", true, "cap on live per-device states (default unbounded)"),
+    ("--snapshot-file", true, "restore device state from / write it to this file"),
+    ("--obs-listen", true, "bind the live scrape plane here"),
+];
+
+#[rustfmt::skip]
+const LISTEN_FLAGS: FlagTable = &[
+    ("--listen", true, "address clients connect to (required)"),
+    ("--node", true, "engine node address (required, repeatable)"),
+    ("--queue", true, "per-node queue capacity (default 1024)"),
+    ("--drop", false, "drop on a full queue instead of blocking"),
+];
+
+#[rustfmt::skip]
+const SEND_FLAGS: FlagTable = &[
+    ("--connect", true, "node or router address (required)"),
+    ("--modules", true, "demo model modules (default 2)"),
+    ("--snapshots", true, "demo snapshots per trace (default 16)"),
+    ("--epochs", true, "demo training epochs (default 2)"),
+    ("--repeat", true, "replay passes (default 1)"),
+    ("--compare-local", false, "exit non-zero unless verdicts match one process"),
+    ("--shutdown", false, "ask the peer to shut down after the drain"),
+    ("--drain-timeout", true, "seconds to wait for the drain (default 120)"),
+];
+
+/// `(name, flags, entry point)`.
+type Subcommand = (&'static str, FlagTable, fn(&Flags));
+
+const SUBCOMMANDS: [Subcommand; 3] = [
+    ("node", NODE_FLAGS, run_node),
+    ("listen", LISTEN_FLAGS, run_listen),
+    ("send", SEND_FLAGS, run_send),
+];
+
+fn demo(flags: &Flags) -> DemoConfig {
+    DemoConfig {
+        modules: flags.num("--modules", 2),
+        snapshots: flags.num("--snapshots", 16),
+        epochs: flags.num("--epochs", 2),
+    }
 }
 
-struct Flags {
-    args: Vec<String>,
+fn backpressure(flags: &Flags) -> Backpressure {
+    if flags.has("--drop") {
+        Backpressure::DropNewest
+    } else {
+        Backpressure::Block
+    }
 }
 
-impl Flags {
-    fn parse() -> (String, Flags) {
-        let mut args: Vec<String> = std::env::args().skip(1).collect();
-        if args.is_empty() {
-            usage();
-        }
-        let cmd = args.remove(0);
-        (cmd, Flags { args })
-    }
-
-    /// Every value of a repeatable `--flag VALUE`.
-    fn all(&self, flag: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < self.args.len() {
-            if self.args[i] == flag {
-                match self.args.get(i + 1) {
-                    Some(v) => out.push(v.clone()),
-                    None => {
-                        eprintln!("{flag} expects a value");
-                        usage();
-                    }
-                }
-                i += 2;
-            } else {
-                i += 1;
-            }
-        }
-        out
-    }
-
-    fn get(&self, flag: &str) -> Option<String> {
-        self.all(flag).pop()
-    }
-
-    fn num<T: std::str::FromStr>(&self, flag: &str, default: T) -> T {
-        match self.get(flag) {
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("{flag}: invalid value {v:?}");
-                usage();
-            }),
-            None => default,
-        }
-    }
-
-    fn has(&self, flag: &str) -> bool {
-        self.args.iter().any(|a| a == flag)
-    }
-
-    fn demo(&self) -> DemoConfig {
-        DemoConfig {
-            modules: self.num("--modules", 2),
-            snapshots: self.num("--snapshots", 16),
-            epochs: self.num("--epochs", 2),
-        }
-    }
-
-    fn engine_config(&self) -> EngineConfig {
-        let policy: PolicyKind = match self.get("--policy") {
-            Some(v) => v.parse().unwrap_or_else(|e: String| {
-                eprintln!("--policy: {e}");
-                usage();
-            }),
-            None => PolicyKind::default(),
-        };
-        EngineConfig {
-            workers: self.num("--workers", 2),
-            infer_threads: self.num("--infer-threads", 1),
-            queue_capacity: self.num("--queue", 1024),
-            backpressure: if self.has("--drop") {
-                Backpressure::DropNewest
-            } else {
-                Backpressure::Block
-            },
-            max_device_states: self.get("--max-devices").map(|v| {
-                v.parse().unwrap_or_else(|_| {
-                    eprintln!("--max-devices: invalid value {v:?}");
-                    usage();
-                })
-            }),
-            decision: DecisionPolicyConfig {
-                kind: policy,
-                ..DecisionPolicyConfig::default()
-            },
-            // The audit ring feeds `/audit/tail` on the plane; cheap
-            // enough to keep on unconditionally.
-            audit: Some(deepcsi_serve::AuditConfig::default()),
-            ..EngineConfig::default()
-        }
+fn engine_config(flags: &Flags) -> EngineConfig {
+    EngineConfig {
+        workers: flags.num("--workers", 2),
+        infer_threads: flags.num("--infer-threads", 1),
+        queue_capacity: flags.num("--queue", 1024),
+        backpressure: backpressure(flags),
+        max_device_states: flags.opt("--max-devices"),
+        decision: DecisionPolicyConfig {
+            kind: flags.num("--policy", PolicyKind::default()),
+            ..DecisionPolicyConfig::default()
+        },
+        // The audit ring feeds `/audit/tail` on the plane; cheap
+        // enough to keep on unconditionally.
+        audit: Some(deepcsi_serve::AuditConfig::default()),
+        ..EngineConfig::default()
     }
 }
 
 fn main() {
-    let (cmd, flags) = Flags::parse();
-    match cmd.as_str() {
-        "node" => run_node(&flags),
-        "listen" => run_listen(&flags),
-        "send" => run_send(&flags),
-        "--help" | "-h" | "help" => usage(),
-        other => {
-            eprintln!("unknown subcommand {other:?}");
-            usage();
-        }
+    let mut args = std::env::args().skip(1);
+    let cmd = args.next().unwrap_or_default();
+    if let Some((name, table, run)) = SUBCOMMANDS.iter().find(|(name, ..)| *name == cmd) {
+        let synopsis = format!("deepcsi-clusterd {name}");
+        return run(&Flags::parse_or_exit(&synopsis, table, args));
+    }
+    let usage: String = SUBCOMMANDS
+        .iter()
+        .map(|(name, table, _)| Flags::usage(&format!("deepcsi-clusterd {name}"), table))
+        .collect();
+    if matches!(cmd.as_str(), "--help" | "-h" | "help") {
+        print!("{usage}");
+    } else {
+        eprintln!("unknown subcommand {cmd:?}");
+        eprint!("{usage}");
+        std::process::exit(2);
     }
 }
 
 fn run_node(flags: &Flags) {
-    let listen = flags.get("--listen").unwrap_or_else(|| {
-        eprintln!("node: --listen is required");
-        usage();
-    });
-    let demo = flags.demo();
+    let listen = flags
+        .get("--listen")
+        .unwrap_or_else(|| Flags::die("node: --listen is required"));
+    let demo = demo(flags);
     let t = Instant::now();
     let ds = demo_dataset(&demo);
     let auth = demo_model(&demo, &ds);
@@ -187,8 +167,12 @@ fn run_node(flags: &Flags) {
         demo.modules,
         t.elapsed()
     );
-    let cfg = flags.engine_config();
-    let engine = Arc::new(Engine::start(cfg, auth, ReplaySource::registry(&ds)));
+    let cfg = engine_config(flags);
+    let engine = Arc::new(Engine::start_frozen(
+        cfg,
+        auth.freeze(),
+        ReplaySource::registry(&ds),
+    ));
 
     // Restore per-device policy state from a previous life, if any.
     let snapshot_file = flags.get("--snapshot-file");
@@ -255,14 +239,12 @@ fn run_node(flags: &Flags) {
 }
 
 fn run_listen(flags: &Flags) {
-    let listen = flags.get("--listen").unwrap_or_else(|| {
-        eprintln!("listen: --listen is required");
-        usage();
-    });
+    let listen = flags
+        .get("--listen")
+        .unwrap_or_else(|| Flags::die("listen: --listen is required"));
     let nodes = flags.all("--node");
     if nodes.is_empty() {
-        eprintln!("listen: at least one --node is required");
-        usage();
+        Flags::die("listen: at least one --node is required");
     }
     let stats = Arc::new(ClusterStats::new(nodes.len()));
     let router = ShardRouter::start(
@@ -270,11 +252,7 @@ fn run_listen(flags: &Flags) {
             listen,
             nodes,
             queue_capacity: flags.num("--queue", 1024),
-            backpressure: if flags.has("--drop") {
-                Backpressure::DropNewest
-            } else {
-                Backpressure::Block
-            },
+            backpressure: backpressure(flags),
         },
         Arc::clone(&stats),
     )
@@ -295,11 +273,10 @@ fn run_listen(flags: &Flags) {
 }
 
 fn run_send(flags: &Flags) {
-    let connect = flags.get("--connect").unwrap_or_else(|| {
-        eprintln!("send: --connect is required");
-        usage();
-    });
-    let demo = flags.demo();
+    let connect = flags
+        .get("--connect")
+        .unwrap_or_else(|| Flags::die("send: --connect is required"));
+    let demo = demo(flags);
     let repeat: usize = flags.num("--repeat", 1);
     let ds = demo_dataset(&demo);
     let frames = demo_frames(&ds);
@@ -374,12 +351,12 @@ fn compare_local(
 ) -> bool {
     let auth = demo_model(demo, ds);
     let replay = ReplaySource::from_dataset(ds);
-    let engine = Engine::start(
+    let engine = Engine::start_frozen(
         EngineConfig {
             backpressure: Backpressure::Block,
             ..EngineConfig::default()
         },
-        auth,
+        auth.freeze(),
         ReplaySource::registry(ds),
     );
     for _ in 0..repeat {

@@ -205,3 +205,17 @@ fn killed_node_restores_device_state_from_snapshot() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A misspelled flag must stop the process, not serve with the default
+/// it shadows (`--worker 4` used to serve with 2 workers).
+#[test]
+fn misspelled_flag_exits_2_instead_of_serving_defaults() {
+    let out = clusterd()
+        .args(["node", "--listen", "127.0.0.1:0", "--worker", "4"])
+        .output()
+        .expect("run clusterd");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--worker"), "stderr: {err}");
+    assert!(out.stdout.is_empty(), "must not reach LISTENING");
+}

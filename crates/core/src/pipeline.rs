@@ -386,18 +386,6 @@ impl FrozenAuthenticator {
     }
 }
 
-impl From<&Authenticator> for FrozenAuthenticator {
-    fn from(auth: &Authenticator) -> Self {
-        auth.freeze()
-    }
-}
-
-impl From<Authenticator> for FrozenAuthenticator {
-    fn from(auth: Authenticator) -> Self {
-        auth.freeze()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

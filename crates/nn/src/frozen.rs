@@ -26,8 +26,8 @@
 //! Because each sample only ever reads its own lanes, outputs are
 //! **bit-equal** to [`crate::Network::forward`] with `train = false` for
 //! any batch size *and* any partition of the batch — which is what makes
-//! [`FrozenModel::infer_batch_par`]'s thread split verdict-neutral by
-//! construction (property-tested in `tests/proptests.rs`).
+//! [`crate::InferPool`]'s lane split verdict-neutral by construction
+//! (property-tested in `tests/proptests.rs`).
 
 use crate::tensor::Tensor;
 use deepcsi_obs::Profiler;
@@ -390,13 +390,13 @@ impl InferCtx {
     }
 }
 
-/// Minimum samples routed to each thread of
-/// [`FrozenModel::infer_batch_par`]: one full SIMD lane block (the
-/// 16-wide granularity of the batched conv/dense kernels). Chunks are
-/// also *aligned* to this, so every split chunk except the batch's
-/// ragged tail runs the register-blocked kernels — parallelising never
-/// demotes the math to the scalar path. A batch of `n` samples
-/// therefore engages at most `max(1, n / 16)` threads.
+/// Minimum samples routed to each lane of a [`crate::InferPool`]: one
+/// full SIMD lane block (the 16-wide granularity of the batched
+/// conv/dense kernels). Chunks are also *aligned* to this, so every
+/// split chunk except the batch's ragged tail runs the register-blocked
+/// kernels — parallelising never demotes the math to the scalar path. A
+/// batch of `n` samples therefore engages at most `max(1, n / 16)`
+/// lanes.
 pub const PAR_MIN_CHUNK: usize = 16;
 
 /// An immutable inference snapshot of a [`crate::Network`].
@@ -543,64 +543,10 @@ impl FrozenModel {
         }
         ctx.unload()
     }
-
-    /// Thread-parallel [`FrozenModel::infer_batch`]: splits the batch's
-    /// lane blocks into up to `ctxs.len()` contiguous chunks and runs
-    /// each on its own thread against this one shared model.
-    ///
-    /// Because every sample only ever reads its own lanes, the partition
-    /// cannot change any output: results are bit-equal to the
-    /// single-context call (and to `forward(x, false)`) for **any**
-    /// context count — thread count never changes a verdict. With one
-    /// context no thread is spawned, and small batches use fewer
-    /// threads than contexts — each thread gets at least one full
-    /// [`PAR_MIN_CHUNK`]-sample lane block (and chunks are lane-block
-    /// *aligned*, so the split never demotes the SIMD kernels to their
-    /// scalar ragged path), which also means a near-empty micro-batch
-    /// never pays a spawn it cannot amortise. Usable parallelism is
-    /// therefore `max(1, batch / PAR_MIN_CHUNK)`, whatever the context
-    /// count. Threads are scoped per call — on very fast models the
-    /// spawn/join overhead can rival the inference itself; the serving
-    /// engine therefore runs [`crate::InferPool`], which executes the
-    /// *identical* [`plan_split`] partition on persistent lane threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ctxs` is empty or the samples disagree in shape (the
-    /// same contract as [`FrozenModel::infer_batch`], enforced up front
-    /// so it cannot depend on how the batch was split), and propagates
-    /// a panic from an inference thread.
-    pub fn infer_batch_par(&self, xs: &[Tensor], ctxs: &mut [InferCtx]) -> Vec<Tensor> {
-        assert!(!ctxs.is_empty(), "need at least one InferCtx");
-        if xs.is_empty() {
-            return Vec::new();
-        }
-        assert!(
-            xs.iter().all(|x| x.shape() == xs[0].shape()),
-            "batch samples must share a shape"
-        );
-        let (threads, chunk) = plan_split(xs.len(), ctxs.len());
-        if threads == 1 {
-            return self.infer_batch(xs, &mut ctxs[0]);
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = xs
-                .chunks(chunk)
-                .zip(ctxs.iter_mut())
-                .map(|(part, ctx)| scope.spawn(move || self.infer_batch(part, ctx)))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("inference thread panicked"))
-                .collect()
-        })
-    }
 }
 
-/// The `(threads, chunk_len)` partition shared bit-for-bit by
-/// [`FrozenModel::infer_batch_par`] and [`crate::InferPool`]: both paths
-/// must split a batch identically so swapping one for the other can
-/// never reorder or regroup samples.
+/// The `(threads, chunk_len)` partition [`crate::InferPool`] splits a
+/// batch by.
 ///
 /// * Floor division picks the thread count: a lane below one full
 ///   [`PAR_MIN_CHUNK`] block of work costs more to hand off than it
@@ -674,52 +620,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_split_is_bit_identical() {
-        let (_, frozen) = tiny_frozen();
-        // 70 samples: enough full 16-wide lane blocks that 2–4 contexts
-        // genuinely split (plus a ragged tail), while 16 contexts clamp
-        // down to the per-thread minimum chunk.
-        let xs: Vec<Tensor> = (0..70)
-            .map(|s| Tensor::from_vec(vec![s as f32 * 0.3, -(s as f32), 0.5], vec![3]))
-            .collect();
-        let mut one = frozen.ctx();
-        let want = frozen.infer_batch(&xs, &mut one);
-        for threads in [2usize, 3, 4, 16] {
-            let mut ctxs: Vec<InferCtx> = (0..threads).map(|_| frozen.ctx()).collect();
-            let got = frozen.infer_batch_par(&xs, &mut ctxs);
-            assert_eq!(got.len(), want.len());
-            for (w, g) in want.iter().zip(&got) {
-                assert_eq!(w.as_slice(), g.as_slice(), "threads={threads}");
-            }
-        }
-        // Tiny batches fall back to the no-spawn single-context path.
-        let mut ctxs: Vec<InferCtx> = (0..4).map(|_| frozen.ctx()).collect();
-        let small = frozen.infer_batch_par(&xs[..3], &mut ctxs);
-        for (w, g) in want.iter().zip(&small) {
-            assert_eq!(w.as_slice(), g.as_slice());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "share a shape")]
-    fn parallel_mixed_shapes_panic_regardless_of_split() {
-        // The shape contract cannot depend on how the batch is chunked:
-        // 32 + 32 same-shape runs would split into internally-uniform
-        // chunks at 2 contexts, so the check must run up front.
-        let (_, frozen) = tiny_frozen();
-        let mut xs = vec![Tensor::zeros(vec![3]); 32];
-        xs.extend(vec![Tensor::zeros(vec![1, 3]); 32]);
-        let mut ctxs = [frozen.ctx(), frozen.ctx()];
-        let _ = frozen.infer_batch_par(&xs, &mut ctxs);
-    }
-
-    #[test]
     fn empty_batch_yields_empty_output() {
         let (_, frozen) = tiny_frozen();
         let mut ctx = frozen.ctx();
         assert!(frozen.infer_batch(&[], &mut ctx).is_empty());
-        let mut ctxs = [frozen.ctx(), frozen.ctx()];
-        assert!(frozen.infer_batch_par(&[], &mut ctxs).is_empty());
     }
 
     #[test]

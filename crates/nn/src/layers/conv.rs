@@ -353,27 +353,17 @@ impl Layer for Conv2d {
         if !Int8Conv2d::supports_width(self.kw) {
             return None;
         }
-        let parts = quantize_layer(
-            "conv2d",
-            &self.weight,
-            &self.bias,
-            self.out_ch,
-            in_scale,
+        let parts = quantize_layer(&self.weight, &self.bias, self.out_ch, in_scale, out_scale);
+        Some(Int8Freeze::Requantized(Box::new(Int8Conv2d {
+            in_ch: self.in_ch,
+            out_ch: self.out_ch,
+            kh: self.kh,
+            kw: self.kw,
+            weight: parts.weight,
+            m: parts.m,
+            bq: parts.bq,
             out_scale,
-        );
-        Some(Int8Freeze::Requantized {
-            op: Box::new(Int8Conv2d {
-                in_ch: self.in_ch,
-                out_ch: self.out_ch,
-                kh: self.kh,
-                kw: self.kw,
-                weight: parts.weight,
-                m: parts.m,
-                bq: parts.bq,
-                out_scale,
-            }),
-            info: parts.info,
-        })
+        })))
     }
 
     fn params(&mut self) -> Vec<ParamView<'_>> {

@@ -216,25 +216,15 @@ impl Layer for Dense {
     }
 
     fn freeze_int8(&self, in_scale: f32, out_scale: f32) -> Option<Int8Freeze> {
-        let parts = quantize_layer(
-            "dense",
-            &self.weight,
-            &self.bias,
-            self.out_dim,
-            in_scale,
+        let parts = quantize_layer(&self.weight, &self.bias, self.out_dim, in_scale, out_scale);
+        Some(Int8Freeze::Requantized(Box::new(Int8Dense {
+            in_dim: self.in_dim,
+            out_dim: self.out_dim,
+            weight: parts.weight,
+            m: parts.m,
+            bq: parts.bq,
             out_scale,
-        );
-        Some(Int8Freeze::Requantized {
-            op: Box::new(Int8Dense {
-                in_dim: self.in_dim,
-                out_dim: self.out_dim,
-                weight: parts.weight,
-                m: parts.m,
-                bq: parts.bq,
-                out_scale,
-            }),
-            info: parts.info,
-        })
+        })))
     }
 
     fn params(&mut self) -> Vec<ParamView<'_>> {

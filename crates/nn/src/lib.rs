@@ -18,12 +18,11 @@
 //!   [`Network::freeze`] snapshots the weights into an immutable
 //!   `Send + Sync` model (one `Arc` shared by every serving worker, no
 //!   per-worker clone) while all scratch lives in a per-worker context;
-//!   `infer`/`infer_batch` are bit-equal to `forward(train = false)`,
-//!   and [`FrozenModel::infer_batch_par`] splits a batch's lane blocks
-//!   across threads without ever changing an output.
+//!   `infer`/`infer_batch` are bit-equal to `forward(train = false)`.
 //! * [`InferPool`] — the persistent serving runtime: parked lane
-//!   threads own their contexts for the process lifetime, so the same
-//!   bit-exact lane split runs with no spawn/join on the hot path.
+//!   threads own their contexts for the process lifetime and split a
+//!   batch's lane blocks without ever changing an output, with no
+//!   spawn/join on the hot path.
 //! * [`quant`] — the int8 serving backend: [`QuantSpec::calibrate`] +
 //!   [`Network::freeze_int8`] re-freeze conv/dense onto integer
 //!   dot-product kernels behind the same [`InferOp`] seam (top-1
@@ -87,6 +86,6 @@ pub use metrics::ConfusionMatrix;
 pub use network::Network;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use pool::InferPool;
-pub use quant::{ActRange, Int8Freeze, QuantError, QuantLayerInfo, QuantSpec};
+pub use quant::{ActRange, Int8Freeze, QuantError, QuantSpec};
 pub use tensor::Tensor;
-pub use train::{evaluate, predict, TrainConfig, TrainReport, Trainer};
+pub use train::{evaluate, TrainConfig, TrainReport, Trainer};

@@ -2,7 +2,7 @@
 
 use crate::frozen::FrozenModel;
 use crate::layer::{Layer, ParamView};
-use crate::quant::{QuantError, QuantLayerInfo, QuantSpec};
+use crate::quant::{QuantError, QuantSpec};
 use crate::tensor::Tensor;
 
 /// A sequential stack of layers.
@@ -84,7 +84,7 @@ impl Network {
     /// (`i8 × i8 → i32`, requantized at layer exit), activations and the
     /// attention block stay f32 behind dequantize/quantize hops, and the
     /// whole chain serves behind the same [`crate::InferOp`] seam as the
-    /// f32 snapshot — including the bit-exact thread-parallel lane
+    /// f32 snapshot — including the bit-exact [`crate::InferPool`] lane
     /// split.
     ///
     /// `spec` comes from [`QuantSpec::calibrate`] run on this network's
@@ -103,51 +103,7 @@ impl Network {
     /// assembled chain fails shape validation against the calibration
     /// input shape.
     pub fn freeze_int8(&self, spec: &QuantSpec) -> Result<FrozenModel, QuantError> {
-        Ok(self.freeze_int8_report(spec)?.0)
-    }
-
-    /// [`Network::freeze_int8`] plus per-layer quantization metadata
-    /// (weight scales and round-trip error bounds) for benchmarking and
-    /// diagnostics.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Network::freeze_int8`].
-    pub fn freeze_int8_report(
-        &self,
-        spec: &QuantSpec,
-    ) -> Result<(FrozenModel, Vec<QuantLayerInfo>), QuantError> {
         crate::quant::assemble(&self.layers, spec)
-    }
-
-    /// Immutable single-sample inference, bit-equal to
-    /// `forward(x, false)`.
-    ///
-    /// Convenience wrapper that freezes the network on every call; a
-    /// serving loop should call [`Network::freeze`] once and reuse the
-    /// [`FrozenModel`] (plus a per-worker [`crate::InferCtx`]) instead.
-    pub fn infer(&self, x: &Tensor) -> Tensor {
-        self.forward_batch(std::slice::from_ref(x))
-            .pop()
-            .expect("one output per input")
-    }
-
-    /// Micro-batched immutable inference: one pass of every weight matrix
-    /// serves the whole batch.
-    ///
-    /// Outputs are element-wise bit-equal to calling [`Network::forward`]
-    /// with `train = false` on each sample; any batch size works (no
-    /// padding requirement). Convenience wrapper around
-    /// [`Network::freeze`] + [`FrozenModel::infer_batch`] that snapshots
-    /// the weights on **every call** — hot paths (the serving engine,
-    /// [`crate::evaluate`]) freeze once and reuse the model.
-    pub fn forward_batch(&self, xs: &[Tensor]) -> Vec<Tensor> {
-        if xs.is_empty() {
-            return Vec::new();
-        }
-        let frozen = self.freeze();
-        let mut ctx = frozen.ctx();
-        frozen.infer_batch(xs, &mut ctx)
     }
 
     /// Back-propagates an output gradient, accumulating parameter

@@ -1,21 +1,18 @@
-//! Persistent inference pool: the serving replacement for the
-//! spawn-per-call [`FrozenModel::infer_batch_par`].
+//! Persistent inference pool: how a batch is split across threads.
 //!
-//! `infer_batch_par` spawns and joins scoped threads on every call. On
-//! the small micro-batches a per-report CSI stream produces, the
-//! spawn/join overhead rivals the inference itself — `BENCH_parallel`
-//! recorded the fast profile *losing* at 2 and 4 threads. The pool
-//! fixes the regime: lane threads are spawned once, each parks on a
-//! channel owning its [`InferCtx`] for the process lifetime, and a call
-//! hands each lane a borrowed block of the batch and collects the
-//! results in order. The hot path is two channel operations per helper
-//! lane — no thread creation, no stack setup, no join.
+//! Spawning and joining threads per call costs as much as the inference
+//! itself on the small micro-batches a per-report CSI stream produces.
+//! The pool's lane threads are spawned once, each parks on a channel
+//! owning its [`InferCtx`] for the process lifetime, and a call hands
+//! each lane a borrowed block of the batch and collects the results in
+//! order. The hot path is two channel operations per helper lane — no
+//! thread creation, no stack setup, no join.
 //!
-//! The partition is [`plan_split`], the *same* function the scoped-
-//! thread path uses, so pool outputs are bit-equal to
+//! The partition is [`plan_split`], and every sample only ever reads its
+//! own lanes, so pool outputs are bit-equal to
 //! [`FrozenModel::infer_batch`] (and to `forward(x, false)`) for any
-//! batch size and any lane count — swapping the engine onto the pool
-//! can never change a verdict.
+//! batch size and any lane count — lane count can never change a
+//! verdict.
 //!
 //! # Why `unsafe` lives here (and only here)
 //!
@@ -195,17 +192,14 @@ impl Drop for Drain<'_> {
 /// owned in place by the caller, the rest parked on dedicated threads
 /// that live as long as the pool.
 ///
-/// [`InferPool::infer_batch`] is a drop-in for
-/// [`FrozenModel::infer_batch_par`] with the spawn/join removed:
-/// outputs are bit-identical for any batch size and lane count because
-/// both paths share [`plan_split`]. The model is passed per call, so
-/// one pool serves f32 and int8 snapshots alike and survives model
-/// swaps.
+/// [`InferPool::infer_batch`] outputs are bit-identical to
+/// [`FrozenModel::infer_batch`] for any batch size and lane count. The
+/// model is passed per call, so one pool serves f32 and int8 snapshots
+/// alike and survives model swaps.
 ///
 /// A panicking op poisons only its own call: the lane contains the
-/// unwind, the in-flight `infer_batch` panics with the same message as
-/// the scoped-thread path, and every lane stays parked and serviceable
-/// for the next batch.
+/// unwind, the in-flight `infer_batch` panics, and every lane stays
+/// parked and serviceable for the next batch.
 pub struct InferPool {
     /// Lane 0: the caller's own context, run in place per call.
     local: InferCtx,
@@ -256,8 +250,7 @@ impl InferPool {
 
     /// Runs `xs` through `model` across the pool's lanes, bit-equal to
     /// [`FrozenModel::infer_batch`] on a single context for any batch
-    /// size and lane count (both derive the partition from
-    /// [`plan_split`]).
+    /// size and lane count (the partition is [`plan_split`]).
     ///
     /// The caller runs chunk 0 on its own lane while helpers run the
     /// rest, then collects replies in dispatch order — output order is
@@ -265,10 +258,10 @@ impl InferPool {
     ///
     /// # Panics
     ///
-    /// Panics if the samples disagree in shape, and surfaces a lane's
-    /// contained op panic as `"inference thread panicked"` (the
-    /// scoped-thread path's message); the pool itself stays usable
-    /// afterwards.
+    /// Panics if the samples disagree in shape (checked up front, so it
+    /// cannot depend on how the batch was split), and surfaces a lane's
+    /// contained op panic as `"inference thread panicked"`; the pool
+    /// itself stays usable afterwards.
     pub fn infer_batch(&mut self, model: &FrozenModel, xs: &[Tensor]) -> Vec<Tensor> {
         if xs.is_empty() {
             self.engaged = 0;
@@ -445,10 +438,12 @@ mod tests {
 
     #[test]
     fn mixed_shapes_panic_before_any_dispatch() {
+        // 32 + 32 same-shape runs split into internally-uniform chunks
+        // at 2 lanes, so only the up-front check can catch the mix.
         let frozen = tiny_frozen();
         let mut pool = InferPool::new(2);
         let mut xs = batch(32);
-        xs.push(Tensor::from_vec(vec![0.0; 4], vec![4]));
+        xs.extend(vec![Tensor::zeros(vec![1, 3]); 32]);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.infer_batch(&frozen, &xs)
         }))

@@ -46,34 +46,11 @@ pub enum Int8Freeze {
     /// An integer-kernel op that consumes the int8 plane at the layer's
     /// input scale and **requantizes** its output to the layer's
     /// calibrated output scale (conv/dense).
-    Requantized {
-        /// The int8 op.
-        op: Box<dyn crate::InferOp>,
-        /// Freeze-time quantization metadata for this layer.
-        info: QuantLayerInfo,
-    },
+    Requantized(Box<dyn crate::InferOp>),
     /// An op that transforms the int8 plane without touching its scale
     /// (max-pool, flatten, dropout). Falls back to the layer's f32 op
     /// when the pipeline is in the f32 domain at this point.
     ScalePreserving(Box<dyn crate::InferOp>),
-}
-
-/// Freeze-time quantization metadata for one integer-kernel layer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantLayerInfo {
-    /// Index of the source layer in the training network.
-    pub layer: usize,
-    /// The source layer's name (`"conv2d"` / `"dense"`).
-    pub name: &'static str,
-    /// Largest per-channel weight scale (`max_o s_w[o]`).
-    pub weight_scale_max: f32,
-    /// Largest absolute weight round-trip error,
-    /// `max |w − s_w[o] · q(w)|`. Bounded by `weight_scale_max / 2`.
-    pub weight_err_max: f32,
-    /// Activation scale feeding the layer.
-    pub in_scale: f32,
-    /// Activation scale of the layer's requantized output.
-    pub out_scale: f32,
 }
 
 /// Errors from calibration or int8 assembly.
@@ -263,7 +240,7 @@ impl QuantSpec {
 pub(crate) fn assemble(
     layers: &[Box<dyn Layer>],
     spec: &QuantSpec,
-) -> Result<(FrozenModel, Vec<QuantLayerInfo>), QuantError> {
+) -> Result<FrozenModel, QuantError> {
     let expected = layers.len() + 1;
     if spec.boundaries() != expected {
         return Err(QuantError::BoundaryCount {
@@ -272,7 +249,6 @@ pub(crate) fn assemble(
         });
     }
     let mut ops: Vec<Box<dyn crate::InferOp>> = Vec::new();
-    let mut infos: Vec<QuantLayerInfo> = Vec::new();
     let mut int8 = false;
     // The scale actually carried by the int8 plane. Scale-preserving ops
     // (pool) pass it through, so it can lag the per-boundary calibrated
@@ -282,13 +258,11 @@ pub(crate) fn assemble(
         let in_scale = if int8 { cur_scale } else { spec.act_scale(i) };
         let out_scale = spec.act_scale(i + 1);
         match layer.freeze_int8(in_scale, out_scale) {
-            Some(Int8Freeze::Requantized { op, mut info }) => {
+            Some(Int8Freeze::Requantized(op)) => {
                 if !int8 {
                     ops.push(Box::new(Quantize { scale: in_scale }));
                     int8 = true;
                 }
-                info.layer = i;
-                infos.push(info);
                 ops.push(op);
                 cur_scale = out_scale;
             }
@@ -306,19 +280,16 @@ pub(crate) fn assemble(
     if int8 {
         ops.push(Box::new(Dequantize));
     }
-    let model = FrozenModel::from_ops_checked(ops, &spec.input_shape)?;
-    Ok((model, infos))
+    Ok(FrozenModel::from_ops_checked(ops, &spec.input_shape)?)
 }
 
 /// One layer's quantized operand set, shared by the conv and dense
 /// `freeze_int8` implementations: i16-materialized int8-grid weights,
-/// per-output requantize multipliers, bias in output-scale units, and
-/// the freeze-time metadata.
+/// per-output requantize multipliers and bias in output-scale units.
 pub(crate) struct QuantizedLayerParts {
     pub(crate) weight: Vec<i16>,
     pub(crate) m: Vec<f32>,
     pub(crate) bq: Vec<f32>,
-    pub(crate) info: QuantLayerInfo,
 }
 
 /// Quantizes one layer's weights and bias for an integer kernel:
@@ -326,38 +297,25 @@ pub(crate) struct QuantizedLayerParts {
 /// multiplier `s_in · s_w[o] / s_out`, and the bias rescaled to
 /// output-scale units.
 pub(crate) fn quantize_layer(
-    name: &'static str,
     weight: &[f32],
     bias: &[f32],
     out_ch: usize,
     in_scale: f32,
     out_scale: f32,
 ) -> QuantizedLayerParts {
-    let (q, wscales, weight_err_max) = quantize_weights_per_channel(weight, out_ch);
+    let (q, wscales) = quantize_weights_per_channel(weight, out_ch);
     QuantizedLayerParts {
         // i16-materialized int8 grid (the kernels' operand width).
         weight: q.iter().map(|&v| i16::from(v)).collect(),
         m: wscales.iter().map(|&s| in_scale * s / out_scale).collect(),
         bq: bias.iter().map(|&b| b / out_scale).collect(),
-        info: QuantLayerInfo {
-            layer: 0, // assembly fills in the network index
-            name,
-            weight_scale_max: wscales.iter().fold(0.0f32, |m, &s| m.max(s)),
-            weight_err_max,
-            in_scale,
-            out_scale,
-        },
     }
 }
 
 /// Per-output-channel symmetric quantization of one weight tensor:
-/// returns `(q, scales, err_max)` where row `o` of `q` is
-/// `round(w / scales[o])` clamped to `[-127, 127]` and `err_max` is the
-/// largest absolute round-trip error across all channels.
-pub(crate) fn quantize_weights_per_channel(
-    weight: &[f32],
-    out_ch: usize,
-) -> (Vec<i8>, Vec<f32>, f32) {
+/// returns `(q, scales)` where row `o` of `q` is `round(w / scales[o])`
+/// clamped to `[-127, 127]`.
+pub(crate) fn quantize_weights_per_channel(weight: &[f32], out_ch: usize) -> (Vec<i8>, Vec<f32>) {
     assert!(
         out_ch > 0 && weight.len().is_multiple_of(out_ch),
         "ragged weight rows"
@@ -365,7 +323,6 @@ pub(crate) fn quantize_weights_per_channel(
     let row = weight.len() / out_ch;
     let mut q = vec![0i8; weight.len()];
     let mut scales = vec![1.0f32; out_ch];
-    let mut err_max = 0.0f32;
     for o in 0..out_ch {
         let ws = &weight[o * row..(o + 1) * row];
         let amax = ws.iter().fold(0.0f32, |m, &w| m.max(w.abs()));
@@ -373,10 +330,9 @@ pub(crate) fn quantize_weights_per_channel(
         scales[o] = s;
         for (qv, &w) in q[o * row..(o + 1) * row].iter_mut().zip(ws) {
             *qv = (w / s).round().clamp(-127.0, 127.0) as i8;
-            err_max = err_max.max((w - f32::from(*qv) * s).abs());
         }
     }
-    (q, scales, err_max)
+    (q, scales)
 }
 
 #[cfg(test)]
@@ -454,9 +410,15 @@ mod tests {
         let weight: Vec<f32> = (0..24)
             .map(|i| ((i * 7 % 13) as f32 - 6.0) * 0.37)
             .collect();
-        let (q, scales, err_max) = quantize_weights_per_channel(&weight, 4);
+        let (q, scales) = quantize_weights_per_channel(&weight, 4);
         assert_eq!(q.len(), 24);
         assert_eq!(scales.len(), 4);
+        let err_max = weight
+            .iter()
+            .zip(&q)
+            .enumerate()
+            .map(|(i, (&w, &qv))| (w - f32::from(qv) * scales[i / 6]).abs())
+            .fold(0.0f32, f32::max);
         // Exact-arithmetic bound is scale/2; allow a few float ulps from
         // the `w / s` and `q · s` roundings themselves.
         let bound = scales.iter().fold(0.0f32, |m, &s| m.max(s)) / 2.0 * (1.0 + 1e-5);

@@ -35,7 +35,7 @@
 //! dense.
 //!
 //! Every computation is per-sample, which keeps the quantized pipeline
-//! bit-exact under any [`crate::FrozenModel::infer_batch_par`] lane
+//! bit-exact under any [`crate::InferPool`] lane
 //! split — `infer_threads` can never change an int8 verdict, exactly as
 //! for f32.
 

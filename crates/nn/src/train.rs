@@ -254,11 +254,6 @@ fn clip_global_norm(net: &mut Network, max_norm: f32) {
     }
 }
 
-/// Predicts the class of one sample (inference mode).
-pub fn predict(net: &Network, x: &Tensor) -> usize {
-    net.infer(x).argmax()
-}
-
 /// Evaluates a network over a labelled set, returning overall accuracy and
 /// the confusion matrix.
 ///
@@ -415,13 +410,13 @@ mod tests {
     }
 
     #[test]
-    fn predict_is_consistent_with_evaluate() {
+    fn evaluate_matches_per_sample_forward() {
         let (xs, ys) = blobs(8, 3);
-        let net = blob_net();
+        let mut net = blob_net();
         let (_, cm) = evaluate(&net, &xs, &ys);
         let mut cm2 = ConfusionMatrix::new(2);
         for (x, &y) in xs.iter().zip(ys.iter()) {
-            cm2.add(y, predict(&net, x));
+            cm2.add(y, net.forward(x, false).argmax());
         }
         assert_eq!(cm, cm2);
     }

@@ -1,8 +1,8 @@
 //! Property-based and 2-D-path tests for the deep-learning substrate.
 
 use deepcsi_nn::{
-    poly_exp, softmax_cross_entropy, AlphaDropout, Conv2d, Dense, Flatten, InferCtx, InferPool,
-    Layer, MaxPool2d, Network, Selu, Sigmoid, SpatialAttention, Tensor, PAR_MIN_CHUNK,
+    poly_exp, softmax_cross_entropy, AlphaDropout, Conv2d, Dense, Flatten, InferPool, Layer,
+    MaxPool2d, Network, Selu, Sigmoid, SpatialAttention, Tensor, PAR_MIN_CHUNK,
 };
 use deepcsi_obs::Profiler;
 use proptest::prelude::*;
@@ -185,68 +185,17 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `Network::forward_batch` must agree element-wise with sequential
-    /// `forward` calls for every batch size — including sizes that are
-    /// not a multiple of any SIMD width or micro-batch target.
-    #[test]
-    fn forward_batch_matches_sequential_forward(
-        xs in proptest::collection::vec(tensor(vec![3, 1, 24]), 1..41),
-    ) {
-        let mut net = Network::new();
-        net.push(Conv2d::new(3, 6, (1, 5), 21));
-        net.push(Selu::new());
-        net.push(MaxPool2d::new((1, 2)));
-        net.push(Conv2d::new(6, 4, (1, 3), 22));
-        net.push(Selu::new());
-        net.push(SpatialAttention::new(3, 23));
-        net.push(Flatten::new());
-        net.push(Dense::new(4 * 12, 10, 24));
-        net.push(Selu::new());
-        net.push(AlphaDropout::new(0.4, 25)); // identity at inference
-        net.push(Dense::new(10, 5, 26));
-
-        let batched = net.forward_batch(&xs);
-        prop_assert_eq!(batched.len(), xs.len());
-        for (x, got) in xs.iter().zip(batched.iter()) {
-            let want = net.forward(x, false);
-            prop_assert_eq!(want.shape(), got.shape());
-            for (w, g) in want.as_slice().iter().zip(got.as_slice()) {
-                prop_assert!(
-                    (w - g).abs() <= 1e-6,
-                    "batched inference diverged: {} vs {} (batch of {})",
-                    w, g, xs.len()
-                );
-            }
-        }
-    }
-
-    /// Single-sample `infer` is the batch-of-one special case and must be
-    /// exactly `forward(x, false)`.
-    #[test]
-    fn infer_matches_forward(x in tensor(vec![2, 1, 16])) {
-        let mut net = Network::new();
-        net.push(Conv2d::new(2, 4, (1, 5), 31));
-        net.push(Selu::new());
-        net.push(MaxPool2d::new((1, 2)));
-        net.push(SpatialAttention::new(3, 32));
-        net.push(Flatten::new());
-        net.push(Dense::new(32, 3, 33));
-        let want = net.forward(&x, false);
-        let got = net.infer(&x);
-        prop_assert_eq!(want.as_slice(), got.as_slice());
-    }
-
     /// The tentpole contract of the train/serve split:
     /// `FrozenModel::infer_batch` must be **bit-exact** against
     /// `Network::forward(x, false)` over ragged batch sizes, AND the
-    /// thread-parallel lane split (`infer_batch_par` with 1, 2 or 4
-    /// contexts) must never change a single bit — a serving verdict can
-    /// never depend on `infer_threads`.
+    /// `InferPool` lane split (1, 2 or 4 lanes) must never change a
+    /// single bit — a serving verdict can never depend on
+    /// `infer_threads`.
     #[test]
     fn frozen_infer_batch_is_bit_exact_across_batches_and_threads(
         // Up to 69 samples: enough full 16-wide lane blocks that 4
-        // contexts genuinely split (threads = max(1, n/16)), while the
-        // small sizes cover the no-spawn fallback and ragged tails.
+        // lanes genuinely split (threads = max(1, n/16)), while the
+        // small sizes cover the inline single-lane path and ragged tails.
         xs in proptest::collection::vec(tensor(vec![3, 1, 24]), 1..70),
     ) {
         let mut net = Network::new();
@@ -265,8 +214,7 @@ proptest! {
 
         let want: Vec<Tensor> = xs.iter().map(|x| net.forward(x, false)).collect();
         for threads in [1usize, 2, 4] {
-            let mut ctxs: Vec<InferCtx> = (0..threads).map(|_| frozen.ctx()).collect();
-            let got = frozen.infer_batch_par(&xs, &mut ctxs);
+            let got = InferPool::new(threads).infer_batch(&frozen, &xs);
             prop_assert_eq!(got.len(), want.len());
             for (w, g) in want.iter().zip(&got) {
                 prop_assert_eq!(w.shape(), g.shape());
@@ -290,14 +238,12 @@ proptest! {
     /// The polynomial `exp` both the forward and frozen paths share must
     /// stay within a small ULP budget of `f32::exp` everywhere in the
     /// normal-result range.
-    /// Degenerate splits — more contexts than the batch has lane
-    /// blocks, a batch of 1, lane counts that do not divide the batch —
-    /// must never produce an empty partition (every sample classified
+    /// Degenerate splits — more lanes than the batch has lane blocks, a
+    /// batch of 1, lane counts that do not divide the batch — must
+    /// never produce an empty partition (every sample classified
     /// exactly once), must stay bit-exact against the single-context
     /// path, and the per-lane profilers must account each sample
-    /// exactly once (no double counting from a skewed split). The
-    /// persistent [`InferPool`] inherits the identical guarantee: it
-    /// shares the spawn path's partition function.
+    /// exactly once (no double counting from a skewed split).
     #[test]
     fn degenerate_splits_never_drop_samples_or_skew_profilers(
         xs in proptest::collection::vec(tensor(vec![6]), 1..40),
@@ -313,44 +259,11 @@ proptest! {
         let mut one = frozen.ctx();
         let want = frozen.infer_batch(&xs, &mut one);
 
-        // Spawn-per-call path, every lane armed with a profiler.
-        let mut ctxs: Vec<InferCtx> = (0..lanes)
-            .map(|_| {
-                let mut ctx = frozen.ctx();
-                ctx.set_profiler(Profiler::new());
-                ctx
-            })
-            .collect();
-        let got = frozen.infer_batch_par(&xs, &mut ctxs);
-        prop_assert_eq!(got.len(), batch, "no partition may come up empty or dropped");
-        for (w, g) in want.iter().zip(&got) {
-            prop_assert!(w.as_slice() == g.as_slice(), "par split diverged");
-        }
-        // Each op processes every sample exactly once across the lanes
-        // — an op's per-lane sample count summed over contexts must be
-        // exactly the batch, however skewed the split.
-        for op_index in 0..3 {
-            let samples: u64 = ctxs
-                .iter()
-                .map(|ctx| {
-                    ctx.profiler()
-                        .and_then(|p| p.ops().get(op_index))
-                        .map_or(0, |stat| stat.samples)
-                })
-                .sum();
-            prop_assert_eq!(
-                samples,
-                batch as u64,
-                "op {} accounted {} samples for batch {} over {} lanes",
-                op_index, samples, batch, lanes
-            );
-        }
-
-        // The persistent pool: same partition function, same contract.
+        // Every lane armed with a profiler.
         let mut pool = InferPool::new(lanes);
         pool.set_profilers((0..lanes).map(|_| Profiler::new()).collect());
         let got = pool.infer_batch(&frozen, &xs);
-        prop_assert_eq!(got.len(), batch);
+        prop_assert_eq!(got.len(), batch, "no partition may come up empty or dropped");
         for (w, g) in want.iter().zip(&got) {
             prop_assert!(w.as_slice() == g.as_slice(), "pool split diverged");
         }

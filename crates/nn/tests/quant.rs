@@ -15,7 +15,7 @@
 //!   [`deepcsi_nn::ShapeMismatch`], not at first inference.
 
 use deepcsi_nn::{
-    Conv2d, Dense, Flatten, InferCtx, MaxPool2d, Network, QuantError, QuantSpec, Selu, Tensor,
+    Conv2d, Dense, Flatten, InferPool, MaxPool2d, Network, QuantError, QuantSpec, Selu, Tensor,
     TrainConfig, Trainer,
 };
 use proptest::prelude::*;
@@ -120,14 +120,13 @@ fn int8_top1_agreement_is_at_least_99_percent() {
                 }
             }
             // Lane-split invariance: the quantized model must stay
-            // bit-identical under any thread split, like the f32 one.
-            for threads in [2usize, 4] {
-                let mut ctxs: Vec<InferCtx> = (0..threads).map(|_| int8.ctx()).collect();
-                let par = int8.infer_batch_par(&xs, &mut ctxs);
+            // bit-identical under any lane split, like the f32 one.
+            for lanes in [2usize, 4] {
+                let par = InferPool::new(lanes).infer_batch(int8, &xs);
                 for (a, b) in got.iter().zip(&par) {
                     prop_assert!(
                         a.as_slice() == b.as_slice(),
-                        "int8 outputs diverged at {threads} contexts (batch {})",
+                        "int8 outputs diverged at {lanes} lanes (batch {})",
                         n
                     );
                 }

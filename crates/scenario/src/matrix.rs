@@ -284,7 +284,7 @@ impl ScenarioMatrix {
 
             for &policy in &self.policies {
                 for arm in &self.arms {
-                    let engine = Engine::start(
+                    let engine = Engine::start_frozen(
                         EngineConfig {
                             workers: 2,
                             backpressure: Backpressure::Block,
@@ -295,7 +295,7 @@ impl ScenarioMatrix {
                             },
                             ..EngineConfig::default()
                         },
-                        Authenticator::new(nets[&arm.augmentation].clone(), input_spec()),
+                        Authenticator::new(nets[&arm.augmentation].clone(), input_spec()).freeze(),
                         registry.clone(),
                     );
                     for ds in &segments {

@@ -143,7 +143,6 @@ fn run_stream(
         EngineConfig {
             workers: 2,
             backpressure: Backpressure::Block,
-            precision,
             // A strict deployment gate. The adaptive policy may relax
             // it per stream, but never below a strict majority (0.505).
             policy: VerdictPolicy {

@@ -2,24 +2,8 @@
 //! the streaming authentication engine and report per-device verdicts
 //! plus engine telemetry.
 //!
-//! ```text
-//! deepcsi-served [--dataset PATH] [--model PATH] [--save-model PATH]
-//!                [--modules N] [--snapshots N] [--epochs N]
-//!                [--workers N] [--infer-threads N]
-//!                [--precision f32|int8] [--calib-samples N]
-//!                [--batch N] [--queue N] [--window N]
-//!                [--adaptive-batch] [--batch-min N] [--batch-slo-ms MS]
-//!                [--policy fixed|confidence|adaptive]
-//!                [--accept-threshold MASS] [--calibration N]
-//!                [--repeat N] [--drop] [--garbage N]
-//!                [--export-pcap PATH] [--pcap PATH] [--follow]
-//!                [--idle-exit SECS]
-//!                [--metrics-file PATH] [--metrics-json PATH]
-//!                [--metrics-interval SECS]
-//!                [--trace-file PATH] [--trace-sample N] [--profile]
-//!                [--obs-listen ADDR] [--obs-linger SECS]
-//!                [--audit-file PATH] [--audit-capacity N]
-//! ```
+//! `deepcsi-served --help` lists every flag (the `FLAGS` table below is
+//! the whole grammar; an unknown flag exits 2).
 //!
 //! Without `--dataset` a synthetic D1 capture is generated; without
 //! `--model` a fast classifier is trained on it first (and optionally
@@ -114,12 +98,53 @@ use deepcsi_data::{d1_split, generate_d1, D1Set, Dataset, GenConfig, InputSpec};
 use deepcsi_nn::TrainConfig;
 use deepcsi_obs::{format_op_table, write_chrome_trace, TraceConfig};
 use deepcsi_serve::{
-    AuditConfig, Backpressure, BatchFormer, DecisionPolicyConfig, Engine, EngineConfig,
+    AuditConfig, Backpressure, BatchFormer, DecisionPolicyConfig, Engine, EngineConfig, Flags,
     MetricsEmitter, ObsPlane, ObsPlaneConfig, PolicyKind, Precision, ReplaySource, SourceStatus,
     Verdict, WindowConfig,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Every flag: `(flag, takes_value, help)`.
+#[rustfmt::skip]
+const FLAGS: &[(&str, bool, &str)] = &[
+    ("--dataset", true, "stored dataset to serve (default: synthesize D1)"),
+    ("--model", true, "trained model to load (default: train a fast one)"),
+    ("--save-model", true, "persist the trained model here"),
+    ("--modules", true, "synthetic D1 modules (default 3)"),
+    ("--snapshots", true, "synthetic D1 snapshots per trace (default 40)"),
+    ("--epochs", true, "training epochs (default 6)"),
+    ("--workers", true, "shard workers (default 2)"),
+    ("--infer-threads", true, "inference-pool lanes per worker (default 1)"),
+    ("--precision", true, "serving snapshot to build: f32|int8 (default f32)"),
+    ("--calib-samples", true, "int8 calibration reports (default 256)"),
+    ("--batch", true, "micro-batch cap (default 32)"),
+    ("--queue", true, "per-worker queue capacity (default 1024)"),
+    ("--window", true, "decision window length (default 25)"),
+    ("--adaptive-batch", false, "latency-adaptive batch former"),
+    ("--batch-min", true, "adaptive former's floor (default 1)"),
+    ("--batch-slo-ms", true, "adaptive former's service budget (default 250)"),
+    ("--policy", true, "fixed|confidence|adaptive (default fixed)"),
+    ("--accept-threshold", true, "confidence policy's mass gate, in (0.5, 1]"),
+    ("--calibration", true, "adaptive policy's warm-up, in reports"),
+    ("--repeat", true, "replay passes (default 1)"),
+    ("--drop", false, "drop on a full queue instead of blocking"),
+    ("--garbage", true, "undecodable frames appended to the replay"),
+    ("--export-pcap", true, "write the dataset as pcap/pcapng and exit"),
+    ("--pcap", true, "serve a capture file instead of the replay"),
+    ("--follow", false, "tail --pcap as it grows"),
+    ("--idle-exit", true, "stop --follow after this many idle seconds"),
+    ("--metrics-file", true, "Prometheus text file, rewritten periodically"),
+    ("--metrics-json", true, "JSONL metrics file, appended periodically"),
+    ("--metrics-interval", true, "seconds between emissions (default 5)"),
+    ("--trace-file", true, "write a Chrome trace at shutdown"),
+    ("--trace-sample", true, "trace one micro-batch in N (default 8)"),
+    ("--profile", false, "per-layer inference profile"),
+    ("--obs-listen", true, "bind the live scrape plane here"),
+    ("--obs-linger", true, "keep the plane up this many seconds after drain"),
+    ("--audit-file", true, "JSONL verdict audit trail"),
+    ("--audit-capacity", true, "audit ring size (default 4096)"),
+];
 
 struct Args {
     dataset: Option<String>,
@@ -162,136 +187,45 @@ struct Args {
 
 impl Args {
     fn parse() -> Args {
-        let mut args = Args {
-            dataset: None,
-            model: None,
-            save_model: None,
-            modules: 3,
-            snapshots: 40,
-            epochs: 6,
-            workers: 2,
-            infer_threads: 1,
-            precision: Precision::default(),
-            calib_samples: 256,
-            batch: 32,
-            adaptive_batch: false,
-            batch_min: 1,
-            batch_slo_ms: 250,
-            queue: 1024,
-            window: 25,
-            policy: PolicyKind::default(),
-            accept_threshold: None,
-            calibration: None,
-            repeat: 1,
-            drop_on_full: false,
-            garbage: 0,
-            export_pcap: None,
-            pcap: None,
-            follow: false,
-            idle_exit: None,
-            metrics_file: None,
-            metrics_json: None,
-            metrics_interval: 5,
-            trace_file: None,
-            trace_sample: 8,
-            profile: false,
-            obs_listen: None,
-            obs_linger: 0,
-            audit_file: None,
-            audit_capacity: 4096,
+        let f = Flags::parse_or_exit("deepcsi-served", FLAGS, std::env::args().skip(1));
+        let args = Args {
+            dataset: f.get("--dataset"),
+            model: f.get("--model"),
+            save_model: f.get("--save-model"),
+            modules: f.num("--modules", 3),
+            snapshots: f.num("--snapshots", 40),
+            epochs: f.num("--epochs", 6),
+            workers: f.num("--workers", 2),
+            infer_threads: f.num("--infer-threads", 1),
+            precision: f.num("--precision", Precision::default()),
+            calib_samples: f.num("--calib-samples", 256),
+            batch: f.num("--batch", 32),
+            adaptive_batch: f.has("--adaptive-batch"),
+            batch_min: f.num("--batch-min", 1),
+            batch_slo_ms: f.num("--batch-slo-ms", 250),
+            queue: f.num("--queue", 1024),
+            window: f.num("--window", 25),
+            policy: f.num("--policy", PolicyKind::default()),
+            accept_threshold: f.opt("--accept-threshold"),
+            calibration: f.opt("--calibration"),
+            repeat: f.num("--repeat", 1),
+            drop_on_full: f.has("--drop"),
+            garbage: f.num("--garbage", 0),
+            export_pcap: f.get("--export-pcap"),
+            pcap: f.get("--pcap"),
+            follow: f.has("--follow"),
+            idle_exit: f.opt("--idle-exit"),
+            metrics_file: f.get("--metrics-file"),
+            metrics_json: f.get("--metrics-json"),
+            metrics_interval: f.num("--metrics-interval", 5),
+            trace_file: f.get("--trace-file"),
+            trace_sample: f.num("--trace-sample", 8),
+            profile: f.has("--profile"),
+            obs_listen: f.get("--obs-listen"),
+            obs_linger: f.num("--obs-linger", 0),
+            audit_file: f.get("--audit-file"),
+            audit_capacity: f.num("--audit-capacity", 4096),
         };
-        let mut it = std::env::args().skip(1);
-        while let Some(flag) = it.next() {
-            let mut value = |name: &str| {
-                it.next()
-                    .unwrap_or_else(|| panic!("{name} expects a value"))
-            };
-            match flag.as_str() {
-                "--dataset" => args.dataset = Some(value("--dataset")),
-                "--model" => args.model = Some(value("--model")),
-                "--save-model" => args.save_model = Some(value("--save-model")),
-                "--modules" => args.modules = value("--modules").parse().expect("--modules"),
-                "--snapshots" => {
-                    args.snapshots = value("--snapshots").parse().expect("--snapshots")
-                }
-                "--epochs" => args.epochs = value("--epochs").parse().expect("--epochs"),
-                "--workers" => args.workers = value("--workers").parse().expect("--workers"),
-                "--infer-threads" => {
-                    args.infer_threads = value("--infer-threads").parse().expect("--infer-threads")
-                }
-                "--precision" => {
-                    args.precision = value("--precision")
-                        .parse()
-                        .unwrap_or_else(|e: String| panic!("--precision: {e}"))
-                }
-                "--calib-samples" => {
-                    args.calib_samples = value("--calib-samples").parse().expect("--calib-samples")
-                }
-                "--batch" => args.batch = value("--batch").parse().expect("--batch"),
-                "--adaptive-batch" => args.adaptive_batch = true,
-                "--batch-min" => {
-                    args.batch_min = value("--batch-min").parse().expect("--batch-min")
-                }
-                "--batch-slo-ms" => {
-                    args.batch_slo_ms = value("--batch-slo-ms").parse().expect("--batch-slo-ms")
-                }
-                "--queue" => args.queue = value("--queue").parse().expect("--queue"),
-                "--window" => args.window = value("--window").parse().expect("--window"),
-                "--policy" => {
-                    args.policy = value("--policy")
-                        .parse()
-                        .unwrap_or_else(|e: String| panic!("--policy: {e}"))
-                }
-                "--accept-threshold" => {
-                    args.accept_threshold = Some(
-                        value("--accept-threshold")
-                            .parse()
-                            .expect("--accept-threshold"),
-                    )
-                }
-                "--calibration" => {
-                    args.calibration = Some(value("--calibration").parse().expect("--calibration"))
-                }
-                "--repeat" => args.repeat = value("--repeat").parse().expect("--repeat"),
-                "--drop" => args.drop_on_full = true,
-                "--garbage" => args.garbage = value("--garbage").parse().expect("--garbage"),
-                "--export-pcap" => args.export_pcap = Some(value("--export-pcap")),
-                "--pcap" => args.pcap = Some(value("--pcap")),
-                "--follow" => args.follow = true,
-                "--idle-exit" => {
-                    args.idle_exit = Some(value("--idle-exit").parse().expect("--idle-exit"))
-                }
-                "--metrics-file" => args.metrics_file = Some(value("--metrics-file")),
-                "--metrics-json" => args.metrics_json = Some(value("--metrics-json")),
-                "--metrics-interval" => {
-                    args.metrics_interval = value("--metrics-interval")
-                        .parse()
-                        .expect("--metrics-interval")
-                }
-                "--trace-file" => args.trace_file = Some(value("--trace-file")),
-                "--trace-sample" => {
-                    args.trace_sample = value("--trace-sample").parse().expect("--trace-sample")
-                }
-                "--profile" => args.profile = true,
-                "--obs-listen" => args.obs_listen = Some(value("--obs-listen")),
-                "--obs-linger" => {
-                    args.obs_linger = value("--obs-linger").parse().expect("--obs-linger")
-                }
-                "--audit-file" => args.audit_file = Some(value("--audit-file")),
-                "--audit-capacity" => {
-                    args.audit_capacity =
-                        value("--audit-capacity").parse().expect("--audit-capacity")
-                }
-                "--help" | "-h" => {
-                    println!("see the module docs at the top of src/bin/served.rs");
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("unknown argument {other:?} (try --help)");
-                    std::process::exit(2);
-                }
-            }
-        }
         // Surface flag combinations that would otherwise be silently
         // ignored.
         if args.pcap.is_some() && args.repeat > 1 {
@@ -626,7 +560,6 @@ fn main() {
         EngineConfig {
             workers: args.workers,
             infer_threads: args.infer_threads,
-            precision: args.precision,
             queue_capacity: args.queue,
             max_batch: args.batch,
             former: args.former(),

@@ -34,7 +34,7 @@ use crate::snapshot::{DeviceSnapshot, EngineSnapshot};
 use crate::telemetry::{EngineStats, Stage, Telemetry};
 use crate::window::{WindowConfig, WindowedDecision};
 use deepcsi_capture::{CaptureError, FrameSource, SourcePoll};
-use deepcsi_core::{Authenticator, FrozenAuthenticator, Precision};
+use deepcsi_core::FrozenAuthenticator;
 use deepcsi_frame::{BeamformingReportFrame, CapturedReport, MacAddr};
 use deepcsi_nn::{InferPool, Tensor};
 use deepcsi_obs::{
@@ -102,11 +102,9 @@ pub struct EngineConfig {
     /// the lanes live for the life of the worker.
     ///
     /// Defaults to `1` — the caller-inline lane only, no helper threads
-    /// and no channel round-trip. Because the pool partitions batches
-    /// with the same [`deepcsi_nn::plan_split`] as the spawn-per-call
-    /// [`deepcsi_nn::FrozenModel::infer_batch_par`], changing this can
-    /// change throughput but **never a verdict** (pinned by the
-    /// engine's thread-invariance tests).
+    /// and no channel round-trip. Every sample only ever reads its own
+    /// lanes, so changing this can change throughput but **never a
+    /// verdict** (pinned by the engine's thread-invariance tests).
     ///
     /// Usable parallelism is additionally bounded by the micro-batch:
     /// each thread gets at least one full [`deepcsi_nn::PAR_MIN_CHUNK`]
@@ -153,19 +151,6 @@ pub struct EngineConfig {
     ///
     /// [`PolicyKind::FixedMajority`]: crate::PolicyKind::FixedMajority
     pub decision: DecisionPolicyConfig,
-    /// The numeric backend the engine expects its frozen snapshot to
-    /// serve with. Defaults to [`Precision::F32`] — bit-identical to
-    /// the pre-quantization engine.
-    ///
-    /// This is a declared *expectation*, checked against the snapshot
-    /// at [`Engine::start_frozen`]: declaring `int8` while handing the
-    /// engine f32 weights (or vice versa) is a configuration bug, and
-    /// fails at startup rather than silently serving the wrong backend.
-    /// Build int8 snapshots with
-    /// [`deepcsi_core::FrozenAuthenticator::quantized`] — the verdict
-    /// plumbing (sharding, policies, registry) is identical at either
-    /// precision.
-    pub precision: Precision,
     /// Span tracing configuration. Disabled by default; when enabled,
     /// 1 in [`TraceConfig::sample_every`] micro-batches records spans
     /// for every pipeline stage it passes through (plus per-frame
@@ -205,7 +190,6 @@ impl Default for EngineConfig {
             window: WindowConfig::default(),
             policy: VerdictPolicy::default(),
             decision: DecisionPolicyConfig::default(),
-            precision: Precision::default(),
             trace: TraceConfig::default(),
             profile: false,
             stage_timing: true,
@@ -477,7 +461,7 @@ type ShardState = Arc<Mutex<Shard>>;
 /// let mut cfg = EngineConfig::default();
 /// cfg.decision.kind = PolicyKind::ConfidenceWeighted;
 ///
-/// let engine = Engine::start(cfg, auth(), ReplaySource::registry(&dataset));
+/// let engine = Engine::start_frozen(cfg, auth().freeze(), ReplaySource::registry(&dataset));
 /// for frame in ReplaySource::from_dataset(&dataset).frames() {
 ///     engine.ingest_frame(frame);
 /// }
@@ -546,46 +530,19 @@ impl std::fmt::Debug for LayerProfile {
 }
 
 impl Engine {
-    /// Starts the worker pool around a trained authenticator.
-    ///
-    /// Convenience wrapper over [`Engine::start_frozen`]: the
-    /// authenticator is frozen once ([`Authenticator::freeze`]) and that
-    /// single immutable snapshot is shared by every worker. **Earlier
-    /// versions of this signature cloned the full weight set into each
-    /// worker; that behaviour is gone** — per-worker weight clones cost
-    /// `workers × model size` of memory for nothing. Callers that
-    /// already hold a frozen model (or want to share one across several
-    /// engines) should use [`Engine::start_frozen`] directly; this
-    /// by-value signature survives only for source compatibility.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero worker count, queue capacity, batch size or
-    /// inference-thread count, or when `cfg.precision` is not
-    /// [`Precision::F32`] — quantization needs calibration data this
-    /// signature does not carry; build the snapshot with
-    /// [`FrozenAuthenticator::quantized`] and use
-    /// [`Engine::start_frozen`].
-    pub fn start(cfg: EngineConfig, auth: Authenticator, registry: DeviceRegistry) -> Engine {
-        assert_eq!(
-            cfg.precision,
-            Precision::F32,
-            "Engine::start cannot calibrate an int8 snapshot; quantize with \
-             FrozenAuthenticator::quantized and use Engine::start_frozen"
-        );
-        Self::start_frozen(cfg, auth.freeze(), registry)
-    }
-
     /// Starts the worker pool around a frozen (immutable, `Send + Sync`)
     /// authenticator snapshot.
     ///
     /// All workers hold clones of one `Arc<FrozenAuthenticator>` — there
     /// is no per-worker weight copy; the only per-worker inference state
     /// is a persistent [`InferPool`] of `cfg.infer_threads` scratch
-    /// lanes. Pass an existing
-    /// `Arc` to share the same snapshot across engines (e.g. a serving
-    /// engine and an offline evaluator), or a bare
-    /// [`FrozenAuthenticator`] to let the engine wrap it.
+    /// lanes. Pass an existing `Arc` to share the same snapshot across
+    /// engines (e.g. a serving engine and an offline evaluator), or a
+    /// bare [`FrozenAuthenticator`] to let the engine wrap it. The
+    /// engine serves at whatever [`FrozenAuthenticator::precision`] the
+    /// snapshot was built with (f32 from
+    /// [`deepcsi_core::Authenticator::freeze`], int8 from
+    /// [`FrozenAuthenticator::quantized`]).
     ///
     /// ```no_run
     /// use std::sync::Arc;
@@ -605,10 +562,7 @@ impl Engine {
     /// # Panics
     ///
     /// Panics on a zero worker count, queue capacity, batch size or
-    /// inference-thread count, and when the snapshot's
-    /// [`FrozenAuthenticator::precision`] disagrees with
-    /// [`EngineConfig::precision`] (serving the wrong numeric backend
-    /// is a configuration bug caught at startup).
+    /// inference-thread count.
     pub fn start_frozen(
         cfg: EngineConfig,
         auth: impl Into<Arc<FrozenAuthenticator>>,
@@ -628,13 +582,6 @@ impl Engine {
             );
             assert!(!slo.is_zero(), "adaptive SLO must be positive");
         }
-        assert_eq!(
-            auth.precision(),
-            cfg.precision,
-            "engine configured for {} but the frozen snapshot serves {}",
-            cfg.precision,
-            auth.precision()
-        );
         // Build (and thereby validate) the decision policy eagerly on
         // the caller thread: failing here beats panicking later inside a
         // worker while it holds a shard lock (which would poison it).
@@ -672,9 +619,8 @@ impl Engine {
         let tracer = Tracer::new(cfg.trace.clone());
         let profile: Arc<Vec<Mutex<Vec<OpStat>>>> =
             Arc::new((0..cfg.workers).map(|_| Mutex::new(Vec::new())).collect());
-        // An unwritable audit file is a configuration bug on the same
-        // footing as a precision mismatch: fail at startup, not at the
-        // first verdict.
+        // An unwritable audit file is a configuration bug: fail at
+        // startup, not at the first verdict.
         let audit: Option<Arc<AuditLog>> = cfg.audit.as_ref().map(|a| {
             let log = match &a.file {
                 Some(path) => AuditLog::with_file(a.capacity, path)

@@ -61,9 +61,9 @@
 //! # fn auth() -> deepcsi_core::Authenticator { unimplemented!() }
 //! # let dataset = deepcsi_data::Dataset::default();
 //! let replay = ReplaySource::from_dataset(&dataset);
-//! let engine = Engine::start(
+//! let engine = Engine::start_frozen(
 //!     EngineConfig::default(),
-//!     auth(),
+//!     auth().freeze(),
 //!     ReplaySource::registry(&dataset),
 //! );
 //! for frame in replay.frames() {
@@ -85,6 +85,7 @@
 
 mod emit;
 mod engine;
+mod flags;
 mod plane;
 mod policy;
 mod registry;
@@ -99,6 +100,7 @@ pub use engine::{
     shard_of, AuditConfig, Backpressure, BatchFormer, DeviceDecision, Engine, EngineConfig,
     EngineReport, IngestOutcome, LayerProfile, SourceStatus,
 };
+pub use flags::Flags;
 pub use plane::{ExtraMetrics, ObsPlane, ObsPlaneConfig};
 pub use policy::{
     AdaptiveParams, AdaptiveThreshold, AdaptiveThresholdState, ConfidenceWeighted,

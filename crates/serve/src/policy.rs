@@ -184,8 +184,7 @@ impl DecisionPolicyConfig {
 /// (states never migrate between shards, so they need [`Send`] but not
 /// [`Sync`]).
 pub trait DecisionPolicy: Send + Sync + fmt::Debug {
-    /// Stable short name (used in telemetry and `BENCH_policy.json`
-    /// keys).
+    /// Stable short name (used in telemetry and audit events).
     fn name(&self) -> &'static str;
 
     /// Fresh evidence state for one device stream.

@@ -287,7 +287,9 @@ pub struct Telemetry {
     pub classified: AtomicU64,
     /// Micro-batches executed.
     pub batches: AtomicU64,
-    /// Batch latency distribution (decode → decisions applied).
+    /// Batch latency distribution: per shape group of a micro-batch,
+    /// from the group's start (batch assembled and tensorized) to its
+    /// decisions applied.
     pub batch_latency: LatencyHistogram,
     /// The batch former's current per-worker target (gauge). Equals
     /// `max_batch` under the fixed former; under the adaptive former it
@@ -349,6 +351,48 @@ pub struct Telemetry {
     /// export nothing.
     pub stages: [LatencyHistogram; 5],
 }
+
+/// How a row of [`EXPORTED`] renders.
+#[derive(Clone, Copy)]
+enum Kind {
+    Counter,
+    Gauge,
+}
+
+/// One exported atomic: `(kind, name, help, field)`.
+type Exported = (
+    Kind,
+    &'static str,
+    &'static str,
+    fn(&Telemetry) -> &AtomicU64,
+);
+
+/// The one export declaration per plain [`Telemetry`] atomic. Derived
+/// gauges, the info gauges and the histograms are rendered explicitly
+/// by [`Telemetry::metrics`].
+#[rustfmt::skip]
+const EXPORTED: &[Exported] = &[
+    (Kind::Counter, "deepcsi_ingested_total", "Frames handed to ingest.", |t| &t.ingested),
+    (Kind::Counter, "deepcsi_decode_errors_total", "Frames that failed to decode.", |t| &t.decode_errors),
+    (Kind::Counter, "deepcsi_dropped_total", "Reports dropped by backpressure.", |t| &t.dropped),
+    (Kind::Counter, "deepcsi_enqueued_total", "Reports accepted onto worker queues.", |t| &t.enqueued),
+    (Kind::Counter, "deepcsi_rejected_total", "Reports rejected before inference.", |t| &t.rejected),
+    (Kind::Counter, "deepcsi_classified_total", "Reports classified by workers.", |t| &t.classified),
+    (Kind::Counter, "deepcsi_batches_total", "Micro-batches executed.", |t| &t.batches),
+    (Kind::Counter, "deepcsi_verdicts_decided_total", "Device streams whose verdict first left Unknown.", |t| &t.verdicts_decided),
+    (Kind::Gauge, "deepcsi_device_states", "Per-device policy states held across all shards.", |t| &t.device_states),
+    (Kind::Counter, "deepcsi_devices_evicted_total", "Device states evicted by the per-shard LRU cap.", |t| &t.devices_evicted),
+    (Kind::Counter, "deepcsi_devices_rewarmed_total", "Evicted streams that returned and rebuilt their state.", |t| &t.devices_rewarmed),
+    (Kind::Gauge, "deepcsi_batch_target", "The batch former's current per-worker target.", |t| &t.batch_target),
+    (Kind::Gauge, "deepcsi_pool_lanes", "Inference-pool lanes per worker (infer_threads).", |t| &t.pool_lanes),
+    (Kind::Counter, "deepcsi_pool_infer_calls_total", "Inference-pool calls (one per shape group per batch).", |t| &t.pool_infer_calls),
+    (Kind::Counter, "deepcsi_pool_lanes_engaged_total", "Lanes engaged summed across inference-pool calls.", |t| &t.pool_lanes_engaged),
+    (Kind::Counter, "deepcsi_clock_faults_total", "System-clock faults absorbed while stamping audit events.", |t| &t.clock_faults),
+    (Kind::Counter, "deepcsi_capture_bytes_total", "Capture-layer container bytes read.", |t| &t.capture_bytes),
+    (Kind::Counter, "deepcsi_capture_packets_total", "Capture-layer packets decoded.", |t| &t.capture_packets),
+    (Kind::Counter, "deepcsi_capture_skipped_total", "Capture-layer pre-filter skips.", |t| &t.capture_skipped),
+    (Kind::Counter, "deepcsi_capture_errors_total", "Capture-layer per-packet decode errors.", |t| &t.capture_errors),
+];
 
 impl Telemetry {
     /// Publishes the frame source's cumulative capture-layer counters.
@@ -494,61 +538,12 @@ impl Telemetry {
             "Seconds since the engine started serving.",
             self.uptime().as_secs_f64(),
         );
-        reg.counter(
-            "deepcsi_ingested_total",
-            "Frames handed to ingest.",
-            c(&self.ingested),
-        );
-        reg.counter(
-            "deepcsi_decode_errors_total",
-            "Frames that failed to decode.",
-            c(&self.decode_errors),
-        );
-        reg.counter(
-            "deepcsi_dropped_total",
-            "Reports dropped by backpressure.",
-            c(&self.dropped),
-        );
-        reg.counter(
-            "deepcsi_enqueued_total",
-            "Reports accepted onto worker queues.",
-            c(&self.enqueued),
-        );
-        reg.counter(
-            "deepcsi_rejected_total",
-            "Reports rejected before inference.",
-            c(&self.rejected),
-        );
-        reg.counter(
-            "deepcsi_classified_total",
-            "Reports classified by workers.",
-            c(&self.classified),
-        );
-        reg.counter(
-            "deepcsi_batches_total",
-            "Micro-batches executed.",
-            c(&self.batches),
-        );
-        reg.counter(
-            "deepcsi_verdicts_decided_total",
-            "Device streams whose verdict first left Unknown.",
-            c(&self.verdicts_decided),
-        );
-        reg.gauge(
-            "deepcsi_device_states",
-            "Per-device policy states held across all shards.",
-            c(&self.device_states) as f64,
-        );
-        reg.counter(
-            "deepcsi_devices_evicted_total",
-            "Device states evicted by the per-shard LRU cap.",
-            c(&self.devices_evicted),
-        );
-        reg.counter(
-            "deepcsi_devices_rewarmed_total",
-            "Evicted streams that returned and rebuilt their state.",
-            c(&self.devices_rewarmed),
-        );
+        for &(kind, name, help, field) in EXPORTED {
+            match kind {
+                Kind::Counter => reg.counter(name, help, c(field(self))),
+                Kind::Gauge => reg.gauge(name, help, c(field(self)) as f64),
+            }
+        }
         let batches = c(&self.batches);
         reg.gauge(
             "deepcsi_mean_batch",
@@ -559,26 +554,6 @@ impl Telemetry {
                 c(&self.classified) as f64 / batches as f64
             },
         );
-        reg.gauge(
-            "deepcsi_batch_target",
-            "The batch former's current per-worker target.",
-            c(&self.batch_target) as f64,
-        );
-        reg.gauge(
-            "deepcsi_pool_lanes",
-            "Inference-pool lanes per worker (infer_threads).",
-            c(&self.pool_lanes) as f64,
-        );
-        reg.counter(
-            "deepcsi_pool_infer_calls_total",
-            "Inference-pool calls (one per shape group per batch).",
-            c(&self.pool_infer_calls),
-        );
-        reg.counter(
-            "deepcsi_pool_lanes_engaged_total",
-            "Lanes engaged summed across inference-pool calls.",
-            c(&self.pool_lanes_engaged),
-        );
         let pool_calls = c(&self.pool_infer_calls);
         reg.gauge(
             "deepcsi_pool_occupancy",
@@ -588,31 +563,6 @@ impl Telemetry {
             } else {
                 c(&self.pool_lanes_engaged) as f64 / pool_calls as f64
             },
-        );
-        reg.counter(
-            "deepcsi_clock_faults_total",
-            "System-clock faults absorbed while stamping audit events.",
-            c(&self.clock_faults),
-        );
-        reg.counter(
-            "deepcsi_capture_bytes_total",
-            "Capture-layer container bytes read.",
-            c(&self.capture_bytes),
-        );
-        reg.counter(
-            "deepcsi_capture_packets_total",
-            "Capture-layer packets decoded.",
-            c(&self.capture_packets),
-        );
-        reg.counter(
-            "deepcsi_capture_skipped_total",
-            "Capture-layer pre-filter skips.",
-            c(&self.capture_skipped),
-        );
-        reg.counter(
-            "deepcsi_capture_errors_total",
-            "Capture-layer per-packet decode errors.",
-            c(&self.capture_errors),
         );
         reg.histogram(
             "deepcsi_batch_latency_seconds",
@@ -1107,6 +1057,24 @@ mod tests {
             v.get("deepcsi_classified_total").unwrap().as_f64(),
             Some(8.0)
         );
+    }
+
+    /// The `# HELP` / `# TYPE` line set is an interface (dashboards and
+    /// alert rules key on names and kinds): every stage timed, it must
+    /// equal the checked-in listing.
+    #[test]
+    fn exposition_help_and_type_lines_are_pinned() {
+        let t = Telemetry::default();
+        for stage in Stage::ALL {
+            t.record_stage(stage, Duration::from_micros(5));
+        }
+        let text = t.metrics().to_prometheus();
+        let mut lines: Vec<&str> = text.lines().filter(|l| l.starts_with("# ")).collect();
+        lines.sort_unstable();
+        let want: Vec<&str> = include_str!("../tests/fixtures/metrics_help_type.txt")
+            .lines()
+            .collect();
+        assert_eq!(lines, want);
     }
 
     #[test]

@@ -90,7 +90,7 @@ fn serve_source(
     ds: &Dataset,
     source: &mut dyn deepcsi_capture::FrameSource,
 ) -> EngineReport {
-    let engine = Engine::start(engine_config(), auth, ReplaySource::registry(ds));
+    let engine = Engine::start_frozen(engine_config(), auth.freeze(), ReplaySource::registry(ds));
     assert_eq!(
         engine.ingest_available(source).expect("source serves"),
         SourceStatus::End
@@ -188,9 +188,9 @@ fn capture_telemetry_reconciles_over_noisy_capture() {
     w.write_packet(9_001, &lookalike).unwrap();
     let image = w.finish().unwrap();
 
-    let engine = Engine::start(
+    let engine = Engine::start_frozen(
         engine_config(),
-        trivial_authenticator(&ds, 2),
+        trivial_authenticator(&ds, 2).freeze(),
         ReplaySource::registry(&ds),
     );
     let mut source = PcapFileSource::from_bytes(image);
@@ -246,7 +246,7 @@ fn drain_latency_is_not_quantized_to_a_poll_interval() {
         },
     )
     .encode();
-    let engine = Engine::start(
+    let engine = Engine::start_frozen(
         EngineConfig {
             workers: 1,
             max_batch: 1,                 // classify immediately…
@@ -254,7 +254,7 @@ fn drain_latency_is_not_quantized_to_a_poll_interval() {
             backpressure: Backpressure::Block,
             ..EngineConfig::default()
         },
-        trivial_authenticator(&ds, 2),
+        trivial_authenticator(&ds, 2).freeze(),
         ReplaySource::registry(&ds),
     );
 

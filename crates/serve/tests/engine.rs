@@ -72,7 +72,7 @@ fn replay_yields_correct_verdict_per_registered_device() {
     // One stream per (module, beamformee) pair.
     assert_eq!(registry.len(), 6);
 
-    let engine = Engine::start(
+    let engine = Engine::start_frozen(
         EngineConfig {
             workers: 2,
             backpressure: Backpressure::Block, // lossless replay
@@ -86,7 +86,7 @@ fn replay_yields_correct_verdict_per_registered_device() {
             },
             ..EngineConfig::default()
         },
-        auth,
+        auth.freeze(),
         registry.clone(),
     );
     for frame in replay.frames() {
@@ -130,13 +130,13 @@ fn replay_yields_correct_verdict_per_registered_device() {
 #[test]
 fn decode_errors_and_unknown_sources_are_accounted() {
     let ds = dataset(2, 6);
-    let engine = Engine::start(
+    let engine = Engine::start_frozen(
         EngineConfig {
             workers: 2,
             backpressure: Backpressure::Block,
             ..EngineConfig::default()
         },
-        untrained_authenticator(2),
+        untrained_authenticator(2).freeze(),
         deepcsi_serve::DeviceRegistry::new(), // nothing registered
     );
     assert_eq!(engine.ingest_frame(&[0u8; 7]), IngestOutcome::DecodeError);
@@ -164,7 +164,7 @@ fn decode_errors_and_unknown_sources_are_accounted() {
 fn backpressure_drops_are_accounted() {
     let ds = dataset(1, 200);
     let replay = ReplaySource::from_dataset(&ds);
-    let engine = Engine::start(
+    let engine = Engine::start_frozen(
         EngineConfig {
             workers: 1,
             queue_capacity: 2,
@@ -172,7 +172,7 @@ fn backpressure_drops_are_accounted() {
             backpressure: Backpressure::DropNewest,
             ..EngineConfig::default()
         },
-        untrained_authenticator(2),
+        untrained_authenticator(2).freeze(),
         ReplaySource::registry(&ds),
     );
     let mut dropped = 0usize;
@@ -196,9 +196,9 @@ fn backpressure_drops_are_accounted() {
 fn silent_registered_devices_report_unknown() {
     let mut registry = deepcsi_serve::DeviceRegistry::new();
     registry.register(MacAddr::station(0xBEEF), deepcsi_impair::DeviceId(0));
-    let engine = Engine::start(
+    let engine = Engine::start_frozen(
         EngineConfig::default(),
-        untrained_authenticator(2),
+        untrained_authenticator(2).freeze(),
         registry,
     );
     let report = engine.shutdown();
@@ -218,13 +218,13 @@ fn incompatible_mimo_dimensions_are_rejected_not_fatal() {
     use deepcsi_phy::{Codebook, MimoConfig};
 
     let ds = dataset(2, 6);
-    let engine = Engine::start(
+    let engine = Engine::start_frozen(
         EngineConfig {
             workers: 2,
             backpressure: Backpressure::Block,
             ..EngineConfig::default()
         },
-        untrained_authenticator(2),
+        untrained_authenticator(2).freeze(),
         ReplaySource::registry(&ds),
     );
 
@@ -276,13 +276,13 @@ fn foreign_shape_first_cannot_wedge_or_hijack_the_engine() {
     use deepcsi_phy::{Codebook, MimoConfig};
 
     let ds = dataset(2, 8);
-    let engine = Engine::start(
+    let engine = Engine::start_frozen(
         EngineConfig {
             workers: 1, // one queue so the foreign frame is truly first
             backpressure: Backpressure::Block,
             ..EngineConfig::default()
         },
-        untrained_authenticator(2), // no recorded input shape
+        untrained_authenticator(2).freeze(), // no recorded input shape
         ReplaySource::registry(&ds),
     );
 

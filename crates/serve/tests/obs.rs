@@ -78,7 +78,6 @@ fn frozen(auth: &Authenticator, ds: &Dataset, precision: Precision) -> Arc<Froze
 fn serve(
     frozen: &Arc<FrozenAuthenticator>,
     ds: &Dataset,
-    precision: Precision,
     stage_timing: bool,
     trace: TraceConfig,
     profile: bool,
@@ -86,7 +85,6 @@ fn serve(
     let engine = Engine::start_frozen(
         EngineConfig {
             workers: 2,
-            precision,
             backpressure: Backpressure::Block,
             stage_timing,
             trace,
@@ -131,8 +129,8 @@ fn observability_does_not_change_verdicts_at_either_precision() {
         let model = frozen(&auth, &ds, precision);
         // Fully dark (no timestamps at all) vs everything on (every
         // batch traced, every layer profiled).
-        let dark = serve(&model, &ds, precision, false, TraceConfig::default(), false);
-        let lit = serve(&model, &ds, precision, true, TraceConfig::always(), true);
+        let dark = serve(&model, &ds, false, TraceConfig::default(), false);
+        let lit = serve(&model, &ds, true, TraceConfig::always(), true);
         assert_eq!(
             decision_vector(&dark),
             decision_vector(&lit),
@@ -151,14 +149,7 @@ fn spans_cover_every_stage_and_round_trip_through_chrome_json() {
     let ds = dataset(2, 15);
     let auth = authenticator(&ds, 2);
     let model = frozen(&auth, &ds, Precision::F32);
-    let report = serve(
-        &model,
-        &ds,
-        Precision::F32,
-        true,
-        TraceConfig::always(),
-        false,
-    );
+    let report = serve(&model, &ds, true, TraceConfig::always(), false);
 
     // With sample_every = 1 every pipeline stage must have fired.
     for stage in Stage::ALL {
@@ -233,14 +224,7 @@ fn layer_profile_merges_every_worker_and_accounts_every_sample() {
     let ds = dataset(2, 15);
     let auth = authenticator(&ds, 2);
     let model = frozen(&auth, &ds, Precision::F32);
-    let report = serve(
-        &model,
-        &ds,
-        Precision::F32,
-        true,
-        TraceConfig::default(),
-        true,
-    );
+    let report = serve(&model, &ds, true, TraceConfig::default(), true);
     let ops = report.layer_profile.as_ref().expect("profile requested");
     assert!(!ops.is_empty());
     // Every op saw every classified sample exactly once, on every row.
@@ -261,14 +245,13 @@ fn live_plane_is_a_pure_observer_at_both_precisions() {
     let auth = authenticator(&ds, 3);
     for precision in [Precision::F32, Precision::Int8] {
         let model = frozen(&auth, &ds, precision);
-        let dark = serve(&model, &ds, precision, false, TraceConfig::default(), false);
+        let dark = serve(&model, &ds, false, TraceConfig::default(), false);
 
         // Everything on: audit trail, per-layer profiling, the scrape
         // plane — and live HTTP reads interleaved with ingest.
         let engine = Engine::start_frozen(
             EngineConfig {
                 workers: 2,
-                precision,
                 backpressure: Backpressure::Block,
                 profile: true,
                 audit: Some(AuditConfig::default()),

@@ -255,43 +255,9 @@ fn policy_verdicts_are_identical_at_two_infer_threads() {
     }
 }
 
-/// `Engine::start` (by-value) and `Engine::start_frozen` over the same
-/// weights agree completely — the compatibility wrapper is the same
-/// engine, minus the caller-held `Arc`.
-#[test]
-fn start_and_start_frozen_agree() {
-    let ds = generate_d1(&GenConfig {
-        num_modules: 2,
-        snapshots_per_trace: 12,
-        ..GenConfig::default()
-    });
-    let auth = trained_authenticator(&ds, 2);
-    let frames: Vec<Vec<u8>> = ReplaySource::from_dataset(&ds)
-        .frames()
-        .map(<[u8]>::to_vec)
-        .collect();
-    let registry = ReplaySource::registry(&ds);
-
-    let by_value = {
-        let engine = Engine::start(
-            config(PolicyKind::FixedMajority, 1),
-            auth.clone(),
-            registry.clone(),
-        );
-        for frame in &frames {
-            engine.ingest_frame(frame);
-        }
-        engine.shutdown()
-    };
-    let frozen = Arc::new(auth.freeze());
-    let shared = serve_frozen(PolicyKind::FixedMajority, 2, &frozen, registry, &frames);
-    assert_eq!(by_value.decisions, shared.decisions);
-}
-
-/// Replays `frames` with an explicit batch-former mode and precision.
+/// Replays `frames` with an explicit batch-former mode.
 fn serve_formed(
     former: BatchFormer,
-    precision: Precision,
     frozen: &Arc<deepcsi_core::FrozenAuthenticator>,
     registry: DeviceRegistry,
     frames: &[Vec<u8>],
@@ -299,7 +265,6 @@ fn serve_formed(
     let engine = Engine::start_frozen(
         EngineConfig {
             former,
-            precision,
             ..config(PolicyKind::FixedMajority, 2)
         },
         Arc::clone(frozen),
@@ -347,21 +312,9 @@ fn former_mode_never_changes_a_decision() {
     let registry = ReplaySource::registry(&ds);
 
     for (precision, frozen) in &snapshots {
-        let fixed = serve_formed(
-            BatchFormer::Fixed,
-            *precision,
-            frozen,
-            registry.clone(),
-            &frames,
-        );
+        let fixed = serve_formed(BatchFormer::Fixed, frozen, registry.clone(), &frames);
         assert_eq!(fixed.stats.classified as usize, frames.len());
-        let adaptive = serve_formed(
-            BatchFormer::adaptive(),
-            *precision,
-            frozen,
-            registry.clone(),
-            &frames,
-        );
+        let adaptive = serve_formed(BatchFormer::adaptive(), frozen, registry.clone(), &frames);
         assert_eq!(adaptive.stats.classified as usize, frames.len());
         assert_eq!(
             fixed.decisions, adaptive.decisions,

@@ -68,7 +68,7 @@ fn serve(
     registry: DeviceRegistry,
     frames: &[Vec<u8>],
 ) -> EngineReport {
-    let engine = Engine::start(engine_config(kind), auth, registry);
+    let engine = Engine::start_frozen(engine_config(kind), auth.freeze(), registry);
     for frame in frames {
         engine.ingest_frame(frame);
     }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use deepcsi_bfi::{BeamformingFeedback, QuantizedAngles};
 use deepcsi_core::{
-    run_experiment, Authenticator, ExperimentConfig, FrozenAuthenticator, ModelConfig, Precision,
+    run_experiment, Authenticator, ExperimentConfig, FrozenAuthenticator, ModelConfig,
 };
 use deepcsi_data::{d1_split, generate_d1, D1Set, Dataset, GenConfig, InputSpec};
 use deepcsi_frame::{BeamformingReportFrame, MacAddr};
@@ -57,11 +57,10 @@ fn calib_tensors(auth: &Authenticator, ds: &Dataset) -> Vec<Tensor> {
         .collect()
 }
 
-fn config(kind: PolicyKind, precision: Precision, infer_threads: usize) -> EngineConfig {
+fn config(kind: PolicyKind, infer_threads: usize) -> EngineConfig {
     EngineConfig {
         workers: 2,
         infer_threads,
-        precision,
         backpressure: Backpressure::Block,
         decision: DecisionPolicyConfig {
             kind,
@@ -73,17 +72,12 @@ fn config(kind: PolicyKind, precision: Precision, infer_threads: usize) -> Engin
 
 fn serve(
     kind: PolicyKind,
-    precision: Precision,
     infer_threads: usize,
     frozen: &Arc<FrozenAuthenticator>,
     registry: DeviceRegistry,
     frames: &[Vec<u8>],
 ) -> EngineReport {
-    let engine = Engine::start_frozen(
-        config(kind, precision, infer_threads),
-        Arc::clone(frozen),
-        registry,
-    );
+    let engine = Engine::start_frozen(config(kind, infer_threads), Arc::clone(frozen), registry);
     for frame in frames {
         engine.ingest_frame(frame);
     }
@@ -123,14 +117,7 @@ fn precision_never_changes_a_clean_capture_verdict() {
     let registry = ReplaySource::registry(&ds);
 
     for kind in [PolicyKind::FixedMajority, PolicyKind::ConfidenceWeighted] {
-        let baseline = serve(
-            kind,
-            Precision::F32,
-            1,
-            &f32_snap,
-            registry.clone(),
-            &frames,
-        );
+        let baseline = serve(kind, 1, &f32_snap, registry.clone(), &frames);
         assert!(
             baseline
                 .decisions
@@ -139,14 +126,7 @@ fn precision_never_changes_a_clean_capture_verdict() {
             "clean capture must accept every registered stream ({kind:?})"
         );
         for threads in [1usize, 2] {
-            let quantized = serve(
-                kind,
-                Precision::Int8,
-                threads,
-                &int8_snap,
-                registry.clone(),
-                &frames,
-            );
+            let quantized = serve(kind, threads, &int8_snap, registry.clone(), &frames);
             assert_eq!(quantized.stats.classified as usize, frames.len());
             assert_eq!(quantized.stats.rejected, 0);
             assert_eq!(quantized.stats.precision, "int8");
@@ -255,7 +235,6 @@ fn impostor_scenario_verdicts_survive_quantization() {
     for threads in [1usize, 2] {
         let fixed = serve(
             PolicyKind::FixedMajority,
-            Precision::Int8,
             threads,
             &int8_snap,
             registry.clone(),
@@ -263,7 +242,6 @@ fn impostor_scenario_verdicts_survive_quantization() {
         );
         let adaptive = serve(
             PolicyKind::AdaptiveThreshold,
-            Precision::Int8,
             threads,
             &int8_snap,
             registry.clone(),
@@ -280,21 +258,4 @@ fn impostor_scenario_verdicts_survive_quantization() {
         assert_eq!(fixed.decisions[0].verdict, Verdict::Accept);
         assert_eq!(adaptive.decisions[0].verdict, Verdict::Reject);
     }
-}
-
-/// Declaring one precision and serving another is a startup error, not
-/// a silently wrong backend.
-#[test]
-#[should_panic(expected = "engine configured for int8")]
-fn precision_mismatch_fails_at_startup() {
-    let spec = InputSpec::default();
-    let fb = crafted_feedback([100, 200, 300], [40, 60, 80]);
-    let other = crafted_feedback([350, 50, 120], [20, 90, 35]);
-    let auth = crafted_authenticator(&spec, &fb, &other, 6.0, 1.5);
-    // f32 snapshot, int8 config.
-    let _ = Engine::start_frozen(
-        config(PolicyKind::FixedMajority, Precision::Int8, 1),
-        auth.freeze(),
-        DeviceRegistry::new(),
-    );
 }

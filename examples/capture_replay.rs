@@ -65,13 +65,13 @@ fn main() {
 
     // --- 3. Serve the file and compare with the in-memory path --------------
     let serve = |mut source: Box<dyn deepcsi::capture::FrameSource>| -> EngineReport {
-        let engine = Engine::start(
+        let engine = Engine::start_frozen(
             EngineConfig {
                 workers: 2,
                 backpressure: Backpressure::Block,
                 ..EngineConfig::default()
             },
-            auth.clone(),
+            auth.freeze(),
             ReplaySource::registry(&dataset),
         );
         assert_eq!(

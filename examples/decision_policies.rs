@@ -30,7 +30,7 @@ fn run_policy(
     registry: &deepcsi::serve::DeviceRegistry,
     frames: &[Vec<u8>],
 ) -> EngineReport {
-    let engine = Engine::start(
+    let engine = Engine::start_frozen(
         EngineConfig {
             workers: 2,
             backpressure: Backpressure::Block,
@@ -40,7 +40,7 @@ fn run_policy(
             },
             ..EngineConfig::default()
         },
-        auth.clone(),
+        auth.freeze(),
         registry.clone(),
     );
     for frame in frames {
