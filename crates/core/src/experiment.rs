@@ -150,7 +150,6 @@ mod tests {
                 epochs: 10,
                 batch_size: 16,
                 learning_rate: 2e-3,
-                threads: 2,
                 seed: 1,
                 ..deepcsi_nn::TrainConfig::default()
             },

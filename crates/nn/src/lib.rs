@@ -47,7 +47,7 @@
 //!     .iter().map(|p| Tensor::from_vec(vec![p[0], p[1]], vec![2])).collect();
 //! let ys = vec![0usize, 1, 1, 0];
 //! let mut trainer = Trainer::new(TrainConfig {
-//!     epochs: 200, batch_size: 4, learning_rate: 0.02, threads: 1, seed: 7,
+//!     epochs: 200, batch_size: 4, learning_rate: 0.02, seed: 7,
 //!     ..TrainConfig::default()
 //! });
 //! trainer.fit(&mut net, &xs, &ys, &[], &[]);

@@ -1,4 +1,10 @@
 //! Mini-batch training with data-parallel gradient computation.
+//!
+//! The gradient reduction order is a function of the batch alone: every
+//! mini-batch of at least four samples is cut into [`GRAD_SHARDS`]
+//! contiguous chunks, each run on its own thread, whose gradients are
+//! summed in chunk order however many cores the host has, so one seed
+//! trains bit-identical weights on every machine.
 
 use crate::loss::softmax_cross_entropy;
 use crate::metrics::ConfusionMatrix;
@@ -19,8 +25,6 @@ pub struct TrainConfig {
     pub batch_size: usize,
     /// Adam learning rate.
     pub learning_rate: f32,
-    /// Worker threads for gradient computation (1 = serial).
-    pub threads: usize,
     /// RNG seed (shuffling; layer RNGs are seeded at construction).
     pub seed: u64,
     /// Print one line per epoch to stderr.
@@ -35,7 +39,6 @@ impl Default for TrainConfig {
             epochs: 10,
             batch_size: 64,
             learning_rate: 1e-3,
-            threads: available_threads(),
             seed: 0,
             verbose: false,
             grad_clip: 0.0,
@@ -43,8 +46,13 @@ impl Default for TrainConfig {
     }
 }
 
-/// A sensible worker count for this machine (capped: gradient reduction
-/// becomes the bottleneck beyond ~12 workers for these model sizes).
+/// How many contiguous chunks a mini-batch's gradient is reduced over.
+/// Fixed, not taken from the host: the f32 sum order decides the trained
+/// weights.
+const GRAD_SHARDS: usize = 2;
+
+/// A sensible worker count for this machine (capped at 12): how many
+/// threads evaluation shards across.
 pub(crate) fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -152,11 +160,7 @@ impl Trainer {
             let mut seen = 0usize;
             for batch in order.chunks(self.config.batch_size.max(1)) {
                 net.zero_grads();
-                let batch_loss = if self.config.threads <= 1 || batch.len() < 4 {
-                    grad_batch_serial(net, ex, ey, batch)
-                } else {
-                    grad_batch_parallel(net, ex, ey, batch, self.config.threads)
-                };
+                let batch_loss = grad_batch(net, ex, ey, batch);
                 if !batch_loss.is_finite() {
                     // NaN guard: skip the update, keep training.
                     continue;
@@ -202,21 +206,20 @@ fn grad_batch_serial(net: &mut Network, x: &[Tensor], y: &[usize], batch: &[usiz
     loss
 }
 
-/// Data-parallel gradient accumulation: each worker owns a network clone,
-/// computes gradients over its shard, and the shard gradients are summed
-/// into `net`.
-fn grad_batch_parallel(
-    net: &mut Network,
-    x: &[Tensor],
-    y: &[usize],
-    batch: &[usize],
-    threads: usize,
-) -> f32 {
-    let shard_size = batch.len().div_ceil(threads);
-    let shards: Vec<&[usize]> = batch.chunks(shard_size).collect();
-    let mut results: Vec<(Network, f32)> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .iter()
+/// Accumulates one batch's gradient into `net` (whose gradients must be
+/// zero); returns the summed loss.
+///
+/// Batches of four or more samples are cut into [`GRAD_SHARDS`] chunks of
+/// `div_ceil(len, GRAD_SHARDS)`; each chunk is summed in its own zeroed
+/// network clone on a scoped thread and the clones are added into `net`
+/// in chunk order.
+fn grad_batch(net: &mut Network, x: &[Tensor], y: &[usize], batch: &[usize]) -> f32 {
+    if batch.len() < 4 {
+        return grad_batch_serial(net, x, y, batch);
+    }
+    let results: Vec<(Network, f32)> = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = batch
+            .chunks(batch.len().div_ceil(GRAD_SHARDS))
             .map(|shard| {
                 let mut worker = net.clone();
                 scope.spawn(move |_| {
@@ -234,7 +237,7 @@ fn grad_batch_parallel(
     .expect("crossbeam scope failed");
 
     let mut total_loss = 0.0f32;
-    for (mut worker, loss) in results.drain(..) {
+    for (mut worker, loss) in results {
         net.add_grads_from(&mut worker);
         total_loss += loss;
     }
@@ -356,14 +359,13 @@ mod tests {
     }
 
     #[test]
-    fn learns_blobs_serial() {
+    fn learns_blobs() {
         let (xs, ys) = blobs(64, 1);
         let mut net = blob_net();
         let mut t = Trainer::new(TrainConfig {
             epochs: 20,
             batch_size: 16,
             learning_rate: 0.01,
-            threads: 1,
             seed: 3,
             ..TrainConfig::default()
         });
@@ -375,28 +377,64 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial_loss_trajectory() {
-        // Parallel gradient reduction must be numerically equivalent to
-        // serial accumulation (same batches, same grads up to fp
-        // reordering).
-        let (xs, ys) = blobs(32, 5);
-        let run = |threads: usize| {
-            let mut net = blob_net();
-            let mut t = Trainer::new(TrainConfig {
-                epochs: 5,
-                batch_size: 16,
-                learning_rate: 0.01,
-                threads,
-                seed: 9,
-                ..TrainConfig::default()
-            });
-            t.fit(&mut net, &xs, &ys, &[], &[]).epoch_losses
+    fn batch_gradients_match_an_explicit_two_chunk_reduction() {
+        // The reduction order is fixed by the batch alone: two contiguous
+        // halves, each summed from zero, added in order. Nothing about the
+        // host can move a single bit.
+        let (xs, ys) = blobs(70, 5);
+        let bits = |net: &mut Network, loss: f32| -> (u32, Vec<u32>) {
+            let g = net
+                .params()
+                .iter()
+                .flat_map(|p| p.g.iter().map(|v| v.to_bits()))
+                .collect();
+            (loss.to_bits(), g)
         };
-        let serial = run(1);
-        let parallel = run(4);
-        for (a, b) in serial.iter().zip(parallel.iter()) {
-            assert!((a - b).abs() < 1e-3, "serial {a} vs parallel {b}");
+        for len in 4..=70 {
+            let batch: Vec<usize> = (0..len).rev().collect();
+            let mut net = blob_net();
+            net.zero_grads();
+            let loss = grad_batch(&mut net, &xs, &ys, &batch);
+            let got = bits(&mut net, loss);
+
+            let mut reference = blob_net();
+            reference.zero_grads();
+            let mut ref_loss = 0.0f32;
+            for half in batch.chunks(len.div_ceil(2)) {
+                let mut part = reference.clone();
+                part.zero_grads();
+                ref_loss += grad_batch_serial(&mut part, &xs, &ys, half);
+                reference.add_grads_from(&mut part);
+            }
+            assert!(got == bits(&mut reference, ref_loss), "batch of {len}");
         }
+    }
+
+    #[test]
+    fn augmented_training_is_bit_identical_across_runs() {
+        let (xs, ys) = blobs(30, 7);
+        let run = || {
+            let mut net = blob_net();
+            Trainer::new(TrainConfig {
+                epochs: 4,
+                batch_size: 13, // ragged last batch
+                learning_rate: 0.01,
+                seed: 42,
+                ..TrainConfig::default()
+            })
+            .fit_with_provider(
+                &mut net,
+                &xs,
+                &ys,
+                &mut |epoch| (epoch % 2 == 1).then(|| blobs(27, 100 + epoch as u64)),
+                &[],
+                &[],
+            );
+            net.save_weights()
+        };
+        let bits =
+            |w: Vec<Vec<f32>>| -> Vec<u32> { w.iter().flatten().map(|v| v.to_bits()).collect() };
+        assert_eq!(bits(run()), bits(run()));
     }
 
     #[test]
@@ -430,7 +468,6 @@ mod tests {
                 epochs: 3,
                 batch_size: 8,
                 learning_rate: 0.01,
-                threads: 1,
                 seed: 42,
                 ..TrainConfig::default()
             });
@@ -446,7 +483,6 @@ mod tests {
             epochs: 3,
             batch_size: 8,
             learning_rate: 0.01,
-            threads: 1,
             seed: 42,
             ..TrainConfig::default()
         };
@@ -468,7 +504,6 @@ mod tests {
             epochs: 4,
             batch_size: 8,
             learning_rate: 0.01,
-            threads: 1,
             seed: 42,
             ..TrainConfig::default()
         })
@@ -503,7 +538,6 @@ mod tests {
             epochs: 1,
             batch_size: 16,
             learning_rate: 0.01,
-            threads: 1,
             seed: 1,
             grad_clip: 1e-6, // absurdly tight: training barely moves
             ..TrainConfig::default()

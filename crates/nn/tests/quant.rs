@@ -68,7 +68,6 @@ fn trained_network(seed: u64) -> (Network, Vec<Tensor>) {
         epochs: 30,
         batch_size: 12,
         learning_rate: 0.01,
-        threads: 1,
         seed,
         ..TrainConfig::default()
     });

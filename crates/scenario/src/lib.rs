@@ -14,7 +14,7 @@
 //!   [`deepcsi_core::run_experiment_with_provider`];
 //! * **per-position calibration** — let the adaptive-threshold policy
 //!   re-profile a stream after a confidence regime change
-//!   ([`deepcsi_serve::AdaptiveParams::per_position`]).
+//!   ([`deepcsi_serve::DecisionPolicyConfig::per_position`]).
 //!
 //! # Vocabulary
 //!

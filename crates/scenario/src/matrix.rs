@@ -44,7 +44,7 @@ pub struct Mitigations {
     /// position, SNR, drift) every epoch.
     pub augmentation: bool,
     /// Per-position calibration for the adaptive-threshold policy
-    /// ([`deepcsi_serve::AdaptiveParams::per_position`]).
+    /// ([`deepcsi_serve::DecisionPolicyConfig::per_position`]).
     pub per_position: bool,
 }
 

@@ -3,11 +3,15 @@
 //!
 //! The stream starts on the training channel (segment 1), then the room
 //! is re-drawn and the receiver moves (segment 2). Post-redraw the
-//! classifier still identifies the genuine modules, but one of them
-//! only by a *thin* majority — below the strict deployment vote gate,
-//! so [`PolicyKind::FixedMajority`] loses a genuine device it accepted
-//! before the re-draw. [`PolicyKind::AdaptiveThreshold`] with
-//! [`per_position`](deepcsi_serve::AdaptiveParams::per_position)
+//! classifier still identifies the genuine modules, but two of them
+//! only by *thin* majorities (module 1 holds 21/25 of its final window,
+//! module 2 16/25) — below the strict deployment vote gate (23/25), so
+//! [`PolicyKind::FixedMajority`] loses both, though it accepted them
+//! before the re-draw; module 0 stays clean at 25/25. After the re-draw
+//! every genuine device sits at least two votes from the gate, so the
+//! contrast does not hang on a tie.
+//! [`PolicyKind::AdaptiveThreshold`] with
+//! [`per_position`](deepcsi_serve::DecisionPolicyConfig::per_position)
 //! calibration detects the confidence regime change, re-profiles the
 //! stream at its new position (restarting its decision window so the
 //! gates are learned from post-move statistics), learns a thinner (but
@@ -15,8 +19,11 @@
 //! again — without ever accepting an impostor.
 //!
 //! The whole pipeline is deterministic (seeded generation, seeded
-//! training, verdicts independent of engine threading), so these are
-//! exact pins, run at both f32 and int8 serving precision.
+//! training with a host-independent gradient reduction, verdicts
+//! independent of engine threading), so these are exact pins on any
+//! host, run at both f32 and int8 serving precision. The `#[ignore]`d
+//! probes at the bottom re-derive the constants if the generator or the
+//! model ever changes on purpose.
 
 use deepcsi_core::{
     run_experiment_with_provider, Authenticator, ExperimentConfig, ModelConfig, Precision,
@@ -41,9 +48,11 @@ const SEG2_SNAPSHOTS: usize = 60;
 const REDRAW_ENV: u64 = 6;
 /// The receiver position after the re-draw.
 const REDRAW_POS: usize = 5;
-/// The deployment vote gate: verdicts need a 17/20 majority. Strict
-/// enough that the post-redraw thin-majority stream fails it.
-const DEPLOY_VOTE_GATE: f64 = 0.85;
+/// The deployment vote gate: verdicts need a 23/25 majority. After the
+/// re-draw the clean module clears it by two votes and the thicker thin
+/// majority (module 1, 21/25) misses it by two; before it, the thinnest
+/// genuine stream (module 2, 24/25) clears it by one.
+const DEPLOY_VOTE_GATE: f64 = 0.9;
 
 fn train_split() -> Split {
     let base = samples(
@@ -173,9 +182,9 @@ fn run_stream(
         .collect()
 }
 
-/// The genuine module whose post-redraw majority is correct but thin
+/// The genuine modules whose post-redraw majorities are correct but thin
 /// (in the gap between the learned and deployment vote gates).
-const BORDERLINE: DeviceId = DeviceId(2);
+const THIN: [DeviceId; 2] = [DeviceId(1), DeviceId(2)];
 
 /// The deterministic pin shared by the f32 and int8 variants.
 fn assert_redraw_contrast(precision: Precision) {
@@ -220,28 +229,34 @@ fn assert_redraw_contrast(precision: Precision) {
         &segments,
     );
 
-    // FixedMajority loses the borderline genuine device: its post-
-    // redraw majority is correct but under the deployment gate, so the
-    // verdict falls back to Unknown (never a false Reject).
-    assert_eq!(
-        fixed[&stream_mac(BORDERLINE, 1)],
-        Verdict::Unknown,
-        "fixed majority must lose the borderline genuine device after the re-draw ({precision:?})",
-    );
+    // FixedMajority loses the thin genuine devices: their post-redraw
+    // majorities are correct but under the deployment gate, so their
+    // verdicts fall back to Unknown (never a false Reject).
+    for module in THIN {
+        assert_eq!(
+            fixed[&stream_mac(module, 1)],
+            Verdict::Unknown,
+            "fixed majority must lose thin genuine module {} after the re-draw ({precision:?})",
+            module.0,
+        );
+    }
     assert_eq!(
         genuine_accepts(&fixed),
-        MODULES as usize - 1,
-        "fixed majority must keep the clean genuine devices ({precision:?})",
+        MODULES as usize - THIN.len(),
+        "fixed majority must keep the clean genuine device ({precision:?})",
     );
 
     // AdaptiveThreshold + per-position calibration re-profiles after
-    // the move and recovers all genuine devices, the borderline one
+    // the move and recovers all genuine devices, the thin ones
     // included.
-    assert_eq!(
-        adaptive[&stream_mac(BORDERLINE, 1)],
-        Verdict::Accept,
-        "per-position calibration must recover the borderline genuine device ({precision:?})",
-    );
+    for module in THIN {
+        assert_eq!(
+            adaptive[&stream_mac(module, 1)],
+            Verdict::Accept,
+            "per-position calibration must recover thin genuine module {} ({precision:?})",
+            module.0,
+        );
+    }
     assert_eq!(
         genuine_accepts(&adaptive),
         MODULES as usize,
@@ -341,13 +356,13 @@ fn probe_stationarity() {
     let mut ctx = frozen.ctx();
     for env in 1u64..=7 {
         for pos in [1usize, 3, 5, 8] {
-            for snr in [20.0, 12.0] {
+            for snr_db in [None, Some(20.0), Some(12.0)] {
                 let seg = SegmentSpec {
-                    snr_db: Some(snr),
+                    snr_db,
                     ..SegmentSpec::at(env, pos)
                 };
                 let ds = seg.dataset(MODULES, SEG2_SNAPSHOTS);
-                let mut line = format!("env {env} pos {pos} snr {snr:4.1}:");
+                let mut line = format!("env {env} pos {pos} snr {snr_db:?}:");
                 for t in ds.traces.iter().filter(|t| t.beamformee == 1) {
                     let preds: Vec<bool> = t
                         .snapshots
@@ -373,66 +388,79 @@ fn probe_stationarity() {
 }
 
 /// Steps the adaptive+per-position state machine over one genuine
-/// stream and prints its trajectory (EMA, vote, gates, verdict).
+/// stream and prints its trajectory (EMA, vote, learned gates, verdict),
+/// reading the learned gates from the state's saved image.
 #[test]
 #[ignore = "tuning probe, not a regression pin; run with -- --ignored --nocapture"]
 fn probe_adaptive_trajectory() {
-    use deepcsi_serve::{AdaptiveParams, AdaptiveThreshold, PolicyState, WindowConfig};
+    use deepcsi_serve::{PolicySnapshot, WindowConfig};
 
     let (auth, _calib) = trained();
     let frozen = auth.freeze();
     let mut ctx = frozen.ctx();
-    let verdict_policy = VerdictPolicy {
-        min_vote_fraction: DEPLOY_VOTE_GATE,
-        ..VerdictPolicy::default()
-    };
-    let policy = AdaptiveThreshold::new(
+    let policy = DecisionPolicyConfig {
+        kind: PolicyKind::AdaptiveThreshold,
+        per_position: true,
+        ..DecisionPolicyConfig::default()
+    }
+    .build(
         WindowConfig::default(),
-        verdict_policy,
-        AdaptiveParams {
-            per_position: true,
-            ..AdaptiveParams::default()
+        VerdictPolicy {
+            min_vote_fraction: DEPLOY_VOTE_GATE,
+            ..VerdictPolicy::default()
         },
     );
+    let warmup = DecisionPolicyConfig::default().warmup;
     let segments = redraw_segments();
-    let module = DeviceId(2);
-    let mut state = policy.state();
-    let mut i = 0usize;
-    for ds in &segments {
-        let t = ds
-            .traces
-            .iter()
-            .find(|t| t.module == module && t.beamformee == 1)
-            .unwrap();
-        for fb in &t.snapshots {
-            let x = frozen.tensorize(fb);
-            let logits = frozen.model().infer(&x, &mut ctx);
-            let pred = logits.argmax();
-            let max = logits
-                .as_slice()
+    for module in THIN {
+        println!("module {}:", module.0);
+        let mut state = policy.new_state();
+        let mut i = 0usize;
+        for ds in &segments {
+            let t = ds
+                .traces
                 .iter()
-                .copied()
-                .fold(f32::NEG_INFINITY, f32::max);
-            let sum: f64 = logits
-                .as_slice()
-                .iter()
-                .map(|&v| f64::from(v - max).exp())
-                .sum();
-            let confidence = 1.0 / sum;
-            state.push(pred, confidence);
-            let d = state.decision().unwrap();
-            if i % 5 == 4 || i == 29 || i == 30 {
-                println!(
+                .find(|t| t.module == module && t.beamformee == 1)
+                .unwrap();
+            for fb in &t.snapshots {
+                let x = frozen.tensorize(fb);
+                let logits = frozen.model().infer(&x, &mut ctx);
+                let pred = logits.argmax();
+                let max = logits
+                    .as_slice()
+                    .iter()
+                    .copied()
+                    .fold(f32::NEG_INFINITY, f32::max);
+                let sum: f64 = logits
+                    .as_slice()
+                    .iter()
+                    .map(|&v| f64::from(v - max).exp())
+                    .sum();
+                let confidence = 1.0 / sum;
+                state.push(pred, confidence);
+                let d = state.decision().unwrap();
+                let PolicySnapshot::Adaptive {
+                    calib,
+                    threshold,
+                    vote_gate,
+                    ..
+                } = state.save()
+                else {
+                    unreachable!("an adaptive policy saves adaptive images")
+                };
+                if i % 5 == 4 || i == 29 || i == 30 {
+                    println!(
                     "report {i:3}: pred {pred} ema {:.3} vote {:.2} calibrating {} threshold {:?} gate {:?} verdict {:?}",
                     d.confidence_ema,
                     d.vote_fraction,
-                    state.calibrating(),
-                    state.threshold().map(|t| (t * 1000.0).round() / 1000.0),
-                    state.vote_gate().map(|g| (g * 1000.0).round() / 1000.0),
+                    calib.count < warmup,
+                    threshold.map(|t| (t * 1000.0).round() / 1000.0),
+                    vote_gate.map(|g| (g * 1000.0).round() / 1000.0),
                     state.verdict(Some(module.0 as usize)),
                 );
+                }
+                i += 1;
             }
-            i += 1;
         }
     }
 }
@@ -447,12 +475,23 @@ fn probe_engine_verdicts() {
     let segments = redraw_segments();
     for (si, seg) in segments.iter().enumerate() {
         for t in &seg.traces {
+            let preds: Vec<usize> = t
+                .snapshots
+                .iter()
+                .map(|fb| auth.classify_feedback(fb))
+                .collect();
             let mut counts = vec![0usize; MODULES as usize];
-            for fb in &t.snapshots {
-                counts[auth.classify_feedback(fb)] += 1;
+            for &p in &preds {
+                counts[p] += 1;
+            }
+            // The last default-length window: what the verdict sees.
+            let last: Vec<usize> = preds[preds.len().saturating_sub(25)..].to_vec();
+            let mut last_counts = vec![0usize; MODULES as usize];
+            for &p in &last {
+                last_counts[p] += 1;
             }
             println!(
-                "  seg{si} module {} bf{} pred counts {counts:?}",
+                "  seg{si} module {} bf{} pred counts {counts:?} final window {last_counts:?}",
                 t.module, t.beamformee
             );
         }

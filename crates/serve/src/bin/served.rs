@@ -100,7 +100,7 @@ use deepcsi_obs::{format_op_table, write_chrome_trace, TraceConfig};
 use deepcsi_serve::{
     AuditConfig, Backpressure, BatchFormer, DecisionPolicyConfig, Engine, EngineConfig, Flags,
     MetricsEmitter, ObsPlane, ObsPlaneConfig, PolicyKind, Precision, ReplaySource, SourceStatus,
-    Verdict, WindowConfig,
+    Verdict, VerdictPolicy, WindowConfig,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -246,18 +246,11 @@ impl Args {
         if args.calibration.is_some() && args.policy != PolicyKind::AdaptiveThreshold {
             eprintln!("warning: --calibration only applies with --policy adaptive");
         }
-        // Range-check the policy knobs here, before the expensive
-        // dataset/training work — the engine would assert the same
-        // bounds, but only minutes later.
-        if let Some(mass) = args.accept_threshold {
-            assert!(
-                mass > 0.5 && mass <= 1.0,
-                "--accept-threshold must be in (0.5, 1], got {mass}"
-            );
-        }
-        if args.calibration == Some(0) {
-            panic!("--calibration must be positive");
-        }
+        // Validate the window and policy knobs here, before the
+        // expensive dataset/training work — the engine would assert the
+        // same bounds, but only minutes later.
+        args.decision()
+            .build(args.window_config(), VerdictPolicy::default());
         assert!(args.infer_threads > 0, "--infer-threads must be positive");
         if args.adaptive_batch {
             assert!(args.batch_min > 0, "--batch-min must be positive");
@@ -334,6 +327,14 @@ impl Args {
         TraceConfig {
             sample_every: self.trace_sample,
             ..TraceConfig::always()
+        }
+    }
+
+    /// The smoothing window the flags describe.
+    fn window_config(&self) -> WindowConfig {
+        WindowConfig {
+            len: self.window,
+            ..WindowConfig::default()
         }
     }
 
@@ -568,10 +569,7 @@ fn main() {
             } else {
                 Backpressure::Block
             },
-            window: WindowConfig {
-                len: args.window,
-                ..WindowConfig::default()
-            },
+            window: args.window_config(),
             decision: args.decision(),
             trace: args.trace(),
             profile: args.profile,

@@ -492,9 +492,9 @@ pub struct Engine {
     /// The per-verdict audit trail (`None` unless
     /// [`EngineConfig::audit`] is set).
     audit: Option<Arc<AuditLog>>,
-    /// The decision policy, shared with the workers — kept on the
+    /// The decision policy (each worker holds a copy) — kept on the
     /// engine so [`Engine::restore`] can rebuild device states.
-    policy: Arc<dyn DecisionPolicy>,
+    policy: DecisionPolicy,
     /// Per-shard device-state cap (`None` = unbounded).
     device_cap: Option<usize>,
 }
@@ -585,7 +585,7 @@ impl Engine {
         // Build (and thereby validate) the decision policy eagerly on
         // the caller thread: failing here beats panicking later inside a
         // worker while it holds a shard lock (which would poison it).
-        let policy: Arc<dyn DecisionPolicy> = cfg.decision.build(cfg.window, cfg.policy);
+        let policy = cfg.decision.build(cfg.window, cfg.policy);
         let telemetry = Arc::new(Telemetry::default());
         let _ = telemetry.started.set(Instant::now());
         let _ = telemetry.policy.set(policy.name());
@@ -650,7 +650,7 @@ impl Engine {
                 state: Arc::clone(shard_state),
                 in_flight: Arc::clone(&in_flight),
                 expected_shape: Arc::clone(&expected_shape),
-                policy: Arc::clone(&policy),
+                policy,
                 registry: Arc::clone(&registry),
                 device_cap,
                 max_batch: cfg.max_batch,
@@ -924,8 +924,9 @@ impl Engine {
     /// [`DecisionPolicy::restore_state`] under *this* engine's
     /// configuration — so restoring onto an engine running a different
     /// policy kind restores nothing (the per-device kind check refuses),
-    /// and a restored `AdaptiveThreshold` stream keeps its learned floor
-    /// instead of re-entering calibration. A configured
+    /// a crafted image no live state could have produced is skipped and
+    /// not counted, and a restored `AdaptiveThreshold` stream keeps its
+    /// learned floor instead of re-entering calibration. A configured
     /// [`EngineConfig::max_device_states`] cap is respected: restoring
     /// more devices than the cap evicts in restore order.
     pub fn restore(&self, snap: &EngineSnapshot) -> usize {
@@ -1040,7 +1041,7 @@ struct WorkerCtx {
     /// from observed traffic.
     expected_shape: Arc<OnceLock<Vec<usize>>>,
     /// Per-device state factory for the engine's decision policy.
-    policy: Arc<dyn DecisionPolicy>,
+    policy: DecisionPolicy,
     /// Expected identities, for spotting each stream's first decisive
     /// verdict as reports land (reports-to-verdict telemetry).
     registry: Arc<DeviceRegistry>,

@@ -23,12 +23,13 @@
 //!   splits each batch's lane blocks across its parked lanes
 //!   bit-exactly, with no spawn/join on the hot path.
 //! * **Decision policies** — per-report predictions feed one
-//!   [`PolicyState`] per device, built by a pluggable
-//!   [`DecisionPolicy`]: [`FixedMajority`] (sliding-window majority +
-//!   confidence EMA, the default), [`ConfidenceWeighted`]
+//!   [`PolicyState`] per device, created by the [`DecisionPolicy`] that
+//!   [`DecisionPolicyConfig::build`] makes from a [`PolicyKind`]:
+//!   [`PolicyKind::FixedMajority`] (sliding-window majority + confidence
+//!   EMA, the default), [`PolicyKind::ConfidenceWeighted`]
 //!   (confidence-weighted votes with posterior-mass early exit) or
-//!   [`AdaptiveThreshold`] (per-device accept floors learned from each
-//!   stream's own confidence distribution).
+//!   [`PolicyKind::AdaptiveThreshold`] (per-device accept floors learned
+//!   from each stream's own confidence distribution).
 //! * **Registry + telemetry** — [`DeviceRegistry`] holds each stream's
 //!   expected identity and the policy yields [`Verdict::Accept`] /
 //!   [`Verdict::Reject`] / [`Verdict::Unknown`]; [`Telemetry`] tracks
@@ -103,9 +104,7 @@ pub use engine::{
 pub use flags::Flags;
 pub use plane::{ExtraMetrics, ObsPlane, ObsPlaneConfig};
 pub use policy::{
-    AdaptiveParams, AdaptiveThreshold, AdaptiveThresholdState, ConfidenceWeighted,
-    ConfidenceWeightedState, DecisionPolicy, DecisionPolicyConfig, FixedMajority,
-    FixedMajorityState, PolicyKind, PolicySnapshot, PolicyState, WelfordSnapshot,
+    DecisionPolicy, DecisionPolicyConfig, PolicyKind, PolicySnapshot, PolicyState, Welford,
 };
 pub use registry::{DeviceRegistry, Verdict, VerdictPolicy};
 pub use replay::ReplaySource;

@@ -1,44 +1,44 @@
-//! Pluggable decision policies: how per-report classifications become
-//! per-device verdicts.
+//! Decision policies: how per-report classifications become per-device
+//! verdicts.
 //!
 //! DeepCSI's Fig. 15 stream-1-only study shows per-stream report quality
 //! varies widely, so one fixed smoothing window is the wrong shape for
 //! every device at once: clean streams wait longer than they need to,
 //! and noisy impostors get the same benefit of the doubt as stable
-//! registrants. A [`DecisionPolicy`] makes the verdict logic a seam —
-//! the engine instantiates one [`PolicyState`] per device stream and
-//! feeds it `(module, confidence)` pairs; the state answers with a
-//! [`WindowedDecision`] and a [`Verdict`] whenever asked.
+//! registrants. [`DecisionPolicyConfig::build`] turns a [`PolicyKind`]
+//! and its knobs into a [`DecisionPolicy`]; the engine instantiates one
+//! [`PolicyState`] per device stream and feeds it `(module, confidence)`
+//! pairs; the state answers with a [`WindowedDecision`] and a
+//! [`Verdict`] whenever asked.
 //!
-//! Three policies ship:
+//! Three policies ship, one [`PolicyKind`] arm, one private state type
+//! and one [`PolicySnapshot`] variant each:
 //!
-//! * [`FixedMajority`] — the classic fixed-length majority window.
-//!   This is the default and is *verdict-identical* to the pre-policy
-//!   engine: same window, same [`VerdictPolicy`] gates, same
+//! * [`PolicyKind::FixedMajority`] — the classic fixed-length majority
+//!   window. This is the default and is *verdict-identical* to the
+//!   pre-policy engine: same window, same [`VerdictPolicy`] gates, same
 //!   tie-breaks.
-//! * [`ConfidenceWeighted`] — votes are weighted by per-report
-//!   classifier confidence and the policy early-exits the moment one
-//!   module holds a configurable share of the posterior mass. Clean
-//!   streams decide in a handful of reports instead of a full
-//!   `min_observations` wait.
-//! * [`AdaptiveThreshold`] — per-device accept thresholds learned
-//!   online from each device's own confidence distribution during a
-//!   calibration warm-up. A stream whose confidence later falls below
-//!   its own learned floor is flagged even when the majority module
-//!   still matches — the impersonation case a pure majority vote
-//!   cannot see. Thresholds only ratchet *tighter* online (upward
-//!   drift re-calibrates; downward drift is treated as suspicion, never
-//!   as a reason to loosen) — unless per-position calibration
-//!   ([`AdaptiveParams::per_position`]) is enabled, which re-profiles a
-//!   stream whose confidence steps down (a device that *moved*) instead
-//!   of flagging it forever.
+//! * [`PolicyKind::ConfidenceWeighted`] — votes are weighted by
+//!   per-report classifier confidence and the policy early-exits the
+//!   moment one module holds [`DecisionPolicyConfig::posterior_mass`] of
+//!   the window's confidence. Clean streams decide in a handful of
+//!   reports instead of a full `min_observations` wait.
+//! * [`PolicyKind::AdaptiveThreshold`] — per-device accept thresholds
+//!   learned online from each device's own confidence distribution
+//!   during a calibration warm-up. A stream whose confidence later falls
+//!   below its own learned floor is flagged even when the majority
+//!   module still matches — the impersonation case a pure majority vote
+//!   cannot see. Thresholds only ratchet *tighter* online (upward drift
+//!   re-calibrates; downward drift is treated as suspicion, never as a
+//!   reason to loosen) — unless per-position calibration
+//!   ([`DecisionPolicyConfig::per_position`]) is enabled, which
+//!   re-profiles a stream whose confidence steps down (a device that
+//!   *moved*) instead of flagging it forever.
 //!
 //! ```
-//! use deepcsi_serve::{
-//!     DecisionPolicy, FixedMajority, Verdict, VerdictPolicy, WindowConfig,
-//! };
+//! use deepcsi_serve::{DecisionPolicyConfig, Verdict, VerdictPolicy, WindowConfig};
 //!
-//! let policy = FixedMajority::new(WindowConfig::default(), VerdictPolicy::default());
+//! let policy = DecisionPolicyConfig::default().build(WindowConfig::default(), VerdictPolicy::default());
 //! let mut device = policy.new_state();
 //! for _ in 0..12 {
 //!     device.push(3, 0.9); // module 3, 90 % classifier confidence
@@ -53,9 +53,8 @@ use crate::window::{DecisionWindow, WindowConfig, WindowSnapshot, WindowedDecisi
 use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::Arc;
 
-/// Which [`DecisionPolicy`] implementation an engine runs.
+/// Which decision policy an engine runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PolicyKind {
     /// Fixed-length majority window (the pre-policy engine behavior).
@@ -65,6 +64,18 @@ pub enum PolicyKind {
     ConfidenceWeighted,
     /// Per-device thresholds learned from the stream's own confidence.
     AdaptiveThreshold,
+}
+
+impl PolicyKind {
+    /// Stable short name (`fixed` / `confidence` / `adaptive`), used in
+    /// telemetry and audit events.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            PolicyKind::FixedMajority => "fixed",
+            PolicyKind::ConfidenceWeighted => "confidence",
+            PolicyKind::AdaptiveThreshold => "adaptive",
+        }
+    }
 }
 
 impl FromStr for PolicyKind {
@@ -84,48 +95,44 @@ impl FromStr for PolicyKind {
 
 impl fmt::Display for PolicyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            PolicyKind::FixedMajority => "fixed",
-            PolicyKind::ConfidenceWeighted => "confidence",
-            PolicyKind::AdaptiveThreshold => "adaptive",
-        })
+        f.write_str(self.as_str())
     }
 }
 
-/// Construction knobs for every shipped policy, plus which one to build.
+/// Which policy to build, plus the knobs an operator can set.
 ///
 /// The engine combines this with its [`WindowConfig`] and
 /// [`VerdictPolicy`] (the smoothing and evidence gates every policy
 /// shares) in [`DecisionPolicyConfig::build`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecisionPolicyConfig {
-    /// Which implementation to build.
+    /// Which policy to build.
     pub kind: PolicyKind,
-    /// [`ConfidenceWeighted`]: posterior mass one module must hold for a
-    /// verdict, in `(0.5, 1]`.
+    /// [`PolicyKind::ConfidenceWeighted`]: posterior mass one module must
+    /// hold for a verdict, in `(0.5, 1]`.
     pub posterior_mass: f64,
-    /// [`ConfidenceWeighted`]: minimum total confidence weight before
-    /// any verdict (the early-exit floor — roughly "this many fully
-    /// confident reports").
-    pub min_weight: f64,
-    /// [`AdaptiveThreshold`]: calibration warm-up length in reports.
+    /// [`PolicyKind::AdaptiveThreshold`]: calibration warm-up length in
+    /// reports.
     pub warmup: u64,
-    /// [`AdaptiveThreshold`]: accept threshold is
-    /// `mean − margin_sigmas · σ` of the calibrated confidence.
-    pub margin_sigmas: f64,
-    /// [`AdaptiveThreshold`]: floor on the calibrated σ, so a perfectly
-    /// stable stream still tolerates tiny confidence jitter.
-    pub min_sigma: f64,
-    /// [`AdaptiveThreshold`]: upward drift beyond
-    /// `mean + drift_sigmas · σ` re-enters calibration (thresholds only
-    /// ever tighten).
-    pub drift_sigmas: f64,
-    /// [`AdaptiveThreshold`]: per-position calibration. Confidence
-    /// drifting *below* the calibrated band re-calibrates the profile to
-    /// the stream's new operating point (a device moved; the channel
-    /// changed) instead of being flagged forever, and the calibration
-    /// also learns a position-local vote-fraction gate. See
-    /// [`AdaptiveParams::per_position`] for the security trade-off.
+    /// [`PolicyKind::AdaptiveThreshold`]: per-position calibration. When
+    /// set, the state treats its calibrated profile as describing *one
+    /// serving position*:
+    ///
+    /// * downward drift beyond `mean − 4σ` re-enters calibration instead
+    ///   of rejecting forever — the stream goes [`Verdict::Unknown`] while
+    ///   a fresh profile is learned at the new operating point, and the
+    ///   threshold is *replaced* (not ratcheted) when it completes;
+    /// * the calibration also learns a position-local vote-fraction
+    ///   gate, `vote_mean − 3σ_vote`, clamped to
+    ///   `[0.505, min_vote_fraction]` — a position with honestly noisier
+    ///   majorities still reaches verdicts, while a mismatching majority
+    ///   (vote share for the *wrong* module) still rejects.
+    ///
+    /// Trade-off: a confidence collapse is no longer permanent evidence
+    /// of impersonation — an impostor who matches the expected module at
+    /// a stable (if lower) confidence can be accepted after the
+    /// re-calibration window. Enable it for mobile/multi-position
+    /// deployments; keep it off when devices are stationary.
     pub per_position: bool,
 }
 
@@ -134,74 +141,198 @@ impl Default for DecisionPolicyConfig {
         DecisionPolicyConfig {
             kind: PolicyKind::default(),
             posterior_mass: 0.9,
-            min_weight: 3.0,
             warmup: 20,
-            margin_sigmas: 3.0,
-            min_sigma: 0.02,
-            drift_sigmas: 4.0,
             per_position: false,
         }
     }
 }
 
+/// ConfidenceWeighted: minimum total confidence weight before any
+/// verdict (the early-exit floor — roughly "this many fully confident
+/// reports").
+const MIN_WEIGHT: f64 = 3.0;
+
+/// AdaptiveThreshold: the accept threshold is `mean − MARGIN_SIGMAS · σ`
+/// of the calibrated confidence (and the per-position vote gate is
+/// `vote_mean − MARGIN_SIGMAS · σ_vote`).
+const MARGIN_SIGMAS: f64 = 3.0;
+
+/// AdaptiveThreshold: floor on a calibrated σ, so a perfectly stable
+/// stream still tolerates tiny confidence jitter.
+const MIN_SIGMA: f64 = 0.02;
+
+/// AdaptiveThreshold: drift beyond `mean ± DRIFT_SIGMAS · σ` leaves the
+/// calibrated band (upward always re-calibrates; downward only in
+/// per-position mode).
+const DRIFT_SIGMAS: f64 = 4.0;
+
 impl DecisionPolicyConfig {
-    /// Builds the configured policy around the engine's shared window
-    /// and verdict parameters.
+    /// Validates the configured policy and binds it to the engine's
+    /// shared window and verdict gates.
     ///
     /// # Panics
     ///
     /// Panics on invalid parameters (zero-length window, alpha outside
-    /// `(0, 1]`, posterior mass outside `(0.5, 1]`, non-positive
-    /// weights/warm-up), so a bad configuration fails on the caller
-    /// thread instead of inside a worker.
-    pub fn build(&self, window: WindowConfig, verdict: VerdictPolicy) -> Arc<dyn DecisionPolicy> {
+    /// `(0, 1]`, and for the policy being built a posterior mass outside
+    /// `(0.5, 1]` or a zero warm-up), so a bad configuration fails on the
+    /// caller thread instead of inside a worker.
+    pub fn build(&self, window: WindowConfig, gates: VerdictPolicy) -> DecisionPolicy {
+        drop(DecisionWindow::new(window));
         match self.kind {
-            PolicyKind::FixedMajority => Arc::new(FixedMajority::new(window, verdict)),
-            PolicyKind::ConfidenceWeighted => Arc::new(ConfidenceWeighted::new(
-                window,
-                verdict,
-                self.posterior_mass,
-                self.min_weight,
-            )),
-            PolicyKind::AdaptiveThreshold => Arc::new(AdaptiveThreshold::new(
-                window,
-                verdict,
-                AdaptiveParams {
-                    warmup: self.warmup,
-                    margin_sigmas: self.margin_sigmas,
-                    min_sigma: self.min_sigma,
-                    drift_sigmas: self.drift_sigmas,
-                    per_position: self.per_position,
-                },
-            )),
+            PolicyKind::FixedMajority => {}
+            PolicyKind::ConfidenceWeighted => assert!(
+                self.posterior_mass > 0.5 && self.posterior_mass <= 1.0,
+                "posterior_mass must be in (0.5, 1], got {}",
+                self.posterior_mass
+            ),
+            PolicyKind::AdaptiveThreshold => assert!(self.warmup > 0, "warmup must be positive"),
+        }
+        DecisionPolicy {
+            cfg: *self,
+            window,
+            gates,
         }
     }
 }
 
-/// A verdict strategy: a factory for per-device [`PolicyState`]s.
+/// A validated policy: a factory for per-device [`PolicyState`]s.
 ///
 /// The engine holds one policy and creates one state per device stream
 /// (states never migrate between shards, so they need [`Send`] but not
 /// [`Sync`]).
-pub trait DecisionPolicy: Send + Sync + fmt::Debug {
-    /// Stable short name (used in telemetry and audit events).
-    fn name(&self) -> &'static str;
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DecisionPolicy {
+    cfg: DecisionPolicyConfig,
+    window: WindowConfig,
+    gates: VerdictPolicy,
+}
+
+impl DecisionPolicy {
+    /// Which policy this is.
+    pub fn kind(&self) -> PolicyKind {
+        self.cfg.kind
+    }
+
+    /// The policy's telemetry and audit label, [`PolicyKind::as_str`].
+    pub fn name(&self) -> &'static str {
+        self.cfg.kind.as_str()
+    }
 
     /// Fresh evidence state for one device stream.
-    fn new_state(&self) -> Box<dyn PolicyState>;
+    pub fn new_state(&self) -> Box<dyn PolicyState> {
+        match self.cfg.kind {
+            PolicyKind::FixedMajority => Box::new(FixedMajorityState {
+                window: DecisionWindow::new(self.window),
+                gates: self.gates,
+            }),
+            PolicyKind::ConfidenceWeighted => Box::new(ConfidenceWeightedState {
+                policy: *self,
+                votes: VecDeque::with_capacity(self.window.len),
+                weights: Vec::new(),
+                ema: None,
+                observations: 0,
+            }),
+            PolicyKind::AdaptiveThreshold => Box::new(AdaptiveThresholdState {
+                policy: *self,
+                window: DecisionWindow::new(self.window),
+                calib: Welford::default(),
+                vote_calib: Welford::default(),
+                profile: None,
+                threshold: None,
+                vote_gate: None,
+            }),
+        }
+    }
 
     /// Rebuilds a state from a [`PolicySnapshot`] under *this* policy's
-    /// configuration. Returns `None` when the snapshot was taken under a
-    /// different [`PolicyKind`] — restoring, say, adaptive floors into a
-    /// fixed-majority engine would silently discard the learned gates,
-    /// so a kind mismatch refuses instead.
+    /// configuration.
+    ///
+    /// Returns `None` when the snapshot was taken under a different
+    /// [`PolicyKind`] — restoring, say, adaptive floors into a
+    /// fixed-majority engine would silently discard the learned gates —
+    /// or when the image is one no live state could have produced (a
+    /// vote for a module its weights do not cover, votes without a
+    /// confidence EMA, non-finite weights, an out-of-range module id, see
+    /// [`DecisionWindow::restore`]). A snapshot is untrusted input: a
+    /// refused image never reaches a worker.
     ///
     /// Restoring under the same configuration the snapshot was taken
     /// with is *bit-exact*: the restored state answers
     /// [`decision`](PolicyState::decision) and
     /// [`verdict`](PolicyState::verdict) identically to the original at
     /// every step of any continued stream.
-    fn restore_state(&self, snap: &PolicySnapshot) -> Option<Box<dyn PolicyState>>;
+    pub fn restore_state(&self, snap: &PolicySnapshot) -> Option<Box<dyn PolicyState>> {
+        Some(match (self.cfg.kind, snap) {
+            (PolicyKind::FixedMajority, PolicySnapshot::Fixed { window }) => {
+                Box::new(FixedMajorityState {
+                    window: DecisionWindow::restore(self.window, window)?,
+                    gates: self.gates,
+                })
+            }
+            (
+                PolicyKind::ConfidenceWeighted,
+                PolicySnapshot::Confidence {
+                    votes,
+                    weights,
+                    ema,
+                    observations,
+                },
+            ) => {
+                let live = ema.is_some() != votes.is_empty()
+                    && (votes.len() as u64) <= *observations
+                    && *observations < u64::MAX
+                    && weights.iter().all(|w| w.is_finite() && *w >= 0.0)
+                    && votes
+                        .iter()
+                        .all(|&(m, w)| m < weights.len() && w.is_finite() && w > 0.0);
+                if !live {
+                    return None;
+                }
+                let mut state = ConfidenceWeightedState {
+                    policy: *self,
+                    votes: votes.iter().copied().collect(),
+                    weights: weights.clone(),
+                    ema: *ema,
+                    observations: *observations,
+                };
+                // A shorter restoring window drops the oldest votes
+                // exactly as push() would have expired them (push only
+                // evicts at len == window.len, so an over-full deque must
+                // be trimmed here).
+                while state.votes.len() > self.window.len {
+                    let (expired, w) = state.votes.pop_front().expect("non-empty");
+                    state.weights[expired] = (state.weights[expired] - w).max(0.0);
+                }
+                Box::new(state)
+            }
+            (
+                PolicyKind::AdaptiveThreshold,
+                PolicySnapshot::Adaptive {
+                    window,
+                    calib,
+                    vote_calib,
+                    profile,
+                    threshold,
+                    vote_gate,
+                },
+            ) => {
+                // The two accumulators are filled and reset together.
+                if calib.count != vote_calib.count {
+                    return None;
+                }
+                Box::new(AdaptiveThresholdState {
+                    policy: *self,
+                    window: DecisionWindow::restore(self.window, window)?,
+                    calib: *calib,
+                    vote_calib: *vote_calib,
+                    profile: *profile,
+                    threshold: *threshold,
+                    vote_gate: *vote_gate,
+                })
+            }
+            _ => return None,
+        })
+    }
 }
 
 /// The accumulated evidence of one device stream under one policy.
@@ -224,16 +355,33 @@ pub trait PolicyState: Send + fmt::Debug {
     fn save(&self) -> PolicySnapshot;
 }
 
-/// Plain-data image of a Welford accumulator (part of
-/// [`PolicySnapshot::Adaptive`]).
+/// Welford's online mean/variance accumulator — plain data, so it is
+/// also its own snapshot image (part of [`PolicySnapshot::Adaptive`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct WelfordSnapshot {
+pub struct Welford {
     /// Samples accumulated.
     pub count: u64,
     /// Running mean.
     pub mean: f64,
     /// Sum of squared deviations (Welford's `M2`).
     pub m2: f64,
+}
+
+impl Welford {
+    fn add(&mut self, x: f64) {
+        self.count += 1;
+        let delta = x - self.mean;
+        self.mean += delta / self.count as f64;
+        self.m2 += delta * (x - self.mean);
+    }
+
+    fn sigma(&self) -> f64 {
+        if self.count < 2 {
+            0.0
+        } else {
+            (self.m2 / (self.count - 1) as f64).sqrt()
+        }
+    }
 }
 
 /// A policy-agnostic image of one device stream's evidence, produced by
@@ -247,12 +395,12 @@ pub struct WelfordSnapshot {
 /// window drops the oldest votes).
 #[derive(Debug, Clone, PartialEq)]
 pub enum PolicySnapshot {
-    /// [`FixedMajority`] evidence: the decision window.
+    /// [`PolicyKind::FixedMajority`] evidence: the decision window.
     Fixed {
         /// The smoothing window.
         window: WindowSnapshot,
     },
-    /// [`ConfidenceWeighted`] evidence.
+    /// [`PolicyKind::ConfidenceWeighted`] evidence.
     Confidence {
         /// Live `(module, clamped weight)` votes, oldest first.
         votes: Vec<(usize, f64)>,
@@ -265,14 +413,15 @@ pub enum PolicySnapshot {
         /// Total reports observed.
         observations: u64,
     },
-    /// [`AdaptiveThreshold`] evidence: window plus learned calibration.
+    /// [`PolicyKind::AdaptiveThreshold`] evidence: window plus learned
+    /// calibration.
     Adaptive {
         /// The smoothing window.
         window: WindowSnapshot,
         /// In-progress confidence calibration.
-        calib: WelfordSnapshot,
+        calib: Welford,
         /// In-progress vote-fraction calibration.
-        vote_calib: WelfordSnapshot,
+        vote_calib: Welford,
         /// Last completed calibration `(mean, sigma)`.
         profile: Option<(f64, f64)>,
         /// The learned accept floor.
@@ -294,78 +443,13 @@ impl PolicySnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// FixedMajority
+// FixedMajority: a DecisionWindow gated by the VerdictPolicy.
 // ---------------------------------------------------------------------------
 
-/// The fixed-length majority window — the engine's default policy and
-/// the exact pre-policy behavior: a [`DecisionWindow`] smoothed stream
-/// gated by a [`VerdictPolicy`].
-///
-/// ```
-/// use deepcsi_serve::{DecisionPolicy, FixedMajority, Verdict, VerdictPolicy, WindowConfig};
-///
-/// let policy = FixedMajority::new(WindowConfig::default(), VerdictPolicy::default());
-/// let mut s = policy.new_state();
-/// s.push(1, 0.8);
-/// // One report is far below `min_observations`.
-/// assert_eq!(s.verdict(Some(1)), Verdict::Unknown);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct FixedMajority {
-    window: WindowConfig,
-    verdict: VerdictPolicy,
-}
-
-impl FixedMajority {
-    /// Creates the policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid window configuration.
-    pub fn new(window: WindowConfig, verdict: VerdictPolicy) -> Self {
-        // Validate eagerly: every state construction would panic anyway,
-        // but failing here beats failing inside a worker thread.
-        drop(DecisionWindow::new(window));
-        FixedMajority { window, verdict }
-    }
-}
-
-impl FixedMajority {
-    /// A fresh concrete state (the trait-object-free form of
-    /// [`DecisionPolicy::new_state`]).
-    pub fn state(&self) -> FixedMajorityState {
-        FixedMajorityState {
-            window: DecisionWindow::new(self.window),
-            verdict: self.verdict,
-        }
-    }
-}
-
-impl DecisionPolicy for FixedMajority {
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-
-    fn new_state(&self) -> Box<dyn PolicyState> {
-        Box::new(self.state())
-    }
-
-    fn restore_state(&self, snap: &PolicySnapshot) -> Option<Box<dyn PolicyState>> {
-        let PolicySnapshot::Fixed { window } = snap else {
-            return None;
-        };
-        Some(Box::new(FixedMajorityState {
-            window: DecisionWindow::restore(self.window, window),
-            verdict: self.verdict,
-        }))
-    }
-}
-
-/// Per-device state of [`FixedMajority`].
 #[derive(Debug, Clone)]
-pub struct FixedMajorityState {
+struct FixedMajorityState {
     window: DecisionWindow,
-    verdict: VerdictPolicy,
+    gates: VerdictPolicy,
 }
 
 impl PolicyState for FixedMajorityState {
@@ -382,7 +466,7 @@ impl PolicyState for FixedMajorityState {
             return Verdict::Unknown;
         };
         match self.window.decision() {
-            Some(d) => Verdict::from_decision(self.verdict, expected, &d),
+            Some(d) => Verdict::from_decision(self.gates, expected, &d),
             None => Verdict::Unknown,
         }
     }
@@ -398,132 +482,21 @@ impl PolicyState for FixedMajorityState {
 // ConfidenceWeighted
 // ---------------------------------------------------------------------------
 
-/// Confidence-weighted voting with posterior-mass early exit.
-///
-/// Each report votes with weight equal to its classifier confidence; the
-/// stream decides as soon as one module holds at least `posterior_mass`
-/// of the total weight **and** the total weight clears `min_weight` —
-/// so a clean stream of ~0.9-confidence reports reaches a verdict in
-/// about `min_weight / 0.9` reports instead of waiting out a fixed
-/// `min_observations` count. Noisy streams accumulate split weight and
-/// simply keep waiting, exactly like an unstable majority.
-///
-/// ```
-/// use deepcsi_serve::{ConfidenceWeighted, DecisionPolicy, Verdict, VerdictPolicy, WindowConfig};
-///
-/// let policy = ConfidenceWeighted::new(
-///     WindowConfig::default(),
-///     VerdictPolicy::default(),
-///     0.9, // posterior mass required for a verdict
-///     3.0, // minimum total confidence weight
-/// );
-/// let mut s = policy.new_state();
-/// for _ in 0..4 {
-///     s.push(2, 0.95);
-/// }
-/// // Four confident agreeing reports: decided, far before a fixed
-/// // 10-observation gate would open.
-/// assert_eq!(s.verdict(Some(2)), Verdict::Accept);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct ConfidenceWeighted {
-    window: WindowConfig,
-    verdict: VerdictPolicy,
-    posterior_mass: f64,
-    min_weight: f64,
-}
-
-impl ConfidenceWeighted {
-    /// Creates the policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid window, a posterior mass outside
-    /// `(0.5, 1]` (at most one module can hold a majority of the mass)
-    /// or a non-positive minimum weight.
-    pub fn new(
-        window: WindowConfig,
-        verdict: VerdictPolicy,
-        posterior_mass: f64,
-        min_weight: f64,
-    ) -> Self {
-        drop(DecisionWindow::new(window));
-        assert!(
-            posterior_mass > 0.5 && posterior_mass <= 1.0,
-            "posterior_mass must be in (0.5, 1]"
-        );
-        assert!(min_weight > 0.0, "min_weight must be positive");
-        ConfidenceWeighted {
-            window,
-            verdict,
-            posterior_mass,
-            min_weight,
-        }
-    }
-}
-
-impl ConfidenceWeighted {
-    /// A fresh concrete state (the trait-object-free form of
-    /// [`DecisionPolicy::new_state`]).
-    pub fn state(&self) -> ConfidenceWeightedState {
-        ConfidenceWeightedState {
-            cfg: *self,
-            votes: VecDeque::with_capacity(self.window.len),
-            weights: Vec::new(),
-            ema: None,
-            observations: 0,
-        }
-    }
-}
-
-impl DecisionPolicy for ConfidenceWeighted {
-    fn name(&self) -> &'static str {
-        "confidence"
-    }
-
-    fn new_state(&self) -> Box<dyn PolicyState> {
-        Box::new(self.state())
-    }
-
-    fn restore_state(&self, snap: &PolicySnapshot) -> Option<Box<dyn PolicyState>> {
-        let PolicySnapshot::Confidence {
-            votes,
-            weights,
-            ema,
-            observations,
-        } = snap
-        else {
-            return None;
-        };
-        let mut state = ConfidenceWeightedState {
-            cfg: *self,
-            votes: votes.iter().copied().collect(),
-            weights: weights.clone(),
-            ema: *ema,
-            observations: *observations,
-        };
-        // A shorter restoring window drops the oldest votes exactly as
-        // push() would have expired them (push only evicts at
-        // len == cfg.len, so an over-full deque must be trimmed here).
-        while state.votes.len() > self.window.len {
-            let (expired, w) = state.votes.pop_front().expect("non-empty");
-            if let Some(slot) = state.weights.get_mut(expired) {
-                *slot = (*slot - w).max(0.0);
-            }
-        }
-        Some(Box::new(state))
-    }
-}
-
 /// A zero-confidence report still occupies a window slot; this floor
 /// keeps the weighted argmax well-defined without letting such a report
 /// meaningfully sway the posterior.
 const MIN_VOTE_WEIGHT: f64 = 1e-9;
 
-/// Per-device state of [`ConfidenceWeighted`].
+/// Each report votes with weight equal to its classifier confidence; the
+/// stream decides as soon as one module holds at least `posterior_mass`
+/// of the total weight **and** the total weight clears [`MIN_WEIGHT`] —
+/// so a clean stream of ~0.9-confidence reports reaches a verdict in
+/// about `MIN_WEIGHT / 0.9` reports instead of waiting out a fixed
+/// `min_observations` count. Noisy streams accumulate split weight and
+/// simply keep waiting, exactly like an unstable majority.
 #[derive(Debug, Clone)]
-pub struct ConfidenceWeightedState {
-    cfg: ConfidenceWeighted,
+struct ConfidenceWeightedState {
+    policy: DecisionPolicy,
     votes: VecDeque<(usize, f64)>,
     /// Summed confidence weight per module over the live window.
     weights: Vec<f64>,
@@ -556,7 +529,7 @@ impl PolicyState for ConfidenceWeightedState {
         if module >= self.weights.len() {
             self.weights.resize(module + 1, 0.0);
         }
-        if self.votes.len() == self.cfg.window.len {
+        if self.votes.len() == self.policy.window.len {
             let (expired, w) = self.votes.pop_front().expect("window non-empty");
             // Clamp at zero: summed floats can drift a hair negative.
             self.weights[expired] = (self.weights[expired] - w).max(0.0);
@@ -565,7 +538,7 @@ impl PolicyState for ConfidenceWeightedState {
         self.weights[module] += weight;
         self.ema = Some(match self.ema {
             None => confidence,
-            Some(prev) => prev + self.cfg.window.ema_alpha * (confidence - prev),
+            Some(prev) => prev + self.policy.window.ema_alpha * (confidence - prev),
         });
         self.observations += 1;
     }
@@ -589,7 +562,7 @@ impl PolicyState for ConfidenceWeightedState {
         let Some((module, mass, total)) = self.posterior() else {
             return Verdict::Unknown;
         };
-        if total < self.cfg.min_weight {
+        if total < MIN_WEIGHT {
             return Verdict::Unknown;
         }
         // Two ways to a verdict:
@@ -599,9 +572,9 @@ impl PolicyState for ConfidenceWeightedState {
         //    count the fixed policy demands and clears its (weighted)
         //    majority floor, so a stream the fixed window would decide
         //    is never left hanging just because its posterior is spread.
-        let early = mass >= self.cfg.posterior_mass;
-        let fallback = self.observations >= self.cfg.verdict.min_observations
-            && mass >= self.cfg.verdict.min_vote_fraction;
+        let early = mass >= self.policy.cfg.posterior_mass;
+        let fallback = self.observations >= self.policy.gates.min_observations
+            && mass >= self.policy.gates.min_vote_fraction;
         if !early && !fallback {
             return Verdict::Unknown;
         }
@@ -626,224 +599,29 @@ impl PolicyState for ConfidenceWeightedState {
 // AdaptiveThreshold
 // ---------------------------------------------------------------------------
 
-/// Internal knobs of [`AdaptiveThreshold`] (see
-/// [`DecisionPolicyConfig`] for the user-facing fields).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveParams {
-    /// Calibration warm-up length in reports.
-    pub warmup: u64,
-    /// Accept threshold is `mean − margin_sigmas · σ`.
-    pub margin_sigmas: f64,
-    /// Floor on the calibrated σ.
-    pub min_sigma: f64,
-    /// Upward drift beyond `mean + drift_sigmas · σ` re-calibrates.
-    pub drift_sigmas: f64,
-    /// Per-position calibration (PR 3 leftover, landed with the scenario
-    /// suite). When set, the state treats its calibrated profile as
-    /// describing *one serving position*:
-    ///
-    /// * downward drift beyond `mean − drift_sigmas · σ` re-enters
-    ///   calibration instead of rejecting forever — the stream goes
-    ///   [`Verdict::Unknown`] while a fresh profile is learned at the
-    ///   new operating point, and the threshold is *replaced* (not
-    ///   ratcheted) when it completes;
-    /// * the calibration also learns a position-local vote-fraction
-    ///   gate, `vote_mean − margin_sigmas · σ_vote`, clamped to
-    ///   `[0.505, min_vote_fraction]` — a position with honestly noisier
-    ///   majorities still reaches verdicts, while a mismatching
-    ///   majority (vote share for the *wrong* module) still rejects.
-    ///
-    /// Trade-off: a confidence collapse is no longer permanent evidence
-    /// of impersonation — an impostor who matches the expected module at
-    /// a stable (if lower) confidence can be accepted after the
-    /// re-calibration window. Enable it for mobile/multi-position
-    /// deployments; keep it off when devices are stationary.
-    pub per_position: bool,
-}
-
-impl Default for AdaptiveParams {
-    fn default() -> Self {
-        let d = DecisionPolicyConfig::default();
-        AdaptiveParams {
-            warmup: d.warmup,
-            margin_sigmas: d.margin_sigmas,
-            min_sigma: d.min_sigma,
-            drift_sigmas: d.drift_sigmas,
-            per_position: d.per_position,
-        }
-    }
-}
-
 /// Hard floor of the learned per-position vote gate: a strict majority.
 /// However noisy a position's calibration window was, the leading module
 /// must still out-vote all others combined before any verdict.
 const MIN_ADAPTIVE_VOTE_GATE: f64 = 0.505;
 
-/// Per-device accept thresholds learned online from each stream's own
-/// confidence distribution.
-///
 /// The first `warmup` reports calibrate a per-device profile of the
 /// *smoothed* confidence track (mean and σ of the EMA, via Welford's
 /// method); after that the stream must keep its confidence EMA above
-/// `mean − margin_sigmas · σ` to stay accepted. A
-/// majority-matching stream whose confidence collapses —
-/// the low-quality impersonation a fixed majority vote happily accepts —
-/// is flagged as [`Verdict::Reject`].
+/// `mean − MARGIN_SIGMAS · σ` to stay accepted. A majority-matching
+/// stream whose confidence collapses — the low-quality impersonation a
+/// fixed majority vote happily accepts — is flagged as
+/// [`Verdict::Reject`].
 ///
 /// Drift handling is deliberately asymmetric: confidence drifting
 /// *above* the calibrated band re-enters calibration (the channel got
 /// cleaner; the threshold may ratchet up), while confidence drifting
 /// *below* is exactly the anomaly the policy exists to flag, so it
-/// never loosens the threshold. Loosening requires re-registering the
+/// never loosens the threshold — unless per-position mode says the
+/// device moved. Otherwise loosening requires re-registering the
 /// device, which resets the state.
-///
-/// ```
-/// use deepcsi_serve::{
-///     AdaptiveParams, AdaptiveThreshold, DecisionPolicy, Verdict, VerdictPolicy, WindowConfig,
-/// };
-///
-/// let policy = AdaptiveThreshold::new(
-///     WindowConfig::default(),
-///     VerdictPolicy::default(),
-///     AdaptiveParams {
-///         warmup: 10,
-///         ..AdaptiveParams::default()
-///     },
-/// );
-/// let mut s = policy.new_state();
-/// for _ in 0..10 {
-///     s.push(0, 0.95); // calibration: this device reports at ~0.95
-/// }
-/// assert_eq!(s.verdict(Some(0)), Verdict::Accept);
-/// // An impostor presenting the *right* module at the wrong confidence:
-/// for _ in 0..25 {
-///     s.push(0, 0.55);
-/// }
-/// assert_eq!(s.verdict(Some(0)), Verdict::Reject); // flagged
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptiveThreshold {
-    window: WindowConfig,
-    verdict: VerdictPolicy,
-    params: AdaptiveParams,
-}
-
-impl AdaptiveThreshold {
-    /// Creates the policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid window, a zero warm-up, or non-positive
-    /// margins.
-    pub fn new(window: WindowConfig, verdict: VerdictPolicy, params: AdaptiveParams) -> Self {
-        drop(DecisionWindow::new(window));
-        assert!(params.warmup > 0, "warmup must be positive");
-        assert!(params.margin_sigmas > 0.0, "margin_sigmas must be positive");
-        assert!(params.min_sigma > 0.0, "min_sigma must be positive");
-        assert!(params.drift_sigmas > 0.0, "drift_sigmas must be positive");
-        AdaptiveThreshold {
-            window,
-            verdict,
-            params,
-        }
-    }
-}
-
-impl AdaptiveThreshold {
-    /// A fresh concrete state (the trait-object-free form of
-    /// [`DecisionPolicy::new_state`]), exposing
-    /// [`AdaptiveThresholdState::threshold`] for inspection.
-    pub fn state(&self) -> AdaptiveThresholdState {
-        AdaptiveThresholdState {
-            cfg: *self,
-            window: DecisionWindow::new(self.window),
-            calib: Welford::default(),
-            vote_calib: Welford::default(),
-            profile: None,
-            threshold: None,
-            vote_gate: None,
-        }
-    }
-}
-
-impl DecisionPolicy for AdaptiveThreshold {
-    fn name(&self) -> &'static str {
-        "adaptive"
-    }
-
-    fn new_state(&self) -> Box<dyn PolicyState> {
-        Box::new(self.state())
-    }
-
-    fn restore_state(&self, snap: &PolicySnapshot) -> Option<Box<dyn PolicyState>> {
-        let PolicySnapshot::Adaptive {
-            window,
-            calib,
-            vote_calib,
-            profile,
-            threshold,
-            vote_gate,
-        } = snap
-        else {
-            return None;
-        };
-        Some(Box::new(AdaptiveThresholdState {
-            cfg: *self,
-            window: DecisionWindow::restore(self.window, window),
-            calib: Welford::restore(calib),
-            vote_calib: Welford::restore(vote_calib),
-            profile: *profile,
-            threshold: *threshold,
-            vote_gate: *vote_gate,
-        }))
-    }
-}
-
-/// Welford's online mean/variance accumulator.
-#[derive(Debug, Clone, Copy, Default)]
-struct Welford {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    fn snapshot(&self) -> WelfordSnapshot {
-        WelfordSnapshot {
-            count: self.count,
-            mean: self.mean,
-            m2: self.m2,
-        }
-    }
-
-    fn restore(snap: &WelfordSnapshot) -> Welford {
-        Welford {
-            count: snap.count,
-            mean: snap.mean,
-            m2: snap.m2,
-        }
-    }
-
-    fn add(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    fn sigma(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.count - 1) as f64).sqrt()
-        }
-    }
-}
-
-/// Per-device state of [`AdaptiveThreshold`].
 #[derive(Debug, Clone)]
-pub struct AdaptiveThresholdState {
-    cfg: AdaptiveThreshold,
+struct AdaptiveThresholdState {
+    policy: DecisionPolicy,
     window: DecisionWindow,
     /// The in-progress calibration (initial warm-up or a drift
     /// re-calibration).
@@ -862,39 +640,29 @@ pub struct AdaptiveThresholdState {
 }
 
 impl AdaptiveThresholdState {
-    /// The learned accept threshold, once calibration has completed.
-    pub fn threshold(&self) -> Option<f64> {
-        self.threshold
-    }
-
-    /// The learned position-local vote gate (per-position mode only).
-    pub fn vote_gate(&self) -> Option<f64> {
-        self.vote_gate
-    }
-
     /// `true` while a (re-)calibration warm-up is collecting reports.
-    pub fn calibrating(&self) -> bool {
-        self.calib.count < self.cfg.params.warmup
+    fn calibrating(&self) -> bool {
+        self.calib.count < self.policy.cfg.warmup
     }
 
     fn finish_calibration(&mut self) {
-        let sigma = self.calib.sigma().max(self.cfg.params.min_sigma);
+        let sigma = self.calib.sigma().max(MIN_SIGMA);
         let mean = self.calib.mean;
-        let candidate = (mean - self.cfg.params.margin_sigmas * sigma).max(0.0);
-        if self.cfg.params.per_position {
+        let candidate = (mean - MARGIN_SIGMAS * sigma).max(0.0);
+        if self.policy.cfg.per_position {
             // The profile describes *this* position: replace, don't
             // ratchet, so a stream that moved somewhere noisier can
             // settle at its new operating point.
             self.threshold = Some(candidate);
-            let vote_sigma = self.vote_calib.sigma().max(self.cfg.params.min_sigma);
-            let vote_floor = self.vote_calib.mean - self.cfg.params.margin_sigmas * vote_sigma;
+            let vote_sigma = self.vote_calib.sigma().max(MIN_SIGMA);
+            let vote_floor = self.vote_calib.mean - MARGIN_SIGMAS * vote_sigma;
             self.vote_gate = Some(
                 vote_floor.clamp(
                     MIN_ADAPTIVE_VOTE_GATE,
                     // Never *looser* than a strict majority, never *tighter*
                     // than the operator's configured gate.
-                    self.cfg
-                        .verdict
+                    self.policy
+                        .gates
                         .min_vote_fraction
                         .max(MIN_ADAPTIVE_VOTE_GATE),
                 ),
@@ -914,7 +682,7 @@ impl AdaptiveThresholdState {
     /// configured [`VerdictPolicy`], with the vote-fraction floor
     /// replaced by the learned position-local gate when one exists.
     fn effective_gates(&self) -> VerdictPolicy {
-        let mut gates = self.cfg.verdict;
+        let mut gates = self.policy.gates;
         if let Some(gate) = self.vote_gate {
             gates.min_vote_fraction = gate;
         }
@@ -948,14 +716,12 @@ impl PolicyState for AdaptiveThresholdState {
         // moved": the whole profile is discarded and the stream answers
         // Unknown until a fresh position profile is learned.
         if let Some((mean, sigma)) = self.profile {
-            if ema > mean + self.cfg.params.drift_sigmas * sigma {
+            if ema > mean + DRIFT_SIGMAS * sigma {
                 self.calib = Welford::default();
                 self.vote_calib = Welford::default();
                 self.calib.add(ema);
                 self.vote_calib.add(vote);
-            } else if self.cfg.params.per_position
-                && ema < mean - self.cfg.params.drift_sigmas * sigma
-            {
+            } else if self.policy.cfg.per_position && ema < mean - DRIFT_SIGMAS * sigma {
                 // The stream moved. The window's evidence is as stale as
                 // the profile: while it drains, its vote fraction decays
                 // only gradually from the old position's values, and a
@@ -965,7 +731,7 @@ impl PolicyState for AdaptiveThresholdState {
                 // vote gate are learned from post-move statistics only
                 // (the `min_observations` gate keeps verdicts Unknown
                 // while the fresh window refills).
-                self.window = DecisionWindow::new(self.cfg.window);
+                self.window = DecisionWindow::new(self.policy.window);
                 self.window.push(module, confidence);
                 self.calib = Welford::default();
                 self.vote_calib = Welford::default();
@@ -1017,8 +783,8 @@ impl PolicyState for AdaptiveThresholdState {
     fn save(&self) -> PolicySnapshot {
         PolicySnapshot::Adaptive {
             window: self.window.snapshot(),
-            calib: self.calib.snapshot(),
-            vote_calib: self.vote_calib.snapshot(),
+            calib: self.calib,
+            vote_calib: self.vote_calib,
             profile: self.profile,
             threshold: self.threshold,
             vote_gate: self.vote_gate,
@@ -1044,6 +810,52 @@ mod tests {
         }
     }
 
+    const KINDS: [PolicyKind; 3] = [
+        PolicyKind::FixedMajority,
+        PolicyKind::ConfidenceWeighted,
+        PolicyKind::AdaptiveThreshold,
+    ];
+
+    fn policy(kind: PolicyKind) -> DecisionPolicy {
+        DecisionPolicyConfig {
+            kind,
+            ..DecisionPolicyConfig::default()
+        }
+        .build(window(), gates())
+    }
+
+    fn adaptive(warmup: u64, per_position: bool) -> DecisionPolicy {
+        DecisionPolicyConfig {
+            kind: PolicyKind::AdaptiveThreshold,
+            warmup,
+            per_position,
+            ..DecisionPolicyConfig::default()
+        }
+        .build(window(), gates())
+    }
+
+    fn confidence(posterior_mass: f64) -> DecisionPolicy {
+        DecisionPolicyConfig {
+            kind: PolicyKind::ConfidenceWeighted,
+            posterior_mass,
+            ..DecisionPolicyConfig::default()
+        }
+        .build(window(), gates())
+    }
+
+    /// The learned `(threshold, vote_gate)` of an adaptive state, read
+    /// through its plain-data image.
+    fn learned(s: &dyn PolicyState) -> (Option<f64>, Option<f64>) {
+        match s.save() {
+            PolicySnapshot::Adaptive {
+                threshold,
+                vote_gate,
+                ..
+            } => (threshold, vote_gate),
+            other => panic!("not an adaptive state: {other:?}"),
+        }
+    }
+
     #[test]
     fn policy_kind_parses_and_displays() {
         for (s, k) in [
@@ -1053,26 +865,21 @@ mod tests {
         ] {
             assert_eq!(s.parse::<PolicyKind>().unwrap(), k);
             assert_eq!(k.to_string(), s);
+            assert_eq!(k.as_str(), s);
         }
         assert!("bogus".parse::<PolicyKind>().is_err());
     }
 
     #[test]
     fn config_builds_every_kind() {
-        for kind in [
-            PolicyKind::FixedMajority,
-            PolicyKind::ConfidenceWeighted,
-            PolicyKind::AdaptiveThreshold,
-        ] {
-            let cfg = DecisionPolicyConfig {
-                kind,
-                ..DecisionPolicyConfig::default()
-            };
-            let policy = cfg.build(window(), gates());
+        for kind in KINDS {
+            let policy = policy(kind);
+            assert_eq!(policy.kind(), kind);
             assert_eq!(policy.name(), kind.to_string());
             let mut s = policy.new_state();
             assert!(s.decision().is_none(), "{kind}: fresh state has decided");
             assert_eq!(s.verdict(Some(0)), Verdict::Unknown);
+            assert_eq!(s.save().kind(), kind);
             s.push(0, 0.9);
             assert!(s.decision().is_some(), "{kind}: one push yields a decision");
         }
@@ -1080,17 +887,8 @@ mod tests {
 
     #[test]
     fn unregistered_is_unknown_under_every_policy() {
-        for kind in [
-            PolicyKind::FixedMajority,
-            PolicyKind::ConfidenceWeighted,
-            PolicyKind::AdaptiveThreshold,
-        ] {
-            let policy = DecisionPolicyConfig {
-                kind,
-                ..DecisionPolicyConfig::default()
-            }
-            .build(window(), gates());
-            let mut s = policy.new_state();
+        for kind in KINDS {
+            let mut s = policy(kind).new_state();
             for _ in 0..50 {
                 s.push(1, 0.95);
             }
@@ -1100,17 +898,10 @@ mod tests {
 
     #[test]
     fn fixed_majority_replicates_legacy_verdicts() {
-        use crate::registry::DeviceRegistry;
-        use deepcsi_frame::MacAddr;
-        use deepcsi_impair::DeviceId;
-
         // Pseudo-random (module, confidence) streams: the policy state's
-        // verdict must equal the legacy registry evaluation at every
-        // step.
-        let policy = FixedMajority::new(window(), gates());
-        let mut reg = DeviceRegistry::new();
-        let mac = MacAddr::station(9);
-        reg.register(mac, DeviceId(2));
+        // verdict must equal a bare window judged by the shared gates at
+        // every step.
+        let policy = policy(PolicyKind::FixedMajority);
         for seed in 0..7u64 {
             let mut s = policy.new_state();
             let mut legacy = DecisionWindow::new(window());
@@ -1123,7 +914,9 @@ mod tests {
                 let confidence = ((x >> 11) % 1000) as f64 / 1000.0;
                 s.push(module, confidence);
                 legacy.push(module, confidence);
-                let want = Verdict::evaluate(&reg, gates(), mac, legacy.decision().as_ref());
+                let want = legacy
+                    .decision()
+                    .map_or(Verdict::Unknown, |d| Verdict::from_decision(gates(), 2, &d));
                 assert_eq!(s.verdict(Some(2)), want);
                 assert_eq!(s.decision(), legacy.decision());
             }
@@ -1132,8 +925,7 @@ mod tests {
 
     #[test]
     fn confidence_weighted_early_exits_on_clean_streams() {
-        let policy = ConfidenceWeighted::new(window(), gates(), 0.9, 3.0);
-        let mut s = policy.new_state();
+        let mut s = confidence(0.9).new_state();
         let mut decided_at = None;
         for n in 1..=20u64 {
             s.push(3, 0.92);
@@ -1152,8 +944,7 @@ mod tests {
 
     #[test]
     fn confidence_weighted_waits_on_split_streams() {
-        let policy = ConfidenceWeighted::new(window(), gates(), 0.9, 3.0);
-        let mut s = policy.new_state();
+        let mut s = confidence(0.9).new_state();
         for k in 0..40 {
             s.push(k % 2, 0.9); // perfectly split posterior
         }
@@ -1162,8 +953,7 @@ mod tests {
 
     #[test]
     fn confidence_weighted_discounts_low_confidence_votes() {
-        let policy = ConfidenceWeighted::new(window(), gates(), 0.8, 1.0);
-        let mut s = policy.new_state();
+        let mut s = confidence(0.8).new_state();
         // Three guesses at module 1 with almost no confidence, one
         // confident report for module 0: weight, not count, wins.
         for _ in 0..3 {
@@ -1177,29 +967,20 @@ mod tests {
 
     #[test]
     fn confidence_weighted_survives_zero_confidence() {
-        let policy = ConfidenceWeighted::new(window(), gates(), 0.9, 3.0);
-        let mut s = policy.new_state();
+        let mut s = confidence(0.9).new_state();
         for _ in 0..30 {
             s.push(0, 0.0);
         }
         let d = s.decision().unwrap();
         assert_eq!(d.module, 0);
         assert!(d.vote_fraction > 0.0 && d.vote_fraction <= 1.0);
-        // Total weight never clears min_weight → no verdict.
+        // Total weight never clears MIN_WEIGHT → no verdict.
         assert_eq!(s.verdict(Some(0)), Verdict::Unknown);
     }
 
     #[test]
     fn adaptive_flags_confidence_collapse_on_matching_module() {
-        let params = AdaptiveParams {
-            warmup: 10,
-            margin_sigmas: 3.0,
-            min_sigma: 0.02,
-            drift_sigmas: 4.0,
-            per_position: false,
-        };
-        let policy = AdaptiveThreshold::new(window(), gates(), params);
-        let mut s = policy.new_state();
+        let mut s = adaptive(10, false).new_state();
         for _ in 0..15 {
             s.push(0, 0.95);
         }
@@ -1214,14 +995,7 @@ mod tests {
 
     #[test]
     fn adaptive_rejects_mismatching_majority_even_during_warmup() {
-        let params = AdaptiveParams {
-            warmup: 100, // far beyond the pushes below
-            margin_sigmas: 3.0,
-            min_sigma: 0.02,
-            drift_sigmas: 4.0,
-            per_position: false,
-        };
-        let policy = AdaptiveThreshold::new(window(), gates(), params);
+        let policy = adaptive(100, false); // warm-up far beyond the pushes below
         let mut s = policy.new_state();
         for _ in 0..20 {
             s.push(5, 0.9);
@@ -1237,23 +1011,16 @@ mod tests {
 
     #[test]
     fn adaptive_threshold_only_ratchets_tighter() {
-        let params = AdaptiveParams {
-            warmup: 10,
-            margin_sigmas: 2.0,
-            min_sigma: 0.02,
-            drift_sigmas: 2.0,
-            per_position: false,
-        };
-        let mut s = AdaptiveThreshold::new(window(), gates(), params).state();
+        let mut s = adaptive(10, false).new_state();
         for _ in 0..10 {
             s.push(0, 0.7);
         }
-        let first = s.threshold().expect("calibrated");
+        let first = learned(s.as_ref()).0.expect("calibrated");
         // The channel gets much cleaner: upward drift re-calibrates…
         for _ in 0..60 {
             s.push(0, 0.97);
         }
-        let second = s.threshold().expect("still calibrated");
+        let second = learned(s.as_ref()).0.expect("still calibrated");
         assert!(
             second > first,
             "upward drift should tighten the floor ({first} → {second})"
@@ -1262,7 +1029,7 @@ mod tests {
         for _ in 0..60 {
             s.push(0, 0.5);
         }
-        assert!(s.threshold().unwrap() >= second);
+        assert!(learned(s.as_ref()).0.unwrap() >= second);
         assert_eq!(s.verdict(Some(0)), Verdict::Reject);
     }
 
@@ -1273,8 +1040,7 @@ mod tests {
         // immediately re-evaluate the same evidence against the new
         // expectation — here flipping Accept to Reject without any new
         // reports.
-        let policy = FixedMajority::new(window(), gates());
-        let mut s = policy.new_state();
+        let mut s = policy(PolicyKind::FixedMajority).new_state();
         for _ in 0..15 {
             s.push(4, 0.9);
         }
@@ -1286,22 +1052,8 @@ mod tests {
 
     #[test]
     fn per_position_recovers_after_a_position_change() {
-        let params = AdaptiveParams {
-            warmup: 10,
-            margin_sigmas: 2.0,
-            drift_sigmas: 2.0,
-            ..AdaptiveParams::default()
-        };
         let run = |per_position: bool| {
-            let policy = AdaptiveThreshold::new(
-                window(),
-                gates(),
-                AdaptiveParams {
-                    per_position,
-                    ..params
-                },
-            );
-            let mut s = policy.new_state();
+            let mut s = adaptive(10, per_position).new_state();
             // Position A: clean, high-confidence stream.
             for _ in 0..15 {
                 s.push(0, 0.95);
@@ -1322,15 +1074,7 @@ mod tests {
 
     #[test]
     fn per_position_stays_unknown_while_reprofiling() {
-        let params = AdaptiveParams {
-            warmup: 20,
-            margin_sigmas: 2.0,
-            drift_sigmas: 2.0,
-            per_position: true,
-            ..AdaptiveParams::default()
-        };
-        let policy = AdaptiveThreshold::new(window(), gates(), params);
-        let mut s = policy.new_state();
+        let mut s = adaptive(20, true).new_state();
         for _ in 0..25 {
             s.push(0, 0.95);
         }
@@ -1355,21 +1099,15 @@ mod tests {
 
     #[test]
     fn per_position_vote_gate_never_drops_below_strict_majority() {
-        let params = AdaptiveParams {
-            warmup: 10,
-            margin_sigmas: 50.0, // absurd margin → unclamped gate < 0.5
-            per_position: true,
-            ..AdaptiveParams::default()
-        };
-        let policy = AdaptiveThreshold::new(window(), gates(), params);
-        let mut s = policy.state();
-        // A noisy calibration window: votes split 60/40.
+        let mut s = adaptive(10, true).new_state();
+        // A noisy calibration window: votes split 60/40, so the unclamped
+        // gate (vote mean − 3σ ≈ 0.28) falls below a strict majority.
         for k in 0..10 {
             s.push(usize::from(k % 5 >= 3), 0.9);
         }
-        let gate = s.vote_gate().expect("calibrated");
-        assert!(
-            (0.505..=gates().min_vote_fraction).contains(&gate),
+        let gate = learned(s.as_ref()).1.expect("calibrated");
+        assert_eq!(
+            gate, MIN_ADAPTIVE_VOTE_GATE,
             "vote gate {gate} escaped its clamp"
         );
         // A wrong-module majority still rejects under the learned gate.
@@ -1382,22 +1120,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "posterior_mass")]
     fn posterior_mass_below_majority_panics() {
-        let _ = ConfidenceWeighted::new(window(), gates(), 0.4, 3.0);
+        let _ = confidence(0.4);
     }
 
     #[test]
     #[should_panic(expected = "warmup")]
     fn zero_warmup_panics() {
-        let _ = AdaptiveThreshold::new(
-            window(),
-            gates(),
-            AdaptiveParams {
-                warmup: 0,
-                margin_sigmas: 3.0,
-                min_sigma: 0.02,
-                drift_sigmas: 4.0,
-                per_position: false,
-            },
-        );
+        let _ = adaptive(0, false);
     }
 }

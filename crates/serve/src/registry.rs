@@ -66,12 +66,12 @@ impl DeviceRegistry {
 /// evidence authentication needs before issuing anything but
 /// [`Verdict::Unknown`].
 ///
-/// Under the default [`FixedMajority`](crate::FixedMajority) policy
-/// these are the *only* gates; [`ConfidenceWeighted`](crate::ConfidenceWeighted)
-/// keeps `min_vote_fraction` as a posterior floor and replaces the
-/// observation count with a confidence-weight gate, and
-/// [`AdaptiveThreshold`](crate::AdaptiveThreshold) layers a learned
-/// per-device confidence floor on top.
+/// Under the default [`FixedMajority`](crate::PolicyKind::FixedMajority)
+/// policy these are the *only* gates;
+/// [`ConfidenceWeighted`](crate::PolicyKind::ConfidenceWeighted) keeps
+/// `min_vote_fraction` as a posterior floor and adds a confidence-weight
+/// early exit, and [`AdaptiveThreshold`](crate::PolicyKind::AdaptiveThreshold)
+/// layers a learned per-device confidence floor on top.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VerdictPolicy {
     /// Minimum reports observed before any verdict is issued.
@@ -114,40 +114,17 @@ impl Verdict {
         }
     }
 
-    /// Applies `policy` to a windowed decision for `mac`.
-    ///
-    /// This is the legacy fixed-majority evaluation — the behavior the
-    /// [`FixedMajority`](crate::FixedMajority) policy preserves exactly.
+    /// Applies `policy` to a windowed decision judged against the
+    /// stream's expected module: thin evidence or an unstable majority is
+    /// [`Verdict::Unknown`], otherwise the majority module decides.
     ///
     /// ```
-    /// use deepcsi_frame::MacAddr;
-    /// use deepcsi_impair::DeviceId;
-    /// use deepcsi_serve::{DeviceRegistry, Verdict, VerdictPolicy};
+    /// use deepcsi_serve::{Verdict, VerdictPolicy, WindowedDecision};
     ///
-    /// let mut reg = DeviceRegistry::new();
-    /// reg.register(MacAddr::station(1), DeviceId(0));
-    /// // No decision yet → Unknown.
-    /// let v = Verdict::evaluate(&reg, VerdictPolicy::default(), MacAddr::station(1), None);
-    /// assert_eq!(v, Verdict::Unknown);
+    /// let d = WindowedDecision { module: 3, vote_fraction: 0.8, confidence_ema: 0.9, observations: 50 };
+    /// assert_eq!(Verdict::from_decision(VerdictPolicy::default(), 3, &d), Verdict::Accept);
+    /// assert_eq!(Verdict::from_decision(VerdictPolicy::default(), 5, &d), Verdict::Reject);
     /// ```
-    pub fn evaluate(
-        registry: &DeviceRegistry,
-        policy: VerdictPolicy,
-        mac: MacAddr,
-        decision: Option<&WindowedDecision>,
-    ) -> Verdict {
-        let Some(expected) = registry.expected(mac) else {
-            return Verdict::Unknown;
-        };
-        let Some(d) = decision else {
-            return Verdict::Unknown;
-        };
-        Verdict::from_decision(policy, expected.0 as usize, d)
-    }
-
-    /// Applies `policy` to a decision whose expected module is already
-    /// resolved (the registry-free core of
-    /// [`evaluate`](Verdict::evaluate)).
     pub fn from_decision(policy: VerdictPolicy, expected: usize, d: &WindowedDecision) -> Verdict {
         if d.observations < policy.min_observations || d.vote_fraction < policy.min_vote_fraction {
             return Verdict::Unknown;
@@ -174,71 +151,28 @@ mod tests {
     }
 
     #[test]
-    fn unregistered_is_unknown() {
-        let reg = DeviceRegistry::new();
-        let v = Verdict::evaluate(
-            &reg,
-            VerdictPolicy::default(),
-            MacAddr::station(1),
-            Some(&decision(0, 1.0, 100)),
-        );
-        assert_eq!(v, Verdict::Unknown);
-    }
-
-    #[test]
     fn matching_majority_accepts() {
-        let mut reg = DeviceRegistry::new();
-        reg.register(MacAddr::station(1), DeviceId(3));
-        let v = Verdict::evaluate(
-            &reg,
-            VerdictPolicy::default(),
-            MacAddr::station(1),
-            Some(&decision(3, 0.8, 50)),
-        );
+        let v = Verdict::from_decision(VerdictPolicy::default(), 3, &decision(3, 0.8, 50));
         assert_eq!(v, Verdict::Accept);
     }
 
     #[test]
     fn mismatching_majority_rejects() {
-        let mut reg = DeviceRegistry::new();
-        reg.register(MacAddr::station(1), DeviceId(3));
-        let v = Verdict::evaluate(
-            &reg,
-            VerdictPolicy::default(),
-            MacAddr::station(1),
-            Some(&decision(5, 0.9, 50)),
-        );
+        let v = Verdict::from_decision(VerdictPolicy::default(), 3, &decision(5, 0.9, 50));
         assert_eq!(v, Verdict::Reject);
     }
 
     #[test]
     fn thin_evidence_is_unknown() {
-        let mut reg = DeviceRegistry::new();
-        reg.register(MacAddr::station(1), DeviceId(3));
         let policy = VerdictPolicy::default();
         // Too few observations.
         assert_eq!(
-            Verdict::evaluate(
-                &reg,
-                policy,
-                MacAddr::station(1),
-                Some(&decision(3, 0.9, 2))
-            ),
+            Verdict::from_decision(policy, 3, &decision(3, 0.9, 2)),
             Verdict::Unknown
         );
         // Unstable majority.
         assert_eq!(
-            Verdict::evaluate(
-                &reg,
-                policy,
-                MacAddr::station(1),
-                Some(&decision(3, 0.4, 50))
-            ),
-            Verdict::Unknown
-        );
-        // No decision yet.
-        assert_eq!(
-            Verdict::evaluate(&reg, policy, MacAddr::station(1), None),
+            Verdict::from_decision(policy, 3, &decision(3, 0.4, 50)),
             Verdict::Unknown
         );
     }

@@ -15,7 +15,7 @@
 //! trailing garbage each produce a distinct [`SnapshotError`] instead of
 //! a best-effort partial restore.
 
-use crate::policy::{PolicyKind, PolicySnapshot, WelfordSnapshot};
+use crate::policy::{PolicyKind, PolicySnapshot, Welford};
 use crate::window::WindowSnapshot;
 use deepcsi_frame::MacAddr;
 use std::error::Error;
@@ -179,7 +179,7 @@ fn put_window(out: &mut Vec<u8>, w: &WindowSnapshot) {
     put_u64(out, w.observations);
 }
 
-fn put_welford(out: &mut Vec<u8>, w: &WelfordSnapshot) {
+fn put_welford(out: &mut Vec<u8>, w: &Welford) {
     put_u64(out, w.count);
     put_f64(out, w.mean);
     put_f64(out, w.m2);
@@ -333,8 +333,8 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn welford(&mut self) -> Result<WelfordSnapshot, SnapshotError> {
-        Ok(WelfordSnapshot {
+    fn welford(&mut self) -> Result<Welford, SnapshotError> {
+        Ok(Welford {
             count: self.u64()?,
             mean: self.f64()?,
             m2: self.f64()?,
@@ -545,12 +545,12 @@ mod tests {
                             ema: Some(0.91),
                             observations: 40,
                         },
-                        calib: WelfordSnapshot {
+                        calib: Welford {
                             count: 20,
                             mean: 0.9,
                             m2: 0.004,
                         },
-                        vote_calib: WelfordSnapshot {
+                        vote_calib: Welford {
                             count: 20,
                             mean: 0.97,
                             m2: 0.001,
@@ -565,8 +565,8 @@ mod tests {
                     decided_at: None,
                     policy: PolicySnapshot::Adaptive {
                         window: WindowSnapshot::default(),
-                        calib: WelfordSnapshot::default(),
-                        vote_calib: WelfordSnapshot::default(),
+                        calib: Welford::default(),
+                        vote_calib: Welford::default(),
                         profile: None,
                         threshold: None,
                         vote_gate: None,

@@ -7,10 +7,10 @@
 //! reflects the stream, not the latest packet.
 //!
 //! The window is the evidence store behind the default
-//! [`FixedMajority`](crate::FixedMajority) policy and the
-//! [`AdaptiveThreshold`](crate::AdaptiveThreshold) majority track; the
-//! [`ConfidenceWeighted`](crate::ConfidenceWeighted) policy replaces it
-//! with a weighted variant.
+//! [`FixedMajority`](crate::PolicyKind::FixedMajority) policy and the
+//! [`AdaptiveThreshold`](crate::PolicyKind::AdaptiveThreshold) majority
+//! track; the [`ConfidenceWeighted`](crate::PolicyKind::ConfidenceWeighted)
+//! policy replaces it with a weighted variant.
 
 use std::collections::VecDeque;
 
@@ -76,7 +76,7 @@ pub struct WindowedDecision {
     ///
     /// Under a counted majority ([`DecisionWindow`]) this is the
     /// fraction of window votes agreeing with `module`; the
-    /// [`ConfidenceWeighted`](crate::ConfidenceWeighted) policy reports
+    /// [`ConfidenceWeighted`](crate::PolicyKind::ConfidenceWeighted) policy reports
     /// its share of the window's confidence *mass* here instead. Either
     /// way the range is `(0, 1]` — a decision only exists once at least
     /// one report voted, and the winner holds at least that vote —
@@ -128,45 +128,6 @@ impl DecisionWindow {
         self.observations += 1;
     }
 
-    /// Applies a new configuration in place, preserving as much of the
-    /// live evidence as the new window admits.
-    ///
-    /// Shrinking evicts the *oldest* votes (exactly as if they had
-    /// expired); growing keeps every current vote and simply allows more
-    /// before expiry resumes. The confidence EMA and the observation
-    /// count are untouched; the new alpha applies from the next
-    /// [`push`](DecisionWindow::push).
-    ///
-    /// ```
-    /// use deepcsi_serve::{DecisionWindow, WindowConfig};
-    ///
-    /// let mut w = DecisionWindow::new(WindowConfig { len: 5, ema_alpha: 0.5 });
-    /// for module in [9, 9, 9, 1, 1] {
-    ///     w.push(module, 0.9);
-    /// }
-    /// // Shrink to the 3 newest votes: [9, 1, 1] — the majority flips.
-    /// w.reconfigure(WindowConfig { len: 3, ema_alpha: 0.5 });
-    /// assert_eq!(w.len(), 3);
-    /// assert_eq!(w.decision().unwrap().module, 1);
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid configuration, like
-    /// [`new`](DecisionWindow::new).
-    pub fn reconfigure(&mut self, cfg: WindowConfig) {
-        assert!(cfg.len > 0, "window length must be positive");
-        assert!(
-            cfg.ema_alpha > 0.0 && cfg.ema_alpha <= 1.0,
-            "ema_alpha must be in (0, 1]"
-        );
-        while self.votes.len() > cfg.len {
-            let expired = self.votes.pop_front().expect("window non-empty");
-            self.counts[expired] -= 1;
-        }
-        self.cfg = cfg;
-    }
-
     /// The current decision.
     ///
     /// Contract: returns `None` if and only if no report has ever been
@@ -210,11 +171,6 @@ impl DecisionWindow {
         self.votes.is_empty()
     }
 
-    /// The window's current configuration.
-    pub fn config(&self) -> WindowConfig {
-        self.cfg
-    }
-
     /// A plain-data image of the live evidence, for policy-state
     /// snapshot/restore ([`DecisionWindow::restore`]).
     pub fn snapshot(&self) -> WindowSnapshot {
@@ -225,16 +181,19 @@ impl DecisionWindow {
         }
     }
 
-    /// Rebuilds a window from a snapshot under `cfg`.
+    /// Rebuilds a window from a snapshot under `cfg`, or `None` for an
+    /// image no live window produces: votes without a confidence EMA (or
+    /// an EMA without votes), fewer observations than votes, a count the
+    /// next push would overflow, or a module id above 4095. Vote counts
+    /// are indexed by module id, so that cap keeps an id read from a file
+    /// from sizing an allocation.
     ///
     /// Restoring under the *same* configuration the snapshot was taken
     /// with is bit-exact: counts are integers rebuilt from the stored
     /// votes and the EMA is copied verbatim, so
     /// [`decision`](DecisionWindow::decision) answers identically before
     /// and after a round-trip. A shorter window drops the oldest votes
-    /// (exactly as if they had expired). An inconsistent image (votes
-    /// without an EMA) is normalized to an EMA of `0.0` rather than left
-    /// to panic later.
+    /// (exactly as if they had expired).
     ///
     /// ```
     /// use deepcsi_serve::{DecisionWindow, WindowConfig};
@@ -244,16 +203,28 @@ impl DecisionWindow {
     /// for module in [7, 7, 2] {
     ///     w.push(module, 0.9);
     /// }
-    /// let restored = DecisionWindow::restore(cfg, &w.snapshot());
+    /// let restored = DecisionWindow::restore(cfg, &w.snapshot()).unwrap();
     /// assert_eq!(restored.decision(), w.decision());
+    ///
+    /// // Shrinking keeps the newest votes: [7, 2] is a 1–1 tie → module 2.
+    /// let shorter = WindowConfig { len: 2, ..cfg };
+    /// let restored = DecisionWindow::restore(shorter, &w.snapshot()).unwrap();
+    /// assert_eq!(restored.decision().unwrap().module, 2);
     /// ```
     ///
     /// # Panics
     ///
     /// Panics on an invalid configuration, like
     /// [`new`](DecisionWindow::new).
-    pub fn restore(cfg: WindowConfig, snap: &WindowSnapshot) -> DecisionWindow {
+    pub fn restore(cfg: WindowConfig, snap: &WindowSnapshot) -> Option<DecisionWindow> {
         let mut w = DecisionWindow::new(cfg);
+        let live = snap.ema.is_some() != snap.votes.is_empty()
+            && (snap.votes.len() as u64) <= snap.observations
+            && snap.observations < u64::MAX
+            && snap.votes.iter().all(|&m| m <= MAX_RESTORED_MODULE);
+        if !live {
+            return None;
+        }
         let skip = snap.votes.len().saturating_sub(cfg.len);
         for &module in snap.votes.iter().skip(skip) {
             if module >= w.counts.len() {
@@ -262,15 +233,16 @@ impl DecisionWindow {
             w.votes.push_back(module);
             w.counts[module] += 1;
         }
-        w.ema = if w.votes.is_empty() {
-            snap.ema
-        } else {
-            snap.ema.or(Some(0.0))
-        };
+        w.ema = snap.ema;
         w.observations = snap.observations;
-        w
+        Some(w)
     }
 }
+
+/// The largest module id [`DecisionWindow::restore`] accepts: at most
+/// 16 KiB of vote counts per restored device, far above the class count
+/// of any classifier this engine serves.
+const MAX_RESTORED_MODULE: usize = 4095;
 
 /// Plain-data image of a [`DecisionWindow`] (see
 /// [`DecisionWindow::snapshot`]).
@@ -382,59 +354,8 @@ mod tests {
     }
 
     #[test]
-    fn reconfigure_shrink_evicts_oldest_votes() {
-        let mut w = window(5);
-        for m in [9, 9, 9, 1, 1] {
-            w.push(m, 0.8);
-        }
-        assert_eq!(w.decision().unwrap().module, 9);
-        w.reconfigure(WindowConfig {
-            len: 3,
-            ema_alpha: 0.5,
-        });
-        // Survivors are the newest three: [9, 1, 1].
-        assert_eq!(w.len(), 3);
-        let d = w.decision().unwrap();
-        assert_eq!(d.module, 1);
-        assert!((d.vote_fraction - 2.0 / 3.0).abs() < 1e-12);
-        // Observations and EMA are history, not window contents.
-        assert_eq!(d.observations, 5);
-        // Expiry works at the new length.
-        w.push(4, 0.8);
-        assert_eq!(w.len(), 3);
-        assert_eq!(w.decision().unwrap().module, 1); // [1, 1, 4]
-    }
-
-    #[test]
-    fn reconfigure_grow_keeps_votes_and_extends_capacity() {
-        let mut w = window(2);
-        w.push(3, 0.5);
-        w.push(3, 0.5);
-        w.reconfigure(WindowConfig {
-            len: 4,
-            ema_alpha: 0.5,
-        });
-        w.push(8, 0.5);
-        w.push(8, 0.5);
-        assert_eq!(w.len(), 4);
-        // Tie at 2–2 → smaller id.
-        assert_eq!(w.decision().unwrap().module, 3);
-        assert_eq!(w.config().len, 4);
-    }
-
-    #[test]
     #[should_panic(expected = "window length")]
     fn zero_length_window_panics() {
         let _ = window(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "window length")]
-    fn reconfigure_to_zero_panics() {
-        let mut w = window(3);
-        w.reconfigure(WindowConfig {
-            len: 0,
-            ema_alpha: 0.5,
-        });
     }
 }

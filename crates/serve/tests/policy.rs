@@ -277,9 +277,10 @@ fn adaptive_flags_right_module_wrong_confidence_impostor_fixed_accepts() {
 /// without feeding a single new report.
 #[test]
 fn reregistration_rejudges_existing_policy_state() {
-    use deepcsi_serve::{DecisionPolicy, FixedMajority, VerdictPolicy, WindowConfig};
+    use deepcsi_serve::{VerdictPolicy, WindowConfig};
 
-    let policy = FixedMajority::new(WindowConfig::default(), VerdictPolicy::default());
+    let policy =
+        DecisionPolicyConfig::default().build(WindowConfig::default(), VerdictPolicy::default());
     let mut state = policy.new_state();
     for _ in 0..20 {
         state.push(1, 0.9);

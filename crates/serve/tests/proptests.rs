@@ -12,7 +12,7 @@
 //!   and its export accounts for every observation.
 
 use deepcsi_serve::{
-    ConfidenceWeighted, DecisionPolicy, DecisionWindow, LatencyHistogram, VerdictPolicy,
+    DecisionPolicyConfig, DecisionWindow, LatencyHistogram, PolicyKind, VerdictPolicy,
     WindowConfig, WindowedDecision,
 };
 use proptest::prelude::*;
@@ -94,12 +94,11 @@ proptest! {
     fn weighted_posterior_is_in_unit_interval(stream in reports()) {
         // The ConfidenceWeighted policy documents the same (0, 1] range
         // for its posterior-mass vote_fraction.
-        let policy = ConfidenceWeighted::new(
-            WindowConfig::default(),
-            VerdictPolicy::default(),
-            0.9,
-            3.0,
-        );
+        let policy = DecisionPolicyConfig {
+            kind: PolicyKind::ConfidenceWeighted,
+            ..DecisionPolicyConfig::default()
+        }
+        .build(WindowConfig::default(), VerdictPolicy::default());
         let mut s = policy.new_state();
         prop_assert!(s.decision().is_none());
         for &(module, confidence) in &stream {

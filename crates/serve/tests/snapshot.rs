@@ -8,8 +8,9 @@ use deepcsi_core::{Authenticator, FrozenAuthenticator, ModelConfig};
 use deepcsi_data::{generate_d1, GenConfig, InputSpec};
 use deepcsi_frame::{BeamformingReportFrame, MacAddr};
 use deepcsi_serve::{
-    Backpressure, DecisionPolicy, DecisionPolicyConfig, Engine, EngineConfig, EngineSnapshot,
-    PolicyKind, PolicySnapshot, ReplaySource, Verdict, VerdictPolicy, WindowConfig,
+    Backpressure, DecisionPolicyConfig, DeviceSnapshot, Engine, EngineConfig, EngineSnapshot,
+    PolicyKind, PolicySnapshot, ReplaySource, Verdict, VerdictPolicy, Welford, WindowConfig,
+    WindowSnapshot,
 };
 use std::sync::Arc;
 
@@ -226,6 +227,152 @@ fn engine_snapshot_restore_continues_identically() {
     restored.shutdown();
 }
 
+/// Crafted, CRC-valid images that no live state could have produced.
+/// Each must be refused (not counted as restored), and the engine must
+/// keep serving: `decisions()`, `snapshot()` and further reports on the
+/// same MACs may not panic. The table runs in order; the first image
+/// used to crash `decisions()` on a "weights non-empty" expect.
+#[test]
+fn crafted_snapshots_are_refused_without_crashing_the_engine() {
+    let window = |votes: Vec<usize>, ema: Option<f64>, observations: u64| WindowSnapshot {
+        votes,
+        ema,
+        observations,
+    };
+    let confidence = |votes: Vec<(usize, f64)>, weights: Vec<f64>, ema: Option<f64>| {
+        let observations = votes.len() as u64;
+        PolicySnapshot::Confidence {
+            votes,
+            weights,
+            ema,
+            observations,
+        }
+    };
+    let adaptive = |window: WindowSnapshot, calib: u64, vote_calib: u64| PolicySnapshot::Adaptive {
+        window,
+        calib: Welford {
+            count: calib,
+            ..Welford::default()
+        },
+        vote_calib: Welford {
+            count: vote_calib,
+            ..Welford::default()
+        },
+        profile: None,
+        threshold: None,
+        vote_gate: None,
+    };
+    // A full default window (25 votes) whose oldest vote is for a
+    // module the weights do not cover: the next push expires it.
+    let mut uncovered = vec![(3, 1.0)];
+    uncovered.extend([(0, 1.0); 24]);
+    // Each row breaks exactly one clause of the live-image check.
+    let table = [
+        (
+            "votes without weights",
+            confidence(vec![(0, 1.0)], vec![], Some(0.9)),
+        ),
+        (
+            "votes without an EMA",
+            confidence(vec![(0, 1.0)], vec![1.0], None),
+        ),
+        (
+            "expiring vote beyond the weights",
+            confidence(uncovered, vec![24.0], Some(0.9)),
+        ),
+        (
+            "NaN weight",
+            confidence(vec![(0, 1.0)], vec![f64::NAN, 1.0], Some(0.9)),
+        ),
+        (
+            "negative weight",
+            confidence(vec![(0, 1.0)], vec![-1.0], Some(0.9)),
+        ),
+        (
+            "zero vote weight",
+            confidence(vec![(0, 0.0)], vec![1.0], Some(0.9)),
+        ),
+        (
+            "confidence observation count at overflow",
+            PolicySnapshot::Confidence {
+                votes: vec![(0, 1.0)],
+                weights: vec![1.0],
+                ema: Some(0.9),
+                observations: u64::MAX,
+            },
+        ),
+        (
+            "more confidence votes than observations",
+            PolicySnapshot::Confidence {
+                votes: vec![(0, 1.0), (0, 1.0)],
+                weights: vec![2.0],
+                ema: Some(0.9),
+                observations: 1,
+            },
+        ),
+        (
+            "window votes without an EMA",
+            PolicySnapshot::Fixed {
+                window: window(vec![0, 1], None, 2),
+            },
+        ),
+        (
+            "window observation count at overflow",
+            PolicySnapshot::Fixed {
+                window: window(vec![0], Some(0.9), u64::MAX),
+            },
+        ),
+        (
+            "more window votes than observations",
+            PolicySnapshot::Fixed {
+                window: window(vec![0, 0], Some(0.9), 1),
+            },
+        ),
+        (
+            // Far above any class count; vote counts are indexed by it.
+            "window module id as an allocation size",
+            PolicySnapshot::Fixed {
+                window: window(vec![1 << 24], Some(0.9), 1),
+            },
+        ),
+        (
+            "calibration accumulators out of step",
+            adaptive(window(vec![0], Some(0.9), 1), 0, u64::MAX),
+        ),
+    ];
+
+    let ds = dataset(2, 4);
+    let auth = frozen(2);
+    let registry = ReplaySource::registry(&ds);
+    let replay = ReplaySource::from_dataset(&ds);
+    for (name, image) in table {
+        let kind = image.kind();
+        let engine = Engine::start_frozen(engine_config(kind), Arc::clone(&auth), registry.clone());
+        let crafted = EngineSnapshot {
+            policy: kind,
+            devices: registry
+                .iter()
+                .map(|(mac, _)| DeviceSnapshot {
+                    mac,
+                    decided_at: None,
+                    policy: image.clone(),
+                })
+                .collect(),
+        };
+        let decoded = EngineSnapshot::decode(&crafted.encode()).expect("CRC-valid image decodes");
+        let restored = engine.restore(&decoded);
+        let _ = engine.decisions();
+        let _ = engine.snapshot();
+        for frame in replay.frames() {
+            engine.ingest_frame(frame);
+        }
+        engine.drain();
+        let _ = engine.decisions();
+        assert_eq!(restored, 0, "{name}: restored an impossible image");
+        engine.shutdown();
+    }
+}
+
 /// The ISSUE's kill-and-restart acceptance: a restarted engine restored
 /// from a snapshot keeps its learned `AdaptiveThreshold` floors — it
 /// does not re-enter calibration, and a low-confidence impostor stream
@@ -298,14 +445,12 @@ fn restored_adaptive_floors_survive_restart_without_relearning() {
 /// snapshot/restore exists to close.
 #[test]
 fn restored_floor_blocks_impostor_that_a_relearning_restart_accepts() {
-    let policy = deepcsi_serve::AdaptiveThreshold::new(
-        WindowConfig::default(),
-        VerdictPolicy::default(),
-        deepcsi_serve::AdaptiveParams {
-            warmup: 10,
-            ..deepcsi_serve::AdaptiveParams::default()
-        },
-    );
+    let policy = DecisionPolicyConfig {
+        kind: PolicyKind::AdaptiveThreshold,
+        warmup: 10,
+        ..DecisionPolicyConfig::default()
+    }
+    .build(WindowConfig::default(), VerdictPolicy::default());
 
     // Life 1: the genuine device reports module 0 at ~0.95 confidence,
     // long past warm-up — the floor is learned.
