@@ -158,6 +158,9 @@ fn run_node(flags: &Flags) {
     let listen = flags
         .get("--listen")
         .unwrap_or_else(|| Flags::die("node: --listen is required"));
+    // Reject a bad engine knob before training the demo model.
+    let cfg = engine_config(flags);
+    cfg.validate();
     let demo = demo(flags);
     let t = Instant::now();
     let ds = demo_dataset(&demo);
@@ -167,7 +170,6 @@ fn run_node(flags: &Flags) {
         demo.modules,
         t.elapsed()
     );
-    let cfg = engine_config(flags);
     let engine = Arc::new(Engine::start_frozen(
         cfg,
         auth.freeze(),

@@ -219,3 +219,18 @@ fn misspelled_flag_exits_2_instead_of_serving_defaults() {
     assert!(err.contains("--worker"), "stderr: {err}");
     assert!(out.stdout.is_empty(), "must not reach LISTENING");
 }
+
+/// A zero engine knob is rejected before the demo model trains, not
+/// after.
+#[test]
+fn zero_workers_fail_before_training() {
+    let out = clusterd()
+        .args(["node", "--listen", "127.0.0.1:0", "--workers", "0"])
+        .args(DEMO_FLAGS)
+        .output()
+        .expect("run clusterd");
+    assert!(!out.status.success(), "node must refuse --workers 0");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("need at least one worker"), "stderr: {err}");
+    assert!(!err.contains("trained demo model"), "stderr: {err}");
+}

@@ -33,13 +33,6 @@
 //!   so a micro-batch engages at most `--batch / 16` lanes — raise
 //!   `--batch` together with `N` (e.g. `--batch 64` for
 //!   `--infer-threads 4`).
-//! * `--adaptive-batch` replaces the fixed batch former with the
-//!   latency-adaptive one: each worker's micro-batch target starts at
-//!   `--batch-min` (default 1), doubles toward `--batch` under queue
-//!   pressure, and halves back when the queue runs dry or a batch's
-//!   service time breaches `--batch-slo-ms` (default 250). Batch
-//!   formation changes departure timing only — decision vectors stay
-//!   bit-identical to the fixed former's.
 //! * `--precision f32|int8` selects the serving snapshot's numeric
 //!   backend (default `f32`, bit-identical to training). `int8`
 //!   calibrates activation scales on up to `--calib-samples` (default
@@ -98,9 +91,9 @@ use deepcsi_data::{d1_split, generate_d1, D1Set, Dataset, GenConfig, InputSpec};
 use deepcsi_nn::TrainConfig;
 use deepcsi_obs::{format_op_table, write_chrome_trace, TraceConfig};
 use deepcsi_serve::{
-    AuditConfig, Backpressure, BatchFormer, DecisionPolicyConfig, Engine, EngineConfig, Flags,
-    MetricsEmitter, ObsPlane, ObsPlaneConfig, PolicyKind, Precision, ReplaySource, SourceStatus,
-    Verdict, VerdictPolicy, WindowConfig,
+    AuditConfig, Backpressure, DecisionPolicyConfig, Engine, EngineConfig, Flags, MetricsEmitter,
+    ObsPlane, ObsPlaneConfig, PolicyKind, Precision, ReplaySource, SourceStatus, Verdict,
+    WindowConfig,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -121,9 +114,6 @@ const FLAGS: &[(&str, bool, &str)] = &[
     ("--batch", true, "micro-batch cap (default 32)"),
     ("--queue", true, "per-worker queue capacity (default 1024)"),
     ("--window", true, "decision window length (default 25)"),
-    ("--adaptive-batch", false, "latency-adaptive batch former"),
-    ("--batch-min", true, "adaptive former's floor (default 1)"),
-    ("--batch-slo-ms", true, "adaptive former's service budget (default 250)"),
     ("--policy", true, "fixed|confidence|adaptive (default fixed)"),
     ("--accept-threshold", true, "confidence policy's mass gate, in (0.5, 1]"),
     ("--calibration", true, "adaptive policy's warm-up, in reports"),
@@ -158,9 +148,6 @@ struct Args {
     precision: Precision,
     calib_samples: usize,
     batch: usize,
-    adaptive_batch: bool,
-    batch_min: usize,
-    batch_slo_ms: u64,
     queue: usize,
     window: usize,
     policy: PolicyKind,
@@ -200,9 +187,6 @@ impl Args {
             precision: f.num("--precision", Precision::default()),
             calib_samples: f.num("--calib-samples", 256),
             batch: f.num("--batch", 32),
-            adaptive_batch: f.has("--adaptive-batch"),
-            batch_min: f.num("--batch-min", 1),
-            batch_slo_ms: f.num("--batch-slo-ms", 250),
             queue: f.num("--queue", 1024),
             window: f.num("--window", 25),
             policy: f.num("--policy", PolicyKind::default()),
@@ -246,29 +230,6 @@ impl Args {
         if args.calibration.is_some() && args.policy != PolicyKind::AdaptiveThreshold {
             eprintln!("warning: --calibration only applies with --policy adaptive");
         }
-        // Validate the window and policy knobs here, before the
-        // expensive dataset/training work — the engine would assert the
-        // same bounds, but only minutes later.
-        args.decision()
-            .build(args.window_config(), VerdictPolicy::default());
-        assert!(args.infer_threads > 0, "--infer-threads must be positive");
-        if args.adaptive_batch {
-            assert!(args.batch_min > 0, "--batch-min must be positive");
-            assert!(
-                args.batch_min <= args.batch,
-                "--batch-min ({}) must not exceed --batch ({})",
-                args.batch_min,
-                args.batch
-            );
-            assert!(args.batch_slo_ms > 0, "--batch-slo-ms must be positive");
-        } else {
-            if args.batch_min != 1 {
-                eprintln!("warning: --batch-min only applies with --adaptive-batch; ignored");
-            }
-            if args.batch_slo_ms != 250 {
-                eprintln!("warning: --batch-slo-ms only applies with --adaptive-batch; ignored");
-            }
-        }
         if args.calib_samples == 0 {
             panic!("--calib-samples must be positive");
         }
@@ -297,15 +258,24 @@ impl Args {
         args
     }
 
-    /// The batch-formation mode the flags describe.
-    fn former(&self) -> BatchFormer {
-        if self.adaptive_batch {
-            BatchFormer::Adaptive {
-                min_batch: self.batch_min,
-                slo: Duration::from_millis(self.batch_slo_ms),
-            }
-        } else {
-            BatchFormer::Fixed
+    /// The engine configuration the flags describe.
+    fn engine_config(&self) -> EngineConfig {
+        EngineConfig {
+            workers: self.workers,
+            infer_threads: self.infer_threads,
+            queue_capacity: self.queue,
+            max_batch: self.batch,
+            backpressure: if self.drop_on_full {
+                Backpressure::DropNewest
+            } else {
+                Backpressure::Block
+            },
+            window: self.window_config(),
+            decision: self.decision(),
+            trace: self.trace(),
+            profile: self.profile,
+            audit: self.audit(),
+            ..EngineConfig::default()
         }
     }
 
@@ -499,6 +469,11 @@ fn serve_from_capture(engine: &Engine, args: &Args, path: &str) {
 
 fn main() {
     let args = Args::parse();
+    // Reject a bad engine knob before the expensive dataset/training
+    // work — the engine would assert the same bounds, but only minutes
+    // later.
+    let cfg = args.engine_config();
+    cfg.validate();
     let ds = load_or_generate_dataset(&args);
 
     if let Some(path) = &args.export_pcap {
@@ -557,39 +532,10 @@ fn main() {
             quantized
         }
     });
-    let engine = Engine::start_frozen(
-        EngineConfig {
-            workers: args.workers,
-            infer_threads: args.infer_threads,
-            queue_capacity: args.queue,
-            max_batch: args.batch,
-            former: args.former(),
-            backpressure: if args.drop_on_full {
-                Backpressure::DropNewest
-            } else {
-                Backpressure::Block
-            },
-            window: args.window_config(),
-            decision: args.decision(),
-            trace: args.trace(),
-            profile: args.profile,
-            audit: args.audit(),
-            ..EngineConfig::default()
-        },
-        frozen,
-        registry.clone(),
-    );
+    let engine = Engine::start_frozen(cfg, frozen, registry.clone());
     println!(
-        "decision policy: {} ({} workers × {} pool lanes, {} inference, {} batch former)",
-        args.policy,
-        args.workers,
-        args.infer_threads,
-        args.precision,
-        if args.adaptive_batch {
-            "adaptive"
-        } else {
-            "fixed"
-        }
+        "decision policy: {} ({} workers × {} pool lanes, {} inference)",
+        args.policy, args.workers, args.infer_threads, args.precision,
     );
 
     // Observability plumbing: the file emitter publishes periodically

@@ -16,9 +16,9 @@
 //!   `Arc<FrozenAuthenticator>` (immutable weights, `Send + Sync`); the
 //!   only per-worker inference state is a persistent [`InferPool`] of
 //!   scratch contexts. No per-worker weight clone.
-//! * **Micro-batching** — each worker drains its queue up to the batch
-//!   former's cap (lingering briefly for stragglers; see
-//!   [`EngineConfig::former`]) and classifies the batch with one
+//! * **Micro-batching** — each worker drains its queue up to
+//!   [`EngineConfig::max_batch`] (lingering up to 1 ms for stragglers
+//!   once a batch is open) and classifies the batch with one
 //!   [`InferPool::infer_batch`] call, optionally splitting its lane
 //!   blocks across [`EngineConfig::infer_threads`] persistent lane
 //!   threads — no spawn/join on the hot path, bit-exact under any
@@ -114,18 +114,6 @@ pub struct EngineConfig {
     /// accordingly: the default 32 supports up to 2 threads; use
     /// `max_batch: 64` for 4.
     pub infer_threads: usize,
-    /// How long a worker lingers for stragglers once a batch is open.
-    pub batch_linger: Duration,
-    /// Micro-batch formation strategy: [`BatchFormer::Fixed`] (the
-    /// historical behavior — always linger toward
-    /// [`EngineConfig::max_batch`]) or [`BatchFormer::Adaptive`] (a
-    /// latency-aware target that grows under queue pressure and shrinks
-    /// to `min_batch` when idle, cutting linger latency entirely at a
-    /// target of 1). Batching never affects a per-report output or the
-    /// per-shard FIFO order, so the former mode can change latency and
-    /// throughput but **never a verdict** (pinned by the engine's
-    /// former-invariance tests).
-    pub former: BatchFormer,
     /// Full-queue policy.
     pub backpressure: Backpressure,
     /// Cap on live per-device policy states across all shards
@@ -183,8 +171,6 @@ impl Default for EngineConfig {
             queue_capacity: 1024,
             max_batch: 32,
             infer_threads: 1,
-            batch_linger: Duration::from_millis(1),
-            former: BatchFormer::Fixed,
             backpressure: Backpressure::default(),
             max_device_states: None,
             window: WindowConfig::default(),
@@ -198,47 +184,22 @@ impl Default for EngineConfig {
     }
 }
 
-/// Micro-batch formation strategy (see [`EngineConfig::former`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchFormer {
-    /// Always linger up to [`EngineConfig::batch_linger`] toward
-    /// [`EngineConfig::max_batch`] — the historical fixed former. An
-    /// idle stream pays the full linger on every report; a loaded one
-    /// still caps at `max_batch`.
-    Fixed,
-    /// Latency-aware adaptive former. Each worker holds a per-batch
-    /// target in `[min_batch, max_batch]` and steers it from two
-    /// signals observed at every batch departure:
+impl EngineConfig {
+    /// Checks every knob [`Engine::start_frozen`] would reject, so a
+    /// binary can fail on a bad flag before any dataset or training
+    /// work.
     ///
-    /// * **Pressure** — the next opener was already queued when the
-    ///   last batch finished *and* the batch filled its whole target:
-    ///   double the target (toward `max_batch`) so the backlog drains
-    ///   in fewer, larger inference calls.
-    /// * **Idle** — the worker waited longer than the linger window for
-    ///   an opener: halve the target (toward `min_batch`). At a target
-    ///   of 1 the opener departs immediately — zero linger latency.
-    /// * **SLO breach** — a batch's service time exceeded `slo`: halve
-    ///   the target regardless, trading throughput for the p99
-    ///   batch-latency objective.
-    Adaptive {
-        /// Floor of the adaptive target; also the idle-stream batch
-        /// size. `1` gives idle openers zero linger.
-        min_batch: usize,
-        /// Per-batch service-time budget the controller protects (the
-        /// p99 batch-latency SLO).
-        slo: Duration,
-    },
-}
-
-impl BatchFormer {
-    /// The adaptive former at its recommended defaults: target floor 1
-    /// (idle openers depart with zero linger) and a 250 ms service
-    /// budget — the p99 SLO the soak harness asserts.
-    pub fn adaptive() -> BatchFormer {
-        BatchFormer::Adaptive {
-            min_batch: 1,
-            slo: Duration::from_millis(250),
-        }
+    /// # Panics
+    ///
+    /// Panics on a zero worker count, queue capacity, batch size or
+    /// inference-thread count, and on any decision-policy parameter
+    /// [`DecisionPolicyConfig::build`] rejects.
+    pub fn validate(&self) {
+        assert!(self.workers > 0, "need at least one worker");
+        assert!(self.queue_capacity > 0, "queue capacity must be positive");
+        assert!(self.max_batch > 0, "batch size must be positive");
+        assert!(self.infer_threads > 0, "need at least one inference thread");
+        self.decision.build(self.window, self.policy);
     }
 }
 
@@ -561,30 +522,17 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics on a zero worker count, queue capacity, batch size or
-    /// inference-thread count.
+    /// Panics on any configuration [`EngineConfig::validate`] rejects.
     pub fn start_frozen(
         cfg: EngineConfig,
         auth: impl Into<Arc<FrozenAuthenticator>>,
         registry: DeviceRegistry,
     ) -> Engine {
         let auth: Arc<FrozenAuthenticator> = auth.into();
-        assert!(cfg.workers > 0, "need at least one worker");
-        assert!(cfg.queue_capacity > 0, "queue capacity must be positive");
-        assert!(cfg.max_batch > 0, "batch size must be positive");
-        assert!(cfg.infer_threads > 0, "need at least one inference thread");
-        if let BatchFormer::Adaptive { min_batch, slo } = cfg.former {
-            assert!(min_batch > 0, "adaptive min_batch must be positive");
-            assert!(
-                min_batch <= cfg.max_batch,
-                "adaptive min_batch ({min_batch}) must not exceed max_batch ({})",
-                cfg.max_batch
-            );
-            assert!(!slo.is_zero(), "adaptive SLO must be positive");
-        }
-        // Build (and thereby validate) the decision policy eagerly on
-        // the caller thread: failing here beats panicking later inside a
-        // worker while it holds a shard lock (which would poison it).
+        // Validate eagerly on the caller thread: failing here beats
+        // panicking later inside a worker while it holds a shard lock
+        // (which would poison it).
+        cfg.validate();
         let policy = cfg.decision.build(cfg.window, cfg.policy);
         let telemetry = Arc::new(Telemetry::default());
         let _ = telemetry.started.set(Instant::now());
@@ -593,15 +541,6 @@ impl Engine {
         telemetry
             .pool_lanes
             .store(cfg.infer_threads as u64, Ordering::Relaxed);
-        // Seed the batch-target gauge so a scrape before the first batch
-        // reads the starting target, not 0.
-        let initial_target = match cfg.former {
-            BatchFormer::Fixed => cfg.max_batch,
-            BatchFormer::Adaptive { min_batch, .. } => min_batch,
-        };
-        telemetry
-            .batch_target
-            .store(initial_target as u64, Ordering::Relaxed);
         // One shared wall-clock anchor: every worker stamps audit events
         // against the same last-known-good epoch reference.
         let clock = WallClock::new();
@@ -654,8 +593,6 @@ impl Engine {
                 registry: Arc::clone(&registry),
                 device_cap,
                 max_batch: cfg.max_batch,
-                linger: cfg.batch_linger,
-                former: cfg.former,
                 infer_threads: cfg.infer_threads,
                 clock,
                 tracer: tracer.clone(),
@@ -1048,9 +985,6 @@ struct WorkerCtx {
     /// Per-shard device-state cap (`None` = unbounded).
     device_cap: Option<usize>,
     max_batch: usize,
-    linger: Duration,
-    /// Batch formation strategy (fixed cap vs adaptive target).
-    former: BatchFormer,
     /// Lane-split width for each micro-batch inference call.
     infer_threads: usize,
     /// Fault-tolerant wall-clock source for audit timestamps (shared
@@ -1119,13 +1053,24 @@ impl WallClock {
     }
 }
 
+/// How long a worker lingers for stragglers once a batch is open.
+///
+/// Measured on the benchmark's open-loop `paced_demo` workload (one
+/// worker, 1500 reports/s, 2 vCPUs, median of 3 runs): a 1 ms linger
+/// gives p50 3.26 ms at 0.491 CPU-ms per report; no linger halves p50
+/// to 1.54 ms but costs 0.628 CPU-ms per report (+28 %), because every
+/// report then pays a whole inference call to itself. A latency-adaptive
+/// former that shrank the batch when idle won no metric over this
+/// constant (p50 3.74 ms, 0.507 CPU-ms).
+const BATCH_LINGER: Duration = Duration::from_millis(1);
+
 /// Fills `batch` from `rx` until it reaches `cap` or `deadline` passes:
 /// one deadline, one clock read, one blocking wait per loop.
 /// `recv_timeout` already returns immediately when a message is queued
 /// (and keeps handing out queued messages at a zero timeout), so the
 /// old `try_recv`-then-`recv_timeout` round-trip — with its second
 /// `Instant::now()` per iteration — bought nothing. An opener-only
-/// batch therefore departs within ~`linger` of opening, never
+/// batch therefore departs within ~[`BATCH_LINGER`] of opening, never
 /// overshooting by an extra poll cycle (pinned by
 /// `opener_only_batch_departs_at_the_linger_deadline`).
 fn fill_batch(rx: &Receiver<Queued>, batch: &mut Vec<Queued>, cap: usize, deadline: Instant) {
@@ -1137,61 +1082,6 @@ fn fill_batch(rx: &Receiver<Queued>, batch: &mut Vec<Queued>, cap: usize, deadli
             // outer loop's next recv observes the hangup.
             Err(_) => break,
         }
-    }
-}
-
-/// The adaptive batch former's controller state (one per worker; see
-/// [`BatchFormer::Adaptive`] for the control law).
-#[derive(Debug)]
-struct AdaptiveFormer {
-    target: usize,
-    min: usize,
-    max: usize,
-    slo: Duration,
-    /// The linger window doubles as the idle threshold: an opener that
-    /// took longer than one linger to arrive means the queue ran dry.
-    linger: Duration,
-}
-
-impl AdaptiveFormer {
-    fn new(former: BatchFormer, max_batch: usize, linger: Duration) -> Option<AdaptiveFormer> {
-        match former {
-            BatchFormer::Fixed => None,
-            BatchFormer::Adaptive { min_batch, slo } => Some(AdaptiveFormer {
-                target: min_batch,
-                min: min_batch,
-                max: max_batch,
-                slo,
-                linger,
-            }),
-        }
-    }
-
-    /// The current per-batch target (the cap handed to [`fill_batch`]).
-    fn target(&self) -> usize {
-        self.target
-    }
-
-    /// Observes one departed batch: `filled` reports formed, `waited`
-    /// how long the worker sat idle before the opener arrived,
-    /// `service` the time to classify the batch.
-    fn observe(&mut self, filled: usize, waited: Duration, service: Duration) {
-        if service > self.slo {
-            // Over budget: smaller batches bound per-batch service
-            // time, protecting the p99 SLO at some throughput cost.
-            self.target = (self.target / 2).max(self.min);
-        } else if waited > self.linger {
-            // The queue ran dry while we waited for this opener: shrink
-            // so the next lone report departs sooner (at a target of 1
-            // the linger is skipped entirely).
-            self.target = (self.target / 2).max(self.min);
-        } else if filled >= self.target {
-            // The opener was already queued (no idle wait) and the
-            // batch filled its whole allowance: backlog — grow so it
-            // drains in fewer, larger inference calls.
-            self.target = (self.target * 2).min(self.max);
-        }
-        // Underfilled but prompt traffic holds the target steady.
     }
 }
 
@@ -1220,25 +1110,15 @@ impl WorkerCtx {
             );
         }
         let mut spans = self.tracer.thread();
-        let mut former = AdaptiveFormer::new(self.former, self.max_batch, self.linger);
         let mut batch: Vec<Queued> = Vec::with_capacity(self.max_batch);
         // Block for each batch opener; exit once all senders are gone.
-        loop {
-            // The adaptive controller reads how long the worker sat
-            // idle; under the fixed former the clock is skipped.
-            let wait_started = former.as_ref().map(|_| Instant::now());
-            let Ok(opener) = self.rx.recv() else { break };
-            let waited = wait_started.map(|t| t.elapsed());
+        while let Ok(opener) = self.rx.recv() {
             batch.push(opener);
-            // Linger to fill the micro-batch up to the former's cap. A
-            // cap of 1 skips the linger entirely: the opener departs
-            // the moment it arrives.
-            let cap = former
-                .as_ref()
-                .map_or(self.max_batch, AdaptiveFormer::target);
-            if batch.len() < cap {
-                fill_batch(&self.rx, &mut batch, cap, Instant::now() + self.linger);
-            }
+            // Linger to fill the micro-batch up to `max_batch`. A cap of
+            // 1 skips the linger entirely: the opener departs the moment
+            // it arrives.
+            let deadline = Instant::now() + BATCH_LINGER;
+            fill_batch(&self.rx, &mut batch, self.max_batch, deadline);
             // One sampling decision per micro-batch: a sampled batch
             // records a span for every stage it passes through.
             let sampled = self.tracer.enabled() && spans.sample();
@@ -1249,7 +1129,6 @@ impl WorkerCtx {
             // rejected) in `accounted`; whatever a panic left unaccounted
             // is rejected here, so enqueued == classified + rejected
             // always reconciles.
-            let service_started = former.as_ref().map(|_| Instant::now());
             let accounted = std::cell::Cell::new(0u64);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 self.classify(&batch, &accounted, &mut pool, sampled, &mut spans);
@@ -1258,14 +1137,6 @@ impl WorkerCtx {
                 self.telemetry
                     .rejected
                     .fetch_add(batch.len() as u64 - accounted.get(), Ordering::Relaxed);
-            }
-            if let (Some(former), Some(waited), Some(started)) =
-                (former.as_mut(), waited, service_started)
-            {
-                former.observe(batch.len(), waited, started.elapsed());
-                self.telemetry
-                    .batch_target
-                    .store(former.target() as u64, Ordering::Relaxed);
             }
             // Publish the live profile before the in-flight count drops:
             // once `drain()` returns, every drained batch is visible to
@@ -1670,69 +1541,5 @@ mod tests {
         let mut batch = vec![queued()];
         fill_batch(&rx, &mut batch, 4, Instant::now() - Duration::from_secs(1));
         assert_eq!(batch.len(), 4, "queued backlog must fill the batch");
-    }
-
-    #[test]
-    fn fixed_former_runs_without_a_controller() {
-        assert!(AdaptiveFormer::new(BatchFormer::Fixed, 32, Duration::from_millis(2)).is_none());
-    }
-
-    #[test]
-    fn adaptive_former_grows_under_backlog_and_caps_at_max() {
-        let mut former = AdaptiveFormer::new(BatchFormer::adaptive(), 32, Duration::from_millis(2))
-            .expect("adaptive");
-        let mut seen = vec![former.target()];
-        for _ in 0..8 {
-            // Prompt opener, full batch, fast service: pure backlog.
-            former.observe(former.target(), Duration::ZERO, Duration::from_millis(1));
-            seen.push(former.target());
-        }
-        assert_eq!(seen, vec![1, 2, 4, 8, 16, 32, 32, 32, 32]);
-    }
-
-    #[test]
-    fn adaptive_former_shrinks_on_idle_and_floors_at_min() {
-        let mut former = AdaptiveFormer::new(BatchFormer::adaptive(), 32, Duration::from_millis(2))
-            .expect("adaptive");
-        for _ in 0..5 {
-            former.observe(former.target(), Duration::ZERO, Duration::from_millis(1));
-        }
-        assert_eq!(former.target(), 32);
-        // The opener took longer than one linger: the queue ran dry.
-        let idle = Duration::from_millis(3);
-        let mut seen = Vec::new();
-        for _ in 0..7 {
-            former.observe(1, idle, Duration::from_millis(1));
-            seen.push(former.target());
-        }
-        assert_eq!(seen, vec![16, 8, 4, 2, 1, 1, 1]);
-    }
-
-    #[test]
-    fn adaptive_former_sheds_load_on_an_slo_breach() {
-        let mut former = AdaptiveFormer::new(BatchFormer::adaptive(), 32, Duration::from_millis(2))
-            .expect("adaptive");
-        for _ in 0..5 {
-            former.observe(former.target(), Duration::ZERO, Duration::from_millis(1));
-        }
-        assert_eq!(former.target(), 32);
-        // A full, prompt batch that blew the service SLO must shrink —
-        // the breach branch outranks the growth branch.
-        former.observe(32, Duration::ZERO, Duration::from_millis(500));
-        assert_eq!(former.target(), 16);
-    }
-
-    #[test]
-    fn underfilled_prompt_batches_hold_the_target() {
-        let mut former = AdaptiveFormer::new(BatchFormer::adaptive(), 32, Duration::from_millis(2))
-            .expect("adaptive");
-        for _ in 0..3 {
-            former.observe(former.target(), Duration::ZERO, Duration::from_millis(1));
-        }
-        assert_eq!(former.target(), 8);
-        // Steady prompt traffic that does not fill the allowance is
-        // neither backlog nor idle: the target stays put.
-        former.observe(3, Duration::ZERO, Duration::from_millis(1));
-        assert_eq!(former.target(), 8);
     }
 }

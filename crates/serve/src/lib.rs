@@ -16,10 +16,11 @@
 //! * **Micro-batched inference over one shared frozen model** — every
 //!   worker holds the same `Arc<deepcsi_core::FrozenAuthenticator>`
 //!   (immutable weights, no per-worker clone) plus its own persistent
-//!   [`deepcsi_nn::InferPool`]; batches are formed by a fixed or
-//!   latency-adaptive former ([`BatchFormer`]) and classified with one
-//!   pool call, so one pass of every weight matrix serves the whole
-//!   batch — [`EngineConfig::infer_threads`] sizes the pool, which
+//!   [`deepcsi_nn::InferPool`]; each worker drains up to
+//!   [`EngineConfig::max_batch`] queued reports (lingering 1 ms for
+//!   stragglers) and classifies them with one pool call, so one pass of
+//!   every weight matrix serves the whole batch —
+//!   [`EngineConfig::infer_threads`] sizes the pool, which
 //!   splits each batch's lane blocks across its parked lanes
 //!   bit-exactly, with no spawn/join on the hot path.
 //! * **Decision policies** — per-report predictions feed one
@@ -98,8 +99,8 @@ mod window;
 pub use deepcsi_core::Precision;
 pub use emit::{emit_metrics, MetricsEmitter};
 pub use engine::{
-    shard_of, AuditConfig, Backpressure, BatchFormer, DeviceDecision, Engine, EngineConfig,
-    EngineReport, IngestOutcome, LayerProfile, SourceStatus,
+    shard_of, AuditConfig, Backpressure, DeviceDecision, Engine, EngineConfig, EngineReport,
+    IngestOutcome, LayerProfile, SourceStatus,
 };
 pub use flags::Flags;
 pub use plane::{ExtraMetrics, ObsPlane, ObsPlaneConfig};

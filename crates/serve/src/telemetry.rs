@@ -291,11 +291,6 @@ pub struct Telemetry {
     /// from the group's start (batch assembled and tensorized) to its
     /// decisions applied.
     pub batch_latency: LatencyHistogram,
-    /// The batch former's current per-worker target (gauge). Equals
-    /// `max_batch` under the fixed former; under the adaptive former it
-    /// is the last target any worker published — workers converge under
-    /// steady load, so last-write-wins is fine for a gauge.
-    pub batch_target: AtomicU64,
     /// Inference-pool lanes per worker (gauge; `infer_threads`).
     pub pool_lanes: AtomicU64,
     /// Sum of lanes engaged across pool inference calls — divided by
@@ -383,7 +378,6 @@ const EXPORTED: &[Exported] = &[
     (Kind::Gauge, "deepcsi_device_states", "Per-device policy states held across all shards.", |t| &t.device_states),
     (Kind::Counter, "deepcsi_devices_evicted_total", "Device states evicted by the per-shard LRU cap.", |t| &t.devices_evicted),
     (Kind::Counter, "deepcsi_devices_rewarmed_total", "Evicted streams that returned and rebuilt their state.", |t| &t.devices_rewarmed),
-    (Kind::Gauge, "deepcsi_batch_target", "The batch former's current per-worker target.", |t| &t.batch_target),
     (Kind::Gauge, "deepcsi_pool_lanes", "Inference-pool lanes per worker (infer_threads).", |t| &t.pool_lanes),
     (Kind::Counter, "deepcsi_pool_infer_calls_total", "Inference-pool calls (one per shape group per batch).", |t| &t.pool_infer_calls),
     (Kind::Counter, "deepcsi_pool_lanes_engaged_total", "Lanes engaged summed across inference-pool calls.", |t| &t.pool_lanes_engaged),
@@ -480,7 +474,6 @@ impl Telemetry {
             },
             batch_latency_p50: self.batch_latency.quantile(0.50),
             batch_latency_p99: self.batch_latency.quantile(0.99),
-            batch_target: self.batch_target.load(Ordering::Relaxed),
             pool_lanes: self.pool_lanes.load(Ordering::Relaxed),
             pool_occupancy: if pool_calls == 0 {
                 0.0
@@ -632,10 +625,6 @@ pub struct EngineStats {
     pub batch_latency_p50: Option<Duration>,
     /// 99th-percentile micro-batch latency.
     pub batch_latency_p99: Option<Duration>,
-    /// The batch former's current target size (fixed formers report
-    /// `EngineConfig::batch`; adaptive formers move between their
-    /// configured bounds).
-    pub batch_target: u64,
     /// Inference lanes owned by each worker's persistent pool.
     pub pool_lanes: u64,
     /// Mean lanes engaged per pool inference call (0.0 before the
@@ -800,8 +789,8 @@ impl fmt::Display for EngineStats {
         )?;
         writeln!(
             f,
-            "batch target {}  pool lanes {} (occupancy {:.2})  clock faults {}",
-            self.batch_target, self.pool_lanes, self.pool_occupancy, self.clock_faults
+            "pool lanes {} (occupancy {:.2})  clock faults {}",
+            self.pool_lanes, self.pool_occupancy, self.clock_faults
         )?;
         let timed: Vec<&StageSnapshot> = self.stages.iter().filter(|s| s.count > 0).collect();
         if !timed.is_empty() {

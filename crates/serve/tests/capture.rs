@@ -249,8 +249,7 @@ fn drain_latency_is_not_quantized_to_a_poll_interval() {
     let engine = Engine::start_frozen(
         EngineConfig {
             workers: 1,
-            max_batch: 1,                 // classify immediately…
-            batch_linger: Duration::ZERO, // …without lingering
+            max_batch: 1, // classify immediately, without lingering
             backpressure: Backpressure::Block,
             ..EngineConfig::default()
         },

@@ -1,5 +1,5 @@
-//! Thread-parallel inference integration tests: `infer_threads` may
-//! change throughput, never a verdict.
+//! Thread-parallel inference integration tests: `infer_threads` and
+//! `max_batch` may change throughput, never a verdict.
 //!
 //! The frozen model's lane split is bit-exact (pinned at the nn layer by
 //! proptests), so an engine run at any `infer_threads` must produce
@@ -18,8 +18,8 @@ use deepcsi_impair::DeviceId;
 use deepcsi_nn::{Dense, Flatten, Network, Tensor, TrainConfig};
 use deepcsi_phy::{Codebook, MimoConfig};
 use deepcsi_serve::{
-    Backpressure, BatchFormer, DecisionPolicyConfig, DeviceRegistry, Engine, EngineConfig,
-    EngineReport, PolicyKind, Precision, ReplaySource, Verdict,
+    Backpressure, DecisionPolicyConfig, DeviceRegistry, Engine, EngineConfig, EngineReport,
+    PolicyKind, Precision, ReplaySource, Verdict,
 };
 
 fn spec() -> InputSpec {
@@ -255,16 +255,16 @@ fn policy_verdicts_are_identical_at_two_infer_threads() {
     }
 }
 
-/// Replays `frames` with an explicit batch-former mode.
-fn serve_formed(
-    former: BatchFormer,
+/// Replays `frames` through the 2-lane pool with an explicit batch cap.
+fn serve_batched(
+    max_batch: usize,
     frozen: &Arc<deepcsi_core::FrozenAuthenticator>,
     registry: DeviceRegistry,
     frames: &[Vec<u8>],
 ) -> EngineReport {
     let engine = Engine::start_frozen(
         EngineConfig {
-            former,
+            max_batch,
             ..config(PolicyKind::FixedMajority, 2)
         },
         Arc::clone(frozen),
@@ -276,13 +276,12 @@ fn serve_formed(
     engine.shutdown()
 }
 
-/// Batch formation changes departure timing, never a decision: the same
-/// capture served with the fixed former and with the adaptive former
-/// (which moves its target across the whole 1..=max_batch range)
-/// produces identical decision vectors — at f32 AND int8, through the
-/// pooled multi-lane path.
+/// Batch composition changes departure timing, never a decision: the
+/// same capture served at `max_batch` 1 (every report alone), 7 (ragged
+/// lane blocks) and 32 (full lane blocks) produces identical decision
+/// vectors — at f32 AND int8, through the pooled multi-lane path.
 #[test]
-fn former_mode_never_changes_a_decision() {
+fn batch_size_never_changes_a_decision() {
     let ds = generate_d1(&GenConfig {
         num_modules: 2,
         snapshots_per_trace: 24,
@@ -312,13 +311,15 @@ fn former_mode_never_changes_a_decision() {
     let registry = ReplaySource::registry(&ds);
 
     for (precision, frozen) in &snapshots {
-        let fixed = serve_formed(BatchFormer::Fixed, frozen, registry.clone(), &frames);
-        assert_eq!(fixed.stats.classified as usize, frames.len());
-        let adaptive = serve_formed(BatchFormer::adaptive(), frozen, registry.clone(), &frames);
-        assert_eq!(adaptive.stats.classified as usize, frames.len());
-        assert_eq!(
-            fixed.decisions, adaptive.decisions,
-            "decisions diverged between formers at {precision:?}"
-        );
+        let single = serve_batched(1, frozen, registry.clone(), &frames);
+        assert_eq!(single.stats.classified as usize, frames.len());
+        for max_batch in [7, 32] {
+            let report = serve_batched(max_batch, frozen, registry.clone(), &frames);
+            assert_eq!(report.stats.classified as usize, frames.len());
+            assert_eq!(
+                single.decisions, report.decisions,
+                "decisions diverged at max_batch={max_batch}, {precision:?}"
+            );
+        }
     }
 }
