@@ -105,9 +105,13 @@ fn cache_dir() -> PathBuf {
     dir
 }
 
+/// Names a cached dataset. The leading layout tag changes whenever the
+/// serialized `Dataset` layout does (`v2`: flat `q_phi`/`q_psi` angle
+/// vectors in `BeamformingFeedback`), so a file written by an older
+/// build is regenerated instead of being decoded as the new layout.
 fn gen_key(cfg: &GenConfig) -> String {
     format!(
-        "e{}s{}m{}f{}p{:.3}",
+        "v2-e{}s{}m{}f{}p{:.3}",
         cfg.env_id,
         cfg.snapshots_per_trace,
         cfg.num_modules,

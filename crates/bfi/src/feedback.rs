@@ -1,6 +1,8 @@
 //! Per-sounding feedback containers spanning all sounded subcarriers.
 
-use crate::{beamforming_matrix, decompose, dequantize, quantize, v_from_angles, QuantizedAngles};
+use crate::{
+    beamforming_matrix, decompose, quantize, v_from_angles, v_tilde, GivensAngles, QuantizedAngles,
+};
 use deepcsi_linalg::{CMatrix, C64};
 use deepcsi_phy::{Codebook, MimoConfig};
 use serde::{Deserialize, Serialize};
@@ -11,6 +13,11 @@ use serde::{Deserialize, Serialize};
 /// This is exactly the payload a monitor extracts from a captured VHT
 /// Compressed Beamforming frame (minus the MAC framing, which lives in
 /// `deepcsi-frame`).
+///
+/// The angles are stored flat, subcarrier-major: subcarrier `j` owns the
+/// `GivensAngles::expected_count(M, N_SS)` entries starting at
+/// `j × count` of both `q_phi` and `q_psi`, in [`QuantizedAngles`]
+/// order. [`BeamformingFeedback::angles_at`] slices them out.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BeamformingFeedback {
     /// MIMO dimensioning of the link.
@@ -19,8 +26,10 @@ pub struct BeamformingFeedback {
     pub codebook: Codebook,
     /// Sounded subcarrier indices (ascending).
     pub subcarriers: Vec<i32>,
-    /// Quantized angles, one entry per subcarrier.
-    pub angles: Vec<QuantizedAngles>,
+    /// Quantized φ indices of every subcarrier, subcarrier-major.
+    pub q_phi: Vec<u16>,
+    /// Quantized ψ indices of every subcarrier, laid out like `q_phi`.
+    pub q_psi: Vec<u16>,
 }
 
 impl BeamformingFeedback {
@@ -44,36 +53,111 @@ impl BeamformingFeedback {
             subcarriers.len(),
             "one CFR matrix per subcarrier required"
         );
-        let angles = cfr
-            .iter()
-            .map(|h_k| {
-                assert_eq!(
-                    h_k.shape(),
-                    (mimo.m_tx(), mimo.n_rx()),
-                    "CFR shape must be M×N"
-                );
-                let v = beamforming_matrix(h_k, mimo.n_ss());
-                let dec = decompose(&v);
-                quantize(&dec.angles, codebook)
-            })
-            .collect();
+        let count = GivensAngles::expected_count(mimo.m_tx(), mimo.n_ss());
+        let mut q_phi = Vec::with_capacity(cfr.len() * count);
+        let mut q_psi = Vec::with_capacity(cfr.len() * count);
+        for h_k in cfr {
+            assert_eq!(
+                h_k.shape(),
+                (mimo.m_tx(), mimo.n_rx()),
+                "CFR shape must be M×N"
+            );
+            let v = beamforming_matrix(h_k, mimo.n_ss());
+            let q = quantize(&decompose(&v).angles, codebook);
+            q_phi.extend_from_slice(&q.q_phi);
+            q_psi.extend_from_slice(&q.q_psi);
+        }
         BeamformingFeedback {
             mimo,
             codebook,
             subcarriers: subcarriers.to_vec(),
-            angles,
+            q_phi,
+            q_psi,
         }
     }
 
-    /// Observer-side reconstruction (step 4 of Fig. 3): dequantizes the
-    /// angles and rebuilds `Ṽ_k` for every subcarrier via Eq. (7).
+    /// Builds a feedback from per-subcarrier angle sets (`angles[j]` for
+    /// `subcarriers[j]`), e.g. a hand-crafted one for a test.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `angles` and `subcarriers` lengths differ, or if any
+    /// angle set's dimensions or angle counts disagree with `mimo`.
+    pub fn from_angles(
+        mimo: MimoConfig,
+        codebook: Codebook,
+        subcarriers: Vec<i32>,
+        angles: &[QuantizedAngles],
+    ) -> Self {
+        assert_eq!(
+            angles.len(),
+            subcarriers.len(),
+            "one angle set per subcarrier required"
+        );
+        let count = GivensAngles::expected_count(mimo.m_tx(), mimo.n_ss());
+        let mut q_phi = Vec::with_capacity(angles.len() * count);
+        let mut q_psi = Vec::with_capacity(angles.len() * count);
+        for q in angles {
+            assert_eq!(
+                (q.m, q.n_ss),
+                (mimo.m_tx(), mimo.n_ss()),
+                "angle set dimensions disagree with {mimo}"
+            );
+            assert!(
+                q.q_phi.len() == count && q.q_psi.len() == count,
+                "angle set must hold {count} φ and {count} ψ angles"
+            );
+            q_phi.extend_from_slice(&q.q_phi);
+            q_psi.extend_from_slice(&q.q_psi);
+        }
+        BeamformingFeedback {
+            mimo,
+            codebook,
+            subcarriers,
+            q_phi,
+            q_psi,
+        }
+    }
+
+    /// Number of φ (equivalently ψ) angles per subcarrier.
+    fn angles_per_subcarrier(&self) -> usize {
+        GivensAngles::expected_count(self.mimo.m_tx(), self.mimo.n_ss())
+    }
+
+    /// The `(φ, ψ)` indices of the `j`-th subcarrier, in
+    /// [`QuantizedAngles`] order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the flat vectors hold no angle set `j`.
+    pub fn angles_at(&self, j: usize) -> (&[u16], &[u16]) {
+        let count = self.angles_per_subcarrier();
+        let span = j * count..(j + 1) * count;
+        (&self.q_phi[span.clone()], &self.q_psi[span])
+    }
+
+    /// `true` when the flat angle vectors hold exactly one angle set per
+    /// subcarrier. Feedback from [`BeamformingFeedback::from_cfr`],
+    /// [`BeamformingFeedback::from_angles`] or a parsed frame always is;
+    /// a hand-edited or deserialized one need not be.
+    pub fn is_consistent(&self) -> bool {
+        let want = self.len() * self.angles_per_subcarrier();
+        self.q_phi.len() == want && self.q_psi.len() == want
+    }
+
+    /// Observer-side reconstruction (step 4 of Fig. 3): rebuilds `Ṽ_k`
+    /// for every subcarrier from its quantized angles via Eq. (7), with
+    /// [`v_tilde`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the feedback is not [consistent](Self::is_consistent).
     pub fn reconstruct(&self) -> VSeries {
-        let v = self
-            .angles
-            .iter()
-            .map(|q| {
-                let a = dequantize(q, self.codebook);
-                v_from_angles(&a, self.mimo.m_tx(), self.mimo.n_ss())
+        let (m, n_ss) = (self.mimo.m_tx(), self.mimo.n_ss());
+        let v = (0..self.len())
+            .map(|j| {
+                let (q_phi, q_psi) = self.angles_at(j);
+                v_tilde(q_phi, q_psi, m, n_ss, self.codebook).to_cmatrix()
             })
             .collect();
         VSeries {
@@ -188,10 +272,54 @@ mod tests {
         let fb = BeamformingFeedback::from_cfr(&cfr, &sc, mimo, Codebook::MU_HIGH);
         assert_eq!(fb.len(), 8);
         assert!(!fb.is_empty());
-        for q in &fb.angles {
-            assert_eq!(q.q_phi.len(), 3);
-            assert_eq!(q.q_psi.len(), 3);
+        assert!(fb.is_consistent());
+        assert_eq!(fb.q_phi.len(), 8 * 3);
+        for j in 0..8 {
+            let (q_phi, q_psi) = fb.angles_at(j);
+            assert_eq!(q_phi.len(), 3);
+            assert_eq!(q_psi.len(), 3);
         }
+    }
+
+    #[test]
+    fn flat_storage_keeps_per_subcarrier_order() {
+        let mimo = MimoConfig::paper_default();
+        let cfr = random_cfr(11, 5, 3, 2);
+        let sc: Vec<i32> = (0..5).collect();
+        let sets: Vec<QuantizedAngles> = cfr
+            .iter()
+            .map(|h| {
+                quantize(
+                    &decompose(&beamforming_matrix(h, 2)).angles,
+                    Codebook::MU_LOW,
+                )
+            })
+            .collect();
+        let fb = BeamformingFeedback::from_cfr(&cfr, &sc, mimo, Codebook::MU_LOW);
+        assert_eq!(
+            fb,
+            BeamformingFeedback::from_angles(mimo, Codebook::MU_LOW, sc, &sets)
+        );
+        for (j, q) in sets.iter().enumerate() {
+            assert_eq!(fb.angles_at(j), (&q.q_phi[..], &q.q_psi[..]));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "angle set dimensions disagree")]
+    fn from_angles_rejects_foreign_dimensions() {
+        let q = QuantizedAngles {
+            m: 2,
+            n_ss: 1,
+            q_phi: vec![0],
+            q_psi: vec![0],
+        };
+        let _ = BeamformingFeedback::from_angles(
+            MimoConfig::paper_default(),
+            Codebook::MU_HIGH,
+            vec![0],
+            &[q],
+        );
     }
 
     #[test]
@@ -254,12 +382,12 @@ mod tests {
 
     #[test]
     fn empty_feedback_reports_empty() {
-        let fb = BeamformingFeedback {
-            mimo: MimoConfig::paper_default(),
-            codebook: Codebook::MU_HIGH,
-            subcarriers: vec![],
-            angles: vec![],
-        };
+        let fb = BeamformingFeedback::from_angles(
+            MimoConfig::paper_default(),
+            Codebook::MU_HIGH,
+            vec![],
+            &[],
+        );
         assert!(fb.is_empty());
         assert!(fb.reconstruct().is_empty());
     }

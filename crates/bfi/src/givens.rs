@@ -145,7 +145,9 @@ pub fn decompose(v: &CMatrix) -> GivensDecomposition {
 /// ```
 ///
 /// This is the computation the DeepCSI observer performs on sniffed
-/// (dequantized) angles.
+/// (dequantized) angles. It is the generic reference: the observer's
+/// serving path runs [`v_tilde`](crate::v_tilde), which repeats exactly
+/// these operations on the stack and is tested bit-for-bit against it.
 ///
 /// # Panics
 ///

@@ -14,9 +14,17 @@
 //! * [`beamforming_matrix`] — `H_k` → `V_k` (Eq. (3)).
 //! * [`decompose`] — `V_k` → ([`GivensAngles`], `D̃`) (Algorithm 1).
 //! * [`quantize`] / [`dequantize`] — Eq. (8) (in [`quant`]).
-//! * [`v_from_angles`] — angles → `Ṽ_k` (Eq. (7)).
+//! * [`v_from_angles`] — angles → `Ṽ_k` (Eq. (7)): the generic,
+//!   heap-allocating reference. The beamformee side and the generator use
+//!   it, and it is the oracle the tests hold [`v_tilde`] to.
+//! * [`v_tilde`] — quantized angles → `Ṽ_k` (Eq. (7)): the observer's
+//!   evaluator. It is bit-identical to
+//!   `v_from_angles(&dequantize(q, cb), m, n_ss)`, but runs on the stack
+//!   with table-driven cos/sin, so serving makes no heap allocation and no
+//!   transcendental call per subcarrier.
 //! * [`BeamformingFeedback`] — the full per-sounding feedback across all
-//!   sounded subcarriers, as captured by a monitor.
+//!   sounded subcarriers, as captured by a monitor, with the angles stored
+//!   flat (one `Vec` for φ and one for ψ).
 //!
 //! # Example: the full beamformee→observer loop for one subcarrier
 //!
@@ -46,8 +54,10 @@ mod feedback;
 mod givens;
 pub mod quant;
 mod vmatrix;
+mod vtilde;
 
 pub use feedback::{BeamformingFeedback, VSeries};
 pub use givens::{decompose, v_from_angles, GivensAngles, GivensDecomposition};
 pub use quant::{dequantize, quantize, QuantizedAngles};
 pub use vmatrix::beamforming_matrix;
+pub use vtilde::{v_tilde, VTilde};

@@ -1,7 +1,8 @@
 //! Property-based tests for the beamforming-feedback pipeline.
 
 use deepcsi_bfi::{
-    beamforming_matrix, decompose, dequantize, quant, quantize, v_from_angles, GivensAngles,
+    beamforming_matrix, decompose, dequantize, quant, quantize, v_from_angles, v_tilde,
+    GivensAngles, QuantizedAngles,
 };
 use deepcsi_linalg::{CMatrix, C64};
 use deepcsi_phy::Codebook;
@@ -144,5 +145,68 @@ fn angle_count_consistency_across_dims() {
         let vt = v_from_angles(&angles, m, n_ss);
         assert_eq!(vt.shape(), (m, n_ss));
         assert!(vt.is_unitary(1e-9));
+    }
+}
+
+/// The four standard codebooks plus a custom one (no trig table).
+const CODEBOOKS: [Codebook; 5] = [
+    Codebook::SU_LOW,
+    Codebook::SU_HIGH,
+    Codebook::MU_LOW,
+    Codebook::MU_HIGH,
+    Codebook {
+        b_phi: 12,
+        b_psi: 10,
+    },
+];
+
+/// A quantization index for a codebook with `levels` levels: 0, the top
+/// level, an out-of-range value or a random in-range one, picked by
+/// `draw`.
+fn index(draw: u64, levels: u32) -> u16 {
+    let x = (draw >> 2) as u32;
+    match draw % 4 {
+        0 => 0,
+        1 => (levels - 1) as u16,
+        2 => (levels + x % (65_536 - levels)) as u16,
+        _ => (x % levels) as u16,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn v_tilde_is_bit_identical_to_the_generic_path(seed in any::<u64>()) {
+        let mut state = seed | 1;
+        let mut draw = move || {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            state >> 11
+        };
+        for cb in CODEBOOKS {
+            for m in 1..=8usize {
+                for n_ss in 1..=m {
+                    let count = GivensAngles::expected_count(m, n_ss);
+                    let q = QuantizedAngles {
+                        m,
+                        n_ss,
+                        q_phi: (0..count).map(|_| index(draw(), cb.phi_levels())).collect(),
+                        q_psi: (0..count).map(|_| index(draw(), cb.psi_levels())).collect(),
+                    };
+                    let fast = v_tilde(&q.q_phi, &q.q_psi, m, n_ss, cb);
+                    let oracle = v_from_angles(&dequantize(&q, cb), m, n_ss);
+                    prop_assert_eq!((fast.m(), fast.n_ss()), oracle.shape());
+                    for r in 0..m {
+                        for c in 0..n_ss {
+                            let (a, b) = (fast[(r, c)], oracle[(r, c)]);
+                            prop_assert!(
+                                a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                                "M={} N_SS={} {} entry ({}, {}): {:?} vs {:?}", m, n_ss, cb, r, c, a, b
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -244,7 +244,7 @@ mod tests {
         let via = generate_trace(&cfg, &spec());
         // The frame codec must be transparent: identical angles.
         for (a, b) in direct.snapshots.iter().zip(via.snapshots.iter()) {
-            assert_eq!(a.angles, b.angles);
+            assert_eq!((&a.q_phi, &a.q_psi), (&b.q_phi, &b.q_psi));
         }
     }
 
@@ -254,7 +254,10 @@ mod tests {
         let mut s2 = spec();
         s2.module = DeviceId(5);
         let b = generate_trace(&tiny_cfg(), &s2);
-        assert_ne!(a.snapshots[0].angles, b.snapshots[0].angles);
+        assert_ne!(
+            (&a.snapshots[0].q_phi, &a.snapshots[0].q_psi),
+            (&b.snapshots[0].q_phi, &b.snapshots[0].q_psi)
+        );
     }
 
     #[test]
@@ -313,7 +316,8 @@ mod tests {
         let aged = generate_trace(&cfg, &spec());
         assert_eq!(aged.len(), base.len());
         assert_ne!(
-            aged.snapshots[0].angles, base.snapshots[0].angles,
+            (&aged.snapshots[0].q_phi, &aged.snapshots[0].q_psi),
+            (&base.snapshots[0].q_phi, &base.snapshots[0].q_psi),
             "a month of drift must perturb the captured angles"
         );
     }
@@ -327,6 +331,6 @@ mod tests {
         };
         let t = generate_trace(&tiny_cfg(), &s);
         assert_eq!(t.snapshots[0].mimo.n_ss(), 1);
-        assert_eq!(t.snapshots[0].angles[0].q_phi.len(), 2); // φ11 φ21
+        assert_eq!(t.snapshots[0].angles_at(0).0.len(), 2); // φ11 φ21
     }
 }

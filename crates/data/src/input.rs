@@ -1,6 +1,7 @@
 //! DNN input assembly: Ṽ → `Nch × Nrow × Ncol` I/Q tensors (§III-C).
 
-use deepcsi_bfi::BeamformingFeedback;
+use deepcsi_bfi::{v_tilde, BeamformingFeedback};
+use deepcsi_linalg::C64;
 use deepcsi_nn::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -98,7 +99,7 @@ pub fn clean_phase_offsets(series: &mut deepcsi_bfi::VSeries) {
             let slope = if den > 0.0 { num / den } else { 0.0 };
             let intercept = mean_p - slope * mean_k;
             for (j, vk) in series.v.iter_mut().enumerate() {
-                let corr = deepcsi_linalg::C64::cis(-(slope * ks[j] + intercept));
+                let corr = C64::cis(-(slope * ks[j] + intercept));
                 let v = vk[(a, s)];
                 vk[(a, s)] = v * corr;
             }
@@ -131,9 +132,10 @@ impl InputSpec {
     }
 
     /// `true` when [`InputSpec::tensor`] can convert this feedback
-    /// without panicking: every selected stream/antenna/subcarrier exists
-    /// and at least one subcarrier survives selection. Online consumers
-    /// (the serving engine) gate arbitrary over-the-air feedback on this
+    /// without panicking: the feedback holds one angle set per
+    /// subcarrier, every selected stream/antenna/subcarrier exists and at
+    /// least one subcarrier survives selection. Online consumers (the
+    /// serving engine) gate arbitrary over-the-air feedback on this
     /// before tensorizing.
     pub fn compatible(&self, fb: &BeamformingFeedback) -> bool {
         let streams_ok = self.streams.iter().all(|&s| s < fb.mimo.n_ss());
@@ -142,11 +144,16 @@ impl InputSpec {
             Some(p) => !p.is_empty() && p.iter().all(|&i| i < fb.len()),
             None => !fb.is_empty(),
         };
-        streams_ok && antennas_ok && subcarriers_ok
+        fb.is_consistent() && streams_ok && antennas_ok && subcarriers_ok
     }
 
     /// Converts one captured feedback into a classifier input tensor of
     /// shape `(Nch, Nrow, Ncol)`.
+    ///
+    /// Without offset cleaning only the kept subcarriers are
+    /// reconstructed, each with [`v_tilde`], and only the selected
+    /// entries are read — bit-identical to
+    /// `tensor_from_series(&fb.reconstruct(), ..)`.
     ///
     /// # Panics
     ///
@@ -154,11 +161,19 @@ impl InputSpec {
     /// feedback's MIMO dimensions, or no subcarriers survive selection
     /// (see [`InputSpec::compatible`]).
     pub fn tensor(&self, fb: &BeamformingFeedback) -> Tensor {
-        let mut series = fb.reconstruct();
+        let (m, n_ss) = (fb.mimo.m_tx(), fb.mimo.n_ss());
         if self.offset_cleaning {
+            let mut series = fb.reconstruct();
             clean_phase_offsets(&mut series);
+            return self.tensor_from_series(&series, m, n_ss);
         }
-        self.tensor_from_series(&series, fb.mimo.m_tx(), fb.mimo.n_ss())
+        let (positions, mut t) = self.layout(m, n_ss, fb.len());
+        for (col, &p) in positions.iter().enumerate() {
+            let (q_phi, q_psi) = fb.angles_at(p);
+            let v = v_tilde(q_phi, q_psi, m, n_ss, fb.codebook);
+            self.write_column(&mut t, col, m, |a, s| v[(a, s)]);
+        }
+        t
     }
 
     /// Converts an already-reconstructed Ṽ series into an input tensor —
@@ -174,42 +189,54 @@ impl InputSpec {
         m: usize,
         n_ss: usize,
     ) -> Tensor {
+        let (positions, mut t) = self.layout(m, n_ss, series.len());
+        for (col, &p) in positions.iter().enumerate() {
+            let v = &series.v[p];
+            self.write_column(&mut t, col, m, |a, s| v[(a, s)]);
+        }
+        t
+    }
+
+    /// Checks the selection against `m`/`n_ss` and returns the kept
+    /// subcarrier positions (out of `n_sc`) with a zeroed output tensor.
+    fn layout(&self, m: usize, n_ss: usize, n_sc: usize) -> (Vec<usize>, Tensor) {
         for &s in &self.streams {
             assert!(s < n_ss, "stream {s} out of range (n_ss={n_ss})");
         }
         for &a in &self.antennas {
             assert!(a < m, "antenna {a} out of range (m={m})");
         }
-        let all_positions: Vec<usize> = match &self.subcarrier_positions {
-            Some(p) => p.clone(),
-            None => (0..series.len()).collect(),
+        let stride = self.stride.max(1);
+        let positions: Vec<usize> = match &self.subcarrier_positions {
+            Some(p) => p.iter().copied().step_by(stride).collect(),
+            None => (0..n_sc).step_by(stride).collect(),
         };
-        let positions: Vec<usize> = all_positions
-            .iter()
-            .copied()
-            .step_by(self.stride.max(1))
-            .collect();
         assert!(!positions.is_empty(), "no subcarriers selected");
+        let shape = vec![self.num_channels(m), self.streams.len(), positions.len()];
+        (positions, Tensor::zeros(shape))
+    }
 
-        let n_ch = self.num_channels(m);
-        let n_row = self.streams.len();
-        let n_col = positions.len();
-        let mut t = Tensor::zeros(vec![n_ch, n_row, n_col]);
+    /// Writes the I (and Q) values of the selected Ṽ entries of one kept
+    /// subcarrier into column `col`; `entry(a, s)` is `[Ṽ]_{a,s}`.
+    fn write_column(
+        &self,
+        t: &mut Tensor,
+        col: usize,
+        m: usize,
+        entry: impl Fn(usize, usize) -> C64,
+    ) {
         let mut ch = 0usize;
         for &a in &self.antennas {
             let has_q = a + 1 != m;
             for (row, &s) in self.streams.iter().enumerate() {
-                for (col, &p) in positions.iter().enumerate() {
-                    let v = series.v[p][(a, s)];
-                    *t.at3_mut(ch, row, col) = v.re as f32;
-                    if has_q {
-                        *t.at3_mut(ch + 1, row, col) = v.im as f32;
-                    }
+                let v = entry(a, s);
+                *t.at3_mut(ch, row, col) = v.re as f32;
+                if has_q {
+                    *t.at3_mut(ch + 1, row, col) = v.im as f32;
                 }
             }
             ch += if has_q { 2 } else { 1 };
         }
-        t
     }
 }
 
@@ -249,7 +276,7 @@ impl LabeledSamples {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepcsi_linalg::{CMatrix, C64};
+    use deepcsi_linalg::CMatrix;
     use deepcsi_phy::{Codebook, MimoConfig};
 
     fn sample_feedback(n_sc: usize) -> BeamformingFeedback {
@@ -359,6 +386,18 @@ mod tests {
             ..InputSpec::default()
         };
         let _ = spec.tensor(&fb);
+    }
+
+    #[test]
+    fn inconsistent_feedback_is_incompatible() {
+        let mut fb = sample_feedback(8);
+        let spec = InputSpec::default();
+        assert!(spec.compatible(&fb));
+        fb.q_phi.pop();
+        assert!(!spec.compatible(&fb), "short φ vector accepted");
+        let mut fb = sample_feedback(8);
+        fb.q_psi.push(0);
+        assert!(!spec.compatible(&fb), "long ψ vector accepted");
     }
 
     #[test]

@@ -1,12 +1,23 @@
 //! Property-based tests for dataset generation and input assembly.
 
-use deepcsi_bfi::BeamformingFeedback;
+use deepcsi_bfi::{dequantize, v_from_angles, BeamformingFeedback, QuantizedAngles, VSeries};
 use deepcsi_data::{clean_phase_offsets, InputSpec};
 use deepcsi_linalg::{CMatrix, C64};
 use deepcsi_phy::{Codebook, MimoConfig};
 use proptest::prelude::*;
 
+const CODEBOOKS: [Codebook; 4] = [
+    Codebook::SU_LOW,
+    Codebook::SU_HIGH,
+    Codebook::MU_LOW,
+    Codebook::MU_HIGH,
+];
+
 fn feedback(n_sc: usize, seed: u64) -> BeamformingFeedback {
+    feedback_with(n_sc, seed, Codebook::MU_HIGH)
+}
+
+fn feedback_with(n_sc: usize, seed: u64, cb: Codebook) -> BeamformingFeedback {
     // Spectrally smooth CFR (slow variation across tones), like a real
     // multipath channel — phase unwrapping across tones is well-defined.
     let mimo = MimoConfig::paper_default();
@@ -19,7 +30,29 @@ fn feedback(n_sc: usize, seed: u64) -> BeamformingFeedback {
         })
         .collect();
     let sc: Vec<i32> = (0..n_sc as i32).collect();
-    BeamformingFeedback::from_cfr(&cfr, &sc, mimo, Codebook::MU_HIGH)
+    BeamformingFeedback::from_cfr(&cfr, &sc, mimo, cb)
+}
+
+/// The generic reference reconstruction: every subcarrier through
+/// `v_from_angles(&dequantize(..))` on the heap.
+fn oracle(fb: &BeamformingFeedback) -> VSeries {
+    let (m, n_ss) = (fb.mimo.m_tx(), fb.mimo.n_ss());
+    let v = (0..fb.len())
+        .map(|j| {
+            let (q_phi, q_psi) = fb.angles_at(j);
+            let q = QuantizedAngles {
+                m,
+                n_ss,
+                q_phi: q_phi.to_vec(),
+                q_psi: q_psi.to_vec(),
+            };
+            v_from_angles(&dequantize(&q, fb.codebook), m, n_ss)
+        })
+        .collect();
+    VSeries {
+        subcarriers: fb.subcarriers.clone(),
+        v,
+    }
 }
 
 proptest! {
@@ -77,6 +110,48 @@ proptest! {
                     prop_assert!((a[(m, s)].abs() - b[(m, s)].abs()).abs() < 1e-9);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn tensor_is_bit_identical_to_the_generic_oracle(
+        n_sc in 8usize..64,
+        seed in 0u64..100,
+        stride in 1usize..5,
+        cb in 0usize..4,
+    ) {
+        let fb = feedback_with(n_sc, seed, CODEBOOKS[cb]);
+        let series = oracle(&fb);
+        let mut cleaned = series.clone();
+        clean_phase_offsets(&mut cleaned);
+        let specs = [
+            InputSpec::default(),
+            InputSpec::fast(),
+            InputSpec::paper_default(),
+            InputSpec { stride, ..InputSpec::default() },
+            InputSpec {
+                subcarrier_positions: Some((2..n_sc - 3).collect()),
+                stride,
+                ..InputSpec::default()
+            },
+            InputSpec { streams: vec![1], stride, ..InputSpec::default() },
+            InputSpec {
+                streams: vec![0, 1],
+                antennas: vec![2, 0, 1],
+                stride,
+                ..InputSpec::default()
+            },
+            InputSpec { offset_cleaning: true, stride, ..InputSpec::default() },
+        ];
+        for spec in &specs {
+            let got = spec.tensor(&fb);
+            let reference = if spec.offset_cleaning { &cleaned } else { &series };
+            let want = spec.tensor_from_series(reference, 3, 2);
+            prop_assert_eq!(got.shape(), want.shape());
+            prop_assert!(
+                got.as_slice().iter().zip(want.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{:?} differs from the oracle", spec
+            );
         }
     }
 

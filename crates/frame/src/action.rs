@@ -4,7 +4,7 @@ use crate::mac::MacAddr;
 use crate::mimo_ctrl::VhtMimoControl;
 use crate::mu_exclusive::{mu_exclusive_len, pack_mu_exclusive, unpack_mu_exclusive};
 use crate::report::{pack_report, unpack_report};
-use deepcsi_bfi::BeamformingFeedback;
+use deepcsi_bfi::{BeamformingFeedback, GivensAngles};
 use deepcsi_phy::{MimoConfig, SubcarrierLayout};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -180,11 +180,7 @@ impl BeamformingReportFrame {
         out.push(CATEGORY_VHT);
         out.push(ACTION_COMPRESSED_BF);
         out.extend_from_slice(&ctrl.to_bytes());
-        out.extend_from_slice(&pack_report(
-            &self.feedback.angles,
-            &self.asnr,
-            self.feedback.codebook,
-        ));
+        out.extend_from_slice(&pack_report(&self.feedback, &self.asnr));
         if let Some(delta) = &self.mu_exclusive {
             out.extend_from_slice(&pack_mu_exclusive(delta));
         }
@@ -226,12 +222,13 @@ impl BeamformingReportFrame {
         let cb = ctrl.codebook();
 
         let payload = &bytes[29..];
-        let pairs: usize = (1..=n_ss.min(m.saturating_sub(1))).map(|i| m - i).sum();
-        let bits_per_sc = pairs * (cb.b_phi + cb.b_psi) as usize;
+        let bits_per_sc = GivensAngles::expected_count(m, n_ss) * (cb.b_phi + cb.b_psi) as usize;
         if bits_per_sc == 0 {
             return Err(FrameError::BadDimensions);
         }
-        let available_bits = payload.len() * 8 - n_ss * 8;
+        let available_bits = (payload.len() * 8)
+            .checked_sub(n_ss * 8)
+            .ok_or(FrameError::TooShort)?;
         // First try: angles only (zero-padding of the final byte allows
         // < 8 slack bits).
         let mut num_sc = available_bits / bits_per_sc;
@@ -259,7 +256,7 @@ impl BeamformingReportFrame {
                 });
             }
         }
-        let (asnr, angles) =
+        let (asnr, q_phi, q_psi) =
             unpack_report(payload, m, n_ss, num_sc, cb).ok_or(FrameError::TooShort)?;
         let mu_exclusive = if has_exclusive {
             let angle_bytes = (n_ss * 8 + num_sc * bits_per_sc).div_ceil(8);
@@ -285,7 +282,8 @@ impl BeamformingReportFrame {
                 mimo,
                 codebook: cb,
                 subcarriers,
-                angles,
+                q_phi,
+                q_psi,
             },
             mu_exclusive,
         })
@@ -309,11 +307,11 @@ mod tests {
 
     fn feedback(n_sc: usize) -> BeamformingFeedback {
         let mimo = MimoConfig::new(3, 2, 2).unwrap();
-        BeamformingFeedback {
+        BeamformingFeedback::from_angles(
             mimo,
-            codebook: Codebook::MU_HIGH,
-            subcarriers: (0..n_sc as i32).collect(),
-            angles: (0..n_sc)
+            Codebook::MU_HIGH,
+            (0..n_sc as i32).collect(),
+            &(0..n_sc)
                 .map(|j| QuantizedAngles {
                     m: 3,
                     n_ss: 2,
@@ -328,8 +326,8 @@ mod tests {
                         ((j + 2) % 128) as u16,
                     ],
                 })
-                .collect(),
-        }
+                .collect::<Vec<_>>(),
+        )
     }
 
     fn frame(n_sc: usize) -> BeamformingReportFrame {
@@ -350,7 +348,8 @@ mod tests {
         assert_eq!(parsed.source(), f.source());
         assert_eq!(parsed.destination(), f.destination());
         assert_eq!(parsed.sequence(), 77);
-        assert_eq!(parsed.feedback().angles, f.feedback().angles);
+        assert_eq!(parsed.feedback().q_phi, f.feedback().q_phi);
+        assert_eq!(parsed.feedback().q_psi, f.feedback().q_psi);
         assert_eq!(parsed.feedback().codebook, Codebook::MU_HIGH);
         assert_eq!(parsed.average_snr(), f.average_snr());
     }
@@ -398,6 +397,47 @@ mod tests {
         );
     }
 
+    /// Every prefix that ends inside the header, the control field or the
+    /// SNR bytes is refused — a payload shorter than its Nc SNR bytes
+    /// used to underflow the angle-bit count.
+    #[test]
+    fn every_short_prefix_is_refused_without_panicking() {
+        for n_ss in [1usize, 2] {
+            let mimo = MimoConfig::new(3, n_ss, n_ss).unwrap();
+            let count = GivensAngles::expected_count(3, n_ss);
+            let q = QuantizedAngles {
+                m: 3,
+                n_ss,
+                q_phi: vec![7; count],
+                q_psi: vec![9; count],
+            };
+            let fb = BeamformingFeedback::from_angles(
+                mimo,
+                Codebook::MU_HIGH,
+                (0..4).collect(),
+                &vec![q; 4],
+            );
+            let bytes = BeamformingReportFrame::new(
+                MacAddr::station(0),
+                MacAddr::station(1),
+                MacAddr::station(0),
+                3,
+                fb,
+            )
+            .encode();
+            for len in 0..=31 {
+                assert!(
+                    BeamformingReportFrame::parse(&bytes[..len]).is_err(),
+                    "Nc={n_ss}: a {len}-byte prefix parsed"
+                );
+            }
+            assert_eq!(
+                BeamformingReportFrame::parse(&bytes[..HEADER_LEN + 5 + n_ss - 1]),
+                Err(FrameError::TooShort)
+            );
+        }
+    }
+
     #[test]
     fn truncated_payload_is_rejected_or_shorter() {
         let f = frame(16);
@@ -420,7 +460,8 @@ mod tests {
         );
         let bytes = f.encode();
         let parsed = BeamformingReportFrame::parse(&bytes).unwrap();
-        assert_eq!(parsed.feedback().angles, f.feedback().angles);
+        assert_eq!(parsed.feedback().q_phi, f.feedback().q_phi);
+        assert_eq!(parsed.feedback().q_psi, f.feedback().q_psi);
         let delta = parsed.mu_exclusive().expect("exclusive report present");
         assert_eq!(delta, f.mu_exclusive().unwrap());
         // Plain frames still parse without one.

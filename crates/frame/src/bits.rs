@@ -9,7 +9,8 @@ use bytes::{BufMut, BytesMut};
 #[derive(Debug, Default)]
 pub struct BitWriter {
     buf: BytesMut,
-    partial: u8,
+    /// Pending bits, LSB-first; fewer than 8 between calls.
+    acc: u64,
     filled: u8,
 }
 
@@ -19,6 +20,14 @@ impl BitWriter {
         Self::default()
     }
 
+    /// Creates an empty writer with room for `bytes` bytes.
+    pub fn with_capacity(bytes: usize) -> Self {
+        BitWriter {
+            buf: BytesMut::with_capacity(bytes),
+            ..Self::default()
+        }
+    }
+
     /// Appends the low `bits` bits of `value`.
     ///
     /// # Panics
@@ -26,15 +35,13 @@ impl BitWriter {
     /// Panics if `bits > 32`.
     pub fn put(&mut self, value: u32, bits: u8) {
         assert!(bits <= 32, "at most 32 bits per put");
-        for i in 0..bits {
-            let bit = ((value >> i) & 1) as u8;
-            self.partial |= bit << self.filled;
-            self.filled += 1;
-            if self.filled == 8 {
-                self.buf.put_u8(self.partial);
-                self.partial = 0;
-                self.filled = 0;
-            }
+        let mask = (1u64 << bits) - 1;
+        self.acc |= (u64::from(value) & mask) << self.filled;
+        self.filled += bits;
+        while self.filled >= 8 {
+            self.buf.put_u8(self.acc as u8);
+            self.acc >>= 8;
+            self.filled -= 8;
         }
     }
 
@@ -46,9 +53,9 @@ impl BitWriter {
     /// Finishes the stream, zero-padding the final byte.
     pub fn finish(mut self) -> Vec<u8> {
         if self.filled > 0 {
-            self.buf.put_u8(self.partial);
+            self.buf.put_u8(self.acc as u8);
         }
-        self.buf.to_vec()
+        self.buf.into()
     }
 }
 
@@ -75,14 +82,21 @@ impl<'a> BitReader<'a> {
         if self.pos + bits as usize > self.data.len() * 8 {
             return None;
         }
-        let mut out = 0u32;
-        for i in 0..bits {
-            let byte = self.data[self.pos / 8];
-            let bit = (byte >> (self.pos % 8)) & 1;
-            out |= (bit as u32) << i;
-            self.pos += 1;
-        }
-        Some(out)
+        // The next 8 bytes as one little-endian word, zero-padded past
+        // the end; a field starts at most 7 bits in, so 39 bits suffice.
+        let byte = self.pos / 8;
+        let word = match self.data.get(byte..byte + 8) {
+            Some(w) => u64::from_le_bytes(w.try_into().expect("8 bytes")),
+            None => {
+                let mut w = [0u8; 8];
+                let tail = &self.data[byte.min(self.data.len())..];
+                w[..tail.len()].copy_from_slice(tail);
+                u64::from_le_bytes(w)
+            }
+        };
+        let out = (word >> (self.pos % 8)) & ((1u64 << bits) - 1);
+        self.pos += bits as usize;
+        Some(out as u32)
     }
 
     /// Remaining unread bits.
@@ -146,6 +160,55 @@ mod tests {
         assert_eq!(w.bit_len(), 2);
         w.put(0xFF, 8);
         assert_eq!(w.bit_len(), 10);
+    }
+
+    #[test]
+    fn word_reads_match_bit_by_bit_reads() {
+        // Every width 0..=32 at every alignment, up to the last byte.
+        let data: Vec<u8> = (0..13u32).map(|i| (i * 73 + 41) as u8).collect();
+        let bit = |pos: usize| u32::from((data[pos / 8] >> (pos % 8)) & 1);
+        for start in 0..8 {
+            for bits in 0..=32u8 {
+                let mut r = BitReader::new(&data);
+                r.get(start as u8).unwrap();
+                let mut pos = start;
+                while pos + bits as usize <= data.len() * 8 {
+                    let want = (0..bits as usize).fold(0, |acc, i| acc | bit(pos + i) << i);
+                    assert_eq!(
+                        r.get(bits),
+                        Some(want),
+                        "start {start} width {bits} at {pos}"
+                    );
+                    pos += bits as usize;
+                    if bits == 0 {
+                        break;
+                    }
+                }
+                assert_eq!(r.remaining_bits(), data.len() * 8 - pos);
+            }
+        }
+    }
+
+    #[test]
+    fn writer_matches_bit_by_bit_packing() {
+        let fields: Vec<(u32, u8)> = (0..200u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761), (i % 33) as u8))
+            .collect();
+        let mut w = BitWriter::new();
+        let mut want = Vec::new();
+        let mut filled = 0;
+        for &(v, bits) in &fields {
+            w.put(v, bits);
+            for i in 0..bits {
+                if filled % 8 == 0 {
+                    want.push(0u8);
+                }
+                *want.last_mut().unwrap() |= (((v >> i) & 1) as u8) << (filled % 8);
+                filled += 1;
+            }
+        }
+        assert_eq!(w.bit_len(), filled);
+        assert_eq!(w.finish(), want);
     }
 
     #[test]

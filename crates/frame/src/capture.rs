@@ -91,11 +91,11 @@ mod tests {
 
     fn frame_from(src: u64, seq: u16) -> Vec<u8> {
         let mimo = MimoConfig::new(3, 2, 2).unwrap();
-        let fb = BeamformingFeedback {
+        let fb = BeamformingFeedback::from_angles(
             mimo,
-            codebook: Codebook::MU_HIGH,
-            subcarriers: vec![0, 1],
-            angles: vec![
+            Codebook::MU_HIGH,
+            vec![0, 1],
+            &vec![
                 QuantizedAngles {
                     m: 3,
                     n_ss: 2,
@@ -104,7 +104,7 @@ mod tests {
                 };
                 2
             ],
-        };
+        );
         BeamformingReportFrame::new(
             MacAddr::station(0),
             MacAddr::station(src),
@@ -142,7 +142,7 @@ mod tests {
         let mut mon = Monitor::new();
         mon.observe(&frame_from(5, 42)).unwrap();
         let r = &mon.reports()[0];
-        assert_eq!(r.feedback.angles[0].q_phi[0], 42);
+        assert_eq!(r.feedback.angles_at(0).0[0], 42);
         assert_eq!(r.feedback.mimo.m_tx(), 3);
     }
 }

@@ -10,7 +10,9 @@
 //!   standard).
 //! * [`pack_report`] / [`unpack_report`] — the angle bitstream with the
 //!   standard's per-subcarrier angle ordering (φ blocks then ψ blocks per
-//!   column) and per-stream average-SNR prefix.
+//!   column) and per-stream average-SNR prefix, read and written a 64-bit
+//!   word at a time ([`BitReader`] / [`BitWriter`]) straight from and
+//!   into the feedback's flat angle vectors.
 //! * [`BeamformingReportFrame`] — the full MAC frame: header, category,
 //!   action, control field, report; [`BeamformingReportFrame::encode`]
 //!   and [`BeamformingReportFrame::parse`].
@@ -25,15 +27,15 @@
 //! use deepcsi_phy::{Codebook, MimoConfig};
 //!
 //! let mimo = MimoConfig::new(3, 2, 2).unwrap();
-//! let feedback = BeamformingFeedback {
+//! let feedback = BeamformingFeedback::from_angles(
 //!     mimo,
-//!     codebook: Codebook::MU_HIGH,
-//!     subcarriers: vec![-2, 2],
-//!     angles: vec![
+//!     Codebook::MU_HIGH,
+//!     vec![-2, 2],
+//!     &[
 //!         QuantizedAngles { m: 3, n_ss: 2, q_phi: vec![1, 2, 3], q_psi: vec![4, 5, 6] },
 //!         QuantizedAngles { m: 3, n_ss: 2, q_phi: vec![7, 8, 9], q_psi: vec![10, 11, 12] },
 //!     ],
-//! };
+//! );
 //! let frame = BeamformingReportFrame::new(
 //!     MacAddr::BROADCAST,
 //!     MacAddr::new([2, 0, 0, 0, 0, 7]),
@@ -43,7 +45,8 @@
 //! );
 //! let bytes = frame.encode();
 //! let parsed = BeamformingReportFrame::parse(&bytes).unwrap();
-//! assert_eq!(parsed.feedback().angles, frame.feedback().angles);
+//! assert_eq!(parsed.feedback().q_phi, frame.feedback().q_phi);
+//! assert_eq!(parsed.feedback().q_psi, frame.feedback().q_psi);
 //! ```
 
 #![forbid(unsafe_code)]

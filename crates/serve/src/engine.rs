@@ -1489,17 +1489,17 @@ mod tests {
                 source: MacAddr::station(1),
                 destination: MacAddr::station(2),
                 sequence: 0,
-                feedback: BeamformingFeedback {
-                    mimo: MimoConfig::new(3, 2, 2).expect("valid"),
-                    codebook: Codebook::MU_HIGH,
-                    angles: vec![QuantizedAngles {
+                feedback: BeamformingFeedback::from_angles(
+                    MimoConfig::new(3, 2, 2).expect("valid"),
+                    Codebook::MU_HIGH,
+                    vec![0],
+                    &[QuantizedAngles {
                         m: 3,
                         n_ss: 2,
                         q_phi: vec![0; 3],
                         q_psi: vec![0; 3],
                     }],
-                    subcarriers: vec![0],
-                },
+                ),
             },
             enqueued_at: None,
         }

@@ -230,11 +230,11 @@ fn drain_latency_is_not_quantized_to_a_poll_interval() {
         MacAddr::station(1),
         MacAddr::station(0),
         1,
-        BeamformingFeedback {
-            mimo: MimoConfig::new(2, 1, 1).expect("valid"),
-            codebook: Codebook::MU_HIGH,
-            subcarriers: vec![0, 1],
-            angles: vec![
+        BeamformingFeedback::from_angles(
+            MimoConfig::new(2, 1, 1).expect("valid"),
+            Codebook::MU_HIGH,
+            vec![0, 1],
+            &vec![
                 QuantizedAngles {
                     m: 2,
                     n_ss: 1,
@@ -243,7 +243,7 @@ fn drain_latency_is_not_quantized_to_a_poll_interval() {
                 };
                 2
             ],
-        },
+        ),
     )
     .encode();
     let engine = Engine::start_frozen(

@@ -229,11 +229,11 @@ fn incompatible_mimo_dimensions_are_rejected_not_fatal() {
     );
 
     // A 2×1 feedback while the model expects 3×2 inputs.
-    let foreign = BeamformingFeedback {
-        mimo: MimoConfig::new(2, 1, 1).expect("valid"),
-        codebook: Codebook::MU_HIGH,
-        subcarriers: vec![0, 1],
-        angles: vec![
+    let foreign = BeamformingFeedback::from_angles(
+        MimoConfig::new(2, 1, 1).expect("valid"),
+        Codebook::MU_HIGH,
+        vec![0, 1],
+        &vec![
             QuantizedAngles {
                 m: 2,
                 n_ss: 1,
@@ -242,7 +242,7 @@ fn incompatible_mimo_dimensions_are_rejected_not_fatal() {
             };
             2
         ],
-    };
+    );
     let frame = BeamformingReportFrame::new(
         MacAddr::station(7),
         MacAddr::station(0xF0E),
@@ -287,11 +287,11 @@ fn foreign_shape_first_cannot_wedge_or_hijack_the_engine() {
     );
 
     // 3×2 like the model, but only 8 subcarriers → different tensor width.
-    let foreign = BeamformingFeedback {
-        mimo: MimoConfig::new(3, 2, 2).expect("valid"),
-        codebook: Codebook::MU_HIGH,
-        subcarriers: (0..8).collect(),
-        angles: vec![
+    let foreign = BeamformingFeedback::from_angles(
+        MimoConfig::new(3, 2, 2).expect("valid"),
+        Codebook::MU_HIGH,
+        (0..8).collect(),
+        &vec![
             QuantizedAngles {
                 m: 3,
                 n_ss: 2,
@@ -300,7 +300,7 @@ fn foreign_shape_first_cannot_wedge_or_hijack_the_engine() {
             };
             8
         ],
-    };
+    );
     let frame = BeamformingReportFrame::new(
         MacAddr::station(7),
         MacAddr::station(0xF00),

@@ -129,20 +129,21 @@ fn confidence_weighted_matches_fixed_accuracy_in_half_the_reports() {
 /// "device", over 16 subcarriers.
 fn crafted_feedback(q_phi: [u16; 3], q_psi: [u16; 3]) -> BeamformingFeedback {
     let subcarriers: Vec<i32> = (0..16).collect();
-    BeamformingFeedback {
-        mimo: MimoConfig::new(3, 2, 2).expect("valid"),
-        codebook: Codebook::MU_HIGH,
-        angles: vec![
-            QuantizedAngles {
-                m: 3,
-                n_ss: 2,
-                q_phi: q_phi.to_vec(),
-                q_psi: q_psi.to_vec(),
-            };
-            subcarriers.len()
-        ],
+    let angles = vec![
+        QuantizedAngles {
+            m: 3,
+            n_ss: 2,
+            q_phi: q_phi.to_vec(),
+            q_psi: q_psi.to_vec(),
+        };
+        subcarriers.len()
+    ];
+    BeamformingFeedback::from_angles(
+        MimoConfig::new(3, 2, 2).expect("valid"),
+        Codebook::MU_HIGH,
         subcarriers,
-    }
+        &angles,
+    )
 }
 
 /// Encodes `fb` as a report frame from `source`.

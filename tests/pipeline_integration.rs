@@ -227,8 +227,8 @@ fn phy_dimensions_flow_through() {
     );
     let fb = &trace.snapshots[0];
     assert_eq!(fb.len(), 234);
-    assert_eq!(fb.angles[0].q_phi.len(), 3);
-    assert_eq!(fb.angles[0].q_psi.len(), 3);
+    assert_eq!(fb.angles_at(0).0.len(), 3);
+    assert_eq!(fb.angles_at(0).1.len(), 3);
     // Tensor shape: 5 I/Q channels × 1 stream × 234 tones.
     let t = InputSpec::default().tensor(fb);
     assert_eq!(t.shape(), &[5, 1, 234]);
