@@ -23,6 +23,14 @@
 //! whatever SIMD width the build host offers (`-C target-cpu=native` is
 //! set workspace-wide). One weight fetch serves the whole batch.
 //!
+//! The conv and dense kernels only ever run whole 16-lane blocks. A
+//! batch that is not a multiple of 16 is *staged* for them: its input is
+//! widened into the spare ping-pong plane with zero pad lanes, the
+//! kernel writes the padded plane, and the output is compacted back to
+//! `b` lanes in place. Staging uses no buffer beyond the ping-pong pair,
+//! pad lanes never reach another op, and every other plane (element-wise
+//! ops, pooling, the int8 domain) stays at exactly `b` lanes.
+//!
 //! Because each sample only ever reads its own lanes, outputs are
 //! **bit-equal** to [`crate::Network::forward`] with `train = false` for
 //! any batch size *and* any partition of the batch — which is what makes
@@ -263,24 +271,66 @@ impl InferCtx {
     }
 
     /// Runs a shape-changing op: hands `f` the current plane and a
-    /// correctly sized output plane (`zeroed` selects zero-filled, for
-    /// accumulating kernels, vs uninitialised-but-overwritten), then
-    /// swaps the output in as the new current plane.
+    /// correctly sized output plane (stale contents: `f` must overwrite
+    /// every element), then swaps the output in as the new current
+    /// plane.
     ///
     /// `f` receives `(input, output, in_shape, batch)`.
     pub fn produce(
         &mut self,
         out_shape: &[usize],
-        zeroed: bool,
         f: impl FnOnce(&[f32], &mut [f32], &[usize], usize),
     ) {
         let out_len = out_shape.iter().product::<usize>() * self.b;
         resize_buf(&mut self.nxt, out_len);
-        if zeroed {
-            self.nxt.fill(0.0);
-        }
         f(&self.cur, &mut self.nxt, &self.shape, self.b);
         std::mem::swap(&mut self.cur, &mut self.nxt);
+        self.set_out_shape(out_shape);
+    }
+
+    /// [`InferCtx::produce`] for the lane-blocked kernels (conv, dense):
+    /// `f` always sees whole [`LANES`]-wide blocks, `bp =
+    /// b.next_multiple_of(LANES)` lanes per element, whatever the batch
+    /// size. A ragged batch is staged through the ping-pong pair alone:
+    /// the input is widened into the spare plane with zero pad lanes, the
+    /// kernel writes the current plane at stride `bp`, and that plane is
+    /// compacted back to stride `b` in place. Pad lanes never reach
+    /// another op, so outputs stay bit-equal to the unpadded math.
+    ///
+    /// `f` receives `(input, output, bp)` and must overwrite every output
+    /// element.
+    pub(crate) fn produce_lane_blocks(
+        &mut self,
+        out_shape: &[usize],
+        f: impl FnOnce(&[f32], &mut [f32], usize),
+    ) {
+        let b = self.b;
+        let bp = b.next_multiple_of(LANES);
+        if bp == b {
+            std::mem::swap(&mut self.cur, &mut self.nxt);
+        } else {
+            let in_len = self.elems() * bp;
+            resize_buf(&mut self.nxt, in_len);
+            for (wide, narrow) in self.nxt.chunks_exact_mut(bp).zip(self.cur.chunks_exact(b)) {
+                wide[..b].copy_from_slice(narrow);
+                wide[b..].fill(0.0);
+            }
+        }
+        let out_elems = out_shape.iter().product::<usize>();
+        resize_buf(&mut self.cur, out_elems * bp);
+        f(&self.nxt, &mut self.cur, bp);
+        if bp != b {
+            // Element e moves from e·bp down to e·b; in ascending order
+            // no move overwrites a block still to be read.
+            for e in 1..out_elems {
+                self.cur.copy_within(e * bp..e * bp + b, e * b);
+            }
+            self.cur.truncate(out_elems * b);
+        }
+        self.set_out_shape(out_shape);
+    }
+
+    fn set_out_shape(&mut self, out_shape: &[usize]) {
         self.shape.clear();
         self.shape.extend_from_slice(out_shape);
     }
@@ -364,11 +414,10 @@ impl InferCtx {
     }
 
     /// The int8 analogue of [`InferCtx::produce`]: runs a shape-changing
-    /// op over the quantized ping-pong pair (sample-major planes).
-    /// `out_scale` becomes the new plane's activation scale. Output
-    /// planes are handed over uninitialised-but-overwritten (every int8
-    /// kernel fully writes its output), so there is no zero-fill
-    /// variant.
+    /// op over the quantized ping-pong pair (sample-major planes, never
+    /// lane-padded). `out_scale` becomes the new plane's activation
+    /// scale. Output planes are handed over with stale contents (every
+    /// int8 kernel fully writes its output).
     ///
     /// # Panics
     ///
@@ -385,19 +434,23 @@ impl InferCtx {
         f(&self.qcur, &mut self.qnxt, &self.shape, self.b);
         std::mem::swap(&mut self.qcur, &mut self.qnxt);
         self.qscale = out_scale;
-        self.shape.clear();
-        self.shape.extend_from_slice(out_shape);
+        self.set_out_shape(out_shape);
     }
 }
+
+/// SIMD lane-block width of the batched conv/dense kernels: one full
+/// AVX-512 vector of `f32` (narrower ISAs use two or four registers).
+/// [`InferCtx::produce_lane_blocks`] pads every batch to a multiple of
+/// it.
+pub(crate) const LANES: usize = 16;
 
 /// Minimum samples routed to each lane of a [`crate::InferPool`]: one
 /// full SIMD lane block (the 16-wide granularity of the batched
 /// conv/dense kernels). Chunks are also *aligned* to this, so every
-/// split chunk except the batch's ragged tail runs the register-blocked
-/// kernels — parallelising never demotes the math to the scalar path. A
-/// batch of `n` samples therefore engages at most `max(1, n / 16)`
-/// lanes.
-pub const PAR_MIN_CHUNK: usize = 16;
+/// split chunk except the batch's ragged tail fills its lane blocks
+/// exactly — only the tail pays for pad lanes. A batch of `n` samples
+/// therefore engages at most `max(1, n / 16)` lanes.
+pub const PAR_MIN_CHUNK: usize = LANES;
 
 /// An immutable inference snapshot of a [`crate::Network`].
 ///
@@ -515,9 +568,10 @@ impl FrozenModel {
     ///
     /// Outputs are element-wise **bit-equal** to calling
     /// [`crate::Network::forward`] with `train = false` on each sample,
-    /// for any batch size (no padding requirement). After `ctx` has seen
-    /// its largest batch, the call allocates nothing but the returned
-    /// tensors.
+    /// for any batch size: the caller never pads, and conv/dense stage a
+    /// ragged batch into whole 16-lane blocks internally (see the module
+    /// docs). After `ctx` has seen its largest batch, the call allocates
+    /// nothing but the returned tensors.
     pub fn infer_batch(&self, xs: &[Tensor], ctx: &mut InferCtx) -> Vec<Tensor> {
         if xs.is_empty() {
             return Vec::new();
@@ -553,11 +607,11 @@ impl FrozenModel {
 ///   saves, so usable parallelism is `max(1, batch / PAR_MIN_CHUNK)`
 ///   regardless of how many lanes exist.
 /// * Chunks are lane-block *aligned*: every chunk except the batch's own
-///   ragged tail is a multiple of the SIMD width, so each lane runs the
-///   register-blocked kernels, not the scalar fallback. Rounding the
-///   chunk up can only *reduce* the chunk count, so zipping chunks
-///   against lanes never drops samples — and since `chunk_len ≥ 1` no
-///   chunk is ever empty.
+///   ragged tail is a multiple of the SIMD width, so no lane but the
+///   tail's stages pad lanes (every lane runs the same full-width
+///   kernels either way). Rounding the chunk up can only *reduce* the
+///   chunk count, so zipping chunks against lanes never drops samples —
+///   and since `chunk_len ≥ 1` no chunk is ever empty.
 pub fn plan_split(batch: usize, lanes: usize) -> (usize, usize) {
     let threads = lanes.min((batch / PAR_MIN_CHUNK).max(1));
     if threads == 1 {
@@ -573,7 +627,7 @@ pub fn plan_split(batch: usize, lanes: usize) -> (usize, usize) {
 mod tests {
     use super::*;
     use crate::layer::Layer;
-    use crate::layers::{Dense, Selu};
+    use crate::layers::{Conv2d, Dense, Flatten, MaxPool2d, Selu};
     use crate::network::Network;
 
     fn assert_send_sync<T: Send + Sync>() {}
@@ -617,6 +671,40 @@ mod tests {
         let _ = frozen.infer_batch(&xs, &mut ctx);
         let _ = frozen.infer_batch(&xs[..3], &mut ctx);
         assert_eq!(caps, (ctx.cur.capacity(), ctx.nxt.capacity()));
+
+        // Ragged batches stage their conv/dense lane blocks through the
+        // same two planes: once warm, no batch at or below the warm-up
+        // size grows either of them. This chain exchanges the planes an
+        // odd number of times per call (only the pool swaps; staged
+        // conv/dense write back into the input's plane), so it takes two
+        // warm-up calls for each plane to have held every activation.
+        let mut net = Network::new();
+        net.push(Conv2d::new(2, 8, (1, 3), 3));
+        net.push(Selu::new());
+        net.push(MaxPool2d::new((1, 2)));
+        net.push(Flatten::new());
+        net.push(Dense::new(8 * 5, 4, 4));
+        let frozen = net.freeze();
+        let xs: Vec<Tensor> = (0..17)
+            .map(|s| {
+                Tensor::from_vec(
+                    (0..20).map(|e| (e * s) as f32 * 0.01).collect(),
+                    vec![2, 1, 10],
+                )
+            })
+            .collect();
+        let mut ctx = frozen.ctx();
+        for _ in 0..2 {
+            let _ = frozen.infer_batch(&xs, &mut ctx);
+        }
+        let caps = (ctx.cur.capacity(), ctx.nxt.capacity());
+        for b in [17, 3] {
+            let got = frozen.infer_batch(&xs[..b], &mut ctx);
+            assert_eq!(caps, (ctx.cur.capacity(), ctx.nxt.capacity()), "b={b}");
+            for (x, g) in xs.iter().zip(&got) {
+                assert_eq!(net.forward(x, false).as_slice(), g.as_slice(), "b={b}");
+            }
+        }
     }
 
     #[test]

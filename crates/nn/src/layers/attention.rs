@@ -1,6 +1,6 @@
 //! The spatial-attention block of the DeepCSI classifier.
 
-use crate::frozen::{resize_buf, InferCtx, InferOp};
+use crate::frozen::{resize_buf, InferCtx, InferOp, LANES};
 use crate::layer::{Layer, ParamView};
 use crate::layers::activation::{sigmoid_val, Sigmoid};
 use crate::layers::conv::{Conv2d, FrozenConv2d};
@@ -60,18 +60,22 @@ impl InferOp for FrozenSpatialAttention {
             .try_into()
             .expect("attention input must be rank 3");
         let b = ctx.batch_size();
+        // The scratch planes run at the padded lane stride, so the
+        // embedded conv sees whole lane blocks; pad lanes stay zero in
+        // and are never read back out.
+        let bp = b.next_multiple_of(LANES);
         let hw = h * w;
         // Channel-wise max and mean maps into scratch0, batch lanes
         // innermost; the channel scan order matches `forward` (strict `>`
         // keeps the first maximum, the mean sums channels in ascending
         // order).
-        resize_buf(&mut ctx.scratch0, 2 * hw * b);
+        resize_buf(&mut ctx.scratch0, 2 * hw * bp);
         ctx.scratch0.fill(0.0);
         {
             let (xs, ps) = (&ctx.cur, &mut ctx.scratch0);
             for p in 0..hw {
-                let max_base = p * b;
-                let mean_base = (hw + p) * b;
+                let max_base = p * bp;
+                let mean_base = (hw + p) * bp;
                 ps[max_base..max_base + b].copy_from_slice(&xs[p * b..(p + 1) * b]);
                 for ci in 0..c {
                     let ibase = (ci * hw + p) * b;
@@ -90,12 +94,11 @@ impl InferOp for FrozenSpatialAttention {
                 }
             }
         }
-        // Attention logits into scratch1 (zeroed for the conv's
-        // accumulating path), then the sigmoid in place.
-        resize_buf(&mut ctx.scratch1, self.conv.out_ch() * hw * b);
-        ctx.scratch1.fill(0.0);
+        // Attention logits into scratch1 (the conv overwrites every
+        // element), then the sigmoid in place.
+        resize_buf(&mut ctx.scratch1, self.conv.out_ch() * hw * bp);
         self.conv
-            .run(&ctx.scratch0, &mut ctx.scratch1, (2, h, w), b);
+            .run(&ctx.scratch0, &mut ctx.scratch1, (2, h, w), bp);
         for v in ctx.scratch1.iter_mut() {
             *v = sigmoid_val(*v);
         }
@@ -105,7 +108,7 @@ impl InferOp for FrozenSpatialAttention {
         for ci in 0..c {
             for p in 0..hw {
                 let obase = (ci * hw + p) * b;
-                let abase = p * b;
+                let abase = p * bp;
                 for s in 0..b {
                     let v = os[obase + s];
                     os[obase + s] = v * avs[abase + s] + v;

@@ -1,6 +1,6 @@
 //! 2-D convolution with "same" zero padding.
 
-use crate::frozen::{InferCtx, InferOp};
+use crate::frozen::{InferCtx, InferOp, LANES};
 use crate::init::lecun_normal;
 use crate::layer::{Layer, ParamView};
 use crate::quant::ops::{conv_out_shape, Int8Conv2d};
@@ -60,22 +60,45 @@ impl Conv2d {
     }
 
     /// Snapshots the weights into the immutable batched-inference op
-    /// (also embedded by the frozen attention block).
+    /// (also embedded by the frozen attention block), packed into the
+    /// tile kernel's `[out/4][in][kh][kw][4]` layout.
     pub(crate) fn frozen(&self) -> FrozenConv2d {
-        FrozenConv2d {
+        let mut frozen = FrozenConv2d {
             in_ch: self.in_ch,
             out_ch: self.out_ch,
             kh: self.kh,
             kw: self.kw,
-            weight: self.weight.clone(),
+            weight: vec![
+                0.0;
+                self.out_ch.div_ceil(TILE_CH) * TILE_CH * self.in_ch * self.kh * self.kw
+            ],
             bias: self.bias.clone(),
+        };
+        for o in 0..self.out_ch {
+            for i in 0..self.in_ch {
+                for dh in 0..self.kh {
+                    for dw in 0..self.kw {
+                        let packed = frozen.widx(o, i, dh, dw);
+                        frozen.weight[packed] = self.weight[self.widx(o, i, dh, dw)];
+                    }
+                }
+            }
         }
+        frozen
     }
 }
 
-/// SIMD lane-block width of the batched conv kernel (matches the dense
-/// kernel; one full AVX-512 vector of `f32`).
-const LANES: usize = 16;
+/// Output channels per register tile: one broadcast weight per channel
+/// and per tap, packed contiguously at freeze time.
+///
+/// The tile shape is measured, not derived. With `-C target-cpu=native`
+/// on an AVX-512 host LLVM still prefers 256-bit vectors, so a 16-lane
+/// row is two ymm registers and 4 × 3 holds 24 accumulators of the 32.
+/// 8 × 2 needs all 32 and spills, and 8 × 1, 2 × 4 and 4 × 4 fall off a
+/// vectorizer cliff at roughly a tenth of the speed.
+const TILE_CH: usize = 4;
+/// Adjacent interior columns per register tile (see [`TILE_CH`]).
+const TILE_COLS: usize = 3;
 
 /// The frozen convolution: weights only, batched kernels over the
 /// interleaved planes of an [`InferCtx`].
@@ -84,7 +107,8 @@ pub(crate) struct FrozenConv2d {
     out_ch: usize,
     kh: usize,
     kw: usize,
-    weight: Vec<f32>, // [out][in][kh][kw]
+    /// `[out/4][in][kh][kw][4]`, the last channel block zero-padded.
+    weight: Vec<f32>,
     bias: Vec<f32>,
 }
 
@@ -97,18 +121,20 @@ impl FrozenConv2d {
 
     #[inline]
     fn widx(&self, o: usize, i: usize, dh: usize, dw: usize) -> usize {
-        ((o * self.in_ch + i) * self.kh + dh) * self.kw + dw
+        ((((o / TILE_CH) * self.in_ch + i) * self.kh + dh) * self.kw + dw) * TILE_CH + o % TILE_CH
     }
 
-    /// Register-blocked batched kernel for one full `LANES`-wide lane
-    /// block: `OB` output channels share every input-lane load, and the
-    /// accumulators stay in vector registers across the whole
-    /// receptive-field scan. Term order per output element matches
-    /// `Conv2d::forward` — `(i, dh, dw)` ascending with out-of-bounds
-    /// taps skipped, bias last — so results stay bit-equal.
+    /// Per-column kernel for one output position and one full
+    /// `LANES`-wide lane block: `OB` output channels (within one packed
+    /// block) share every input-lane load, and the accumulators stay in
+    /// vector registers across the whole receptive-field scan. Runs the
+    /// border columns, where taps fall off the edge, and the channels
+    /// left over after the last full tile. Term order per output element
+    /// matches `Conv2d::forward` — `(i, dh, dw)` ascending with
+    /// out-of-bounds taps skipped, bias last — so results stay bit-equal.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    fn conv_lanes<const OB: usize>(
+    fn conv_col<const OB: usize>(
         &self,
         xs: &[f32],
         os: &mut [f32],
@@ -116,47 +142,106 @@ impl FrozenConv2d {
         b: usize,
         o0: usize,
         s0: usize,
+        (oh, ow): (usize, usize),
     ) {
+        debug_assert!(o0 % TILE_CH + OB <= TILE_CH, "OB channels span one block");
         let (ph, pw) = (self.kh / 2, self.kw / 2);
-        for oh in 0..h {
-            // Valid kernel rows: ih = oh + dh − ph ∈ [0, h).
-            let dh_lo = ph.saturating_sub(oh);
-            let dh_hi = (h + ph - oh).min(self.kh);
-            for ow in 0..w {
-                // Valid kernel cols: iw = ow + dw − pw ∈ [0, w).
-                let dw_lo = pw.saturating_sub(ow);
-                let dw_hi = (w + pw - ow).min(self.kw);
-                let mut acc = [[0.0f32; LANES]; OB];
-                for i in 0..c {
-                    for dh in dh_lo..dh_hi {
-                        let ih = oh + dh - ph;
-                        for dw in dw_lo..dw_hi {
-                            let iw = ow + dw - pw;
-                            let base = ((i * h + ih) * w + iw) * b + s0;
-                            let xrow: &[f32; LANES] =
-                                xs[base..base + LANES].try_into().expect("full lane block");
-                            for (j, a) in acc.iter_mut().enumerate() {
-                                let wv = self.weight[self.widx(o0 + j, i, dh, dw)];
-                                for (av, &xv) in a.iter_mut().zip(xrow) {
-                                    *av += wv * xv;
-                                }
+        // Valid kernel rows: ih = oh + dh − ph ∈ [0, h).
+        let (dh_lo, dh_hi) = (ph.saturating_sub(oh), (h + ph - oh).min(self.kh));
+        // Valid kernel cols: iw = ow + dw − pw ∈ [0, w).
+        let (dw_lo, dw_hi) = (pw.saturating_sub(ow), (w + pw - ow).min(self.kw));
+        let mut acc = [[0.0f32; LANES]; OB];
+        for i in 0..c {
+            for dh in dh_lo..dh_hi {
+                let ih = oh + dh - ph;
+                for dw in dw_lo..dw_hi {
+                    let iw = ow + dw - pw;
+                    let base = ((i * h + ih) * w + iw) * b + s0;
+                    let xrow: &[f32; LANES] =
+                        xs[base..base + LANES].try_into().expect("full lane block");
+                    let wv = &self.weight[self.widx(o0, i, dh, dw)..][..OB];
+                    for (a, &wv) in acc.iter_mut().zip(wv) {
+                        for (av, &xv) in a.iter_mut().zip(xrow) {
+                            *av += wv * xv;
+                        }
+                    }
+                }
+            }
+        }
+        for (j, a) in acc.iter().enumerate() {
+            let bias = self.bias[o0 + j];
+            let ob = (((o0 + j) * h + oh) * w + ow) * b + s0;
+            for (ov, &av) in os[ob..ob + LANES].iter_mut().zip(a) {
+                *ov = av + bias;
+            }
+        }
+    }
+
+    /// Interior tile: `TILE_CH` output channels × `COLS` adjacent
+    /// columns × one lane block, every accumulator in a vector register.
+    /// Every tap of an interior column is in bounds, so the `dw` scan is
+    /// unconditional, each weight load is one contiguous packed row, and
+    /// adjacent columns share the input loads of overlapping taps. Term
+    /// order per output is the per-column kernel's: `(i, dh, dw)`
+    /// ascending, bias last.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn conv_tile<const COLS: usize>(
+        &self,
+        xs: &[f32],
+        os: &mut [f32],
+        (c, h, w): (usize, usize, usize),
+        b: usize,
+        o0: usize,
+        s0: usize,
+        (oh, ow): (usize, usize),
+    ) {
+        let (kw, ph, pw) = (self.kw, self.kh / 2, self.kw / 2);
+        let (dh_lo, dh_hi) = (ph.saturating_sub(oh), (h + ph - oh).min(self.kh));
+        let mut acc = [[[0.0f32; LANES]; COLS]; TILE_CH];
+        for i in 0..c {
+            for dh in dh_lo..dh_hi {
+                let ih = oh + dh - ph;
+                // The input window (kw + COLS − 1 taps) and the packed
+                // weight row of this (i, dh), sliced once so the dw loop
+                // runs without bounds checks.
+                let xbase = ((i * h + ih) * w + ow - pw) * b + s0;
+                let xwin = &xs[xbase..xbase + (kw + COLS - 2) * b + LANES];
+                let wbase = self.widx(o0, i, dh, 0);
+                let wrow = &self.weight[wbase..wbase + kw * TILE_CH];
+                for dw in 0..kw {
+                    let wv: &[f32; TILE_CH] = wrow[dw * TILE_CH..][..TILE_CH]
+                        .try_into()
+                        .expect("packed channel block");
+                    let xv: [[f32; LANES]; COLS] = std::array::from_fn(|col| {
+                        xwin[(dw + col) * b..][..LANES]
+                            .try_into()
+                            .expect("full lane block")
+                    });
+                    for (a, &wv) in acc.iter_mut().zip(wv) {
+                        for (ac, xc) in a.iter_mut().zip(&xv) {
+                            for (av, &x) in ac.iter_mut().zip(xc) {
+                                *av += wv * x;
                             }
                         }
                     }
                 }
-                for (j, a) in acc.iter().enumerate() {
-                    let bias = self.bias[o0 + j];
-                    let ob = (((o0 + j) * h + oh) * w + ow) * b + s0;
-                    for (ov, &av) in os[ob..ob + LANES].iter_mut().zip(a) {
-                        *ov = av + bias;
-                    }
+            }
+        }
+        for (j, a) in acc.iter().enumerate() {
+            let bias = self.bias[o0 + j];
+            for (col, ac) in a.iter().enumerate() {
+                let ob = (((o0 + j) * h + oh) * w + ow + col) * b + s0;
+                for (ov, &av) in os[ob..ob + LANES].iter_mut().zip(ac) {
+                    *ov = av + bias;
                 }
             }
         }
     }
 
     /// Runs the batched convolution from `xs` (shape `(c, h, w)`, `b`
-    /// interleaved lanes) into the zero-filled `os`.
+    /// interleaved lanes, a multiple of `LANES`) into `os`, overwriting
+    /// every element.
     pub(crate) fn run(
         &self,
         xs: &[f32],
@@ -165,61 +250,36 @@ impl FrozenConv2d {
         b: usize,
     ) {
         assert_eq!(c, self.in_ch, "input channel mismatch");
-        let mut s0 = 0;
-        while s0 < b {
-            let sl = LANES.min(b - s0);
-            if sl == LANES {
-                let mut o0 = 0;
-                while o0 + 4 <= self.out_ch {
-                    self.conv_lanes::<4>(xs, os, (c, h, w), b, o0, s0);
-                    o0 += 4;
-                }
-                while o0 < self.out_ch {
-                    self.conv_lanes::<1>(xs, os, (c, h, w), b, o0, s0);
-                    o0 += 1;
-                }
-            } else {
-                // Ragged trailing lanes (batch not a multiple of LANES):
-                // same term order, dynamic lane width.
-                let (ph, pw) = (self.kh / 2, self.kw / 2);
-                for o in 0..self.out_ch {
-                    let out_base = o * h * w;
-                    for i in 0..c {
-                        let in_base = i * h * w;
-                        for dh in 0..self.kh {
-                            for dw in 0..self.kw {
-                                let wv = self.weight[self.widx(o, i, dh, dw)];
-                                for oh in 0..h {
-                                    let ih = oh + dh;
-                                    if ih < ph || ih - ph >= h {
-                                        continue;
-                                    }
-                                    let ih = ih - ph;
-                                    let orow = out_base + oh * w;
-                                    let irow = in_base + ih * w;
-                                    let ow_lo = pw.saturating_sub(dw);
-                                    let ow_hi = (w + pw).saturating_sub(dw).min(w);
-                                    for ow in ow_lo..ow_hi {
-                                        let ob = (orow + ow) * b + s0;
-                                        let ib = (irow + ow + dw - pw) * b + s0;
-                                        for s in 0..sl {
-                                            os[ob + s] += wv * xs[ib + s];
-                                        }
-                                    }
-                                }
-                            }
-                        }
+        assert_eq!(b % LANES, 0, "conv runs whole lane blocks");
+        let dims = (c, h, w);
+        let pw = self.kw / 2;
+        // Interior columns: every tap of ow ∈ [lo, hi) is in bounds.
+        let lo = pw.min(w);
+        let hi = w.saturating_sub(pw).max(lo);
+        let full = self.out_ch - self.out_ch % TILE_CH;
+        for s0 in (0..b).step_by(LANES) {
+            for o0 in (0..full).step_by(TILE_CH) {
+                for oh in 0..h {
+                    for ow in (0..lo).chain(hi..w) {
+                        self.conv_col::<TILE_CH>(xs, os, dims, b, o0, s0, (oh, ow));
                     }
-                    let bias = self.bias[o];
-                    for hw in 0..h * w {
-                        let ob = (out_base + hw) * b + s0;
-                        for s in 0..sl {
-                            os[ob + s] += bias;
-                        }
+                    let mut ow = lo;
+                    while ow + TILE_COLS <= hi {
+                        self.conv_tile::<TILE_COLS>(xs, os, dims, b, o0, s0, (oh, ow));
+                        ow += TILE_COLS;
+                    }
+                    for ow in ow..hi {
+                        self.conv_tile::<1>(xs, os, dims, b, o0, s0, (oh, ow));
                     }
                 }
             }
-            s0 += sl;
+            for o0 in full..self.out_ch {
+                for oh in 0..h {
+                    for ow in 0..w {
+                        self.conv_col::<1>(xs, os, dims, b, o0, s0, (oh, ow));
+                    }
+                }
+            }
         }
     }
 }
@@ -231,9 +291,8 @@ impl InferOp for FrozenConv2d {
 
     fn apply(&self, ctx: &mut InferCtx) {
         let [c, h, w]: [usize; 3] = ctx.shape().try_into().expect("conv input must be rank 3");
-        // The accumulating ragged path needs a zero-filled output plane.
-        ctx.produce(&[self.out_ch, h, w], true, |xs, os, _, b| {
-            self.run(xs, os, (c, h, w), b);
+        ctx.produce_lane_blocks(&[self.out_ch, h, w], |xs, os, bp| {
+            self.run(xs, os, (c, h, w), bp);
         });
     }
 
@@ -426,23 +485,29 @@ mod tests {
 
     #[test]
     fn frozen_matches_forward_across_batch_sizes() {
-        let mut conv = Conv2d::new(2, 3, (1, 5), 11);
-        let model = crate::FrozenModel::from_ops(vec![conv.freeze()]);
-        for b in [1usize, 7, 16, 19, 33] {
-            let xs: Vec<Tensor> = (0..b)
-                .map(|s| {
-                    Tensor::from_vec(
-                        (0..2 * 6)
-                            .map(|e| ((e * 5 + s * 3) % 9) as f32 * 0.25 - 1.0)
-                            .collect(),
-                        vec![2, 1, 6],
-                    )
-                })
-                .collect();
-            let mut ctx = model.ctx();
-            let got = model.infer_batch(&xs, &mut ctx);
-            for (x, g) in xs.iter().zip(&got) {
-                assert_eq!(conv.forward(x, false).as_slice(), g.as_slice(), "b={b}");
+        // Per-column kernel only (3 channels, no full tile); then a 2-D
+        // kernel with two full channel tiles plus a leftover channel,
+        // whose tile rows clip at the top and bottom and whose 10
+        // interior columns are three 3-column tiles plus a remainder.
+        for (in_ch, out_ch, k, (h, w)) in [(2, 3, (1, 5), (1, 6)), (2, 9, (3, 5), (3, 14))] {
+            let mut conv = Conv2d::new(in_ch, out_ch, k, 11);
+            let model = crate::FrozenModel::from_ops(vec![conv.freeze()]);
+            for b in [1usize, 7, 16, 19, 33] {
+                let xs: Vec<Tensor> = (0..b)
+                    .map(|s| {
+                        Tensor::from_vec(
+                            (0..in_ch * h * w)
+                                .map(|e| ((e * 5 + s * 3) % 9) as f32 * 0.25 - 1.0)
+                                .collect(),
+                            vec![in_ch, h, w],
+                        )
+                    })
+                    .collect();
+                let mut ctx = model.ctx();
+                let got = model.infer_batch(&xs, &mut ctx);
+                for (x, g) in xs.iter().zip(&got) {
+                    assert_eq!(conv.forward(x, false).as_slice(), g.as_slice(), "b={b}");
+                }
             }
         }
     }

@@ -1,6 +1,6 @@
 //! Fully-connected layer.
 
-use crate::frozen::{InferCtx, InferOp};
+use crate::frozen::{InferCtx, InferOp, LANES};
 use crate::init::lecun_normal;
 use crate::layer::{Layer, ParamView};
 use crate::quant::ops::{dense_out_shape, Int8Dense};
@@ -51,10 +51,6 @@ impl Dense {
         self.out_dim
     }
 }
-
-/// SIMD lane-block width of the batched dense kernel (one full AVX-512
-/// vector of `f32`; narrower ISAs just use two or four registers).
-const LANES: usize = 16;
 
 /// Computes `OB` output rows × `LANES` batch lanes of `y = W x + b` with
 /// all accumulators in registers: the constant trip counts let the
@@ -107,39 +103,20 @@ impl FrozenDense {
     /// accumulators stay in vector registers across the whole k loop and
     /// OB output rows share each input-lane load. Accumulation order per
     /// output matches `Dense::forward` — bias, then inputs in ascending
-    /// order — so results stay bit-equal.
+    /// order — so results stay bit-equal. `b` is a multiple of `LANES`
+    /// (the context stages ragged batches).
     fn run(&self, xs: &[f32], os: &mut [f32], b: usize) {
         let (in_dim, out_dim) = (self.in_dim, self.out_dim);
-        let mut s0 = 0;
-        while s0 < b {
-            let sl = LANES.min(b - s0);
-            if sl == LANES {
-                let mut o0 = 0;
-                while o0 + 8 <= out_dim {
-                    lane_kernel::<8>(&self.weight, &self.bias, xs, os, in_dim, b, o0, s0);
-                    o0 += 8;
-                }
-                while o0 < out_dim {
-                    lane_kernel::<1>(&self.weight, &self.bias, xs, os, in_dim, b, o0, s0);
-                    o0 += 1;
-                }
-            } else {
-                // Ragged trailing lanes (batch not a multiple of LANES).
-                for o in 0..out_dim {
-                    let row = &self.weight[o * in_dim..(o + 1) * in_dim];
-                    let mut acc = [0.0f32; LANES];
-                    acc[..sl].fill(self.bias[o]);
-                    for (k, &wv) in row.iter().enumerate() {
-                        let xrow = &xs[k * b + s0..k * b + s0 + sl];
-                        for (av, &xv) in acc[..sl].iter_mut().zip(xrow) {
-                            *av += wv * xv;
-                        }
-                    }
-                    let ob = o * b + s0;
-                    os[ob..ob + sl].copy_from_slice(&acc[..sl]);
-                }
+        for s0 in (0..b).step_by(LANES) {
+            let mut o0 = 0;
+            while o0 + 8 <= out_dim {
+                lane_kernel::<8>(&self.weight, &self.bias, xs, os, in_dim, b, o0, s0);
+                o0 += 8;
             }
-            s0 += sl;
+            while o0 < out_dim {
+                lane_kernel::<1>(&self.weight, &self.bias, xs, os, in_dim, b, o0, s0);
+                o0 += 1;
+            }
         }
     }
 }
@@ -151,11 +128,7 @@ impl InferOp for FrozenDense {
 
     fn apply(&self, ctx: &mut InferCtx) {
         assert_eq!(ctx.elems(), self.in_dim, "dense input length mismatch");
-        // Both kernel paths fully overwrite the output plane — no
-        // zero-fill needed.
-        ctx.produce(&[self.out_dim], false, |xs, os, _, b| {
-            self.run(xs, os, b);
-        });
+        ctx.produce_lane_blocks(&[self.out_dim], |xs, os, bp| self.run(xs, os, bp));
     }
 
     fn out_shape(&self, in_shape: &[usize]) -> Result<Vec<usize>, String> {

@@ -51,26 +51,26 @@ impl InferOp for FrozenMaxPool2d {
         let ow = w / self.kw;
         assert!(oh > 0 && ow > 0, "input smaller than pooling kernel");
         let (kh, kw) = (self.kh, self.kw);
-        // Every output lane row is seeded by copy before the max scan —
-        // no zero-fill needed.
-        ctx.produce(&[c, oh, ow], false, |xs, os, _, b| {
+        // Every output lane row is seeded with the window's first tap,
+        // then each later tap folds in as a select over whole lane rows
+        // (bounds-check free, so it vectorizes).
+        ctx.produce(&[c, oh, ow], |xs, os, _, b| {
             for ci in 0..c {
                 for hi in 0..oh {
                     for wi in 0..ow {
-                        let first = (ci * h + hi * kh) * w + wi * kw;
+                        let tap = |dh: usize, dw: usize| {
+                            let idx = (ci * h + hi * kh + dh) * w + wi * kw + dw;
+                            &xs[idx * b..(idx + 1) * b]
+                        };
                         let obase = ((ci * oh + hi) * ow + wi) * b;
-                        os[obase..obase + b].copy_from_slice(&xs[first * b..(first + 1) * b]);
-                        for dh in 0..kh {
-                            for dw in 0..kw {
-                                let idx = (ci * h + hi * kh + dh) * w + wi * kw + dw;
-                                let ibase = idx * b;
-                                for s in 0..b {
-                                    // Strict `>` keeps the first maximum,
-                                    // like `forward`.
-                                    if xs[ibase + s] > os[obase + s] {
-                                        os[obase + s] = xs[ibase + s];
-                                    }
-                                }
+                        let orow = &mut os[obase..obase + b];
+                        orow.copy_from_slice(tap(0, 0));
+                        let taps = (0..kh).flat_map(|dh| (0..kw).map(move |dw| (dh, dw)));
+                        for (dh, dw) in taps.skip(1) {
+                            for (o, &x) in orow.iter_mut().zip(tap(dh, dw)) {
+                                // Strict `>` keeps the first maximum,
+                                // like `forward`.
+                                *o = if x > *o { x } else { *o };
                             }
                         }
                     }
@@ -224,6 +224,30 @@ mod tests {
         for (x, g) in xs.iter().zip(&got) {
             assert_eq!(pool.forward(x, false).as_slice(), g.as_slice());
         }
+    }
+
+    #[test]
+    fn frozen_keeps_the_first_of_tied_signed_zeros() {
+        // +0 and −0 compare equal, so only the strict `>` of both paths
+        // decides which sign survives a tie: the first tap's.
+        let mut pool = MaxPool2d::new((1, 2));
+        let model = crate::FrozenModel::from_ops(vec![pool.freeze()]);
+        let x = Tensor::from_vec(vec![0.0, -0.0, -0.0, 0.0], vec![1, 1, 4]);
+        let mut ctx = model.ctx();
+        let got: Vec<u32> = model
+            .infer(&x, &mut ctx)
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let want: Vec<u32> = pool
+            .forward(&x, false)
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(got, vec![0.0f32.to_bits(), (-0.0f32).to_bits()]);
     }
 
     #[test]

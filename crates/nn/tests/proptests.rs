@@ -191,6 +191,13 @@ proptest! {
     /// `InferPool` lane split (1, 2 or 4 lanes) must never change a
     /// single bit — a serving verdict can never depend on
     /// `infer_threads`.
+    ///
+    /// The convs reach every frozen conv path: the 4-channel × 3-column
+    /// register tile, its 1-column remainder (interior column counts 20,
+    /// 10 and 8 are not multiples of 3), the per-column kernel on the
+    /// border columns and on leftover channels (6 = 4 + 2, and the
+    /// attention block's 1), and lane-block staging of every ragged
+    /// batch.
     #[test]
     fn frozen_infer_batch_is_bit_exact_across_batches_and_threads(
         // Up to 69 samples: enough full 16-wide lane blocks that 4
@@ -204,9 +211,11 @@ proptest! {
         net.push(MaxPool2d::new((1, 2)));
         net.push(Conv2d::new(6, 4, (1, 3), 42));
         net.push(Selu::new());
+        net.push(Conv2d::new(4, 8, (1, 5), 47));
+        net.push(Selu::new());
         net.push(SpatialAttention::new(3, 43));
         net.push(Flatten::new());
-        net.push(Dense::new(4 * 12, 10, 44));
+        net.push(Dense::new(8 * 12, 10, 44));
         net.push(Selu::new());
         net.push(AlphaDropout::new(0.4, 45)); // identity when frozen
         net.push(Dense::new(10, 5, 46));
@@ -235,9 +244,6 @@ proptest! {
         }
     }
 
-    /// The polynomial `exp` both the forward and frozen paths share must
-    /// stay within a small ULP budget of `f32::exp` everywhere in the
-    /// normal-result range.
     /// Degenerate splits — more lanes than the batch has lane blocks, a
     /// batch of 1, lane counts that do not divide the batch — must
     /// never produce an empty partition (every sample classified
@@ -284,6 +290,9 @@ proptest! {
         }
     }
 
+    /// The polynomial `exp` both the forward and frozen paths share must
+    /// stay within a small ULP budget of `f32::exp` everywhere in the
+    /// normal-result range.
     #[test]
     fn poly_exp_stays_within_ulp_budget(x in -87.0f32..88.0) {
         let got = poly_exp(x);
