@@ -120,7 +120,7 @@ pub fn engine_reports_per_sec_threads(
 
 /// End-to-end engine throughput under an arbitrary [`EngineConfig`] —
 /// the `obs_bench` overhead sweep varies only the observability fields
-/// (`stage_timing`, `trace`, `profile`) against a fixed serving setup.
+/// (`trace`, `profile`) against a fixed serving setup.
 pub fn engine_reports_per_sec_cfg(ds: &Dataset, cfg: EngineConfig, repeat: usize) -> f64 {
     engine_reports_per_sec_observed(ds, cfg, repeat, |_| (), |()| ())
 }

@@ -12,8 +12,8 @@
 //!   begin/duration events into a lock-free per-thread ring buffer,
 //!   behind an atomic [`TraceConfig::sample_every`] gate so the hot path
 //!   pays an increment-and-compare when a batch is *not* sampled.
-//!   Flushed events go to a [`TraceSink`]; the built-in collector
-//!   renders them as Chrome `trace_event` JSON
+//!   Flushed events collect in the [`Tracer`], which drains them for
+//!   rendering as Chrome `trace_event` JSON
 //!   ([`write_chrome_trace`]) that `chrome://tracing` / Perfetto load
 //!   directly, and [`parse_chrome_trace`] reads back (the round-trip is
 //!   CI-checked).
@@ -71,4 +71,4 @@ pub use metrics::{HistogramSnapshot, Metric, MetricValue, MetricsRegistry};
 pub use profile::{format_op_table, merge_op_stats, OpStat, Profiler};
 pub use prom::{parse_prometheus, PromSample};
 pub use slo::{HealthReport, HealthState, RuleStatus, SloBreach, SloConfig, SloMonitor, SloSample};
-pub use span::{SpanEvent, ThreadTracer, TraceConfig, TraceSink, Tracer};
+pub use span::{SpanEvent, ThreadTracer, TraceConfig, Tracer};

@@ -1,5 +1,5 @@
 //! Span tracing: a sampling gate, lock-free per-thread ring buffers of
-//! completed spans, and a pluggable flush sink.
+//! completed spans, and one shared collector they flush into.
 //!
 //! The design splits hot from cold:
 //!
@@ -9,15 +9,14 @@
 //!   `fetch_add` on a shared counter. A thread that decides a batch is
 //!   not sampled records nothing at all.
 //! * The **cold path** is [`ThreadTracer::flush`] (also run on drop):
-//!   the ring's events are handed to the [`TraceSink`] in arrival
-//!   order. The built-in collector sink appends to a mutex-guarded
-//!   vector that [`Tracer::drain`] empties — the mutex is only ever
-//!   taken at flush/drain time, never per span.
+//!   the ring's events are appended, in arrival order, to the tracer's
+//!   mutex-guarded collector that [`Tracer::drain`] empties — the
+//!   mutex is only ever taken at flush/drain time, never per span.
 //!
-//! Rings are bounded ([`TraceConfig::ring_capacity`] events per
-//! thread); when a ring wraps, the oldest span is overwritten and
-//! counted in [`Tracer::dropped`] — tracing degrades by forgetting
-//! history, never by blocking the pipeline.
+//! Rings are bounded (4 096 spans per thread); when a ring wraps, the
+//! oldest span is overwritten and counted in [`Tracer::dropped`] —
+//! tracing degrades by forgetting history, never by blocking the
+//! pipeline.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -37,31 +36,6 @@ pub struct SpanEvent {
     pub dur_ns: u64,
 }
 
-/// Receives flushed span batches (a file streamer, a test collector …).
-///
-/// `consume` is called from whichever thread flushes — at ring-flush
-/// granularity, not per span — so a sink may take a lock without
-/// touching the tracing hot path.
-pub trait TraceSink: Send + Sync {
-    /// Accepts one flushed batch of spans, in ring (arrival) order.
-    fn consume(&self, events: &[SpanEvent]);
-}
-
-/// The built-in collector: accumulates everything for [`Tracer::drain`].
-#[derive(Debug, Default)]
-struct CollectorSink {
-    events: Mutex<Vec<SpanEvent>>,
-}
-
-impl TraceSink for CollectorSink {
-    fn consume(&self, events: &[SpanEvent]) {
-        self.events
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .extend_from_slice(events);
-    }
-}
-
 /// Tracing knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceConfig {
@@ -73,8 +47,6 @@ pub struct TraceConfig {
     /// unit — the engine samples per micro-batch). `0` and `1` both
     /// mean "every one".
     pub sample_every: u32,
-    /// Ring capacity, in spans, per [`ThreadTracer`].
-    pub ring_capacity: usize,
 }
 
 impl Default for TraceConfig {
@@ -83,7 +55,6 @@ impl Default for TraceConfig {
         TraceConfig {
             enabled: false,
             sample_every: DEFAULT_SAMPLE_EVERY,
-            ring_capacity: DEFAULT_RING_CAPACITY,
         }
     }
 }
@@ -91,8 +62,8 @@ impl Default for TraceConfig {
 /// The default 1-in-N sampling rate ([`TraceConfig::sampled`]).
 pub const DEFAULT_SAMPLE_EVERY: u32 = 8;
 
-/// The default per-thread ring capacity, in spans.
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
+/// Ring capacity, in spans, per [`ThreadTracer`].
+const RING_CAPACITY: usize = 4096;
 
 impl TraceConfig {
     /// Enabled at the default 1-in-8 sampling rate (the "default
@@ -110,7 +81,6 @@ impl TraceConfig {
         TraceConfig {
             enabled: true,
             sample_every: 1,
-            ..TraceConfig::default()
         }
     }
 }
@@ -121,12 +91,24 @@ struct Shared {
     tick: AtomicU64,
     next_tid: AtomicU32,
     dropped: AtomicU64,
-    collector: Arc<CollectorSink>,
-    sink: Arc<dyn TraceSink>,
+    /// Every flushed span, until [`Tracer::drain`] takes them.
+    collected: Mutex<Vec<SpanEvent>>,
+}
+
+impl Shared {
+    fn sample(&self) -> bool {
+        if !self.cfg.enabled {
+            return false;
+        }
+        let every = self.cfg.sample_every.max(1) as u64;
+        self.tick
+            .fetch_add(1, Ordering::Relaxed)
+            .is_multiple_of(every)
+    }
 }
 
 /// The shared half of the tracer: configuration, the sampling gate and
-/// the flush sink. Clone it freely — clones share everything.
+/// the span collector. Clone it freely — clones share everything.
 #[derive(Clone)]
 pub struct Tracer {
     shared: Arc<Shared>,
@@ -148,10 +130,8 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// A tracer collecting into the built-in sink (see
-    /// [`Tracer::drain`]).
+    /// A tracer collecting every flushed span (see [`Tracer::drain`]).
     pub fn new(cfg: TraceConfig) -> Tracer {
-        let collector = Arc::new(CollectorSink::default());
         Tracer {
             shared: Arc::new(Shared {
                 cfg,
@@ -159,25 +139,7 @@ impl Tracer {
                 tick: AtomicU64::new(0),
                 next_tid: AtomicU32::new(0),
                 dropped: AtomicU64::new(0),
-                sink: Arc::<CollectorSink>::clone(&collector),
-                collector,
-            }),
-        }
-    }
-
-    /// A tracer flushing to a custom [`TraceSink`] instead of the
-    /// built-in collector ([`Tracer::drain`] then always answers empty).
-    pub fn with_sink(cfg: TraceConfig, sink: Arc<dyn TraceSink>) -> Tracer {
-        let collector = Arc::new(CollectorSink::default());
-        Tracer {
-            shared: Arc::new(Shared {
-                cfg,
-                epoch: Instant::now(),
-                tick: AtomicU64::new(0),
-                next_tid: AtomicU32::new(0),
-                dropped: AtomicU64::new(0),
-                sink,
-                collector,
+                collected: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -204,14 +166,7 @@ impl Tracer {
     /// `false` — that makes the per-unit cost of an unsampled batch one
     /// relaxed `fetch_add`.
     pub fn sample(&self) -> bool {
-        if !self.shared.cfg.enabled {
-            return false;
-        }
-        let every = self.shared.cfg.sample_every.max(1) as u64;
-        self.shared
-            .tick
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(every)
+        self.shared.sample()
     }
 
     /// The instant all span timestamps are relative to.
@@ -235,15 +190,14 @@ impl Tracer {
         self.shared.dropped.load(Ordering::Relaxed)
     }
 
-    /// Empties the built-in collector, returning every flushed span
-    /// sorted by start time. Flush the [`ThreadTracer`]s first (worker
-    /// tracers flush on drop).
+    /// Empties the collector, returning every flushed span sorted by
+    /// start time. Flush the [`ThreadTracer`]s first (worker tracers
+    /// flush on drop).
     pub fn drain(&self) -> Vec<SpanEvent> {
         let mut events = std::mem::take(
             &mut *self
                 .shared
-                .collector
-                .events
+                .collected
                 .lock()
                 .unwrap_or_else(|p| p.into_inner()),
         );
@@ -281,14 +235,7 @@ impl ThreadTracer {
 
     /// Delegates to [`Tracer::sample`] (same shared gate).
     pub fn sample(&self) -> bool {
-        if !self.shared.cfg.enabled {
-            return false;
-        }
-        let every = self.shared.cfg.sample_every.max(1) as u64;
-        self.shared
-            .tick
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(every)
+        self.shared.sample()
     }
 
     /// `true` when tracing is on at all.
@@ -315,22 +262,21 @@ impl ThreadTracer {
                 .as_nanos() as u64,
             dur_ns: end.saturating_duration_since(start).as_nanos() as u64,
         };
-        let cap = self.shared.cfg.ring_capacity.max(1);
-        if self.ring.len() < cap {
+        if self.ring.len() < RING_CAPACITY {
             self.ring.push(event);
-            self.next = self.ring.len() % cap;
-            self.filled = self.next == 0 && self.ring.len() == cap;
+            self.next = self.ring.len() % RING_CAPACITY;
+            self.filled = self.next == 0;
         } else {
             // Wrapped: overwrite the oldest slot, account the loss.
             self.ring[self.next] = event;
-            self.next = (self.next + 1) % cap;
+            self.next = (self.next + 1) % RING_CAPACITY;
             self.filled = true;
             self.shared.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Hands the buffered spans (oldest first) to the sink and empties
-    /// the ring. Also runs on drop.
+    /// Appends the buffered spans (oldest first) to the tracer's
+    /// collector and empties the ring. Also runs on drop.
     pub fn flush(&mut self) {
         if self.ring.is_empty() {
             return;
@@ -339,7 +285,11 @@ impl ThreadTracer {
             // Ring wrapped: re-linearize to oldest-first before flushing.
             self.ring.rotate_left(self.next);
         }
-        self.shared.sink.consume(&self.ring);
+        self.shared
+            .collected
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .extend_from_slice(&self.ring);
         self.ring.clear();
         self.next = 0;
         self.filled = false;
@@ -389,22 +339,18 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
-        let cfg = TraceConfig {
-            enabled: true,
-            sample_every: 1,
-            ring_capacity: 4,
-        };
-        let tracer = Tracer::new(cfg);
+        let tracer = Tracer::new(TraceConfig::always());
         let mut t = tracer.thread();
-        for i in 0..10u64 {
+        let total = RING_CAPACITY as u64 + 6;
+        for i in 0..total {
             t.record("s", at(&tracer, i * 10), at(&tracer, i * 10 + 5));
         }
         t.flush();
         let events = tracer.drain();
-        // Only the newest 4 survive, oldest-first.
-        assert_eq!(events.len(), 4);
+        // Only the newest RING_CAPACITY survive, oldest-first.
+        assert_eq!(events.len(), RING_CAPACITY);
         assert_eq!(events[0].start_ns, 60);
-        assert_eq!(events[3].start_ns, 90);
+        assert_eq!(events[RING_CAPACITY - 1].start_ns, (total - 1) * 10);
         assert_eq!(tracer.dropped(), 6);
     }
 
@@ -413,7 +359,6 @@ mod tests {
         let cfg = TraceConfig {
             enabled: true,
             sample_every: 4,
-            ring_capacity: 64,
         };
         let tracer = Tracer::new(cfg);
         let hits = (0..100).filter(|_| tracer.sample()).count();
@@ -426,23 +371,5 @@ mod tests {
         let a = tracer.thread();
         let b = tracer.thread();
         assert_ne!(a.tid(), b.tid());
-    }
-
-    #[test]
-    fn custom_sink_receives_flushes() {
-        #[derive(Default)]
-        struct Count(AtomicU64);
-        impl TraceSink for Count {
-            fn consume(&self, events: &[SpanEvent]) {
-                self.0.fetch_add(events.len() as u64, Ordering::Relaxed);
-            }
-        }
-        let sink = Arc::new(Count::default());
-        let tracer = Tracer::with_sink(TraceConfig::always(), Arc::<Count>::clone(&sink));
-        let mut t = tracer.thread();
-        t.record("x", at(&tracer, 0), at(&tracer, 1));
-        drop(t); // drop flushes
-        assert_eq!(sink.0.load(Ordering::Relaxed), 1);
-        assert!(tracer.drain().is_empty(), "custom sink bypasses drain");
     }
 }

@@ -56,8 +56,8 @@
 //!   shutdown — point a node-exporter textfile collector (or a test's
 //!   `obs-check --prom`) at it.
 //! * `--metrics-json PATH` appends one flat JSON object per interval to
-//!   a JSONL file, including interval rates computed via
-//!   `EngineStats::delta` (`*_per_sec` fields).
+//!   a JSONL file, including `deepcsi_interval_seconds` and interval
+//!   rates computed from consecutive snapshots (`*_per_sec` fields).
 //! * `--trace-file PATH` enables span tracing and writes a Chrome
 //!   `trace_event` JSON at shutdown — load it in `chrome://tracing` or
 //!   Perfetto. `--trace-sample N` records one micro-batch in `N`

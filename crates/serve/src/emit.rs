@@ -36,28 +36,10 @@ pub fn emit_metrics(
     json_path: Option<&str>,
 ) -> EngineStats {
     let now = telemetry.snapshot();
-    let delta = now.delta(prev);
     let mut reg = telemetry.metrics();
-    reg.gauge(
-        "deepcsi_interval_seconds",
-        "wall seconds covered by this interval's rate gauges",
-        delta.wall.as_secs_f64(),
-    );
-    reg.gauge(
-        "deepcsi_ingested_per_sec",
-        "frames ingested per second over the last interval",
-        delta.ingested_per_sec(),
-    );
-    reg.gauge(
-        "deepcsi_classified_per_sec",
-        "reports classified per second over the last interval",
-        delta.classified_per_sec(),
-    );
-    reg.gauge(
-        "deepcsi_dropped_per_sec",
-        "reports dropped per second over the last interval",
-        delta.dropped_per_sec(),
-    );
+    for (name, help, value) in interval_gauges(prev, &now) {
+        reg.gauge(name, help, value);
+    }
     if let Some(path) = prom_path {
         std::fs::write(path, reg.to_prometheus())
             .unwrap_or_else(|e| panic!("writing metrics file {path}: {e}"));
@@ -73,6 +55,50 @@ pub fn emit_metrics(
             .unwrap_or_else(|e| panic!("appending metrics JSONL {path}: {e}"));
     }
     now
+}
+
+/// The interval gauges between two snapshots: the interval's width and
+/// three per-second rates. Counter differences saturate at zero, so a
+/// reversed pair (or one taken across an engine restart) reads 0
+/// instead of underflowing, and so does a zero-width interval.
+fn interval_gauges(
+    prev: &EngineStats,
+    now: &EngineStats,
+) -> [(&'static str, &'static str, f64); 4] {
+    let secs = now
+        .captured_at
+        .saturating_duration_since(prev.captured_at)
+        .as_secs_f64();
+    let per_sec = |count: fn(&EngineStats) -> u64| {
+        let n = count(now).saturating_sub(count(prev));
+        if secs > 0.0 {
+            n as f64 / secs
+        } else {
+            0.0
+        }
+    };
+    [
+        (
+            "deepcsi_interval_seconds",
+            "wall seconds covered by this interval's rate gauges",
+            secs,
+        ),
+        (
+            "deepcsi_ingested_per_sec",
+            "frames ingested per second over the last interval",
+            per_sec(|s| s.ingested),
+        ),
+        (
+            "deepcsi_classified_per_sec",
+            "reports classified per second over the last interval",
+            per_sec(|s| s.classified),
+        ),
+        (
+            "deepcsi_dropped_per_sec",
+            "reports dropped per second over the last interval",
+            per_sec(|s| s.dropped),
+        ),
+    ]
 }
 
 /// Periodic metrics publisher: a thread that calls [`emit_metrics`]
@@ -170,11 +196,52 @@ mod tests {
             v.get("deepcsi_ingested_total").unwrap().as_f64(),
             Some(42.0)
         );
+        for gauge in [
+            "deepcsi_interval_seconds",
+            "deepcsi_ingested_per_sec",
+            "deepcsi_classified_per_sec",
+            "deepcsi_dropped_per_sec",
+        ] {
+            assert!(v.get(gauge).is_some(), "JSONL line lacks {gauge}");
+        }
         let text = std::fs::read_to_string(&prom).expect("stop() must rewrite the prom file");
         assert!(text.contains("deepcsi_ingested_total 42"));
         assert!(deepcsi_obs::parse_prometheus(&text).is_ok());
 
         std::fs::remove_file(&json).ok();
         std::fs::remove_file(&prom).ok();
+    }
+
+    #[test]
+    fn interval_gauges_are_saturating_rates() {
+        let t = Telemetry::default();
+        t.ingested.store(100, Ordering::Relaxed);
+        t.record_batch(50, Duration::from_micros(10));
+        let a = t.snapshot();
+        t.ingested.store(300, Ordering::Relaxed);
+        t.record_batch(150, Duration::from_micros(10));
+        std::thread::sleep(Duration::from_millis(5));
+        let b = t.snapshot();
+
+        let [(_, _, secs), (_, _, ingested), (_, _, classified), (_, _, dropped)] =
+            interval_gauges(&a, &b);
+        assert!(secs >= 0.005, "interval {secs} s");
+        // Rate × width recovers the interval counts.
+        assert!((ingested * secs - 200.0).abs() < 1e-6, "{ingested}/s");
+        assert!((classified * secs - 150.0).abs() < 1e-6, "{classified}/s");
+        assert_eq!(dropped, 0.0);
+
+        // A reversed pair saturates to zeros rather than underflowing.
+        for (name, _, value) in interval_gauges(&b, &a) {
+            assert_eq!(value, 0.0, "reversed pair: {name}");
+        }
+        // A zero-width interval reads 0 even though counters moved.
+        let same_instant = EngineStats {
+            captured_at: a.captured_at,
+            ..b.clone()
+        };
+        for (name, _, value) in interval_gauges(&a, &same_instant) {
+            assert_eq!(value, 0.0, "zero-width interval: {name}");
+        }
     }
 }

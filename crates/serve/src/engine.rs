@@ -46,7 +46,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -151,11 +151,6 @@ pub struct EngineConfig {
     /// [`EngineReport::layer_profile`]. Observation-only — verdicts are
     /// bit-identical either way.
     pub profile: bool,
-    /// When `true` (the default), the engine timestamps each pipeline
-    /// stage into [`Telemetry::stages`]. Costs a few `Instant::now`
-    /// calls per report/batch; turn off to measure (or serve at) the
-    /// bare-engine baseline.
-    pub stage_timing: bool,
     /// When `Some`, every decided verdict appends one structured
     /// [`deepcsi_obs::AuditEvent`] to a bounded in-memory ring (read it
     /// via [`Engine::audit_handle`], served live at `/audit/tail`) and,
@@ -178,7 +173,6 @@ impl Default for EngineConfig {
             decision: DecisionPolicyConfig::default(),
             trace: TraceConfig::default(),
             profile: false,
-            stage_timing: true,
             audit: None,
         }
     }
@@ -257,12 +251,10 @@ pub struct EngineReport {
 }
 
 /// A report on a shard queue, stamped with its enqueue instant so the
-/// dequeuing worker can attribute queue-wait time (`None` when both
-/// stage timing and tracing are off — the fully-dark path takes no
-/// timestamps at all).
+/// dequeuing worker can attribute queue-wait time.
 struct Queued {
     report: CapturedReport,
-    enqueued_at: Option<Instant>,
+    enqueued_at: Instant,
 }
 
 struct DeviceState {
@@ -339,6 +331,8 @@ const REWARM_RING: usize = 1024;
 #[derive(Default)]
 struct Shard {
     devices: HashMap<MacAddr, DeviceState>,
+    /// Device-state cap for this shard (`None` = unbounded).
+    cap: Option<usize>,
     /// Monotonic per-shard report counter (the LRU clock).
     clock: u64,
     /// Touch history, oldest first; stale entries are skipped on pop
@@ -352,6 +346,39 @@ struct Shard {
 }
 
 impl Shard {
+    /// Installs `state` for `mac` and touches it. A MAC not yet in the
+    /// map is a new stream: under a cap, make room first, note whether
+    /// it is an evicted stream returning (a re-warm: its evidence
+    /// rebuilds from scratch), and count it in `device_states` — the
+    /// gauge long soaks watch, bounded by the cap when one is set. A MAC
+    /// already present has its state replaced.
+    fn admit(
+        &mut self,
+        mac: MacAddr,
+        state: Box<dyn PolicyState>,
+        decided_at: Option<u64>,
+        telemetry: &Telemetry,
+    ) {
+        if !self.devices.contains_key(&mac) {
+            if let Some(cap) = self.cap {
+                while self.devices.len() >= cap && self.evict_one(telemetry) {}
+            }
+            if self.forget_eviction(mac) {
+                telemetry.devices_rewarmed.fetch_add(1, Ordering::Relaxed);
+            }
+            telemetry.device_states.fetch_add(1, Ordering::Relaxed);
+        }
+        self.devices.insert(
+            mac,
+            DeviceState {
+                state,
+                decided_at,
+                touch: 0,
+            },
+        );
+        self.touch(mac);
+    }
+
     /// Evicts the least-recently-seen device. Returns `false` when the
     /// map was empty (nothing to evict).
     fn evict_one(&mut self, telemetry: &Telemetry) -> bool {
@@ -456,8 +483,6 @@ pub struct Engine {
     /// The decision policy (each worker holds a copy) — kept on the
     /// engine so [`Engine::restore`] can rebuild device states.
     policy: DecisionPolicy,
-    /// Per-shard device-state cap (`None` = unbounded).
-    device_cap: Option<usize>,
 }
 
 /// A cloneable live view of the engine's per-layer inference profile
@@ -544,15 +569,20 @@ impl Engine {
         // One shared wall-clock anchor: every worker stamps audit events
         // against the same last-known-good epoch reference.
         let clock = WallClock::new();
-        let state: Vec<ShardState> = (0..cfg.workers)
-            .map(|_| Arc::new(Mutex::new(Shard::default())))
-            .collect();
         // The global cap splits evenly across shards (rounded up, so a
         // cap of 10 over 4 workers bounds each shard at 3). Zero means
         // "at most one state per shard" — a cap, not a kill switch.
-        let device_cap = cfg
+        let cap = cfg
             .max_device_states
             .map(|m| m.div_ceil(cfg.workers).max(1));
+        let state: Vec<ShardState> = (0..cfg.workers)
+            .map(|_| {
+                Arc::new(Mutex::new(Shard {
+                    cap,
+                    ..Shard::default()
+                }))
+            })
+            .collect();
         let registry = Arc::new(registry);
         let in_flight = Arc::new(InFlight::default());
         let tracer = Tracer::new(cfg.trace.clone());
@@ -568,14 +598,6 @@ impl Engine {
             };
             Arc::new(log)
         });
-        // Pin the accepted tensor shape when the model recorded one.
-        // Without a recorded shape the engine never learns shapes from
-        // traffic (each micro-batch group stands on its own), so crafted
-        // frames cannot pin a shape that starves legitimate reports.
-        let expected_shape: Arc<OnceLock<Vec<usize>>> = Arc::new(OnceLock::new());
-        if let Some((c, h, w)) = auth.input_shape() {
-            let _ = expected_shape.set(vec![c, h, w]);
-        }
         let mut senders = Vec::with_capacity(cfg.workers);
         let mut workers = Vec::with_capacity(cfg.workers);
         for (shard, shard_state) in state.iter().enumerate() {
@@ -588,15 +610,13 @@ impl Engine {
                 telemetry: Arc::clone(&telemetry),
                 state: Arc::clone(shard_state),
                 in_flight: Arc::clone(&in_flight),
-                expected_shape: Arc::clone(&expected_shape),
+                expected_shape: auth.input_shape(),
                 policy,
                 registry: Arc::clone(&registry),
-                device_cap,
                 max_batch: cfg.max_batch,
                 infer_threads: cfg.infer_threads,
                 clock,
                 tracer: tracer.clone(),
-                stage_timing: cfg.stage_timing,
                 profile_enabled: cfg.profile,
                 profile: Arc::clone(&profile),
                 audit: audit.clone(),
@@ -622,33 +642,24 @@ impl Engine {
             profile,
             audit,
             policy,
-            device_cap,
         }
     }
 
     /// Parses one captured frame and routes it to its shard.
     pub fn ingest_frame(&self, bytes: &[u8]) -> IngestOutcome {
         self.telemetry.ingested.fetch_add(1, Ordering::Relaxed);
-        // Stage timing and span sampling are both resolved before the
-        // parse so the decode measurement covers exactly the codec.
-        let sampled = self.tracer.enabled() && self.tracer.sample();
-        let t0 = if self.cfg.stage_timing || sampled {
-            Some(Instant::now())
-        } else {
-            None
-        };
+        // Span sampling is resolved before the parse so the decode
+        // measurement covers exactly the codec.
+        let sampled = self.tracer.sample();
+        let t0 = Instant::now();
         let parsed = BeamformingReportFrame::parse(bytes);
-        if let Some(t0) = t0 {
-            let end = Instant::now();
-            if self.cfg.stage_timing {
-                self.telemetry.record_stage(Stage::Decode, end - t0);
-            }
-            if sampled {
-                self.ingest_spans
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .record(Stage::Decode.name(), t0, end);
-            }
+        let end = Instant::now();
+        self.telemetry.record_stage(Stage::Decode, end - t0);
+        if sampled {
+            self.ingest_spans
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .record(Stage::Decode.name(), t0, end);
         }
         match parsed {
             Ok(frame) => {
@@ -699,25 +710,12 @@ impl Engine {
         outcome
     }
 
-    /// Routes an already-parsed report to its shard (bypasses the codec;
-    /// `ingested` still counts it).
-    pub fn ingest_report(&self, report: CapturedReport) -> IngestOutcome {
-        self.telemetry.ingested.fetch_add(1, Ordering::Relaxed);
-        self.route(report)
-    }
-
     fn route(&self, report: CapturedReport) -> IngestOutcome {
         let shard = shard_of(report.source, self.senders.len());
         self.in_flight.add(1);
         let queued = Queued {
             report,
-            // Tracing also needs the stamp (for queue-wait spans), so
-            // only the fully-dark configuration skips the clock read.
-            enqueued_at: if self.cfg.stage_timing || self.tracer.enabled() {
-                Some(Instant::now())
-            } else {
-                None
-            },
+            enqueued_at: Instant::now(),
         };
         let outcome = match self.cfg.backpressure {
             Backpressure::Block => match self.senders[shard].send(queued) {
@@ -762,12 +760,6 @@ impl Engine {
     /// [`Telemetry::metrics`] on its own thread while the engine runs.
     pub fn telemetry_handle(&self) -> Arc<Telemetry> {
         Arc::clone(&self.telemetry)
-    }
-
-    /// The engine's span tracer (disabled unless
-    /// [`EngineConfig::trace`] enabled it).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// A shared handle to the per-verdict audit trail (`None` unless
@@ -872,32 +864,10 @@ impl Engine {
             let Some(state) = self.policy.restore_state(&dev.policy) else {
                 continue;
             };
-            let shard = &self.state[shard_of(dev.mac, self.state.len())];
-            let mut guard = shard.lock().unwrap_or_else(|p| p.into_inner());
-            if !guard.devices.contains_key(&dev.mac) {
-                if let Some(cap) = self.device_cap {
-                    while guard.devices.len() >= cap {
-                        if !guard.evict_one(&self.telemetry) {
-                            break;
-                        }
-                    }
-                }
-                if guard.forget_eviction(dev.mac) {
-                    self.telemetry
-                        .devices_rewarmed
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                self.telemetry.device_states.fetch_add(1, Ordering::Relaxed);
-            }
-            guard.devices.insert(
-                dev.mac,
-                DeviceState {
-                    state,
-                    decided_at: dev.decided_at,
-                    touch: 0,
-                },
-            );
-            guard.touch(dev.mac);
+            self.state[shard_of(dev.mac, self.state.len())]
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .admit(dev.mac, state, dev.decided_at, &self.telemetry);
             restored += 1;
         }
         restored
@@ -919,15 +889,7 @@ impl Engine {
             .unwrap_or_else(|p| p.into_inner())
             .flush();
         let spans = self.tracer.drain();
-        let layer_profile = if self.cfg.profile {
-            let mut table: Vec<OpStat> = Vec::new();
-            for slot in self.profile.iter() {
-                merge_op_stats(&mut table, &slot.lock().unwrap_or_else(|p| p.into_inner()));
-            }
-            Some(table)
-        } else {
-            None
-        };
+        let layer_profile = self.profile_handle().map(|p| p.merged());
         if let Some(audit) = &self.audit {
             audit.flush();
         }
@@ -974,16 +936,16 @@ struct WorkerCtx {
     state: ShardState,
     in_flight: Arc<InFlight>,
     /// The model's recorded input shape, when known: reports with any
-    /// other shape are rejected instead of poisoning a batch. Never set
-    /// from observed traffic.
-    expected_shape: Arc<OnceLock<Vec<usize>>>,
+    /// other shape are rejected instead of poisoning a batch. Never
+    /// learned from observed traffic (without a recorded shape each
+    /// micro-batch group stands on its own), so crafted frames cannot
+    /// pin a shape that starves legitimate reports.
+    expected_shape: Option<(usize, usize, usize)>,
     /// Per-device state factory for the engine's decision policy.
     policy: DecisionPolicy,
     /// Expected identities, for spotting each stream's first decisive
     /// verdict as reports land (reports-to-verdict telemetry).
     registry: Arc<DeviceRegistry>,
-    /// Per-shard device-state cap (`None` = unbounded).
-    device_cap: Option<usize>,
     max_batch: usize,
     /// Lane-split width for each micro-batch inference call.
     infer_threads: usize,
@@ -992,8 +954,6 @@ struct WorkerCtx {
     clock: WallClock,
     /// Shared tracing gate + span-recorder factory.
     tracer: Tracer,
-    /// Whether to timestamp pipeline stages into [`Telemetry::stages`].
-    stage_timing: bool,
     /// Whether the worker's pool lanes carry per-op profilers.
     profile_enabled: bool,
     /// The per-worker profile slots; this worker publishes its
@@ -1121,7 +1081,7 @@ impl WorkerCtx {
             fill_batch(&self.rx, &mut batch, self.max_batch, deadline);
             // One sampling decision per micro-batch: a sampled batch
             // records a span for every stage it passes through.
-            let sampled = self.tracer.enabled() && spans.sample();
+            let sampled = spans.sample();
             self.account_queue_wait(&batch, sampled, &mut spans);
             // Safety net: no classification panic may take the worker
             // down, or `drain()` would wait forever on its queue.
@@ -1171,26 +1131,15 @@ impl WorkerCtx {
     /// histogram observation per report, plus (for a sampled batch) a
     /// single span covering the longest wait.
     fn account_queue_wait(&self, batch: &[Queued], sampled: bool, spans: &mut ThreadTracer) {
-        if !self.stage_timing && !sampled {
-            return;
-        }
         let now = Instant::now();
-        let mut earliest: Option<Instant> = None;
         for q in batch {
-            let Some(at) = q.enqueued_at else { continue };
-            if self.stage_timing {
-                self.telemetry.record_stage(
-                    Stage::QueueWait,
-                    now.checked_duration_since(at).unwrap_or_default(),
-                );
-            }
-            earliest = Some(match earliest {
-                Some(e) if e <= at => e,
-                _ => at,
-            });
+            self.telemetry.record_stage(
+                Stage::QueueWait,
+                now.saturating_duration_since(q.enqueued_at),
+            );
         }
         if sampled {
-            if let Some(start) = earliest {
+            if let Some(start) = batch.iter().map(|q| q.enqueued_at).min() {
                 spans.record(Stage::QueueWait.name(), start, now);
             }
         }
@@ -1213,7 +1162,6 @@ impl WorkerCtx {
         sampled: bool,
         spans: &mut ThreadTracer,
     ) {
-        let timed = self.stage_timing || sampled;
         let reject = |n: usize| {
             self.telemetry
                 .rejected
@@ -1226,26 +1174,19 @@ impl WorkerCtx {
             tensors: Vec<Tensor>,
         }
         // A helper wrapping one stage in a timestamp pair: records the
-        // histogram (stage timing) and a span (sampled batch). All
-        // timing is observation-only — the untimed path runs the same
-        // closure bare.
-        let stage = |stage: Stage, sampled: bool, spans: &mut ThreadTracer, f: &mut dyn FnMut()| {
-            if !timed {
-                f();
-                return;
-            }
+        // stage histogram, plus a span when the batch is sampled. All
+        // timing is observation-only.
+        let stage = |stage: Stage, spans: &mut ThreadTracer, f: &mut dyn FnMut()| {
             let t0 = Instant::now();
             f();
             let end = Instant::now();
-            if self.stage_timing {
-                self.telemetry.record_stage(stage, end - t0);
-            }
+            self.telemetry.record_stage(stage, end - t0);
             if sampled {
                 spans.record(stage.name(), t0, end);
             }
         };
         let mut groups: Vec<Group<'_>> = Vec::new();
-        stage(Stage::Tensorize, sampled, spans, &mut || {
+        stage(Stage::Tensorize, spans, &mut || {
             for q in batch {
                 let report = &q.report;
                 if !self.auth.spec().compatible(&report.feedback) {
@@ -1280,11 +1221,8 @@ impl WorkerCtx {
         for group in groups {
             let group_started = Instant::now();
             // A shape recorded by the model rejects mismatches outright.
-            // Without one, each group simply stands on its own — shapes
-            // are never "learned" from traffic, so no crafted frame can
-            // pin a shape that starves later legitimate reports.
-            if let Some(expected) = self.expected_shape.get() {
-                if group.shape != *expected {
+            if let Some((c, h, w)) = self.expected_shape {
+                if group.shape != [c, h, w] {
                     reject(group.reports.len());
                     continue;
                 }
@@ -1293,7 +1231,7 @@ impl WorkerCtx {
             // infallible, but an over-the-air surface warrants defense in
             // depth: a group the network rejects only rejects itself.
             let mut infer_outcome = None;
-            stage(Stage::Infer, sampled, spans, &mut || {
+            stage(Stage::Infer, spans, &mut || {
                 infer_outcome = Some(std::panic::catch_unwind(std::panic::AssertUnwindSafe(
                     || pool.infer_batch(self.auth.model(), &group.tensors),
                 )));
@@ -1305,7 +1243,7 @@ impl WorkerCtx {
             // Pool occupancy: how many lanes this inference call
             // engaged, summed into a rolling mean for the live plane.
             self.telemetry.record_pool_call(pool.last_engaged());
-            stage(Stage::PolicyApply, sampled, spans, &mut || {
+            stage(Stage::PolicyApply, spans, &mut || {
                 // Recover a poisoned lock: on a caught panic the map is
                 // at worst missing one window push, which is fine to
                 // keep serving.
@@ -1316,37 +1254,16 @@ impl WorkerCtx {
                 for (report, logits) in group.reports.iter().zip(outputs.iter()) {
                     let module = logits.argmax();
                     let confidence = softmax_peak(logits.as_slice());
-                    if !shard.devices.contains_key(&report.source) {
-                        // A new stream. Under a cap, make room first and
-                        // note whether this MAC is an evicted stream
-                        // returning (a re-warm: its evidence rebuilds
-                        // from scratch).
-                        if let Some(cap) = self.device_cap {
-                            while shard.devices.len() >= cap {
-                                if !shard.evict_one(&self.telemetry) {
-                                    break;
-                                }
-                            }
-                        }
-                        if shard.forget_eviction(report.source) {
-                            self.telemetry
-                                .devices_rewarmed
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                        // The gauge long soaks watch: bounded by the cap
-                        // when one is set; growth after warm-up means
-                        // new MACs are still arriving (or leaking).
-                        self.telemetry.device_states.fetch_add(1, Ordering::Relaxed);
-                        shard.devices.insert(
+                    if shard.devices.contains_key(&report.source) {
+                        shard.touch(report.source);
+                    } else {
+                        shard.admit(
                             report.source,
-                            DeviceState {
-                                state: self.policy.new_state(),
-                                decided_at: None,
-                                touch: 0,
-                            },
+                            self.policy.new_state(),
+                            None,
+                            &self.telemetry,
                         );
                     }
-                    shard.touch(report.source);
                     let dev = shard
                         .devices
                         .get_mut(&report.source)
@@ -1378,20 +1295,8 @@ impl WorkerCtx {
                                     confidence: decision.as_ref().map_or(0.0, |d| d.confidence_ema),
                                     observations: n,
                                     reports_to_verdict: Some(n),
-                                    policy: self
-                                        .telemetry
-                                        .policy
-                                        .get()
-                                        .copied()
-                                        .unwrap_or("")
-                                        .to_string(),
-                                    precision: self
-                                        .telemetry
-                                        .precision
-                                        .get()
-                                        .copied()
-                                        .unwrap_or("")
-                                        .to_string(),
+                                    policy: self.policy.name().to_string(),
+                                    precision: self.auth.precision().as_str().to_string(),
                                 });
                             }
                         }
@@ -1501,7 +1406,7 @@ mod tests {
                     }],
                 ),
             },
-            enqueued_at: None,
+            enqueued_at: Instant::now(),
         }
     }
 

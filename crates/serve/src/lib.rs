@@ -111,7 +111,6 @@ pub use registry::{DeviceRegistry, Verdict, VerdictPolicy};
 pub use replay::ReplaySource;
 pub use snapshot::{crc32, DeviceSnapshot, EngineSnapshot, SnapshotError};
 pub use telemetry::{
-    EngineStats, LatencyHistogram, ReportCountHistogram, Stage, StageSnapshot, StatsDelta,
-    Telemetry,
+    EngineStats, LatencyHistogram, ReportCountHistogram, Stage, StageSnapshot, Telemetry,
 };
 pub use window::{DecisionWindow, WindowConfig, WindowSnapshot, WindowedDecision};

@@ -342,8 +342,7 @@ pub struct Telemetry {
     /// Capture-layer: radiotap/pcap per-packet decode errors.
     pub capture_errors: AtomicU64,
     /// Per-stage latency distributions, indexed by [`Stage`]. Empty
-    /// histograms (stage timing off, or a stage that never ran) simply
-    /// export nothing.
+    /// histograms (a stage that never ran) simply export nothing.
     pub stages: [LatencyHistogram; 5],
 }
 
@@ -570,7 +569,7 @@ impl Telemetry {
         for s in Stage::ALL {
             let h = self.stage(s);
             if h.count() == 0 {
-                continue; // stage timing off, or the stage never ran
+                continue; // the stage never ran
             }
             reg.histogram(
                 &format!("deepcsi_stage_{}_seconds", s.name()),
@@ -599,11 +598,11 @@ pub struct StageSnapshot {
 /// Point-in-time engine statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineStats {
-    /// When this snapshot was taken (the denominator of
-    /// [`EngineStats::delta`]'s rates).
+    /// When this snapshot was taken (the denominator of the metrics
+    /// emitter's interval rates).
     pub captured_at: Instant,
     /// Per-stage latency summaries (all five stages, zero-count when a
-    /// stage never ran or stage timing is off).
+    /// stage never ran).
     pub stages: Vec<StageSnapshot>,
     /// Frames handed to ingest.
     pub ingested: u64,
@@ -675,84 +674,6 @@ impl EngineStats {
                 + self.decode_errors
                 + self.dropped
                 + self.enqueued
-    }
-
-    /// The change between an `earlier` snapshot and this one — the
-    /// interval view a periodic reporter needs (reports/s, drops/s over
-    /// the last tick, not since engine start).
-    ///
-    /// Counter differences saturate at zero, so a snapshot pair taken
-    /// across an engine restart degrades to zeros instead of underflow.
-    pub fn delta(&self, earlier: &EngineStats) -> StatsDelta {
-        StatsDelta {
-            wall: self
-                .captured_at
-                .checked_duration_since(earlier.captured_at)
-                .unwrap_or(Duration::ZERO),
-            ingested: self.ingested.saturating_sub(earlier.ingested),
-            decode_errors: self.decode_errors.saturating_sub(earlier.decode_errors),
-            dropped: self.dropped.saturating_sub(earlier.dropped),
-            enqueued: self.enqueued.saturating_sub(earlier.enqueued),
-            rejected: self.rejected.saturating_sub(earlier.rejected),
-            classified: self.classified.saturating_sub(earlier.classified),
-            batches: self.batches.saturating_sub(earlier.batches),
-            verdicts_decided: self
-                .verdicts_decided
-                .saturating_sub(earlier.verdicts_decided),
-        }
-    }
-}
-
-/// Counter changes between two [`EngineStats`] snapshots (see
-/// [`EngineStats::delta`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StatsDelta {
-    /// Wall time between the two snapshots (zero when the pair is
-    /// reversed).
-    pub wall: Duration,
-    /// Frames ingested in the interval.
-    pub ingested: u64,
-    /// Decode errors in the interval.
-    pub decode_errors: u64,
-    /// Backpressure drops in the interval.
-    pub dropped: u64,
-    /// Reports enqueued in the interval.
-    pub enqueued: u64,
-    /// Reports rejected in the interval.
-    pub rejected: u64,
-    /// Reports classified in the interval.
-    pub classified: u64,
-    /// Micro-batches executed in the interval.
-    pub batches: u64,
-    /// Streams newly decided in the interval.
-    pub verdicts_decided: u64,
-}
-
-impl StatsDelta {
-    /// Converts an interval count to a per-second rate (0 when the
-    /// interval has no measurable width).
-    pub fn rate(&self, count: u64) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            count as f64 / secs
-        }
-    }
-
-    /// Reports classified per second over the interval.
-    pub fn classified_per_sec(&self) -> f64 {
-        self.rate(self.classified)
-    }
-
-    /// Frames ingested per second over the interval.
-    pub fn ingested_per_sec(&self) -> f64 {
-        self.rate(self.ingested)
-    }
-
-    /// Reports dropped per second over the interval.
-    pub fn dropped_per_sec(&self) -> f64 {
-        self.rate(self.dropped)
     }
 }
 
@@ -972,30 +893,6 @@ mod tests {
         assert!((snap.sum - 350e-9).abs() < 1e-12);
         // Cumulative buckets end at the total count.
         assert_eq!(snap.buckets.last().unwrap().1, 2);
-    }
-
-    #[test]
-    fn delta_reports_interval_rates() {
-        let t = Telemetry::default();
-        t.ingested.store(100, Ordering::Relaxed);
-        t.record_batch(50, Duration::from_micros(10));
-        let a = t.snapshot();
-        t.ingested.store(300, Ordering::Relaxed);
-        t.record_batch(150, Duration::from_micros(10));
-        std::thread::sleep(Duration::from_millis(5));
-        let b = t.snapshot();
-        let d = b.delta(&a);
-        assert_eq!(d.ingested, 200);
-        assert_eq!(d.classified, 150);
-        assert_eq!(d.batches, 1);
-        assert!(d.wall >= Duration::from_millis(5));
-        let rate = d.classified_per_sec();
-        assert!(rate > 0.0 && rate.is_finite());
-        // Reversed pair saturates to zeros rather than underflowing.
-        let rev = a.delta(&b);
-        assert_eq!(rev.ingested, 0);
-        assert_eq!(rev.wall, Duration::ZERO);
-        assert_eq!(rev.classified_per_sec(), 0.0);
     }
 
     #[test]

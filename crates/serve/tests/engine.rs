@@ -7,7 +7,7 @@ use deepcsi_data::{d1_split, generate_d1, D1Set, GenConfig, InputSpec};
 use deepcsi_frame::MacAddr;
 use deepcsi_nn::TrainConfig;
 use deepcsi_serve::{
-    Backpressure, Engine, EngineConfig, IngestOutcome, ReplaySource, Verdict, VerdictPolicy,
+    Backpressure, Engine, EngineConfig, IngestOutcome, ReplaySource, Stage, Verdict, VerdictPolicy,
     WindowConfig,
 };
 
@@ -156,6 +156,35 @@ fn decode_errors_and_unknown_sources_are_accounted() {
         assert_eq!(d.verdict, Verdict::Unknown, "{}", d.source);
         assert!(d.decision.is_some());
     }
+}
+
+/// Stage timing is unconditional: every ingested frame (decode errors
+/// included) is stamped once for `decode`, and every enqueued report
+/// once for `queue_wait`.
+#[test]
+fn every_report_is_stamped_exactly_once_per_stage() {
+    let ds = dataset(2, 6);
+    let engine = Engine::start_frozen(
+        EngineConfig {
+            workers: 2,
+            backpressure: Backpressure::Block,
+            ..EngineConfig::default()
+        },
+        untrained_authenticator(2).freeze(),
+        ReplaySource::registry(&ds),
+    );
+    engine.ingest_frame(b"not a frame");
+    for frame in ReplaySource::from_dataset(&ds).frames() {
+        engine.ingest_frame(frame);
+    }
+    engine.drain();
+    let stats = engine.stats();
+    let telemetry = engine.telemetry_handle();
+    assert_eq!(stats.decode_errors, 1);
+    assert_eq!(telemetry.stage(Stage::Decode).count(), stats.ingested);
+    assert_eq!(telemetry.stage(Stage::QueueWait).count(), stats.enqueued);
+    assert!(stats.enqueued < stats.ingested);
+    engine.shutdown();
 }
 
 /// With a tiny bounded queue and drop-newest backpressure, flooding the

@@ -75,21 +75,15 @@ fn frozen(auth: &Authenticator, ds: &Dataset, precision: Precision) -> Arc<Froze
     })
 }
 
-fn serve(
-    frozen: &Arc<FrozenAuthenticator>,
-    ds: &Dataset,
-    stage_timing: bool,
-    trace: TraceConfig,
-    profile: bool,
-) -> EngineReport {
+/// Replays the dataset losslessly through two workers, with the
+/// observability fields (`trace`, `profile`, `audit`) taken from
+/// `observed`.
+fn serve(frozen: &Arc<FrozenAuthenticator>, ds: &Dataset, observed: EngineConfig) -> EngineReport {
     let engine = Engine::start_frozen(
         EngineConfig {
             workers: 2,
             backpressure: Backpressure::Block,
-            stage_timing,
-            trace,
-            profile,
-            ..EngineConfig::default()
+            ..observed
         },
         Arc::clone(frozen),
         ReplaySource::registry(ds),
@@ -127,19 +121,29 @@ fn observability_does_not_change_verdicts_at_either_precision() {
     let auth = authenticator(&ds, 3);
     for precision in [Precision::F32, Precision::Int8] {
         let model = frozen(&auth, &ds, precision);
-        // Fully dark (no timestamps at all) vs everything on (every
-        // batch traced, every layer profiled).
-        let dark = serve(&model, &ds, false, TraceConfig::default(), false);
-        let lit = serve(&model, &ds, true, TraceConfig::always(), true);
+        // Unobserved (trace, profile and audit off) vs everything on
+        // (every batch traced, every layer profiled, every verdict
+        // audited).
+        let unobserved = serve(&model, &ds, EngineConfig::default());
+        let lit = serve(
+            &model,
+            &ds,
+            EngineConfig {
+                trace: TraceConfig::always(),
+                profile: true,
+                audit: Some(AuditConfig::default()),
+                ..EngineConfig::default()
+            },
+        );
         assert_eq!(
-            decision_vector(&dark),
+            decision_vector(&unobserved),
             decision_vector(&lit),
             "{precision} verdicts changed when observability was enabled"
         );
-        assert_eq!(dark.stats.classified, lit.stats.classified);
-        // The dark run really was dark, and the lit run really did
-        // observe: spans on one side only.
-        assert!(dark.spans.is_empty() && dark.layer_profile.is_none());
+        assert_eq!(unobserved.stats.classified, lit.stats.classified);
+        // The unobserved run really recorded nothing, and the lit run
+        // really did observe: spans and a profile on one side only.
+        assert!(unobserved.spans.is_empty() && unobserved.layer_profile.is_none());
         assert!(!lit.spans.is_empty() && lit.layer_profile.is_some());
     }
 }
@@ -149,7 +153,14 @@ fn spans_cover_every_stage_and_round_trip_through_chrome_json() {
     let ds = dataset(2, 15);
     let auth = authenticator(&ds, 2);
     let model = frozen(&auth, &ds, Precision::F32);
-    let report = serve(&model, &ds, true, TraceConfig::always(), false);
+    let report = serve(
+        &model,
+        &ds,
+        EngineConfig {
+            trace: TraceConfig::always(),
+            ..EngineConfig::default()
+        },
+    );
 
     // With sample_every = 1 every pipeline stage must have fired.
     for stage in Stage::ALL {
@@ -224,7 +235,14 @@ fn layer_profile_merges_every_worker_and_accounts_every_sample() {
     let ds = dataset(2, 15);
     let auth = authenticator(&ds, 2);
     let model = frozen(&auth, &ds, Precision::F32);
-    let report = serve(&model, &ds, true, TraceConfig::default(), true);
+    let report = serve(
+        &model,
+        &ds,
+        EngineConfig {
+            profile: true,
+            ..EngineConfig::default()
+        },
+    );
     let ops = report.layer_profile.as_ref().expect("profile requested");
     assert!(!ops.is_empty());
     // Every op saw every classified sample exactly once, on every row.
@@ -245,7 +263,7 @@ fn live_plane_is_a_pure_observer_at_both_precisions() {
     let auth = authenticator(&ds, 3);
     for precision in [Precision::F32, Precision::Int8] {
         let model = frozen(&auth, &ds, precision);
-        let dark = serve(&model, &ds, false, TraceConfig::default(), false);
+        let dark = serve(&model, &ds, EngineConfig::default());
 
         // Everything on: audit trail, per-layer profiling, the scrape
         // plane — and live HTTP reads interleaved with ingest.

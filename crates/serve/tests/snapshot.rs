@@ -549,3 +549,48 @@ fn device_cap_evicts_lru_and_rewarms_returning_devices() {
     );
     engine.shutdown();
 }
+
+/// `restore` admits devices through the same capped path as live
+/// traffic: restoring 12 distinct devices under an 8-state cap over two
+/// shards keeps each shard within `⌈8/2⌉`, and every restored device is
+/// either still live or accounted as evicted.
+#[test]
+fn restore_respects_the_device_cap() {
+    let policy =
+        DecisionPolicyConfig::default().build(WindowConfig::default(), VerdictPolicy::default());
+    let devices: Vec<DeviceSnapshot> = (0..12u64)
+        .map(|id| {
+            let mut state = policy.new_state();
+            for (module, confidence) in synthetic_stream(4) {
+                state.push(module, confidence);
+            }
+            DeviceSnapshot {
+                mac: MacAddr::station(id),
+                decided_at: None,
+                policy: state.save(),
+            }
+        })
+        .collect();
+    let snap = EngineSnapshot {
+        policy: DecisionPolicyConfig::default().kind,
+        devices,
+    };
+    let engine = Engine::start_frozen(
+        EngineConfig {
+            workers: 2,
+            max_device_states: Some(8),
+            ..EngineConfig::default()
+        },
+        frozen(1),
+        deepcsi_serve::DeviceRegistry::new(),
+    );
+    assert_eq!(engine.restore(&snap), 12);
+    let stats = engine.stats();
+    assert!(
+        stats.device_states <= 2 * 8u64.div_ceil(2),
+        "cap violated: {} states live",
+        stats.device_states
+    );
+    assert_eq!(stats.device_states + stats.devices_evicted, 12);
+    engine.shutdown();
+}

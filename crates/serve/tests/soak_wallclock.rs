@@ -114,12 +114,16 @@ fn run_wallclock_soak(total: u64, intervals: usize) -> Vec<EngineStats> {
             cp.device_states, warmup.device_states,
             "checkpoint {i}: device states grew after warm-up"
         );
-        let delta = cp.delta(&prev);
         assert_eq!(
-            delta.classified, per_interval,
+            cp.classified - prev.classified,
+            per_interval,
             "checkpoint {i}: interval lost reports"
         );
-        assert_eq!(delta.dropped, 0, "checkpoint {i}: lossless soak dropped");
+        assert_eq!(
+            cp.dropped - prev.dropped,
+            0,
+            "checkpoint {i}: lossless soak dropped"
+        );
         assert!(
             cp.verdicts_decided >= prev.verdicts_decided
                 && cp.verdicts_decided <= registry.len() as u64,
