@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for every stage the figures depend on.
 //!
-//! Mapping to the paper's evaluation (DESIGN.md §5):
+//! Mapping to the paper's evaluation:
 //! * `channel`   — CFR synthesis feeding every figure's dataset.
 //! * `bfi`       — Eq. (3) SVD, Algorithm 1, Eq. (7)/(8) quantization:
 //!   the beamformee computation behind Figs. 8–17 and the Fig. 13

@@ -1,4 +1,4 @@
-//! **Ablation** (DESIGN.md §6) — accuracy vs fingerprint strength and
+//! **Ablation** (not a paper figure) — accuracy vs fingerprint strength and
 //! feedback codebook.
 //!
 //! Two controls the paper cannot run on physical radios but a simulator

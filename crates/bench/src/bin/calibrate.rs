@@ -2,7 +2,7 @@
 //! depends on at reduced scale, printing a compact report.
 //!
 //! Not a paper figure — a development tool for tuning
-//! `ImpairmentProfile` and `GenConfig` defaults (DESIGN.md §4).
+//! `ImpairmentProfile` and `GenConfig` defaults.
 
 use deepcsi_bench::{pct, FigureScale};
 use deepcsi_core::{baseline, run_experiment};

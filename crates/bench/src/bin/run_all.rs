@@ -1,5 +1,5 @@
 //! Runs every figure binary in sequence and collects the `RESULT` lines
-//! into `bench_results/summary.txt` — the data behind EXPERIMENTS.md.
+//! into `bench_results/summary.txt`.
 //! Also runs the benches whose rows the repo benchmark (`benchmark/`)
 //! does not report yet — the parallel-serving scaling sweep, the
 //! observability overhead sweep, the scenario matrix and the cluster

@@ -1,7 +1,7 @@
 //! Shared harness for the per-figure regeneration binaries.
 //!
-//! Every binary in `src/bin/` regenerates one table/figure of the paper
-//! (see DESIGN.md §5 for the index). They share:
+//! Every `figNN_*` binary in `src/bin/` regenerates one table/figure of
+//! the paper (listed in `crates/bench/README.md`). They share:
 //!
 //! * [`FigureScale`] — the experiment scale knobs (dataset size, model
 //!   profile, epochs), with a laptop-friendly default and a `--paper`
@@ -9,8 +9,8 @@
 //! * [`d1_cached`] / [`d2_cached`] — dataset generation with on-disk
 //!   caching, so the sweep binaries do not regenerate the world.
 //! * Reporting helpers that print the same rows/series the paper reports
-//!   and a machine-readable `figNN:` summary line consumed by
-//!   `run_all` to assemble EXPERIMENTS.md.
+//!   and machine-readable `RESULT` lines, which `run_all` collects into
+//!   `bench_results/summary.txt`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

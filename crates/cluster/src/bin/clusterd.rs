@@ -12,11 +12,11 @@
 //! (the `*_FLAGS` tables below are the whole grammar; an unknown flag
 //! exits 2).
 //!
-//! * `node` trains the deterministic demo model (same recipe and seed
-//!   as `deepcsi-served` — every node in a cluster independently
-//!   arrives at identical weights), starts one engine behind a TCP
-//!   listener, and serves until a client sends `SHUTDOWN`. With
-//!   `--snapshot-file` the per-device policy state is restored at
+//! * `node` trains the deterministic demo model (`deepcsi_core::demo`,
+//!   the recipe `deepcsi-served` trains with — every node in a cluster
+//!   independently arrives at identical weights), starts one engine
+//!   behind a TCP listener, and serves until a client sends `SHUTDOWN`.
+//!   With `--snapshot-file` the per-device policy state is restored at
 //!   start (if the file exists) and written at shutdown, so a killed
 //!   and restarted node resumes its learned `AdaptiveThreshold`
 //!   floors instead of re-learning them. `--obs-listen` attaches the
@@ -37,11 +37,12 @@
 //! picks a free port), so scripts can bind ephemerally and read the
 //! address back.
 
-use deepcsi_cluster::demo::{demo_dataset, demo_frames, demo_model, DemoConfig};
+use deepcsi_cluster::demo::demo_frames;
 use deepcsi_cluster::{
     encode_drain_reply, ClusterClient, ClusterStats, DrainReply, EngineNode, RouterConfig,
     ShardRouter, WireDecision,
 };
+use deepcsi_core::demo::{demo_dataset, train, DemoConfig};
 use deepcsi_serve::{
     Backpressure, DecisionPolicyConfig, Engine, EngineConfig, EngineSnapshot, Flags, ObsPlane,
     ObsPlaneConfig, PolicyKind, ReplaySource,
@@ -164,10 +165,11 @@ fn run_node(flags: &Flags) {
     let demo = demo(flags);
     let t = Instant::now();
     let ds = demo_dataset(&demo);
-    let auth = demo_model(&demo, &ds);
+    let (auth, accuracy) = train(&ds, demo.epochs);
     eprintln!(
-        "node: trained demo model ({} modules, {:.1?})",
+        "node: trained demo model ({} modules, {:.2}% S1 accuracy, {:.1?})",
         demo.modules,
+        accuracy * 100.0,
         t.elapsed()
     );
     let engine = Arc::new(Engine::start_frozen(
@@ -351,7 +353,7 @@ fn compare_local(
     repeat: usize,
     reply: &DrainReply,
 ) -> bool {
-    let auth = demo_model(demo, ds);
+    let auth = train(ds, demo.epochs).0;
     let replay = ReplaySource::from_dataset(ds);
     let engine = Engine::start_frozen(
         EngineConfig {

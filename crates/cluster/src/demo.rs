@@ -1,73 +1,22 @@
-//! The deterministic demo pipeline shared by `deepcsi-clusterd`, the
-//! loopback tests and `cluster_bench`.
+//! The demo pipeline as the cluster tier streams it.
 //!
-//! This reproduces the `deepcsi-served` recipe **bit-for-bit**: same
-//! generator, same split, same model, same training seed. That
-//! determinism is what makes the distributed tier work without
-//! shipping weights — every node process trains the identical model
-//! independently, so a sharded cluster's merged verdicts are
+//! The recipe itself — dataset, training, [`DemoConfig`] — lives in
+//! [`deepcsi_core::demo`] and is re-exported here; this module adds
+//! [`demo_frames`], the replay a [`crate::ClusterClient`] sends. Every
+//! node process rebuilds the identical model from the same
+//! `DemoConfig`, so a sharded cluster's merged verdicts are
 //! byte-identical to a single-process engine over the same replay.
 
-use deepcsi_core::{run_experiment, Authenticator, ExperimentConfig, ModelConfig};
-use deepcsi_data::{d1_split, generate_d1, D1Set, Dataset, GenConfig, InputSpec};
+pub use deepcsi_core::demo::{demo_dataset, DemoConfig};
+use deepcsi_core::Authenticator;
+use deepcsi_data::Dataset;
 use deepcsi_frame::{BeamformingReportFrame, MacAddr};
-use deepcsi_nn::TrainConfig;
 use deepcsi_serve::ReplaySource;
 
-/// Knobs for the demo pipeline. Every process in a cluster must use
-/// identical values — they parameterize the deterministic recipe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DemoConfig {
-    /// Transmitting AP modules (= classifier classes).
-    pub modules: u32,
-    /// Beamforming snapshots per trace.
-    pub snapshots: usize,
-    /// Training epochs.
-    pub epochs: usize,
-}
-
-impl Default for DemoConfig {
-    fn default() -> Self {
-        DemoConfig {
-            modules: 2,
-            snapshots: 16,
-            epochs: 2,
-        }
-    }
-}
-
-/// Generates the synthetic D1 dataset for `cfg` (deterministic).
-pub fn demo_dataset(cfg: &DemoConfig) -> Dataset {
-    generate_d1(&GenConfig {
-        num_modules: cfg.modules,
-        snapshots_per_trace: cfg.snapshots,
-        ..GenConfig::default()
-    })
-}
-
-/// Trains the demo classifier on `ds` — the `deepcsi-served` recipe
-/// verbatim (stride-4 tensors, S1 split, demo model, seed 5).
+/// Trains the demo classifier on `ds` for `cfg.epochs` epochs
+/// ([`deepcsi_core::demo::train`] without the accuracy).
 pub fn demo_model(cfg: &DemoConfig, ds: &Dataset) -> Authenticator {
-    let spec = InputSpec {
-        stride: 4,
-        ..InputSpec::default()
-    };
-    let split = d1_split(ds, D1Set::S1, &[1, 2], &spec);
-    let model = ModelConfig::demo(ds.modules().len());
-    let exp = ExperimentConfig {
-        model: model.clone(),
-        train: TrainConfig {
-            epochs: cfg.epochs,
-            batch_size: 64,
-            learning_rate: 2e-3,
-            seed: 5,
-            ..TrainConfig::default()
-        },
-    };
-    let result = run_experiment(&exp, &split);
-    let probe = spec.tensor(&ds.traces[0].snapshots[0]);
-    let shape: [usize; 3] = probe.shape().try_into().expect("rank-3 input");
-    Authenticator::with_config(result.network, spec, model, (shape[0], shape[1], shape[2]))
+    deepcsi_core::demo::train(ds, cfg.epochs).0
 }
 
 /// The dataset's replay as `(source MAC, raw MPDU)` pairs, in arrival
@@ -88,30 +37,6 @@ pub fn demo_frames(ds: &Dataset) -> Vec<(MacAddr, Vec<u8>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn training_is_deterministic() {
-        let cfg = DemoConfig {
-            modules: 2,
-            snapshots: 10,
-            epochs: 1,
-        };
-        let ds = demo_dataset(&cfg);
-        let a = demo_model(&cfg, &ds);
-        let b = demo_model(&cfg, &demo_dataset(&cfg));
-        // Same recipe, separate runs → bit-identical logits on the
-        // same report (the property cross-process verdict equivalence
-        // rests on).
-        let fb = &ds.traces[0].snapshots[0];
-        let (fa, fb_model) = (a.freeze(), b.freeze());
-        let xa = fa.tensorize(fb);
-        let xb = fb_model.tensorize(fb);
-        let ya = fa.model().infer(&xa, &mut fa.ctx());
-        let yb = fb_model.model().infer(&xb, &mut fb_model.ctx());
-        let bits =
-            |t: &deepcsi_nn::Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&ya), bits(&yb));
-    }
 
     #[test]
     fn frames_carry_their_trace_macs() {

@@ -18,6 +18,8 @@
 //! * [`run_experiment`] — the training/evaluation harness all figure
 //!   binaries use (train on a [`deepcsi_data::Split`], report accuracy
 //!   and the confusion matrix).
+//! * [`demo`] — the one deterministic demo training recipe every
+//!   serving binary, example and serving test rebuilds bit-for-bit.
 //! * [`baseline`] — the Fig. 16 comparison: classify from
 //!   offset-cleaned Ṽ (the \[36\] sanitizer), which deletes part of the
 //!   hardware fingerprint.
@@ -49,6 +51,7 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
+pub mod demo;
 mod experiment;
 mod model;
 mod pipeline;

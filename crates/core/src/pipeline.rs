@@ -224,21 +224,6 @@ impl Authenticator {
         }
     }
 
-    /// Snapshots this authenticator into a post-training-quantized
-    /// **int8** serving snapshot (see
-    /// [`FrozenAuthenticator::quantized`]). `calib` is the
-    /// representative input batch the activation scales are calibrated
-    /// on — typically a few hundred tensorized feedback reports from
-    /// the training set.
-    ///
-    /// # Errors
-    ///
-    /// [`deepcsi_nn::QuantError`] when `calib` is empty or the
-    /// quantized pipeline fails to assemble.
-    pub fn freeze_int8(&self, calib: &[Tensor]) -> Result<FrozenAuthenticator, QuantError> {
-        FrozenAuthenticator::quantized(self, calib)
-    }
-
     /// Decodes a captured frame and classifies its feedback, returning
     /// the reporting beamformee's address and the predicted module id.
     ///

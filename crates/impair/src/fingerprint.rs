@@ -16,8 +16,9 @@ impl std::fmt::Display for DeviceId {
     }
 }
 
-/// Magnitude scales of the impairment model — the calibration knobs listed
-/// in DESIGN.md §4. Defaults reflect typical consumer Wi-Fi front-ends.
+/// Magnitude scales of the impairment model — the calibration knobs the
+/// `calibrate` bench binary sweeps. Defaults reflect typical consumer
+/// Wi-Fi front-ends.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ImpairmentProfile {
     /// Scales every device-distinguishing magnitude at once (1.0 =

@@ -26,7 +26,8 @@
 //! model ever changes on purpose.
 
 use deepcsi_core::{
-    run_experiment_with_provider, Authenticator, ExperimentConfig, ModelConfig, Precision,
+    run_experiment_with_provider, Authenticator, ExperimentConfig, FrozenAuthenticator,
+    ModelConfig, Precision,
 };
 use deepcsi_data::{Dataset, LabeledSamples, Split};
 use deepcsi_impair::DeviceId;
@@ -143,9 +144,9 @@ fn run_stream(
     segments: &[Dataset],
 ) -> HashMap<deepcsi_frame::MacAddr, Verdict> {
     let frozen = match precision {
-        Precision::Int8 => auth
-            .freeze_int8(&calib.train.x)
-            .expect("int8 freeze must succeed"),
+        Precision::Int8 => {
+            FrozenAuthenticator::quantized(auth, &calib.train.x).expect("int8 freeze must succeed")
+        }
         _ => auth.freeze(),
     };
     let engine = Engine::start_frozen(
@@ -321,7 +322,9 @@ fn probe_window_votes() {
             let mut line = format!("env {env} snr {snr:5.1}:");
             for precision in [Precision::F32, Precision::Int8] {
                 let frozen = match precision {
-                    Precision::Int8 => auth.freeze_int8(&calib.train.x).unwrap(),
+                    Precision::Int8 => {
+                        FrozenAuthenticator::quantized(&auth, &calib.train.x).unwrap()
+                    }
                     _ => auth.freeze(),
                 };
                 let mut ctx = frozen.ctx();

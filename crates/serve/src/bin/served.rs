@@ -84,11 +84,9 @@
 //! * `--audit-capacity N` sizes that ring (default 4096 events).
 
 use deepcsi_capture::{FollowSource, FrameSource, PcapFileSource};
-use deepcsi_core::{
-    run_experiment, Authenticator, ExperimentConfig, FrozenAuthenticator, ModelConfig,
-};
-use deepcsi_data::{d1_split, generate_d1, D1Set, Dataset, GenConfig, InputSpec};
-use deepcsi_nn::TrainConfig;
+use deepcsi_core::demo::{self, DemoConfig};
+use deepcsi_core::{Authenticator, FrozenAuthenticator};
+use deepcsi_data::Dataset;
 use deepcsi_obs::{format_op_table, write_chrome_trace, TraceConfig};
 use deepcsi_serve::{
     AuditConfig, Backpressure, DecisionPolicyConfig, Engine, EngineConfig, Flags, MetricsEmitter,
@@ -231,16 +229,17 @@ impl Args {
             eprintln!("warning: --calibration only applies with --policy adaptive");
         }
         if args.calib_samples == 0 {
-            panic!("--calib-samples must be positive");
+            Flags::die("--calib-samples must be positive");
         }
         if args.precision != Precision::Int8 && args.calib_samples != 256 {
             eprintln!("warning: --calib-samples only applies with --precision int8");
         }
-        assert!(
-            args.metrics_interval > 0,
-            "--metrics-interval must be positive"
-        );
-        assert!(args.trace_sample > 0, "--trace-sample must be positive");
+        if args.metrics_interval == 0 {
+            Flags::die("--metrics-interval must be positive");
+        }
+        if args.trace_sample == 0 {
+            Flags::die("--trace-sample must be positive");
+        }
         if args.metrics_interval != 5 && args.metrics_file.is_none() && args.metrics_json.is_none()
         {
             eprintln!("warning: --metrics-interval needs --metrics-file or --metrics-json");
@@ -248,7 +247,9 @@ impl Args {
         if args.trace_sample != 8 && args.trace_file.is_none() {
             eprintln!("warning: --trace-sample only applies with --trace-file");
         }
-        assert!(args.audit_capacity > 0, "--audit-capacity must be positive");
+        if args.audit_capacity == 0 {
+            Flags::die("--audit-capacity must be positive");
+        }
         if args.obs_linger > 0 && args.obs_listen.is_none() {
             eprintln!("warning: --obs-linger only applies with --obs-listen; ignored");
         }
@@ -338,10 +339,10 @@ fn load_or_generate_dataset(args: &Args) -> Dataset {
         }
         None => {
             let t = Instant::now();
-            let ds = generate_d1(&GenConfig {
-                num_modules: args.modules,
-                snapshots_per_trace: args.snapshots,
-                ..GenConfig::default()
+            let ds = demo::demo_dataset(&DemoConfig {
+                modules: args.modules,
+                snapshots: args.snapshots,
+                epochs: args.epochs,
             });
             println!(
                 "generated synthetic D1: {} modules, {} traces, {} snapshots ({:.1?})",
@@ -362,35 +363,14 @@ fn load_or_train_model(args: &Args, ds: &Dataset) -> Authenticator {
         println!("loaded model {path}");
         return auth;
     }
-    let spec = InputSpec {
-        stride: 4,
-        ..InputSpec::default()
-    };
-    let split = d1_split(ds, D1Set::S1, &[1, 2], &spec);
-    let classes = ds.modules().len();
-    let model = ModelConfig::demo(classes);
-    let cfg = ExperimentConfig {
-        model: model.clone(),
-        train: TrainConfig {
-            epochs: args.epochs,
-            batch_size: 64,
-            learning_rate: 2e-3,
-            seed: 5,
-            ..TrainConfig::default()
-        },
-    };
     let t = Instant::now();
-    let result = run_experiment(&cfg, &split);
+    let (mut auth, accuracy) = demo::train(ds, args.epochs);
     println!(
         "trained fast classifier: {:.2}% test accuracy over {} classes ({:.1?})",
-        result.accuracy * 100.0,
-        classes,
+        accuracy * 100.0,
+        ds.modules().len(),
         t.elapsed()
     );
-    let probe = spec.tensor(&ds.traces[0].snapshots[0]);
-    let shape: [usize; 3] = probe.shape().try_into().expect("rank-3 input");
-    let mut auth =
-        Authenticator::with_config(result.network, spec, model, (shape[0], shape[1], shape[2]));
     if let Some(path) = &args.save_model {
         auth.save(path)
             .unwrap_or_else(|e| panic!("saving model {path}: {e}"));

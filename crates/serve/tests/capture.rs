@@ -3,10 +3,14 @@
 //! reconcile end to end, and `drain()` must wake by signal, not by
 //! sleep-polling.
 
+mod common;
+
+use common::{dataset, trained_authenticator};
 use deepcsi_capture::{PcapFileSource, PcapWriter, RadiotapBuilder, LINKTYPE_RADIOTAP};
-use deepcsi_core::{run_experiment, Authenticator, ExperimentConfig, ModelConfig};
-use deepcsi_data::{d1_split, generate_d1, D1Set, Dataset, GenConfig, InputSpec};
-use deepcsi_nn::{Dense, Flatten, Network, TrainConfig};
+use deepcsi_core::demo::input_spec;
+use deepcsi_core::Authenticator;
+use deepcsi_data::Dataset;
+use deepcsi_nn::{Dense, Flatten, Network};
 use deepcsi_serve::{
     Backpressure, Engine, EngineConfig, EngineReport, ReplaySource, SourceStatus, Verdict,
     VerdictPolicy, WindowConfig,
@@ -15,42 +19,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-fn spec() -> InputSpec {
-    InputSpec {
-        stride: 4,
-        ..InputSpec::default()
-    }
-}
-
-fn dataset(modules: u32, snapshots: usize) -> Dataset {
-    generate_d1(&GenConfig {
-        num_modules: modules,
-        snapshots_per_trace: snapshots,
-        ..GenConfig::default()
-    })
-}
-
-fn trained_authenticator(ds: &Dataset, modules: usize) -> Authenticator {
-    let spec = spec();
-    let split = d1_split(ds, D1Set::S1, &[1, 2], &spec);
-    let cfg = ExperimentConfig {
-        model: ModelConfig::demo(modules),
-        train: TrainConfig {
-            epochs: 6,
-            batch_size: 64,
-            learning_rate: 2e-3,
-            seed: 5,
-            ..TrainConfig::default()
-        },
-    };
-    let result = run_experiment(&cfg, &split);
-    assert!(result.accuracy > 0.8, "model too weak for verdict test");
-    Authenticator::new(result.network, spec)
-}
-
 /// A minimal (but deterministic) model for plumbing/latency tests.
 fn trivial_authenticator(ds: &Dataset, classes: usize) -> Authenticator {
-    let spec = spec();
+    let spec = input_spec();
     let probe = spec.tensor(&ds.traces[0].snapshots[0]);
     let mut net = Network::new();
     net.push(Flatten::new());
@@ -104,7 +75,7 @@ fn serve_source(
 #[test]
 fn pcap_roundtrip_equals_in_memory_replay() {
     let ds = dataset(3, 40);
-    let auth = trained_authenticator(&ds, 3);
+    let auth = trained_authenticator(&ds);
     let replay = ReplaySource::from_dataset(&ds);
 
     // In-memory path, through the same FrameSource interface.

@@ -2,63 +2,15 @@
 //! multi-device captures replayed through sharded ingest, micro-batched
 //! inference and windowed verdicts.
 
-use deepcsi_core::{run_experiment, Authenticator, ExperimentConfig, ModelConfig};
-use deepcsi_data::{d1_split, generate_d1, D1Set, GenConfig, InputSpec};
+mod common;
+
+use common::{dataset, trained_authenticator, untrained};
+use deepcsi_core::ModelConfig;
 use deepcsi_frame::MacAddr;
-use deepcsi_nn::TrainConfig;
 use deepcsi_serve::{
     Backpressure, Engine, EngineConfig, IngestOutcome, ReplaySource, Stage, Verdict, VerdictPolicy,
     WindowConfig,
 };
-
-fn spec() -> InputSpec {
-    InputSpec {
-        stride: 4, // narrow inputs keep the tests fast
-        ..InputSpec::default()
-    }
-}
-
-fn dataset(modules: u32, snapshots: usize) -> deepcsi_data::Dataset {
-    generate_d1(&GenConfig {
-        num_modules: modules,
-        snapshots_per_trace: snapshots,
-        ..GenConfig::default()
-    })
-}
-
-/// Trains a small-but-accurate classifier the way
-/// `tests/pipeline_integration.rs` does.
-fn trained_authenticator(ds: &deepcsi_data::Dataset, modules: usize) -> Authenticator {
-    let spec = spec();
-    let split = d1_split(ds, D1Set::S1, &[1, 2], &spec);
-    let model = ModelConfig::demo(modules);
-    let cfg = ExperimentConfig {
-        model: model.clone(),
-        train: TrainConfig {
-            epochs: 6,
-            batch_size: 64,
-            learning_rate: 2e-3,
-            seed: 5,
-            ..TrainConfig::default()
-        },
-    };
-    let result = run_experiment(&cfg, &split);
-    assert!(
-        result.accuracy > 0.8,
-        "per-sample accuracy only {:.2}% — windowed test needs a usable model",
-        result.accuracy * 100.0
-    );
-    Authenticator::new(result.network, spec)
-}
-
-/// An untrained classifier (for plumbing tests that don't need accuracy).
-fn untrained_authenticator(modules: usize) -> Authenticator {
-    let spec = spec();
-    let probe_ds = dataset(1, 1);
-    let probe = spec.tensor(&probe_ds.traces[0].snapshots[0]);
-    let model = ModelConfig::fast(modules, 0);
-    Authenticator::new(model.build_for(&probe), spec)
-}
 
 /// The acceptance-criterion scenario: replaying a synthetic multi-device
 /// capture yields a correct (Accept, right module) verdict for every
@@ -66,7 +18,7 @@ fn untrained_authenticator(modules: usize) -> Authenticator {
 #[test]
 fn replay_yields_correct_verdict_per_registered_device() {
     let ds = dataset(3, 40);
-    let auth = trained_authenticator(&ds, 3);
+    let auth = trained_authenticator(&ds);
     let replay = ReplaySource::from_dataset(&ds);
     let registry = ReplaySource::registry(&ds);
     // One stream per (module, beamformee) pair.
@@ -136,7 +88,7 @@ fn decode_errors_and_unknown_sources_are_accounted() {
             backpressure: Backpressure::Block,
             ..EngineConfig::default()
         },
-        untrained_authenticator(2).freeze(),
+        untrained(ModelConfig::fast(2, 0)).freeze(),
         deepcsi_serve::DeviceRegistry::new(), // nothing registered
     );
     assert_eq!(engine.ingest_frame(&[0u8; 7]), IngestOutcome::DecodeError);
@@ -170,7 +122,7 @@ fn every_report_is_stamped_exactly_once_per_stage() {
             backpressure: Backpressure::Block,
             ..EngineConfig::default()
         },
-        untrained_authenticator(2).freeze(),
+        untrained(ModelConfig::fast(2, 0)).freeze(),
         ReplaySource::registry(&ds),
     );
     engine.ingest_frame(b"not a frame");
@@ -201,7 +153,7 @@ fn backpressure_drops_are_accounted() {
             backpressure: Backpressure::DropNewest,
             ..EngineConfig::default()
         },
-        untrained_authenticator(2).freeze(),
+        untrained(ModelConfig::fast(2, 0)).freeze(),
         ReplaySource::registry(&ds),
     );
     let mut dropped = 0usize;
@@ -227,7 +179,7 @@ fn silent_registered_devices_report_unknown() {
     registry.register(MacAddr::station(0xBEEF), deepcsi_impair::DeviceId(0));
     let engine = Engine::start_frozen(
         EngineConfig::default(),
-        untrained_authenticator(2).freeze(),
+        untrained(ModelConfig::fast(2, 0)).freeze(),
         registry,
     );
     let report = engine.shutdown();
@@ -253,7 +205,7 @@ fn incompatible_mimo_dimensions_are_rejected_not_fatal() {
             backpressure: Backpressure::Block,
             ..EngineConfig::default()
         },
-        untrained_authenticator(2).freeze(),
+        untrained(ModelConfig::fast(2, 0)).freeze(),
         ReplaySource::registry(&ds),
     );
 
@@ -311,7 +263,7 @@ fn foreign_shape_first_cannot_wedge_or_hijack_the_engine() {
             backpressure: Backpressure::Block,
             ..EngineConfig::default()
         },
-        untrained_authenticator(2).freeze(), // no recorded input shape
+        untrained(ModelConfig::fast(2, 0)).freeze(), // no recorded input shape
         ReplaySource::registry(&ds),
     );
 

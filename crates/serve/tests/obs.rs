@@ -5,12 +5,15 @@
 //! every HTTP endpoint payload) must survive a round trip through the
 //! `obs` crate's own parsers, even while being scraped under load.
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::{calib, dataset, untrained};
 use deepcsi_core::{Authenticator, FrozenAuthenticator, ModelConfig};
-use deepcsi_data::{generate_d1, Dataset, GenConfig, InputSpec};
+use deepcsi_data::Dataset;
 use deepcsi_obs::{
     http_get, parse_chrome_trace, parse_prometheus, write_chrome_trace, HealthState, JsonValue,
     SloConfig, TraceConfig,
@@ -34,43 +37,15 @@ fn test_plane_config(slo: SloConfig) -> ObsPlaneConfig {
 
 const SCRAPE_TIMEOUT: Duration = Duration::from_secs(5);
 
-fn spec() -> InputSpec {
-    InputSpec {
-        stride: 4, // narrow inputs keep the tests fast
-        ..InputSpec::default()
-    }
-}
-
-fn dataset(modules: u32, snapshots: usize) -> Dataset {
-    generate_d1(&GenConfig {
-        num_modules: modules,
-        snapshots_per_trace: snapshots,
-        ..GenConfig::default()
-    })
-}
-
-/// An untrained classifier: observability must not perturb *whatever*
-/// the model decides, so accuracy is irrelevant here — determinism is
-/// what's under test.
-fn authenticator(ds: &Dataset, modules: usize) -> Authenticator {
-    let spec = spec();
-    let probe = spec.tensor(&ds.traces[0].snapshots[0]);
-    Authenticator::new(ModelConfig::fast(modules, 0).build_for(&probe), spec)
-}
-
 /// Freezes at the requested precision (int8 calibrates on the dataset's
-/// own snapshots, like `deepcsi-served` does).
+/// own snapshots, like `deepcsi-served` does). The models here are
+/// untrained: observability must not perturb *whatever* the model
+/// decides, so determinism is under test, not accuracy.
 fn frozen(auth: &Authenticator, ds: &Dataset, precision: Precision) -> Arc<FrozenAuthenticator> {
     Arc::new(match precision {
         Precision::F32 => auth.freeze(),
         Precision::Int8 => {
-            let calib: Vec<_> = ds
-                .traces
-                .iter()
-                .flat_map(|t| t.snapshots.iter())
-                .map(|fb| auth.tensorize(fb))
-                .collect();
-            FrozenAuthenticator::quantized(auth, &calib).expect("int8 quantization")
+            FrozenAuthenticator::quantized(auth, &calib(auth, ds)).expect("int8 quantization")
         }
     })
 }
@@ -118,7 +93,7 @@ fn decision_vector(report: &EngineReport) -> Vec<DecisionRow> {
 #[test]
 fn observability_does_not_change_verdicts_at_either_precision() {
     let ds = dataset(3, 20);
-    let auth = authenticator(&ds, 3);
+    let auth = untrained(ModelConfig::fast(3, 0));
     for precision in [Precision::F32, Precision::Int8] {
         let model = frozen(&auth, &ds, precision);
         // Unobserved (trace, profile and audit off) vs everything on
@@ -151,7 +126,7 @@ fn observability_does_not_change_verdicts_at_either_precision() {
 #[test]
 fn spans_cover_every_stage_and_round_trip_through_chrome_json() {
     let ds = dataset(2, 15);
-    let auth = authenticator(&ds, 2);
+    let auth = untrained(ModelConfig::fast(2, 0));
     let model = frozen(&auth, &ds, Precision::F32);
     let report = serve(
         &model,
@@ -190,7 +165,7 @@ fn spans_cover_every_stage_and_round_trip_through_chrome_json() {
 #[test]
 fn metrics_artifacts_parse_cleanly_after_a_run() {
     let ds = dataset(2, 15);
-    let auth = authenticator(&ds, 2);
+    let auth = untrained(ModelConfig::fast(2, 0));
     let model = frozen(&auth, &ds, Precision::F32);
     let engine = Engine::start_frozen(
         EngineConfig {
@@ -233,7 +208,7 @@ fn metrics_artifacts_parse_cleanly_after_a_run() {
 #[test]
 fn layer_profile_merges_every_worker_and_accounts_every_sample() {
     let ds = dataset(2, 15);
-    let auth = authenticator(&ds, 2);
+    let auth = untrained(ModelConfig::fast(2, 0));
     let model = frozen(&auth, &ds, Precision::F32);
     let report = serve(
         &model,
@@ -260,7 +235,7 @@ fn layer_profile_merges_every_worker_and_accounts_every_sample() {
 #[test]
 fn live_plane_is_a_pure_observer_at_both_precisions() {
     let ds = dataset(3, 20);
-    let auth = authenticator(&ds, 3);
+    let auth = untrained(ModelConfig::fast(3, 0));
     for precision in [Precision::F32, Precision::Int8] {
         let model = frozen(&auth, &ds, precision);
         let dark = serve(&model, &ds, EngineConfig::default());
@@ -336,7 +311,7 @@ fn live_plane_is_a_pure_observer_at_both_precisions() {
 #[test]
 fn scraping_under_load_keeps_counters_consistent() {
     let ds = dataset(3, 20);
-    let auth = authenticator(&ds, 3);
+    let auth = untrained(ModelConfig::fast(3, 0));
     let model = frozen(&auth, &ds, Precision::F32);
     let engine = Engine::start_frozen(
         EngineConfig {
@@ -448,7 +423,7 @@ fn scraping_under_load_keeps_counters_consistent() {
 #[test]
 fn slo_breach_walks_ok_degraded_failing_and_healthz_follows() {
     let ds = dataset(2, 30);
-    let auth = authenticator(&ds, 2);
+    let auth = untrained(ModelConfig::fast(2, 0));
     let model = frozen(&auth, &ds, Precision::F32);
     // A 1-slot DropNewest queue on a single worker: flooding it sheds
     // most of the replay, deterministically breaching the 5% drop SLO.
@@ -544,7 +519,7 @@ fn audit_trail_records_exactly_one_event_per_decided_verdict() {
     let path = dir.join(format!("audit-{}.jsonl", std::process::id()));
 
     let ds = dataset(3, 20);
-    let auth = authenticator(&ds, 3);
+    let auth = untrained(ModelConfig::fast(3, 0));
     let model = frozen(&auth, &ds, Precision::F32);
     let engine = Engine::start_frozen(
         EngineConfig {

@@ -4,8 +4,10 @@
 //! `AdaptiveThreshold` floors, and LRU device-state eviction with
 //! re-warm under a hard cap.
 
-use deepcsi_core::{Authenticator, FrozenAuthenticator, ModelConfig};
-use deepcsi_data::{generate_d1, GenConfig, InputSpec};
+mod common;
+
+use common::{dataset, untrained};
+use deepcsi_core::{FrozenAuthenticator, ModelConfig};
 use deepcsi_frame::{BeamformingReportFrame, MacAddr};
 use deepcsi_serve::{
     Backpressure, DecisionPolicyConfig, DeviceSnapshot, Engine, EngineConfig, EngineSnapshot,
@@ -13,31 +15,6 @@ use deepcsi_serve::{
     WindowSnapshot,
 };
 use std::sync::Arc;
-
-fn spec() -> InputSpec {
-    InputSpec {
-        stride: 4,
-        ..InputSpec::default()
-    }
-}
-
-fn dataset(modules: u32, snapshots: usize) -> deepcsi_data::Dataset {
-    generate_d1(&GenConfig {
-        num_modules: modules,
-        snapshots_per_trace: snapshots,
-        ..GenConfig::default()
-    })
-}
-
-/// An untrained classifier: snapshot tests exercise state plumbing, not
-/// accuracy, and skipping training keeps them fast.
-fn untrained(modules: usize) -> Authenticator {
-    let spec = spec();
-    let probe_ds = dataset(1, 1);
-    let probe = spec.tensor(&probe_ds.traces[0].snapshots[0]);
-    let model = ModelConfig::fast(modules, 0);
-    Authenticator::new(model.build_for(&probe), spec)
-}
 
 /// A synthetic `(module, confidence)` stream — deterministic, spread
 /// over modules with drifting confidence so every policy accumulates
@@ -144,8 +121,10 @@ fn engine_config(kind: PolicyKind) -> EngineConfig {
     }
 }
 
+/// An untrained classifier: snapshot tests exercise state plumbing, not
+/// accuracy, and skipping training keeps them fast.
 fn frozen(modules: usize) -> Arc<FrozenAuthenticator> {
-    Arc::new(untrained(modules).freeze())
+    Arc::new(untrained(ModelConfig::fast(modules, 0)).freeze())
 }
 
 fn sorted_decisions(engine: &Engine) -> Vec<deepcsi_serve::DeviceDecision> {
@@ -513,14 +492,14 @@ fn device_cap_evicts_lru_and_rewarms_returning_devices() {
         deepcsi_serve::DeviceRegistry::new(),
     );
 
-    let frame_for = |id: u64, seq: u16| {
+    let report = |id: u64, seq: u16| {
         BeamformingReportFrame::new(monitor, MacAddr::station(id), monitor, seq, fb.clone())
             .encode()
     };
 
     // 100 distinct sources through an 8-state cap.
     for id in 0..100u64 {
-        engine.ingest_frame(&frame_for(id, id as u16));
+        engine.ingest_frame(&report(id, id as u16));
     }
     engine.drain();
     let stats = engine.stats();
@@ -538,7 +517,7 @@ fn device_cap_evicts_lru_and_rewarms_returning_devices() {
 
     // Early sources were evicted long ago; their return re-warms.
     for id in 0..8u64 {
-        engine.ingest_frame(&frame_for(id, 200 + id as u16));
+        engine.ingest_frame(&report(id, 200 + id as u16));
     }
     engine.drain();
     let stats = engine.stats();

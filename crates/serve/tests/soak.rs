@@ -15,8 +15,10 @@
 //! backpressure), full classification accounting at the end of the run,
 //! and a p99 micro-batch latency bound.
 
-use deepcsi_core::{Authenticator, ModelConfig};
-use deepcsi_data::{generate_d1, GenConfig, InputSpec};
+mod common;
+
+use common::{dataset, untrained};
+use deepcsi_core::ModelConfig;
 use deepcsi_serve::{Backpressure, Engine, EngineConfig, EngineStats, ReplaySource, Verdict};
 use std::time::Duration;
 
@@ -30,19 +32,10 @@ const P99_SLO: Duration = Duration::from_millis(250);
 /// replaying a small synthetic capture, then asserts the soak SLOs and
 /// returns the final stats.
 fn run_soak(total: u64) -> EngineStats {
-    let ds = generate_d1(&GenConfig {
-        num_modules: 2,
-        snapshots_per_trace: 10,
-        ..GenConfig::default()
-    });
-    let spec = InputSpec {
-        stride: 4,
-        ..InputSpec::default()
-    };
-    let probe = spec.tensor(&ds.traces[0].snapshots[0]);
+    let ds = dataset(2, 10);
     // Untrained weights: soak measures the serving machinery, not the
     // classifier (throughput does not depend on what the verdicts are).
-    let auth = Authenticator::new(ModelConfig::demo(2).build_for(&probe), spec);
+    let auth = untrained(ModelConfig::demo(2));
 
     let replay = ReplaySource::from_dataset(&ds);
     let registry = ReplaySource::registry(&ds);

@@ -19,8 +19,10 @@
 //! part of the regular test suite) and an `#[ignore]`d sustained
 //! variant.
 
-use deepcsi_core::{Authenticator, ModelConfig};
-use deepcsi_data::{generate_d1, GenConfig, InputSpec};
+mod common;
+
+use common::{dataset, untrained};
+use deepcsi_core::ModelConfig;
 use deepcsi_serve::{Backpressure, Engine, EngineConfig, EngineStats, ReplaySource, Verdict};
 use std::time::Duration;
 
@@ -45,17 +47,8 @@ fn rss_bytes() -> Option<u64> {
 /// every MAC) and returns the per-checkpoint snapshots.
 fn run_wallclock_soak(total: u64, intervals: usize) -> Vec<EngineStats> {
     assert!(intervals >= 3, "a time series needs at least 3 intervals");
-    let ds = generate_d1(&GenConfig {
-        num_modules: 2,
-        snapshots_per_trace: 10,
-        ..GenConfig::default()
-    });
-    let spec = InputSpec {
-        stride: 4,
-        ..InputSpec::default()
-    };
-    let probe = spec.tensor(&ds.traces[0].snapshots[0]);
-    let auth = Authenticator::new(ModelConfig::demo(2).build_for(&probe), spec);
+    let ds = dataset(2, 10);
+    let auth = untrained(ModelConfig::demo(2));
 
     let replay = ReplaySource::from_dataset(&ds);
     let registry = ReplaySource::registry(&ds);

@@ -13,42 +13,23 @@
 //! ```
 
 use deepcsi::capture::PcapFileSource;
-use deepcsi::core::{run_experiment, Authenticator, ExperimentConfig, ModelConfig};
-use deepcsi::data::{d1_split, D1Set, GenConfig, InputSpec};
-use deepcsi::nn::TrainConfig;
+use deepcsi::core::demo::{demo_dataset, train, DemoConfig};
 use deepcsi::serve::{
     Backpressure, Engine, EngineConfig, EngineReport, ReplaySource, SourceStatus,
 };
 
 fn main() {
     // --- 1. Dataset + classifier --------------------------------------------
-    let gen = GenConfig {
-        num_modules: 3,
-        snapshots_per_trace: 40,
-        ..GenConfig::default()
+    let demo = DemoConfig {
+        modules: 3,
+        snapshots: 40,
+        epochs: 6,
     };
-    println!("generating D1 capture for {} AP modules…", gen.num_modules);
-    let dataset = deepcsi::data::generate_d1(&gen);
-
-    let spec = InputSpec {
-        stride: 4,
-        ..InputSpec::default()
-    };
-    let split = d1_split(&dataset, D1Set::S1, &[1, 2], &spec);
-    let cfg = ExperimentConfig {
-        model: ModelConfig::demo(3),
-        train: TrainConfig {
-            epochs: 6,
-            batch_size: 64,
-            learning_rate: 2e-3,
-            seed: 5,
-            ..TrainConfig::default()
-        },
-    };
+    println!("generating D1 capture for {} AP modules…", demo.modules);
+    let dataset = demo_dataset(&demo);
     println!("training…");
-    let result = run_experiment(&cfg, &split);
-    println!("  per-sample test accuracy {:.1}%", result.accuracy * 100.0);
-    let auth = Authenticator::new(result.network, spec);
+    let (auth, accuracy) = train(&dataset, demo.epochs);
+    println!("  per-sample test accuracy {:.1}%", accuracy * 100.0);
 
     // --- 2. Export the capture as a radiotap pcap ---------------------------
     let replay = ReplaySource::from_dataset(&dataset);

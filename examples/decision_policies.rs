@@ -15,10 +15,9 @@
 //! cargo run --release --example decision_policies
 //! ```
 
-use deepcsi::core::{run_experiment, Authenticator, ExperimentConfig, ModelConfig};
-use deepcsi::data::{d1_split, generate_d1, D1Set, GenConfig, InputSpec};
+use deepcsi::core::{demo, Authenticator};
+use deepcsi::data::{generate_d1, GenConfig};
 use deepcsi::impair::ImpairmentProfile;
-use deepcsi::nn::TrainConfig;
 use deepcsi::serve::{
     Backpressure, DecisionPolicyConfig, Engine, EngineConfig, EngineReport, PolicyKind,
     ReplaySource,
@@ -59,25 +58,9 @@ fn main() {
     println!("generating D1 capture for {} AP modules…", gen.num_modules);
     let dataset = generate_d1(&gen);
 
-    let spec = InputSpec {
-        stride: 4,
-        ..InputSpec::default()
-    };
-    let split = d1_split(&dataset, D1Set::S1, &[1, 2], &spec);
-    let cfg = ExperimentConfig {
-        model: ModelConfig::demo(3),
-        train: TrainConfig {
-            epochs: 6,
-            batch_size: 64,
-            learning_rate: 2e-3,
-            seed: 5,
-            ..TrainConfig::default()
-        },
-    };
     println!("training…");
-    let result = run_experiment(&cfg, &split);
-    println!("  per-sample test accuracy {:.1}%", result.accuracy * 100.0);
-    let auth = Authenticator::new(result.network, spec);
+    let (auth, accuracy) = demo::train(&dataset, 6);
+    println!("  per-sample test accuracy {:.1}%", accuracy * 100.0);
 
     let replay = ReplaySource::from_dataset(&dataset);
     let registry = ReplaySource::registry(&dataset);

@@ -48,7 +48,7 @@ fn v_tilde_cancels_common_phase_offsets() {
     );
 }
 
-/// §I / DESIGN.md §4: per-TX-chain phases DO percolate into Ṽ — remove
+/// Paper §I: per-TX-chain phases DO percolate into Ṽ — remove
 /// them and Ṽ changes. This is the fingerprint mechanism itself.
 #[test]
 fn v_tilde_exposes_per_chain_phases() {
