@@ -146,8 +146,9 @@ pub fn decompose(v: &CMatrix) -> GivensDecomposition {
 ///
 /// This is the computation the DeepCSI observer performs on sniffed
 /// (dequantized) angles. It is the generic reference: the observer's
-/// serving path runs [`v_tilde`](crate::v_tilde), which repeats exactly
-/// these operations on the stack and is tested bit-for-bit against it.
+/// serving path runs [`v_tilde`](crate::v_tilde), which computes the same
+/// bits with in-place rotations on the stack and is tested bit-for-bit
+/// against it.
 ///
 /// # Panics
 ///

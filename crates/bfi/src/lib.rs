@@ -19,9 +19,11 @@
 //!   it, and it is the oracle the tests hold [`v_tilde`] to.
 //! * [`v_tilde`] — quantized angles → `Ṽ_k` (Eq. (7)): the observer's
 //!   evaluator. It is bit-identical to
-//!   `v_from_angles(&dequantize(q, cb), m, n_ss)`, but runs on the stack
-//!   with table-driven cos/sin, so serving makes no heap allocation and no
-//!   transcendental call per subcarrier.
+//!   `v_from_angles(&dequantize(q, cb), m, n_ss)`, but applies each
+//!   Givens rotation in place to the two columns it touches instead of
+//!   multiplying dense matrices. It runs on the stack with table-driven
+//!   cos/sin, so serving makes no heap allocation and no transcendental
+//!   call per subcarrier.
 //! * [`BeamformingFeedback`] — the full per-sounding feedback across all
 //!   sounded subcarriers, as captured by a monitor, with the angles stored
 //!   flat (one `Vec` for φ and one for ψ).

@@ -1,11 +1,34 @@
 //! The observer's Eq. (7) evaluator on quantized angles, without the heap.
 //!
-//! [`v_tilde`] performs exactly the operation sequence of
-//! `v_from_angles(&dequantize(q, cb), m, n_ss)`: the same `D_{k,i}` and
-//! `G_{k,ℓ,i}ᵀ` factors, the same left-to-right products with the same
-//! loop order, and the same skip of zero left-hand entries. It runs on
-//! fixed `[[C64; M]; M]` arrays, so its result is bit-identical to the
-//! generic path by construction.
+//! [`v_tilde`] returns exactly the bits of
+//! `v_from_angles(&dequantize(q, cb), m, n_ss)`, but does not repeat its
+//! operations. The generic path multiplies dense M×M matrices. Here each
+//! factor `D_{k,i} Π_ℓ G_{k,ℓ,i}ᵀ` starts as `D_{k,i}`, and every `Gᵀ`
+//! rotates only its two columns, with real cos/sin. `acc · factor` computes
+//! only the columns the factor changes, and the last step only those that
+//! `· I_{M×N_SS}` keeps. The first step's `I · factor` and the final
+//! `· I_{M×N_SS}` become copies.
+//!
+//! Why the bits still match: every generic entry is `+0.0 + Σ_k a_k·b_k`,
+//! summed in k-order. All inputs are finite: table and inline cos/sin
+//! values, for any index in or out of range. Say two values are
+//! *alike* when they are equal or both zero, of either sign.
+//!
+//! * `+`, `−` and `·` map alike operands to alike results.
+//! * The terms the generic path skips, or multiplies by an exact 0 of an
+//!   identity or rotation matrix, are zeros. Adding a zero to a sum gives
+//!   a value alike to the sum.
+//! * `x · C64::real(c)` and `x.scale(c)` are alike, and so are
+//!   `x · C64::real(−s) + y · C64::real(c)` and
+//!   `y.scale(c) − x.scale(s)`.
+//!
+//! So every value here is alike to its generic twin. A sum that starts at
+//! `+0.0` is never −0, so the generic outputs hold no −0. The final
+//! `+0.0 + x` maps a −0 to +0 here too, and alike values without −0 are
+//! bit-identical. That guard is needed: an out-of-range ψ index with
+//! cos ψ < 0 and sin ψ < 0 makes the rotations produce a −0 where the
+//! generic path has +0 (`tests/vtilde_oracle.rs` fails without it). In
+//! range, cos ψ and sin ψ are positive and no −0 arises.
 //!
 //! The cos/sin values come from a table per standard codebook, built once
 //! and indexed by the quantized angle. The table holds exactly
@@ -18,6 +41,7 @@ use crate::GivensAngles;
 use deepcsi_linalg::{CMatrix, C64};
 use deepcsi_phy::Codebook;
 use std::ops::Index;
+use std::slice::Iter;
 use std::sync::OnceLock;
 
 /// Largest number of beamformer antennas M the standard allows.
@@ -123,77 +147,73 @@ impl Angles<'_> {
     }
 }
 
-fn identity<const M: usize>() -> [[C64; M]; M] {
-    let mut a = [[C64::ZERO; M]; M];
-    for (i, row) in a.iter_mut().enumerate() {
-        row[i] = C64::ONE;
-    }
-    a
-}
-
-/// `CMatrix::matmul` on arrays, computing only the first `cols` columns.
+/// `D_{k,i} Π_{ℓ=i+1}^{M} G_{k,ℓ,i}ᵀ` (Eqs. (4)–(5)), built as `D_{k,i}`
+/// rotated in place. Rows and columns left of i−1 (0-based) belong to the
+/// identity. They are left zero, because [`eval`] never reads them.
 #[inline]
-fn matmul<const M: usize>(a: &[[C64; M]; M], b: &[[C64; M]; M], cols: usize) -> [[C64; M]; M] {
-    let mut out = [[C64::ZERO; M]; M];
-    for (out_row, a_row) in out.iter_mut().zip(a) {
-        for (&x, b_row) in a_row.iter().zip(b) {
-            if x == C64::ZERO {
-                continue;
-            }
-            for (o, &y) in out_row[..cols].iter_mut().zip(&b_row[..cols]) {
-                *o += x * y;
-            }
-        }
-    }
-    out
-}
-
-/// Eq. (7) for a fixed M, step for step as `v_from_angles` performs it.
-fn eval<const M: usize>(
-    q_phi: &[u16],
-    q_psi: &[u16],
-    n_ss: usize,
+fn factor<const M: usize>(
+    i: usize,
+    phi: &mut Iter<'_, u16>,
+    psi: &mut Iter<'_, u16>,
     angles: Angles<'_>,
 ) -> [[C64; M]; M] {
-    let mut acc = identity::<M>();
-    let mut phi = q_phi.iter();
-    let mut psi = q_psi.iter();
-    for i in 1..=n_ss.min(M - 1) {
-        // D_{k,i} (Eq. (4)): e^{jφ_{ℓ,i}} on rows i..M−1 (1-based).
-        let mut prod = identity::<M>();
-        for (r, &q) in (i - 1..M - 1).zip(&mut phi) {
-            prod[r][r] = angles.cis_phi(q);
-        }
-        for (l, &q) in (i + 1..=M).zip(&mut psi) {
-            // G_{k,ℓ,i}ᵀ (Eq. (5), transposed).
-            let (c, s) = angles.cos_sin_psi(q);
-            let mut g_t = identity::<M>();
-            g_t[i - 1][i - 1] = C64::real(c);
-            g_t[l - 1][i - 1] = C64::real(s);
-            g_t[i - 1][l - 1] = C64::real(-s);
-            g_t[l - 1][l - 1] = C64::real(c);
-            prod = matmul(&prod, &g_t, M);
-        }
-        acc = matmul(&acc, &prod, M);
+    let p = i - 1;
+    // D_{k,i}: e^{jφ_{ℓ,i}} on rows i..M−1 (1-based), 1 on row M.
+    let mut prod = [[C64::ZERO; M]; M];
+    for (r, &q) in (p..M - 1).zip(phi) {
+        prod[r][r] = angles.cis_phi(q);
     }
-    // · I_{M×N_SS}
-    let mut eye = [[C64::ZERO; M]; M];
-    for (k, row) in eye.iter_mut().enumerate().take(n_ss) {
-        row[k] = C64::ONE;
+    prod[M - 1][M - 1] = C64::ONE;
+    // `· G_{k,ℓ,i}ᵀ` mixes columns i−1 and ℓ−1 (0-based). Both are still
+    // zero below row ℓ−1, so only rows i−1..=ℓ−1 change.
+    for (t, &q) in (i..M).zip(psi) {
+        let (c, s) = angles.cos_sin_psi(q);
+        for row in &mut prod[p..=t] {
+            let (x, y) = (row[p], row[t]);
+            row[p] = x.scale(c) + y.scale(s);
+            row[t] = y.scale(c) - x.scale(s);
+        }
     }
-    matmul(&acc, &eye, n_ss)
+    prod
 }
 
-fn eval_into<const M: usize>(
+/// Eq. (7) for a fixed `M ≥ 2`, written into the first `n_ss` columns of
+/// `out`.
+fn eval<const M: usize>(
     out: &mut [[C64; MAX_M]; MAX_M],
     q_phi: &[u16],
     q_psi: &[u16],
     n_ss: usize,
     angles: Angles<'_>,
 ) {
-    let v = eval::<M>(q_phi, q_psi, n_ss, angles);
-    for (dst, src) in out.iter_mut().zip(&v) {
-        dst[..M].copy_from_slice(src);
+    let imax = n_ss.min(M - 1);
+    let mut phi = q_phi.iter();
+    let mut psi = q_psi.iter();
+    // `I · prod` of the first step is `prod`.
+    let mut acc = factor::<M>(1, &mut phi, &mut psi, angles);
+    for i in 2..=imax {
+        let p = i - 1;
+        let prod = factor::<M>(i, &mut phi, &mut psi, angles);
+        // `acc · prod`: columns left of i−1 of `prod` are the identity's,
+        // so those of `acc` carry over. The last step only needs the
+        // columns that `· I_{M×N_SS}` keeps.
+        let cols = if i == imax { n_ss } else { M };
+        for row in &mut acc {
+            let a = *row;
+            for (col, o) in row.iter_mut().enumerate().take(cols).skip(p) {
+                let mut sum = C64::ZERO;
+                for (x, prod_row) in a[p..].iter().zip(&prod[p..]) {
+                    sum += *x * prod_row[col];
+                }
+                *o = sum;
+            }
+        }
+    }
+    // `· I_{M×N_SS}`, with `+0.0 +` mapping a −0 part to +0 (module doc).
+    for (dst, src) in out.iter_mut().zip(&acc) {
+        for (d, &x) in dst[..n_ss].iter_mut().zip(src) {
+            *d = C64::ZERO + x;
+        }
     }
 }
 
@@ -241,14 +261,15 @@ pub fn v_tilde(q_phi: &[u16], q_psi: &[u16], m: usize, n_ss: usize, cb: Codebook
     };
     let v = &mut out.v;
     match m {
-        1 => eval_into::<1>(v, q_phi, q_psi, n_ss, angles),
-        2 => eval_into::<2>(v, q_phi, q_psi, n_ss, angles),
-        3 => eval_into::<3>(v, q_phi, q_psi, n_ss, angles),
-        4 => eval_into::<4>(v, q_phi, q_psi, n_ss, angles),
-        5 => eval_into::<5>(v, q_phi, q_psi, n_ss, angles),
-        6 => eval_into::<6>(v, q_phi, q_psi, n_ss, angles),
-        7 => eval_into::<7>(v, q_phi, q_psi, n_ss, angles),
-        8 => eval_into::<8>(v, q_phi, q_psi, n_ss, angles),
+        // Eq. (7) has no factors: Ṽ = I_{1×1}.
+        1 => v[0][0] = C64::ONE,
+        2 => eval::<2>(v, q_phi, q_psi, n_ss, angles),
+        3 => eval::<3>(v, q_phi, q_psi, n_ss, angles),
+        4 => eval::<4>(v, q_phi, q_psi, n_ss, angles),
+        5 => eval::<5>(v, q_phi, q_psi, n_ss, angles),
+        6 => eval::<6>(v, q_phi, q_psi, n_ss, angles),
+        7 => eval::<7>(v, q_phi, q_psi, n_ss, angles),
+        8 => eval::<8>(v, q_phi, q_psi, n_ss, angles),
         _ => unreachable!("M was checked above"),
     }
     out

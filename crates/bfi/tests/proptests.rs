@@ -174,7 +174,7 @@ fn index(draw: u64, levels: u32) -> u16 {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn v_tilde_is_bit_identical_to_the_generic_path(seed in any::<u64>()) {

@@ -2,6 +2,7 @@
 
 use crate::{Band, WifiChannel};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// The set of OFDM sub-channels sounded during VHT channel sounding.
 ///
@@ -75,12 +76,16 @@ impl SubcarrierLayout {
         }
     }
 
-    /// Layout for a given bandwidth.
-    pub fn for_band(band: Band) -> Self {
+    /// Layout for a given bandwidth (160 MHz sounds the 80 MHz one). The
+    /// three layouts are built once, on first use.
+    pub fn for_band(band: Band) -> &'static Self {
+        static NATIVE: OnceLock<[SubcarrierLayout; 3]> = OnceLock::new();
+        let [vht20, vht40, vht80] =
+            NATIVE.get_or_init(|| [Self::vht20(), Self::vht40(), Self::vht80()]);
         match band {
-            Band::Mhz20 => Self::vht20(),
-            Band::Mhz40 => Self::vht40(),
-            Band::Mhz80 | Band::Mhz160 => Self::vht80(),
+            Band::Mhz20 => vht20,
+            Band::Mhz40 => vht40,
+            Band::Mhz80 | Band::Mhz160 => vht80,
         }
     }
 
@@ -179,6 +184,18 @@ mod tests {
     #[test]
     fn vht20_has_52_sounded_tones() {
         assert_eq!(SubcarrierLayout::vht20().len(), 52);
+    }
+
+    #[test]
+    fn for_band_serves_the_native_layouts() {
+        for (band, want) in [
+            (Band::Mhz20, SubcarrierLayout::vht20()),
+            (Band::Mhz40, SubcarrierLayout::vht40()),
+            (Band::Mhz80, SubcarrierLayout::vht80()),
+            (Band::Mhz160, SubcarrierLayout::vht80()),
+        ] {
+            assert_eq!(SubcarrierLayout::for_band(band), &want);
+        }
     }
 
     #[test]
