@@ -76,24 +76,52 @@ impl ModelConfig {
         }
     }
 
+    /// Checks that [`ModelConfig::build`] can assemble this
+    /// architecture for `input_shape` `(channels, rows, cols)`.
+    ///
+    /// # Errors
+    ///
+    /// Why it cannot: configuration vectors that disagree in length, a
+    /// zero size, an even kernel width, a dropout rate outside `[0, 1)`
+    /// or an input too narrow for the pooling pyramid.
+    pub fn validate(&self, (ch, rows, cols): (usize, usize, usize)) -> Result<(), String> {
+        if self.conv_filters.len() != self.conv_kernels.len() {
+            return Err("one kernel per conv layer".into());
+        }
+        if self.dense_units.len() != self.dropout_rates.len() {
+            return Err("one dropout rate per dense layer".into());
+        }
+        if ch == 0 || rows == 0 || cols == 0 {
+            return Err(format!("empty input shape {:?}", (ch, rows, cols)));
+        }
+        let sizes = self.conv_filters.iter().chain(&self.dense_units);
+        if sizes.chain([&self.num_classes]).any(|&n| n == 0) {
+            return Err("every layer needs at least one unit".into());
+        }
+        let mut kernels = self.conv_kernels.iter().chain([&self.attention_kernel]);
+        if let Some(k) = kernels.find(|&&k| k % 2 == 0) {
+            return Err(format!("kernel width {k} is even (same padding needs odd)"));
+        }
+        if let Some(r) = self.dropout_rates.iter().find(|r| !(0.0..1.0).contains(*r)) {
+            return Err(format!("dropout rate {r} is outside [0, 1)"));
+        }
+        if self.conv_filters.iter().fold(cols, |c, _| c / 2) == 0 {
+            return Err("input too narrow for the pooling pyramid".into());
+        }
+        Ok(())
+    }
+
     /// Builds the network for a given input shape `(channels, rows,
     /// cols)`.
     ///
     /// # Panics
     ///
-    /// Panics if configuration vectors disagree in length or the input is
-    /// too narrow for the pooling pyramid.
+    /// Panics with [`ModelConfig::validate`]'s reason when the
+    /// configuration cannot be built for this input.
     pub fn build(&self, input_shape: (usize, usize, usize)) -> Network {
-        assert_eq!(
-            self.conv_filters.len(),
-            self.conv_kernels.len(),
-            "one kernel per conv layer"
-        );
-        assert_eq!(
-            self.dense_units.len(),
-            self.dropout_rates.len(),
-            "one dropout rate per dense layer"
-        );
+        if let Err(reason) = self.validate(input_shape) {
+            panic!("{reason}");
+        }
         let (mut ch, rows, mut cols) = input_shape;
         let mut net = Network::new();
         for (li, (&filters, &kernel)) in self
@@ -112,7 +140,6 @@ impl ModelConfig {
             net.push(MaxPool2d::new((1, 2)));
             ch = filters;
             cols /= 2;
-            assert!(cols > 0, "input too narrow for the pooling pyramid");
         }
         net.push(SpatialAttention::new(
             self.attention_kernel,
@@ -207,6 +234,31 @@ mod tests {
         let ya = a.clone().forward(&x, false);
         let yb = b.clone().forward(&x, false);
         assert_ne!(ya.as_slice(), yb.as_slice());
+    }
+
+    #[test]
+    fn validate_names_what_build_would_panic_on() {
+        assert_eq!(ModelConfig::demo(4).validate((5, 1, 59)), Ok(()));
+        for want in [
+            "one kernel",
+            "one dropout",
+            "at least one unit",
+            "even",
+            "outside",
+        ] {
+            let mut cfg = ModelConfig::demo(4);
+            match want {
+                "one kernel" => cfg.conv_kernels.push(3),
+                "one dropout" => cfg.dropout_rates.clear(),
+                "at least one unit" => cfg.num_classes = 0,
+                "even" => cfg.attention_kernel = 4,
+                _ => cfg.dropout_rates[0] = f32::NAN,
+            }
+            let err = cfg.validate((5, 1, 59)).unwrap_err();
+            assert!(err.contains(want), "{want}: {err}");
+        }
+        let narrow = ModelConfig::demo(4).validate((5, 1, 3)).unwrap_err();
+        assert!(narrow.contains("too narrow"), "{narrow}");
     }
 
     #[test]

@@ -62,6 +62,10 @@ pub enum AuthError {
     Io(std::io::Error),
     /// Model (de)serialisation failed.
     Codec(bincode::Error),
+    /// A saved model decoded but cannot be served: its architecture does
+    /// not build, its weights do not fit the architecture, or a weight
+    /// is NaN or ±∞.
+    InvalidModel(String),
 }
 
 impl fmt::Display for AuthError {
@@ -70,6 +74,7 @@ impl fmt::Display for AuthError {
             AuthError::Frame(e) => write!(f, "frame decode failed: {e}"),
             AuthError::Io(e) => write!(f, "model i/o failed: {e}"),
             AuthError::Codec(e) => write!(f, "model codec failed: {e}"),
+            AuthError::InvalidModel(reason) => write!(f, "invalid model: {reason}"),
         }
     }
 }
@@ -266,12 +271,20 @@ impl Authenticator {
     ///
     /// # Errors
     ///
-    /// I/O or deserialisation failures.
+    /// I/O or deserialisation failures, and [`AuthError::InvalidModel`]
+    /// when the decoded model cannot be served (see
+    /// [`ModelConfig::validate`] and `Network::load_weights`) — a corrupt
+    /// file is refused here rather than panicking or serving NaN.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, AuthError> {
         let file = std::fs::File::open(path)?;
         let saved: SavedModel = bincode::deserialize_from(std::io::BufReader::new(file))?;
+        saved
+            .model
+            .validate(saved.input_shape)
+            .map_err(AuthError::InvalidModel)?;
         let mut net = saved.model.build(saved.input_shape);
-        net.load_weights(&saved.weights);
+        net.load_weights(&saved.weights)
+            .map_err(AuthError::InvalidModel)?;
         Ok(Authenticator {
             net,
             spec: saved.spec,
@@ -471,6 +484,34 @@ mod tests {
             );
         }
         assert_eq!(frozen.input_shape(), auth.input_shape());
+    }
+
+    #[test]
+    fn load_refuses_a_corrupt_model() {
+        let (mut auth, _, _) = tiny_authenticator();
+        let dir = std::env::temp_dir().join("deepcsi-auth-corrupt-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.bin");
+        auth.save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        for what in [
+            "truncated weight vector",
+            "NaN weight",
+            "mismatched config lengths",
+        ] {
+            let mut bad: SavedModel = bincode::deserialize(&bytes).unwrap();
+            match what {
+                "truncated weight vector" => drop(bad.weights[0].pop()),
+                "NaN weight" => bad.weights[1][0] = f32::NAN,
+                _ => bad.model.conv_kernels.push(3),
+            }
+            std::fs::write(&path, bincode::serialize(&bad).unwrap()).unwrap();
+            assert!(
+                matches!(Authenticator::load(&path), Err(AuthError::InvalidModel(_))),
+                "{what} must be refused"
+            );
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -23,13 +23,15 @@
 //! whatever SIMD width the build host offers (`-C target-cpu=native` is
 //! set workspace-wide). One weight fetch serves the whole batch.
 //!
-//! The conv and dense kernels only ever run whole 16-lane blocks. A
-//! batch that is not a multiple of 16 is *staged* for them: its input is
-//! widened into the spare ping-pong plane with zero pad lanes, the
-//! kernel writes the padded plane, and the output is compacted back to
-//! `b` lanes in place. Staging uses no buffer beyond the ping-pong pair,
-//! pad lanes never reach another op, and every other plane (element-wise
-//! ops, pooling, the int8 domain) stays at exactly `b` lanes.
+//! The conv and dense kernels split a batch of `b = 16q + r` samples.
+//! The `q` whole [`LANES`]-wide blocks run register tiles across the
+//! batch lanes, in place at stride `b`. The `r` leftover samples run a
+//! second kernel that vectorizes along another axis instead: conv along
+//! the flattened (width × sample) axis of a zero-haloed copy in the
+//! [`InferCtx`] workspace, dense across 16 output rows. So a batch costs
+//! in proportion to its samples, no op ever sees a pad lane, and every
+//! plane (element-wise ops, pooling, the int8 domain) stays at exactly
+//! `b` lanes.
 //!
 //! Because each sample only ever reads its own lanes, outputs are
 //! **bit-equal** to [`crate::Network::forward`] with `train = false` for
@@ -150,6 +152,9 @@ pub struct InferCtx {
     /// logits live here).
     pub(crate) scratch0: Vec<f32>,
     pub(crate) scratch1: Vec<f32>,
+    /// The conv tail's workspace: the last `b % LANES` samples gathered
+    /// into zero-haloed flat rows, then the flat kernel's output rows.
+    pub(crate) flat: Vec<f32>,
     /// Quantized activation plane (int8-grid values `[-127, 127]`,
     /// i16-materialized for the integer dot-product kernels; empty for
     /// f32 models). **Sample-major** layout — `data[s * elems + e]` —
@@ -288,48 +293,6 @@ impl InferCtx {
         self.set_out_shape(out_shape);
     }
 
-    /// [`InferCtx::produce`] for the lane-blocked kernels (conv, dense):
-    /// `f` always sees whole [`LANES`]-wide blocks, `bp =
-    /// b.next_multiple_of(LANES)` lanes per element, whatever the batch
-    /// size. A ragged batch is staged through the ping-pong pair alone:
-    /// the input is widened into the spare plane with zero pad lanes, the
-    /// kernel writes the current plane at stride `bp`, and that plane is
-    /// compacted back to stride `b` in place. Pad lanes never reach
-    /// another op, so outputs stay bit-equal to the unpadded math.
-    ///
-    /// `f` receives `(input, output, bp)` and must overwrite every output
-    /// element.
-    pub(crate) fn produce_lane_blocks(
-        &mut self,
-        out_shape: &[usize],
-        f: impl FnOnce(&[f32], &mut [f32], usize),
-    ) {
-        let b = self.b;
-        let bp = b.next_multiple_of(LANES);
-        if bp == b {
-            std::mem::swap(&mut self.cur, &mut self.nxt);
-        } else {
-            let in_len = self.elems() * bp;
-            resize_buf(&mut self.nxt, in_len);
-            for (wide, narrow) in self.nxt.chunks_exact_mut(bp).zip(self.cur.chunks_exact(b)) {
-                wide[..b].copy_from_slice(narrow);
-                wide[b..].fill(0.0);
-            }
-        }
-        let out_elems = out_shape.iter().product::<usize>();
-        resize_buf(&mut self.cur, out_elems * bp);
-        f(&self.nxt, &mut self.cur, bp);
-        if bp != b {
-            // Element e moves from e·bp down to e·b; in ascending order
-            // no move overwrites a block still to be read.
-            for e in 1..out_elems {
-                self.cur.copy_within(e * bp..e * bp + b, e * b);
-            }
-            self.cur.truncate(out_elems * b);
-        }
-        self.set_out_shape(out_shape);
-    }
-
     fn set_out_shape(&mut self, out_shape: &[usize]) {
         self.shape.clear();
         self.shape.extend_from_slice(out_shape);
@@ -438,18 +401,19 @@ impl InferCtx {
     }
 }
 
-/// SIMD lane-block width of the batched conv/dense kernels: one full
-/// AVX-512 vector of `f32` (narrower ISAs use two or four registers).
-/// [`InferCtx::produce_lane_blocks`] pads every batch to a multiple of
-/// it.
+/// SIMD width of the batched conv/dense kernels: one full AVX-512
+/// vector of `f32` (narrower ISAs use two or four registers). Whole
+/// blocks of it run the lane tiles; the `b % LANES` leftover samples of
+/// a batch run the flat-axis tail kernels, and the conv tail's flat
+/// tiles are three vectors of it wide.
 pub(crate) const LANES: usize = 16;
 
 /// Minimum samples routed to each lane of a [`crate::InferPool`]: one
 /// full SIMD lane block (the 16-wide granularity of the batched
-/// conv/dense kernels). Chunks are also *aligned* to this, so every
-/// split chunk except the batch's ragged tail fills its lane blocks
-/// exactly — only the tail pays for pad lanes. A batch of `n` samples
-/// therefore engages at most `max(1, n / 16)` lanes.
+/// conv/dense lane tiles). Chunks are also *aligned* to this, so every
+/// split chunk except the batch's ragged tail is all full lane blocks,
+/// and only the last chunk runs the tail kernels. A batch of `n`
+/// samples therefore engages at most `max(1, n / 16)` lanes.
 pub const PAR_MIN_CHUNK: usize = LANES;
 
 /// An immutable inference snapshot of a [`crate::Network`].
@@ -568,10 +532,12 @@ impl FrozenModel {
     ///
     /// Outputs are element-wise **bit-equal** to calling
     /// [`crate::Network::forward`] with `train = false` on each sample,
-    /// for any batch size: the caller never pads, and conv/dense stage a
-    /// ragged batch into whole 16-lane blocks internally (see the module
-    /// docs). After `ctx` has seen its largest batch, the call allocates
-    /// nothing but the returned tensors.
+    /// for any batch size: the caller never pads, and conv/dense run the
+    /// whole 16-lane blocks and the leftover samples on separate kernels
+    /// (see the module docs), so the cost follows the sample count.
+    /// After `ctx` has seen its largest batch and its largest remainder
+    /// `b % 16` (which sizes the conv tail's workspace), the call
+    /// allocates nothing but the returned tensors.
     pub fn infer_batch(&self, xs: &[Tensor], ctx: &mut InferCtx) -> Vec<Tensor> {
         if xs.is_empty() {
             return Vec::new();
@@ -606,12 +572,12 @@ impl FrozenModel {
 ///   [`PAR_MIN_CHUNK`] block of work costs more to hand off than it
 ///   saves, so usable parallelism is `max(1, batch / PAR_MIN_CHUNK)`
 ///   regardless of how many lanes exist.
-/// * Chunks are lane-block *aligned*: every chunk except the batch's own
-///   ragged tail is a multiple of the SIMD width, so no lane but the
-///   tail's stages pad lanes (every lane runs the same full-width
-///   kernels either way). Rounding the chunk up can only *reduce* the
-///   chunk count, so zipping chunks against lanes never drops samples —
-///   and since `chunk_len ≥ 1` no chunk is ever empty.
+/// * Chunks are lane-block *aligned*: every chunk except the last is a
+///   multiple of the SIMD width, so the batch's `batch % 16` leftover
+///   samples all land in the last chunk and only its lane runs the tail
+///   kernels. Rounding the chunk up can only *reduce* the chunk count,
+///   so zipping chunks against lanes never drops samples — and since
+///   `chunk_len ≥ 1` no chunk is ever empty.
 pub fn plan_split(batch: usize, lanes: usize) -> (usize, usize) {
     let threads = lanes.min((batch / PAR_MIN_CHUNK).max(1));
     if threads == 1 {
@@ -672,12 +638,12 @@ mod tests {
         let _ = frozen.infer_batch(&xs[..3], &mut ctx);
         assert_eq!(caps, (ctx.cur.capacity(), ctx.nxt.capacity()));
 
-        // Ragged batches stage their conv/dense lane blocks through the
-        // same two planes: once warm, no batch at or below the warm-up
-        // size grows either of them. This chain exchanges the planes an
-        // odd number of times per call (only the pool swaps; staged
-        // conv/dense write back into the input's plane), so it takes two
-        // warm-up calls for each plane to have held every activation.
+        // Ragged batches: once warm, no batch at or below the warm-up
+        // size grows either plane, and no remainder at or below the
+        // warm-up's largest (15) grows the conv tail's workspace. This
+        // chain exchanges the planes an odd number of times per call
+        // (conv, pool and dense each swap), so it takes two warm-up
+        // calls for each plane to have held every activation.
         let mut net = Network::new();
         net.push(Conv2d::new(2, 8, (1, 3), 3));
         net.push(Selu::new());
@@ -694,13 +660,14 @@ mod tests {
             })
             .collect();
         let mut ctx = frozen.ctx();
-        for _ in 0..2 {
-            let _ = frozen.infer_batch(&xs, &mut ctx);
+        for b in [17, 17, 15] {
+            let _ = frozen.infer_batch(&xs[..b], &mut ctx);
         }
-        let caps = (ctx.cur.capacity(), ctx.nxt.capacity());
-        for b in [17, 3] {
+        let caps = |ctx: &InferCtx| (ctx.cur.capacity(), ctx.nxt.capacity(), ctx.flat.capacity());
+        let warm = caps(&ctx);
+        for b in [17, 3, 15, 16, 1] {
             let got = frozen.infer_batch(&xs[..b], &mut ctx);
-            assert_eq!(caps, (ctx.cur.capacity(), ctx.nxt.capacity()), "b={b}");
+            assert_eq!(warm, caps(&ctx), "b={b}");
             for (x, g) in xs.iter().zip(&got) {
                 assert_eq!(net.forward(x, false).as_slice(), g.as_slice(), "b={b}");
             }

@@ -1,6 +1,6 @@
 //! The spatial-attention block of the DeepCSI classifier.
 
-use crate::frozen::{resize_buf, InferCtx, InferOp, LANES};
+use crate::frozen::{resize_buf, InferCtx, InferOp};
 use crate::layer::{Layer, ParamView};
 use crate::layers::activation::{sigmoid_val, Sigmoid};
 use crate::layers::conv::{Conv2d, FrozenConv2d};
@@ -42,9 +42,10 @@ impl SpatialAttention {
 
 /// The frozen attention block: an embedded frozen convolution plus the
 /// (stateless) pooling/sigmoid/residual arithmetic. The pooled maps and
-/// attention logits live in the [`InferCtx`] scratch planes; the
-/// residual multiply runs in place on the activation plane, so the whole
-/// block moves no data beyond its two small scratch buffers.
+/// attention logits live in the [`InferCtx`] scratch planes at the
+/// batch's own stride `b`; the residual multiply runs in place on the
+/// activation plane, so the whole block moves no data beyond its two
+/// small scratch buffers (and the embedded conv's tail workspace).
 struct FrozenSpatialAttention {
     conv: FrozenConv2d,
 }
@@ -60,22 +61,18 @@ impl InferOp for FrozenSpatialAttention {
             .try_into()
             .expect("attention input must be rank 3");
         let b = ctx.batch_size();
-        // The scratch planes run at the padded lane stride, so the
-        // embedded conv sees whole lane blocks; pad lanes stay zero in
-        // and are never read back out.
-        let bp = b.next_multiple_of(LANES);
         let hw = h * w;
         // Channel-wise max and mean maps into scratch0, batch lanes
         // innermost; the channel scan order matches `forward` (strict `>`
         // keeps the first maximum, the mean sums channels in ascending
         // order).
-        resize_buf(&mut ctx.scratch0, 2 * hw * bp);
+        resize_buf(&mut ctx.scratch0, 2 * hw * b);
         ctx.scratch0.fill(0.0);
         {
             let (xs, ps) = (&ctx.cur, &mut ctx.scratch0);
             for p in 0..hw {
-                let max_base = p * bp;
-                let mean_base = (hw + p) * bp;
+                let max_base = p * b;
+                let mean_base = (hw + p) * b;
                 ps[max_base..max_base + b].copy_from_slice(&xs[p * b..(p + 1) * b]);
                 for ci in 0..c {
                     let ibase = (ci * hw + p) * b;
@@ -96,9 +93,14 @@ impl InferOp for FrozenSpatialAttention {
         }
         // Attention logits into scratch1 (the conv overwrites every
         // element), then the sigmoid in place.
-        resize_buf(&mut ctx.scratch1, self.conv.out_ch() * hw * bp);
-        self.conv
-            .run(&ctx.scratch0, &mut ctx.scratch1, (2, h, w), bp);
+        resize_buf(&mut ctx.scratch1, self.conv.out_ch() * hw * b);
+        self.conv.run(
+            &ctx.scratch0,
+            &mut ctx.scratch1,
+            (2, h, w),
+            b,
+            &mut ctx.flat,
+        );
         for v in ctx.scratch1.iter_mut() {
             *v = sigmoid_val(*v);
         }
@@ -108,7 +110,7 @@ impl InferOp for FrozenSpatialAttention {
         for ci in 0..c {
             for p in 0..hw {
                 let obase = (ci * hw + p) * b;
-                let abase = p * bp;
+                let abase = p * b;
                 for s in 0..b {
                     let v = os[obase + s];
                     os[obase + s] = v * avs[abase + s] + v;

@@ -1,6 +1,32 @@
 //! 2-D convolution with "same" zero padding.
+//!
+//! The frozen op splits a batch of `b = 16q + r` samples. The `q` full
+//! [`LANES`]-wide blocks run register tiles across the batch lanes, in
+//! place at stride `b`. The `r` leftover samples are gathered into a
+//! workspace where each input row `(i, ih)` is laid out along the
+//! flattened (width × sample) axis, `iw·r + t`, between `pw·r` zeros on
+//! the left and at least `pw·r` zeros on the right. Output `(ow, t)` then
+//! reads tap `dw` at a plain shift of `dw·r`, so one tile kernel computes
+//! [`TILE_CH`] channels × 48 consecutive flat outputs with no border case,
+//! and the output row is padded to a multiple of 48 so no narrower tile
+//! exists.
+//!
+//! Why the halo is exact: `Conv2d::forward` computes each output as
+//! `+0.0 + Σ w·x`, summed over the in-bounds taps in `(i, dh, dw)` order,
+//! with the bias added last. The flat kernel sums in the same order and
+//! skips the same `dh` rows. It differs only in the `dw` taps that fall
+//! off the edge: they now add `w·(+0)`, which is ±0 for every finite `w`.
+//!
+//! * The sum starts at `+0.0` and is never −0: in round-to-nearest an
+//!   exact-zero sum of two operands is +0 unless both are −0.
+//! * Adding ±0 to a sum that is not −0 returns the sum, bit for bit.
+//!
+//! So every output is bit-identical to `forward`'s. The argument needs
+//! finite weights (`∞·0` is NaN), which a trained network has and
+//! [`crate::Network::load_weights`] enforces. The inputs may be anything:
+//! a halo tap never reads an input value.
 
-use crate::frozen::{InferCtx, InferOp, LANES};
+use crate::frozen::{resize_buf, InferCtx, InferOp, LANES};
 use crate::init::lecun_normal;
 use crate::layer::{Layer, ParamView};
 use crate::quant::ops::{conv_out_shape, Int8Conv2d};
@@ -240,48 +266,207 @@ impl FrozenConv2d {
     }
 
     /// Runs the batched convolution from `xs` (shape `(c, h, w)`, `b`
-    /// interleaved lanes, a multiple of `LANES`) into `os`, overwriting
-    /// every element.
+    /// interleaved lanes) into `os`, overwriting every element. Full
+    /// lane blocks run the lane tiles; the `b % LANES` leftover samples
+    /// run the flat-axis kernel through the workspace `flat` (see the
+    /// module docs).
     pub(crate) fn run(
         &self,
         xs: &[f32],
         os: &mut [f32],
-        (c, h, w): (usize, usize, usize),
+        dims: (usize, usize, usize),
         b: usize,
+        flat: &mut Vec<f32>,
     ) {
-        assert_eq!(c, self.in_ch, "input channel mismatch");
-        assert_eq!(b % LANES, 0, "conv runs whole lane blocks");
-        let dims = (c, h, w);
+        assert_eq!(dims.0, self.in_ch, "input channel mismatch");
+        let r = b % LANES;
+        for s0 in (0..b - r).step_by(LANES) {
+            self.run_lane_block(xs, os, dims, b, s0);
+        }
+        if r > 0 {
+            self.run_flat(xs, os, dims, b, flat);
+        }
+    }
+
+    /// The lanes `s0..s0 + LANES` of every output element.
+    fn run_lane_block(
+        &self,
+        xs: &[f32],
+        os: &mut [f32],
+        dims: (usize, usize, usize),
+        b: usize,
+        s0: usize,
+    ) {
+        assert!(s0 + LANES <= b, "conv lane tiles run whole lane blocks");
+        let (_, h, w) = dims;
         let pw = self.kw / 2;
         // Interior columns: every tap of ow ∈ [lo, hi) is in bounds.
         let lo = pw.min(w);
         let hi = w.saturating_sub(pw).max(lo);
         let full = self.out_ch - self.out_ch % TILE_CH;
-        for s0 in (0..b).step_by(LANES) {
-            for o0 in (0..full).step_by(TILE_CH) {
-                for oh in 0..h {
-                    for ow in (0..lo).chain(hi..w) {
-                        self.conv_col::<TILE_CH>(xs, os, dims, b, o0, s0, (oh, ow));
-                    }
-                    let mut ow = lo;
-                    while ow + TILE_COLS <= hi {
-                        self.conv_tile::<TILE_COLS>(xs, os, dims, b, o0, s0, (oh, ow));
-                        ow += TILE_COLS;
-                    }
-                    for ow in ow..hi {
-                        self.conv_tile::<1>(xs, os, dims, b, o0, s0, (oh, ow));
-                    }
+        for o0 in (0..full).step_by(TILE_CH) {
+            for oh in 0..h {
+                for ow in (0..lo).chain(hi..w) {
+                    self.conv_col::<TILE_CH>(xs, os, dims, b, o0, s0, (oh, ow));
+                }
+                let mut ow = lo;
+                while ow + TILE_COLS <= hi {
+                    self.conv_tile::<TILE_COLS>(xs, os, dims, b, o0, s0, (oh, ow));
+                    ow += TILE_COLS;
+                }
+                for ow in ow..hi {
+                    self.conv_tile::<1>(xs, os, dims, b, o0, s0, (oh, ow));
                 }
             }
-            for o0 in full..self.out_ch {
-                for oh in 0..h {
-                    for ow in 0..w {
-                        self.conv_col::<1>(xs, os, dims, b, o0, s0, (oh, ow));
-                    }
+        }
+        for o0 in full..self.out_ch {
+            for oh in 0..h {
+                for ow in 0..w {
+                    self.conv_col::<1>(xs, os, dims, b, o0, s0, (oh, ow));
                 }
             }
         }
     }
+
+    /// The last `r = b % LANES` lanes of every output element: gathers
+    /// them into zero-haloed flat rows, runs [`FrozenConv2d::flat_tile`]
+    /// over every 48-wide span, and scatters the results back.
+    fn run_flat(
+        &self,
+        xs: &[f32],
+        os: &mut [f32],
+        (c, h, w): (usize, usize, usize),
+        b: usize,
+        flat: &mut Vec<f32>,
+    ) {
+        let r = b % LANES;
+        let s0 = b - r;
+        let pad = self.kw / 2 * r;
+        let span = (w * r).next_multiple_of(FLAT_TILE);
+        let row = span + 2 * pad;
+        let in_len = c * h * row;
+        resize_buf(flat, in_len + self.out_ch * h * span);
+        let (xin, xout) = flat.split_at_mut(in_len);
+        // With no full block (r == b) a lane row already is a flat row.
+        for (dst, src) in xin.chunks_exact_mut(row).zip(xs.chunks_exact(w * b)) {
+            let (left, rest) = dst.split_at_mut(pad);
+            let (mid, right) = rest.split_at_mut(w * r);
+            left.fill(0.0);
+            right.fill(0.0);
+            if r == b {
+                mid.copy_from_slice(src);
+            } else {
+                for (d, s) in mid.chunks_exact_mut(r).zip(src.chunks_exact(b)) {
+                    d.copy_from_slice(&s[s0..]);
+                }
+            }
+        }
+        let geom = FlatGeom { c, h, r, row, span };
+        let full = self.out_ch - self.out_ch % TILE_CH;
+        for o0 in (0..full).step_by(TILE_CH) {
+            for oh in 0..h {
+                for g0 in (0..span).step_by(FLAT_TILE) {
+                    self.flat_tile::<TILE_CH>(xin, xout, geom, o0, oh, g0);
+                }
+            }
+        }
+        for o0 in full..self.out_ch {
+            for oh in 0..h {
+                for g0 in (0..span).step_by(FLAT_TILE) {
+                    self.flat_tile::<1>(xin, xout, geom, o0, oh, g0);
+                }
+            }
+        }
+        for (dst, src) in os.chunks_exact_mut(w * b).zip(xout.chunks_exact(span)) {
+            let src = &src[..w * r];
+            if r == b {
+                dst.copy_from_slice(src);
+            } else {
+                for (d, s) in dst.chunks_exact_mut(b).zip(src.chunks_exact(r)) {
+                    d[s0..].copy_from_slice(s);
+                }
+            }
+        }
+    }
+
+    /// Flat-axis tile: `OB` output channels × [`FLAT_TILE`] consecutive
+    /// flat outputs `g0..g0 + 48` of output row `oh`, every accumulator
+    /// in a vector register. Tap `dw` of flat output `g` is input
+    /// `g + dw·r` of the haloed row, so the scan has no border case.
+    /// Term order per output is the lane tiles': `(i, dh, dw)`
+    /// ascending, bias last.
+    ///
+    /// Measured codegen: the tile stores its own results, since returning
+    /// the accumulators by value spills them on every tap, and it stays
+    /// out of line, since inlined into `run_flat` LLVM keeps them in
+    /// memory and stores all 24 vectors on every tap.
+    #[inline(never)]
+    fn flat_tile<const OB: usize>(
+        &self,
+        xin: &[f32],
+        xout: &mut [f32],
+        g: FlatGeom,
+        o0: usize,
+        oh: usize,
+        g0: usize,
+    ) {
+        debug_assert!(o0 % TILE_CH + OB <= TILE_CH, "OB channels span one block");
+        let (kw, ph) = (self.kw, self.kh / 2);
+        let (dh_lo, dh_hi) = (ph.saturating_sub(oh), (g.h + ph - oh).min(self.kh));
+        let mut acc = [[[0.0f32; LANES]; TILE_COLS]; OB];
+        for i in 0..g.c {
+            for dh in dh_lo..dh_hi {
+                let ih = oh + dh - ph;
+                // The input window and packed weight row of this (i, dh),
+                // sliced once so the dw loop runs without bounds checks.
+                let xbase = (i * g.h + ih) * g.row + g0;
+                let xwin = &xin[xbase..xbase + (kw - 1) * g.r + FLAT_TILE];
+                let wbase = self.widx(o0, i, dh, 0);
+                let wrow = &self.weight[wbase..wbase + (kw - 1) * TILE_CH + OB];
+                for dw in 0..kw {
+                    let wv: &[f32; OB] = wrow[dw * TILE_CH..][..OB]
+                        .try_into()
+                        .expect("packed channel block");
+                    let x = &xwin[dw * g.r..][..FLAT_TILE];
+                    let xv: [[f32; LANES]; TILE_COLS] = std::array::from_fn(|v| {
+                        x[v * LANES..][..LANES].try_into().expect("full vector")
+                    });
+                    for (a, &wv) in acc.iter_mut().zip(wv) {
+                        for (av, xv) in a.iter_mut().zip(&xv) {
+                            for (av, &x) in av.iter_mut().zip(xv) {
+                                *av += wv * x;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        for (j, a) in acc.iter().enumerate() {
+            let bias = self.bias[o0 + j];
+            for (v, av) in a.iter().enumerate() {
+                let ob = ((o0 + j) * g.h + oh) * g.span + g0 + v * LANES;
+                for (ov, &av) in xout[ob..ob + LANES].iter_mut().zip(av) {
+                    *ov = av + bias;
+                }
+            }
+        }
+    }
+}
+
+/// Flat outputs per [`FrozenConv2d::flat_tile`]: [`TILE_COLS`] vectors
+/// of [`LANES`], the lane tile's register budget.
+const FLAT_TILE: usize = TILE_COLS * LANES;
+
+/// The flat-axis workspace geometry of one [`FrozenConv2d::run_flat`]
+/// call: input channels and rows, tail samples `r`, the haloed input row
+/// length and the 48-padded output row length.
+#[derive(Clone, Copy)]
+struct FlatGeom {
+    c: usize,
+    h: usize,
+    r: usize,
+    row: usize,
+    span: usize,
 }
 
 impl InferOp for FrozenConv2d {
@@ -291,9 +476,11 @@ impl InferOp for FrozenConv2d {
 
     fn apply(&self, ctx: &mut InferCtx) {
         let [c, h, w]: [usize; 3] = ctx.shape().try_into().expect("conv input must be rank 3");
-        ctx.produce_lane_blocks(&[self.out_ch, h, w], |xs, os, bp| {
-            self.run(xs, os, (c, h, w), bp);
+        let mut flat = std::mem::take(&mut ctx.flat);
+        ctx.produce(&[self.out_ch, h, w], |xs, os, _, b| {
+            self.run(xs, os, (c, h, w), b, &mut flat);
         });
+        ctx.flat = flat;
     }
 
     fn out_shape(&self, in_shape: &[usize]) -> Result<Vec<usize>, String> {

@@ -55,28 +55,29 @@ impl Dense {
 /// Computes `OB` output rows × `LANES` batch lanes of `y = W x + b` with
 /// all accumulators in registers: the constant trip counts let the
 /// compiler fully unroll and vectorize the j/s loops, so each k step is
-/// one lane load plus `OB` broadcast-FMAs.
+/// one lane load plus `OB` broadcast-FMAs, their weights adjacent in the
+/// packed `Wᵀ` row. The `OB` rows lie in one packed block.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // flat kernel signature keeps the hot path monomorphic
 fn lane_kernel<const OB: usize>(
-    weight: &[f32],
-    bias: &[f32],
+    dense: &FrozenDense,
     xs: &[f32],
     os: &mut [f32],
-    in_dim: usize,
     b: usize,
     o0: usize,
     s0: usize,
 ) {
+    let (in_dim, off) = (dense.in_dim, o0 % LANES);
+    debug_assert!(off + OB <= LANES, "OB rows span one block");
+    let wblock = &dense.weight[o0 / LANES * in_dim * LANES..][..in_dim * LANES];
     let mut acc = [[0.0f32; LANES]; OB];
     for (j, a) in acc.iter_mut().enumerate() {
-        *a = [bias[o0 + j]; LANES];
+        *a = [dense.bias[o0 + j]; LANES];
     }
-    for k in 0..in_dim {
+    for (k, wrow) in wblock.chunks_exact(LANES).enumerate() {
         let base = k * b + s0;
         let xrow: &[f32; LANES] = xs[base..base + LANES].try_into().expect("full lane block");
-        for (j, a) in acc.iter_mut().enumerate() {
-            let wv = weight[(o0 + j) * in_dim + k];
+        let wv: &[f32; OB] = wrow[off..off + OB].try_into().expect("packed row block");
+        for (a, &wv) in acc.iter_mut().zip(wv) {
             for (av, &xv) in a.iter_mut().zip(xrow) {
                 *av += wv * xv;
             }
@@ -88,35 +89,77 @@ fn lane_kernel<const OB: usize>(
     }
 }
 
+/// Computes all outputs of `y = W x + b` for the one sample `s`, one
+/// block of [`LANES`] output rows at a time: each k step is one packed
+/// `Wᵀ` row load and one broadcast input, read in place at stride `b`.
+/// Each output starts from its bias and adds the inputs in ascending k,
+/// as `Dense::forward` does; the zero-padded rows of the last block are
+/// computed and dropped.
+fn tail_kernel(dense: &FrozenDense, xs: &[f32], os: &mut [f32], b: usize, s: usize) {
+    let blocks = dense.weight.chunks_exact(dense.in_dim * LANES);
+    for (o0, wblock) in (0..dense.out_dim).step_by(LANES).zip(blocks) {
+        let rows = (dense.out_dim - o0).min(LANES);
+        let mut acc = [0.0f32; LANES];
+        acc[..rows].copy_from_slice(&dense.bias[o0..o0 + rows]);
+        for (wrow, xk) in wblock.chunks_exact(LANES).zip(xs[s..].iter().step_by(b)) {
+            for (av, &wv) in acc.iter_mut().zip(wrow) {
+                *av += wv * xk;
+            }
+        }
+        for (j, &av) in acc[..rows].iter().enumerate() {
+            os[(o0 + j) * b + s] = av;
+        }
+    }
+}
+
 /// The frozen dense layer: weights only, register-blocked batched
 /// kernels over the interleaved planes of an [`InferCtx`].
 struct FrozenDense {
     in_dim: usize,
     out_dim: usize,
-    weight: Vec<f32>, // [out][in]
+    /// `Wᵀ` packed `[out/16][in][16]`, the last block zero-padded.
+    weight: Vec<f32>,
     bias: Vec<f32>,
 }
 
 impl FrozenDense {
-    /// One weight-matrix pass serves the whole batch. The hot path is a
-    /// register-blocked micro-kernel (see [`lane_kernel`]): LANES-wide
-    /// accumulators stay in vector registers across the whole k loop and
-    /// OB output rows share each input-lane load. Accumulation order per
-    /// output matches `Dense::forward` — bias, then inputs in ascending
-    /// order — so results stay bit-equal. `b` is a multiple of `LANES`
-    /// (the context stages ragged batches).
+    fn new(in_dim: usize, out_dim: usize, weight: &[f32], bias: &[f32]) -> Self {
+        let mut packed = vec![0.0; out_dim.div_ceil(LANES) * LANES * in_dim];
+        for o in 0..out_dim {
+            for k in 0..in_dim {
+                packed[((o / LANES) * in_dim + k) * LANES + o % LANES] = weight[o * in_dim + k];
+            }
+        }
+        FrozenDense {
+            in_dim,
+            out_dim,
+            weight: packed,
+            bias: bias.to_vec(),
+        }
+    }
+
+    /// One weight-matrix pass serves each whole lane block. The hot path
+    /// is a register-blocked micro-kernel (see [`lane_kernel`]):
+    /// LANES-wide accumulators stay in vector registers across the whole
+    /// k loop and OB output rows share each input-lane load. The
+    /// `b % LANES` leftover samples run [`tail_kernel`] instead.
+    /// Accumulation order per output matches `Dense::forward` — bias,
+    /// then inputs in ascending order — so results stay bit-equal.
     fn run(&self, xs: &[f32], os: &mut [f32], b: usize) {
-        let (in_dim, out_dim) = (self.in_dim, self.out_dim);
-        for s0 in (0..b).step_by(LANES) {
+        let r = b % LANES;
+        for s0 in (0..b - r).step_by(LANES) {
             let mut o0 = 0;
-            while o0 + 8 <= out_dim {
-                lane_kernel::<8>(&self.weight, &self.bias, xs, os, in_dim, b, o0, s0);
+            while o0 + 8 <= self.out_dim {
+                lane_kernel::<8>(self, xs, os, b, o0, s0);
                 o0 += 8;
             }
-            while o0 < out_dim {
-                lane_kernel::<1>(&self.weight, &self.bias, xs, os, in_dim, b, o0, s0);
+            while o0 < self.out_dim {
+                lane_kernel::<1>(self, xs, os, b, o0, s0);
                 o0 += 1;
             }
+        }
+        for s in b - r..b {
+            tail_kernel(self, xs, os, b, s);
         }
     }
 }
@@ -128,7 +171,7 @@ impl InferOp for FrozenDense {
 
     fn apply(&self, ctx: &mut InferCtx) {
         assert_eq!(ctx.elems(), self.in_dim, "dense input length mismatch");
-        ctx.produce_lane_blocks(&[self.out_dim], |xs, os, bp| self.run(xs, os, bp));
+        ctx.produce(&[self.out_dim], |xs, os, _, b| self.run(xs, os, b));
     }
 
     fn out_shape(&self, in_shape: &[usize]) -> Result<Vec<usize>, String> {
@@ -180,12 +223,12 @@ impl Layer for Dense {
     }
 
     fn freeze(&self) -> Box<dyn InferOp> {
-        Box::new(FrozenDense {
-            in_dim: self.in_dim,
-            out_dim: self.out_dim,
-            weight: self.weight.clone(),
-            bias: self.bias.clone(),
-        })
+        Box::new(FrozenDense::new(
+            self.in_dim,
+            self.out_dim,
+            &self.weight,
+            &self.bias,
+        ))
     }
 
     fn freeze_int8(&self, in_scale: f32, out_scale: f32) -> Option<Int8Freeze> {

@@ -51,27 +51,40 @@ impl InferOp for FrozenMaxPool2d {
         let ow = w / self.kw;
         assert!(oh > 0 && ow > 0, "input smaller than pooling kernel");
         let (kh, kw) = (self.kh, self.kw);
-        // Every output lane row is seeded with the window's first tap,
-        // then each later tap folds in as a select over whole lane rows
-        // (bounds-check free, so it vectorizes).
+        // Row-wise along the flat (width × sample) axis: an input row
+        // splits into `kw·b`-wide windows, and tap `(dh, dw)` of window
+        // `wi` is lanes `dw·b..(dw + 1)·b` of window `wi` of input row
+        // `hi·kh + dh`. Taps run in `forward`'s scan order, k = dh·kw + dw.
+        // The first pass seeds each output row with the larger of taps 0
+        // and 1 (tap 0 twice for a 1×1 kernel), and every later tap folds
+        // in as a select over the whole row. No pass copies, so no
+        // element costs a `memcpy` call.
         ctx.produce(&[c, oh, ow], |xs, os, _, b| {
-            for ci in 0..c {
-                for hi in 0..oh {
-                    for wi in 0..ow {
-                        let tap = |dh: usize, dw: usize| {
-                            let idx = (ci * h + hi * kh + dh) * w + wi * kw + dw;
-                            &xs[idx * b..(idx + 1) * b]
-                        };
-                        let obase = ((ci * oh + hi) * ow + wi) * b;
-                        let orow = &mut os[obase..obase + b];
-                        orow.copy_from_slice(tap(0, 0));
-                        let taps = (0..kh).flat_map(|dh| (0..kw).map(move |dw| (dh, dw)));
-                        for (dh, dw) in taps.skip(1) {
-                            for (o, &x) in orow.iter_mut().zip(tap(dh, dw)) {
-                                // Strict `>` keeps the first maximum,
-                                // like `forward`.
-                                *o = if x > *o { x } else { *o };
-                            }
+            let win = kw * b;
+            for (orow_idx, orow) in os.chunks_exact_mut(ow * b).enumerate() {
+                let (ci, hi) = (orow_idx / oh, orow_idx % oh);
+                // Tap k: its input row's windows and its lane offset.
+                let tap = |k: usize| {
+                    let base = (ci * h + hi * kh + k / kw) * w * b;
+                    (&xs[base..base + ow * win], k % kw * b)
+                };
+                let ((r0, d0), (r1, d1)) = (tap(0), tap(1.min(kh * kw - 1)));
+                for ((o, w0), w1) in orow
+                    .chunks_exact_mut(b)
+                    .zip(r0.chunks_exact(win))
+                    .zip(r1.chunks_exact(win))
+                {
+                    for ((ov, &a), &x) in o.iter_mut().zip(&w0[d0..]).zip(&w1[d1..]) {
+                        // Strict `>` keeps the first maximum, like
+                        // `forward`.
+                        *ov = if x > a { x } else { a };
+                    }
+                }
+                for k in 2..kh * kw {
+                    let (rk, dk) = tap(k);
+                    for (o, wk) in orow.chunks_exact_mut(b).zip(rk.chunks_exact(win)) {
+                        for (ov, &x) in o.iter_mut().zip(&wk[dk..]) {
+                            *ov = if x > *ov { x } else { *ov };
                         }
                     }
                 }
@@ -207,22 +220,26 @@ mod tests {
 
     #[test]
     fn frozen_matches_forward() {
-        let mut pool = MaxPool2d::new((1, 3));
-        let model = crate::FrozenModel::from_ops(vec![pool.freeze()]);
-        let xs: Vec<Tensor> = (0..5)
-            .map(|s| {
-                Tensor::from_vec(
-                    (0..2 * 7)
-                        .map(|e| ((e * 3 + s * 5) % 13) as f32 - 6.0)
-                        .collect(),
-                    vec![2, 1, 7],
-                )
-            })
-            .collect();
-        let mut ctx = model.ctx();
-        let got = model.infer_batch(&xs, &mut ctx);
-        for (x, g) in xs.iter().zip(&got) {
-            assert_eq!(pool.forward(x, false).as_slice(), g.as_slice());
+        // A 1×3 window with a ragged edge, a 2×2 window that folds taps
+        // from a second row and truncates both dims, and a 1×1 window.
+        for (k, (h, w)) in [((1, 3), (1, 7)), ((2, 2), (3, 5)), ((1, 1), (1, 3))] {
+            let mut pool = MaxPool2d::new(k);
+            let model = crate::FrozenModel::from_ops(vec![pool.freeze()]);
+            let xs: Vec<Tensor> = (0..5)
+                .map(|s| {
+                    Tensor::from_vec(
+                        (0..2 * h * w)
+                            .map(|e| ((e * 3 + s * 5) % 13) as f32 - 6.0)
+                            .collect(),
+                        vec![2, h, w],
+                    )
+                })
+                .collect();
+            let mut ctx = model.ctx();
+            let got = model.infer_batch(&xs, &mut ctx);
+            for (x, g) in xs.iter().zip(&got) {
+                assert_eq!(pool.forward(x, false).as_slice(), g.as_slice(), "{k:?}");
+            }
         }
     }
 

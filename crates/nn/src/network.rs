@@ -168,16 +168,38 @@ impl Network {
 
     /// Restores weights saved by [`Network::save_weights`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the weight shapes do not match this architecture.
-    pub fn load_weights(&mut self, weights: &[Vec<f32>]) {
+    /// A description of the first problem, with no weight changed, when
+    /// the tensor count or a tensor's length does not match this
+    /// architecture, or a value is NaN or ±∞ (the frozen conv kernels'
+    /// bit-exactness assumes finite weights, and a trained network has
+    /// them).
+    pub fn load_weights(&mut self, weights: &[Vec<f32>]) -> Result<(), String> {
         let mut params = self.params();
-        assert_eq!(params.len(), weights.len(), "weight tensor count mismatch");
-        for (p, w) in params.iter_mut().zip(weights.iter()) {
-            assert_eq!(p.w.len(), w.len(), "weight shape mismatch");
+        if params.len() != weights.len() {
+            return Err(format!(
+                "weight tensor count mismatch: the architecture has {}, the weights {}",
+                params.len(),
+                weights.len()
+            ));
+        }
+        for (i, (p, w)) in params.iter().zip(weights).enumerate() {
+            if p.w.len() != w.len() {
+                return Err(format!(
+                    "weight tensor {i} has {} values, the architecture needs {}",
+                    w.len(),
+                    p.w.len()
+                ));
+            }
+            if let Some(j) = w.iter().position(|v| !v.is_finite()) {
+                return Err(format!("weight tensor {i}, value {j} is {}", w[j]));
+            }
+        }
+        for (p, w) in params.iter_mut().zip(weights) {
             p.w.copy_from_slice(w);
         }
+        Ok(())
     }
 }
 
@@ -247,9 +269,25 @@ mod tests {
         let weights = a.save_weights();
         let mut b = tiny_net();
         // b has different init (different seeds) until loaded.
-        b.load_weights(&weights);
+        b.load_weights(&weights).unwrap();
         let after = b.forward(&x, false);
         assert_eq!(before.as_slice(), after.as_slice());
+    }
+
+    #[test]
+    fn load_weights_refuses_a_mismatch_or_a_non_finite_value() {
+        let mut net = tiny_net();
+        let good = net.save_weights();
+        let mut short = good.clone();
+        short.pop();
+        let mut truncated = good.clone();
+        truncated[2].pop();
+        let mut inf = good.clone();
+        inf[1][0] = f32::NEG_INFINITY;
+        for bad in [short, truncated, inf] {
+            assert!(net.load_weights(&bad).is_err());
+            assert_eq!(net.save_weights(), good, "a refused load changes nothing");
+        }
     }
 
     #[test]
