@@ -23,15 +23,15 @@
 //! whatever SIMD width the build host offers (`-C target-cpu=native` is
 //! set workspace-wide). One weight fetch serves the whole batch.
 //!
-//! The conv and dense kernels split a batch of `b = 16q + r` samples.
-//! The `q` whole [`LANES`]-wide blocks run register tiles across the
-//! batch lanes, in place at stride `b`. The `r` leftover samples run a
-//! second kernel that vectorizes along another axis instead: conv along
-//! the flattened (width × sample) axis of a zero-haloed copy in the
-//! [`InferCtx`] workspace, dense across 16 output rows. So a batch costs
-//! in proportion to its samples, no op ever sees a pad lane, and every
-//! plane (element-wise ops, pooling, the int8 domain) stays at exactly
-//! `b` lanes.
+//! No kernel pads a batch, so a batch costs in proportion to its
+//! samples and every plane (element-wise ops, pooling, the int8 domain)
+//! stays at exactly `b` lanes. Conv vectorizes along the flattened
+//! (width × sample) axis of each input row, whatever `b` is, reading the
+//! plane in place and only the windows at the row ends from zero-haloed
+//! copies in the [`InferCtx`] workspace. Dense splits `b = 16q + r`: the `q` whole
+//! [`LANES`]-wide blocks run a register tile across the batch lanes, in
+//! place at stride `b`, and the `r` leftover samples run a per-sample
+//! kernel across 16 output rows.
 //!
 //! Because each sample only ever reads its own lanes, outputs are
 //! **bit-equal** to [`crate::Network::forward`] with `train = false` for
@@ -152,9 +152,9 @@ pub struct InferCtx {
     /// logits live here).
     pub(crate) scratch0: Vec<f32>,
     pub(crate) scratch1: Vec<f32>,
-    /// The conv tail's workspace: the last `b % LANES` samples gathered
-    /// into zero-haloed flat rows, then the flat kernel's output rows.
-    pub(crate) flat: Vec<f32>,
+    /// The conv workspace: the zero-haloed input window of the edge
+    /// tile being run (a tile at either end of a row).
+    pub(crate) conv_window: Vec<f32>,
     /// Quantized activation plane (int8-grid values `[-127, 127]`,
     /// i16-materialized for the integer dot-product kernels; empty for
     /// f32 models). **Sample-major** layout — `data[s * elems + e]` —
@@ -402,17 +402,17 @@ impl InferCtx {
 }
 
 /// SIMD width of the batched conv/dense kernels: one full AVX-512
-/// vector of `f32` (narrower ISAs use two or four registers). Whole
-/// blocks of it run the lane tiles; the `b % LANES` leftover samples of
-/// a batch run the flat-axis tail kernels, and the conv tail's flat
-/// tiles are three vectors of it wide.
+/// vector of `f32` (narrower ISAs use two or four registers). Dense runs
+/// whole blocks of it on the lane tile and the `b % LANES` leftover
+/// samples of a batch on the per-sample tail kernel; conv's flat tiles
+/// are three vectors of it wide.
 pub(crate) const LANES: usize = 16;
 
 /// Minimum samples routed to each lane of a [`crate::InferPool`]: one
-/// full SIMD lane block (the 16-wide granularity of the batched
-/// conv/dense lane tiles). Chunks are also *aligned* to this, so every
-/// split chunk except the batch's ragged tail is all full lane blocks,
-/// and only the last chunk runs the tail kernels. A batch of `n`
+/// full SIMD lane block (the 16-wide granularity of the dense lane
+/// tile). Chunks are also *aligned* to this, so every split chunk
+/// except the batch's ragged tail is all full lane blocks, and only the
+/// last chunk runs the dense tail kernel. A batch of `n`
 /// samples therefore engages at most `max(1, n / 16)` lanes.
 pub const PAR_MIN_CHUNK: usize = LANES;
 
@@ -532,12 +532,12 @@ impl FrozenModel {
     ///
     /// Outputs are element-wise **bit-equal** to calling
     /// [`crate::Network::forward`] with `train = false` on each sample,
-    /// for any batch size: the caller never pads, and conv/dense run the
-    /// whole 16-lane blocks and the leftover samples on separate kernels
-    /// (see the module docs), so the cost follows the sample count.
-    /// After `ctx` has seen its largest batch and its largest remainder
-    /// `b % 16` (which sizes the conv tail's workspace), the call
-    /// allocates nothing but the returned tensors.
+    /// for any batch size: nothing pads a batch, conv runs along the
+    /// flat (width × sample) axis, and dense runs the whole 16-lane
+    /// blocks and the leftover samples on separate kernels (see the
+    /// module docs), so the cost follows the sample count. After `ctx`
+    /// has seen its largest batch, the call allocates nothing but the
+    /// returned tensors.
     pub fn infer_batch(&self, xs: &[Tensor], ctx: &mut InferCtx) -> Vec<Tensor> {
         if xs.is_empty() {
             return Vec::new();
@@ -574,10 +574,10 @@ impl FrozenModel {
 ///   regardless of how many lanes exist.
 /// * Chunks are lane-block *aligned*: every chunk except the last is a
 ///   multiple of the SIMD width, so the batch's `batch % 16` leftover
-///   samples all land in the last chunk and only its lane runs the tail
-///   kernels. Rounding the chunk up can only *reduce* the chunk count,
-///   so zipping chunks against lanes never drops samples — and since
-///   `chunk_len ≥ 1` no chunk is ever empty.
+///   samples all land in the last chunk and only its lane runs the
+///   dense tail kernel. Rounding the chunk up can only *reduce* the
+///   chunk count, so zipping chunks against lanes never drops samples —
+///   and since `chunk_len ≥ 1` no chunk is ever empty.
 pub fn plan_split(batch: usize, lanes: usize) -> (usize, usize) {
     let threads = lanes.min((batch / PAR_MIN_CHUNK).max(1));
     if threads == 1 {
@@ -639,8 +639,7 @@ mod tests {
         assert_eq!(caps, (ctx.cur.capacity(), ctx.nxt.capacity()));
 
         // Ragged batches: once warm, no batch at or below the warm-up
-        // size grows either plane, and no remainder at or below the
-        // warm-up's largest (15) grows the conv tail's workspace. This
+        // size grows either plane or the conv workspace. This
         // chain exchanges the planes an odd number of times per call
         // (conv, pool and dense each swap), so it takes two warm-up
         // calls for each plane to have held every activation.
@@ -663,7 +662,13 @@ mod tests {
         for b in [17, 17, 15] {
             let _ = frozen.infer_batch(&xs[..b], &mut ctx);
         }
-        let caps = |ctx: &InferCtx| (ctx.cur.capacity(), ctx.nxt.capacity(), ctx.flat.capacity());
+        let caps = |ctx: &InferCtx| {
+            (
+                ctx.cur.capacity(),
+                ctx.nxt.capacity(),
+                ctx.conv_window.capacity(),
+            )
+        };
         let warm = caps(&ctx);
         for b in [17, 3, 15, 16, 1] {
             let got = frozen.infer_batch(&xs[..b], &mut ctx);

@@ -99,7 +99,7 @@ impl InferOp for FrozenSpatialAttention {
             &mut ctx.scratch1,
             (2, h, w),
             b,
-            &mut ctx.flat,
+            &mut ctx.conv_window,
         );
         for v in ctx.scratch1.iter_mut() {
             *v = sigmoid_val(*v);

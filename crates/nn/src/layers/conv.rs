@@ -1,30 +1,34 @@
 //! 2-D convolution with "same" zero padding.
 //!
-//! The frozen op splits a batch of `b = 16q + r` samples. The `q` full
-//! [`LANES`]-wide blocks run register tiles across the batch lanes, in
-//! place at stride `b`. The `r` leftover samples are gathered into a
-//! workspace where each input row `(i, ih)` is laid out along the
-//! flattened (width × sample) axis, `iw·r + t`, between `pw·r` zeros on
-//! the left and at least `pw·r` zeros on the right. Output `(ow, t)` then
-//! reads tap `dw` at a plain shift of `dw·r`, so one tile kernel computes
-//! [`TILE_CH`] channels × 48 consecutive flat outputs with no border case,
-//! and the output row is padded to a multiple of 48 so no narrower tile
-//! exists.
+//! The frozen op runs along the flattened (width × sample) axis. In the
+//! batch-innermost planes an input row `(i, ih)` of a batch of `b`
+//! samples already is that axis, `iw·b + s`, and output `(ow, s)` reads
+//! tap `dw` at a plain shift of `dw·b` from the row padded with `pw·b`
+//! zeros on each side. So one tile kernel computes [`TILE_CH`] channels
+//! × 48 consecutive flat outputs with no border case and no batch-size
+//! case, and a batch costs in proportion to its samples. Interior tiles
+//! read the input plane in place. The few tiles at each end of a row,
+//! whose taps reach past it, run one at a time on a zero-haloed copy of
+//! their window across all input rows, and no narrower tile exists: the
+//! last tile of a row stores only the outputs that exist.
 //!
 //! Why the halo is exact: `Conv2d::forward` computes each output as
 //! `+0.0 + Σ w·x`, summed over the in-bounds taps in `(i, dh, dw)` order,
 //! with the bias added last. The flat kernel sums in the same order and
 //! skips the same `dh` rows. It differs only in the `dw` taps that fall
-//! off the edge: they now add `w·(+0)`, which is ±0 for every finite `w`.
+//! off the edge: they add `w·(+0)`, which is ±0 for every finite `w`.
 //!
 //! * The sum starts at `+0.0` and is never −0: in round-to-nearest an
 //!   exact-zero sum of two operands is +0 unless both are −0.
 //! * Adding ±0 to a sum that is not −0 returns the sum, bit for bit.
 //!
-//! So every output is bit-identical to `forward`'s. The argument needs
-//! finite weights (`∞·0` is NaN), which a trained network has and
-//! [`crate::Network::load_weights`] enforces. The inputs may be anything:
-//! a halo tap never reads an input value.
+//! So every output is bit-identical to `forward`'s, whichever copy a
+//! tile reads. The inputs may be anything: a halo tap never reads an
+//! input value. The weights must be finite, since `∞·0` is NaN.
+//! [`crate::Network::load_weights`] refuses a non-finite weight, but
+//! nothing checks a network trained in process: if training diverged to
+//! a NaN or ±∞ weight, the border outputs where `forward` skips that tap
+//! read NaN here.
 
 use crate::frozen::{resize_buf, InferCtx, InferOp, LANES};
 use crate::init::lecun_normal;
@@ -118,13 +122,14 @@ impl Conv2d {
 /// and per tap, packed contiguously at freeze time.
 ///
 /// The tile shape is measured, not derived. With `-C target-cpu=native`
-/// on an AVX-512 host LLVM still prefers 256-bit vectors, so a 16-lane
-/// row is two ymm registers and 4 × 3 holds 24 accumulators of the 32.
-/// 8 × 2 needs all 32 and spills, and 8 × 1, 2 × 4 and 4 × 4 fall off a
-/// vectorizer cliff at roughly a tenth of the speed.
+/// on an AVX-512 host LLVM still prefers 256-bit vectors, so a 16-wide
+/// vector is two ymm registers and 4 × 3 holds 24 accumulators of the
+/// 32. 8 × 2 needs all 32 and spills, and 8 × 1, 2 × 4 and 4 × 4 fall
+/// off a vectorizer cliff at roughly a tenth of the speed.
 const TILE_CH: usize = 4;
-/// Adjacent interior columns per register tile (see [`TILE_CH`]).
-const TILE_COLS: usize = 3;
+/// [`LANES`]-wide vectors of consecutive flat outputs per register tile
+/// (see [`TILE_CH`]).
+const TILE_VECS: usize = 3;
 
 /// The frozen convolution: weights only, batched kernels over the
 /// interleaved planes of an [`InferCtx`].
@@ -150,261 +155,102 @@ impl FrozenConv2d {
         ((((o / TILE_CH) * self.in_ch + i) * self.kh + dh) * self.kw + dw) * TILE_CH + o % TILE_CH
     }
 
-    /// Per-column kernel for one output position and one full
-    /// `LANES`-wide lane block: `OB` output channels (within one packed
-    /// block) share every input-lane load, and the accumulators stay in
-    /// vector registers across the whole receptive-field scan. Runs the
-    /// border columns, where taps fall off the edge, and the channels
-    /// left over after the last full tile. Term order per output element
-    /// matches `Conv2d::forward` — `(i, dh, dw)` ascending with
-    /// out-of-bounds taps skipped, bias last — so results stay bit-equal.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn conv_col<const OB: usize>(
-        &self,
-        xs: &[f32],
-        os: &mut [f32],
-        (c, h, w): (usize, usize, usize),
-        b: usize,
-        o0: usize,
-        s0: usize,
-        (oh, ow): (usize, usize),
-    ) {
-        debug_assert!(o0 % TILE_CH + OB <= TILE_CH, "OB channels span one block");
-        let (ph, pw) = (self.kh / 2, self.kw / 2);
-        // Valid kernel rows: ih = oh + dh − ph ∈ [0, h).
-        let (dh_lo, dh_hi) = (ph.saturating_sub(oh), (h + ph - oh).min(self.kh));
-        // Valid kernel cols: iw = ow + dw − pw ∈ [0, w).
-        let (dw_lo, dw_hi) = (pw.saturating_sub(ow), (w + pw - ow).min(self.kw));
-        let mut acc = [[0.0f32; LANES]; OB];
-        for i in 0..c {
-            for dh in dh_lo..dh_hi {
-                let ih = oh + dh - ph;
-                for dw in dw_lo..dw_hi {
-                    let iw = ow + dw - pw;
-                    let base = ((i * h + ih) * w + iw) * b + s0;
-                    let xrow: &[f32; LANES] =
-                        xs[base..base + LANES].try_into().expect("full lane block");
-                    let wv = &self.weight[self.widx(o0, i, dh, dw)..][..OB];
-                    for (a, &wv) in acc.iter_mut().zip(wv) {
-                        for (av, &xv) in a.iter_mut().zip(xrow) {
-                            *av += wv * xv;
-                        }
-                    }
-                }
-            }
-        }
-        for (j, a) in acc.iter().enumerate() {
-            let bias = self.bias[o0 + j];
-            let ob = (((o0 + j) * h + oh) * w + ow) * b + s0;
-            for (ov, &av) in os[ob..ob + LANES].iter_mut().zip(a) {
-                *ov = av + bias;
-            }
-        }
-    }
-
-    /// Interior tile: `TILE_CH` output channels × `COLS` adjacent
-    /// columns × one lane block, every accumulator in a vector register.
-    /// Every tap of an interior column is in bounds, so the `dw` scan is
-    /// unconditional, each weight load is one contiguous packed row, and
-    /// adjacent columns share the input loads of overlapping taps. Term
-    /// order per output is the per-column kernel's: `(i, dh, dw)`
-    /// ascending, bias last.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn conv_tile<const COLS: usize>(
-        &self,
-        xs: &[f32],
-        os: &mut [f32],
-        (c, h, w): (usize, usize, usize),
-        b: usize,
-        o0: usize,
-        s0: usize,
-        (oh, ow): (usize, usize),
-    ) {
-        let (kw, ph, pw) = (self.kw, self.kh / 2, self.kw / 2);
-        let (dh_lo, dh_hi) = (ph.saturating_sub(oh), (h + ph - oh).min(self.kh));
-        let mut acc = [[[0.0f32; LANES]; COLS]; TILE_CH];
-        for i in 0..c {
-            for dh in dh_lo..dh_hi {
-                let ih = oh + dh - ph;
-                // The input window (kw + COLS − 1 taps) and the packed
-                // weight row of this (i, dh), sliced once so the dw loop
-                // runs without bounds checks.
-                let xbase = ((i * h + ih) * w + ow - pw) * b + s0;
-                let xwin = &xs[xbase..xbase + (kw + COLS - 2) * b + LANES];
-                let wbase = self.widx(o0, i, dh, 0);
-                let wrow = &self.weight[wbase..wbase + kw * TILE_CH];
-                for dw in 0..kw {
-                    let wv: &[f32; TILE_CH] = wrow[dw * TILE_CH..][..TILE_CH]
-                        .try_into()
-                        .expect("packed channel block");
-                    let xv: [[f32; LANES]; COLS] = std::array::from_fn(|col| {
-                        xwin[(dw + col) * b..][..LANES]
-                            .try_into()
-                            .expect("full lane block")
-                    });
-                    for (a, &wv) in acc.iter_mut().zip(wv) {
-                        for (ac, xc) in a.iter_mut().zip(&xv) {
-                            for (av, &x) in ac.iter_mut().zip(xc) {
-                                *av += wv * x;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for (j, a) in acc.iter().enumerate() {
-            let bias = self.bias[o0 + j];
-            for (col, ac) in a.iter().enumerate() {
-                let ob = (((o0 + j) * h + oh) * w + ow + col) * b + s0;
-                for (ov, &av) in os[ob..ob + LANES].iter_mut().zip(ac) {
-                    *ov = av + bias;
-                }
-            }
-        }
-    }
-
     /// Runs the batched convolution from `xs` (shape `(c, h, w)`, `b`
-    /// interleaved lanes) into `os`, overwriting every element. Full
-    /// lane blocks run the lane tiles; the `b % LANES` leftover samples
-    /// run the flat-axis kernel through the workspace `flat` (see the
-    /// module docs).
+    /// interleaved lanes) into `os`, overwriting every element: runs
+    /// [`FrozenConv2d::flat_tile`] over every 48-wide span of every
+    /// output row, the interior tiles reading `xs` in place and each
+    /// edge tile a zero-haloed copy of its window in the workspace
+    /// `window` (see the module docs).
     pub(crate) fn run(
         &self,
         xs: &[f32],
         os: &mut [f32],
-        dims: (usize, usize, usize),
-        b: usize,
-        flat: &mut Vec<f32>,
-    ) {
-        assert_eq!(dims.0, self.in_ch, "input channel mismatch");
-        let r = b % LANES;
-        for s0 in (0..b - r).step_by(LANES) {
-            self.run_lane_block(xs, os, dims, b, s0);
-        }
-        if r > 0 {
-            self.run_flat(xs, os, dims, b, flat);
-        }
-    }
-
-    /// The lanes `s0..s0 + LANES` of every output element.
-    fn run_lane_block(
-        &self,
-        xs: &[f32],
-        os: &mut [f32],
-        dims: (usize, usize, usize),
-        b: usize,
-        s0: usize,
-    ) {
-        assert!(s0 + LANES <= b, "conv lane tiles run whole lane blocks");
-        let (_, h, w) = dims;
-        let pw = self.kw / 2;
-        // Interior columns: every tap of ow ∈ [lo, hi) is in bounds.
-        let lo = pw.min(w);
-        let hi = w.saturating_sub(pw).max(lo);
-        let full = self.out_ch - self.out_ch % TILE_CH;
-        for o0 in (0..full).step_by(TILE_CH) {
-            for oh in 0..h {
-                for ow in (0..lo).chain(hi..w) {
-                    self.conv_col::<TILE_CH>(xs, os, dims, b, o0, s0, (oh, ow));
-                }
-                let mut ow = lo;
-                while ow + TILE_COLS <= hi {
-                    self.conv_tile::<TILE_COLS>(xs, os, dims, b, o0, s0, (oh, ow));
-                    ow += TILE_COLS;
-                }
-                for ow in ow..hi {
-                    self.conv_tile::<1>(xs, os, dims, b, o0, s0, (oh, ow));
-                }
-            }
-        }
-        for o0 in full..self.out_ch {
-            for oh in 0..h {
-                for ow in 0..w {
-                    self.conv_col::<1>(xs, os, dims, b, o0, s0, (oh, ow));
-                }
-            }
-        }
-    }
-
-    /// The last `r = b % LANES` lanes of every output element: gathers
-    /// them into zero-haloed flat rows, runs [`FrozenConv2d::flat_tile`]
-    /// over every 48-wide span, and scatters the results back.
-    fn run_flat(
-        &self,
-        xs: &[f32],
-        os: &mut [f32],
         (c, h, w): (usize, usize, usize),
         b: usize,
-        flat: &mut Vec<f32>,
+        window: &mut Vec<f32>,
     ) {
-        let r = b % LANES;
-        let s0 = b - r;
-        let pad = self.kw / 2 * r;
-        let span = (w * r).next_multiple_of(FLAT_TILE);
-        let row = span + 2 * pad;
-        let in_len = c * h * row;
-        resize_buf(flat, in_len + self.out_ch * h * span);
-        let (xin, xout) = flat.split_at_mut(in_len);
-        // With no full block (r == b) a lane row already is a flat row.
-        for (dst, src) in xin.chunks_exact_mut(row).zip(xs.chunks_exact(w * b)) {
-            let (left, rest) = dst.split_at_mut(pad);
-            let (mid, right) = rest.split_at_mut(w * r);
-            left.fill(0.0);
-            right.fill(0.0);
-            if r == b {
-                mid.copy_from_slice(src);
-            } else {
-                for (d, s) in mid.chunks_exact_mut(r).zip(src.chunks_exact(b)) {
-                    d.copy_from_slice(&s[s0..]);
-                }
-            }
-        }
-        let geom = FlatGeom { c, h, r, row, span };
-        let full = self.out_ch - self.out_ch % TILE_CH;
-        for o0 in (0..full).step_by(TILE_CH) {
+        assert_eq!(c, self.in_ch, "input channel mismatch");
+        let len = w * b;
+        let pad = self.kw / 2 * b;
+        // Tile t computes flat outputs from t·48 and reads flat inputs
+        // t·48 − pad .. t·48 + 48 + pad: inside the row for the tiles
+        // lo..hi, partly outside it for the edge tiles before and after.
+        let tiles = len.div_ceil(FLAT_TILE);
+        let lo = pad.div_ceil(FLAT_TILE).min(tiles);
+        let hi = (len.saturating_sub(pad) / FLAT_TILE).max(lo);
+        let g = FlatGeom { c, h, b, len };
+        for o0 in (0..self.out_ch).step_by(TILE_CH) {
             for oh in 0..h {
-                for g0 in (0..span).step_by(FLAT_TILE) {
-                    self.flat_tile::<TILE_CH>(xin, xout, geom, o0, oh, g0);
+                for t in lo..hi {
+                    let x = TileRows {
+                        data: xs,
+                        stride: len,
+                        base: t * FLAT_TILE - pad,
+                    };
+                    self.tile(x, os, g, o0, oh, t * FLAT_TILE);
                 }
             }
         }
-        for o0 in full..self.out_ch {
-            for oh in 0..h {
-                for g0 in (0..span).step_by(FLAT_TILE) {
-                    self.flat_tile::<1>(xin, xout, geom, o0, oh, g0);
+        // One edge tile at a time keeps the workspace small: holding every
+        // edge window at once measured several MiB more peak RSS on the
+        // paper model than the windows themselves take.
+        let win = FLAT_TILE + 2 * pad;
+        resize_buf(window, c * h * win);
+        for t in (0..lo).chain(hi..tiles) {
+            let skip = pad.saturating_sub(t * FLAT_TILE);
+            let first = (t * FLAT_TILE).saturating_sub(pad);
+            let n = len.saturating_sub(first).min(win - skip);
+            for (dst, row) in window.chunks_exact_mut(win).zip(xs.chunks_exact(len)) {
+                let (zeros, rest) = dst.split_at_mut(skip);
+                let (inside, after) = rest.split_at_mut(n);
+                zeros.fill(0.0);
+                inside.copy_from_slice(&row[first..first + n]);
+                after.fill(0.0);
+            }
+            let x = TileRows {
+                data: window,
+                stride: win,
+                base: 0,
+            };
+            for o0 in (0..self.out_ch).step_by(TILE_CH) {
+                for oh in 0..h {
+                    self.tile(x, os, g, o0, oh, t * FLAT_TILE);
                 }
             }
         }
-        for (dst, src) in os.chunks_exact_mut(w * b).zip(xout.chunks_exact(span)) {
-            let src = &src[..w * r];
-            if r == b {
-                dst.copy_from_slice(src);
-            } else {
-                for (d, s) in dst.chunks_exact_mut(b).zip(src.chunks_exact(r)) {
-                    d[s0..].copy_from_slice(s);
-                }
+    }
+
+    /// One [`FrozenConv2d::flat_tile`] over the channel block from `o0`:
+    /// a full [`TILE_CH`] block, or the channels left over after the
+    /// last one, one at a time.
+    fn tile(&self, x: TileRows, os: &mut [f32], g: FlatGeom, o0: usize, oh: usize, g0: usize) {
+        if o0 + TILE_CH <= self.out_ch {
+            self.flat_tile::<TILE_CH>(x, os, g, o0, oh, g0);
+        } else {
+            for o in o0..self.out_ch {
+                self.flat_tile::<1>(x, os, g, o, oh, g0);
             }
         }
     }
 
     /// Flat-axis tile: `OB` output channels × [`FLAT_TILE`] consecutive
     /// flat outputs `g0..g0 + 48` of output row `oh`, every accumulator
-    /// in a vector register. Tap `dw` of flat output `g` is input
-    /// `g + dw·r` of the haloed row, so the scan has no border case.
-    /// Term order per output is the lane tiles': `(i, dh, dw)`
-    /// ascending, bias last.
+    /// in a vector register, stored straight into `os` (the last tile of
+    /// a row stores only the outputs that exist). Tap `dw` of flat
+    /// output `g0 + k` is input `k + dw·b` of its window in `x`, so the
+    /// scan has no border case.
+    /// Term order per output is `Conv2d::forward`'s: `(i, dh, dw)`
+    /// ascending with the out-of-bounds `dh` rows skipped, bias last.
     ///
     /// Measured codegen: the tile stores its own results, since returning
     /// the accumulators by value spills them on every tap, and it stays
-    /// out of line, since inlined into `run_flat` LLVM keeps them in
+    /// out of line, since inlined into `run` LLVM keeps them in
     /// memory and stores all 24 vectors on every tap.
     #[inline(never)]
     fn flat_tile<const OB: usize>(
         &self,
-        xin: &[f32],
-        xout: &mut [f32],
+        x: TileRows,
+        os: &mut [f32],
         g: FlatGeom,
         o0: usize,
         oh: usize,
@@ -413,22 +259,22 @@ impl FrozenConv2d {
         debug_assert!(o0 % TILE_CH + OB <= TILE_CH, "OB channels span one block");
         let (kw, ph) = (self.kw, self.kh / 2);
         let (dh_lo, dh_hi) = (ph.saturating_sub(oh), (g.h + ph - oh).min(self.kh));
-        let mut acc = [[[0.0f32; LANES]; TILE_COLS]; OB];
+        let mut acc = [[[0.0f32; LANES]; TILE_VECS]; OB];
         for i in 0..g.c {
             for dh in dh_lo..dh_hi {
                 let ih = oh + dh - ph;
                 // The input window and packed weight row of this (i, dh),
                 // sliced once so the dw loop runs without bounds checks.
-                let xbase = (i * g.h + ih) * g.row + g0;
-                let xwin = &xin[xbase..xbase + (kw - 1) * g.r + FLAT_TILE];
+                let xbase = (i * g.h + ih) * x.stride + x.base;
+                let xwin = &x.data[xbase..xbase + (kw - 1) * g.b + FLAT_TILE];
                 let wbase = self.widx(o0, i, dh, 0);
                 let wrow = &self.weight[wbase..wbase + (kw - 1) * TILE_CH + OB];
                 for dw in 0..kw {
                     let wv: &[f32; OB] = wrow[dw * TILE_CH..][..OB]
                         .try_into()
                         .expect("packed channel block");
-                    let x = &xwin[dw * g.r..][..FLAT_TILE];
-                    let xv: [[f32; LANES]; TILE_COLS] = std::array::from_fn(|v| {
+                    let x = &xwin[dw * g.b..][..FLAT_TILE];
+                    let xv: [[f32; LANES]; TILE_VECS] = std::array::from_fn(|v| {
                         x[v * LANES..][..LANES].try_into().expect("full vector")
                     });
                     for (a, &wv) in acc.iter_mut().zip(wv) {
@@ -441,32 +287,40 @@ impl FrozenConv2d {
                 }
             }
         }
+        let n = (g.len - g0).min(FLAT_TILE);
         for (j, a) in acc.iter().enumerate() {
             let bias = self.bias[o0 + j];
-            for (v, av) in a.iter().enumerate() {
-                let ob = ((o0 + j) * g.h + oh) * g.span + g0 + v * LANES;
-                for (ov, &av) in xout[ob..ob + LANES].iter_mut().zip(av) {
-                    *ov = av + bias;
-                }
+            let mut out = [0.0f32; FLAT_TILE];
+            for (ov, &av) in out.iter_mut().zip(a.as_flattened()) {
+                *ov = av + bias;
             }
+            let ob = ((o0 + j) * g.h + oh) * g.len + g0;
+            os[ob..ob + n].copy_from_slice(&out[..n]);
         }
     }
 }
 
-/// Flat outputs per [`FrozenConv2d::flat_tile`]: [`TILE_COLS`] vectors
-/// of [`LANES`], the lane tile's register budget.
-const FLAT_TILE: usize = TILE_COLS * LANES;
+/// Flat outputs per [`FrozenConv2d::flat_tile`]: [`TILE_VECS`] vectors
+/// of [`LANES`].
+const FLAT_TILE: usize = TILE_VECS * LANES;
 
-/// The flat-axis workspace geometry of one [`FrozenConv2d::run_flat`]
-/// call: input channels and rows, tail samples `r`, the haloed input row
-/// length and the 48-padded output row length.
+/// The flat-axis geometry of one [`FrozenConv2d::run`] call: input
+/// channels and rows, batch size `b` and the row length `w·b`.
 #[derive(Clone, Copy)]
 struct FlatGeom {
     c: usize,
     h: usize,
-    r: usize,
-    row: usize,
-    span: usize,
+    b: usize,
+    len: usize,
+}
+
+/// Where one [`FrozenConv2d::flat_tile`] reads its inputs: the window of
+/// input row `r` starts at `data[r·stride + base]`.
+#[derive(Clone, Copy)]
+struct TileRows<'a> {
+    data: &'a [f32],
+    stride: usize,
+    base: usize,
 }
 
 impl InferOp for FrozenConv2d {
@@ -476,11 +330,11 @@ impl InferOp for FrozenConv2d {
 
     fn apply(&self, ctx: &mut InferCtx) {
         let [c, h, w]: [usize; 3] = ctx.shape().try_into().expect("conv input must be rank 3");
-        let mut flat = std::mem::take(&mut ctx.flat);
+        let mut window = std::mem::take(&mut ctx.conv_window);
         ctx.produce(&[self.out_ch, h, w], |xs, os, _, b| {
-            self.run(xs, os, (c, h, w), b, &mut flat);
+            self.run(xs, os, (c, h, w), b, &mut window);
         });
-        ctx.flat = flat;
+        ctx.conv_window = window;
     }
 
     fn out_shape(&self, in_shape: &[usize]) -> Result<Vec<usize>, String> {
@@ -672,11 +526,16 @@ mod tests {
 
     #[test]
     fn frozen_matches_forward_across_batch_sizes() {
-        // Per-column kernel only (3 channels, no full tile); then a 2-D
-        // kernel with two full channel tiles plus a leftover channel,
-        // whose tile rows clip at the top and bottom and whose 10
-        // interior columns are three 3-column tiles plus a remainder.
-        for (in_ch, out_ch, k, (h, w)) in [(2, 3, (1, 5), (1, 6)), (2, 9, (3, 5), (3, 14))] {
+        // One leftover-channel tile only (3 channels, no full tile); then
+        // a 2-D kernel with two full channel tiles plus a leftover
+        // channel, whose tile rows clip at the top and bottom; then a
+        // 1-wide kernel on rows of whole tiles, so no tile is an edge
+        // tile. The batch sizes put the 48-wide tiles across row ends.
+        for (in_ch, out_ch, k, (h, w)) in [
+            (2, 3, (1, 5), (1, 6)),
+            (2, 9, (3, 5), (3, 14)),
+            (2, 5, (1, 1), (1, 48)),
+        ] {
             let mut conv = Conv2d::new(in_ch, out_ch, k, 11);
             let model = crate::FrozenModel::from_ops(vec![conv.freeze()]);
             for b in [1usize, 7, 16, 19, 33] {

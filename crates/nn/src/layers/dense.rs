@@ -145,6 +145,12 @@ impl FrozenDense {
     /// `b % LANES` leftover samples run [`tail_kernel`] instead.
     /// Accumulation order per output matches `Dense::forward` — bias,
     /// then inputs in ascending order — so results stay bit-equal.
+    ///
+    /// The split is measured: run over whole blocks too, the tail kernel
+    /// loads a weight row per FMA where the lane tile loads one input
+    /// row per eight, and the op takes 2.3–2.7× as long at b = 16 and
+    /// b = 32 in both the demo and the paper model (AVX-512 host,
+    /// alternated in one process).
     fn run(&self, xs: &[f32], os: &mut [f32], b: usize) {
         let r = b % LANES;
         for s0 in (0..b - r).step_by(LANES) {

@@ -192,15 +192,14 @@ proptest! {
     /// single bit — a serving verdict can never depend on
     /// `infer_threads`.
     ///
-    /// The convs reach every frozen conv path: on whole 16-lane blocks,
-    /// the 4-channel × 3-column register tile, its 1-column remainder
-    /// (interior column counts 20, 10 and 8 are not multiples of 3) and
-    /// the per-column kernel on the border columns and on leftover
-    /// channels (6 = 4 + 2, and the attention block's 1); on the
-    /// `b % 16` leftover samples, the flat-axis tail tile over zero-haloed
-    /// rows for full and leftover channel blocks alike. The dense layers
-    /// run the lane kernel and the per-sample tail kernel the same way.
-    /// `tests/batch_identity.rs` walks every batch size 1..=40.
+    /// The convs reach every frozen conv path: the flat-axis tile over
+    /// zero-haloed rows, for full channel blocks and for leftover
+    /// channels (6 = 4 + 2, and the attention block's 1), with tiles
+    /// that straddle sample, column and row ends. The dense layers run
+    /// the lane kernel on whole 16-lane blocks and the per-sample tail
+    /// kernel on the `b % 16` leftover samples.
+    /// `deepcsi-core`'s `tests/batch_identity.rs` walks every batch size
+    /// 1..=40.
     #[test]
     fn frozen_infer_batch_is_bit_exact_across_batches_and_threads(
         // Up to 69 samples: enough full 16-wide lane blocks that 4
