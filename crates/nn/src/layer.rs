@@ -71,6 +71,10 @@ pub trait Layer: Send {
     /// Mutable views of (parameters, gradients), in a stable order.
     fn params(&mut self) -> Vec<ParamView<'_>>;
 
+    /// Read-only views of the parameters [`Layer::params`] yields, in
+    /// the same order.
+    fn weights(&self) -> Vec<&[f32]>;
+
     /// Clears the gradient accumulators.
     fn zero_grads(&mut self) {
         for p in self.params() {

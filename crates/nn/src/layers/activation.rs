@@ -97,6 +97,10 @@ impl Layer for Selu {
         Vec::new()
     }
 
+    fn weights(&self) -> Vec<&[f32]> {
+        Vec::new()
+    }
+
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -156,6 +160,10 @@ impl Layer for Sigmoid {
     }
 
     fn params(&mut self) -> Vec<ParamView<'_>> {
+        Vec::new()
+    }
+
+    fn weights(&self) -> Vec<&[f32]> {
         Vec::new()
     }
 

@@ -230,6 +230,10 @@ impl Layer for SpatialAttention {
         self.conv.params()
     }
 
+    fn weights(&self) -> Vec<&[f32]> {
+        self.conv.weights()
+    }
+
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }

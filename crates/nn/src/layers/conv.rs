@@ -25,10 +25,9 @@
 //! So every output is bit-identical to `forward`'s, whichever copy a
 //! tile reads. The inputs may be anything: a halo tap never reads an
 //! input value. The weights must be finite, since `∞·0` is NaN.
-//! [`crate::Network::load_weights`] refuses a non-finite weight, but
-//! nothing checks a network trained in process: if training diverged to
-//! a NaN or ±∞ weight, the border outputs where `forward` skips that tap
-//! read NaN here.
+//! [`crate::Network::load_weights`] refuses a non-finite weight and
+//! [`crate::Network::freeze`] panics on one, so a network whose training
+//! diverged to a NaN or ±∞ weight is never frozen.
 
 use crate::frozen::{resize_buf, InferCtx, InferOp, LANES};
 use crate::init::lecun_normal;
@@ -477,6 +476,10 @@ impl Layer for Conv2d {
                 g: &mut self.grad_b,
             },
         ]
+    }
+
+    fn weights(&self) -> Vec<&[f32]> {
+        vec![&self.weight, &self.bias]
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {

@@ -262,6 +262,10 @@ impl Layer for Dense {
         ]
     }
 
+    fn weights(&self) -> Vec<&[f32]> {
+        vec![&self.weight, &self.bias]
+    }
+
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }

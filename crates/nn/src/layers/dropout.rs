@@ -107,6 +107,10 @@ impl Layer for AlphaDropout {
         Vec::new()
     }
 
+    fn weights(&self) -> Vec<&[f32]> {
+        Vec::new()
+    }
+
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }

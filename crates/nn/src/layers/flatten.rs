@@ -66,6 +66,10 @@ impl Layer for Flatten {
         Vec::new()
     }
 
+    fn weights(&self) -> Vec<&[f32]> {
+        Vec::new()
+    }
+
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }

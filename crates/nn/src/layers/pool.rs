@@ -167,6 +167,10 @@ impl Layer for MaxPool2d {
         Vec::new()
     }
 
+    fn weights(&self) -> Vec<&[f32]> {
+        Vec::new()
+    }
+
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }

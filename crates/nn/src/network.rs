@@ -75,7 +75,20 @@ impl Network {
     /// later training steps on this network do not affect the snapshot.
     /// Share it as `Arc<FrozenModel>` across worker threads, each with
     /// its own [`crate::InferCtx`].
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the weight tensor and value index as
+    /// [`Network::load_weights`] does, if a weight is NaN or ±∞ (say,
+    /// after training diverged): the frozen conv kernels match `forward`
+    /// bit for bit only on finite weights.
     pub fn freeze(&self) -> FrozenModel {
+        let weights = self.layers.iter().flat_map(|l| l.weights());
+        for (i, w) in weights.enumerate() {
+            if let Some(e) = non_finite(i, w) {
+                panic!("cannot freeze a network with a non-finite weight: {e}");
+            }
+        }
         FrozenModel::from_ops(self.layers.iter().map(|l| l.freeze()).collect())
     }
 
@@ -173,8 +186,8 @@ impl Network {
     /// A description of the first problem, with no weight changed, when
     /// the tensor count or a tensor's length does not match this
     /// architecture, or a value is NaN or ±∞ (the frozen conv kernels'
-    /// bit-exactness assumes finite weights, and a trained network has
-    /// them).
+    /// bit-exactness assumes finite weights; [`Network::freeze`] refuses
+    /// them too).
     pub fn load_weights(&mut self, weights: &[Vec<f32>]) -> Result<(), String> {
         let mut params = self.params();
         if params.len() != weights.len() {
@@ -192,8 +205,8 @@ impl Network {
                     p.w.len()
                 ));
             }
-            if let Some(j) = w.iter().position(|v| !v.is_finite()) {
-                return Err(format!("weight tensor {i}, value {j} is {}", w[j]));
+            if let Some(e) = non_finite(i, w) {
+                return Err(e);
             }
         }
         for (p, w) in params.iter_mut().zip(weights) {
@@ -203,10 +216,16 @@ impl Network {
     }
 }
 
+/// Names the first NaN or ±∞ in weight tensor `i`, if any.
+fn non_finite(i: usize, w: &[f32]) -> Option<String> {
+    let j = w.iter().position(|v| !v.is_finite())?;
+    Some(format!("weight tensor {i}, value {j} is {}", w[j]))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Dense, Selu};
+    use crate::layers::{Conv2d, Dense, Selu, SpatialAttention};
     use crate::loss::softmax_cross_entropy;
 
     fn tiny_net() -> Network {
@@ -288,6 +307,28 @@ mod tests {
             assert!(net.load_weights(&bad).is_err());
             assert_eq!(net.save_weights(), good, "a refused load changes nothing");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "weight tensor 2, value 3 is NaN")]
+    fn freeze_refuses_a_non_finite_weight() {
+        let mut net = tiny_net();
+        net.params()[2].w[3] = f32::NAN;
+        net.freeze();
+    }
+
+    #[test]
+    fn weights_mirror_params() {
+        let mut net = tiny_net();
+        net.push(Conv2d::new(1, 2, (1, 3), 3));
+        net.push(SpatialAttention::new(3, 4));
+        let weights: Vec<Vec<f32>> = net
+            .layers
+            .iter()
+            .flat_map(|l| l.weights())
+            .map(<[f32]>::to_vec)
+            .collect();
+        assert_eq!(weights, net.save_weights());
     }
 
     #[test]

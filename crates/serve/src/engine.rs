@@ -16,9 +16,10 @@
 //!   `Arc<FrozenAuthenticator>` (immutable weights, `Send + Sync`); the
 //!   only per-worker inference state is a persistent [`InferPool`] of
 //!   scratch contexts. No per-worker weight clone.
-//! * **Micro-batching** — each worker drains its queue up to
-//!   [`EngineConfig::max_batch`] (lingering up to 1 ms for stragglers
-//!   once a batch is open) and classifies the batch with one
+//! * **Micro-batching** — each worker blocks for a report, takes
+//!   whatever is already queued behind it up to
+//!   [`EngineConfig::max_batch`] (no linger: a lone report departs at
+//!   once, a backlog fills whole batches) and classifies the batch with one
 //!   [`InferPool::infer_batch`] call, optionally splitting its lane
 //!   blocks across [`EngineConfig::infer_threads`] persistent lane
 //!   threads — no spawn/join on the hot path, bit-exact under any
@@ -1013,36 +1014,20 @@ impl WallClock {
     }
 }
 
-/// How long a worker lingers for stragglers once a batch is open.
+/// Blocks for a batch opener, then adds whatever is already queued
+/// behind it, up to `cap` reports in all. Returns `false`, with `batch`
+/// untouched, once every sender is gone.
 ///
-/// Measured on the benchmark's open-loop `paced_demo` workload (one
-/// worker, 1500 reports/s, 2 vCPUs, median of 3 runs): a 1 ms linger
-/// gives p50 3.26 ms at 0.491 CPU-ms per report; no linger halves p50
-/// to 1.54 ms but costs 0.628 CPU-ms per report (+28 %), because every
-/// report then pays a whole inference call to itself. A latency-adaptive
-/// former that shrank the batch when idle won no metric over this
-/// constant (p50 3.74 ms, 0.507 CPU-ms).
-const BATCH_LINGER: Duration = Duration::from_millis(1);
-
-/// Fills `batch` from `rx` until it reaches `cap` or `deadline` passes:
-/// one deadline, one clock read, one blocking wait per loop.
-/// `recv_timeout` already returns immediately when a message is queued
-/// (and keeps handing out queued messages at a zero timeout), so the
-/// old `try_recv`-then-`recv_timeout` round-trip — with its second
-/// `Instant::now()` per iteration — bought nothing. An opener-only
-/// batch therefore departs within ~[`BATCH_LINGER`] of opening, never
-/// overshooting by an extra poll cycle (pinned by
-/// `opener_only_batch_departs_at_the_linger_deadline`).
-fn fill_batch(rx: &Receiver<Queued>, batch: &mut Vec<Queued>, cap: usize, deadline: Instant) {
-    while batch.len() < cap {
-        match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-            Ok(q) => batch.push(q),
-            // Timeout: the linger window closed. Disconnected: the
-            // engine is shutting down — classify what we have; the
-            // outer loop's next recv observes the hangup.
-            Err(_) => break,
-        }
-    }
+/// No clock and no timed wait: a lone report departs the moment its
+/// worker wakes, and a backlog still fills whole batches from the
+/// queue.
+fn next_batch(rx: &Receiver<Queued>, batch: &mut Vec<Queued>, cap: usize) -> bool {
+    let Ok(opener) = rx.recv() else {
+        return false;
+    };
+    batch.push(opener);
+    batch.extend(rx.try_iter().take(cap - 1));
+    true
 }
 
 impl WorkerCtx {
@@ -1071,14 +1056,8 @@ impl WorkerCtx {
         }
         let mut spans = self.tracer.thread();
         let mut batch: Vec<Queued> = Vec::with_capacity(self.max_batch);
-        // Block for each batch opener; exit once all senders are gone.
-        while let Ok(opener) = self.rx.recv() {
-            batch.push(opener);
-            // Linger to fill the micro-batch up to `max_batch`. A cap of
-            // 1 skips the linger entirely: the opener departs the moment
-            // it arrives.
-            let deadline = Instant::now() + BATCH_LINGER;
-            fill_batch(&self.rx, &mut batch, self.max_batch, deadline);
+        // Exit once all senders are gone.
+        while next_batch(&self.rx, &mut batch, self.max_batch) {
             // One sampling decision per micro-batch: a sampled batch
             // records a span for every stage it passes through.
             let sampled = spans.sample();
@@ -1410,41 +1389,54 @@ mod tests {
         }
     }
 
-    /// The satellite bugfix pin: a batch holding only its opener departs
-    /// within ~`linger` of the deadline — the single-deadline wait never
-    /// overshoots by extra poll cycles the way the old
-    /// `try_recv`/`recv_timeout` round-trip (two clock reads per
-    /// iteration) could.
+    /// A lone opener departs as a batch of one while its sender is still
+    /// alive: nothing waits for stragglers. The call runs on a helper
+    /// thread, so an implementation that blocks fails here instead of
+    /// hanging the suite.
     #[test]
-    fn opener_only_batch_departs_at_the_linger_deadline() {
+    fn lone_opener_departs_as_a_batch_of_one() {
         let (tx, rx) = std::sync::mpsc::sync_channel::<Queued>(8);
-        let mut batch = vec![queued()];
-        let linger = Duration::from_millis(80);
-
-        let started = Instant::now();
-        fill_batch(&rx, &mut batch, 8, started + linger);
-        let waited = started.elapsed();
-
-        assert_eq!(batch.len(), 1, "nothing was sent; the opener rides alone");
-        assert!(waited >= linger, "departed {waited:?} before the deadline");
-        assert!(
-            waited < linger + Duration::from_millis(60),
-            "overshot the linger deadline: waited {waited:?} for {linger:?}"
-        );
+        tx.send(queued()).expect("capacity");
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut batch = Vec::new();
+            let opened = next_batch(&rx, &mut batch, 8);
+            done_tx.send((opened, batch.len())).ok();
+        });
+        let formed = done_rx.recv_timeout(Duration::from_secs(5));
+        assert_eq!(formed, Ok((true, 1)), "the opener must depart alone");
         drop(tx);
     }
 
-    /// Already-queued reports drain instantly even when the deadline has
-    /// passed: `recv_timeout` at a zero timeout still hands out queued
-    /// messages, so a backlog fills the batch without waiting.
+    /// A backlog fills the batch up to its cap and leaves the rest
+    /// queued for the next one.
     #[test]
-    fn expired_deadline_still_drains_a_queued_backlog() {
+    fn queued_backlog_fills_the_batch_up_to_its_cap() {
+        let (tx, rx) = std::sync::mpsc::sync_channel::<Queued>(8);
+        for _ in 0..5 {
+            tx.send(queued()).expect("capacity");
+        }
+        let mut batch = Vec::new();
+        assert!(next_batch(&rx, &mut batch, 4));
+        assert_eq!(batch.len(), 4);
+        assert_eq!(rx.try_iter().count(), 1, "one report stays queued");
+    }
+
+    /// At a cap of 1 a batch never takes a second report.
+    #[test]
+    fn cap_of_one_never_takes_a_second_report() {
         let (tx, rx) = std::sync::mpsc::sync_channel::<Queued>(8);
         for _ in 0..3 {
             tx.send(queued()).expect("capacity");
         }
-        let mut batch = vec![queued()];
-        fill_batch(&rx, &mut batch, 4, Instant::now() - Duration::from_secs(1));
-        assert_eq!(batch.len(), 4, "queued backlog must fill the batch");
+        let mut batch = Vec::new();
+        assert!(next_batch(&rx, &mut batch, 1));
+        assert_eq!(batch.len(), 1);
+        assert_eq!(rx.try_iter().count(), 2, "the rest stays queued");
+        // Once every sender is gone, no batch opens.
+        drop(tx);
+        batch.clear();
+        assert!(!next_batch(&rx, &mut batch, 1));
+        assert!(batch.is_empty());
     }
 }

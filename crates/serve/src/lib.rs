@@ -16,9 +16,9 @@
 //! * **Micro-batched inference over one shared frozen model** — every
 //!   worker holds the same `Arc<deepcsi_core::FrozenAuthenticator>`
 //!   (immutable weights, no per-worker clone) plus its own persistent
-//!   [`deepcsi_nn::InferPool`]; each worker drains up to
-//!   [`EngineConfig::max_batch`] queued reports (lingering 1 ms for
-//!   stragglers) and classifies them with one pool call, so one pass of
+//!   [`deepcsi_nn::InferPool`]; each worker takes up to
+//!   [`EngineConfig::max_batch`] already-queued reports (it never waits
+//!   for stragglers) and classifies them with one pool call, so one pass of
 //!   every weight matrix serves the whole batch —
 //!   [`EngineConfig::infer_threads`] sizes the pool, which
 //!   splits each batch's lane blocks across its parked lanes

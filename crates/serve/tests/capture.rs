@@ -184,19 +184,16 @@ fn capture_telemetry_reconciles_over_noisy_capture() {
     );
 }
 
-/// With the Condvar in place, drain latency is a thread wake-up — it
-/// must no longer quantize to the old 200 µs sleep-poll interval.
-#[test]
-fn drain_latency_is_not_quantized_to_a_poll_interval() {
+/// A tiny 2×1 report no demo-input model is compatible with: a worker's
+/// whole job on it is one `compatible()` check + reject accounting, so
+/// a timed ingest → `drain()` cycle measures the engine's handoffs, not
+/// inference.
+fn incompatible_frame() -> Vec<u8> {
     use deepcsi_bfi::{BeamformingFeedback, QuantizedAngles};
     use deepcsi_frame::{BeamformingReportFrame, MacAddr};
     use deepcsi_phy::{Codebook, MimoConfig};
 
-    let ds = dataset(1, 2);
-    // A tiny 2×1 report the model is incompatible with: the worker's
-    // whole job is one `compatible()` check + reject accounting, so the
-    // measured wait is the drain handoff itself, not inference.
-    let frame = BeamformingReportFrame::new(
+    BeamformingReportFrame::new(
         MacAddr::station(0),
         MacAddr::station(1),
         MacAddr::station(0),
@@ -216,11 +213,19 @@ fn drain_latency_is_not_quantized_to_a_poll_interval() {
             ],
         ),
     )
-    .encode();
+    .encode()
+}
+
+/// With the Condvar in place, drain latency is a thread wake-up — it
+/// must no longer quantize to the old 200 µs sleep-poll interval.
+#[test]
+fn drain_latency_is_not_quantized_to_a_poll_interval() {
+    let ds = dataset(1, 2);
+    let frame = incompatible_frame();
     let engine = Engine::start_frozen(
         EngineConfig {
             workers: 1,
-            max_batch: 1, // classify immediately, without lingering
+            max_batch: 1, // every batch is a batch of one
             backpressure: Backpressure::Block,
             ..EngineConfig::default()
         },
@@ -256,6 +261,46 @@ fn drain_latency_is_not_quantized_to_a_poll_interval() {
     assert!(
         fastest < Duration::from_micros(200),
         "drain still quantizes to the poll interval (fastest wait of 64: {fastest:?})"
+    );
+    engine.shutdown();
+}
+
+/// A lone report on an idle engine departs the moment its worker wakes,
+/// even at the default `max_batch` of 32: batch formation takes what is
+/// already queued and never lingers for stragglers. A batch that waited
+/// out a 1 ms linger would put every cycle at ≥ 1 ms.
+#[test]
+fn lone_report_departs_without_lingering_at_the_default_batch_cap() {
+    let ds = dataset(1, 2);
+    let frame = incompatible_frame();
+    let engine = Engine::start_frozen(
+        EngineConfig::default(),
+        trivial_authenticator(&ds, 2).freeze(),
+        ReplaySource::registry(&ds),
+    );
+    assert_eq!(EngineConfig::default().max_batch, 32);
+
+    // Warm up the workers (thread start, first batch).
+    for _ in 0..16 {
+        engine.ingest_frame(&frame);
+        engine.drain();
+    }
+    // Time each whole single-report cycle: ingest, batch formation,
+    // reject accounting and the drain wake-up.
+    let fastest = (0..64)
+        .map(|_| {
+            let t = Instant::now();
+            engine.ingest_frame(&frame);
+            engine.drain();
+            t.elapsed()
+        })
+        .min()
+        .expect("64 cycles");
+    // The minimum shrugs off a loaded machine (other tests in this
+    // binary train models concurrently) slowing most wake-ups.
+    assert!(
+        fastest < Duration::from_micros(500),
+        "a lone report waited for stragglers (fastest cycle of 64: {fastest:?})"
     );
     engine.shutdown();
 }
