@@ -19,7 +19,9 @@ use deepcsi_channel::{AntennaArray, ChannelModel, Environment};
 use deepcsi_core::ModelConfig;
 use deepcsi_data::{clean_phase_offsets, InputSpec};
 use deepcsi_frame::{BeamformingReportFrame, MacAddr};
-use deepcsi_impair::{apply_impairments, DeviceId, ImpairmentProfile, LinkState, RadioFingerprint};
+use deepcsi_impair::{
+    apply_impairments, ChainResponses, DeviceId, ImpairmentProfile, LinkState, RadioFingerprint,
+};
 use deepcsi_linalg::CMatrix;
 use deepcsi_nn::{softmax_cross_entropy, Tensor};
 use deepcsi_phy::{Codebook, MimoConfig, SubcarrierLayout};
@@ -59,8 +61,10 @@ fn bench_channel(c: &mut Criterion) {
     let rx_fp = RadioFingerprint::generate_rx(1, 2, &profile);
     let (cfr, tones) = sample_cfr();
     g.bench_function("apply_impairments_234_tones", |b| {
+        // Once per trace, as the generator does.
+        let chains = ChainResponses::new(&tones, &tx_fp, &rx_fp);
         let mut link = LinkState::new(&tx_fp, 1);
-        b.iter(|| apply_impairments(&cfr, &tones, &tx_fp, &rx_fp, &profile, &mut link))
+        b.iter(|| apply_impairments(&cfr, &chains, &profile, &mut link))
     });
     g.finish();
 }

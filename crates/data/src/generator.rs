@@ -7,7 +7,9 @@ use deepcsi_channel::{
     SounderConfig,
 };
 use deepcsi_frame::{BeamformingReportFrame, MacAddr};
-use deepcsi_impair::{apply_impairments, DeviceId, ImpairmentProfile, LinkState, RadioFingerprint};
+use deepcsi_impair::{
+    apply_impairments, ChainResponses, DeviceId, ImpairmentProfile, LinkState, RadioFingerprint,
+};
 use deepcsi_phy::{Codebook, MimoConfig, SubcarrierLayout};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -134,11 +136,13 @@ pub fn generate_trace(cfg: &GenConfig, spec: &TraceSpec) -> Trace {
     }
 
     let mut link = LinkState::new(&tx_fp, seed ^ 0x71ACE).with_pa_flips(cfg.profile.pa_flip_prob);
+    // The chain responses depend only on the radios and the tone.
+    let chains = ChainResponses::new(&tones, &tx_fp, &rx_fp);
     let mut timestamps = Vec::with_capacity(cfg.snapshots_per_trace);
     let mut snapshots = Vec::with_capacity(cfg.snapshots_per_trace);
     let mut seq: u16 = 0;
     for (t, cfr) in sounder {
-        let impaired = apply_impairments(&cfr, &tones, &tx_fp, &rx_fp, &cfg.profile, &mut link);
+        let impaired = apply_impairments(&cfr, &chains, &cfg.profile, &mut link);
         let fb = BeamformingFeedback::from_cfr(&impaired, &tones, mimo, cfg.codebook);
         let fb = if cfg.via_frames {
             // Encode → sniff → parse: the observer's actual data path.

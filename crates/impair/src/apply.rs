@@ -18,6 +18,60 @@ fn ltf_mirror_sign(k: i32) -> f64 {
     }
 }
 
+/// The per-tone chain responses of one TX/RX fingerprint pair: stage 1
+/// and 2a of [`apply_impairments`], which depend only on the two
+/// fingerprints and the tone. A trace builds them once with
+/// [`ChainResponses::new`] and passes them to every snapshot.
+#[derive(Debug, Clone)]
+pub struct ChainResponses {
+    tones: Vec<i32>,
+    m: usize,
+    n: usize,
+    /// `T_m(k)·(1 + β_m·s_k)` per tone, `m` per tone.
+    tx: Vec<C64>,
+    /// `R_n(k)` per tone, `n` per tone.
+    rx: Vec<C64>,
+    /// The RX chains' I/Q imbalance `β_n` (stage 2b).
+    rx_beta: Vec<(f64, f64)>,
+}
+
+impl ChainResponses {
+    /// Evaluates the TX responses (I/Q imbalance folded in) and the RX
+    /// responses at every tone of `tones`.
+    pub fn new(tones: &[i32], tx: &RadioFingerprint, rx: &RadioFingerprint) -> Self {
+        let (m, n) = (tx.num_chains(), rx.num_chains());
+        let k_span = tones.iter().map(|k| k.abs()).max().unwrap_or(1);
+        let mut chains = ChainResponses {
+            tones: tones.to_vec(),
+            m,
+            n,
+            tx: Vec::with_capacity(tones.len() * m),
+            rx: Vec::with_capacity(tones.len() * n),
+            rx_beta: (0..n).map(|ni| rx.iq_beta(ni)).collect(),
+        };
+        for &k in tones {
+            let s = ltf_mirror_sign(k);
+            for mi in 0..m {
+                let (bre, bim) = tx.iq_beta(mi);
+                // TX I/Q imbalance folds into an effective per-tone gain
+                // (the image of an LTF tone lands back on a known ±1
+                // symbol): T·(1 + β·s).
+                let iq = C64::new(1.0 + bre * s, bim * s);
+                chains.tx.push(tx.chain(mi).response(k, k_span) * iq);
+            }
+            for ni in 0..n {
+                chains.rx.push(rx.chain(ni).response(k, k_span));
+            }
+        }
+        chains
+    }
+
+    /// The tones the responses were evaluated at.
+    pub fn tones(&self) -> &[i32] {
+        &self.tones
+    }
+}
+
 /// Transforms an ideal CFR snapshot into what the beamformee actually
 /// estimates from the NDP, applying in order:
 ///
@@ -30,30 +84,29 @@ fn ltf_mirror_sign(k: i32) -> f64 {
 ///    per-chain PA ambiguity + phase noise).
 /// 4. **Estimation noise** at the packet's SNR.
 ///
-/// `tones` must be symmetric enough that a mirror tone `−k` is present for
-/// the I/Q image term; where it is missing the image term is skipped.
+/// `chains` holds the stage 1 and 2a responses at the snapshot's tones.
+/// The tones must be symmetric enough that a mirror tone `−k` is present
+/// for the I/Q image term; where it is missing the image term is skipped.
 ///
 /// # Panics
 ///
-/// Panics if dimensions disagree (`cfr.len() != tones.len()`, chain counts
-/// vs. matrix shape).
+/// Panics if dimensions disagree (one CFR matrix per tone of `chains`,
+/// chain counts vs. matrix shape).
 pub fn apply_impairments(
     cfr: &[CMatrix],
-    tones: &[i32],
-    tx: &RadioFingerprint,
-    rx: &RadioFingerprint,
+    chains: &ChainResponses,
     profile: &ImpairmentProfile,
     link: &mut LinkState,
 ) -> Vec<CMatrix> {
+    let tones = chains.tones();
     assert_eq!(cfr.len(), tones.len(), "one CFR matrix per tone");
     if cfr.is_empty() {
         return Vec::new();
     }
     let (m, n) = cfr[0].shape();
-    assert_eq!(tx.num_chains(), m, "TX fingerprint chain count must be M");
-    assert_eq!(rx.num_chains(), n, "RX fingerprint chain count must be N");
+    assert_eq!(chains.m, m, "TX fingerprint chain count must be M");
+    assert_eq!(chains.n, n, "RX fingerprint chain count must be N");
 
-    let k_span = tones.iter().map(|k| k.abs()).max().unwrap_or(1);
     let packet = link.next_packet(
         profile.snr_db,
         profile.snr_jitter_db,
@@ -66,20 +119,8 @@ pub fn apply_impairments(
     // Stage 1+2a: per-chain responses.
     let g: Vec<CMatrix> = cfr
         .iter()
-        .zip(tones.iter())
-        .map(|(h_k, &k)| {
-            let s = ltf_mirror_sign(k);
-            let t_resp: Vec<C64> = (0..m)
-                .map(|mi| {
-                    let (bre, bim) = tx.iq_beta(mi);
-                    // TX I/Q imbalance folds into an effective per-tone
-                    // gain (the image of an LTF tone lands back on a
-                    // known ±1 symbol): T·(1 + β·s).
-                    let iq = C64::new(1.0 + bre * s, bim * s);
-                    tx.chain(mi).response(k, k_span) * iq
-                })
-                .collect();
-            let r_resp: Vec<C64> = (0..n).map(|ni| rx.chain(ni).response(k, k_span)).collect();
+        .zip(chains.tx.chunks_exact(m).zip(chains.rx.chunks_exact(n)))
+        .map(|(h_k, (t_resp, r_resp))| {
             CMatrix::from_fn(m, n, |mi, ni| t_resp[mi] * h_k[(mi, ni)] * r_resp[ni])
         })
         .collect();
@@ -94,7 +135,7 @@ pub fn apply_impairments(
                 Some(mp) => {
                     let mirror = &g[mp];
                     CMatrix::from_fn(m, n, |mi, ni| {
-                        let (bre, bim) = rx.iq_beta(ni);
+                        let (bre, bim) = chains.rx_beta[ni];
                         let beta = C64::new(bre, bim) * s;
                         g_k[(mi, ni)] + beta * mirror[(mi, ni)].conj()
                     })
@@ -178,7 +219,7 @@ mod tests {
         let t = tones();
         let cfr = flat_cfr(3, 2, t.len());
         let mut link = LinkState::new(&tx, 0);
-        let out = apply_impairments(&cfr, &t, &tx, &rx, &p, &mut link);
+        let out = apply_impairments(&cfr, &ChainResponses::new(&t, &tx, &rx), &p, &mut link);
         assert_eq!(out.len(), cfr.len());
         for h in &out {
             assert_eq!(h.shape(), (3, 2));
@@ -196,7 +237,7 @@ mod tests {
         let t = tones();
         let cfr = flat_cfr(3, 2, t.len());
         let mut link = LinkState::new(&tx, 0);
-        let out = apply_impairments(&cfr, &t, &tx, &rx, &p, &mut link);
+        let out = apply_impairments(&cfr, &ChainResponses::new(&t, &tx, &rx), &p, &mut link);
         for (a, b) in cfr.iter().zip(out.iter()) {
             // PA ambiguity may flip row signs; compare magnitudes.
             for mi in 0..3 {
@@ -220,8 +261,8 @@ mod tests {
         let tx_b = RadioFingerprint::generate(DeviceId(1), 3, &p);
         let mut la = LinkState::new(&tx_a, 0);
         let mut lb = LinkState::new(&tx_b, 0);
-        let a = apply_impairments(&cfr, &t, &tx_a, &rx, &p, &mut la);
-        let b = apply_impairments(&cfr, &t, &tx_b, &rx, &p, &mut lb);
+        let a = apply_impairments(&cfr, &ChainResponses::new(&t, &tx_a, &rx), &p, &mut la);
+        let b = apply_impairments(&cfr, &ChainResponses::new(&t, &tx_b, &rx), &p, &mut lb);
         let diff: f64 = a
             .iter()
             .zip(b.iter())
@@ -247,8 +288,8 @@ mod tests {
             // differ by ~2× the noise floor.
             let mut l1 = LinkState::new(&tx, 1);
             let mut l2 = LinkState::new(&tx, 2);
-            let a = apply_impairments(&cfr, &t, &tx, &rx, &p, &mut l1);
-            let b = apply_impairments(&cfr, &t, &tx, &rx, &p, &mut l2);
+            let a = apply_impairments(&cfr, &ChainResponses::new(&t, &tx, &rx), &p, &mut l1);
+            let b = apply_impairments(&cfr, &ChainResponses::new(&t, &tx, &rx), &p, &mut l2);
             // Strip the differing packet phases by comparing magnitudes.
             a.iter()
                 .zip(b.iter())
@@ -277,7 +318,7 @@ mod tests {
         let tx = RadioFingerprint::ideal(3);
         let rx = RadioFingerprint::ideal(2);
         let mut link = LinkState::new(&tx, 0);
-        let out = apply_impairments(&[], &[], &tx, &rx, &p, &mut link);
+        let out = apply_impairments(&[], &ChainResponses::new(&[], &tx, &rx), &p, &mut link);
         assert!(out.is_empty());
     }
 
@@ -290,7 +331,7 @@ mod tests {
         let t = tones();
         let cfr = flat_cfr(3, 2, t.len());
         let mut link = LinkState::new(&tx, 0);
-        let _ = apply_impairments(&cfr, &t, &tx, &rx, &p, &mut link);
+        let _ = apply_impairments(&cfr, &ChainResponses::new(&t, &tx, &rx), &p, &mut link);
     }
 
     #[test]

@@ -28,7 +28,9 @@
 //! # Example
 //!
 //! ```
-//! use deepcsi_impair::{DeviceId, ImpairmentProfile, LinkState, RadioFingerprint, apply_impairments};
+//! use deepcsi_impair::{
+//!     apply_impairments, ChainResponses, DeviceId, ImpairmentProfile, LinkState, RadioFingerprint,
+//! };
 //! use deepcsi_linalg::{C64, CMatrix};
 //!
 //! let profile = ImpairmentProfile::default();
@@ -39,7 +41,10 @@
 //!     .map(|_| CMatrix::from_fn(3, 2, |m, n| C64::new(1.0 + m as f64, n as f64)))
 //!     .collect();
 //! let mut link = LinkState::new(&tx, 99);
-//! let impaired = apply_impairments(&cfr, &tones, &tx, &rx, &profile, &mut link);
+//! // The chain responses depend only on the radios and the tones: one
+//! // evaluation serves every snapshot of a trace.
+//! let chains = ChainResponses::new(&tones, &tx, &rx);
+//! let impaired = apply_impairments(&cfr, &chains, &profile, &mut link);
 //! assert_eq!(impaired.len(), cfr.len());
 //! ```
 
@@ -51,7 +56,7 @@ mod chain;
 mod fingerprint;
 mod offsets;
 
-pub use apply::apply_impairments;
+pub use apply::{apply_impairments, ChainResponses};
 pub use chain::ChainResponse;
 pub use fingerprint::{DeviceId, ImpairmentProfile, RadioFingerprint};
 pub use offsets::{LinkState, PacketOffsets};

@@ -11,7 +11,8 @@
 //!   canonical form downstream).
 
 use deepcsi_impair::{
-    apply_impairments, ChainResponse, DeviceId, ImpairmentProfile, LinkState, RadioFingerprint,
+    apply_impairments, ChainResponse, ChainResponses, DeviceId, ImpairmentProfile, LinkState,
+    RadioFingerprint,
 };
 use deepcsi_linalg::{CMatrix, C64};
 use proptest::prelude::*;
@@ -131,7 +132,8 @@ proptest! {
         let tx = RadioFingerprint::ideal(3);
         let rx = RadioFingerprint::ideal(2);
         let mut link = LinkState::new(&tx, seed);
-        let out = apply_impairments(&cfr, &tones, &tx, &rx, &profile, &mut link);
+        let chains = ChainResponses::new(&tones, &tx, &rx);
+        let out = apply_impairments(&cfr, &chains, &profile, &mut link);
         for (a, b) in cfr.iter().zip(out.iter()) {
             let c = b[(0, 0)] / a[(0, 0)];
             prop_assert!((c.abs() - 1.0).abs() < 1e-12, "|c| = {}", c.abs());

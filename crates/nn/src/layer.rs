@@ -8,8 +8,16 @@
 //! [`crate::InferCtx`]. That split is what lets a frozen model be
 //! `Send + Sync` and shared across serving workers without cloning
 //! weights.
+//!
+//! Training runs batched: [`Layer::forward_batch`] and
+//! [`Layer::backward_batch`] take [`Planes`], the frozen model's
+//! batch-innermost layout, in which each lane is one sample. Every lane
+//! repeats its sample's scalar operations in the per-sample order, so a
+//! batched pass is bit-identical to one `forward`/`backward` pair per
+//! sample, which stay on the trait as the test oracle.
 
 use crate::frozen::InferOp;
+use crate::planes::Planes;
 use crate::quant::Int8Freeze;
 use crate::tensor::Tensor;
 
@@ -30,20 +38,55 @@ pub struct ParamView<'a> {
 ///
 /// `forward` caches whatever it needs; `backward` consumes that cache,
 /// accumulates parameter gradients internally and returns the gradient
-/// with respect to the input. One `forward` must precede each `backward`.
+/// with respect to the input. One `forward` must precede each `backward`;
+/// likewise one `forward_batch` each `backward_batch`.
 /// Inference is *not* on this trait: [`Layer::freeze`] snapshots the
 /// layer into an immutable [`crate::InferOp`] instead.
+///
+/// # The batched contract
+///
+/// Lane `s` of a [`Planes`] batch is sample `s`. The batched pair must
+/// leave everything bit-identical to running `forward` then `backward`
+/// on the samples one at a time, in lane order:
+///
+/// * each output and input-gradient element of lane `s` is computed
+///   with the per-sample pass's terms in its order (conv input
+///   gradients add their `(o, dh, dw)` contributions in that order, say,
+///   and pooling keeps the first maximum by strict `>`);
+/// * each parameter gradient takes one contribution per lane, formed as
+///   the per-sample pass forms it (a conv weight's sum over the output
+///   positions, a dense weight's `g·x`), and adds them into the
+///   accumulator in lane order `s = 0..b`;
+/// * stochastic layers draw sample-major from their RNG, as `b`
+///   successive `forward` calls would.
 pub trait Layer: Send {
     /// Human-readable layer name.
     fn name(&self) -> &'static str;
 
     /// Computes the layer output. `train` enables stochastic behaviour
-    /// (dropout).
+    /// (dropout). The per-sample oracle of [`Layer::forward_batch`].
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
 
     /// Back-propagates `grad` (∂loss/∂output), returning ∂loss/∂input and
-    /// **adding** parameter gradients to the internal accumulators.
+    /// **adding** parameter gradients to the internal accumulators. The
+    /// per-sample oracle of [`Layer::backward_batch`].
     fn backward(&mut self, grad: &Tensor) -> Tensor;
+
+    /// [`Layer::forward`] over a batch, one sample per lane (see the
+    /// trait docs for the bit-identity contract).
+    fn forward_batch(&mut self, x: Planes, train: bool) -> Planes;
+
+    /// [`Layer::backward`] over the batch of the last
+    /// [`Layer::forward_batch`], adding each parameter's per-lane
+    /// contributions in lane order.
+    fn backward_batch(&mut self, grad: Planes) -> Planes;
+
+    /// [`Layer::backward_batch`] for the first layer of a network, whose
+    /// input gradient nobody reads: adds the same parameter gradients
+    /// and may skip ∂loss/∂input.
+    fn backward_batch_params(&mut self, grad: Planes) {
+        self.backward_batch(grad);
+    }
 
     /// Snapshots the layer's inference behaviour into an immutable
     /// `Send + Sync` op.

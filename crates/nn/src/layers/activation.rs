@@ -3,6 +3,7 @@
 use crate::fastmath::poly_exp;
 use crate::frozen::{InferCtx, InferOp};
 use crate::layer::{Layer, ParamView};
+use crate::planes::Planes;
 use crate::tensor::Tensor;
 
 /// SELU constants from Klambauer et al., "Self-Normalizing Neural
@@ -28,6 +29,25 @@ pub(crate) fn selu_val(x: f32) -> f32 {
     }
 }
 
+/// ∂selu/∂x at `x`, shared by both SELU backward passes.
+#[inline(always)]
+fn selu_deriv(x: f32) -> f32 {
+    if x > 0.0 {
+        SELU_LAMBDA
+    } else {
+        SELU_LAMBDA * SELU_ALPHA * poly_exp(x)
+    }
+}
+
+/// Maps every element of `x` through `f` into a new buffer.
+fn mapped(x: &Planes, f: impl Fn(f32) -> f32) -> Planes {
+    let mut out = x.clone();
+    for v in out.as_mut_slice() {
+        *v = f(*v);
+    }
+    out
+}
+
 /// The scalar logistic sigmoid, shared by [`Sigmoid::forward`] and the
 /// frozen attention path (same [`poly_exp`] everywhere).
 #[inline(always)]
@@ -39,6 +59,7 @@ pub(crate) fn sigmoid_val(x: f32) -> f32 {
 #[derive(Clone, Default)]
 pub struct Selu {
     cache_x: Option<Tensor>,
+    batch_x: Option<Planes>,
 }
 
 impl Selu {
@@ -79,14 +100,23 @@ impl Layer for Selu {
         let x = self.cache_x.take().expect("backward without forward");
         let mut gx = grad.clone();
         for (g, &xv) in gx.as_mut_slice().iter_mut().zip(x.as_slice()) {
-            let d = if xv > 0.0 {
-                SELU_LAMBDA
-            } else {
-                SELU_LAMBDA * SELU_ALPHA * poly_exp(xv)
-            };
-            *g *= d;
+            *g *= selu_deriv(xv);
         }
         gx
+    }
+
+    fn forward_batch(&mut self, x: Planes, _train: bool) -> Planes {
+        let out = mapped(&x, selu_val);
+        self.batch_x = Some(x);
+        out
+    }
+
+    fn backward_batch(&mut self, mut grad: Planes) -> Planes {
+        let x = self.batch_x.take().expect("backward without forward");
+        for (g, &xv) in grad.as_mut_slice().iter_mut().zip(x.as_slice()) {
+            *g *= selu_deriv(xv);
+        }
+        grad
     }
 
     fn freeze(&self) -> Box<dyn InferOp> {
@@ -110,6 +140,7 @@ impl Layer for Selu {
 #[derive(Clone, Default)]
 pub struct Sigmoid {
     cache_y: Option<Tensor>,
+    batch_y: Option<Planes>,
 }
 
 impl Sigmoid {
@@ -153,6 +184,20 @@ impl Layer for Sigmoid {
             *g *= yv * (1.0 - yv);
         }
         gx
+    }
+
+    fn forward_batch(&mut self, x: Planes, _train: bool) -> Planes {
+        let out = mapped(&x, sigmoid_val);
+        self.batch_y = Some(out.clone());
+        out
+    }
+
+    fn backward_batch(&mut self, mut grad: Planes) -> Planes {
+        let y = self.batch_y.take().expect("backward without forward");
+        for (g, &yv) in grad.as_mut_slice().iter_mut().zip(y.as_slice()) {
+            *g *= yv * (1.0 - yv);
+        }
+        grad
     }
 
     fn freeze(&self) -> Box<dyn InferOp> {

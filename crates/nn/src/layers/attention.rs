@@ -4,6 +4,7 @@ use crate::frozen::{resize_buf, InferCtx, InferOp};
 use crate::layer::{Layer, ParamView};
 use crate::layers::activation::{sigmoid_val, Sigmoid};
 use crate::layers::conv::{Conv2d, FrozenConv2d};
+use crate::planes::Planes;
 use crate::tensor::Tensor;
 
 /// CBAM-style spatial attention with a residual skip (Fig. 4, §III-C):
@@ -24,6 +25,8 @@ pub struct SpatialAttention {
     cache_x: Option<Tensor>,
     cache_a: Option<Tensor>,
     cache_argmax: Vec<usize>,
+    /// The input and attention map of the last `forward_batch`.
+    batch_xa: Option<(Planes, Planes)>,
 }
 
 impl SpatialAttention {
@@ -36,6 +39,36 @@ impl SpatialAttention {
             cache_x: None,
             cache_a: None,
             cache_argmax: Vec::new(),
+            batch_xa: None,
+        }
+    }
+}
+
+/// Channel-wise max and mean maps of the `b`-lane planes `xs` (`c`
+/// channels of `hw` positions) into `ps` (`[max | mean][hw]`, lanes
+/// innermost), overwriting every element. The channel scan order
+/// matches `forward`: strict `>` keeps the first maximum, and the mean
+/// sums the channels in ascending order from `+0.0` and divides.
+fn channel_pool(xs: &[f32], ps: &mut [f32], (c, hw, b): (usize, usize, usize)) {
+    ps.fill(0.0);
+    for p in 0..hw {
+        let max_base = p * b;
+        let mean_base = (hw + p) * b;
+        ps[max_base..max_base + b].copy_from_slice(&xs[p * b..(p + 1) * b]);
+        for ci in 0..c {
+            let ibase = (ci * hw + p) * b;
+            for s in 0..b {
+                let v = xs[ibase + s];
+                if v > ps[max_base + s] {
+                    ps[max_base + s] = v;
+                }
+                ps[mean_base + s] += v;
+            }
+        }
+        for s in 0..b {
+            // `forward` divides the plain sum; multiply-by-inverse
+            // would round differently, so divide here too.
+            ps[mean_base + s] /= c as f32;
         }
     }
 }
@@ -62,35 +95,8 @@ impl InferOp for FrozenSpatialAttention {
             .expect("attention input must be rank 3");
         let b = ctx.batch_size();
         let hw = h * w;
-        // Channel-wise max and mean maps into scratch0, batch lanes
-        // innermost; the channel scan order matches `forward` (strict `>`
-        // keeps the first maximum, the mean sums channels in ascending
-        // order).
         resize_buf(&mut ctx.scratch0, 2 * hw * b);
-        ctx.scratch0.fill(0.0);
-        {
-            let (xs, ps) = (&ctx.cur, &mut ctx.scratch0);
-            for p in 0..hw {
-                let max_base = p * b;
-                let mean_base = (hw + p) * b;
-                ps[max_base..max_base + b].copy_from_slice(&xs[p * b..(p + 1) * b]);
-                for ci in 0..c {
-                    let ibase = (ci * hw + p) * b;
-                    for s in 0..b {
-                        let v = xs[ibase + s];
-                        if v > ps[max_base + s] {
-                            ps[max_base + s] = v;
-                        }
-                        ps[mean_base + s] += v;
-                    }
-                }
-                for s in 0..b {
-                    // `forward` divides the plain sum; multiply-by-inverse
-                    // would round differently, so divide here too.
-                    ps[mean_base + s] /= c as f32;
-                }
-            }
-        }
+        channel_pool(&ctx.cur, &mut ctx.scratch0, (c, hw, b));
         // Attention logits into scratch1 (the conv overwrites every
         // element), then the sigmoid in place.
         resize_buf(&mut ctx.scratch1, self.conv.out_ch() * hw * b);
@@ -215,6 +221,70 @@ impl Layer for SpatialAttention {
                 for ci in 0..c {
                     *gx.at3_mut(ci, hi, wi) += gmean;
                 }
+            }
+        }
+        gx
+    }
+
+    fn forward_batch(&mut self, x: Planes, train: bool) -> Planes {
+        let (c, h, w) = x.dims3("attention");
+        let b = x.batch_size();
+        let mut pooled = Planes::zeros(&[2, h, w], b);
+        channel_pool(x.as_slice(), pooled.as_mut_slice(), (c, h * w, b));
+        let logits = self.conv.forward_batch(pooled, train);
+        let a = self.sigmoid.forward_batch(logits, train);
+        // Y = X⊙A + X.
+        let mut out = x.clone();
+        for ys in out.as_mut_slice().chunks_exact_mut(h * w * b) {
+            for (v, &av) in ys.iter_mut().zip(a.as_slice()) {
+                *v = *v * av + *v;
+            }
+        }
+        self.batch_xa = Some((x, a));
+        out
+    }
+
+    /// `backward` per lane; the max branch's gradient goes to the first
+    /// maximal channel, found again by `forward`'s strict-`>` scan.
+    fn backward_batch(&mut self, grad: Planes) -> Planes {
+        let (x, a) = self.batch_xa.take().expect("backward without forward");
+        let (c, h, w) = x.dims3("attention");
+        let (b, plane) = (x.batch_size(), h * w * x.batch_size());
+        let (xs, avs, gs) = (x.as_slice(), a.as_slice(), grad.as_slice());
+
+        // Through Y = X⊙A + X: ∂/∂X = grad·(A + 1), ∂/∂A = Σ_c grad·X.
+        let mut gx = Planes::zeros(x.shape(), b);
+        let mut ga = Planes::zeros(&[1, h, w], b);
+        let gxs = gx.as_mut_slice();
+        for (e, gav) in ga.as_mut_slice().iter_mut().enumerate() {
+            let av = avs[e];
+            let mut gsum = 0.0f32;
+            for ci in 0..c {
+                let g = gs[ci * plane + e];
+                gsum += g * xs[ci * plane + e];
+                gxs[ci * plane + e] = g * (av + 1.0);
+            }
+            *gav = gsum;
+        }
+
+        // Through the sigmoid and the attention convolution.
+        let g_logits = self.sigmoid.backward_batch(ga);
+        let g_pooled = self.conv.backward_batch(g_logits);
+
+        // Through the max/mean channel pooling back into X.
+        let gps = g_pooled.as_slice();
+        for e in 0..plane {
+            let gmax = gps[e];
+            let gmean = gps[plane + e] / c as f32;
+            let mut best_c = 0;
+            for ci in 0..c {
+                if xs[ci * plane + e] > xs[best_c * plane + e] {
+                    best_c = ci;
+                }
+            }
+            gxs[best_c * plane + e] += gmax;
+            for ci in 0..c {
+                gxs[ci * plane + e] += gmean;
             }
         }
         gx

@@ -32,6 +32,7 @@
 use crate::frozen::{resize_buf, InferCtx, InferOp, LANES};
 use crate::init::lecun_normal;
 use crate::layer::{Layer, ParamView};
+use crate::planes::Planes;
 use crate::quant::ops::{conv_out_shape, Int8Conv2d};
 use crate::quant::{quantize_layer, Int8Freeze};
 use crate::tensor::Tensor;
@@ -55,6 +56,7 @@ pub struct Conv2d {
     grad_w: Vec<f32>,
     grad_b: Vec<f32>,
     cache_x: Option<Tensor>,
+    batch_x: Option<Planes>,
 }
 
 impl Conv2d {
@@ -80,6 +82,7 @@ impl Conv2d {
             grad_w: vec![0.0; n],
             grad_b: vec![0.0; out_ch],
             cache_x: None,
+            batch_x: None,
         }
     }
 
@@ -89,31 +92,205 @@ impl Conv2d {
     }
 
     /// Snapshots the weights into the immutable batched-inference op
-    /// (also embedded by the frozen attention block), packed into the
-    /// tile kernel's `[out/4][in][kh][kw][4]` layout.
+    /// (also embedded by the frozen attention block, and run by
+    /// [`Layer::forward_batch`]).
     pub(crate) fn frozen(&self) -> FrozenConv2d {
-        let mut frozen = FrozenConv2d {
-            in_ch: self.in_ch,
-            out_ch: self.out_ch,
-            kh: self.kh,
-            kw: self.kw,
-            weight: vec![
-                0.0;
-                self.out_ch.div_ceil(TILE_CH) * TILE_CH * self.in_ch * self.kh * self.kw
-            ],
-            bias: self.bias.clone(),
+        FrozenConv2d::new(
+            (self.in_ch, self.out_ch),
+            (self.kh, self.kw),
+            |o, i, dh, dw| self.weight[self.widx(o, i, dh, dw)],
+            self.bias.clone(),
+        )
+    }
+
+    /// The input-gradient convolution: `∂x` is a "same" convolution of
+    /// `∂y` whose output channel `i` reads input channel `o` through
+    /// `W[o][i]`, taken with every tap's offset negated. Negating the
+    /// offsets is mirroring both spatial axes, so run on mirrored
+    /// planes, this op computes a mirrored `∂x` with the unflipped
+    /// kernel, each element's terms in `backward`'s `(o, dh, dw)` order.
+    /// It is exact as the forward is (module docs): the halo taps add
+    /// ±0, and the zero bias adds `+0.0` to a sum that is never −0.
+    fn input_grad_op(&self) -> FrozenConv2d {
+        FrozenConv2d::new(
+            (self.out_ch, self.in_ch),
+            (self.kh, self.kw),
+            |i, o, dh, dw| self.weight[self.widx(o, i, dh, dw)],
+            vec![0.0; self.in_ch],
+        )
+    }
+
+    /// Consumes the cached batch input and adds every lane's bias and
+    /// weight gradients for the output gradient `grad`, in lane order.
+    /// Returns the input shape.
+    fn add_batch_param_grads(&mut self, grad: &Planes) -> (usize, usize, usize) {
+        let x = self.batch_x.take().expect("backward without forward");
+        let (c, h, w) = x.dims3("conv");
+        let b = x.batch_size();
+        let g = FlatGeom {
+            c,
+            h,
+            b,
+            len: w * b,
         };
+        let (xs, gs) = (x.as_slice(), grad.as_slice());
+        let mut s0 = 0;
+        while s0 < b {
+            // Whole 16-lane blocks, then the rest in binary pieces.
+            s0 += match b - s0 {
+                16.. => self.add_lane_grads::<16>(xs, gs, g, s0),
+                8.. => self.add_lane_grads::<8>(xs, gs, g, s0),
+                4.. => self.add_lane_grads::<4>(xs, gs, g, s0),
+                2.. => self.add_lane_grads::<2>(xs, gs, g, s0),
+                _ => self.add_lane_grads::<1>(xs, gs, g, s0),
+            };
+        }
+        (c, h, w)
+    }
+
+    /// Adds lanes `s0..s0 + L`'s bias and weight gradients, each lane's
+    /// formed as `backward` forms a sample's (a sum from `+0.0` over the
+    /// output positions in `(oh, ow)` order), into the accumulators in
+    /// lane order.
+    /// Returns `L`, the lanes done.
+    fn add_lane_grads<const L: usize>(
+        &mut self,
+        xs: &[f32],
+        gs: &[f32],
+        g: FlatGeom,
+        s0: usize,
+    ) -> usize {
+        let hw = g.h * g.len / g.b;
         for o in 0..self.out_ch {
-            for i in 0..self.in_ch {
-                for dh in 0..self.kh {
-                    for dw in 0..self.kw {
-                        let packed = frozen.widx(o, i, dh, dw);
-                        frozen.weight[packed] = self.weight[self.widx(o, i, dh, dw)];
+            let mut acc = [0.0f32; L];
+            for p in 0..hw {
+                let gv: &[f32; L] = gs[(o * hw + p) * g.b + s0..][..L]
+                    .try_into()
+                    .expect("lane block");
+                for (a, &v) in acc.iter_mut().zip(gv) {
+                    *a += v;
+                }
+            }
+            for a in acc {
+                self.grad_b[o] += a;
+            }
+        }
+        let mut o0 = 0;
+        while o0 < self.out_ch {
+            let ob = if o0 + TILE_CH <= self.out_ch {
+                TILE_CH
+            } else {
+                1
+            };
+            let mut i0 = 0;
+            while i0 < g.c {
+                let ib = if i0 + GRAD_IB <= g.c { GRAD_IB } else { 1 };
+                let at = (o0, i0, s0);
+                match (ob, ib) {
+                    (TILE_CH, GRAD_IB) => {
+                        self.weight_grad_tile::<L, TILE_CH, GRAD_IB>(xs, gs, g, at)
+                    }
+                    (TILE_CH, _) => self.weight_grad_tile::<L, TILE_CH, 1>(xs, gs, g, at),
+                    (_, GRAD_IB) => self.weight_grad_tile::<L, 1, GRAD_IB>(xs, gs, g, at),
+                    _ => self.weight_grad_tile::<L, 1, 1>(xs, gs, g, at),
+                }
+                i0 += ib;
+            }
+            o0 += ob;
+        }
+        L
+    }
+
+    /// Weight gradients from input channels `i0..i0 + IB` to output
+    /// channels `o0..o0 + OB`, lanes `s0..s0 + L`: per tap `(dh, dw)`,
+    /// the per-sample scan over the in-bounds output positions in
+    /// `(oh, ow)` order, lane-parallel (see [`grad_span`]), whose sums
+    /// then add into `grad_w` lane by lane.
+    fn weight_grad_tile<const L: usize, const OB: usize, const IB: usize>(
+        &mut self,
+        xs: &[f32],
+        gs: &[f32],
+        g: FlatGeom,
+        (o0, i0, s0): (usize, usize, usize),
+    ) {
+        let (ph, pw) = (self.kh / 2, self.kw / 2);
+        let (b, len) = (g.b, g.len);
+        let w = len / b;
+        for dh in 0..self.kh {
+            for dw in 0..self.kw {
+                let ow_lo = pw.saturating_sub(dw);
+                let ow_hi = (w + pw).saturating_sub(dw).min(w);
+                let mut acc = [[[0.0f32; L]; IB]; OB];
+                for oh in 0..g.h {
+                    let ih = oh + dh;
+                    // No in-bounds term: a row tap or, on a row narrower
+                    // than the kernel, a column tap past both ends.
+                    if ih < ph || ih - ph >= g.h || ow_lo >= ow_hi {
+                        continue;
+                    }
+                    let grows = std::array::from_fn(|j| {
+                        &gs[((o0 + j) * g.h + oh) * len..][..len][ow_lo * b + s0..]
+                    });
+                    let xrows = std::array::from_fn(|q| {
+                        &xs[((i0 + q) * g.h + ih - ph) * len..][..len][(ow_lo + dw - pw) * b + s0..]
+                    });
+                    grad_span(grows, xrows, ow_hi - ow_lo, b, &mut acc);
+                }
+                for (j, a) in acc.iter().enumerate() {
+                    for (q, a) in a.iter().enumerate() {
+                        let wi = self.widx(o0 + j, i0 + q, dh, dw);
+                        for &v in a {
+                            self.grad_w[wi] += v;
+                        }
                     }
                 }
             }
         }
-        frozen
+    }
+}
+
+/// Input channels per weight-gradient register tile: with [`TILE_CH`]
+/// output channels, eight 16-lane accumulators share each input load.
+const GRAD_IB: usize = 2;
+
+/// Adds `g·x` lane-wise over `n` consecutive output positions (flat
+/// stride `b`) into `acc[j][q]`, pairing gradient row `grows[j]` with
+/// input row `xrows[q]`; each slice starts at the span's first lane
+/// block. Out of line, like [`FrozenConv2d::flat_tile`], so the
+/// accumulators stay in registers across the span.
+#[inline(never)]
+fn grad_span<const L: usize, const OB: usize, const IB: usize>(
+    grows: [&[f32]; OB],
+    xrows: [&[f32]; IB],
+    n: usize,
+    b: usize,
+    acc: &mut [[[f32; L]; IB]; OB],
+) {
+    let mut a = *acc;
+    for k in 0..n {
+        let xv: [&[f32; L]; IB] =
+            std::array::from_fn(|q| xrows[q][k * b..][..L].try_into().expect("lane block"));
+        for (aj, grow) in a.iter_mut().zip(grows) {
+            let gv: &[f32; L] = grow[k * b..][..L].try_into().expect("lane block");
+            for (aq, xv) in aj.iter_mut().zip(xv) {
+                for ((av, &gl), &xl) in aq.iter_mut().zip(gv).zip(xv) {
+                    *av += gl * xl;
+                }
+            }
+        }
+    }
+    *acc = a;
+}
+
+/// Mirrors both spatial axes of `b`-lane planes in place: position `p`
+/// of each channel's `hw` positions trades places with `hw − 1 − p`,
+/// each moving its `b` lanes as they are.
+fn mirror_positions(data: &mut [f32], hw: usize, b: usize) {
+    for block in data.chunks_exact_mut(hw * b) {
+        for p in 0..hw / 2 {
+            let (head, tail) = block.split_at_mut((hw - 1 - p) * b);
+            head[p * b..][..b].swap_with_slice(&mut tail[..b]);
+        }
     }
 }
 
@@ -143,6 +320,35 @@ pub(crate) struct FrozenConv2d {
 }
 
 impl FrozenConv2d {
+    /// Packs the kernel whose tap `(dh, dw)` from input channel `i` to
+    /// output channel `o` is `weight(o, i, dh, dw)`.
+    fn new(
+        (in_ch, out_ch): (usize, usize),
+        (kh, kw): (usize, usize),
+        weight: impl Fn(usize, usize, usize, usize) -> f32,
+        bias: Vec<f32>,
+    ) -> Self {
+        let mut frozen = FrozenConv2d {
+            in_ch,
+            out_ch,
+            kh,
+            kw,
+            weight: vec![0.0; out_ch.div_ceil(TILE_CH) * TILE_CH * in_ch * kh * kw],
+            bias,
+        };
+        for o in 0..out_ch {
+            for i in 0..in_ch {
+                for dh in 0..kh {
+                    for dw in 0..kw {
+                        let packed = frozen.widx(o, i, dh, dw);
+                        frozen.weight[packed] = weight(o, i, dh, dw);
+                    }
+                }
+            }
+        }
+        frozen
+    }
+
     /// Output channel count (the frozen attention block sizes its
     /// logits plane from this).
     pub(crate) fn out_ch(&self) -> usize {
@@ -438,6 +644,46 @@ impl Layer for Conv2d {
             }
         }
         gx
+    }
+
+    /// Runs the frozen kernel. Bit-equal to `forward` per lane while the
+    /// weights are finite (see the module docs); a NaN or ±∞ weight,
+    /// which only a diverged update leaves, reads NaN at the row ends
+    /// where `forward` skips the tap, and panics nowhere.
+    fn forward_batch(&mut self, x: Planes, _train: bool) -> Planes {
+        let (c, h, w) = x.dims3("conv");
+        let b = x.batch_size();
+        let mut out = Planes::zeros(&[self.out_ch, h, w], b);
+        self.frozen().run(
+            x.as_slice(),
+            out.as_mut_slice(),
+            (c, h, w),
+            b,
+            &mut Vec::new(),
+        );
+        self.batch_x = Some(x);
+        out
+    }
+
+    fn backward_batch(&mut self, grad: Planes) -> Planes {
+        let (c, h, w) = self.add_batch_param_grads(&grad);
+        let b = grad.batch_size();
+        let mut mirrored = grad;
+        mirror_positions(mirrored.as_mut_slice(), h * w, b);
+        let mut gx = Planes::zeros(&[c, h, w], b);
+        self.input_grad_op().run(
+            mirrored.as_slice(),
+            gx.as_mut_slice(),
+            (self.out_ch, h, w),
+            b,
+            &mut Vec::new(),
+        );
+        mirror_positions(gx.as_mut_slice(), h * w, b);
+        gx
+    }
+
+    fn backward_batch_params(&mut self, grad: Planes) {
+        self.add_batch_param_grads(&grad);
     }
 
     fn freeze(&self) -> Box<dyn InferOp> {

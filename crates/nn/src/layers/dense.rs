@@ -3,6 +3,7 @@
 use crate::frozen::{InferCtx, InferOp, LANES};
 use crate::init::lecun_normal;
 use crate::layer::{Layer, ParamView};
+use crate::planes::Planes;
 use crate::quant::ops::{dense_out_shape, Int8Dense};
 use crate::quant::{quantize_layer, Int8Freeze};
 use crate::tensor::Tensor;
@@ -19,6 +20,7 @@ pub struct Dense {
     grad_w: Vec<f32>,
     grad_b: Vec<f32>,
     cache_x: Option<Tensor>,
+    batch_x: Option<Planes>,
 }
 
 impl Dense {
@@ -38,6 +40,7 @@ impl Dense {
             grad_w: vec![0.0; in_dim * out_dim],
             grad_b: vec![0.0; out_dim],
             cache_x: None,
+            batch_x: None,
         }
     }
 
@@ -123,11 +126,18 @@ struct FrozenDense {
 }
 
 impl FrozenDense {
-    fn new(in_dim: usize, out_dim: usize, weight: &[f32], bias: &[f32]) -> Self {
+    /// Packs the `out_dim × in_dim` matrix whose row `o`, column `k` is
+    /// `weight(o, k)`.
+    fn new(
+        in_dim: usize,
+        out_dim: usize,
+        weight: impl Fn(usize, usize) -> f32,
+        bias: &[f32],
+    ) -> Self {
         let mut packed = vec![0.0; out_dim.div_ceil(LANES) * LANES * in_dim];
         for o in 0..out_dim {
             for k in 0..in_dim {
-                packed[((o / LANES) * in_dim + k) * LANES + o % LANES] = weight[o * in_dim + k];
+                packed[((o / LANES) * in_dim + k) * LANES + o % LANES] = weight(o, k);
             }
         }
         FrozenDense {
@@ -185,6 +195,74 @@ impl InferOp for FrozenDense {
     }
 }
 
+impl Dense {
+    fn frozen(&self) -> FrozenDense {
+        FrozenDense::new(
+            self.in_dim,
+            self.out_dim,
+            |o, k| self.weight[o * self.in_dim + k],
+            &self.bias,
+        )
+    }
+}
+
+/// Adds the `b` lanes' outer products into `grad_w` (`out × in`, row
+/// major), lane by lane: `grad_w[o][i] += g[o][s]·x[i][s]` for
+/// `s = 0..b`, the order `b` successive `backward` calls add them in.
+///
+/// Each register tile holds four rows × [`LANES`] columns of `grad_w`
+/// across the whole lane loop, so a weight is loaded and stored once
+/// per batch; the inputs are first transposed sample-major so each lane
+/// reads a contiguous input row.
+fn add_outer_products(
+    grad_w: &mut [f32],
+    gs: &[f32],
+    xs: &[f32],
+    (out_dim, in_dim): (usize, usize),
+    b: usize,
+) {
+    const ROWS: usize = 4;
+    let mut xt = vec![0.0f32; b * in_dim];
+    for (i, lanes) in xs.chunks_exact(b).enumerate() {
+        for (s, &v) in lanes.iter().enumerate() {
+            xt[s * in_dim + i] = v;
+        }
+    }
+    let whole = in_dim - in_dim % LANES;
+    let mut o0 = 0;
+    while o0 < out_dim {
+        let rows = (out_dim - o0).min(ROWS);
+        for i0 in (0..whole).step_by(LANES) {
+            let mut acc = [[0.0f32; LANES]; ROWS];
+            for (j, a) in acc[..rows].iter_mut().enumerate() {
+                a.copy_from_slice(&grad_w[(o0 + j) * in_dim + i0..][..LANES]);
+            }
+            for s in 0..b {
+                let xv: &[f32; LANES] = xt[s * in_dim + i0..][..LANES]
+                    .try_into()
+                    .expect("full lane block");
+                for (j, a) in acc[..rows].iter_mut().enumerate() {
+                    let g = gs[(o0 + j) * b + s];
+                    for (av, &x) in a.iter_mut().zip(xv) {
+                        *av += g * x;
+                    }
+                }
+            }
+            for (j, a) in acc[..rows].iter().enumerate() {
+                grad_w[(o0 + j) * in_dim + i0..][..LANES].copy_from_slice(a);
+            }
+        }
+        for o in o0..o0 + rows {
+            for i in whole..in_dim {
+                for s in 0..b {
+                    grad_w[o * in_dim + i] += gs[o * b + s] * xt[s * in_dim + i];
+                }
+            }
+        }
+        o0 += rows;
+    }
+}
+
 impl Layer for Dense {
     fn name(&self) -> &'static str {
         "dense"
@@ -228,13 +306,43 @@ impl Layer for Dense {
         gx
     }
 
-    fn freeze(&self) -> Box<dyn InferOp> {
-        Box::new(FrozenDense::new(
-            self.in_dim,
+    fn forward_batch(&mut self, x: Planes, _train: bool) -> Planes {
+        assert_eq!(x.elems(), self.in_dim, "dense input length mismatch");
+        let mut out = Planes::zeros(&[self.out_dim], x.batch_size());
+        self.frozen()
+            .run(x.as_slice(), out.as_mut_slice(), x.batch_size());
+        self.batch_x = Some(x);
+        out
+    }
+
+    /// The input gradient is the frozen forward of `Wᵀ` with a zero
+    /// bias: each lane's `∂x_i` starts from `+0.0` and adds `g_o·W[o][i]`
+    /// in ascending `o`, as `backward` does (its `W[o][i]·g_o` products
+    /// are the same floats). Each weight then adds its lanes' `g_o·x_i`
+    /// in lane order (see `add_outer_products`).
+    fn backward_batch(&mut self, grad: Planes) -> Planes {
+        let x = self.batch_x.take().expect("backward without forward");
+        let b = x.batch_size();
+        let (xs, gs) = (x.as_slice(), grad.as_slice());
+        for (gb, g) in self.grad_b.iter_mut().zip(gs.chunks_exact(b)) {
+            for &v in g {
+                *gb += v;
+            }
+        }
+        add_outer_products(&mut self.grad_w, gs, xs, (self.out_dim, self.in_dim), b);
+        let transposed = FrozenDense::new(
             self.out_dim,
-            &self.weight,
-            &self.bias,
-        ))
+            self.in_dim,
+            |i, o| self.weight[o * self.in_dim + i],
+            &vec![0.0; self.in_dim],
+        );
+        let mut gx = Planes::zeros(&[self.in_dim], b);
+        transposed.run(gs, gx.as_mut_slice(), b);
+        gx
+    }
+
+    fn freeze(&self) -> Box<dyn InferOp> {
+        Box::new(self.frozen())
     }
 
     fn freeze_int8(&self, in_scale: f32, out_scale: f32) -> Option<Int8Freeze> {

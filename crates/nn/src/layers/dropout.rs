@@ -3,6 +3,7 @@
 use crate::frozen::{InferCtx, InferOp};
 use crate::layer::{Layer, ParamView};
 use crate::layers::activation::{SELU_ALPHA, SELU_LAMBDA};
+use crate::planes::Planes;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -28,6 +29,9 @@ impl InferOp for FrozenAlphaDropout {
 pub struct AlphaDropout {
     rate: f32,
     rng: StdRng,
+    /// Keep flags of the last forward pass, in its data's layout (one
+    /// sample, or interleaved lanes after `forward_batch`); empty when
+    /// it dropped nothing.
     mask: Vec<bool>,
 }
 
@@ -54,6 +58,18 @@ impl AlphaDropout {
         let b = -a * alpha_p * self.rate;
         (alpha_p, a, b)
     }
+
+    /// Back-propagates through the last forward pass's mask in place:
+    /// kept units scale by `a`, dropped ones get no gradient.
+    fn mask_grad(&self, grad: &mut [f32]) {
+        if self.mask.is_empty() {
+            return;
+        }
+        let (_, a, _) = self.affine();
+        for (g, &keep) in grad.iter_mut().zip(&self.mask) {
+            *g = if keep { *g * a } else { 0.0 };
+        }
+    }
 }
 
 impl Layer for AlphaDropout {
@@ -79,15 +95,35 @@ impl Layer for AlphaDropout {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        if self.mask.is_empty() {
-            return grad.clone();
-        }
-        let (_, a, _) = self.affine();
         let mut gx = grad.clone();
-        for (g, &keep) in gx.as_mut_slice().iter_mut().zip(&self.mask) {
-            *g = if keep { *g * a } else { 0.0 };
-        }
+        self.mask_grad(gx.as_mut_slice());
         gx
+    }
+
+    fn forward_batch(&mut self, mut x: Planes, train: bool) -> Planes {
+        if !train || self.rate == 0.0 {
+            self.mask.clear();
+            return x;
+        }
+        let (alpha_p, a, b) = self.affine();
+        // Sample-major draws, as one `forward` per lane would make them.
+        let (elems, lanes) = (x.elems(), x.batch_size());
+        self.mask = vec![false; elems * lanes];
+        for s in 0..lanes {
+            for e in 0..elems {
+                self.mask[e * lanes + s] = self.rng.gen::<f32>() >= self.rate;
+            }
+        }
+        for (v, &keep) in x.as_mut_slice().iter_mut().zip(&self.mask) {
+            let pre = if keep { *v } else { alpha_p };
+            *v = a * pre + b;
+        }
+        x
+    }
+
+    fn backward_batch(&mut self, mut grad: Planes) -> Planes {
+        self.mask_grad(grad.as_mut_slice());
+        grad
     }
 
     fn freeze(&self) -> Box<dyn InferOp> {

@@ -2,6 +2,7 @@
 
 use crate::frozen::{InferCtx, InferOp};
 use crate::layer::{Layer, ParamView};
+use crate::planes::Planes;
 use crate::quant::Int8Freeze;
 use crate::tensor::Tensor;
 
@@ -50,6 +51,17 @@ impl Layer for Flatten {
     fn backward(&mut self, grad: &Tensor) -> Tensor {
         assert!(!self.in_shape.is_empty(), "backward without forward");
         grad.clone().reshape(self.in_shape.clone())
+    }
+
+    fn forward_batch(&mut self, x: Planes, _train: bool) -> Planes {
+        self.in_shape = x.shape().to_vec();
+        let elems = x.elems();
+        x.reshape(&[elems])
+    }
+
+    fn backward_batch(&mut self, grad: Planes) -> Planes {
+        assert!(!self.in_shape.is_empty(), "backward without forward");
+        grad.reshape(&self.in_shape)
     }
 
     fn freeze(&self) -> Box<dyn InferOp> {

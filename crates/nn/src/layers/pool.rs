@@ -2,6 +2,7 @@
 
 use crate::frozen::{InferCtx, InferOp};
 use crate::layer::{Layer, ParamView};
+use crate::planes::Planes;
 use crate::quant::ops::{pool_out_shape, Int8MaxPool};
 use crate::quant::Int8Freeze;
 use crate::tensor::Tensor;
@@ -15,6 +16,9 @@ pub struct MaxPool2d {
     kw: usize,
     argmax: Vec<usize>,
     in_shape: Vec<usize>,
+    /// The input of the last `forward_batch`; `backward_batch` re-scans
+    /// its windows for the maxima.
+    batch_x: Option<Planes>,
 }
 
 impl MaxPool2d {
@@ -30,6 +34,68 @@ impl MaxPool2d {
             kw,
             argmax: Vec::new(),
             in_shape: Vec::new(),
+            batch_x: None,
+        }
+    }
+}
+
+/// The pooled `(rows, cols)` of an `(h, w)` input: floor truncation.
+///
+/// # Panics
+///
+/// Panics if the input is smaller than the kernel.
+fn pooled_dims((h, w): (usize, usize), (kh, kw): (usize, usize)) -> (usize, usize) {
+    let (oh, ow) = (h / kh, w / kw);
+    assert!(oh > 0 && ow > 0, "input smaller than pooling kernel");
+    (oh, ow)
+}
+
+/// Pools the `b`-lane planes `xs` (shape `(c, h, w)`) into `os`,
+/// overwriting every element: the frozen op's kernel, which the
+/// batched training forward runs too.
+///
+/// Row-wise along the flat (width × sample) axis: an input row splits
+/// into `kw·b`-wide windows, and tap `(dh, dw)` of window `wi` is lanes
+/// `dw·b..(dw + 1)·b` of window `wi` of input row `hi·kh + dh`. Taps run
+/// in `forward`'s scan order, k = dh·kw + dw. The first pass seeds each
+/// output row with the larger of taps 0 and 1 (tap 0 twice for a 1×1
+/// kernel), and every later tap folds in as a select over the whole
+/// row. No pass copies, so no element costs a `memcpy` call.
+fn pool_rows(
+    xs: &[f32],
+    os: &mut [f32],
+    (c, h, w): (usize, usize, usize),
+    b: usize,
+    (kh, kw): (usize, usize),
+) {
+    let (oh, ow) = pooled_dims((h, w), (kh, kw));
+    debug_assert_eq!(os.len(), c * oh * ow * b);
+    let win = kw * b;
+    for (orow_idx, orow) in os.chunks_exact_mut(ow * b).enumerate() {
+        let (ci, hi) = (orow_idx / oh, orow_idx % oh);
+        // Tap k: its input row's windows and its lane offset.
+        let tap = |k: usize| {
+            let base = (ci * h + hi * kh + k / kw) * w * b;
+            (&xs[base..base + ow * win], k % kw * b)
+        };
+        let ((r0, d0), (r1, d1)) = (tap(0), tap(1.min(kh * kw - 1)));
+        for ((o, w0), w1) in orow
+            .chunks_exact_mut(b)
+            .zip(r0.chunks_exact(win))
+            .zip(r1.chunks_exact(win))
+        {
+            for ((ov, &a), &x) in o.iter_mut().zip(&w0[d0..]).zip(&w1[d1..]) {
+                // Strict `>` keeps the first maximum, like `forward`.
+                *ov = if x > a { x } else { a };
+            }
+        }
+        for k in 2..kh * kw {
+            let (rk, dk) = tap(k);
+            for (o, wk) in orow.chunks_exact_mut(b).zip(rk.chunks_exact(win)) {
+                for (ov, &x) in o.iter_mut().zip(&wk[dk..]) {
+                    *ov = if x > *ov { x } else { *ov };
+                }
+            }
         }
     }
 }
@@ -47,48 +113,9 @@ impl InferOp for FrozenMaxPool2d {
 
     fn apply(&self, ctx: &mut InferCtx) {
         let [c, h, w]: [usize; 3] = ctx.shape().try_into().expect("pool input must be rank 3");
-        let oh = h / self.kh;
-        let ow = w / self.kw;
-        assert!(oh > 0 && ow > 0, "input smaller than pooling kernel");
-        let (kh, kw) = (self.kh, self.kw);
-        // Row-wise along the flat (width × sample) axis: an input row
-        // splits into `kw·b`-wide windows, and tap `(dh, dw)` of window
-        // `wi` is lanes `dw·b..(dw + 1)·b` of window `wi` of input row
-        // `hi·kh + dh`. Taps run in `forward`'s scan order, k = dh·kw + dw.
-        // The first pass seeds each output row with the larger of taps 0
-        // and 1 (tap 0 twice for a 1×1 kernel), and every later tap folds
-        // in as a select over the whole row. No pass copies, so no
-        // element costs a `memcpy` call.
+        let (oh, ow) = pooled_dims((h, w), (self.kh, self.kw));
         ctx.produce(&[c, oh, ow], |xs, os, _, b| {
-            let win = kw * b;
-            for (orow_idx, orow) in os.chunks_exact_mut(ow * b).enumerate() {
-                let (ci, hi) = (orow_idx / oh, orow_idx % oh);
-                // Tap k: its input row's windows and its lane offset.
-                let tap = |k: usize| {
-                    let base = (ci * h + hi * kh + k / kw) * w * b;
-                    (&xs[base..base + ow * win], k % kw * b)
-                };
-                let ((r0, d0), (r1, d1)) = (tap(0), tap(1.min(kh * kw - 1)));
-                for ((o, w0), w1) in orow
-                    .chunks_exact_mut(b)
-                    .zip(r0.chunks_exact(win))
-                    .zip(r1.chunks_exact(win))
-                {
-                    for ((ov, &a), &x) in o.iter_mut().zip(&w0[d0..]).zip(&w1[d1..]) {
-                        // Strict `>` keeps the first maximum, like
-                        // `forward`.
-                        *ov = if x > a { x } else { a };
-                    }
-                }
-                for k in 2..kh * kw {
-                    let (rk, dk) = tap(k);
-                    for (o, wk) in orow.chunks_exact_mut(b).zip(rk.chunks_exact(win)) {
-                        for (ov, &x) in o.iter_mut().zip(&wk[dk..]) {
-                            *ov = if x > *ov { x } else { *ov };
-                        }
-                    }
-                }
-            }
+            pool_rows(xs, os, (c, h, w), b, (self.kh, self.kw));
         });
     }
 
@@ -104,9 +131,7 @@ impl Layer for MaxPool2d {
 
     fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
         let [c, h, w]: [usize; 3] = x.shape().try_into().expect("pool input must be rank 3");
-        let oh = h / self.kh;
-        let ow = w / self.kw;
-        assert!(oh > 0 && ow > 0, "input smaller than pooling kernel");
+        let (oh, ow) = pooled_dims((h, w), (self.kh, self.kw));
         let mut out = Tensor::zeros(vec![c, oh, ow]);
         self.argmax = vec![0; c * oh * ow];
         self.in_shape = x.shape().to_vec();
@@ -141,6 +166,66 @@ impl Layer for MaxPool2d {
         let gxs = gx.as_mut_slice();
         for (o, &src) in self.argmax.iter().enumerate() {
             gxs[src] += grad.as_slice()[o];
+        }
+        gx
+    }
+
+    fn forward_batch(&mut self, x: Planes, _train: bool) -> Planes {
+        let (c, h, w) = x.dims3("pool");
+        let (oh, ow) = pooled_dims((h, w), (self.kh, self.kw));
+        let mut out = Planes::zeros(&[c, oh, ow], x.batch_size());
+        pool_rows(
+            x.as_slice(),
+            out.as_mut_slice(),
+            (c, h, w),
+            x.batch_size(),
+            (self.kh, self.kw),
+        );
+        self.batch_x = Some(x);
+        out
+    }
+
+    /// Routes each lane's output gradient to the first maximum of its
+    /// window, found by `forward`'s strict-`>` scan over the taps, all
+    /// lanes at once. Windows do not overlap, so each routed input
+    /// gradient is `+0.0 + g`, as `backward` adds it to a zeroed tensor.
+    fn backward_batch(&mut self, grad: Planes) -> Planes {
+        let x = self.batch_x.take().expect("backward without forward");
+        let (c, h, w) = x.dims3("pool");
+        let b = x.batch_size();
+        let (kh, kw) = (self.kh, self.kw);
+        let (oh, ow) = pooled_dims((h, w), (kh, kw));
+        let (xs, gs) = (x.as_slice(), grad.as_slice());
+        let mut gx = Planes::zeros(x.shape(), b);
+        let gxs = gx.as_mut_slice();
+        let (mut best, mut arg) = (vec![0.0f32; b], vec![0usize; b]);
+        for ci in 0..c {
+            for hi in 0..oh {
+                for wi in 0..ow {
+                    // Flat start of tap k's lanes.
+                    let tap = |k: usize| ((ci * h + hi * kh + k / kw) * w + wi * kw + k % kw) * b;
+                    best.copy_from_slice(&xs[tap(0)..][..b]);
+                    arg.fill(0);
+                    for k in 1..kh * kw {
+                        let xk = &xs[tap(k)..][..b];
+                        for ((bv, a), &v) in best.iter_mut().zip(&mut arg).zip(xk) {
+                            if v > *bv {
+                                *bv = v;
+                                *a = k;
+                            }
+                        }
+                    }
+                    let g = &gs[((ci * oh + hi) * ow + wi) * b..][..b];
+                    for k in 0..kh * kw {
+                        let gk = &mut gxs[tap(k)..][..b];
+                        for ((gv, &a), &g) in gk.iter_mut().zip(&arg).zip(g) {
+                            if a == k {
+                                *gv += g;
+                            }
+                        }
+                    }
+                }
+            }
         }
         gx
     }

@@ -70,6 +70,7 @@ mod loss;
 mod metrics;
 mod network;
 mod optim;
+mod planes;
 mod pool;
 pub mod quant;
 mod tensor;
@@ -85,6 +86,7 @@ pub use loss::softmax_cross_entropy;
 pub use metrics::ConfusionMatrix;
 pub use network::Network;
 pub use optim::{Adam, Optimizer, Sgd};
+pub use planes::Planes;
 pub use pool::InferPool;
 pub use quant::{ActRange, Int8Freeze, QuantError, QuantSpec};
 pub use tensor::Tensor;

@@ -2,6 +2,7 @@
 
 use crate::frozen::FrozenModel;
 use crate::layer::{Layer, ParamView};
+use crate::planes::Planes;
 use crate::quant::{QuantError, QuantSpec};
 use crate::tensor::Tensor;
 
@@ -67,6 +68,43 @@ impl Network {
         cur
     }
 
+    /// [`Network::forward`] over a batch, one sample per lane: every
+    /// layer's [`Layer::forward_batch`], bit-identical per lane to
+    /// `forward` on that sample.
+    pub fn forward_batch(&mut self, x: Planes, train: bool) -> Planes {
+        let mut cur = x;
+        for layer in self.layers.iter_mut() {
+            cur = layer.forward_batch(cur, train);
+        }
+        cur
+    }
+
+    /// [`Network::backward`] over the batch of the last
+    /// [`Network::forward_batch`]: leaves every gradient accumulator as
+    /// `b` per-sample `backward` calls in lane order would, and returns
+    /// ∂loss/∂input per lane.
+    pub fn backward_batch(&mut self, grad: Planes) -> Planes {
+        let mut cur = grad;
+        for layer in self.layers.iter_mut().rev() {
+            cur = layer.backward_batch(cur);
+        }
+        cur
+    }
+
+    /// [`Network::backward_batch`] without the network's input gradient,
+    /// which training never reads: the first layer adds its parameter
+    /// gradients only ([`Layer::backward_batch_params`]).
+    pub(crate) fn backward_batch_params(&mut self, grad: Planes) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut cur = grad;
+        for layer in rest.iter_mut().rev() {
+            cur = layer.backward_batch(cur);
+        }
+        first.backward_batch_params(cur);
+    }
+
     /// Snapshots the network into an immutable, `Send + Sync`
     /// [`FrozenModel`] for serving.
     ///
@@ -120,12 +158,13 @@ impl Network {
     }
 
     /// Back-propagates an output gradient, accumulating parameter
-    /// gradients in every layer.
-    pub fn backward(&mut self, grad: &Tensor) {
+    /// gradients in every layer; returns ∂loss/∂input.
+    pub fn backward(&mut self, grad: &Tensor) -> Tensor {
         let mut cur = grad.clone();
         for layer in self.layers.iter_mut().rev() {
             cur = layer.backward(&cur);
         }
+        cur
     }
 
     /// Clears all gradient accumulators.

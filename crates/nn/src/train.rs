@@ -5,11 +5,23 @@
 //! contiguous chunks, each run on its own thread, whose gradients are
 //! summed in chunk order however many cores the host has, so one seed
 //! trains bit-identical weights on every machine.
+//!
+//! Each chunk runs as one batched pass over the batch-innermost planes
+//! the frozen model serves from ([`Network::forward_batch`], then the
+//! backward pass), one sample per lane: the conv and dense forwards are
+//! the frozen kernels, and backward is lane-parallel. A lane repeats its
+//! sample's scalar operations in the per-sample order, and each
+//! parameter adds its lanes' contributions in sample order, so a chunk's
+//! gradient is bit-identical to one `forward`/`backward` pair per sample
+//! added up in turn (`tests/train_identity.rs` in `deepcsi-core` holds
+//! it to that oracle). Batches under four run as one chunk on the
+//! network itself. No path runs a per-sample pass.
 
 use crate::loss::softmax_cross_entropy;
 use crate::metrics::ConfusionMatrix;
 use crate::network::Network;
 use crate::optim::{Adam, Optimizer};
+use crate::planes::Planes;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -194,14 +206,27 @@ impl Trainer {
     }
 }
 
-/// Serial gradient accumulation over one batch; returns the summed loss.
-fn grad_batch_serial(net: &mut Network, x: &[Tensor], y: &[usize], batch: &[usize]) -> f32 {
+/// Samples per batched pass. A chunk runs in passes of up to one
+/// 16-lane block, so the activations cached for backward stay at one
+/// block's worth whatever the batch size; passes go in sample order,
+/// which keeps the gradient sums and the dropout draws in that order.
+const PASS_LANES: usize = 16;
+
+/// Accumulates the gradient of the samples `shard` in batched passes,
+/// one sample per lane ([`Network::forward_batch`], then
+/// `backward_batch` without the unread input gradient); returns the loss
+/// summed in sample order.
+fn grad_shard(net: &mut Network, x: &[Tensor], y: &[usize], shard: &[usize]) -> f32 {
     let mut loss = 0.0f32;
-    for &i in batch {
-        let out = net.forward(&x[i], true);
-        let (l, g) = softmax_cross_entropy(&out, y[i]);
-        net.backward(&g);
-        loss += l;
+    for pass in shard.chunks(PASS_LANES) {
+        let out = net.forward_batch(Planes::from_samples(pass.iter().map(|&i| &x[i])), true);
+        let mut grad = Planes::zeros(out.shape(), pass.len());
+        for (s, &i) in pass.iter().enumerate() {
+            let (l, g) = softmax_cross_entropy(&out.sample(s), y[i]);
+            grad.set_sample(s, &g);
+            loss += l;
+        }
+        net.backward_batch_params(grad);
     }
     loss
 }
@@ -212,10 +237,10 @@ fn grad_batch_serial(net: &mut Network, x: &[Tensor], y: &[usize], batch: &[usiz
 /// Batches of four or more samples are cut into [`GRAD_SHARDS`] chunks of
 /// `div_ceil(len, GRAD_SHARDS)`; each chunk is summed in its own zeroed
 /// network clone on a scoped thread and the clones are added into `net`
-/// in chunk order.
+/// in chunk order. Smaller batches run as one shard on `net` itself.
 fn grad_batch(net: &mut Network, x: &[Tensor], y: &[usize], batch: &[usize]) -> f32 {
     if batch.len() < 4 {
-        return grad_batch_serial(net, x, y, batch);
+        return grad_shard(net, x, y, batch);
     }
     let results: Vec<(Network, f32)> = crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = batch
@@ -224,7 +249,7 @@ fn grad_batch(net: &mut Network, x: &[Tensor], y: &[usize], batch: &[usize]) -> 
                 let mut worker = net.clone();
                 scope.spawn(move |_| {
                     worker.zero_grads();
-                    let loss = grad_batch_serial(&mut worker, x, y, shard);
+                    let loss = grad_shard(&mut worker, x, y, shard);
                     (worker, loss)
                 })
             })
@@ -350,6 +375,19 @@ mod tests {
         (xs, ys)
     }
 
+    /// The per-sample oracle of [`grad_shard`]: one `forward`/`backward`
+    /// pair per sample, in order.
+    fn grad_per_sample(net: &mut Network, x: &[Tensor], y: &[usize], batch: &[usize]) -> f32 {
+        let mut loss = 0.0f32;
+        for &i in batch {
+            let out = net.forward(&x[i], true);
+            let (l, g) = softmax_cross_entropy(&out, y[i]);
+            net.backward(&g);
+            loss += l;
+        }
+        loss
+    }
+
     fn blob_net() -> Network {
         let mut net = Network::new();
         net.push(Dense::new(2, 16, 1));
@@ -403,7 +441,7 @@ mod tests {
             for half in batch.chunks(len.div_ceil(2)) {
                 let mut part = reference.clone();
                 part.zero_grads();
-                ref_loss += grad_batch_serial(&mut part, &xs, &ys, half);
+                ref_loss += grad_per_sample(&mut part, &xs, &ys, half);
                 reference.add_grads_from(&mut part);
             }
             assert!(got == bits(&mut reference, ref_loss), "batch of {len}");

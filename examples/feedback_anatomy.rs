@@ -14,7 +14,7 @@ use deepcsi::bfi::{beamforming_matrix, decompose, quantize, v_from_angles, Beamf
 use deepcsi::channel::{AntennaArray, ChannelModel, Environment};
 use deepcsi::frame::{BeamformingReportFrame, MacAddr};
 use deepcsi::impair::{
-    apply_impairments, DeviceId, ImpairmentProfile, LinkState, RadioFingerprint,
+    apply_impairments, ChainResponses, DeviceId, ImpairmentProfile, LinkState, RadioFingerprint,
 };
 use deepcsi::phy::{Codebook, MimoConfig, SubcarrierLayout};
 use rand::SeedableRng;
@@ -41,7 +41,8 @@ fn main() {
     let rx_fp = RadioFingerprint::generate_rx(1, 2, &profile);
     let mut link = LinkState::new(&tx_fp, 1);
     let ideal = model.cfr(&tx, &rx, &mut rng);
-    let cfr = apply_impairments(&ideal, &tones, &tx_fp, &rx_fp, &profile, &mut link);
+    let chains = ChainResponses::new(&tones, &tx_fp, &rx_fp);
+    let cfr = apply_impairments(&ideal, &chains, &profile, &mut link);
     let k_mid = 117; // a mid-band tone
     println!(
         "\nstep 1 — estimated CFR at tone {} (M×N = 3×2):",

@@ -5,7 +5,7 @@ use deepcsi::bfi::{beamforming_matrix, decompose, v_from_angles, BeamformingFeed
 use deepcsi::channel::{AntennaArray, ChannelModel, Environment};
 use deepcsi::data::clean_phase_offsets;
 use deepcsi::impair::{
-    apply_impairments, DeviceId, ImpairmentProfile, LinkState, RadioFingerprint,
+    apply_impairments, ChainResponses, DeviceId, ImpairmentProfile, LinkState, RadioFingerprint,
 };
 use deepcsi::linalg::{CMatrix, C64};
 use deepcsi::phy::{Codebook, MimoConfig, SubcarrierLayout};
@@ -129,7 +129,8 @@ fn cleaning_reduces_device_separation() {
             ..profile
         };
         let mut link = LinkState::new(&tx, 5);
-        let impaired = apply_impairments(&cfr, &tones, &tx, &rx, &quiet, &mut link);
+        let chains = ChainResponses::new(&tones, &tx, &rx);
+        let impaired = apply_impairments(&cfr, &chains, &quiet, &mut link);
         let fb = BeamformingFeedback::from_cfr(&impaired, &tones, mimo, Codebook::MU_HIGH);
         let mut s = fb.reconstruct();
         if clean {
