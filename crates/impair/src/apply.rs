@@ -65,11 +65,6 @@ impl ChainResponses {
         }
         chains
     }
-
-    /// The tones the responses were evaluated at.
-    pub fn tones(&self) -> &[i32] {
-        &self.tones
-    }
 }
 
 /// Transforms an ideal CFR snapshot into what the beamformee actually
@@ -98,7 +93,7 @@ pub fn apply_impairments(
     profile: &ImpairmentProfile,
     link: &mut LinkState,
 ) -> Vec<CMatrix> {
-    let tones = chains.tones();
+    let tones = &chains.tones;
     assert_eq!(cfr.len(), tones.len(), "one CFR matrix per tone");
     if cfr.is_empty() {
         return Vec::new();

@@ -81,13 +81,6 @@ pub trait Layer: Send {
     /// contributions in lane order.
     fn backward_batch(&mut self, grad: Planes) -> Planes;
 
-    /// [`Layer::backward_batch`] for the first layer of a network, whose
-    /// input gradient nobody reads: adds the same parameter gradients
-    /// and may skip ∂loss/∂input.
-    fn backward_batch_params(&mut self, grad: Planes) {
-        self.backward_batch(grad);
-    }
-
     /// Snapshots the layer's inference behaviour into an immutable
     /// `Send + Sync` op.
     ///

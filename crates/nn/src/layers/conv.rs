@@ -136,12 +136,11 @@ impl Conv2d {
         let (xs, gs) = (x.as_slice(), grad.as_slice());
         let mut s0 = 0;
         while s0 < b {
-            // Whole 16-lane blocks, then the rest in binary pieces.
+            // The trainer's passes are 16 or 8 lanes wide; a ragged
+            // remainder goes one lane at a time.
             s0 += match b - s0 {
                 16.. => self.add_lane_grads::<16>(xs, gs, g, s0),
                 8.. => self.add_lane_grads::<8>(xs, gs, g, s0),
-                4.. => self.add_lane_grads::<4>(xs, gs, g, s0),
-                2.. => self.add_lane_grads::<2>(xs, gs, g, s0),
                 _ => self.add_lane_grads::<1>(xs, gs, g, s0),
             };
         }
@@ -680,10 +679,6 @@ impl Layer for Conv2d {
         );
         mirror_positions(gx.as_mut_slice(), h * w, b);
         gx
-    }
-
-    fn backward_batch_params(&mut self, grad: Planes) {
-        self.add_batch_param_grads(&grad);
     }
 
     fn freeze(&self) -> Box<dyn InferOp> {

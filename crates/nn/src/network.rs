@@ -91,20 +91,6 @@ impl Network {
         cur
     }
 
-    /// [`Network::backward_batch`] without the network's input gradient,
-    /// which training never reads: the first layer adds its parameter
-    /// gradients only ([`Layer::backward_batch_params`]).
-    pub(crate) fn backward_batch_params(&mut self, grad: Planes) {
-        let Some((first, rest)) = self.layers.split_first_mut() else {
-            return;
-        };
-        let mut cur = grad;
-        for layer in rest.iter_mut().rev() {
-            cur = layer.backward_batch(cur);
-        }
-        first.backward_batch_params(cur);
-    }
-
     /// Snapshots the network into an immutable, `Send + Sync`
     /// [`FrozenModel`] for serving.
     ///

@@ -6,8 +6,8 @@
 //! summed in chunk order however many cores the host has, so one seed
 //! trains bit-identical weights on every machine.
 //!
-//! Each chunk runs as one batched pass over the batch-innermost planes
-//! the frozen model serves from ([`Network::forward_batch`], then the
+//! Each chunk runs as batched passes of up to 16 samples over the
+//! batch-innermost planes the frozen model serves from ([`Network::forward_batch`], then the
 //! backward pass), one sample per lane: the conv and dense forwards are
 //! the frozen kernels, and backward is lane-parallel. A lane repeats its
 //! sample's scalar operations in the per-sample order, and each
@@ -214,8 +214,7 @@ const PASS_LANES: usize = 16;
 
 /// Accumulates the gradient of the samples `shard` in batched passes,
 /// one sample per lane ([`Network::forward_batch`], then
-/// `backward_batch` without the unread input gradient); returns the loss
-/// summed in sample order.
+/// [`Network::backward_batch`]); returns the loss summed in sample order.
 fn grad_shard(net: &mut Network, x: &[Tensor], y: &[usize], shard: &[usize]) -> f32 {
     let mut loss = 0.0f32;
     for pass in shard.chunks(PASS_LANES) {
@@ -226,7 +225,7 @@ fn grad_shard(net: &mut Network, x: &[Tensor], y: &[usize], shard: &[usize]) -> 
             grad.set_sample(s, &g);
             loss += l;
         }
-        net.backward_batch_params(grad);
+        net.backward_batch(grad);
     }
     loss
 }
