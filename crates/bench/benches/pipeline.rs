@@ -8,22 +8,22 @@
 //! * `frame`     — the monitor's encode/parse path (all captures).
 //! * `input`     — Ṽ reconstruction + tensor assembly, incl. the Fig. 16
 //!   offset-cleaning baseline.
-//! * `classifier`— forward/backward of the fast and paper CNN profiles
-//!   (training cost of Figs. 7–12, 15–17).
+//!
+//! The classifier's cost is the repo benchmark's (`benchmark/`):
+//! `nn.infer_us_per_report.*` for inference and `core.train_s` for
+//! training.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use deepcsi_bfi::{
     beamforming_matrix, decompose, dequantize, quantize, v_from_angles, BeamformingFeedback,
 };
 use deepcsi_channel::{AntennaArray, ChannelModel, Environment};
-use deepcsi_core::ModelConfig;
 use deepcsi_data::{clean_phase_offsets, InputSpec};
 use deepcsi_frame::{BeamformingReportFrame, MacAddr};
 use deepcsi_impair::{
     apply_impairments, ChainResponses, DeviceId, ImpairmentProfile, LinkState, RadioFingerprint,
 };
 use deepcsi_linalg::CMatrix;
-use deepcsi_nn::{softmax_cross_entropy, Tensor};
 use deepcsi_phy::{Codebook, MimoConfig, SubcarrierLayout};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -133,38 +133,9 @@ fn bench_input(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_classifier(c: &mut Criterion) {
-    let mut g = c.benchmark_group("classifier");
-    g.sample_size(20);
-
-    let fast = ModelConfig::fast(10, 1).build((5, 1, 117));
-    let x_fast = Tensor::zeros(vec![5, 1, 117]);
-    g.bench_function("forward_fast_profile", |b| {
-        let mut net = fast.clone();
-        b.iter(|| net.forward(&x_fast, false))
-    });
-    g.bench_function("train_step_fast_profile", |b| {
-        let mut net = fast.clone();
-        b.iter(|| {
-            net.zero_grads();
-            let y = net.forward(&x_fast, true);
-            let (_, grad) = softmax_cross_entropy(&y, 3);
-            net.backward(&grad);
-        })
-    });
-
-    let paper = ModelConfig::paper(10, 1).build((5, 1, 234));
-    let x_paper = Tensor::zeros(vec![5, 1, 234]);
-    g.bench_function("forward_paper_profile_489k_params", |b| {
-        let mut net = paper.clone();
-        b.iter(|| net.forward(&x_paper, false))
-    });
-    g.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_channel, bench_bfi, bench_frame, bench_input, bench_classifier
+    targets = bench_channel, bench_bfi, bench_frame, bench_input
 }
 criterion_main!(benches);

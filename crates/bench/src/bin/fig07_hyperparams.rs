@@ -49,7 +49,7 @@ fn main() {
             val: split.val.clone(),
             test: split.val.clone(),
         };
-        let mut net_probe = cfg.model.build_for(&split.train.x[0]);
+        let net_probe = cfg.model.build_for(&split.train.x[0]);
         let params = net_probe.num_params();
         let result = run_experiment(&cfg, &probe_split);
         println!(

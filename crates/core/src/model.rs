@@ -191,20 +191,25 @@ impl ModelConfig {
 mod tests {
     use super::*;
 
+    fn infer(net: &Network, x: &Tensor) -> Tensor {
+        let frozen = net.freeze();
+        frozen.infer(x, &mut frozen.ctx())
+    }
+
     #[test]
     fn paper_architecture_parameter_count() {
         // §III-C: "a DNN containing 489,301 trainable parameters". Our
         // bias bookkeeping counts 489,305 — same architecture.
         let cfg = ModelConfig::paper(10, 0);
-        let mut net = cfg.build((5, 1, 234));
+        let net = cfg.build((5, 1, 234));
         assert_eq!(net.num_params(), 489_305);
     }
 
     #[test]
     fn forward_shape_is_class_logits() {
         let cfg = ModelConfig::fast(10, 1);
-        let mut net = cfg.build((5, 1, 117));
-        let y = net.forward(&Tensor::zeros(vec![5, 1, 117]), false);
+        let net = cfg.build((5, 1, 117));
+        let y = infer(&net, &Tensor::zeros(vec![5, 1, 117]));
         assert_eq!(y.shape(), &[10]);
         assert!(y.is_finite());
     }
@@ -213,16 +218,16 @@ mod tests {
     fn works_for_20mhz_inputs() {
         // 52 tones survive the paper's five (1,2) pools: 52→26→13→6→3→1.
         let cfg = ModelConfig::paper(10, 0);
-        let mut net = cfg.build((5, 1, 52));
-        let y = net.forward(&Tensor::zeros(vec![5, 1, 52]), false);
+        let net = cfg.build((5, 1, 52));
+        let y = infer(&net, &Tensor::zeros(vec![5, 1, 52]));
         assert_eq!(y.shape(), &[10]);
     }
 
     #[test]
     fn two_row_input_is_supported() {
         let cfg = ModelConfig::fast(10, 3);
-        let mut net = cfg.build((5, 2, 117));
-        let y = net.forward(&Tensor::zeros(vec![5, 2, 117]), false);
+        let net = cfg.build((5, 2, 117));
+        let y = infer(&net, &Tensor::zeros(vec![5, 2, 117]));
         assert_eq!(y.shape(), &[10]);
     }
 
@@ -231,8 +236,8 @@ mod tests {
         let a = ModelConfig::fast(4, 1).build((2, 1, 32));
         let b = ModelConfig::fast(4, 2).build((2, 1, 32));
         let x = Tensor::from_vec(vec![0.5; 64], vec![2, 1, 32]);
-        let ya = a.clone().forward(&x, false);
-        let yb = b.clone().forward(&x, false);
+        let ya = infer(&a, &x);
+        let yb = infer(&b, &x);
         assert_ne!(ya.as_slice(), yb.as_slice());
     }
 

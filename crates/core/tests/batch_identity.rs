@@ -1,5 +1,5 @@
 //! Every batch size, bit for bit: `FrozenModel::infer_batch` against
-//! `Network::forward(x, false)` for each b in 1..=40.
+//! the per-sample reference's `forward(x, false)` for each b in 1..=40.
 //!
 //! Conv runs every batch along the flat (width × sample) axis through a
 //! zero-haloed workspace, so each b moves its 48-wide tiles across
@@ -13,17 +13,23 @@
 
 mod common;
 
-use common::{bits, odd_net, samples};
+use common::{bits, model_specs, network, odd_specs, reference, samples};
 use deepcsi_core::ModelConfig;
 use deepcsi_nn::Network;
+use deepcsi_nn_ref::Spec;
 
 fn assert_every_batch_size_is_bit_exact(
     name: &str,
-    mut net: Network,
+    net: Network,
+    specs: &[Spec],
     shape: (usize, usize, usize),
 ) {
     let xs = samples(shape);
-    let want: Vec<Vec<u32>> = xs.iter().map(|x| bits(&net.forward(x, false))).collect();
+    let mut oracle = reference(&net, specs, shape);
+    let want: Vec<Vec<u32>> = xs
+        .iter()
+        .map(|x| bits(&oracle.forward(x.as_slice(), false)))
+        .collect();
     let frozen = net.freeze();
     // One warm context across every size, as a serving worker holds it.
     let mut ctx = frozen.ctx();
@@ -31,30 +37,27 @@ fn assert_every_batch_size_is_bit_exact(
         let got = frozen.infer_batch(&xs[..b], &mut ctx);
         assert_eq!(got.len(), b);
         for (s, (g, w)) in got.iter().zip(&want).enumerate() {
-            assert_eq!(&bits(g), w, "{name}: batch {b}, sample {s}");
+            assert_eq!(&bits(g.as_slice()), w, "{name}: batch {b}, sample {s}");
         }
     }
 }
 
+fn assert_model_is_bit_exact(name: &str, cfg: ModelConfig, shape: (usize, usize, usize)) {
+    assert_every_batch_size_is_bit_exact(name, cfg.build(shape), &model_specs(&cfg, shape), shape);
+}
+
 #[test]
 fn demo_model_is_bit_exact_at_every_batch_size() {
-    assert_every_batch_size_is_bit_exact(
-        "demo",
-        ModelConfig::demo(4).build((5, 1, 59)),
-        (5, 1, 59),
-    );
+    assert_model_is_bit_exact("demo", ModelConfig::demo(4), (5, 1, 59));
 }
 
 #[test]
 fn paper_model_is_bit_exact_at_every_batch_size() {
-    assert_every_batch_size_is_bit_exact(
-        "paper",
-        ModelConfig::paper(4, 7).build((5, 1, 52)),
-        (5, 1, 52),
-    );
+    assert_model_is_bit_exact("paper", ModelConfig::paper(4, 7), (5, 1, 52));
 }
 
 #[test]
 fn odd_shaped_net_is_bit_exact_at_every_batch_size() {
-    assert_every_batch_size_is_bit_exact("odd", odd_net(), (3, 1, 24));
+    let specs = odd_specs();
+    assert_every_batch_size_is_bit_exact("odd", network(&specs), &specs, (3, 1, 24));
 }

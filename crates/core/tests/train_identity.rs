@@ -1,47 +1,59 @@
-//! Batched training against per-sample training, bit for bit.
+//! Batched training against the per-sample reference, bit for bit.
 //!
-//! The trainer runs each gradient shard as one
-//! `Network::forward_batch`/`backward_batch` pass, one sample per lane.
-//! The per-sample `forward`/`backward` pairs are its oracle: for every
-//! b in 1..=40 the batched pass must give the same summed loss, the same
-//! outputs and input gradients per lane, and the same accumulated
-//! gradient in every parameter, compared by `to_bits`. One sequential
-//! per-sample run over all 40 samples serves every b: after sample
-//! `b − 1` its accumulators and its dropout RNG stand where a b-lane
-//! batch must leave them. Every net draws dropout masks in training
-//! mode. The inputs are the ±0, subnormal and ±1e30 mix of
-//! `batch_identity.rs`.
+//! The trainer runs each gradient shard as
+//! `Network::forward_batch`/`backward_batch` passes, one sample per
+//! lane, on a `TrainCtx` of its own. The naive per-sample reference of
+//! `deepcsi-nn-ref`, built from the same description with the same
+//! weights, is its oracle: for every b in 1..=40 the batched pass must
+//! give the same summed loss, the same outputs and input gradients per
+//! lane, and the same accumulated gradient in every parameter, compared
+//! by `to_bits`. One sequential reference run over all 40 samples
+//! serves every b: after sample `b − 1` its accumulators and its
+//! dropout stream stand where a b-lane batch must leave them. Every net
+//! draws dropout masks in training mode. The inputs are the ±0,
+//! subnormal and ±1e30 mix of `batch_identity.rs`.
 //!
 //! Then whole training runs: `Trainer::fit` for three epochs with a
-//! ragged last batch against a per-sample replica of its loop (seeded
-//! shuffle, two contiguous gradient shards for batches of four or more,
-//! Adam), compared weight for weight.
+//! ragged last batch against a replica of its loop on the reference
+//! (seeded shuffle, two contiguous gradient shards for batches of four
+//! or more, Adam), compared weight for weight.
 
 mod common;
 
-use common::{bits, odd_net, samples};
+use common::{bits, model_specs, network, odd_specs, reference, samples};
 use deepcsi_core::ModelConfig;
-use deepcsi_nn::{
-    softmax_cross_entropy, Adam, Network, Optimizer, Planes, Tensor, TrainConfig, Trainer,
-};
+use deepcsi_nn::{softmax_cross_entropy, Adam, Network, Planes, Tensor, TrainConfig, Trainer};
+use deepcsi_nn_ref::{Net, Spec};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-fn grad_bits(net: &mut Network) -> Vec<u32> {
-    net.params()
-        .iter()
-        .flat_map(|p| p.g.iter().map(|v| v.to_bits()))
-        .collect()
+fn grad_bits(grads: Vec<&[f32]>) -> Vec<u32> {
+    bits(&grads.concat())
 }
 
 fn labels(n: usize, classes: usize) -> Vec<usize> {
     (0..n).map(|s| (s * 7 + 3) % classes).collect()
 }
 
+/// One reference `forward`/`backward` pair on `x` with the
+/// cross-entropy gradient for `y`: the output, the input gradient and
+/// the loss.
+fn reference_step(
+    net: &mut Net,
+    x: &Tensor,
+    y: usize,
+    classes: usize,
+) -> (Vec<f32>, Vec<f32>, f32) {
+    let out = net.forward(x.as_slice(), true);
+    let (l, g) = softmax_cross_entropy(&Tensor::from_vec(out.clone(), vec![classes]), y);
+    (out, net.backward(g.as_slice()), l)
+}
+
 fn assert_batched_passes_match_per_sample(
     name: &str,
-    base: Network,
+    net: Network,
+    specs: &[Spec],
     shape: (usize, usize, usize),
     classes: usize,
 ) {
@@ -49,22 +61,23 @@ fn assert_batched_passes_match_per_sample(
     let ys = labels(xs.len(), classes);
 
     // The oracle: per-sample pairs in order, snapshotting after each.
-    let mut net = base.clone();
-    net.zero_grads();
+    let mut oracle = reference(&net, specs, shape);
     let mut loss = 0.0f32;
     let mut want = Vec::new();
     for (x, &y) in xs.iter().zip(&ys) {
-        let out = net.forward(x, true);
-        let (l, g) = softmax_cross_entropy(&out, y);
-        let gx = net.backward(&g);
+        let (out, gx, l) = reference_step(&mut oracle, x, y, classes);
         loss += l;
-        want.push((bits(&out), bits(&gx), loss.to_bits(), grad_bits(&mut net)));
+        want.push((
+            bits(&out),
+            bits(&gx),
+            loss.to_bits(),
+            grad_bits(oracle.grads()),
+        ));
     }
 
     for b in 1..=xs.len() {
-        let mut net = base.clone();
-        net.zero_grads();
-        let out = net.forward_batch(Planes::from_samples(xs[..b].iter()), true);
+        let mut ctx = net.train_ctx();
+        let out = net.forward_batch(Planes::from_samples(xs[..b].iter()), true, &mut ctx);
         let mut grad = Planes::zeros(out.shape(), b);
         let mut loss = 0.0f32;
         for (s, &y) in ys[..b].iter().enumerate() {
@@ -72,78 +85,72 @@ fn assert_batched_passes_match_per_sample(
             grad.set_sample(s, &g);
             loss += l;
         }
-        let gx = net.backward_batch(grad);
+        let gx = net.backward_batch(grad, &mut ctx);
         let (_, _, want_loss, want_grads) = &want[b - 1];
         assert_eq!(loss.to_bits(), *want_loss, "{name}: batch {b}, summed loss");
         for (s, (want_out, want_gx, _, _)) in want[..b].iter().enumerate() {
             assert_eq!(
-                &bits(&out.sample(s)),
+                &bits(out.sample(s).as_slice()),
                 want_out,
                 "{name}: batch {b}, output {s}"
             );
             assert_eq!(
-                &bits(&gx.sample(s)),
+                &bits(gx.sample(s).as_slice()),
                 want_gx,
                 "{name}: batch {b}, input grad {s}"
             );
         }
         assert!(
-            grad_bits(&mut net) == *want_grads,
+            grad_bits(ctx.grads()) == *want_grads,
             "{name}: batch {b}, parameter gradients"
         );
     }
 }
 
+fn assert_model_trains_bit_identically(name: &str, cfg: ModelConfig, shape: (usize, usize, usize)) {
+    let specs = model_specs(&cfg, shape);
+    assert_batched_passes_match_per_sample(name, cfg.build(shape), &specs, shape, cfg.num_classes);
+}
+
 #[test]
 fn demo_model_trains_bit_identically_at_every_batch_size() {
-    assert_batched_passes_match_per_sample(
-        "demo",
-        ModelConfig::demo(4).build((5, 1, 59)),
-        (5, 1, 59),
-        4,
-    );
+    assert_model_trains_bit_identically("demo", ModelConfig::demo(4), (5, 1, 59));
 }
 
 #[test]
 fn paper_model_trains_bit_identically_at_every_batch_size() {
-    assert_batched_passes_match_per_sample(
-        "paper",
-        ModelConfig::paper(4, 7).build((5, 1, 52)),
-        (5, 1, 52),
-        4,
-    );
+    assert_model_trains_bit_identically("paper", ModelConfig::paper(4, 7), (5, 1, 52));
 }
 
 #[test]
 fn fast_model_trains_bit_identically_at_every_batch_size() {
-    assert_batched_passes_match_per_sample(
-        "fast",
-        ModelConfig::fast(4, 3).build((5, 1, 117)),
-        (5, 1, 117),
-        4,
-    );
+    assert_model_trains_bit_identically("fast", ModelConfig::fast(4, 3), (5, 1, 117));
 }
 
 #[test]
 fn odd_shaped_net_trains_bit_identically_at_every_batch_size() {
-    assert_batched_passes_match_per_sample("odd", odd_net(), (3, 1, 24), 5);
+    let specs = odd_specs();
+    assert_batched_passes_match_per_sample("odd", network(&specs), &specs, (3, 1, 24), 5);
 }
 
-/// `Trainer::fit`'s loop with one `forward`/`backward` pair per sample:
-/// the same seeded shuffle, batches of four or more cut into two
-/// contiguous shards, each summed in a zeroed clone and added in order,
-/// the same NaN guard, mean and Adam step.
-fn fit_per_sample(net: &mut Network, xs: &[Tensor], ys: &[usize], cfg: &TrainConfig) -> Vec<f32> {
+/// `Trainer::fit`'s loop on the per-sample reference: the same seeded
+/// shuffle, batches of four or more cut into two contiguous shards,
+/// each summed in a zeroed copy and added in order (batches under four
+/// run on the net itself), the same NaN guard, mean and Adam step.
+fn fit_per_sample(
+    oracle: &mut Net,
+    xs: &[Tensor],
+    ys: &[usize],
+    cfg: &TrainConfig,
+    classes: usize,
+) -> Vec<f32> {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x7124_1AA0);
     let mut order: Vec<usize> = (0..xs.len()).collect();
     let mut opt = Adam::new(cfg.learning_rate);
-    let pass = |net: &mut Network, shard: &[usize]| {
+    let pass = |net: &mut Net, shard: &[usize]| {
         let mut loss = 0.0f32;
         for &i in shard {
-            let out = net.forward(&xs[i], true);
-            let (l, g) = softmax_cross_entropy(&out, ys[i]);
-            net.backward(&g);
-            loss += l;
+            loss += reference_step(net, &xs[i], ys[i], classes).2;
         }
         loss
     };
@@ -152,28 +159,34 @@ fn fit_per_sample(net: &mut Network, xs: &[Tensor], ys: &[usize], cfg: &TrainCon
         order.shuffle(&mut rng);
         let (mut loss_sum, mut seen) = (0.0f64, 0usize);
         for batch in order.chunks(cfg.batch_size) {
-            net.zero_grads();
+            oracle.zero_grads();
             let loss = if batch.len() < 4 {
-                pass(net, batch)
+                pass(oracle, batch)
             } else {
-                let mut workers: Vec<Network> = (0..2).map(|_| net.clone()).collect();
                 let mut total = 0.0f32;
-                for (worker, shard) in workers
-                    .iter_mut()
-                    .zip(batch.chunks(batch.len().div_ceil(2)))
-                {
+                for shard in batch.chunks(batch.len().div_ceil(2)) {
+                    let mut worker = oracle.clone();
                     worker.zero_grads();
-                    let l = pass(worker, shard);
-                    net.add_grads_from(worker);
-                    total += l;
+                    total += pass(&mut worker, shard);
+                    oracle.add_grads(&worker);
                 }
                 total
             };
             if !loss.is_finite() {
                 continue;
             }
-            net.scale_grads(1.0 / batch.len() as f32);
-            opt.step(net);
+            let scale = 1.0 / batch.len() as f32;
+            let (weights, grads): (Vec<_>, Vec<_>) = oracle
+                .params()
+                .into_iter()
+                .map(|(w, g)| {
+                    for v in g.iter_mut() {
+                        *v *= scale;
+                    }
+                    (w, &*g)
+                })
+                .unzip();
+            opt.step(weights, grads);
             loss_sum += loss as f64;
             seen += batch.len();
         }
@@ -185,12 +198,13 @@ fn fit_per_sample(net: &mut Network, xs: &[Tensor], ys: &[usize], cfg: &TrainCon
 fn assert_fit_matches_per_sample(
     name: &str,
     base: Network,
+    specs: &[Spec],
     shape: (usize, usize, usize),
     classes: usize,
 ) {
     // 38 samples in batches of 36: two shards of 18, each run as a
     // 16-lane pass and a 2-lane one, then a ragged last batch of 2 that
-    // runs as one shard on the net itself.
+    // runs as one shard and moves the network's dropout streams on.
     let xs: Vec<Tensor> = samples(shape).into_iter().take(38).collect();
     let ys = labels(xs.len(), classes);
     let cfg = TrainConfig {
@@ -200,8 +214,8 @@ fn assert_fit_matches_per_sample(
         seed: 9,
         ..TrainConfig::default()
     };
-    let mut want = base.clone();
-    let want_losses = fit_per_sample(&mut want, &xs, &ys, &cfg);
+    let mut want = reference(&base, specs, shape);
+    let want_losses = fit_per_sample(&mut want, &xs, &ys, &cfg, classes);
     let mut got = base.clone();
     let report = Trainer::new(cfg).fit(&mut got, &xs, &ys, &[], &[]);
     let loss_bits = |l: &[f32]| l.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -210,35 +224,30 @@ fn assert_fit_matches_per_sample(
         loss_bits(&want_losses),
         "{name}: epoch losses"
     );
-    let weight_bits = |net: &mut Network| -> Vec<u32> {
-        net.save_weights()
-            .iter()
-            .flatten()
-            .map(|v| v.to_bits())
-            .collect()
-    };
     assert!(
-        weight_bits(&mut got) == weight_bits(&mut want),
+        grad_bits(got.weights()) == grad_bits(want.weights()),
         "{name}: trained weights"
     );
-    let mut base = base;
     assert!(
-        weight_bits(&mut got) != weight_bits(&mut base),
+        grad_bits(got.weights()) != grad_bits(base.weights()),
         "{name}: training moved no weight"
     );
 }
 
 #[test]
 fn demo_model_fit_matches_per_sample_training() {
+    let (cfg, shape) = (ModelConfig::demo(4), (5, 1, 59));
     assert_fit_matches_per_sample(
         "demo",
-        ModelConfig::demo(4).build((5, 1, 59)),
-        (5, 1, 59),
+        cfg.build(shape),
+        &model_specs(&cfg, shape),
+        shape,
         4,
     );
 }
 
 #[test]
 fn odd_shaped_net_fit_matches_per_sample_training() {
-    assert_fit_matches_per_sample("odd", odd_net(), (3, 1, 24), 5);
+    let specs = odd_specs();
+    assert_fit_matches_per_sample("odd", network(&specs), &specs, (3, 1, 24), 5);
 }

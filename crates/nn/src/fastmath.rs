@@ -8,10 +8,10 @@
 //! of `f32::exp` (the bound is pinned by a property test in
 //! `tests/proptests.rs`).
 //!
-//! **Both** `Layer::forward` and the frozen [`crate::InferOp`]s call this
-//! one function, so training-time activations and frozen serving
-//! inference stay bit-identical — the invariant every
-//! `infer_batch ≡ forward(train=false)` test in this crate relies on.
+//! **Both** the training passes and the frozen [`crate::InferOp`]s call
+//! this one function, so training-time activations and frozen serving
+//! inference stay bit-identical. The per-sample reference
+//! (`deepcsi-nn-ref`) takes it as its `exp` in the tests.
 
 /// Inputs are saturated here: `e^-87.34` is the edge of the `f32`
 /// normals (`≈ 1.18e-38`), anything lower is numerically zero already.

@@ -1,12 +1,10 @@
 //! Frozen inference: immutable models behind `Send + Sync` ops, with all
 //! mutable scratch in a per-worker [`InferCtx`].
 //!
-//! Training needs `&mut` access everywhere — dropout draws from an RNG,
-//! every layer caches activations for `backward`, optimizers mutate
-//! weights. Serving needs none of that, but as long as inference lived on
-//! the same trait the whole model was `Send`-but-not-`Sync` and every
-//! worker thread had to clone the full weight set.
-//! [`crate::Network::freeze`] breaks the entanglement:
+//! Training keeps per-worker state — activations cached for backward,
+//! gradient accumulators, dropout streams — in a [`crate::TrainCtx`], and
+//! optimizers mutate weights. Serving needs none of that, and
+//! [`crate::Network::freeze`] leaves it all behind:
 //!
 //! * [`FrozenModel`] — a snapshot of the weights behind [`InferOp`]s that
 //!   take `&self`. It is `Send + Sync`, so one `Arc<FrozenModel>` serves
@@ -34,7 +32,7 @@
 //! kernel across 16 output rows.
 //!
 //! Because each sample only ever reads its own lanes, outputs are
-//! **bit-equal** to [`crate::Network::forward`] with `train = false` for
+//! **bit-equal** to the per-sample reference's `forward(x, false)` for
 //! any batch size *and* any partition of the batch — which is what makes
 //! [`crate::InferPool`]'s lane split verdict-neutral by construction
 //! (property-tested in `tests/proptests.rs`).
@@ -111,10 +109,10 @@ impl std::error::Error for ShapeMismatch {}
 /// context's current activation plane in place (element-wise ops,
 /// reshapes) or through [`InferCtx::produce`] (shape-changing ops).
 ///
-/// Every op must reproduce its training layer's `forward(x, false)`
-/// arithmetic term-for-term — same accumulation order, same rounding —
-/// so frozen inference stays bit-equal to the training-time forward
-/// pass.
+/// Every op must reproduce the per-sample reference's `forward(x,
+/// false)` arithmetic term-for-term — same accumulation order, same
+/// rounding — so frozen inference stays bit-equal to the training-time
+/// forward pass, which runs the same kernels.
 pub trait InferOp: Send + Sync {
     /// Human-readable op name (matches the source layer's).
     fn name(&self) -> &'static str;
@@ -433,7 +431,7 @@ pub const PAR_MIN_CHUNK: usize = LANES;
 /// let frozen = net.freeze();
 /// let mut ctx = frozen.ctx();
 /// let x = Tensor::from_vec(vec![0.1, 0.2, 0.3, 0.4], vec![4]);
-/// // Bit-equal to net.forward(&x, false), but &self + &mut ctx.
+/// // &self + &mut ctx: one model serves every worker.
 /// let y = frozen.infer(&x, &mut ctx);
 /// assert_eq!(y.shape(), &[2]);
 /// ```
@@ -519,8 +517,8 @@ impl FrozenModel {
         self.ops.is_empty()
     }
 
-    /// Single-sample inference, bit-equal to
-    /// [`crate::Network::forward`]`(x, false)`.
+    /// Single-sample inference, bit-equal to the per-sample reference's
+    /// `forward(x, false)`.
     pub fn infer(&self, x: &Tensor, ctx: &mut InferCtx) -> Tensor {
         self.infer_batch(std::slice::from_ref(x), ctx)
             .pop()
@@ -530,8 +528,8 @@ impl FrozenModel {
     /// Micro-batched inference: one pass of every weight matrix serves
     /// the whole batch, SIMD across the batch lanes.
     ///
-    /// Outputs are element-wise **bit-equal** to calling
-    /// [`crate::Network::forward`] with `train = false` on each sample,
+    /// Outputs are element-wise **bit-equal** to running the per-sample
+    /// reference's `forward` with `train = false` on each sample,
     /// for any batch size: nothing pads a batch, conv runs along the
     /// flat (width × sample) axis, and dense runs the whole 16-lane
     /// blocks and the leftover samples on separate kernels (see the
@@ -593,8 +591,10 @@ pub fn plan_split(batch: usize, lanes: usize) -> (usize, usize) {
 mod tests {
     use super::*;
     use crate::layer::Layer;
-    use crate::layers::{Conv2d, Dense, Flatten, MaxPool2d, Selu};
+    use crate::layers::Dense;
     use crate::network::Network;
+    use crate::testkit::{network, reference};
+    use deepcsi_nn_ref::Spec;
 
     fn assert_send_sync<T: Send + Sync>() {}
 
@@ -604,23 +604,34 @@ mod tests {
         assert_send_sync::<std::sync::Arc<FrozenModel>>();
     }
 
+    const TINY: [Spec; 3] = [
+        Spec::Dense {
+            in_dim: 3,
+            out_dim: 5,
+            seed: 1,
+        },
+        Spec::Selu,
+        Spec::Dense {
+            in_dim: 5,
+            out_dim: 2,
+            seed: 2,
+        },
+    ];
+
     fn tiny_frozen() -> (Network, FrozenModel) {
-        let mut net = Network::new();
-        net.push(Dense::new(3, 5, 1));
-        net.push(Selu::new());
-        net.push(Dense::new(5, 2, 2));
+        let net = network(&TINY);
         let frozen = net.freeze();
         (net, frozen)
     }
 
     #[test]
-    fn infer_matches_forward_bitwise() {
-        let (mut net, frozen) = tiny_frozen();
+    fn infer_matches_the_reference_bitwise() {
+        let (net, frozen) = tiny_frozen();
         let mut ctx = frozen.ctx();
         let x = Tensor::from_vec(vec![0.3, -1.2, 0.7], vec![3]);
         assert_eq!(
             frozen.infer(&x, &mut ctx).as_slice(),
-            net.forward(&x, false).as_slice()
+            reference(&net, &TINY, &[3]).forward(x.as_slice(), false)
         );
     }
 
@@ -643,12 +654,24 @@ mod tests {
         // chain exchanges the planes an odd number of times per call
         // (conv, pool and dense each swap), so it takes two warm-up
         // calls for each plane to have held every activation.
-        let mut net = Network::new();
-        net.push(Conv2d::new(2, 8, (1, 3), 3));
-        net.push(Selu::new());
-        net.push(MaxPool2d::new((1, 2)));
-        net.push(Flatten::new());
-        net.push(Dense::new(8 * 5, 4, 4));
+        let specs = [
+            Spec::Conv2d {
+                in_ch: 2,
+                out_ch: 8,
+                kernel: (1, 3),
+                seed: 3,
+            },
+            Spec::Selu,
+            Spec::MaxPool2d { kernel: (1, 2) },
+            Spec::Flatten,
+            Spec::Dense {
+                in_dim: 8 * 5,
+                out_dim: 4,
+                seed: 4,
+            },
+        ];
+        let net = network(&specs);
+        let mut oracle = reference(&net, &specs, &[2, 1, 10]);
         let frozen = net.freeze();
         let xs: Vec<Tensor> = (0..17)
             .map(|s| {
@@ -674,7 +697,7 @@ mod tests {
             let got = frozen.infer_batch(&xs[..b], &mut ctx);
             assert_eq!(warm, caps(&ctx), "b={b}");
             for (x, g) in xs.iter().zip(&got) {
-                assert_eq!(net.forward(x, false).as_slice(), g.as_slice(), "b={b}");
+                assert_eq!(oracle.forward(x.as_slice(), false), g.as_slice(), "b={b}");
             }
         }
     }

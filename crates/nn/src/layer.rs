@@ -1,94 +1,127 @@
 //! The layer abstraction.
 //!
-//! Training and inference are deliberately **separate traits**: [`Layer`]
-//! is the training-side surface (`forward` caches activations, `backward`
-//! consumes them, dropout draws from an RNG — all `&mut self`), while
-//! inference lives on [`crate::InferOp`], produced by [`Layer::freeze`],
-//! which takes `&self` and keeps every scratch buffer in the caller's
-//! [`crate::InferCtx`]. That split is what lets a frozen model be
-//! `Send + Sync` and shared across serving workers without cloning
-//! weights.
+//! A [`Layer`] holds its weights (and, for dropout, its seeded stream)
+//! and nothing else. What a pass needs beyond that lives with the
+//! worker running it, so one `&Network` serves any number of threads:
 //!
-//! Training runs batched: [`Layer::forward_batch`] and
-//! [`Layer::backward_batch`] take [`Planes`], the frozen model's
-//! batch-innermost layout, in which each lane is one sample. Every lane
-//! repeats its sample's scalar operations in the per-sample order, so a
-//! batched pass is bit-identical to one `forward`/`backward` pair per
-//! sample, which stay on the trait as the test oracle.
+//! * inference: [`Layer::freeze`] snapshots the layer into an immutable
+//!   [`crate::InferOp`], run with the scratch of a per-worker
+//!   [`crate::InferCtx`];
+//! * training: [`Layer::forward_batch`] and [`Layer::backward_batch`]
+//!   take `&self` and a per-worker [`LayerCtx`] holding the activations
+//!   kept for backward, the gradient accumulators and the dropout
+//!   stream.
+//!
+//! Training runs on [`Planes`], the frozen model's batch-innermost
+//! layout, in which each lane is one sample. Every lane repeats its
+//! sample's scalar operations in the order of the naive per-sample
+//! reference (the `deepcsi-nn-ref` crate), so a batched pass is
+//! bit-identical to one reference `forward`/`backward` per sample.
 
 use crate::frozen::InferOp;
 use crate::planes::Planes;
 use crate::quant::Int8Freeze;
-use crate::tensor::Tensor;
+use rand::rngs::StdRng;
 
-/// A mutable view over one parameter tensor and its gradient accumulator.
-///
-/// Layers expose their parameters through this so optimizers can update
-/// them without knowing layer internals. Views are returned in a stable
-/// order, which is what lets [`crate::Adam`] keep per-parameter moments
-/// aligned across steps.
-pub struct ParamView<'a> {
-    /// The parameter values.
-    pub w: &'a mut [f32],
-    /// The accumulated gradient (same length as `w`).
-    pub g: &'a mut [f32],
+/// One layer's training state on one worker, made by
+/// [`Layer::train_ctx`].
+#[derive(Default)]
+pub struct LayerCtx {
+    /// What `forward_batch` keeps for `backward_batch`. A stack, so a
+    /// block running inner layers on its own ctx (spatial attention)
+    /// nests theirs inside its own.
+    pub(crate) saved: Vec<Planes>,
+    /// The input shape a reshape restores on the way back.
+    pub(crate) in_shape: Vec<usize>,
+    /// One accumulator per [`Layer::weights`] tensor, from `+0.0`.
+    pub(crate) grads: Vec<Vec<f32>>,
+    /// Dropout's stream, copied from the layer.
+    pub(crate) rng: Option<StdRng>,
+    /// Dropout's keep flags of the last pass; empty when it dropped
+    /// nothing.
+    pub(crate) mask: Vec<bool>,
+}
+
+impl LayerCtx {
+    /// A ctx with a zeroed accumulator for each of `weights`.
+    pub(crate) fn zeroed(weights: &[&[f32]]) -> Self {
+        LayerCtx {
+            grads: weights.iter().map(|w| vec![0.0; w.len()]).collect(),
+            ..LayerCtx::default()
+        }
+    }
+
+    /// Pops the activation the matching forward pass kept.
+    pub(crate) fn take_saved(&mut self) -> Planes {
+        self.saved.pop().expect("backward without forward")
+    }
+
+    /// The weight and bias accumulators of a conv or dense layer.
+    pub(crate) fn weight_bias_grads(&mut self) -> (&mut [f32], &mut [f32]) {
+        match self.grads.as_mut_slice() {
+            [gw, gb] => (gw, gb),
+            _ => unreachable!("a weight and a bias accumulator"),
+        }
+    }
 }
 
 /// A differentiable layer (the training-side trait).
 ///
-/// `forward` caches whatever it needs; `backward` consumes that cache,
-/// accumulates parameter gradients internally and returns the gradient
-/// with respect to the input. One `forward` must precede each `backward`;
-/// likewise one `forward_batch` each `backward_batch`.
-/// Inference is *not* on this trait: [`Layer::freeze`] snapshots the
-/// layer into an immutable [`crate::InferOp`] instead.
+/// `forward_batch` keeps in the worker's [`LayerCtx`] whatever
+/// `backward_batch` needs; `backward_batch` consumes it, adds the
+/// parameter gradients into the ctx's accumulators and returns the
+/// gradient with respect to the input. One `forward_batch` precedes
+/// each `backward_batch`. Inference is *not* on this trait:
+/// [`Layer::freeze`] snapshots the layer into an immutable
+/// [`crate::InferOp`] instead.
 ///
 /// # The batched contract
 ///
-/// Lane `s` of a [`Planes`] batch is sample `s`. The batched pair must
-/// leave everything bit-identical to running `forward` then `backward`
-/// on the samples one at a time, in lane order:
+/// Lane `s` of a [`Planes`] batch is sample `s`. A batched pair must
+/// leave everything bit-identical to the per-sample reference running
+/// `forward` then `backward` on the samples one at a time, in lane
+/// order:
 ///
 /// * each output and input-gradient element of lane `s` is computed
-///   with the per-sample pass's terms in its order (conv input
-///   gradients add their `(o, dh, dw)` contributions in that order, say,
-///   and pooling keeps the first maximum by strict `>`);
+///   with the reference's terms in its order (conv input gradients add
+///   their `(o, dh, dw)` contributions in that order, say, and pooling
+///   keeps the first maximum by strict `>`);
 /// * each parameter gradient takes one contribution per lane, formed as
-///   the per-sample pass forms it (a conv weight's sum over the output
+///   the reference forms it (a conv weight's sum over the output
 ///   positions, a dense weight's `g·x`), and adds them into the
 ///   accumulator in lane order `s = 0..b`;
-/// * stochastic layers draw sample-major from their RNG, as `b`
-///   successive `forward` calls would.
-pub trait Layer: Send {
+/// * stochastic layers draw sample-major from the ctx's stream, as `b`
+///   successive reference `forward` calls would.
+pub trait Layer: Send + Sync {
     /// Human-readable layer name.
     fn name(&self) -> &'static str;
 
-    /// Computes the layer output. `train` enables stochastic behaviour
-    /// (dropout). The per-sample oracle of [`Layer::forward_batch`].
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
+    /// A fresh training state for one worker: a zeroed accumulator per
+    /// [`Layer::weights`] tensor and a copy of the layer's dropout
+    /// stream, if it has one.
+    fn train_ctx(&self) -> LayerCtx {
+        LayerCtx::zeroed(&self.weights())
+    }
 
-    /// Back-propagates `grad` (∂loss/∂output), returning ∂loss/∂input and
-    /// **adding** parameter gradients to the internal accumulators. The
-    /// per-sample oracle of [`Layer::backward_batch`].
-    fn backward(&mut self, grad: &Tensor) -> Tensor;
+    /// Runs the layer over a batch, one sample per lane (see the trait
+    /// docs for the bit-identity contract). `train` enables stochastic
+    /// behaviour (dropout).
+    fn forward_batch(&self, x: Planes, train: bool, ctx: &mut LayerCtx) -> Planes;
 
-    /// [`Layer::forward`] over a batch, one sample per lane (see the
-    /// trait docs for the bit-identity contract).
-    fn forward_batch(&mut self, x: Planes, train: bool) -> Planes;
-
-    /// [`Layer::backward`] over the batch of the last
-    /// [`Layer::forward_batch`], adding each parameter's per-lane
-    /// contributions in lane order.
-    fn backward_batch(&mut self, grad: Planes) -> Planes;
+    /// Back-propagates `grad` (∂loss/∂output) over the batch of the
+    /// last [`Layer::forward_batch`] on `ctx`, adding each parameter's
+    /// per-lane contributions in lane order; returns ∂loss/∂input.
+    fn backward_batch(&self, grad: Planes, ctx: &mut LayerCtx) -> Planes;
 
     /// Snapshots the layer's inference behaviour into an immutable
     /// `Send + Sync` op.
     ///
-    /// The op must be element-wise **bit-equal** to [`Layer::forward`]
-    /// with `train = false` — same accumulation order, same rounding —
-    /// so frozen serving and training-time evaluation can never
-    /// disagree. Parameters are copied once; later training steps on
-    /// this layer do not affect already-frozen ops.
+    /// The op must be element-wise **bit-equal** to the reference's
+    /// `forward` with `train = false` (and so to
+    /// [`Layer::forward_batch`] outside training) — same accumulation
+    /// order, same rounding — so frozen serving and training-time
+    /// evaluation can never disagree. Parameters are copied once; later
+    /// training steps on this layer do not affect already-frozen ops.
     fn freeze(&self) -> Box<dyn InferOp>;
 
     /// Serve-only: snapshots the layer into an int8 inference op for a
@@ -104,26 +137,24 @@ pub trait Layer: Send {
         None
     }
 
-    /// Mutable views of (parameters, gradients), in a stable order.
-    fn params(&mut self) -> Vec<ParamView<'_>>;
-
-    /// Read-only views of the parameters [`Layer::params`] yields, in
-    /// the same order.
-    fn weights(&self) -> Vec<&[f32]>;
-
-    /// Clears the gradient accumulators.
-    fn zero_grads(&mut self) {
-        for p in self.params() {
-            p.g.fill(0.0);
-        }
+    /// The trainable parameter tensors, in a stable order (none by
+    /// default).
+    fn weights(&self) -> Vec<&[f32]> {
+        Vec::new()
     }
 
-    /// Number of trainable scalars.
-    fn num_params(&mut self) -> usize {
-        self.params().iter().map(|p| p.w.len()).sum()
+    /// Mutable views of [`Layer::weights`], in the same order.
+    fn weights_mut(&mut self) -> Vec<&mut [f32]> {
+        Vec::new()
     }
 
-    /// Clones the layer into a box (for data-parallel worker replicas).
+    /// Continues the layer's dropout stream from where `ctx` left it
+    /// (nothing to do for a layer without one).
+    fn resume_rng(&mut self, ctx: &LayerCtx) {
+        let _ = ctx;
+    }
+
+    /// Clones the layer into a box.
     fn clone_box(&self) -> Box<dyn Layer>;
 }
 

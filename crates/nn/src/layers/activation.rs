@@ -2,16 +2,15 @@
 
 use crate::fastmath::poly_exp;
 use crate::frozen::{InferCtx, InferOp};
-use crate::layer::{Layer, ParamView};
+use crate::layer::{Layer, LayerCtx};
 use crate::planes::Planes;
-use crate::tensor::Tensor;
 
 /// SELU constants from Klambauer et al., "Self-Normalizing Neural
 /// Networks" (the paper's activation of choice).
 pub(crate) const SELU_LAMBDA: f32 = 1.050_701;
 pub(crate) const SELU_ALPHA: f32 = 1.673_263_2;
 
-/// The scalar SELU map, shared verbatim by [`Selu::forward`] and the
+/// The scalar SELU map, shared verbatim by the training pass and the
 /// frozen op so training and serving stay bit-identical. Uses
 /// [`poly_exp`] — the polynomial `exp` both paths agreed on.
 #[inline(always)]
@@ -29,7 +28,7 @@ pub(crate) fn selu_val(x: f32) -> f32 {
     }
 }
 
-/// ∂selu/∂x at `x`, shared by both SELU backward passes.
+/// ∂selu/∂x at `x`.
 #[inline(always)]
 fn selu_deriv(x: f32) -> f32 {
     if x > 0.0 {
@@ -48,7 +47,7 @@ fn mapped(x: &Planes, f: impl Fn(f32) -> f32) -> Planes {
     out
 }
 
-/// The scalar logistic sigmoid, shared by [`Sigmoid::forward`] and the
+/// The scalar logistic sigmoid, shared by the training pass and the
 /// frozen attention path (same [`poly_exp`] everywhere).
 #[inline(always)]
 pub(crate) fn sigmoid_val(x: f32) -> f32 {
@@ -57,15 +56,12 @@ pub(crate) fn sigmoid_val(x: f32) -> f32 {
 
 /// The SELU activation `λ·(x if x > 0 else α(eˣ − 1))`.
 #[derive(Clone, Default)]
-pub struct Selu {
-    cache_x: Option<Tensor>,
-    batch_x: Option<Planes>,
-}
+pub struct Selu;
 
 impl Selu {
     /// Creates the activation.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
@@ -87,32 +83,14 @@ impl Layer for Selu {
         "selu"
     }
 
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        let mut out = x.clone();
-        for v in out.as_mut_slice() {
-            *v = selu_val(*v);
-        }
-        self.cache_x = Some(x.clone());
-        out
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let x = self.cache_x.take().expect("backward without forward");
-        let mut gx = grad.clone();
-        for (g, &xv) in gx.as_mut_slice().iter_mut().zip(x.as_slice()) {
-            *g *= selu_deriv(xv);
-        }
-        gx
-    }
-
-    fn forward_batch(&mut self, x: Planes, _train: bool) -> Planes {
+    fn forward_batch(&self, x: Planes, _train: bool, ctx: &mut LayerCtx) -> Planes {
         let out = mapped(&x, selu_val);
-        self.batch_x = Some(x);
+        ctx.saved.push(x);
         out
     }
 
-    fn backward_batch(&mut self, mut grad: Planes) -> Planes {
-        let x = self.batch_x.take().expect("backward without forward");
+    fn backward_batch(&self, mut grad: Planes, ctx: &mut LayerCtx) -> Planes {
+        let x = ctx.take_saved();
         for (g, &xv) in grad.as_mut_slice().iter_mut().zip(x.as_slice()) {
             *g *= selu_deriv(xv);
         }
@@ -123,14 +101,6 @@ impl Layer for Selu {
         Box::new(FrozenSelu)
     }
 
-    fn params(&mut self) -> Vec<ParamView<'_>> {
-        Vec::new()
-    }
-
-    fn weights(&self) -> Vec<&[f32]> {
-        Vec::new()
-    }
-
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -138,15 +108,12 @@ impl Layer for Selu {
 
 /// The logistic sigmoid `1/(1+e^{−x})` (used inside the attention block).
 #[derive(Clone, Default)]
-pub struct Sigmoid {
-    cache_y: Option<Tensor>,
-    batch_y: Option<Planes>,
-}
+pub struct Sigmoid;
 
 impl Sigmoid {
     /// Creates the activation.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
@@ -168,32 +135,14 @@ impl Layer for Sigmoid {
         "sigmoid"
     }
 
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        let mut out = x.clone();
-        for v in out.as_mut_slice() {
-            *v = sigmoid_val(*v);
-        }
-        self.cache_y = Some(out.clone());
-        out
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let y = self.cache_y.take().expect("backward without forward");
-        let mut gx = grad.clone();
-        for (g, &yv) in gx.as_mut_slice().iter_mut().zip(y.as_slice()) {
-            *g *= yv * (1.0 - yv);
-        }
-        gx
-    }
-
-    fn forward_batch(&mut self, x: Planes, _train: bool) -> Planes {
+    fn forward_batch(&self, x: Planes, _train: bool, ctx: &mut LayerCtx) -> Planes {
         let out = mapped(&x, sigmoid_val);
-        self.batch_y = Some(out.clone());
+        ctx.saved.push(out.clone());
         out
     }
 
-    fn backward_batch(&mut self, mut grad: Planes) -> Planes {
-        let y = self.batch_y.take().expect("backward without forward");
+    fn backward_batch(&self, mut grad: Planes, ctx: &mut LayerCtx) -> Planes {
+        let y = ctx.take_saved();
         for (g, &yv) in grad.as_mut_slice().iter_mut().zip(y.as_slice()) {
             *g *= yv * (1.0 - yv);
         }
@@ -204,14 +153,6 @@ impl Layer for Sigmoid {
         Box::new(FrozenSigmoid)
     }
 
-    fn params(&mut self) -> Vec<ParamView<'_>> {
-        Vec::new()
-    }
-
-    fn weights(&self) -> Vec<&[f32]> {
-        Vec::new()
-    }
-
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -220,12 +161,26 @@ impl Layer for Sigmoid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::Tensor;
+    use crate::testkit::{self, reference};
+    use crate::Network;
+    use deepcsi_nn_ref::Spec;
+
+    fn one(layer: impl Layer + 'static) -> Network {
+        let mut net = Network::new();
+        net.push(layer);
+        net
+    }
+
+    fn infer(net: &Network, x: &Tensor) -> Tensor {
+        let frozen = net.freeze();
+        frozen.infer(x, &mut frozen.ctx())
+    }
 
     #[test]
     fn selu_known_values() {
-        let mut s = Selu::new();
         let x = Tensor::from_vec(vec![1.0, 0.0, -1.0], vec![3]);
-        let y = s.forward(&x, false);
+        let y = infer(&one(Selu::new()), &x);
         assert!((y.as_slice()[0] - SELU_LAMBDA).abs() < 1e-6);
         assert_eq!(y.as_slice()[1], 0.0);
         let want = SELU_LAMBDA * SELU_ALPHA * ((-1.0f32).exp() - 1.0);
@@ -246,8 +201,7 @@ mod tests {
                 ((-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()) as f32
             })
             .collect();
-        let mut s = Selu::new();
-        let y = s.forward(&Tensor::from_vec(data, vec![n]), false);
+        let y = infer(&one(Selu::new()), &Tensor::from_vec(data, vec![n]));
         let mean: f32 = y.as_slice().iter().sum::<f32>() / n as f32;
         let var: f32 = y
             .as_slice()
@@ -261,28 +215,23 @@ mod tests {
 
     #[test]
     fn selu_gradient_check() {
-        let mut s = Selu::new();
-        let x = Tensor::from_vec(vec![0.5, -0.5, 2.0, -2.0], vec![4]);
-        let _ = s.forward(&x, true);
-        let ones = Tensor::from_vec(vec![1.0; 4], vec![4]);
-        let gx = s.backward(&ones);
-        let eps = 1e-3f32;
-        for i in 0..4 {
-            let mut xp = x.clone();
-            xp.as_mut_slice()[i] += eps;
-            let mut xm = x.clone();
-            xm.as_mut_slice()[i] -= eps;
-            let fp: f32 = s.forward(&xp, false).as_slice().iter().sum();
-            let fm: f32 = s.forward(&xm, false).as_slice().iter().sum();
-            assert!(((fp - fm) / (2.0 * eps) - gx.as_slice()[i]).abs() < 1e-2);
+        let xs: Vec<Tensor> = [
+            [0.5, -0.5, 2.0, -2.0],
+            [1.5, -0.1, 0.2, -3.0],
+            [-1.0, 0.7, -0.3, 0.9],
+        ]
+        .iter()
+        .map(|x| Tensor::from_vec(x.to_vec(), vec![4]))
+        .collect();
+        for b in [1, 3] {
+            testkit::gradient_check(&mut one(Selu::new()), &xs[..b], 1e-3, 1e-2);
         }
     }
 
     #[test]
     fn sigmoid_range_and_symmetry() {
-        let mut s = Sigmoid::new();
         let x = Tensor::from_vec(vec![-3.0, 0.0, 3.0], vec![3]);
-        let y = s.forward(&x, false);
+        let y = infer(&one(Sigmoid::new()), &x);
         assert!((y.as_slice()[1] - 0.5).abs() < 1e-6);
         assert!((y.as_slice()[0] + y.as_slice()[2] - 1.0).abs() < 1e-6);
         assert!(y.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
@@ -290,36 +239,24 @@ mod tests {
 
     #[test]
     fn sigmoid_gradient_check() {
-        let mut s = Sigmoid::new();
-        let x = Tensor::from_vec(vec![0.3, -1.2, 2.2], vec![3]);
-        let _ = s.forward(&x, true);
-        let ones = Tensor::from_vec(vec![1.0; 3], vec![3]);
-        let gx = s.backward(&ones);
-        let eps = 1e-3f32;
-        for i in 0..3 {
-            let mut xp = x.clone();
-            xp.as_mut_slice()[i] += eps;
-            let mut xm = x.clone();
-            xm.as_mut_slice()[i] -= eps;
-            let fp: f32 = s.forward(&xp, false).as_slice().iter().sum();
-            let fm: f32 = s.forward(&xm, false).as_slice().iter().sum();
-            assert!(((fp - fm) / (2.0 * eps) - gx.as_slice()[i]).abs() < 1e-2);
+        let xs: Vec<Tensor> = [[0.3, -1.2, 2.2], [-0.4, 0.8, -2.5], [1.1, 0.0, -0.7]]
+            .iter()
+            .map(|x| Tensor::from_vec(x.to_vec(), vec![3]))
+            .collect();
+        for b in [1, 3] {
+            testkit::gradient_check(&mut one(Sigmoid::new()), &xs[..b], 1e-3, 1e-2);
         }
     }
 
     #[test]
-    fn frozen_activations_match_forward() {
-        for x in [-4.0f32, -0.7, 0.0, 0.3, 5.0] {
-            let t = Tensor::from_vec(vec![x], vec![1]);
-            let mut net = crate::Network::new();
-            net.push(Selu::new());
-            net.push(Sigmoid::new());
-            let frozen = net.freeze();
-            let mut ctx = frozen.ctx();
-            assert_eq!(
-                net.forward(&t, false).as_slice(),
-                frozen.infer(&t, &mut ctx).as_slice()
-            );
-        }
+    fn frozen_activations_match_reference() {
+        let specs = [Spec::Selu, Spec::Sigmoid];
+        let net = testkit::network(&specs);
+        let mut oracle = reference(&net, &specs, &[5]);
+        let x = Tensor::from_vec(vec![-4.0, -0.7, 0.0, 0.3, 5.0], vec![5]);
+        assert_eq!(
+            oracle.forward(x.as_slice(), false),
+            infer(&net, &x).as_slice()
+        );
     }
 }

@@ -1,11 +1,10 @@
 //! The spatial-attention block of the DeepCSI classifier.
 
 use crate::frozen::{resize_buf, InferCtx, InferOp};
-use crate::layer::{Layer, ParamView};
+use crate::layer::{Layer, LayerCtx};
 use crate::layers::activation::{sigmoid_val, Sigmoid};
 use crate::layers::conv::{Conv2d, FrozenConv2d};
 use crate::planes::Planes;
-use crate::tensor::Tensor;
 
 /// CBAM-style spatial attention with a residual skip (Fig. 4, §III-C):
 ///
@@ -18,15 +17,14 @@ use crate::tensor::Tensor;
 ///
 /// "Thanks to the attention block, the algorithm learns where the most
 /// relevant information is located within the feature maps."
+///
+/// In training the inner convolution and sigmoid keep their activations
+/// on the block's own [`LayerCtx`], whose gradient accumulators are the
+/// convolution's.
 #[derive(Clone)]
 pub struct SpatialAttention {
     conv: Conv2d,
     sigmoid: Sigmoid,
-    cache_x: Option<Tensor>,
-    cache_a: Option<Tensor>,
-    cache_argmax: Vec<usize>,
-    /// The input and attention map of the last `forward_batch`.
-    batch_xa: Option<(Planes, Planes)>,
 }
 
 impl SpatialAttention {
@@ -36,10 +34,6 @@ impl SpatialAttention {
         SpatialAttention {
             conv: Conv2d::new(2, 1, (1, kernel_w), seed ^ 0xA77E),
             sigmoid: Sigmoid::new(),
-            cache_x: None,
-            cache_a: None,
-            cache_argmax: Vec::new(),
-            batch_xa: None,
         }
     }
 }
@@ -47,8 +41,8 @@ impl SpatialAttention {
 /// Channel-wise max and mean maps of the `b`-lane planes `xs` (`c`
 /// channels of `hw` positions) into `ps` (`[max | mean][hw]`, lanes
 /// innermost), overwriting every element. The channel scan order
-/// matches `forward`: strict `>` keeps the first maximum, and the mean
-/// sums the channels in ascending order from `+0.0` and divides.
+/// matches the reference: strict `>` keeps the first maximum, and the
+/// mean sums the channels in ascending order from `+0.0` and divides.
 fn channel_pool(xs: &[f32], ps: &mut [f32], (c, hw, b): (usize, usize, usize)) {
     ps.fill(0.0);
     for p in 0..hw {
@@ -66,7 +60,7 @@ fn channel_pool(xs: &[f32], ps: &mut [f32], (c, hw, b): (usize, usize, usize)) {
             }
         }
         for s in 0..b {
-            // `forward` divides the plain sum; multiply-by-inverse
+            // The reference divides the plain sum; multiply-by-inverse
             // would round differently, so divide here too.
             ps[mean_base + s] /= c as f32;
         }
@@ -141,98 +135,13 @@ impl Layer for SpatialAttention {
         "spatial_attention"
     }
 
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let [c, h, w]: [usize; 3] = x
-            .shape()
-            .try_into()
-            .expect("attention input must be rank 3");
-        // Channel-wise max and mean maps.
-        let mut pooled = Tensor::zeros(vec![2, h, w]);
-        self.cache_argmax = vec![0; h * w];
-        for hi in 0..h {
-            for wi in 0..w {
-                let mut best_c = 0usize;
-                let mut best = x.at3(0, hi, wi);
-                let mut sum = 0.0f32;
-                for ci in 0..c {
-                    let v = x.at3(ci, hi, wi);
-                    sum += v;
-                    if v > best {
-                        best = v;
-                        best_c = ci;
-                    }
-                }
-                *pooled.at3_mut(0, hi, wi) = best;
-                *pooled.at3_mut(1, hi, wi) = sum / c as f32;
-                self.cache_argmax[hi * w + wi] = best_c;
-            }
-        }
-        let logits = self.conv.forward(&pooled, train);
-        let a = self.sigmoid.forward(&logits, train);
-        // Y = X⊙A + X.
-        let mut out = x.clone();
-        for ci in 0..c {
-            for hi in 0..h {
-                for wi in 0..w {
-                    let v = out.at3(ci, hi, wi);
-                    *out.at3_mut(ci, hi, wi) = v * a.at3(0, hi, wi) + v;
-                }
-            }
-        }
-        self.cache_x = Some(x.clone());
-        self.cache_a = Some(a);
-        out
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let x = self.cache_x.take().expect("backward without forward");
-        let a = self.cache_a.take().expect("backward without forward");
-        let [c, h, w]: [usize; 3] = x.shape().try_into().expect("rank 3");
-
-        // Through Y = X⊙A + X:
-        //   ∂/∂X  = grad·(A + 1)   (attention + skip branches)
-        //   ∂/∂A  = Σ_c grad·X
-        let mut gx = grad.clone();
-        let mut ga = Tensor::zeros(vec![1, h, w]);
-        for hi in 0..h {
-            for wi in 0..w {
-                let av = a.at3(0, hi, wi);
-                let mut gsum = 0.0f32;
-                for ci in 0..c {
-                    let g = grad.at3(ci, hi, wi);
-                    gsum += g * x.at3(ci, hi, wi);
-                    *gx.at3_mut(ci, hi, wi) = g * (av + 1.0);
-                }
-                *ga.at3_mut(0, hi, wi) = gsum;
-            }
-        }
-
-        // Through sigmoid and the attention convolution.
-        let g_logits = self.sigmoid.backward(&ga);
-        let g_pooled = self.conv.backward(&g_logits);
-
-        // Through the max/mean channel pooling back into X.
-        for hi in 0..h {
-            for wi in 0..w {
-                let gmax = g_pooled.at3(0, hi, wi);
-                let gmean = g_pooled.at3(1, hi, wi) / c as f32;
-                let best_c = self.cache_argmax[hi * w + wi];
-                *gx.at3_mut(best_c, hi, wi) += gmax;
-                for ci in 0..c {
-                    *gx.at3_mut(ci, hi, wi) += gmean;
-                }
-            }
-        }
-        gx
-    }
-
-    fn forward_batch(&mut self, x: Planes, train: bool) -> Planes {
+    fn forward_batch(&self, x: Planes, train: bool, ctx: &mut LayerCtx) -> Planes {
         let (c, h, w) = x.dims3("attention");
         let b = x.batch_size();
         let mut pooled = Planes::zeros(&[2, h, w], b);
         channel_pool(x.as_slice(), pooled.as_mut_slice(), (c, h * w, b));
-        let logits = self.conv.forward_batch(pooled, train);
-        let a = self.sigmoid.forward_batch(logits, train);
+        let logits = self.conv.forward_batch(pooled, train, ctx);
+        let a = self.sigmoid.forward_batch(logits, train, ctx);
         // Y = X⊙A + X.
         let mut out = x.clone();
         for ys in out.as_mut_slice().chunks_exact_mut(h * w * b) {
@@ -240,14 +149,17 @@ impl Layer for SpatialAttention {
                 *v = *v * av + *v;
             }
         }
-        self.batch_xa = Some((x, a));
+        ctx.saved.push(x);
+        ctx.saved.push(a);
         out
     }
 
-    /// `backward` per lane; the max branch's gradient goes to the first
-    /// maximal channel, found again by `forward`'s strict-`>` scan.
-    fn backward_batch(&mut self, grad: Planes) -> Planes {
-        let (x, a) = self.batch_xa.take().expect("backward without forward");
+    /// The reference's `backward` per lane; the max branch's gradient
+    /// goes to the first maximal channel, found again by the strict-`>`
+    /// scan.
+    fn backward_batch(&self, grad: Planes, ctx: &mut LayerCtx) -> Planes {
+        let a = ctx.take_saved();
+        let x = ctx.take_saved();
         let (c, h, w) = x.dims3("attention");
         let (b, plane) = (x.batch_size(), h * w * x.batch_size());
         let (xs, avs, gs) = (x.as_slice(), a.as_slice(), grad.as_slice());
@@ -268,8 +180,8 @@ impl Layer for SpatialAttention {
         }
 
         // Through the sigmoid and the attention convolution.
-        let g_logits = self.sigmoid.backward_batch(ga);
-        let g_pooled = self.conv.backward_batch(g_logits);
+        let g_logits = self.sigmoid.backward_batch(ga, ctx);
+        let g_pooled = self.conv.backward_batch(g_logits, ctx);
 
         // Through the max/mean channel pooling back into X.
         let gps = g_pooled.as_slice();
@@ -296,12 +208,12 @@ impl Layer for SpatialAttention {
         })
     }
 
-    fn params(&mut self) -> Vec<ParamView<'_>> {
-        self.conv.params()
-    }
-
     fn weights(&self) -> Vec<&[f32]> {
         self.conv.weights()
+    }
+
+    fn weights_mut(&mut self) -> Vec<&mut [f32]> {
+        self.conv.weights_mut()
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -312,37 +224,55 @@ impl Layer for SpatialAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::Tensor;
+    use crate::testkit::{self, reference};
+    use crate::Network;
+    use deepcsi_nn_ref::Spec;
+
+    fn attention_net(att: SpatialAttention) -> Network {
+        let mut net = Network::new();
+        net.push(att);
+        net
+    }
+
+    fn infer(net: &Network, x: &Tensor) -> Tensor {
+        let frozen = net.freeze();
+        frozen.infer(x, &mut frozen.ctx())
+    }
 
     #[test]
     fn output_shape_matches_input() {
-        let mut att = SpatialAttention::new(7, 1);
-        let x = Tensor::zeros(vec![8, 1, 20]);
-        let y = att.forward(&x, false);
+        let net = attention_net(SpatialAttention::new(7, 1));
+        let y = infer(&net, &Tensor::zeros(vec![8, 1, 20]));
         assert_eq!(y.shape(), &[8, 1, 20]);
     }
 
     #[test]
     fn param_count_is_conv_only() {
-        let mut att = SpatialAttention::new(7, 1);
         // 2 input maps × kernel 7 × 1 output + 1 bias = 15.
-        assert_eq!(att.num_params(), 15);
+        assert_eq!(attention_net(SpatialAttention::new(7, 1)).num_params(), 15);
     }
 
     #[test]
     fn output_stays_between_x_and_2x_for_positive_input() {
         // A ∈ (0,1) → Y = X(1+A) ∈ (X, 2X) element-wise for X > 0.
-        let mut att = SpatialAttention::new(3, 2);
+        let net = attention_net(SpatialAttention::new(3, 2));
         let x = Tensor::from_vec((1..=24).map(|v| v as f32 * 0.1).collect(), vec![4, 1, 6]);
-        let y = att.forward(&x, false);
+        let y = infer(&net, &x);
         for (xv, yv) in x.as_slice().iter().zip(y.as_slice()) {
             assert!(*yv > *xv && *yv < 2.0 * *xv, "x={xv} y={yv}");
         }
     }
 
     #[test]
-    fn frozen_matches_forward_across_batch_sizes() {
-        let mut att = SpatialAttention::new(3, 5);
-        let model = crate::FrozenModel::from_ops(vec![att.freeze()]);
+    fn frozen_matches_reference_across_batch_sizes() {
+        let specs = [Spec::SpatialAttention {
+            kernel_w: 3,
+            seed: 5,
+        }];
+        let net = testkit::network(&specs);
+        let mut oracle = reference(&net, &specs, &[3, 1, 6]);
+        let model = net.freeze();
         for b in [1usize, 3, 16, 21] {
             let xs: Vec<Tensor> = (0..b)
                 .map(|s| {
@@ -357,73 +287,42 @@ mod tests {
             let mut ctx = model.ctx();
             let got = model.infer_batch(&xs, &mut ctx);
             for (x, g) in xs.iter().zip(&got) {
-                assert_eq!(att.forward(x, false).as_slice(), g.as_slice(), "b={b}");
+                assert_eq!(oracle.forward(x.as_slice(), false), g.as_slice(), "b={b}");
             }
         }
     }
 
     #[test]
     fn gradient_check_end_to_end() {
-        let mut att = SpatialAttention::new(3, 3);
-        let x = Tensor::from_vec(
-            (0..18).map(|i| ((i * 7 % 11) as f32 - 5.0) * 0.2).collect(),
-            vec![3, 1, 6],
-        );
-        let y = att.forward(&x, true);
-        let ones = Tensor::from_vec(vec![1.0; y.len()], y.shape().to_vec());
-        att.zero_grads();
-        let _ = att.forward(&x, true);
-        let gx = att.backward(&ones);
-
-        let eps = 1e-2f32;
-        for i in 0..x.len() {
-            let mut xp = x.clone();
-            xp.as_mut_slice()[i] += eps;
-            let mut xm = x.clone();
-            xm.as_mut_slice()[i] -= eps;
-            let fp: f32 = att.forward(&xp, false).as_slice().iter().sum();
-            let fm: f32 = att.forward(&xm, false).as_slice().iter().sum();
-            let want = (fp - fm) / (2.0 * eps);
-            let got = gx.as_slice()[i];
-            assert!(
-                (want - got).abs() < 0.05,
-                "input grad {i}: fd {want} vs bp {got}"
-            );
+        let mut net = attention_net(SpatialAttention::new(3, 3));
+        let xs: Vec<Tensor> = (0..3)
+            .map(|s| {
+                Tensor::from_vec(
+                    (0..18)
+                        .map(|i| (((i + 4 * s) * 7 % 11) as f32 - 5.0) * 0.2)
+                        .collect(),
+                    vec![3, 1, 6],
+                )
+            })
+            .collect();
+        for b in [1, 3] {
+            testkit::gradient_check(&mut net, &xs[..b], 1e-2, 0.05);
         }
     }
 
     #[test]
     fn attention_weight_gradient_check() {
-        let mut att = SpatialAttention::new(3, 4);
-        let x = Tensor::from_vec(
-            (0..12).map(|i| (i as f32 * 0.37).cos()).collect(),
-            vec![2, 1, 6],
-        );
-        att.zero_grads();
-        let y = att.forward(&x, true);
-        let ones = Tensor::from_vec(vec![1.0; y.len()], y.shape().to_vec());
-        let _ = att.backward(&ones);
-        let grads: Vec<f32> = att.params().iter().flat_map(|p| p.g.to_vec()).collect();
-
-        let eps = 1e-2f32;
-        let mut idx = 0usize;
-        for p in 0..2 {
-            let len = att.params()[p].w.len();
-            for wi in 0..len {
-                let orig = att.params()[p].w[wi];
-                att.params()[p].w[wi] = orig + eps;
-                let fp: f32 = att.forward(&x, false).as_slice().iter().sum();
-                att.params()[p].w[wi] = orig - eps;
-                let fm: f32 = att.forward(&x, false).as_slice().iter().sum();
-                att.params()[p].w[wi] = orig;
-                let want = (fp - fm) / (2.0 * eps);
-                assert!(
-                    (want - grads[idx]).abs() < 0.05,
-                    "param {idx}: fd {want} vs bp {}",
-                    grads[idx]
-                );
-                idx += 1;
-            }
+        let mut net = attention_net(SpatialAttention::new(3, 4));
+        let xs: Vec<Tensor> = (0..3)
+            .map(|s| {
+                Tensor::from_vec(
+                    (0..12).map(|i| ((i + 3 * s) as f32 * 0.37).cos()).collect(),
+                    vec![2, 1, 6],
+                )
+            })
+            .collect();
+        for b in [1, 3] {
+            testkit::gradient_check(&mut net, &xs[..b], 1e-2, 0.05);
         }
     }
 }

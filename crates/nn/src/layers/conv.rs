@@ -12,30 +12,31 @@
 //! their window across all input rows, and no narrower tile exists: the
 //! last tile of a row stores only the outputs that exist.
 //!
-//! Why the halo is exact: `Conv2d::forward` computes each output as
-//! `+0.0 + Σ w·x`, summed over the in-bounds taps in `(i, dh, dw)` order,
-//! with the bias added last. The flat kernel sums in the same order and
-//! skips the same `dh` rows. It differs only in the `dw` taps that fall
-//! off the edge: they add `w·(+0)`, which is ±0 for every finite `w`.
+//! Why the halo is exact: the per-sample reference (`deepcsi-nn-ref`)
+//! computes each output as `+0.0 + Σ w·x`, summed over the in-bounds
+//! taps in `(i, dh, dw)` order, with the bias added last. The flat
+//! kernel sums in the same order and skips the same `dh` rows. It
+//! differs only in the `dw` taps that fall off the edge: they add
+//! `w·(+0)`, which is ±0 for every finite `w`.
 //!
 //! * The sum starts at `+0.0` and is never −0: in round-to-nearest an
 //!   exact-zero sum of two operands is +0 unless both are −0.
 //! * Adding ±0 to a sum that is not −0 returns the sum, bit for bit.
 //!
-//! So every output is bit-identical to `forward`'s, whichever copy a
-//! tile reads. The inputs may be anything: a halo tap never reads an
-//! input value. The weights must be finite, since `∞·0` is NaN.
-//! [`crate::Network::load_weights`] refuses a non-finite weight and
-//! [`crate::Network::freeze`] panics on one, so a network whose training
-//! diverged to a NaN or ±∞ weight is never frozen.
+//! So every output is bit-identical to the reference's, whichever copy
+//! a tile reads. The inputs may be anything: a halo tap never reads an
+//! input value. The weights must be finite, since `∞·0` is NaN: the
+//! reference asserts it on entry, [`crate::Network::load_weights`]
+//! refuses a non-finite weight and [`crate::Network::freeze`] panics on
+//! one, so a network whose training diverged to a NaN or ±∞ weight is
+//! never frozen.
 
 use crate::frozen::{resize_buf, InferCtx, InferOp, LANES};
 use crate::init::lecun_normal;
-use crate::layer::{Layer, ParamView};
+use crate::layer::{Layer, LayerCtx};
 use crate::planes::Planes;
 use crate::quant::ops::{conv_out_shape, Int8Conv2d};
 use crate::quant::{quantize_layer, Int8Freeze};
-use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -53,10 +54,6 @@ pub struct Conv2d {
     kw: usize,
     weight: Vec<f32>, // [out][in][kh][kw]
     bias: Vec<f32>,
-    grad_w: Vec<f32>,
-    grad_b: Vec<f32>,
-    cache_x: Option<Tensor>,
-    batch_x: Option<Planes>,
 }
 
 impl Conv2d {
@@ -79,10 +76,6 @@ impl Conv2d {
             kw,
             weight: lecun_normal(&mut rng, fan_in, n),
             bias: vec![0.0; out_ch],
-            grad_w: vec![0.0; n],
-            grad_b: vec![0.0; out_ch],
-            cache_x: None,
-            batch_x: None,
         }
     }
 
@@ -108,7 +101,8 @@ impl Conv2d {
     /// `W[o][i]`, taken with every tap's offset negated. Negating the
     /// offsets is mirroring both spatial axes, so run on mirrored
     /// planes, this op computes a mirrored `∂x` with the unflipped
-    /// kernel, each element's terms in `backward`'s `(o, dh, dw)` order.
+    /// kernel, each element's terms in the reference's `(o, dh, dw)`
+    /// order.
     /// It is exact as the forward is (module docs): the halo taps add
     /// ±0, and the zero bias adds `+0.0` to a sum that is never −0.
     fn input_grad_op(&self) -> FrozenConv2d {
@@ -120,11 +114,10 @@ impl Conv2d {
         )
     }
 
-    /// Consumes the cached batch input and adds every lane's bias and
-    /// weight gradients for the output gradient `grad`, in lane order.
-    /// Returns the input shape.
-    fn add_batch_param_grads(&mut self, grad: &Planes) -> (usize, usize, usize) {
-        let x = self.batch_x.take().expect("backward without forward");
+    /// Adds every lane's bias and weight gradients for the input `x`
+    /// and output gradient `grad` into `ctx`, in lane order.
+    fn add_batch_param_grads(&self, x: &Planes, grad: &Planes, ctx: &mut LayerCtx) {
+        let (gw, gb) = ctx.weight_bias_grads();
         let (c, h, w) = x.dims3("conv");
         let b = x.batch_size();
         let g = FlatGeom {
@@ -139,25 +132,26 @@ impl Conv2d {
             // The trainer's passes are 16 or 8 lanes wide; a ragged
             // remainder goes one lane at a time.
             s0 += match b - s0 {
-                16.. => self.add_lane_grads::<16>(xs, gs, g, s0),
-                8.. => self.add_lane_grads::<8>(xs, gs, g, s0),
-                _ => self.add_lane_grads::<1>(xs, gs, g, s0),
+                16.. => self.add_lane_grads::<16>(xs, gs, g, s0, gw, gb),
+                8.. => self.add_lane_grads::<8>(xs, gs, g, s0, gw, gb),
+                _ => self.add_lane_grads::<1>(xs, gs, g, s0, gw, gb),
             };
         }
-        (c, h, w)
     }
 
     /// Adds lanes `s0..s0 + L`'s bias and weight gradients, each lane's
-    /// formed as `backward` forms a sample's (a sum from `+0.0` over the
-    /// output positions in `(oh, ow)` order), into the accumulators in
-    /// lane order.
+    /// formed as the reference forms a sample's (a sum from `+0.0` over
+    /// the output positions in `(oh, ow)` order), into the accumulators
+    /// `grad_w` and `grad_b` in lane order.
     /// Returns `L`, the lanes done.
     fn add_lane_grads<const L: usize>(
-        &mut self,
+        &self,
         xs: &[f32],
         gs: &[f32],
         g: FlatGeom,
         s0: usize,
+        grad_w: &mut [f32],
+        grad_b: &mut [f32],
     ) -> usize {
         let hw = g.h * g.len / g.b;
         for o in 0..self.out_ch {
@@ -171,7 +165,7 @@ impl Conv2d {
                 }
             }
             for a in acc {
-                self.grad_b[o] += a;
+                grad_b[o] += a;
             }
         }
         let mut o0 = 0;
@@ -187,11 +181,11 @@ impl Conv2d {
                 let at = (o0, i0, s0);
                 match (ob, ib) {
                     (TILE_CH, GRAD_IB) => {
-                        self.weight_grad_tile::<L, TILE_CH, GRAD_IB>(xs, gs, g, at)
+                        self.weight_grad_tile::<L, TILE_CH, GRAD_IB>(xs, gs, g, at, grad_w)
                     }
-                    (TILE_CH, _) => self.weight_grad_tile::<L, TILE_CH, 1>(xs, gs, g, at),
-                    (_, GRAD_IB) => self.weight_grad_tile::<L, 1, GRAD_IB>(xs, gs, g, at),
-                    _ => self.weight_grad_tile::<L, 1, 1>(xs, gs, g, at),
+                    (TILE_CH, _) => self.weight_grad_tile::<L, TILE_CH, 1>(xs, gs, g, at, grad_w),
+                    (_, GRAD_IB) => self.weight_grad_tile::<L, 1, GRAD_IB>(xs, gs, g, at, grad_w),
+                    _ => self.weight_grad_tile::<L, 1, 1>(xs, gs, g, at, grad_w),
                 }
                 i0 += ib;
             }
@@ -206,11 +200,12 @@ impl Conv2d {
     /// `(oh, ow)` order, lane-parallel (see [`grad_span`]), whose sums
     /// then add into `grad_w` lane by lane.
     fn weight_grad_tile<const L: usize, const OB: usize, const IB: usize>(
-        &mut self,
+        &self,
         xs: &[f32],
         gs: &[f32],
         g: FlatGeom,
         (o0, i0, s0): (usize, usize, usize),
+        grad_w: &mut [f32],
     ) {
         let (ph, pw) = (self.kh / 2, self.kw / 2);
         let (b, len) = (g.b, g.len);
@@ -239,7 +234,7 @@ impl Conv2d {
                     for (q, a) in a.iter().enumerate() {
                         let wi = self.widx(o0 + j, i0 + q, dh, dw);
                         for &v in a {
-                            self.grad_w[wi] += v;
+                            grad_w[wi] += v;
                         }
                     }
                 }
@@ -443,7 +438,7 @@ impl FrozenConv2d {
     /// a row stores only the outputs that exist). Tap `dw` of flat
     /// output `g0 + k` is input `k + dw·b` of its window in `x`, so the
     /// scan has no border case.
-    /// Term order per output is `Conv2d::forward`'s: `(i, dh, dw)`
+    /// Term order per output is the reference's: `(i, dh, dw)`
     /// ascending with the out-of-bounds `dh` rows skipped, bias last.
     ///
     /// Measured codegen: the tile stores its own results, since returning
@@ -551,105 +546,11 @@ impl Layer for Conv2d {
         "conv2d"
     }
 
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        let [c, h, w]: [usize; 3] = x.shape().try_into().expect("conv input must be rank 3");
-        assert_eq!(c, self.in_ch, "input channel mismatch");
-        let (ph, pw) = (self.kh / 2, self.kw / 2);
-        let mut out = Tensor::zeros(vec![self.out_ch, h, w]);
-        let xs = x.as_slice();
-        {
-            let os = out.as_mut_slice();
-            for o in 0..self.out_ch {
-                let out_base = o * h * w;
-                for i in 0..c {
-                    let in_base = i * h * w;
-                    for dh in 0..self.kh {
-                        for dw in 0..self.kw {
-                            let wv = self.weight[self.widx(o, i, dh, dw)];
-                            // Output row oh reads input row oh+dh−ph.
-                            for oh in 0..h {
-                                let ih = oh + dh;
-                                if ih < ph || ih - ph >= h {
-                                    continue;
-                                }
-                                let ih = ih - ph;
-                                let orow = out_base + oh * w;
-                                let irow = in_base + ih * w;
-                                // Valid ow range for iw = ow+dw−pw ∈ [0,w).
-                                let ow_lo = pw.saturating_sub(dw);
-                                let ow_hi = (w + pw).saturating_sub(dw).min(w);
-                                for ow in ow_lo..ow_hi {
-                                    os[orow + ow] += wv * xs[irow + ow + dw - pw];
-                                }
-                            }
-                        }
-                    }
-                }
-                for oh in 0..h {
-                    for ow in 0..w {
-                        os[out_base + oh * w + ow] += self.bias[o];
-                    }
-                }
-            }
-        }
-        self.cache_x = Some(x.clone());
-        out
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let x = self.cache_x.take().expect("backward without forward");
-        let [c, h, w]: [usize; 3] = x.shape().try_into().expect("rank 3");
-        let (ph, pw) = (self.kh / 2, self.kw / 2);
-        let gs = grad.as_slice();
-        let xs = x.as_slice();
-        let mut gx = Tensor::zeros(vec![c, h, w]);
-        let gxs = gx.as_mut_slice();
-
-        for o in 0..self.out_ch {
-            let out_base = o * h * w;
-            // Bias gradient: sum of output grads.
-            let mut gb = 0.0f32;
-            for v in &gs[out_base..out_base + h * w] {
-                gb += v;
-            }
-            self.grad_b[o] += gb;
-
-            for i in 0..c {
-                let in_base = i * h * w;
-                for dh in 0..self.kh {
-                    for dw in 0..self.kw {
-                        let wi = self.widx(o, i, dh, dw);
-                        let wv = self.weight[wi];
-                        let mut gw = 0.0f32;
-                        for oh in 0..h {
-                            let ih = oh + dh;
-                            if ih < ph || ih - ph >= h {
-                                continue;
-                            }
-                            let ih = ih - ph;
-                            let orow = out_base + oh * w;
-                            let irow = in_base + ih * w;
-                            let ow_lo = pw.saturating_sub(dw);
-                            let ow_hi = (w + pw).saturating_sub(dw).min(w);
-                            for ow in ow_lo..ow_hi {
-                                let g = gs[orow + ow];
-                                gw += g * xs[irow + ow + dw - pw];
-                                gxs[irow + ow + dw - pw] += g * wv;
-                            }
-                        }
-                        self.grad_w[wi] += gw;
-                    }
-                }
-            }
-        }
-        gx
-    }
-
-    /// Runs the frozen kernel. Bit-equal to `forward` per lane while the
-    /// weights are finite (see the module docs); a NaN or ±∞ weight,
-    /// which only a diverged update leaves, reads NaN at the row ends
-    /// where `forward` skips the tap, and panics nowhere.
-    fn forward_batch(&mut self, x: Planes, _train: bool) -> Planes {
+    /// Runs the frozen kernel. Bit-equal to the reference per lane
+    /// while the weights are finite (see the module docs); a NaN or ±∞
+    /// weight, which only a diverged update leaves, reads NaN at the row
+    /// ends where the reference skips the tap, and panics nowhere.
+    fn forward_batch(&self, x: Planes, _train: bool, ctx: &mut LayerCtx) -> Planes {
         let (c, h, w) = x.dims3("conv");
         let b = x.batch_size();
         let mut out = Planes::zeros(&[self.out_ch, h, w], b);
@@ -660,12 +561,14 @@ impl Layer for Conv2d {
             b,
             &mut Vec::new(),
         );
-        self.batch_x = Some(x);
+        ctx.saved.push(x);
         out
     }
 
-    fn backward_batch(&mut self, grad: Planes) -> Planes {
-        let (c, h, w) = self.add_batch_param_grads(&grad);
+    fn backward_batch(&self, grad: Planes, ctx: &mut LayerCtx) -> Planes {
+        let x = ctx.take_saved();
+        self.add_batch_param_grads(&x, &grad, ctx);
+        let (c, h, w) = x.dims3("conv");
         let b = grad.batch_size();
         let mut mirrored = grad;
         mirror_positions(mirrored.as_mut_slice(), h * w, b);
@@ -706,21 +609,12 @@ impl Layer for Conv2d {
         })))
     }
 
-    fn params(&mut self) -> Vec<ParamView<'_>> {
-        vec![
-            ParamView {
-                w: &mut self.weight,
-                g: &mut self.grad_w,
-            },
-            ParamView {
-                w: &mut self.bias,
-                g: &mut self.grad_b,
-            },
-        ]
-    }
-
     fn weights(&self) -> Vec<&[f32]> {
         vec![&self.weight, &self.bias]
+    }
+
+    fn weights_mut(&mut self) -> Vec<&mut [f32]> {
+        vec![&mut self.weight, &mut self.bias]
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -731,12 +625,25 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::Tensor;
+    use crate::testkit::{self, reference};
+    use deepcsi_nn_ref::Spec;
+
+    fn conv_net(conv: Conv2d) -> crate::Network {
+        let mut net = crate::Network::new();
+        net.push(conv);
+        net
+    }
+
+    fn infer(net: &crate::Network, x: &Tensor) -> Tensor {
+        let frozen = net.freeze();
+        frozen.infer(x, &mut frozen.ctx())
+    }
 
     #[test]
     fn output_shape_is_same_padded() {
-        let mut conv = Conv2d::new(2, 4, (1, 7), 1);
-        let x = Tensor::zeros(vec![2, 1, 20]);
-        let y = conv.forward(&x, false);
+        let net = conv_net(Conv2d::new(2, 4, (1, 7), 1));
+        let y = infer(&net, &Tensor::zeros(vec![2, 1, 20]));
         assert_eq!(y.shape(), &[4, 1, 20]);
     }
 
@@ -747,8 +654,7 @@ mod tests {
         conv.weight.copy_from_slice(&[0.0, 1.0, 0.0]);
         conv.bias[0] = 0.0;
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], vec![1, 1, 4]);
-        let y = conv.forward(&x, false);
-        assert_eq!(y.as_slice(), x.as_slice());
+        assert_eq!(infer(&conv_net(conv), &x).as_slice(), x.as_slice());
     }
 
     #[test]
@@ -757,31 +663,37 @@ mod tests {
         conv.weight.copy_from_slice(&[1.0, 1.0, 1.0]);
         conv.bias[0] = 0.5;
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], vec![1, 1, 3]);
-        let y = conv.forward(&x, false);
         // Same padding: [0+1+2, 1+2+3, 2+3+0] + 0.5.
-        assert_eq!(y.as_slice(), &[3.5, 6.5, 5.5]);
+        assert_eq!(infer(&conv_net(conv), &x).as_slice(), &[3.5, 6.5, 5.5]);
     }
 
     #[test]
     fn param_count_matches_formula() {
-        let mut conv = Conv2d::new(128, 128, (1, 7), 0);
-        assert_eq!(conv.num_params(), 128 * 128 * 7 + 128);
+        let net = conv_net(Conv2d::new(128, 128, (1, 7), 0));
+        assert_eq!(net.num_params(), 128 * 128 * 7 + 128);
     }
 
     #[test]
-    fn frozen_matches_forward_across_batch_sizes() {
+    fn frozen_matches_reference_across_batch_sizes() {
         // One leftover-channel tile only (3 channels, no full tile); then
         // a 2-D kernel with two full channel tiles plus a leftover
         // channel, whose tile rows clip at the top and bottom; then a
         // 1-wide kernel on rows of whole tiles, so no tile is an edge
         // tile. The batch sizes put the 48-wide tiles across row ends.
-        for (in_ch, out_ch, k, (h, w)) in [
+        for (in_ch, out_ch, kernel, (h, w)) in [
             (2, 3, (1, 5), (1, 6)),
             (2, 9, (3, 5), (3, 14)),
             (2, 5, (1, 1), (1, 48)),
         ] {
-            let mut conv = Conv2d::new(in_ch, out_ch, k, 11);
-            let model = crate::FrozenModel::from_ops(vec![conv.freeze()]);
+            let specs = [Spec::Conv2d {
+                in_ch,
+                out_ch,
+                kernel,
+                seed: 11,
+            }];
+            let net = testkit::network(&specs);
+            let mut oracle = reference(&net, &specs, &[in_ch, h, w]);
+            let model = net.freeze();
             for b in [1usize, 7, 16, 19, 33] {
                 let xs: Vec<Tensor> = (0..b)
                     .map(|s| {
@@ -796,60 +708,27 @@ mod tests {
                 let mut ctx = model.ctx();
                 let got = model.infer_batch(&xs, &mut ctx);
                 for (x, g) in xs.iter().zip(&got) {
-                    assert_eq!(conv.forward(x, false).as_slice(), g.as_slice(), "b={b}");
+                    assert_eq!(oracle.forward(x.as_slice(), false), g.as_slice(), "b={b}");
                 }
             }
         }
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // wi indexes weight and grad in lockstep
     fn gradient_check_small() {
         // Centered finite differences on every parameter and input of a
-        // tiny conv.
-        let mut conv = Conv2d::new(2, 2, (1, 3), 3);
-        let x = Tensor::from_vec(
-            (0..12).map(|i| (i as f32 * 0.3).sin()).collect(),
-            vec![2, 1, 6],
-        );
-        // Loss = sum of outputs → upstream grad of ones.
-        let y = conv.forward(&x, true);
-        let ones = Tensor::from_vec(vec![1.0; y.len()], y.shape().to_vec());
-        conv.zero_grads();
-        let _ = conv.forward(&x, true);
-        let gx = conv.backward(&ones);
-
-        let eps = 1e-3f32;
-        // Input gradient check.
-        for i in 0..x.len() {
-            let mut xp = x.clone();
-            xp.as_mut_slice()[i] += eps;
-            let mut xm = x.clone();
-            xm.as_mut_slice()[i] -= eps;
-            let fp: f32 = conv.forward(&xp, false).as_slice().iter().sum();
-            let fm: f32 = conv.forward(&xm, false).as_slice().iter().sum();
-            let want = (fp - fm) / (2.0 * eps);
-            let got = gx.as_slice()[i];
-            assert!(
-                (want - got).abs() < 1e-2,
-                "input grad {i}: fd {want} vs bp {got}"
-            );
-        }
-        // Weight gradient check.
-        let gw = conv.grad_w.clone();
-        for wi in 0..conv.weight.len() {
-            let orig = conv.weight[wi];
-            conv.weight[wi] = orig + eps;
-            let fp: f32 = conv.forward(&x, false).as_slice().iter().sum();
-            conv.weight[wi] = orig - eps;
-            let fm: f32 = conv.forward(&x, false).as_slice().iter().sum();
-            conv.weight[wi] = orig;
-            let want = (fp - fm) / (2.0 * eps);
-            assert!(
-                (want - gw[wi]).abs() < 1e-2,
-                "weight grad {wi}: fd {want} vs bp {}",
-                gw[wi]
-            );
+        // tiny conv, one sample and then three.
+        let mut net = conv_net(Conv2d::new(2, 2, (1, 3), 3));
+        let xs: Vec<Tensor> = (0..3)
+            .map(|s| {
+                Tensor::from_vec(
+                    (0..12).map(|i| ((i + 5 * s) as f32 * 0.3).sin()).collect(),
+                    vec![2, 1, 6],
+                )
+            })
+            .collect();
+        for b in [1, 3] {
+            testkit::gradient_check(&mut net, &xs[..b], 1e-3, 1e-2);
         }
     }
 

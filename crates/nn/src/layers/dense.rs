@@ -2,11 +2,10 @@
 
 use crate::frozen::{InferCtx, InferOp, LANES};
 use crate::init::lecun_normal;
-use crate::layer::{Layer, ParamView};
+use crate::layer::{Layer, LayerCtx};
 use crate::planes::Planes;
 use crate::quant::ops::{dense_out_shape, Int8Dense};
 use crate::quant::{quantize_layer, Int8Freeze};
-use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -17,10 +16,6 @@ pub struct Dense {
     out_dim: usize,
     weight: Vec<f32>, // [out][in]
     bias: Vec<f32>,
-    grad_w: Vec<f32>,
-    grad_b: Vec<f32>,
-    cache_x: Option<Tensor>,
-    batch_x: Option<Planes>,
 }
 
 impl Dense {
@@ -37,10 +32,6 @@ impl Dense {
             out_dim,
             weight: lecun_normal(&mut rng, in_dim, in_dim * out_dim),
             bias: vec![0.0; out_dim],
-            grad_w: vec![0.0; in_dim * out_dim],
-            grad_b: vec![0.0; out_dim],
-            cache_x: None,
-            batch_x: None,
         }
     }
 
@@ -96,8 +87,8 @@ fn lane_kernel<const OB: usize>(
 /// block of [`LANES`] output rows at a time: each k step is one packed
 /// `Wᵀ` row load and one broadcast input, read in place at stride `b`.
 /// Each output starts from its bias and adds the inputs in ascending k,
-/// as `Dense::forward` does; the zero-padded rows of the last block are
-/// computed and dropped.
+/// as the per-sample reference does; the zero-padded rows of the last
+/// block are computed and dropped.
 fn tail_kernel(dense: &FrozenDense, xs: &[f32], os: &mut [f32], b: usize, s: usize) {
     let blocks = dense.weight.chunks_exact(dense.in_dim * LANES);
     for (o0, wblock) in (0..dense.out_dim).step_by(LANES).zip(blocks) {
@@ -153,8 +144,8 @@ impl FrozenDense {
     /// LANES-wide accumulators stay in vector registers across the whole
     /// k loop and OB output rows share each input-lane load. The
     /// `b % LANES` leftover samples run [`tail_kernel`] instead.
-    /// Accumulation order per output matches `Dense::forward` — bias,
-    /// then inputs in ascending order — so results stay bit-equal.
+    /// Accumulation order per output matches the per-sample reference —
+    /// bias, then inputs in ascending order — so results stay bit-equal.
     ///
     /// The split is measured: run over whole blocks too, the tail kernel
     /// loads a weight row per FMA where the lane tile loads one input
@@ -208,7 +199,8 @@ impl Dense {
 
 /// Adds the `b` lanes' outer products into `grad_w` (`out × in`, row
 /// major), lane by lane: `grad_w[o][i] += g[o][s]·x[i][s]` for
-/// `s = 0..b`, the order `b` successive `backward` calls add them in.
+/// `s = 0..b`, the order `b` successive per-sample reference `backward`
+/// calls add them in.
 ///
 /// Each register tile holds four rows × [`LANES`] columns of `grad_w`
 /// across the whole lane loop, so a weight is loaded and stored once
@@ -268,68 +260,31 @@ impl Layer for Dense {
         "dense"
     }
 
-    #[allow(clippy::needless_range_loop)] // o indexes weight rows and outputs in lockstep
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        assert_eq!(x.len(), self.in_dim, "dense input length mismatch");
-        let xs = x.as_slice();
-        let mut out = Tensor::zeros(vec![self.out_dim]);
-        let os = out.as_mut_slice();
-        for o in 0..self.out_dim {
-            let row = &self.weight[o * self.in_dim..(o + 1) * self.in_dim];
-            let mut acc = self.bias[o];
-            for (wv, xv) in row.iter().zip(xs.iter()) {
-                acc += wv * xv;
-            }
-            os[o] = acc;
-        }
-        self.cache_x = Some(x.clone());
-        out
-    }
-
-    #[allow(clippy::needless_range_loop)] // o indexes weight rows and grads in lockstep
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let x = self.cache_x.take().expect("backward without forward");
-        let xs = x.as_slice();
-        let gs = grad.as_slice();
-        let mut gx = Tensor::zeros(vec![self.in_dim]);
-        let gxs = gx.as_mut_slice();
-        for o in 0..self.out_dim {
-            let g = gs[o];
-            self.grad_b[o] += g;
-            let row = &self.weight[o * self.in_dim..(o + 1) * self.in_dim];
-            let grow = &mut self.grad_w[o * self.in_dim..(o + 1) * self.in_dim];
-            for i in 0..self.in_dim {
-                grow[i] += g * xs[i];
-                gxs[i] += g * row[i];
-            }
-        }
-        gx
-    }
-
-    fn forward_batch(&mut self, x: Planes, _train: bool) -> Planes {
+    fn forward_batch(&self, x: Planes, _train: bool, ctx: &mut LayerCtx) -> Planes {
         assert_eq!(x.elems(), self.in_dim, "dense input length mismatch");
         let mut out = Planes::zeros(&[self.out_dim], x.batch_size());
         self.frozen()
             .run(x.as_slice(), out.as_mut_slice(), x.batch_size());
-        self.batch_x = Some(x);
+        ctx.saved.push(x);
         out
     }
 
     /// The input gradient is the frozen forward of `Wᵀ` with a zero
     /// bias: each lane's `∂x_i` starts from `+0.0` and adds `g_o·W[o][i]`
-    /// in ascending `o`, as `backward` does (its `W[o][i]·g_o` products
-    /// are the same floats). Each weight then adds its lanes' `g_o·x_i`
-    /// in lane order (see `add_outer_products`).
-    fn backward_batch(&mut self, grad: Planes) -> Planes {
-        let x = self.batch_x.take().expect("backward without forward");
+    /// in ascending `o`, as the reference does (its `g_o·W[o][i]`
+    /// products are the same floats). Each weight then adds its lanes'
+    /// `g_o·x_i` in lane order (see `add_outer_products`).
+    fn backward_batch(&self, grad: Planes, ctx: &mut LayerCtx) -> Planes {
+        let x = ctx.take_saved();
+        let (grad_w, grad_b) = ctx.weight_bias_grads();
         let b = x.batch_size();
         let (xs, gs) = (x.as_slice(), grad.as_slice());
-        for (gb, g) in self.grad_b.iter_mut().zip(gs.chunks_exact(b)) {
+        for (gb, g) in grad_b.iter_mut().zip(gs.chunks_exact(b)) {
             for &v in g {
                 *gb += v;
             }
         }
-        add_outer_products(&mut self.grad_w, gs, xs, (self.out_dim, self.in_dim), b);
+        add_outer_products(grad_w, gs, xs, (self.out_dim, self.in_dim), b);
         let transposed = FrozenDense::new(
             self.out_dim,
             self.in_dim,
@@ -357,21 +312,12 @@ impl Layer for Dense {
         })))
     }
 
-    fn params(&mut self) -> Vec<ParamView<'_>> {
-        vec![
-            ParamView {
-                w: &mut self.weight,
-                g: &mut self.grad_w,
-            },
-            ParamView {
-                w: &mut self.bias,
-                g: &mut self.grad_b,
-            },
-        ]
-    }
-
     fn weights(&self) -> Vec<&[f32]> {
         vec![&self.weight, &self.bias]
+    }
+
+    fn weights_mut(&mut self) -> Vec<&mut [f32]> {
+        vec![&mut self.weight, &mut self.bias]
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -382,27 +328,44 @@ impl Layer for Dense {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::Tensor;
+    use crate::testkit::{self, reference};
+    use deepcsi_nn_ref::Spec;
+
+    fn dense_net(d: Dense) -> crate::Network {
+        let mut net = crate::Network::new();
+        net.push(d);
+        net
+    }
 
     #[test]
     fn known_affine_map() {
         let mut d = Dense::new(2, 2, 0);
         d.weight.copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
         d.bias.copy_from_slice(&[0.5, -0.5]);
+        let frozen = dense_net(d).freeze();
         let x = Tensor::from_vec(vec![1.0, 1.0], vec![2]);
-        let y = d.forward(&x, false);
-        assert_eq!(y.as_slice(), &[3.5, 6.5]);
+        assert_eq!(frozen.infer(&x, &mut frozen.ctx()).as_slice(), &[3.5, 6.5]);
     }
 
     #[test]
     fn param_count() {
-        let mut d = Dense::new(896, 128, 0);
-        assert_eq!(d.num_params(), 896 * 128 + 128);
+        assert_eq!(
+            dense_net(Dense::new(896, 128, 0)).num_params(),
+            896 * 128 + 128
+        );
     }
 
     #[test]
-    fn frozen_matches_forward_across_batch_sizes() {
-        let mut d = Dense::new(10, 7, 3);
-        let model = crate::FrozenModel::from_ops(vec![d.freeze()]);
+    fn frozen_matches_reference_across_batch_sizes() {
+        let specs = [Spec::Dense {
+            in_dim: 10,
+            out_dim: 7,
+            seed: 3,
+        }];
+        let net = testkit::network(&specs);
+        let mut oracle = reference(&net, &specs, &[10]);
+        let model = net.freeze();
         for b in [1usize, 15, 16, 17, 48] {
             let xs: Vec<Tensor> = (0..b)
                 .map(|s| {
@@ -417,50 +380,27 @@ mod tests {
             let mut ctx = model.ctx();
             let got = model.infer_batch(&xs, &mut ctx);
             for (x, g) in xs.iter().zip(&got) {
-                assert_eq!(d.forward(x, false).as_slice(), g.as_slice(), "b={b}");
+                assert_eq!(oracle.forward(x.as_slice(), false), g.as_slice(), "b={b}");
             }
         }
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // wi indexes weight and grad in lockstep
     fn gradient_check() {
-        let mut d = Dense::new(3, 2, 1);
-        let x = Tensor::from_vec(vec![0.3, -0.7, 1.1], vec![3]);
-        let y = d.forward(&x, true);
-        let ones = Tensor::from_vec(vec![1.0; 2], y.shape().to_vec());
-        d.zero_grads();
-        let _ = d.forward(&x, true);
-        let gx = d.backward(&ones);
-
-        let eps = 1e-3f32;
-        for i in 0..3 {
-            let mut xp = x.clone();
-            xp.as_mut_slice()[i] += eps;
-            let mut xm = x.clone();
-            xm.as_mut_slice()[i] -= eps;
-            let fp: f32 = d.forward(&xp, false).as_slice().iter().sum();
-            let fm: f32 = d.forward(&xm, false).as_slice().iter().sum();
-            let want = (fp - fm) / (2.0 * eps);
-            assert!((want - gx.as_slice()[i]).abs() < 1e-2);
-        }
-        let gw = d.grad_w.clone();
-        for wi in 0..d.weight.len() {
-            let orig = d.weight[wi];
-            d.weight[wi] = orig + eps;
-            let fp: f32 = d.forward(&x, false).as_slice().iter().sum();
-            d.weight[wi] = orig - eps;
-            let fm: f32 = d.forward(&x, false).as_slice().iter().sum();
-            d.weight[wi] = orig;
-            let want = (fp - fm) / (2.0 * eps);
-            assert!((want - gw[wi]).abs() < 1e-2);
+        let mut net = dense_net(Dense::new(3, 2, 1));
+        let xs: Vec<Tensor> = [[0.3, -0.7, 1.1], [-0.2, 0.9, 0.4], [1.3, 0.1, -0.6]]
+            .iter()
+            .map(|x| Tensor::from_vec(x.to_vec(), vec![3]))
+            .collect();
+        for b in [1, 3] {
+            testkit::gradient_check(&mut net, &xs[..b], 1e-3, 1e-2);
         }
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn wrong_input_length_panics() {
-        let mut d = Dense::new(3, 2, 1);
-        let _ = d.forward(&Tensor::zeros(vec![4]), false);
+        let net = dense_net(Dense::new(3, 2, 1));
+        let _ = net.forward_batch(Planes::zeros(&[4], 1), false, &mut net.train_ctx());
     }
 }

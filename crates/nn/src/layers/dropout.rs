@@ -1,10 +1,9 @@
 //! Alpha dropout for self-normalising networks.
 
 use crate::frozen::{InferCtx, InferOp};
-use crate::layer::{Layer, ParamView};
+use crate::layer::{Layer, LayerCtx};
 use crate::layers::activation::{SELU_ALPHA, SELU_LAMBDA};
 use crate::planes::Planes;
-use crate::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -25,14 +24,13 @@ impl InferOp for FrozenAlphaDropout {
 /// them to the SELU saturation value `α' = −λα` and applies an affine
 /// correction so the layer keeps zero mean and unit variance — which is
 /// what lets SELU networks use dropout at all. Identity at inference.
+///
+/// The layer holds the stream's state; each worker's [`LayerCtx`]
+/// draws from a copy of it.
 #[derive(Clone)]
 pub struct AlphaDropout {
     rate: f32,
     rng: StdRng,
-    /// Keep flags of the last forward pass, in its data's layout (one
-    /// sample, or interleaved lanes after `forward_batch`); empty when
-    /// it dropped nothing.
-    mask: Vec<bool>,
 }
 
 impl AlphaDropout {
@@ -47,7 +45,6 @@ impl AlphaDropout {
         AlphaDropout {
             rate,
             rng: StdRng::seed_from_u64(seed ^ 0xD409),
-            mask: Vec::new(),
         }
     }
 
@@ -58,18 +55,6 @@ impl AlphaDropout {
         let b = -a * alpha_p * self.rate;
         (alpha_p, a, b)
     }
-
-    /// Back-propagates through the last forward pass's mask in place:
-    /// kept units scale by `a`, dropped ones get no gradient.
-    fn mask_grad(&self, grad: &mut [f32]) {
-        if self.mask.is_empty() {
-            return;
-        }
-        let (_, a, _) = self.affine();
-        for (g, &keep) in grad.iter_mut().zip(&self.mask) {
-            *g = if keep { *g * a } else { 0.0 };
-        }
-    }
 }
 
 impl Layer for AlphaDropout {
@@ -77,57 +62,50 @@ impl Layer for AlphaDropout {
         "alpha_dropout"
     }
 
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if !train || self.rate == 0.0 {
-            self.mask.clear();
-            return x.clone();
+    fn train_ctx(&self) -> LayerCtx {
+        LayerCtx {
+            rng: Some(self.rng.clone()),
+            ..LayerCtx::default()
         }
-        let (alpha_p, a, b) = self.affine();
-        self.mask = (0..x.len())
-            .map(|_| self.rng.gen::<f32>() >= self.rate)
-            .collect();
-        let mut out = x.clone();
-        for (v, &keep) in out.as_mut_slice().iter_mut().zip(&self.mask) {
-            let pre = if keep { *v } else { alpha_p };
-            *v = a * pre + b;
-        }
-        out
     }
 
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let mut gx = grad.clone();
-        self.mask_grad(gx.as_mut_slice());
-        gx
-    }
-
-    fn forward_batch(&mut self, mut x: Planes, train: bool) -> Planes {
+    fn forward_batch(&self, mut x: Planes, train: bool, ctx: &mut LayerCtx) -> Planes {
+        ctx.mask.clear();
         if !train || self.rate == 0.0 {
-            self.mask.clear();
             return x;
         }
         let (alpha_p, a, b) = self.affine();
-        // Sample-major draws, as one `forward` per lane would make them.
+        let rng = ctx.rng.as_mut().expect("dropout ctx carries its stream");
+        // Sample-major draws, as one reference `forward` per lane makes
+        // them.
         let (elems, lanes) = (x.elems(), x.batch_size());
-        self.mask = vec![false; elems * lanes];
+        ctx.mask.resize(elems * lanes, false);
         for s in 0..lanes {
             for e in 0..elems {
-                self.mask[e * lanes + s] = self.rng.gen::<f32>() >= self.rate;
+                ctx.mask[e * lanes + s] = rng.gen::<f32>() >= self.rate;
             }
         }
-        for (v, &keep) in x.as_mut_slice().iter_mut().zip(&self.mask) {
+        for (v, &keep) in x.as_mut_slice().iter_mut().zip(&ctx.mask) {
             let pre = if keep { *v } else { alpha_p };
             *v = a * pre + b;
         }
         x
     }
 
-    fn backward_batch(&mut self, mut grad: Planes) -> Planes {
-        self.mask_grad(grad.as_mut_slice());
+    /// Kept units scale by `a`, dropped ones get no gradient.
+    fn backward_batch(&self, mut grad: Planes, ctx: &mut LayerCtx) -> Planes {
+        if ctx.mask.is_empty() {
+            return grad;
+        }
+        let (_, a, _) = self.affine();
+        for (g, &keep) in grad.as_mut_slice().iter_mut().zip(&ctx.mask) {
+            *g = if keep { *g * a } else { 0.0 };
+        }
         grad
     }
 
     fn freeze(&self) -> Box<dyn InferOp> {
-        // Identity at inference, like `forward` with `train = false`.
+        // Identity at inference, like `forward_batch` with `train = false`.
         Box::new(FrozenAlphaDropout)
     }
 
@@ -139,12 +117,10 @@ impl Layer for AlphaDropout {
         )))
     }
 
-    fn params(&mut self) -> Vec<ParamView<'_>> {
-        Vec::new()
-    }
-
-    fn weights(&self) -> Vec<&[f32]> {
-        Vec::new()
+    fn resume_rng(&mut self, ctx: &LayerCtx) {
+        if let Some(rng) = &ctx.rng {
+            self.rng = rng.clone();
+        }
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -155,26 +131,39 @@ impl Layer for AlphaDropout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::Tensor;
+    use crate::testkit::batch_pass;
+    use crate::Network;
+
+    fn dropout_net(rate: f32, seed: u64) -> Network {
+        let mut net = Network::new();
+        net.push(AlphaDropout::new(rate, seed));
+        net
+    }
 
     #[test]
     fn identity_at_inference() {
-        let mut d = AlphaDropout::new(0.5, 1);
+        let net = dropout_net(0.5, 1);
         let x = Tensor::from_vec(vec![1.0, -2.0, 3.0], vec![3]);
-        let y = d.forward(&x, false);
-        assert_eq!(y.as_slice(), x.as_slice());
+        let (y, g, _) = batch_pass(
+            &net,
+            std::slice::from_ref(&x),
+            std::slice::from_ref(&x),
+            false,
+        );
+        assert_eq!(y[0].as_slice(), x.as_slice());
         // Backward is identity too.
-        let g = d.backward(&x);
-        assert_eq!(g.as_slice(), x.as_slice());
+        assert_eq!(g[0].as_slice(), x.as_slice());
     }
 
     #[test]
     fn training_perturbs_and_masks() {
-        let mut d = AlphaDropout::new(0.5, 1);
         let x = Tensor::from_vec(vec![1.0; 64], vec![64]);
-        let y = d.forward(&x, true);
+        let xs = [x];
+        let (y, _, _) = batch_pass(&dropout_net(0.5, 1), &xs, &xs, true);
         // Some units get the saturation treatment.
         let distinct: std::collections::HashSet<u32> =
-            y.as_slice().iter().map(|v| v.to_bits()).collect();
+            y[0].as_slice().iter().map(|v| v.to_bits()).collect();
         assert!(distinct.len() >= 2, "no units were dropped");
     }
 
@@ -191,10 +180,11 @@ mod tests {
                 ((-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()) as f32
             })
             .collect();
-        let mut d = AlphaDropout::new(0.2, 7);
-        let y = d.forward(&Tensor::from_vec(data, vec![n]), true);
-        let mean: f32 = y.as_slice().iter().sum::<f32>() / n as f32;
-        let var: f32 = y
+        let x = Tensor::from_vec(data, vec![n]);
+        let xs = [x];
+        let (y, _, _) = batch_pass(&dropout_net(0.2, 7), &xs, &xs, true);
+        let mean: f32 = y[0].as_slice().iter().sum::<f32>() / n as f32;
+        let var: f32 = y[0]
             .as_slice()
             .iter()
             .map(|v| (v - mean) * (v - mean))
@@ -206,20 +196,44 @@ mod tests {
 
     #[test]
     fn backward_zeroes_dropped_units() {
-        let mut d = AlphaDropout::new(0.5, 5);
         let x = Tensor::from_vec(vec![1.0; 32], vec![32]);
-        let _ = d.forward(&x, true);
-        let g = d.backward(&Tensor::from_vec(vec![1.0; 32], vec![32]));
-        let zeros = g.as_slice().iter().filter(|&&v| v == 0.0).count();
+        let xs = [x];
+        let (_, g, _) = batch_pass(&dropout_net(0.5, 5), &xs, &xs, true);
+        let zeros = g[0].as_slice().iter().filter(|&&v| v == 0.0).count();
         assert!(zeros > 0, "no gradient was masked");
         assert!(zeros < 32, "all gradient was masked");
     }
 
     #[test]
+    fn workers_draw_from_the_network_stream_and_resume_moves_it() {
+        let mut net = dropout_net(0.5, 9);
+        let x = Tensor::from_vec(vec![1.0; 16], vec![16]);
+        let pass = |net: &Network| {
+            batch_pass(
+                net,
+                std::slice::from_ref(&x),
+                std::slice::from_ref(&x),
+                true,
+            )
+        };
+        let (a, _, ctx) = pass(&net);
+        let (b, _, _) = pass(&net);
+        assert_eq!(a, b, "two ctxs start from the same stream state");
+        net.resume_rng(&ctx);
+        let (c, _, _) = pass(&net);
+        assert_ne!(a, c, "the resumed stream draws new masks");
+    }
+
+    #[test]
     fn rate_zero_is_identity_even_in_training() {
-        let mut d = AlphaDropout::new(0.0, 1);
         let x = Tensor::from_vec(vec![0.5, -0.5], vec![2]);
-        assert_eq!(d.forward(&x, true).as_slice(), x.as_slice());
+        let (y, _, _) = batch_pass(
+            &dropout_net(0.0, 1),
+            std::slice::from_ref(&x),
+            std::slice::from_ref(&x),
+            true,
+        );
+        assert_eq!(y[0].as_slice(), x.as_slice());
     }
 
     #[test]

@@ -1,21 +1,18 @@
 //! Flattening between the convolutional and dense stages.
 
 use crate::frozen::{InferCtx, InferOp};
-use crate::layer::{Layer, ParamView};
+use crate::layer::{Layer, LayerCtx};
 use crate::planes::Planes;
 use crate::quant::Int8Freeze;
-use crate::tensor::Tensor;
 
 /// Flattens any input to rank 1, restoring the shape on backward.
 #[derive(Clone, Default)]
-pub struct Flatten {
-    in_shape: Vec<usize>,
-}
+pub struct Flatten;
 
 impl Flatten {
     /// Creates the layer.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
@@ -43,25 +40,15 @@ impl Layer for Flatten {
         "flatten"
     }
 
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        self.in_shape = x.shape().to_vec();
-        x.clone().reshape(vec![x.len()])
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        assert!(!self.in_shape.is_empty(), "backward without forward");
-        grad.clone().reshape(self.in_shape.clone())
-    }
-
-    fn forward_batch(&mut self, x: Planes, _train: bool) -> Planes {
-        self.in_shape = x.shape().to_vec();
+    fn forward_batch(&self, x: Planes, _train: bool, ctx: &mut LayerCtx) -> Planes {
+        ctx.in_shape = x.shape().to_vec();
         let elems = x.elems();
         x.reshape(&[elems])
     }
 
-    fn backward_batch(&mut self, grad: Planes) -> Planes {
-        assert!(!self.in_shape.is_empty(), "backward without forward");
-        grad.reshape(&self.in_shape)
+    fn backward_batch(&self, grad: Planes, ctx: &mut LayerCtx) -> Planes {
+        assert!(!ctx.in_shape.is_empty(), "backward without forward");
+        grad.reshape(&ctx.in_shape)
     }
 
     fn freeze(&self) -> Box<dyn InferOp> {
@@ -74,14 +61,6 @@ impl Layer for Flatten {
         Some(Int8Freeze::ScalePreserving(Box::new(FrozenFlatten)))
     }
 
-    fn params(&mut self) -> Vec<ParamView<'_>> {
-        Vec::new()
-    }
-
-    fn weights(&self) -> Vec<&[f32]> {
-        Vec::new()
-    }
-
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -90,16 +69,18 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::Tensor;
 
     #[test]
     fn flattens_and_restores() {
-        let mut f = Flatten::new();
+        let mut net = crate::Network::new();
+        net.push(Flatten::new());
         let x = Tensor::from_vec((0..12).map(|v| v as f32).collect(), vec![2, 2, 3]);
-        let y = f.forward(&x, false);
-        assert_eq!(y.shape(), &[12]);
-        let g = f.backward(&y);
-        assert_eq!(g.shape(), &[2, 2, 3]);
-        assert_eq!(g.as_slice(), x.as_slice());
+        let g = Tensor::from_vec((0..12).map(|v| v as f32).collect(), vec![12]);
+        let (y, gx, _) = crate::testkit::batch_pass(&net, std::slice::from_ref(&x), &[g], true);
+        assert_eq!(y[0].shape(), &[12]);
+        assert_eq!(gx[0].shape(), &[2, 2, 3]);
+        assert_eq!(gx[0].as_slice(), x.as_slice());
     }
 
     #[test]

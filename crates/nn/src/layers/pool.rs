@@ -1,11 +1,10 @@
 //! Max pooling.
 
 use crate::frozen::{InferCtx, InferOp};
-use crate::layer::{Layer, ParamView};
+use crate::layer::{Layer, LayerCtx};
 use crate::planes::Planes;
 use crate::quant::ops::{pool_out_shape, Int8MaxPool};
 use crate::quant::Int8Freeze;
-use crate::tensor::Tensor;
 
 /// Max pooling with stride equal to the kernel (non-overlapping windows)
 /// and floor truncation of ragged edges — matching the framework defaults
@@ -14,11 +13,6 @@ use crate::tensor::Tensor;
 pub struct MaxPool2d {
     kh: usize,
     kw: usize,
-    argmax: Vec<usize>,
-    in_shape: Vec<usize>,
-    /// The input of the last `forward_batch`; `backward_batch` re-scans
-    /// its windows for the maxima.
-    batch_x: Option<Planes>,
 }
 
 impl MaxPool2d {
@@ -29,13 +23,7 @@ impl MaxPool2d {
     /// Panics on a zero-sized kernel.
     pub fn new((kh, kw): (usize, usize)) -> Self {
         assert!(kh > 0 && kw > 0, "zero-sized pooling kernel");
-        MaxPool2d {
-            kh,
-            kw,
-            argmax: Vec::new(),
-            in_shape: Vec::new(),
-            batch_x: None,
-        }
+        MaxPool2d { kh, kw }
     }
 }
 
@@ -57,7 +45,7 @@ fn pooled_dims((h, w): (usize, usize), (kh, kw): (usize, usize)) -> (usize, usiz
 /// Row-wise along the flat (width × sample) axis: an input row splits
 /// into `kw·b`-wide windows, and tap `(dh, dw)` of window `wi` is lanes
 /// `dw·b..(dw + 1)·b` of window `wi` of input row `hi·kh + dh`. Taps run
-/// in `forward`'s scan order, k = dh·kw + dw. The first pass seeds each
+/// in the reference's scan order, k = dh·kw + dw. The first pass seeds each
 /// output row with the larger of taps 0 and 1 (tap 0 twice for a 1×1
 /// kernel), and every later tap folds in as a select over the whole
 /// row. No pass copies, so no element costs a `memcpy` call.
@@ -85,7 +73,7 @@ fn pool_rows(
             .zip(r1.chunks_exact(win))
         {
             for ((ov, &a), &x) in o.iter_mut().zip(&w0[d0..]).zip(&w1[d1..]) {
-                // Strict `>` keeps the first maximum, like `forward`.
+                // Strict `>` keeps the first maximum, like the reference.
                 *ov = if x > a { x } else { a };
             }
         }
@@ -129,48 +117,7 @@ impl Layer for MaxPool2d {
         "maxpool2d"
     }
 
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        let [c, h, w]: [usize; 3] = x.shape().try_into().expect("pool input must be rank 3");
-        let (oh, ow) = pooled_dims((h, w), (self.kh, self.kw));
-        let mut out = Tensor::zeros(vec![c, oh, ow]);
-        self.argmax = vec![0; c * oh * ow];
-        self.in_shape = x.shape().to_vec();
-        let xs = x.as_slice();
-        let os = out.as_mut_slice();
-        for ci in 0..c {
-            for hi in 0..oh {
-                for wi in 0..ow {
-                    let mut best_idx = (ci * h + hi * self.kh) * w + wi * self.kw;
-                    let mut best = xs[best_idx];
-                    for dh in 0..self.kh {
-                        for dw in 0..self.kw {
-                            let idx = (ci * h + hi * self.kh + dh) * w + wi * self.kw + dw;
-                            if xs[idx] > best {
-                                best = xs[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    let o = (ci * oh + hi) * ow + wi;
-                    os[o] = best;
-                    self.argmax[o] = best_idx;
-                }
-            }
-        }
-        out
-    }
-
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
-        assert!(!self.in_shape.is_empty(), "backward without forward");
-        let mut gx = Tensor::zeros(self.in_shape.clone());
-        let gxs = gx.as_mut_slice();
-        for (o, &src) in self.argmax.iter().enumerate() {
-            gxs[src] += grad.as_slice()[o];
-        }
-        gx
-    }
-
-    fn forward_batch(&mut self, x: Planes, _train: bool) -> Planes {
+    fn forward_batch(&self, x: Planes, _train: bool, ctx: &mut LayerCtx) -> Planes {
         let (c, h, w) = x.dims3("pool");
         let (oh, ow) = pooled_dims((h, w), (self.kh, self.kw));
         let mut out = Planes::zeros(&[c, oh, ow], x.batch_size());
@@ -181,16 +128,17 @@ impl Layer for MaxPool2d {
             x.batch_size(),
             (self.kh, self.kw),
         );
-        self.batch_x = Some(x);
+        ctx.saved.push(x);
         out
     }
 
     /// Routes each lane's output gradient to the first maximum of its
-    /// window, found by `forward`'s strict-`>` scan over the taps, all
-    /// lanes at once. Windows do not overlap, so each routed input
-    /// gradient is `+0.0 + g`, as `backward` adds it to a zeroed tensor.
-    fn backward_batch(&mut self, grad: Planes) -> Planes {
-        let x = self.batch_x.take().expect("backward without forward");
+    /// window, found by the reference's strict-`>` scan over the taps,
+    /// all lanes at once. Windows do not overlap, so each routed input
+    /// gradient is `+0.0 + g`, as the reference adds it to a zeroed
+    /// tensor.
+    fn backward_batch(&self, grad: Planes, ctx: &mut LayerCtx) -> Planes {
+        let x = ctx.take_saved();
         let (c, h, w) = x.dims3("pool");
         let b = x.batch_size();
         let (kh, kw) = (self.kh, self.kw);
@@ -248,14 +196,6 @@ impl Layer for MaxPool2d {
         })))
     }
 
-    fn params(&mut self) -> Vec<ParamView<'_>> {
-        Vec::new()
-    }
-
-    fn weights(&self) -> Vec<&[f32]> {
-        Vec::new()
-    }
-
     fn clone_box(&self) -> Box<dyn Layer> {
         Box::new(self.clone())
     }
@@ -264,12 +204,20 @@ impl Layer for MaxPool2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::Tensor;
+    use crate::testkit::{self, bits, reference};
+    use deepcsi_nn_ref::Spec;
+
+    /// The pool's frozen output for one sample.
+    fn pool(k: (usize, usize), x: &Tensor) -> Tensor {
+        let frozen = crate::FrozenModel::from_ops(vec![MaxPool2d::new(k).freeze()]);
+        frozen.infer(x, &mut frozen.ctx())
+    }
 
     #[test]
     fn pools_maximum_with_floor_truncation() {
-        let mut pool = MaxPool2d::new((1, 2));
         let x = Tensor::from_vec(vec![1.0, 5.0, 2.0, 3.0, 9.0], vec![1, 1, 5]);
-        let y = pool.forward(&x, false);
+        let y = pool((1, 2), &x);
         // Width 5 → 2 (last element dropped).
         assert_eq!(y.shape(), &[1, 1, 2]);
         assert_eq!(y.as_slice(), &[5.0, 3.0]);
@@ -281,9 +229,7 @@ mod tests {
         let mut w = 234usize;
         let mut seq = Vec::new();
         for _ in 0..5 {
-            let mut pool = MaxPool2d::new((1, 2));
-            let x = Tensor::zeros(vec![1, 1, w]);
-            w = pool.forward(&x, false).shape()[2];
+            w = pool((1, 2), &Tensor::zeros(vec![1, 1, w])).shape()[2];
             seq.push(w);
         }
         assert_eq!(seq, vec![117, 58, 29, 14, 7]);
@@ -291,29 +237,29 @@ mod tests {
 
     #[test]
     fn backward_routes_to_argmax() {
-        let mut pool = MaxPool2d::new((1, 2));
+        let mut net = crate::Network::new();
+        net.push(MaxPool2d::new((1, 2)));
         let x = Tensor::from_vec(vec![1.0, 5.0, 3.0, 2.0], vec![1, 1, 4]);
-        let y = pool.forward(&x, false);
-        let g = Tensor::from_vec(vec![10.0, 20.0], y.shape().to_vec());
-        let gx = pool.backward(&g);
-        assert_eq!(gx.as_slice(), &[0.0, 10.0, 20.0, 0.0]);
+        let g = Tensor::from_vec(vec![10.0, 20.0], vec![1, 1, 2]);
+        let (_, gx, _) = testkit::batch_pass(&net, &[x], &[g], true);
+        assert_eq!(gx[0].as_slice(), &[0.0, 10.0, 20.0, 0.0]);
     }
 
     #[test]
     fn multichannel_pooling() {
-        let mut pool = MaxPool2d::new((1, 2));
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 8.0, 7.0, 6.0, 5.0], vec![2, 1, 4]);
-        let y = pool.forward(&x, false);
-        assert_eq!(y.as_slice(), &[2.0, 4.0, 8.0, 6.0]);
+        assert_eq!(pool((1, 2), &x).as_slice(), &[2.0, 4.0, 8.0, 6.0]);
     }
 
     #[test]
-    fn frozen_matches_forward() {
+    fn frozen_matches_reference() {
         // A 1×3 window with a ragged edge, a 2×2 window that folds taps
         // from a second row and truncates both dims, and a 1×1 window.
-        for (k, (h, w)) in [((1, 3), (1, 7)), ((2, 2), (3, 5)), ((1, 1), (1, 3))] {
-            let mut pool = MaxPool2d::new(k);
-            let model = crate::FrozenModel::from_ops(vec![pool.freeze()]);
+        for (kernel, (h, w)) in [((1, 3), (1, 7)), ((2, 2), (3, 5)), ((1, 1), (1, 3))] {
+            let specs = [Spec::MaxPool2d { kernel }];
+            let net = testkit::network(&specs);
+            let mut oracle = reference(&net, &specs, &[2, h, w]);
+            let model = net.freeze();
             let xs: Vec<Tensor> = (0..5)
                 .map(|s| {
                     Tensor::from_vec(
@@ -327,7 +273,11 @@ mod tests {
             let mut ctx = model.ctx();
             let got = model.infer_batch(&xs, &mut ctx);
             for (x, g) in xs.iter().zip(&got) {
-                assert_eq!(pool.forward(x, false).as_slice(), g.as_slice(), "{k:?}");
+                assert_eq!(
+                    oracle.forward(x.as_slice(), false),
+                    g.as_slice(),
+                    "{kernel:?}"
+                );
             }
         }
     }
@@ -336,29 +286,17 @@ mod tests {
     fn frozen_keeps_the_first_of_tied_signed_zeros() {
         // +0 and −0 compare equal, so only the strict `>` of both paths
         // decides which sign survives a tie: the first tap's.
-        let mut pool = MaxPool2d::new((1, 2));
-        let model = crate::FrozenModel::from_ops(vec![pool.freeze()]);
+        let specs = [Spec::MaxPool2d { kernel: (1, 2) }];
+        let net = testkit::network(&specs);
         let x = Tensor::from_vec(vec![0.0, -0.0, -0.0, 0.0], vec![1, 1, 4]);
-        let mut ctx = model.ctx();
-        let got: Vec<u32> = model
-            .infer(&x, &mut ctx)
-            .as_slice()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let want: Vec<u32> = pool
-            .forward(&x, false)
-            .as_slice()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
+        let got = bits(pool((1, 2), &x).as_slice());
+        let want = bits(&reference(&net, &specs, &[1, 1, 4]).forward(x.as_slice(), false));
         assert_eq!(got, want);
         assert_eq!(got, vec![0.0f32.to_bits(), (-0.0f32).to_bits()]);
     }
 
     #[test]
     fn no_trainable_params() {
-        let mut pool = MaxPool2d::new((1, 2));
-        assert_eq!(pool.num_params(), 0);
+        assert!(MaxPool2d::new((1, 2)).weights().is_empty());
     }
 }

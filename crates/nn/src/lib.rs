@@ -10,15 +10,18 @@
 //! * [`Tensor`] — a dense row-major f32 tensor (rank ≤ 3 used here).
 //! * Layers — [`Conv2d`], [`MaxPool2d`], [`Dense`], [`Selu`],
 //!   [`AlphaDropout`], [`SpatialAttention`], [`Flatten`] — each with an
-//!   exact hand-derived backward pass (validated against finite
-//!   differences in the test suite).
-//! * [`Network`] — a sequential container with cloning support for
-//!   data-parallel training.
+//!   exact hand-derived batched backward pass (validated against finite
+//!   differences, and bit for bit against the naive per-sample
+//!   reference of the `deepcsi-nn-ref` crate, in the test suite).
+//! * [`Network`] / [`TrainCtx`] — a sequential container of weights,
+//!   and one training worker's state: data-parallel gradient shards
+//!   borrow the network, each with its own ctx.
 //! * [`FrozenModel`] / [`InferCtx`] — the train/serve split:
 //!   [`Network::freeze`] snapshots the weights into an immutable
 //!   `Send + Sync` model (one `Arc` shared by every serving worker, no
 //!   per-worker clone) while all scratch lives in a per-worker context;
-//!   `infer`/`infer_batch` are bit-equal to `forward(train = false)`.
+//!   `infer`/`infer_batch` are bit-equal to the reference's
+//!   `forward(train = false)`.
 //! * [`InferPool`] — the persistent serving runtime: parked lane
 //!   threads own their contexts for the process lifetime and split a
 //!   batch's lane blocks without ever changing an output, with no
@@ -28,7 +31,7 @@
 //!   dot-product kernels behind the same [`InferOp`] seam (top-1
 //!   agreement ≥ 99%, same thread-split bit-exactness).
 //! * [`softmax_cross_entropy`] — fused loss/gradient.
-//! * [`Adam`] / [`Sgd`] — optimizers.
+//! * [`Adam`] — the optimizer.
 //! * [`Trainer`] — seeded mini-batch training with crossbeam-based
 //!   multi-threaded gradient computation.
 //! * [`ConfusionMatrix`] — the evaluation artifact every figure of the
@@ -74,18 +77,20 @@ mod planes;
 mod pool;
 pub mod quant;
 mod tensor;
+#[cfg(test)]
+mod testkit;
 mod train;
 
 pub use fastmath::poly_exp;
 pub use frozen::{plan_split, FrozenModel, InferCtx, InferOp, ShapeMismatch, PAR_MIN_CHUNK};
-pub use layer::Layer;
+pub use layer::{Layer, LayerCtx};
 pub use layers::{
     AlphaDropout, Conv2d, Dense, Flatten, MaxPool2d, Selu, Sigmoid, SpatialAttention,
 };
 pub use loss::softmax_cross_entropy;
 pub use metrics::ConfusionMatrix;
-pub use network::Network;
-pub use optim::{Adam, Optimizer, Sgd};
+pub use network::{Network, TrainCtx};
+pub use optim::Adam;
 pub use planes::Planes;
 pub use pool::InferPool;
 pub use quant::{ActRange, Int8Freeze, QuantError, QuantSpec};

@@ -1,16 +1,17 @@
-//! Sequential network container.
+//! Sequential network container and its per-worker training state.
 
 use crate::frozen::FrozenModel;
-use crate::layer::{Layer, ParamView};
+use crate::layer::{Layer, LayerCtx};
 use crate::planes::Planes;
 use crate::quant::{QuantError, QuantSpec};
-use crate::tensor::Tensor;
 
-/// A sequential stack of layers.
+/// A sequential stack of layers: the weights, and the dropout streams
+/// they are trained with.
 ///
-/// Cloning a `Network` deep-copies every layer (weights, optimizer-visible
-/// gradients and RNG state) — this is what the data-parallel trainer uses
-/// to hand each worker thread its own replica.
+/// Training and serving both take `&self`; every worker brings its own
+/// state ([`TrainCtx`] from [`Network::train_ctx`], or the
+/// [`crate::InferCtx`] of a frozen snapshot). Cloning deep-copies every
+/// layer.
 #[derive(Default)]
 pub struct Network {
     layers: Vec<Box<dyn Layer>>,
@@ -37,6 +38,61 @@ impl std::fmt::Debug for Network {
     }
 }
 
+/// One worker's training state for a [`Network`]: per layer, the
+/// activations kept for backward, the gradient accumulators (each
+/// summed from `+0.0`) and a copy of the dropout stream.
+///
+/// Made by [`Network::train_ctx`]; the batched passes of any number of
+/// workers borrow the one network, each with its own ctx.
+pub struct TrainCtx {
+    layers: Vec<LayerCtx>,
+}
+
+impl TrainCtx {
+    /// The gradient accumulators, one per weight tensor in
+    /// [`Network::weights`] order.
+    pub fn grads(&self) -> Vec<&[f32]> {
+        self.layers
+            .iter()
+            .flat_map(|l| &l.grads)
+            .map(Vec::as_slice)
+            .collect()
+    }
+
+    fn grads_mut(&mut self) -> Vec<&mut [f32]> {
+        self.layers
+            .iter_mut()
+            .flat_map(|l| &mut l.grads)
+            .map(Vec::as_mut_slice)
+            .collect()
+    }
+
+    /// Adds `other`'s accumulators into these, element by element (the
+    /// reduction of gradient shards).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two ctxs belong to different architectures.
+    pub fn add_grads(&mut self, other: &TrainCtx) {
+        let theirs = other.grads();
+        let mine = self.grads_mut();
+        assert_eq!(mine.len(), theirs.len(), "architecture mismatch");
+        for (m, t) in mine.into_iter().zip(theirs) {
+            assert_eq!(m.len(), t.len(), "parameter shape mismatch");
+            for (gm, gt) in m.iter_mut().zip(t) {
+                *gm += gt;
+            }
+        }
+    }
+
+    /// Scales every accumulated gradient (e.g. by `1/batch_size`).
+    pub(crate) fn scale_grads(&mut self, s: f32) {
+        for g in self.grads_mut().into_iter().flatten() {
+            *g *= s;
+        }
+    }
+}
+
 impl Network {
     /// Creates an empty network.
     pub fn new() -> Self {
@@ -58,44 +114,55 @@ impl Network {
         self.layers.is_empty()
     }
 
-    /// Runs the forward pass. `train` enables stochastic layers and caches
-    /// the activations needed by [`Network::backward`].
-    pub fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut cur = x.clone();
-        for layer in self.layers.iter_mut() {
-            cur = layer.forward(&cur, train);
+    /// A fresh training state for one worker: zeroed gradient
+    /// accumulators and a copy of every dropout stream as it stands.
+    pub fn train_ctx(&self) -> TrainCtx {
+        TrainCtx {
+            layers: self.layers.iter().map(|l| l.train_ctx()).collect(),
         }
-        cur
     }
 
-    /// [`Network::forward`] over a batch, one sample per lane: every
-    /// layer's [`Layer::forward_batch`], bit-identical per lane to
-    /// `forward` on that sample.
-    pub fn forward_batch(&mut self, x: Planes, train: bool) -> Planes {
+    /// Runs every layer's [`Layer::forward_batch`] over a batch, one
+    /// sample per lane, keeping in `ctx` what the backward pass needs.
+    /// Each lane is bit-identical to the per-sample reference
+    /// (`deepcsi-nn-ref`) running `forward` on that sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ctx` was made by a different architecture.
+    pub fn forward_batch(&self, x: Planes, train: bool, ctx: &mut TrainCtx) -> Planes {
+        assert_eq!(ctx.layers.len(), self.layers.len(), "architecture mismatch");
         let mut cur = x;
-        for layer in self.layers.iter_mut() {
-            cur = layer.forward_batch(cur, train);
+        for (layer, lctx) in self.layers.iter().zip(&mut ctx.layers) {
+            cur = layer.forward_batch(cur, train, lctx);
         }
         cur
     }
 
-    /// [`Network::backward`] over the batch of the last
-    /// [`Network::forward_batch`]: leaves every gradient accumulator as
-    /// `b` per-sample `backward` calls in lane order would, and returns
-    /// ∂loss/∂input per lane.
-    pub fn backward_batch(&mut self, grad: Planes) -> Planes {
+    /// Back-propagates over the batch of the last
+    /// [`Network::forward_batch`] on `ctx`: leaves every accumulator as
+    /// `b` per-sample reference `backward` calls in lane order would,
+    /// and returns ∂loss/∂input per lane.
+    pub fn backward_batch(&self, grad: Planes, ctx: &mut TrainCtx) -> Planes {
         let mut cur = grad;
-        for layer in self.layers.iter_mut().rev() {
-            cur = layer.backward_batch(cur);
+        for (layer, lctx) in self.layers.iter().zip(&mut ctx.layers).rev() {
+            cur = layer.backward_batch(cur, lctx);
         }
         cur
+    }
+
+    /// Continues every dropout stream from where `ctx`'s passes left it.
+    pub(crate) fn resume_rng(&mut self, ctx: &TrainCtx) {
+        for (layer, lctx) in self.layers.iter_mut().zip(&ctx.layers) {
+            layer.resume_rng(lctx);
+        }
     }
 
     /// Snapshots the network into an immutable, `Send + Sync`
     /// [`FrozenModel`] for serving.
     ///
-    /// The frozen model's outputs are bit-equal to
-    /// [`Network::forward`]`(x, false)`; weights are copied once, so
+    /// The frozen model's outputs are bit-equal to the per-sample
+    /// reference's `forward(x, false)`; weights are copied once, so
     /// later training steps on this network do not affect the snapshot.
     /// Share it as `Arc<FrozenModel>` across worker threads, each with
     /// its own [`crate::InferCtx`].
@@ -104,11 +171,10 @@ impl Network {
     ///
     /// Panics, naming the weight tensor and value index as
     /// [`Network::load_weights`] does, if a weight is NaN or ±∞ (say,
-    /// after training diverged): the frozen conv kernels match `forward`
-    /// bit for bit only on finite weights.
+    /// after training diverged): the frozen conv kernels match the
+    /// reference bit for bit only on finite weights.
     pub fn freeze(&self) -> FrozenModel {
-        let weights = self.layers.iter().flat_map(|l| l.weights());
-        for (i, w) in weights.enumerate() {
+        for (i, w) in self.weights().into_iter().enumerate() {
             if let Some(e) = non_finite(i, w) {
                 panic!("cannot freeze a network with a non-finite weight: {e}");
             }
@@ -126,7 +192,7 @@ impl Network {
     ///
     /// `spec` comes from [`QuantSpec::calibrate`] run on this network's
     /// f32 [`Network::freeze`] snapshot with a representative sample
-    /// batch. Outputs are *approximately* equal to `forward(x, false)` —
+    /// batch. Outputs are *approximately* equal to the f32 snapshot's —
     /// quantization trades a bounded per-layer rounding error (see
     /// `crate::quant`) for integer arithmetic; it is the one deliberate
     /// exception to the frozen path's bit-equality contract, which is
@@ -143,65 +209,29 @@ impl Network {
         crate::quant::assemble(&self.layers, spec)
     }
 
-    /// Back-propagates an output gradient, accumulating parameter
-    /// gradients in every layer; returns ∂loss/∂input.
-    pub fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let mut cur = grad.clone();
-        for layer in self.layers.iter_mut().rev() {
-            cur = layer.backward(&cur);
-        }
-        cur
+    /// The parameter tensors across all layers, in a stable order.
+    pub fn weights(&self) -> Vec<&[f32]> {
+        self.layers.iter().flat_map(|l| l.weights()).collect()
     }
 
-    /// Clears all gradient accumulators.
-    pub fn zero_grads(&mut self) {
-        for layer in self.layers.iter_mut() {
-            layer.zero_grads();
-        }
-    }
-
-    /// Mutable parameter views across all layers, in a stable order.
-    pub fn params(&mut self) -> Vec<ParamView<'_>> {
-        self.layers.iter_mut().flat_map(|l| l.params()).collect()
+    /// Mutable views of [`Network::weights`], in the same order.
+    pub fn weights_mut(&mut self) -> Vec<&mut [f32]> {
+        self.layers
+            .iter_mut()
+            .flat_map(|l| l.weights_mut())
+            .collect()
     }
 
     /// Total number of trainable scalars (the paper quotes 489,301 for
     /// its architecture; ours counts 489,305 — a bias-bookkeeping detail).
-    pub fn num_params(&mut self) -> usize {
-        self.layers.iter_mut().map(|l| l.num_params()).sum()
-    }
-
-    /// Adds `other`'s accumulated gradients into this network's
-    /// accumulators (gradient reduction across data-parallel workers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the architectures differ.
-    pub fn add_grads_from(&mut self, other: &mut Network) {
-        let mut mine = self.params();
-        let theirs = other.params();
-        assert_eq!(mine.len(), theirs.len(), "architecture mismatch");
-        for (m, t) in mine.iter_mut().zip(theirs.iter()) {
-            assert_eq!(m.g.len(), t.g.len(), "parameter shape mismatch");
-            for (gm, gt) in m.g.iter_mut().zip(t.g.iter()) {
-                *gm += gt;
-            }
-        }
-    }
-
-    /// Scales all accumulated gradients (e.g. by `1/batch_size`).
-    pub fn scale_grads(&mut self, s: f32) {
-        for p in self.params() {
-            for g in p.g.iter_mut() {
-                *g *= s;
-            }
-        }
+    pub fn num_params(&self) -> usize {
+        self.weights().iter().map(|w| w.len()).sum()
     }
 
     /// Snapshots all weights (for serialisation; architecture is rebuilt
     /// from configuration).
-    pub fn save_weights(&mut self) -> Vec<Vec<f32>> {
-        self.params().iter().map(|p| p.w.to_vec()).collect()
+    pub fn save_weights(&self) -> Vec<Vec<f32>> {
+        self.weights().into_iter().map(<[f32]>::to_vec).collect()
     }
 
     /// Restores weights saved by [`Network::save_weights`].
@@ -214,7 +244,7 @@ impl Network {
     /// bit-exactness assumes finite weights; [`Network::freeze`] refuses
     /// them too).
     pub fn load_weights(&mut self, weights: &[Vec<f32>]) -> Result<(), String> {
-        let mut params = self.params();
+        let mut params = self.weights_mut();
         if params.len() != weights.len() {
             return Err(format!(
                 "weight tensor count mismatch: the architecture has {}, the weights {}",
@@ -223,11 +253,11 @@ impl Network {
             ));
         }
         for (i, (p, w)) in params.iter().zip(weights).enumerate() {
-            if p.w.len() != w.len() {
+            if p.len() != w.len() {
                 return Err(format!(
                     "weight tensor {i} has {} values, the architecture needs {}",
                     w.len(),
-                    p.w.len()
+                    p.len()
                 ));
             }
             if let Some(e) = non_finite(i, w) {
@@ -235,7 +265,7 @@ impl Network {
             }
         }
         for (p, w) in params.iter_mut().zip(weights) {
-            p.w.copy_from_slice(w);
+            p.copy_from_slice(w);
         }
         Ok(())
     }
@@ -252,6 +282,8 @@ mod tests {
     use super::*;
     use crate::layers::{Conv2d, Dense, Selu, SpatialAttention};
     use crate::loss::softmax_cross_entropy;
+    use crate::tensor::Tensor;
+    use crate::testkit::batch_pass;
 
     fn tiny_net() -> Network {
         let mut net = Network::new();
@@ -261,61 +293,60 @@ mod tests {
         net
     }
 
+    fn infer(net: &Network, x: &Tensor) -> Tensor {
+        let frozen = net.freeze();
+        frozen.infer(x, &mut frozen.ctx())
+    }
+
+    /// One training pass on `x` with the cross-entropy gradient for
+    /// `target`; the ctx holding its parameter gradients.
+    fn grads_for(net: &Network, x: &Tensor, target: usize) -> TrainCtx {
+        let g = softmax_cross_entropy(&infer(net, x), target).1;
+        batch_pass(net, std::slice::from_ref(x), &[g], true).2
+    }
+
     #[test]
     fn forward_shape() {
-        let mut net = tiny_net();
-        let y = net.forward(&Tensor::zeros(vec![3]), false);
-        assert_eq!(y.shape(), &[2]);
+        let net = tiny_net();
+        assert_eq!(infer(&net, &Tensor::zeros(vec![3])).shape(), &[2]);
         assert_eq!(net.len(), 3);
     }
 
     #[test]
     fn clone_is_independent() {
-        let mut a = tiny_net();
+        let a = tiny_net();
         let mut b = a.clone();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], vec![3]);
         // Same weights → same outputs.
-        assert_eq!(
-            a.forward(&x, false).as_slice(),
-            b.forward(&x, false).as_slice()
-        );
+        assert_eq!(infer(&a, &x), infer(&b, &x));
         // Mutating the clone's weights leaves the original untouched.
-        b.params()[0].w[0] += 1.0;
-        assert_ne!(
-            a.forward(&x, false).as_slice(),
-            b.forward(&x, false).as_slice()
-        );
+        b.weights_mut()[0][0] += 1.0;
+        assert_ne!(infer(&a, &x), infer(&b, &x));
     }
 
     #[test]
     fn grad_reduction_sums() {
-        let mut a = tiny_net();
-        let mut b = a.clone();
+        let net = tiny_net();
         let x = Tensor::from_vec(vec![1.0, -1.0, 0.5], vec![3]);
-        for net in [&mut a, &mut b] {
-            net.zero_grads();
-            let y = net.forward(&x, true);
-            let (_, g) = softmax_cross_entropy(&y, 0);
-            net.backward(&g);
-        }
-        let b_g0 = b.params()[0].g[0];
-        let a_g0_before = a.params()[0].g[0];
-        a.add_grads_from(&mut b);
-        let a_g0_after = a.params()[0].g[0];
-        assert!((a_g0_after - (a_g0_before + b_g0)).abs() < 1e-7);
+        let mut a = grads_for(&net, &x, 0);
+        let b = grads_for(&net, &x, 1);
+        let (a0, b0) = (a.grads()[0][0], b.grads()[0][0]);
+        a.add_grads(&b);
+        assert_eq!(a.grads()[0][0], a0 + b0);
     }
 
     #[test]
     fn save_load_roundtrip() {
-        let mut a = tiny_net();
+        let a = tiny_net();
         let x = Tensor::from_vec(vec![0.1, 0.2, 0.3], vec![3]);
-        let before = a.forward(&x, false);
-        let weights = a.save_weights();
-        let mut b = tiny_net();
-        // b has different init (different seeds) until loaded.
-        b.load_weights(&weights).unwrap();
-        let after = b.forward(&x, false);
-        assert_eq!(before.as_slice(), after.as_slice());
+        let mut b = Network::new();
+        b.push(Dense::new(3, 5, 7));
+        b.push(Selu::new());
+        b.push(Dense::new(5, 2, 8));
+        // b has a different init until loaded.
+        assert_ne!(infer(&a, &x), infer(&b, &x));
+        b.load_weights(&a.save_weights()).unwrap();
+        assert_eq!(infer(&a, &x), infer(&b, &x));
     }
 
     #[test]
@@ -338,35 +369,34 @@ mod tests {
     #[should_panic(expected = "weight tensor 2, value 3 is NaN")]
     fn freeze_refuses_a_non_finite_weight() {
         let mut net = tiny_net();
-        net.params()[2].w[3] = f32::NAN;
+        net.weights_mut()[2][3] = f32::NAN;
         net.freeze();
     }
 
     #[test]
-    fn weights_mirror_params() {
+    fn weights_mut_mirrors_weights_and_the_ctx_grads() {
         let mut net = tiny_net();
         net.push(Conv2d::new(1, 2, (1, 3), 3));
         net.push(SpatialAttention::new(3, 4));
-        let weights: Vec<Vec<f32>> = net
-            .layers
-            .iter()
-            .flat_map(|l| l.weights())
-            .map(<[f32]>::to_vec)
-            .collect();
-        assert_eq!(weights, net.save_weights());
+        let weights = net.save_weights();
+        let lens: Vec<usize> = weights.iter().map(Vec::len).collect();
+        let ctx = net.train_ctx();
+        assert_eq!(
+            ctx.grads().iter().map(|g| g.len()).collect::<Vec<_>>(),
+            lens
+        );
+        let mirrored: Vec<Vec<f32>> = net.weights_mut().iter().map(|w| w.to_vec()).collect();
+        assert_eq!(mirrored, weights);
     }
 
     #[test]
     fn scale_grads_scales() {
-        let mut net = tiny_net();
-        net.zero_grads();
+        let net = tiny_net();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0], vec![3]);
-        let y = net.forward(&x, true);
-        let (_, g) = softmax_cross_entropy(&y, 1);
-        net.backward(&g);
-        let before = net.params()[0].g[0];
-        net.scale_grads(0.5);
-        assert!((net.params()[0].g[0] - before * 0.5).abs() < 1e-9);
+        let mut ctx = grads_for(&net, &x, 1);
+        let before = ctx.grads()[0][0];
+        ctx.scale_grads(0.5);
+        assert_eq!(ctx.grads()[0][0], before * 0.5);
     }
 
     #[test]

@@ -1,39 +1,6 @@
-//! Optimizers.
+//! The optimizer.
 
-use crate::network::Network;
-
-/// An optimizer updates a network's weights from its accumulated
-/// gradients.
-pub trait Optimizer {
-    /// Applies one update step; gradient accumulators are left untouched
-    /// (call [`Network::zero_grads`] before the next batch).
-    fn step(&mut self, net: &mut Network);
-}
-
-/// Plain stochastic gradient descent.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-}
-
-impl Sgd {
-    /// Creates SGD with learning rate `lr`.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, net: &mut Network) {
-        for p in net.params() {
-            for (w, g) in p.w.iter_mut().zip(p.g.iter()) {
-                *w -= self.lr * g;
-            }
-        }
-    }
-}
-
-/// Adam (Kingma & Ba) with bias correction — the workhorse the DeepCSI
+/// Adam (Kingma & Ba) with bias correction — what the DeepCSI
 /// classifier trains with.
 #[derive(Debug, Clone)]
 pub struct Adam {
@@ -65,29 +32,48 @@ impl Adam {
     pub fn steps(&self) -> u64 {
         self.t
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, net: &mut Network) {
-        let mut params = net.params();
+    /// Applies one update to every weight tensor in `weights` from the
+    /// gradient at the same position in `grads` (a network's
+    /// [`crate::Network::weights_mut`] and a [`crate::TrainCtx`]'s
+    /// grads, say).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tensors differ in count or length from the
+    /// gradients, or from the weights of the first step.
+    pub fn step(&mut self, mut weights: Vec<&mut [f32]>, grads: Vec<&[f32]>) {
+        assert_eq!(weights.len(), grads.len(), "one gradient per weight tensor");
         if self.m.is_empty() {
-            self.m = params.iter().map(|p| vec![0.0; p.w.len()]).collect();
-            self.v = params.iter().map(|p| vec![0.0; p.w.len()]).collect();
+            self.m = weights.iter().map(|w| vec![0.0; w.len()]).collect();
+            self.v = weights.iter().map(|w| vec![0.0; w.len()]).collect();
         }
-        assert_eq!(self.m.len(), params.len(), "optimizer bound to another net");
+        assert_eq!(
+            self.m.len(),
+            weights.len(),
+            "optimizer bound to another net"
+        );
         self.t += 1;
         let b1t = 1.0 - self.beta1.powi(self.t as i32);
         let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        for (pi, p) in params.iter_mut().enumerate() {
-            let m = &mut self.m[pi];
-            let v = &mut self.v[pi];
-            for i in 0..p.w.len() {
-                let g = p.g[i];
-                m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * g;
-                v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * g * g;
-                let mhat = m[i] / b1t;
-                let vhat = v[i] / b2t;
-                p.w[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
+        let tensors = weights
+            .iter_mut()
+            .zip(grads)
+            .zip(&mut self.m)
+            .zip(&mut self.v);
+        for (((w, g), m), v) in tensors {
+            assert_eq!(
+                (w.len(), g.len()),
+                (m.len(), m.len()),
+                "parameter shape mismatch"
+            );
+            let moments = m.iter_mut().zip(v.iter_mut());
+            for ((w, &g), (m, v)) in w.iter_mut().zip(g).zip(moments) {
+                *m = self.beta1 * *m + (1.0 - self.beta1) * g;
+                *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+                let mhat = *m / b1t;
+                let vhat = *v / b2t;
+                *w -= self.lr * mhat / (vhat.sqrt() + self.eps);
             }
         }
     }
@@ -98,6 +84,8 @@ mod tests {
     use super::*;
     use crate::layers::Dense;
     use crate::loss::softmax_cross_entropy;
+    use crate::network::Network;
+    use crate::planes::Planes;
     use crate::tensor::Tensor;
 
     fn one_layer() -> Network {
@@ -106,55 +94,31 @@ mod tests {
         net
     }
 
-    fn loss_of(net: &mut Network, x: &Tensor, y: usize) -> f32 {
-        let out = net.forward(x, false);
-        softmax_cross_entropy(&out, y).0
-    }
-
     #[test]
-    fn sgd_descends() {
+    fn adam_descends() {
+        let x = Tensor::from_vec(vec![1.0, -1.0], vec![2]);
         let mut net = one_layer();
-        let mut opt = Sgd::new(0.5);
-        let x = Tensor::from_vec(vec![1.0, -1.0], vec![2]);
-        let before = loss_of(&mut net, &x, 0);
-        for _ in 0..20 {
-            net.zero_grads();
-            let out = net.forward(&x, true);
-            let (_, g) = softmax_cross_entropy(&out, 0);
-            net.backward(&g);
-            opt.step(&mut net);
+        let mut opt = Adam::new(0.05);
+        let mut loss = f32::INFINITY;
+        for _ in 0..30 {
+            let mut ctx = net.train_ctx();
+            let out = net.forward_batch(Planes::from_samples([&x].into_iter()), true, &mut ctx);
+            let (l, g) = softmax_cross_entropy(&out.sample(0), 1);
+            net.backward_batch(Planes::from_samples([&g].into_iter()), &mut ctx);
+            opt.step(net.weights_mut(), ctx.grads());
+            loss = l;
         }
-        let after = loss_of(&mut net, &x, 0);
-        assert!(after < before * 0.3, "SGD failed: {before} → {after}");
-    }
-
-    #[test]
-    fn adam_descends_faster_than_sgd_here() {
-        let x = Tensor::from_vec(vec![1.0, -1.0], vec![2]);
-        let run = |mut opt: Box<dyn FnMut(&mut Network)>| {
-            let mut net = one_layer();
-            for _ in 0..30 {
-                net.zero_grads();
-                let out = net.forward(&x, true);
-                let (_, g) = softmax_cross_entropy(&out, 1);
-                net.backward(&g);
-                opt(&mut net);
-            }
-            loss_of(&mut net, &x, 1)
-        };
-        let mut adam = Adam::new(0.05);
-        let adam_loss = run(Box::new(move |n| adam.step(n)));
-        assert!(adam_loss < 0.1, "Adam stuck at {adam_loss}");
+        assert!(loss < 0.1, "Adam stuck at {loss}");
     }
 
     #[test]
     fn adam_counts_steps() {
         let mut net = one_layer();
+        let ctx = net.train_ctx();
         let mut opt = Adam::new(0.001);
         assert_eq!(opt.steps(), 0);
-        net.zero_grads();
-        opt.step(&mut net);
-        opt.step(&mut net);
+        opt.step(net.weights_mut(), ctx.grads());
+        opt.step(net.weights_mut(), ctx.grads());
         assert_eq!(opt.steps(), 2);
     }
 
@@ -163,10 +127,12 @@ mod tests {
     fn adam_rejects_architecture_swap() {
         let mut a = one_layer();
         let mut opt = Adam::new(0.001);
-        opt.step(&mut a);
+        let ctx = a.train_ctx();
+        opt.step(a.weights_mut(), ctx.grads());
         let mut b = Network::new();
         b.push(Dense::new(2, 2, 0));
         b.push(Dense::new(2, 2, 1));
-        opt.step(&mut b);
+        let ctx = b.train_ctx();
+        opt.step(b.weights_mut(), ctx.grads());
     }
 }

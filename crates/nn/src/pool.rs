@@ -10,7 +10,7 @@
 //!
 //! The partition is [`plan_split`], and every sample only ever reads its
 //! own lanes, so pool outputs are bit-equal to
-//! [`FrozenModel::infer_batch`] (and to `forward(x, false)`) for any
+//! [`FrozenModel::infer_batch`] (and to the per-sample reference) for any
 //! batch size and any lane count — lane count can never change a
 //! verdict.
 //!

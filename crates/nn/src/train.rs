@@ -6,21 +6,27 @@
 //! summed in chunk order however many cores the host has, so one seed
 //! trains bit-identical weights on every machine.
 //!
-//! Each chunk runs as batched passes of up to 16 samples over the
-//! batch-innermost planes the frozen model serves from ([`Network::forward_batch`], then the
-//! backward pass), one sample per lane: the conv and dense forwards are
-//! the frozen kernels, and backward is lane-parallel. A lane repeats its
-//! sample's scalar operations in the per-sample order, and each
-//! parameter adds its lanes' contributions in sample order, so a chunk's
-//! gradient is bit-identical to one `forward`/`backward` pair per sample
-//! added up in turn (`tests/train_identity.rs` in `deepcsi-core` holds
-//! it to that oracle). Batches under four run as one chunk on the
-//! network itself. No path runs a per-sample pass.
+//! Every chunk thread borrows the one `&Network` and brings its own
+//! [`TrainCtx`]: the activations kept for backward, gradient
+//! accumulators summed from `+0.0` and a copy of each dropout stream as
+//! the network holds it. A chunk runs as batched passes of up to 16
+//! samples over the batch-innermost planes the frozen model serves from
+//! ([`Network::forward_batch`], then the backward pass), one sample per
+//! lane: the conv and dense forwards are the frozen kernels, and
+//! backward is lane-parallel. A lane repeats its sample's scalar
+//! operations in the per-sample order, and each parameter adds its
+//! lanes' contributions in sample order, so a chunk's gradient is
+//! bit-identical to the naive per-sample reference (`deepcsi-nn-ref`)
+//! run sample by sample (`tests/train_identity.rs` in `deepcsi-core`
+//! holds it to that). Batches under four run as one chunk, and only
+//! they hand the advanced dropout streams back to the network; on
+//! larger batches every chunk redraws the masks the network's streams
+//! begin with.
 
 use crate::loss::softmax_cross_entropy;
 use crate::metrics::ConfusionMatrix;
-use crate::network::Network;
-use crate::optim::{Adam, Optimizer};
+use crate::network::{Network, TrainCtx};
+use crate::optim::Adam;
 use crate::planes::Planes;
 use crate::tensor::Tensor;
 use rand::rngs::StdRng;
@@ -171,17 +177,16 @@ impl Trainer {
             let mut loss_sum = 0.0f64;
             let mut seen = 0usize;
             for batch in order.chunks(self.config.batch_size.max(1)) {
-                net.zero_grads();
-                let batch_loss = grad_batch(net, ex, ey, batch);
+                let (mut grads, batch_loss) = grad_batch(net, ex, ey, batch);
                 if !batch_loss.is_finite() {
                     // NaN guard: skip the update, keep training.
                     continue;
                 }
-                net.scale_grads(1.0 / batch.len() as f32);
+                grads.scale_grads(1.0 / batch.len() as f32);
                 if self.config.grad_clip > 0.0 {
-                    clip_global_norm(net, self.config.grad_clip);
+                    clip_global_norm(&mut grads, self.config.grad_clip);
                 }
-                opt.step(net);
+                opt.step(net.weights_mut(), grads.grads());
                 loss_sum += batch_loss as f64;
                 seen += batch.len();
             }
@@ -212,44 +217,58 @@ impl Trainer {
 /// which keeps the gradient sums and the dropout draws in that order.
 const PASS_LANES: usize = 16;
 
-/// Accumulates the gradient of the samples `shard` in batched passes,
-/// one sample per lane ([`Network::forward_batch`], then
-/// [`Network::backward_batch`]); returns the loss summed in sample order.
-fn grad_shard(net: &mut Network, x: &[Tensor], y: &[usize], shard: &[usize]) -> f32 {
+/// Accumulates into `ctx` the gradient of the samples `shard` in
+/// batched passes, one sample per lane ([`Network::forward_batch`],
+/// then [`Network::backward_batch`]); returns the loss summed in sample
+/// order.
+fn grad_shard(
+    net: &Network,
+    ctx: &mut TrainCtx,
+    x: &[Tensor],
+    y: &[usize],
+    shard: &[usize],
+) -> f32 {
     let mut loss = 0.0f32;
     for pass in shard.chunks(PASS_LANES) {
-        let out = net.forward_batch(Planes::from_samples(pass.iter().map(|&i| &x[i])), true);
+        let xs = Planes::from_samples(pass.iter().map(|&i| &x[i]));
+        let out = net.forward_batch(xs, true, ctx);
         let mut grad = Planes::zeros(out.shape(), pass.len());
         for (s, &i) in pass.iter().enumerate() {
             let (l, g) = softmax_cross_entropy(&out.sample(s), y[i]);
             grad.set_sample(s, &g);
             loss += l;
         }
-        net.backward_batch(grad);
+        net.backward_batch(grad, ctx);
     }
     loss
 }
 
-/// Accumulates one batch's gradient into `net` (whose gradients must be
-/// zero); returns the summed loss.
+/// One batch's gradient and summed loss.
 ///
-/// Batches of four or more samples are cut into [`GRAD_SHARDS`] chunks of
-/// `div_ceil(len, GRAD_SHARDS)`; each chunk is summed in its own zeroed
-/// network clone on a scoped thread and the clones are added into `net`
-/// in chunk order. Smaller batches run as one shard on `net` itself.
-fn grad_batch(net: &mut Network, x: &[Tensor], y: &[usize], batch: &[usize]) -> f32 {
+/// Batches of four or more samples are cut into [`GRAD_SHARDS`] chunks
+/// of `div_ceil(len, GRAD_SHARDS)`, each summed in its own [`TrainCtx`]
+/// on a scoped thread that borrows `net`; the chunks' gradients and
+/// losses are then added in chunk order. Each chunk's sums start from
+/// `+0.0` and are never −0, so starting the reduction from the first
+/// chunk's sum is bit for bit the same as adding it to zero. Smaller
+/// batches run as one chunk, whose advanced dropout streams then become
+/// the network's.
+fn grad_batch(net: &mut Network, x: &[Tensor], y: &[usize], batch: &[usize]) -> (TrainCtx, f32) {
     if batch.len() < 4 {
-        return grad_shard(net, x, y, batch);
+        let mut ctx = net.train_ctx();
+        let loss = grad_shard(net, &mut ctx, x, y, batch);
+        net.resume_rng(&ctx);
+        return (ctx, loss);
     }
-    let results: Vec<(Network, f32)> = crossbeam::thread::scope(|scope| {
+    let net = &*net;
+    let chunks: Vec<(TrainCtx, f32)> = crossbeam::thread::scope(|scope| {
         let handles: Vec<_> = batch
             .chunks(batch.len().div_ceil(GRAD_SHARDS))
             .map(|shard| {
-                let mut worker = net.clone();
                 scope.spawn(move |_| {
-                    worker.zero_grads();
-                    let loss = grad_shard(&mut worker, x, y, shard);
-                    (worker, loss)
+                    let mut ctx = net.train_ctx();
+                    let loss = grad_shard(net, &mut ctx, x, y, shard);
+                    (ctx, loss)
                 })
             })
             .collect();
@@ -260,24 +279,25 @@ fn grad_batch(net: &mut Network, x: &[Tensor], y: &[usize], batch: &[usize]) -> 
     })
     .expect("crossbeam scope failed");
 
-    let mut total_loss = 0.0f32;
-    for (mut worker, loss) in results {
-        net.add_grads_from(&mut worker);
+    let mut chunks = chunks.into_iter();
+    let (mut total, mut total_loss) = chunks.next().expect("a non-empty batch");
+    for (ctx, loss) in chunks {
+        total.add_grads(&ctx);
         total_loss += loss;
     }
-    total_loss
+    (total, total_loss)
 }
 
 /// Clips the global gradient ℓ2 norm.
-fn clip_global_norm(net: &mut Network, max_norm: f32) {
-    let norm_sq: f32 = net
-        .params()
+fn clip_global_norm(grads: &mut TrainCtx, max_norm: f32) {
+    let norm_sq: f32 = grads
+        .grads()
         .iter()
-        .map(|p| p.g.iter().map(|g| g * g).sum::<f32>())
+        .map(|g| g.iter().map(|g| g * g).sum::<f32>())
         .sum();
     let norm = norm_sq.sqrt();
     if norm > max_norm {
-        net.scale_grads(max_norm / norm);
+        grads.scale_grads(max_norm / norm);
     }
 }
 
@@ -351,7 +371,8 @@ pub fn evaluate(net: &Network, x: &[Tensor], y: &[usize]) -> (f64, ConfusionMatr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Dense, Selu};
+    use crate::testkit::{self, bits, reference};
+    use deepcsi_nn_ref::{Net, Spec};
 
     /// Two well-separated Gaussian blobs.
     fn blobs(n: usize, seed: u64) -> (Vec<Tensor>, Vec<usize>) {
@@ -374,25 +395,35 @@ mod tests {
         (xs, ys)
     }
 
-    /// The per-sample oracle of [`grad_shard`]: one `forward`/`backward`
-    /// pair per sample, in order.
-    fn grad_per_sample(net: &mut Network, x: &[Tensor], y: &[usize], batch: &[usize]) -> f32 {
+    /// The per-sample reference of [`grad_shard`]: one
+    /// `forward`/`backward` pair per sample, in order.
+    fn grad_per_sample(net: &mut Net, x: &[Tensor], y: &[usize], batch: &[usize]) -> f32 {
         let mut loss = 0.0f32;
         for &i in batch {
-            let out = net.forward(&x[i], true);
+            let out = Tensor::from_vec(net.forward(x[i].as_slice(), true), vec![2]);
             let (l, g) = softmax_cross_entropy(&out, y[i]);
-            net.backward(&g);
+            net.backward(g.as_slice());
             loss += l;
         }
         loss
     }
 
+    const BLOB_NET: [Spec; 3] = [
+        Spec::Dense {
+            in_dim: 2,
+            out_dim: 16,
+            seed: 1,
+        },
+        Spec::Selu,
+        Spec::Dense {
+            in_dim: 16,
+            out_dim: 2,
+            seed: 2,
+        },
+    ];
+
     fn blob_net() -> Network {
-        let mut net = Network::new();
-        net.push(Dense::new(2, 16, 1));
-        net.push(Selu::new());
-        net.push(Dense::new(16, 2, 2));
-        net
+        testkit::network(&BLOB_NET)
     }
 
     #[test]
@@ -419,31 +450,24 @@ mod tests {
         // halves, each summed from zero, added in order. Nothing about the
         // host can move a single bit.
         let (xs, ys) = blobs(70, 5);
-        let bits = |net: &mut Network, loss: f32| -> (u32, Vec<u32>) {
-            let g = net
-                .params()
-                .iter()
-                .flat_map(|p| p.g.iter().map(|v| v.to_bits()))
-                .collect();
-            (loss.to_bits(), g)
+        let flat = |grads: Vec<&[f32]>, loss: f32| -> (u32, Vec<u32>) {
+            (loss.to_bits(), bits(&grads.concat()))
         };
         for len in 4..=70 {
             let batch: Vec<usize> = (0..len).rev().collect();
             let mut net = blob_net();
-            net.zero_grads();
-            let loss = grad_batch(&mut net, &xs, &ys, &batch);
-            let got = bits(&mut net, loss);
+            let (grads, loss) = grad_batch(&mut net, &xs, &ys, &batch);
+            let got = flat(grads.grads(), loss);
 
-            let mut reference = blob_net();
-            reference.zero_grads();
+            let mut oracle = reference(&net, &BLOB_NET, &[2]);
             let mut ref_loss = 0.0f32;
             for half in batch.chunks(len.div_ceil(2)) {
-                let mut part = reference.clone();
+                let mut part = oracle.clone();
                 part.zero_grads();
                 ref_loss += grad_per_sample(&mut part, &xs, &ys, half);
-                reference.add_grads_from(&mut part);
+                oracle.add_grads(&part);
             }
-            assert!(got == bits(&mut reference, ref_loss), "batch of {len}");
+            assert!(got == flat(oracle.grads(), ref_loss), "batch of {len}");
         }
     }
 
@@ -485,13 +509,15 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_matches_per_sample_forward() {
+    fn evaluate_matches_the_per_sample_reference() {
         let (xs, ys) = blobs(8, 3);
-        let mut net = blob_net();
+        let net = blob_net();
         let (_, cm) = evaluate(&net, &xs, &ys);
+        let mut oracle = reference(&net, &BLOB_NET, &[2]);
         let mut cm2 = ConfusionMatrix::new(2);
         for (x, &y) in xs.iter().zip(ys.iter()) {
-            cm2.add(y, net.forward(x, false).argmax());
+            let out = Tensor::from_vec(oracle.forward(x.as_slice(), false), vec![2]);
+            cm2.add(y, out.argmax());
         }
         assert_eq!(cm, cm2);
     }

@@ -150,14 +150,14 @@ fn requant_error_is_bounded_by_half_the_scale() {
     let dim = 8usize;
     let mut net = Network::new();
     let mut ident = Dense::new(dim, dim, 1);
-    for (i, view) in deepcsi_nn::Layer::params(&mut ident)
+    for (i, w) in deepcsi_nn::Layer::weights_mut(&mut ident)
         .into_iter()
         .enumerate()
     {
-        view.w.fill(0.0);
+        w.fill(0.0);
         if i == 0 {
             for d in 0..dim {
-                view.w[d * dim + d] = 1.0;
+                w[d * dim + d] = 1.0;
             }
         }
     }

@@ -205,12 +205,12 @@ fn crafted_authenticator(
     net.push(Dense::new(a.len(), 3, 1));
     // Overwrite the random init: row 0 = α·t_a + β·t_b, rows 1–2 and
     // the bias all zero.
-    for view in net.params() {
-        for w in view.w.iter_mut() {
+    for view in net.weights_mut() {
+        for w in view.iter_mut() {
             *w = 0.0;
         }
-        if view.w.len() == a.len() * 3 {
-            for (j, w) in view.w[..a.len()].iter_mut().enumerate() {
+        if view.len() == a.len() * 3 {
+            for (j, w) in view[..a.len()].iter_mut().enumerate() {
                 *w = (alpha * f64::from(a[j]) + beta * f64::from(b[j])) as f32;
             }
         }
