@@ -1,15 +1,13 @@
-//! Parallel-serving scaling sweep: worker-count × per-worker
-//! `infer_threads` engine throughput, the persistent `InferPool`'s
-//! lane-split scaling, and the SELU/sigmoid polynomial-exp
-//! before/after numbers — as machine-readable `RESULT parallel …`
-//! lines (collected by `run_all` into `BENCH_parallel.json`; keys
-//! documented in `crates/bench/README.md`).
+//! Parallel-serving scaling sweep: engine throughput against the worker
+//! count, the `InferPool` lane-split scaling of one batch, and the
+//! SELU/sigmoid polynomial-exp before/after numbers — as
+//! machine-readable `RESULT parallel …` lines (collected by `run_all`
+//! into `BENCH_parallel.json`; keys documented in
+//! `crates/bench/README.md`).
 //!
-//! On a single-core container the pool rows sit at ~1x (parked lanes
-//! cost a channel round-trip and buy no parallelism). The interesting
-//! scaling numbers come from multi-core hosts, where the lane split
-//! spreads the one shared weight snapshot across cores without any
-//! weight clone.
+//! On a single-core container the pool rows sit at or below 1x (a
+//! helper lane costs a thread spawn and buys no parallelism). The
+//! interesting scaling numbers come from multi-core hosts.
 
 use deepcsi_bench::result_line;
 use deepcsi_bench::serve_bench::{
@@ -108,18 +106,12 @@ fn main() {
         }
     }
 
-    // --- End-to-end engine: workers × infer_threads ------------------
-    println!("\n== engine scaling: workers × infer_threads ==");
+    // --- End-to-end engine: workers ----------------------------------
+    println!("\n== engine scaling: workers ==");
     let ds = serve_dataset(2, snapshots);
     for workers in [1usize, 2, 4] {
-        for threads in [1usize, 2, 4] {
-            let rps = engine_reports_per_sec_threads(&ds, workers, threads, repeat);
-            println!("workers {workers} × threads {threads}: {rps:>8.0} reports/s");
-            result_line(
-                "parallel",
-                &format!("reports_per_sec_w{workers}_t{threads}"),
-                rps,
-            );
-        }
+        let rps = engine_reports_per_sec_threads(&ds, workers, repeat);
+        println!("workers {workers}: {rps:>8.0} reports/s");
+        result_line("parallel", &format!("reports_per_sec_w{workers}"), rps);
     }
 }

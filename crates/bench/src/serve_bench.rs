@@ -50,11 +50,10 @@ pub fn inputs(w: &Workload, batch: usize) -> Vec<Tensor> {
         .collect()
 }
 
-/// Times one batch through a persistent [`deepcsi_nn::InferPool`] at a
-/// given lane count, seconds per batch. The pool is built once
-/// outside the timed loop — exactly how the serving engine holds it —
-/// so the measurement sees the steady-state hot path (channel handoff,
-/// no spawn/join) rather than pool construction.
+/// Times one batch through an [`deepcsi_nn::InferPool`] at a given lane
+/// count, seconds per batch. The pool is built once outside the timed
+/// loop, so its contexts' buffers are warm and each timed call pays
+/// only the scoped helper spawn/join on top of the inference.
 pub fn measure_pool_batch_s(w: &Workload, batch: usize, lanes: usize, min_reps: usize) -> f64 {
     let xs = inputs(w, batch);
     let frozen = w.net.freeze();
@@ -95,22 +94,12 @@ pub fn serve_authenticator(ds: &Dataset, classes: usize) -> Authenticator {
 }
 
 /// End-to-end engine throughput for `repeat` replay passes at a given
-/// worker and per-worker `infer_threads` count, reports/second (the
-/// `parallel_bench` scaling sweep).
-pub fn engine_reports_per_sec_threads(
-    ds: &Dataset,
-    workers: usize,
-    infer_threads: usize,
-    repeat: usize,
-) -> f64 {
+/// worker count, reports/second (the `parallel_bench` scaling sweep).
+pub fn engine_reports_per_sec_threads(ds: &Dataset, workers: usize, repeat: usize) -> f64 {
     engine_reports_per_sec_cfg(
         ds,
         EngineConfig {
             workers,
-            infer_threads,
-            // One full SIMD lane block per inference thread, so every
-            // `t` row of the sweep measures a genuine `t`-way split.
-            max_batch: (deepcsi_nn::PAR_MIN_CHUNK * infer_threads).max(32),
             backpressure: Backpressure::Block,
             ..EngineConfig::default()
         },
@@ -164,6 +153,6 @@ mod tests {
     #[test]
     fn engine_throughput_is_positive() {
         let ds = serve_dataset(1, 3);
-        assert!(engine_reports_per_sec_threads(&ds, 1, 1, 1) > 0.0);
+        assert!(engine_reports_per_sec_threads(&ds, 1, 1) > 0.0);
     }
 }

@@ -63,7 +63,6 @@ const NODE_FLAGS: FlagTable = &[
     ("--snapshots", true, "demo snapshots per trace (default 16)"),
     ("--epochs", true, "demo training epochs (default 2)"),
     ("--workers", true, "shard workers (default 2)"),
-    ("--infer-threads", true, "inference-pool lanes per worker (default 1)"),
     ("--queue", true, "per-worker queue capacity (default 1024)"),
     ("--policy", true, "fixed|confidence|adaptive (default fixed)"),
     ("--drop", false, "drop on a full queue instead of blocking"),
@@ -120,7 +119,6 @@ fn backpressure(flags: &Flags) -> Backpressure {
 fn engine_config(flags: &Flags) -> EngineConfig {
     EngineConfig {
         workers: flags.num("--workers", 2),
-        infer_threads: flags.num("--infer-threads", 1),
         queue_capacity: flags.num("--queue", 1024),
         backpressure: backpressure(flags),
         max_device_states: flags.opt("--max-devices"),

@@ -321,9 +321,9 @@ impl FrozenAuthenticator {
     ///
     /// Predictions are *approximately* equal to the f32 snapshot's —
     /// top-1 agreement is pinned ≥ 99% by the accuracy-parity suite —
-    /// and, like f32, **bit-identical across any `infer_threads` lane
-    /// split**, so the engine's thread-invariance contract holds at
-    /// both precisions.
+    /// and, like f32, **bit-identical at any batch size**, so the
+    /// engine's worker- and batch-invariance contract holds at both
+    /// precisions.
     ///
     /// # Errors
     ///

@@ -8,14 +8,18 @@
 //! on the per-sample tail kernel, so 1..=40 covers every tail length
 //! alone, after one full block and after two. The inputs mix ordinary
 //! values with exact `+0.0`/`−0.0`, subnormals and ±1e30, the values on
-//! which a halo term that is not an exact ±0, or a fold that breaks the
-//! first-maximum rule, would show.
+//! which a halo term that is not an exact ±0 would show. A pool that
+//! breaks the first-maximum rule shows only on a net that pools raw
+//! input, fed windows whose maximum is a `+0`/`−0` tie: the other nets
+//! pool SELU output, which is never −0.
 
 mod common;
 
-use common::{bits, model_specs, network, odd_specs, reference, samples};
+use common::{
+    bits, model_specs, network, odd_specs, raw_pool_specs, reference, samples, signed_zero_samples,
+};
 use deepcsi_core::ModelConfig;
-use deepcsi_nn::Network;
+use deepcsi_nn::{Network, Tensor};
 use deepcsi_nn_ref::Spec;
 
 fn assert_every_batch_size_is_bit_exact(
@@ -23,8 +27,8 @@ fn assert_every_batch_size_is_bit_exact(
     net: Network,
     specs: &[Spec],
     shape: (usize, usize, usize),
+    xs: &[Tensor],
 ) {
-    let xs = samples(shape);
     let mut oracle = reference(&net, specs, shape);
     let want: Vec<Vec<u32>> = xs
         .iter()
@@ -43,7 +47,8 @@ fn assert_every_batch_size_is_bit_exact(
 }
 
 fn assert_model_is_bit_exact(name: &str, cfg: ModelConfig, shape: (usize, usize, usize)) {
-    assert_every_batch_size_is_bit_exact(name, cfg.build(shape), &model_specs(&cfg, shape), shape);
+    let specs = model_specs(&cfg, shape);
+    assert_every_batch_size_is_bit_exact(name, cfg.build(shape), &specs, shape, &samples(shape));
 }
 
 #[test]
@@ -59,5 +64,13 @@ fn paper_model_is_bit_exact_at_every_batch_size() {
 #[test]
 fn odd_shaped_net_is_bit_exact_at_every_batch_size() {
     let specs = odd_specs();
-    assert_every_batch_size_is_bit_exact("odd", network(&specs), &specs, (3, 1, 24));
+    let shape = (3, 1, 24);
+    assert_every_batch_size_is_bit_exact("odd", network(&specs), &specs, shape, &samples(shape));
+}
+
+#[test]
+fn raw_input_pool_keeps_the_first_zero_at_every_batch_size() {
+    let (specs, shape) = (raw_pool_specs(), (2, 1, 12));
+    let xs = signed_zero_samples(shape);
+    assert_every_batch_size_is_bit_exact("raw pool", network(&specs), &specs, shape, &xs);
 }

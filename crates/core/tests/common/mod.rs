@@ -139,6 +139,46 @@ pub fn odd_specs() -> Vec<Spec> {
     ]
 }
 
+/// A net whose first layer max-pools the raw input and whose output is
+/// the pooled values themselves. Every other net pools SELU output,
+/// which is never −0, so only here can a fold that breaks the
+/// first-maximum rule on a `+0`/`−0` tie show in the output bits. The
+/// 3-wide windows reach both the first two-tap fold and the later taps.
+/// Input `(2, 1, 12)`, 8 outputs; feed it [`signed_zero_samples`].
+pub fn raw_pool_specs() -> Vec<Spec> {
+    vec![Spec::MaxPool2d { kernel: (1, 3) }, Spec::Flatten]
+}
+
+/// Pool windows whose maximum is a zero of either sign, with the other
+/// zero placed before it, after it or in the third tap.
+const ZERO_TIES: [[f32; 3]; 6] = [
+    [0.0, -0.0, -1.0],
+    [-0.0, 0.0, -1.0],
+    [-1.0, 0.0, -0.0],
+    [-1.0, -0.0, 0.0],
+    [0.0, -2.0, -0.0],
+    [-0.0, -2.0, 0.0],
+];
+
+/// 40 samples of `(c, 1, w)`, `w` a multiple of 3: window `i` of
+/// sample `s` is tie `(i + s) % 6` of [`ZERO_TIES`], except every fourth
+/// window, which holds ordinary values, so each sample mixes ties with
+/// a plain maximum.
+pub fn signed_zero_samples((c, h, w): (usize, usize, usize)) -> Vec<Tensor> {
+    assert!(h == 1 && w % 3 == 0, "3-wide windows over one row");
+    (0..40)
+        .map(|s| {
+            let data = (0..c * w / 3)
+                .flat_map(|i| match (i + s) % 4 {
+                    3 => [0.5 + i as f32, -0.25 * s as f32, 1.5],
+                    _ => ZERO_TIES[(i + s) % ZERO_TIES.len()],
+                })
+                .collect();
+            Tensor::from_vec(data, vec![c, h, w])
+        })
+        .collect()
+}
+
 /// Exact zeros of both signs and subnormals of both signs.
 const TINY: [f32; 5] = [0.0, -0.0, 1e-40, -3e-39, f32::MIN_POSITIVE / 2.0];
 

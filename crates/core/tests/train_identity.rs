@@ -11,7 +11,8 @@
 //! serves every b: after sample `b − 1` its accumulators and its
 //! dropout stream stand where a b-lane batch must leave them. Every net
 //! draws dropout masks in training mode. The inputs are the ±0,
-//! subnormal and ±1e30 mix of `batch_identity.rs`.
+//! subnormal and ±1e30 mix of `batch_identity.rs`, and for the net that
+//! max-pools raw input, windows whose maximum is a `+0`/`−0` tie.
 //!
 //! Then whole training runs: `Trainer::fit` for three epochs with a
 //! ragged last batch against a replica of its loop on the reference
@@ -20,7 +21,9 @@
 
 mod common;
 
-use common::{bits, model_specs, network, odd_specs, reference, samples};
+use common::{
+    bits, model_specs, network, odd_specs, raw_pool_specs, reference, samples, signed_zero_samples,
+};
 use deepcsi_core::ModelConfig;
 use deepcsi_nn::{softmax_cross_entropy, Adam, Network, Planes, Tensor, TrainConfig, Trainer};
 use deepcsi_nn_ref::{Net, Spec};
@@ -56,8 +59,8 @@ fn assert_batched_passes_match_per_sample(
     specs: &[Spec],
     shape: (usize, usize, usize),
     classes: usize,
+    xs: &[Tensor],
 ) {
-    let xs = samples(shape);
     let ys = labels(xs.len(), classes);
 
     // The oracle: per-sample pairs in order, snapshotting after each.
@@ -109,7 +112,8 @@ fn assert_batched_passes_match_per_sample(
 
 fn assert_model_trains_bit_identically(name: &str, cfg: ModelConfig, shape: (usize, usize, usize)) {
     let specs = model_specs(&cfg, shape);
-    assert_batched_passes_match_per_sample(name, cfg.build(shape), &specs, shape, cfg.num_classes);
+    let (net, xs) = (cfg.build(shape), samples(shape));
+    assert_batched_passes_match_per_sample(name, net, &specs, shape, cfg.num_classes, &xs);
 }
 
 #[test]
@@ -129,8 +133,16 @@ fn fast_model_trains_bit_identically_at_every_batch_size() {
 
 #[test]
 fn odd_shaped_net_trains_bit_identically_at_every_batch_size() {
-    let specs = odd_specs();
-    assert_batched_passes_match_per_sample("odd", network(&specs), &specs, (3, 1, 24), 5);
+    let (specs, shape) = (odd_specs(), (3, 1, 24));
+    let xs = samples(shape);
+    assert_batched_passes_match_per_sample("odd", network(&specs), &specs, shape, 5, &xs);
+}
+
+#[test]
+fn raw_input_pool_trains_bit_identically_at_every_batch_size() {
+    let (specs, shape) = (raw_pool_specs(), (2, 1, 12));
+    let xs = signed_zero_samples(shape);
+    assert_batched_passes_match_per_sample("raw pool", network(&specs), &specs, shape, 8, &xs);
 }
 
 /// `Trainer::fit`'s loop on the per-sample reference: the same seeded

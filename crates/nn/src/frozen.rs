@@ -543,17 +543,23 @@ impl FrozenModel {
         ctx.load(xs);
         // The profiler is moved out for the loop so the ops can borrow
         // the context mutably; observation only — both paths run the
-        // identical op sequence.
+        // identical op sequence. It goes back even when an op panics,
+        // so a caller that catches the panic keeps its profiler.
         if let Some(mut prof) = ctx.profiler.take() {
             prof.batch_begin();
             let samples = ctx.b as u64;
-            for (i, op) in self.ops.iter().enumerate() {
-                let in_bytes = ctx.plane_bytes();
-                let t0 = std::time::Instant::now();
-                op.apply(ctx);
-                prof.record_op(i, op.name(), t0, in_bytes + ctx.plane_bytes(), samples);
-            }
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                for (i, op) in self.ops.iter().enumerate() {
+                    let in_bytes = ctx.plane_bytes();
+                    let t0 = std::time::Instant::now();
+                    op.apply(ctx);
+                    prof.record_op(i, op.name(), t0, in_bytes + ctx.plane_bytes(), samples);
+                }
+            }));
             ctx.profiler = Some(prof);
+            if let Err(panic) = run {
+                std::panic::resume_unwind(panic);
+            }
         } else {
             for op in &self.ops {
                 op.apply(ctx);
@@ -593,7 +599,7 @@ mod tests {
     use crate::layer::Layer;
     use crate::layers::Dense;
     use crate::network::Network;
-    use crate::testkit::{network, reference};
+    use crate::testkit::{network, reference, PanicOnPoison};
     use deepcsi_nn_ref::Spec;
 
     fn assert_send_sync<T: Send + Sync>() {}
@@ -739,6 +745,29 @@ mod tests {
             assert_eq!(o.samples, 18);
             assert!(o.bytes > 0, "activation traffic recorded");
         }
+    }
+
+    #[test]
+    fn a_caught_op_panic_leaves_the_profiler_attached() {
+        let trap = FrozenModel::from_ops(vec![Box::new(PanicOnPoison)]);
+        let good: Vec<Tensor> = (0..4)
+            .map(|s| Tensor::from_vec(vec![s as f32, 1.0, -1.0], vec![3]))
+            .collect();
+        let mut ctx = trap.ctx();
+        ctx.set_profiler(Profiler::new());
+        trap.infer_batch(&good, &mut ctx);
+
+        let poisoned = vec![Tensor::from_vec(vec![1000.0, 0.0, 0.0], vec![3])];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            trap.infer_batch(&poisoned, &mut ctx)
+        }));
+        assert!(caught.is_err(), "the poisoned batch panics");
+
+        let ops = ctx.profiler().expect("profiler still attached").ops();
+        assert_eq!((ops[0].calls, ops[0].samples), (1, 4), "first batch kept");
+        trap.infer_batch(&good, &mut ctx);
+        let ops = ctx.profiler().expect("profiler still attached").ops();
+        assert_eq!((ops[0].calls, ops[0].samples), (2, 8), "still counting");
     }
 
     #[test]

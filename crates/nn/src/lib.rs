@@ -22,14 +22,14 @@
 //!   per-worker clone) while all scratch lives in a per-worker context;
 //!   `infer`/`infer_batch` are bit-equal to the reference's
 //!   `forward(train = false)`.
-//! * [`InferPool`] — the persistent serving runtime: parked lane
-//!   threads own their contexts for the process lifetime and split a
-//!   batch's lane blocks without ever changing an output, with no
-//!   spawn/join on the hot path.
+//! * [`InferPool`] — one batch split across scoped threads by
+//!   [`plan_split`], bit-equal to a single context for any lane count.
+//!   Serving does not use it (each engine worker runs one context);
+//!   the lane-scaling benchmark row does.
 //! * [`quant`] — the int8 serving backend: [`QuantSpec::calibrate`] +
 //!   [`Network::freeze_int8`] re-freeze conv/dense onto integer
 //!   dot-product kernels behind the same [`InferOp`] seam (top-1
-//!   agreement ≥ 99%, same thread-split bit-exactness).
+//!   agreement ≥ 99%, same split bit-exactness).
 //! * [`softmax_cross_entropy`] — fused loss/gradient.
 //! * [`Adam`] — the optimizer.
 //! * [`Trainer`] — seeded mini-batch training with crossbeam-based
@@ -58,10 +58,7 @@
 //! assert!(acc > 0.9);
 //! ```
 
-// `deny` rather than `forbid`: the persistent inference pool
-// (`pool.rs`) opts back in at file scope for its lane-block handoff —
-// every other module stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod fastmath;

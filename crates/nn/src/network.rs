@@ -187,8 +187,8 @@ impl Network {
     /// (`i8 × i8 → i32`, requantized at layer exit), activations and the
     /// attention block stay f32 behind dequantize/quantize hops, and the
     /// whole chain serves behind the same [`crate::InferOp`] seam as the
-    /// f32 snapshot — including the bit-exact [`crate::InferPool`] lane
-    /// split.
+    /// f32 snapshot, bit-identical at any batch size and under any
+    /// [`crate::plan_split`] partition.
     ///
     /// `spec` comes from [`QuantSpec::calibrate`] run on this network's
     /// f32 [`Network::freeze`] snapshot with a representative sample

@@ -35,9 +35,9 @@
 //! dense.
 //!
 //! Every computation is per-sample, which keeps the quantized pipeline
-//! bit-exact under any [`crate::InferPool`] lane
-//! split — `infer_threads` can never change an int8 verdict, exactly as
-//! for f32.
+//! bit-exact at any batch size and under any [`crate::plan_split`]
+//! partition — how reports are batched can never change an int8
+//! verdict, exactly as for f32.
 
 use crate::frozen::{InferCtx, InferOp};
 

@@ -2,6 +2,7 @@
 //! the per-sample reference it is held to.
 
 use crate::fastmath::poly_exp;
+use crate::frozen::{InferCtx, InferOp};
 use crate::layers::{
     AlphaDropout, Conv2d, Dense, Flatten, MaxPool2d, Selu, Sigmoid, SpatialAttention,
 };
@@ -113,4 +114,21 @@ pub(crate) fn gradient_check(net: &mut Network, xs: &[Tensor], eps: f32, tol: f3
 /// The `to_bits` of every value.
 pub(crate) fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Shape-preserving op that panics when it sees an input above 100, so
+/// a test can poison one sample (or one chunk of a split batch).
+pub(crate) struct PanicOnPoison;
+
+impl InferOp for PanicOnPoison {
+    fn name(&self) -> &'static str {
+        "panic_on_poison"
+    }
+
+    fn apply(&self, ctx: &mut InferCtx) {
+        assert!(
+            !ctx.data().iter().any(|&v| v > 100.0),
+            "poisoned input reached the op"
+        );
+    }
 }

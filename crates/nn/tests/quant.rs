@@ -6,9 +6,9 @@
 //! * top-1 agreement with the f32 model ≥ 99% on trained networks over
 //!   ragged batches 1..41 (aggregated across a property sweep of
 //!   training seeds, batch sizes and eval draws),
-//! * int8 outputs **bit-identical** across `infer_threads` ∈ {1, 2, 4}
-//!   — quantization must not break the lane-split invariance the
-//!   serving engine relies on,
+//! * int8 outputs **bit-identical** across `InferPool` lane splits
+//!   ∈ {1, 2, 4} — quantization must not break the batch-partition
+//!   invariance the f32 path has,
 //! * the requantize error of a layer exit bounded by half the
 //!   activation scale (pinned exactly via an identity dense layer),
 //! * mis-assembled pipelines failing at freeze time with

@@ -23,16 +23,10 @@
 //! Parallelism knobs:
 //!
 //! * `--workers N` sizes the sharded worker ring (device streams are
-//!   partitioned across workers by source MAC).
-//! * `--infer-threads N` sizes each worker's persistent inference pool
-//!   (default 1): `N` parked lane threads own their scratch contexts
-//!   for the process lifetime and split every micro-batch's lane
-//!   blocks with no spawn/join on the hot path. The split is
-//!   bit-exact, so this knob can never change a verdict — only
-//!   throughput. Each lane needs one full 16-sample SIMD lane block,
-//!   so a micro-batch engages at most `--batch / 16` lanes — raise
-//!   `--batch` together with `N` (e.g. `--batch 64` for
-//!   `--infer-threads 4`).
+//!   partitioned across workers by source MAC). Workers are the only
+//!   serving threads: each classifies its own micro-batches on one
+//!   core, and the worker count can never change a verdict — only
+//!   throughput.
 //! * `--precision f32|int8` selects the serving snapshot's numeric
 //!   backend (default `f32`, bit-identical to training). `int8`
 //!   calibrates activation scales on up to `--calib-samples` (default
@@ -106,7 +100,6 @@ const FLAGS: &[(&str, bool, &str)] = &[
     ("--snapshots", true, "synthetic D1 snapshots per trace (default 40)"),
     ("--epochs", true, "training epochs (default 6)"),
     ("--workers", true, "shard workers (default 2)"),
-    ("--infer-threads", true, "inference-pool lanes per worker (default 1)"),
     ("--precision", true, "serving snapshot to build: f32|int8 (default f32)"),
     ("--calib-samples", true, "int8 calibration reports (default 256)"),
     ("--batch", true, "micro-batch cap (default 32)"),
@@ -142,7 +135,6 @@ struct Args {
     snapshots: usize,
     epochs: usize,
     workers: usize,
-    infer_threads: usize,
     precision: Precision,
     calib_samples: usize,
     batch: usize,
@@ -181,7 +173,6 @@ impl Args {
             snapshots: f.num("--snapshots", 40),
             epochs: f.num("--epochs", 6),
             workers: f.num("--workers", 2),
-            infer_threads: f.num("--infer-threads", 1),
             precision: f.num("--precision", Precision::default()),
             calib_samples: f.num("--calib-samples", 256),
             batch: f.num("--batch", 32),
@@ -263,7 +254,6 @@ impl Args {
     fn engine_config(&self) -> EngineConfig {
         EngineConfig {
             workers: self.workers,
-            infer_threads: self.infer_threads,
             queue_capacity: self.queue,
             max_batch: self.batch,
             backpressure: if self.drop_on_full {
@@ -514,8 +504,8 @@ fn main() {
     });
     let engine = Engine::start_frozen(cfg, frozen, registry.clone());
     println!(
-        "decision policy: {} ({} workers × {} pool lanes, {} inference)",
-        args.policy, args.workers, args.infer_threads, args.precision,
+        "decision policy: {} ({} workers, {} inference)",
+        args.policy, args.workers, args.precision,
     );
 
     // Observability plumbing: the file emitter publishes periodically

@@ -14,16 +14,15 @@
 //!   per [`EngineConfig::backpressure`].
 //! * **Shared frozen model** — every worker holds the same
 //!   `Arc<FrozenAuthenticator>` (immutable weights, `Send + Sync`); the
-//!   only per-worker inference state is a persistent [`InferPool`] of
-//!   scratch contexts. No per-worker weight clone.
+//!   only per-worker inference state is one [`deepcsi_nn::InferCtx`] of
+//!   scratch buffers. No per-worker weight clone.
 //! * **Micro-batching** — each worker blocks for a report, takes
 //!   whatever is already queued behind it up to
 //!   [`EngineConfig::max_batch`] (no linger: a lone report departs at
 //!   once, a backlog fills whole batches) and classifies the batch with one
-//!   [`InferPool::infer_batch`] call, optionally splitting its lane
-//!   blocks across [`EngineConfig::infer_threads`] persistent lane
-//!   threads — no spawn/join on the hot path, bit-exact under any
-//!   split, so thread count never changes a verdict.
+//!   [`deepcsi_nn::FrozenModel::infer_batch`] call on its own thread.
+//!   The workers are the engine's only parallelism: more cores serve
+//!   more shards, never a split batch.
 //! * **Policy decisions** — per-sample predictions feed one
 //!   [`PolicyState`] per device (built by the configured
 //!   [`DecisionPolicy`]); verdicts come from the policy judged against
@@ -37,7 +36,7 @@ use crate::window::{WindowConfig, WindowedDecision};
 use deepcsi_capture::{CaptureError, FrameSource, SourcePoll};
 use deepcsi_core::FrozenAuthenticator;
 use deepcsi_frame::{BeamformingReportFrame, CapturedReport, MacAddr};
-use deepcsi_nn::{InferPool, Tensor};
+use deepcsi_nn::{InferCtx, Tensor};
 use deepcsi_obs::{
     merge_op_stats, AuditEvent, AuditLog, OpStat, Profiler, SpanEvent, ThreadTracer, TraceConfig,
     Tracer,
@@ -96,25 +95,6 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// Micro-batch size cap per inference call.
     pub max_batch: usize,
-    /// Inference lanes *per worker*: sizes the worker's persistent
-    /// [`deepcsi_nn::InferPool`]. Each micro-batch's lane blocks are
-    /// split across the pool's parked lane threads through the one
-    /// shared [`FrozenAuthenticator`] — no spawn/join on the hot path;
-    /// the lanes live for the life of the worker.
-    ///
-    /// Defaults to `1` — the caller-inline lane only, no helper threads
-    /// and no channel round-trip. Every sample only ever reads its own
-    /// lanes, so changing this can change throughput but **never a
-    /// verdict** (pinned by the engine's thread-invariance tests).
-    ///
-    /// Usable parallelism is additionally bounded by the micro-batch:
-    /// each thread gets at least one full [`deepcsi_nn::PAR_MIN_CHUNK`]
-    /// (16-sample) SIMD lane block, so a batch of `n` reports engages
-    /// at most `max(1, n / 16)` threads — values beyond
-    /// `max_batch / 16` buy nothing. Size [`EngineConfig::max_batch`]
-    /// accordingly: the default 32 supports up to 2 threads; use
-    /// `max_batch: 64` for 4.
-    pub infer_threads: usize,
     /// Full-queue policy.
     pub backpressure: Backpressure,
     /// Cap on live per-device policy states across all shards
@@ -146,7 +126,7 @@ pub struct EngineConfig {
     /// `decode` spans at the same rate), collected into
     /// [`EngineReport::spans`] at shutdown.
     pub trace: TraceConfig,
-    /// When `true`, every lane of each worker's [`InferPool`] carries a
+    /// When `true`, each worker's inference context carries a
     /// [`Profiler`]: each frozen op's wall time and activation bytes
     /// are aggregated into the per-layer table returned as
     /// [`EngineReport::layer_profile`]. Observation-only — verdicts are
@@ -166,7 +146,6 @@ impl Default for EngineConfig {
             workers: 2,
             queue_capacity: 1024,
             max_batch: 32,
-            infer_threads: 1,
             backpressure: Backpressure::default(),
             max_device_states: None,
             window: WindowConfig::default(),
@@ -186,14 +165,13 @@ impl EngineConfig {
     ///
     /// # Panics
     ///
-    /// Panics on a zero worker count, queue capacity, batch size or
-    /// inference-thread count, and on any decision-policy parameter
+    /// Panics on a zero worker count, queue capacity or batch size,
+    /// and on any decision-policy parameter
     /// [`DecisionPolicyConfig::build`] rejects.
     pub fn validate(&self) {
         assert!(self.workers > 0, "need at least one worker");
         assert!(self.queue_capacity > 0, "queue capacity must be positive");
         assert!(self.max_batch > 0, "batch size must be positive");
-        assert!(self.infer_threads > 0, "need at least one inference thread");
         self.decision.build(self.window, self.policy);
     }
 }
@@ -522,12 +500,12 @@ impl Engine {
     ///
     /// All workers hold clones of one `Arc<FrozenAuthenticator>` — there
     /// is no per-worker weight copy; the only per-worker inference state
-    /// is a persistent [`InferPool`] of `cfg.infer_threads` scratch
-    /// lanes. Pass an existing `Arc` to share the same snapshot across
-    /// engines (e.g. a serving engine and an offline evaluator), or a
-    /// bare [`FrozenAuthenticator`] to let the engine wrap it. The
-    /// engine serves at whatever [`FrozenAuthenticator::precision`] the
-    /// snapshot was built with (f32 from
+    /// is one scratch [`deepcsi_nn::InferCtx`]. Pass an existing `Arc` to
+    /// share the same snapshot across engines (e.g. a serving engine and
+    /// an offline evaluator), or a bare [`FrozenAuthenticator`] to let
+    /// the engine wrap it. The engine serves at whatever
+    /// [`FrozenAuthenticator::precision`] the snapshot was built with
+    /// (f32 from
     /// [`deepcsi_core::Authenticator::freeze`], int8 from
     /// [`FrozenAuthenticator::quantized`]).
     ///
@@ -539,7 +517,7 @@ impl Engine {
     /// # let dataset = deepcsi_data::Dataset::default();
     /// let frozen = Arc::new(auth().freeze());
     /// let cfg = EngineConfig {
-    ///     infer_threads: 4, // split each micro-batch across 4 cores
+    ///     workers: 4, // four shards, one core each
     ///     ..EngineConfig::default()
     /// };
     /// let engine = Engine::start_frozen(cfg, Arc::clone(&frozen), ReplaySource::registry(&dataset));
@@ -564,9 +542,6 @@ impl Engine {
         let _ = telemetry.started.set(Instant::now());
         let _ = telemetry.policy.set(policy.name());
         let _ = telemetry.precision.set(auth.precision().as_str());
-        telemetry
-            .pool_lanes
-            .store(cfg.infer_threads as u64, Ordering::Relaxed);
         // One shared wall-clock anchor: every worker stamps audit events
         // against the same last-known-good epoch reference.
         let clock = WallClock::new();
@@ -615,7 +590,6 @@ impl Engine {
                 policy,
                 registry: Arc::clone(&registry),
                 max_batch: cfg.max_batch,
-                infer_threads: cfg.infer_threads,
                 clock,
                 tracer: tracer.clone(),
                 profile_enabled: cfg.profile,
@@ -948,14 +922,12 @@ struct WorkerCtx {
     /// verdict as reports land (reports-to-verdict telemetry).
     registry: Arc<DeviceRegistry>,
     max_batch: usize,
-    /// Lane-split width for each micro-batch inference call.
-    infer_threads: usize,
     /// Fault-tolerant wall-clock source for audit timestamps (shared
     /// anchor across workers).
     clock: WallClock,
     /// Shared tracing gate + span-recorder factory.
     tracer: Tracer,
-    /// Whether the worker's pool lanes carry per-op profilers.
+    /// Whether the worker's inference context carries a per-op profiler.
     profile_enabled: bool,
     /// The per-worker profile slots; this worker publishes its
     /// cumulative table into `profile[self.shard]` after every batch
@@ -1032,27 +1004,19 @@ fn next_batch(rx: &Receiver<Queued>, batch: &mut Vec<Queued>, cap: usize) -> boo
 
 impl WorkerCtx {
     fn run(self) {
-        // This worker's only mutable inference state: a persistent pool
-        // of `infer_threads` lanes, each owning its scratch context for
-        // the worker's lifetime. Buffers reach their high-water mark
-        // after the first full batches, then the hot path neither
-        // allocates nor spawns — a multi-lane batch costs two channel
-        // operations per helper lane.
-        let mut pool = InferPool::new(self.infer_threads);
+        // This worker's only mutable inference state: one scratch
+        // context for the worker's lifetime. Its buffers reach their
+        // high-water mark after the first full batches, then the hot
+        // path allocates nothing but the output tensors.
+        let mut ctx = self.auth.ctx();
         if self.profile_enabled {
-            // With tracing on, the profilers also emit one span per op
-            // for sampled batches (their own ring/tid per lane).
-            pool.set_profilers(
-                (0..self.infer_threads)
-                    .map(|_| {
-                        if self.tracer.enabled() {
-                            Profiler::with_tracer(self.tracer.thread())
-                        } else {
-                            Profiler::new()
-                        }
-                    })
-                    .collect(),
-            );
+            // With tracing on, the profiler also emits one span per op
+            // for sampled batches.
+            ctx.set_profiler(if self.tracer.enabled() {
+                Profiler::with_tracer(self.tracer.thread())
+            } else {
+                Profiler::new()
+            });
         }
         let mut spans = self.tracer.thread();
         let mut batch: Vec<Queued> = Vec::with_capacity(self.max_batch);
@@ -1070,7 +1034,7 @@ impl WorkerCtx {
             // always reconciles.
             let accounted = std::cell::Cell::new(0u64);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.classify(&batch, &accounted, &mut pool, sampled, &mut spans);
+                self.classify(&batch, &accounted, &mut ctx, sampled, &mut spans);
             }));
             if outcome.is_err() {
                 self.telemetry
@@ -1083,27 +1047,28 @@ impl WorkerCtx {
             // uncontended mutex — noise next to the batch inference it
             // accounts.
             if self.profile_enabled {
-                self.publish_profile(&mut pool);
+                self.publish_profile(&ctx);
             }
             self.in_flight.sub(batch.len() as i64);
             batch.clear();
         }
         // Exit path: one final publish so the engine's shutdown merge
-        // (and any last live scrape) sees every batch. The profilers
-        // stay attached to their lanes; slots hold cumulative *copies*,
+        // (and any last live scrape) sees every batch. The profiler
+        // stays attached to the context; slots hold cumulative *copies*,
         // so re-publishing replaces rather than double-counts (the span
-        // rings still flush on drop).
+        // ring still flushes on drop).
         if self.profile_enabled {
-            self.publish_profile(&mut pool);
+            self.publish_profile(&ctx);
         }
     }
 
-    /// Replaces this worker's live profile slot with the merged
-    /// cumulative table of its pool lanes.
-    fn publish_profile(&self, pool: &mut InferPool) {
+    /// Replaces this worker's live profile slot with its profiler's
+    /// cumulative table.
+    fn publish_profile(&self, ctx: &InferCtx) {
         *self.profile[self.shard]
             .lock()
-            .unwrap_or_else(|p| p.into_inner()) = pool.profile_table();
+            .unwrap_or_else(|p| p.into_inner()) =
+            ctx.profiler().map(|p| p.ops().to_vec()).unwrap_or_default();
     }
 
     /// Attributes each just-dequeued report's time-on-queue: one
@@ -1137,7 +1102,7 @@ impl WorkerCtx {
         &self,
         batch: &[Queued],
         accounted: &std::cell::Cell<u64>,
-        pool: &mut InferPool,
+        ctx: &mut InferCtx,
         sampled: bool,
         spans: &mut ThreadTracer,
     ) {
@@ -1212,16 +1177,13 @@ impl WorkerCtx {
             let mut infer_outcome = None;
             stage(Stage::Infer, spans, &mut || {
                 infer_outcome = Some(std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                    || pool.infer_batch(self.auth.model(), &group.tensors),
+                    || self.auth.model().infer_batch(&group.tensors, ctx),
                 )));
             });
             let Ok(outputs) = infer_outcome.expect("infer stage ran") else {
                 reject(group.reports.len());
                 continue;
             };
-            // Pool occupancy: how many lanes this inference call
-            // engaged, summed into a rolling mean for the live plane.
-            self.telemetry.record_pool_call(pool.last_engaged());
             stage(Stage::PolicyApply, spans, &mut || {
                 // Recover a poisoned lock: on a caught panic the map is
                 // at worst missing one window push, which is fine to

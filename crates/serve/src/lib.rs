@@ -15,14 +15,13 @@
 //!   backpressure/drop accounting ([`Backpressure`]).
 //! * **Micro-batched inference over one shared frozen model** — every
 //!   worker holds the same `Arc<deepcsi_core::FrozenAuthenticator>`
-//!   (immutable weights, no per-worker clone) plus its own persistent
-//!   [`deepcsi_nn::InferPool`]; each worker takes up to
+//!   (immutable weights, no per-worker clone) plus its own scratch
+//!   [`deepcsi_nn::InferCtx`]; each worker takes up to
 //!   [`EngineConfig::max_batch`] already-queued reports (it never waits
-//!   for stragglers) and classifies them with one pool call, so one pass of
-//!   every weight matrix serves the whole batch —
-//!   [`EngineConfig::infer_threads`] sizes the pool, which
-//!   splits each batch's lane blocks across its parked lanes
-//!   bit-exactly, with no spawn/join on the hot path.
+//!   for stragglers) and classifies them with one
+//!   [`deepcsi_nn::FrozenModel::infer_batch`] call on its own thread, so
+//!   one pass of every weight matrix serves the whole batch. The
+//!   workers ([`EngineConfig::workers`]) are the only serving threads.
 //! * **Decision policies** — per-report predictions feed one
 //!   [`PolicyState`] per device, created by the [`DecisionPolicy`] that
 //!   [`DecisionPolicyConfig::build`] makes from a [`PolicyKind`]:

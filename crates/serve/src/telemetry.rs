@@ -291,15 +291,6 @@ pub struct Telemetry {
     /// from the group's start (batch assembled and tensorized) to its
     /// decisions applied.
     pub batch_latency: LatencyHistogram,
-    /// Inference-pool lanes per worker (gauge; `infer_threads`).
-    pub pool_lanes: AtomicU64,
-    /// Sum of lanes engaged across pool inference calls — divided by
-    /// [`Telemetry::pool_infer_calls`] this is the pool's mean
-    /// occupancy (1.0 = every batch ran single-lane, `pool_lanes` =
-    /// every batch split across the whole pool).
-    pub pool_lanes_engaged: AtomicU64,
-    /// Pool inference calls (one per shape group per micro-batch).
-    pub pool_infer_calls: AtomicU64,
     /// System-clock faults absorbed while stamping audit events (the
     /// wall clock fell back to last-known-good + monotonic offset).
     /// A non-zero value means the host clock misbehaved mid-serve.
@@ -377,9 +368,6 @@ const EXPORTED: &[Exported] = &[
     (Kind::Gauge, "deepcsi_device_states", "Per-device policy states held across all shards.", |t| &t.device_states),
     (Kind::Counter, "deepcsi_devices_evicted_total", "Device states evicted by the per-shard LRU cap.", |t| &t.devices_evicted),
     (Kind::Counter, "deepcsi_devices_rewarmed_total", "Evicted streams that returned and rebuilt their state.", |t| &t.devices_rewarmed),
-    (Kind::Gauge, "deepcsi_pool_lanes", "Inference-pool lanes per worker (infer_threads).", |t| &t.pool_lanes),
-    (Kind::Counter, "deepcsi_pool_infer_calls_total", "Inference-pool calls (one per shape group per batch).", |t| &t.pool_infer_calls),
-    (Kind::Counter, "deepcsi_pool_lanes_engaged_total", "Lanes engaged summed across inference-pool calls.", |t| &t.pool_lanes_engaged),
     (Kind::Counter, "deepcsi_clock_faults_total", "System-clock faults absorbed while stamping audit events.", |t| &t.clock_faults),
     (Kind::Counter, "deepcsi_capture_bytes_total", "Capture-layer container bytes read.", |t| &t.capture_bytes),
     (Kind::Counter, "deepcsi_capture_packets_total", "Capture-layer packets decoded.", |t| &t.capture_packets),
@@ -415,13 +403,6 @@ impl Telemetry {
         self.batch_latency.record(latency);
     }
 
-    /// Records one inference-pool call that engaged `engaged` lanes.
-    pub fn record_pool_call(&self, engaged: usize) {
-        self.pool_infer_calls.fetch_add(1, Ordering::Relaxed);
-        self.pool_lanes_engaged
-            .fetch_add(engaged as u64, Ordering::Relaxed);
-    }
-
     /// Records a stream's first decisive verdict after `reports`
     /// classified reports.
     pub fn record_verdict(&self, reports: u64) {
@@ -443,8 +424,6 @@ impl Telemetry {
     pub fn snapshot(&self) -> EngineStats {
         let batches = self.batches.load(Ordering::Relaxed);
         let classified = self.classified.load(Ordering::Relaxed);
-        let pool_calls = self.pool_infer_calls.load(Ordering::Relaxed);
-        let pool_engaged = self.pool_lanes_engaged.load(Ordering::Relaxed);
         EngineStats {
             captured_at: Instant::now(),
             stages: Stage::ALL
@@ -473,12 +452,6 @@ impl Telemetry {
             },
             batch_latency_p50: self.batch_latency.quantile(0.50),
             batch_latency_p99: self.batch_latency.quantile(0.99),
-            pool_lanes: self.pool_lanes.load(Ordering::Relaxed),
-            pool_occupancy: if pool_calls == 0 {
-                0.0
-            } else {
-                pool_engaged as f64 / pool_calls as f64
-            },
             clock_faults: self.clock_faults.load(Ordering::Relaxed),
             policy: self.policy.get().copied().unwrap_or(""),
             precision: self.precision.get().copied().unwrap_or(""),
@@ -544,16 +517,6 @@ impl Telemetry {
                 0.0
             } else {
                 c(&self.classified) as f64 / batches as f64
-            },
-        );
-        let pool_calls = c(&self.pool_infer_calls);
-        reg.gauge(
-            "deepcsi_pool_occupancy",
-            "Mean lanes engaged per inference-pool call.",
-            if pool_calls == 0 {
-                0.0
-            } else {
-                c(&self.pool_lanes_engaged) as f64 / pool_calls as f64
             },
         );
         reg.histogram(
@@ -624,12 +587,6 @@ pub struct EngineStats {
     pub batch_latency_p50: Option<Duration>,
     /// 99th-percentile micro-batch latency.
     pub batch_latency_p99: Option<Duration>,
-    /// Inference lanes owned by each worker's persistent pool.
-    pub pool_lanes: u64,
-    /// Mean lanes engaged per pool inference call (0.0 before the
-    /// first call) — how much of the pool the observed batch sizes
-    /// actually exercised.
-    pub pool_occupancy: f64,
     /// Wall-clock reads that failed and fell back to the
     /// monotonic-offset timestamp.
     pub clock_faults: u64,
@@ -708,11 +665,7 @@ impl fmt::Display for EngineStats {
             fmt_latency(self.batch_latency_p50),
             fmt_latency(self.batch_latency_p99),
         )?;
-        writeln!(
-            f,
-            "pool lanes {} (occupancy {:.2})  clock faults {}",
-            self.pool_lanes, self.pool_occupancy, self.clock_faults
-        )?;
+        writeln!(f, "clock faults {}", self.clock_faults)?;
         let timed: Vec<&StageSnapshot> = self.stages.iter().filter(|s| s.count > 0).collect();
         if !timed.is_empty() {
             write!(f, "stages:")?;

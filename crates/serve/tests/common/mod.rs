@@ -70,11 +70,10 @@ pub fn calib(auth: &Authenticator, ds: &Dataset) -> Vec<Tensor> {
         .collect()
 }
 
-/// A lossless two-worker engine under `kind`.
-pub fn config(kind: PolicyKind, infer_threads: usize) -> EngineConfig {
+/// A lossless engine of `workers` shards under `kind`.
+pub fn config(kind: PolicyKind, workers: usize) -> EngineConfig {
     EngineConfig {
-        workers: 2,
-        infer_threads,
+        workers,
         backpressure: Backpressure::Block,
         decision: DecisionPolicyConfig {
             kind,
@@ -88,12 +87,12 @@ pub fn config(kind: PolicyKind, infer_threads: usize) -> EngineConfig {
 /// returning the final report.
 pub fn serve(
     kind: PolicyKind,
-    infer_threads: usize,
+    workers: usize,
     frozen: &Arc<FrozenAuthenticator>,
     registry: DeviceRegistry,
     frames: &[Vec<u8>],
 ) -> EngineReport {
-    let engine = Engine::start_frozen(config(kind, infer_threads), Arc::clone(frozen), registry);
+    let engine = Engine::start_frozen(config(kind, workers), Arc::clone(frozen), registry);
     for frame in frames {
         engine.ingest_frame(frame);
     }

@@ -1,12 +1,14 @@
-//! Thread-parallel inference integration tests: `infer_threads` and
-//! `max_batch` may change throughput, never a verdict.
+//! Worker-count and batch-size invariance: the number of shard workers
+//! and `max_batch` may change throughput, never a verdict.
 //!
-//! The frozen model's lane split is bit-exact (pinned at the nn layer by
-//! proptests), so an engine run at any `infer_threads` must produce
+//! Workers are the engine's only serving threads. Reports are sharded by
+//! source MAC, every worker runs `FrozenModel::infer_batch` on its own
+//! context, and that call is bit-exact at any batch size (pinned at the
+//! nn layer), so an engine run at any worker count must produce
 //! *identical* per-device decisions — same verdicts, same windowed
 //! evidence, same reports-to-verdict latency. These tests pin that end
-//! to end through the engine, including the crafted policy scenarios
-//! from the decision-policy test suite re-run at `infer_threads > 1`.
+//! to end through the engine, including the crafted policy scenario
+//! from the decision-policy test suite.
 
 mod common;
 
@@ -20,11 +22,11 @@ use deepcsi_serve::{
 };
 
 /// The core invariance: one frozen snapshot served at
-/// `infer_threads ∈ {1, 2, 4}` yields byte-for-byte identical decisions
-/// — verdicts, windowed evidence and decision latency all match the
-/// single-threaded run, while every report still classifies.
+/// `workers ∈ {1, 2, 4}` yields byte-for-byte identical decisions —
+/// verdicts, windowed evidence and decision latency all match the
+/// single-worker run, while every report still classifies.
 #[test]
-fn infer_threads_never_change_a_decision() {
+fn worker_count_never_changes_a_decision() {
     let ds = dataset(3, 40);
     // One Arc shared by all three engines — no weight copy anywhere.
     let frozen = Arc::new(trained_authenticator(&ds).freeze());
@@ -47,10 +49,10 @@ fn infer_threads_never_change_a_decision() {
         "clean capture must accept every registered stream"
     );
 
-    for threads in [2usize, 4] {
+    for workers in [2usize, 4] {
         let report = serve(
             PolicyKind::FixedMajority,
-            threads,
+            workers,
             &frozen,
             registry.clone(),
             &frames,
@@ -59,18 +61,18 @@ fn infer_threads_never_change_a_decision() {
         assert_eq!(report.stats.rejected, 0);
         assert_eq!(
             baseline.decisions, report.decisions,
-            "decisions diverged at infer_threads={threads}"
+            "decisions diverged at workers={workers}"
         );
     }
 }
 
-/// The decision-policy suite's takeover scenario, re-run with
-/// `infer_threads = 2`: an impostor presents the *right* module at
-/// collapsed confidence. The verdicts must match the policy tests
-/// exactly — `FixedMajority` accepts, `AdaptiveThreshold` flags — no
-/// matter how the micro-batches were split across inference threads.
+/// The decision-policy suite's takeover scenario at one and four
+/// workers: an impostor presents the *right* module at collapsed
+/// confidence. The verdicts must match the policy tests exactly —
+/// `FixedMajority` accepts, `AdaptiveThreshold` flags — whichever shard
+/// the stream lands on.
 #[test]
-fn policy_verdicts_are_identical_at_two_infer_threads() {
+fn policy_verdicts_are_identical_at_any_worker_count() {
     let Takeover {
         auth,
         registry,
@@ -79,17 +81,17 @@ fn policy_verdicts_are_identical_at_two_infer_threads() {
     } = takeover();
     let frozen = Arc::new(auth.freeze());
 
-    for threads in [2usize, 4] {
+    for workers in [1usize, 4] {
         let fixed = serve(
             PolicyKind::FixedMajority,
-            threads,
+            workers,
             &frozen,
             registry.clone(),
             &frames,
         );
         let adaptive = serve(
             PolicyKind::AdaptiveThreshold,
-            threads,
+            workers,
             &frozen,
             registry.clone(),
             &frames,
@@ -101,8 +103,8 @@ fn policy_verdicts_are_identical_at_two_infer_threads() {
             assert_eq!(d.module, 0, "impostor must present the right module");
             assert_eq!(d.observations, frames.len() as u64);
         }
-        // Same outcome the single-threaded policy tests pin: the fixed
-        // majority passes the impostor, the adaptive floor flags it.
+        // Same outcome the policy tests pin: the fixed majority passes
+        // the impostor, the adaptive floor flags it.
         assert_eq!(fixed.decisions[0].verdict, Verdict::Accept);
         assert_eq!(adaptive.decisions[0].verdict, Verdict::Reject);
         let decided_at = adaptive.decisions[0].decided_at.expect("decided");
@@ -110,7 +112,8 @@ fn policy_verdicts_are_identical_at_two_infer_threads() {
     }
 }
 
-/// Replays `frames` through the 2-lane pool with an explicit batch cap.
+/// Replays `frames` through a two-worker engine with an explicit batch
+/// cap.
 fn serve_batched(
     max_batch: usize,
     frozen: &Arc<FrozenAuthenticator>,
@@ -134,7 +137,7 @@ fn serve_batched(
 /// Batch composition changes departure timing, never a decision: the
 /// same capture served at `max_batch` 1 (every report alone), 7 (ragged
 /// lane blocks) and 32 (full lane blocks) produces identical decision
-/// vectors — at f32 AND int8, through the pooled multi-lane path.
+/// vectors — at f32 AND int8, on each worker's single context.
 #[test]
 fn batch_size_never_changes_a_decision() {
     let ds = dataset(2, 24);

@@ -24,14 +24,14 @@ fn confidence_weighted_matches_fixed_accuracy_in_half_the_reports() {
 
     let fixed = serve(
         PolicyKind::FixedMajority,
-        1,
+        2,
         &frozen,
         registry.clone(),
         &frames,
     );
     let confidence = serve(
         PolicyKind::ConfidenceWeighted,
-        1,
+        2,
         &frozen,
         registry,
         &frames,
@@ -86,12 +86,12 @@ fn adaptive_flags_right_module_wrong_confidence_impostor_fixed_accepts() {
 
     let fixed = serve(
         PolicyKind::FixedMajority,
-        1,
+        2,
         &frozen,
         registry.clone(),
         &frames,
     );
-    let adaptive = serve(PolicyKind::AdaptiveThreshold, 1, &frozen, registry, &frames);
+    let adaptive = serve(PolicyKind::AdaptiveThreshold, 2, &frozen, registry, &frames);
 
     // Both engines classified every report and saw the same stream.
     for r in [&fixed, &adaptive] {

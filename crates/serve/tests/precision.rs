@@ -5,7 +5,7 @@
 //! Quantization is allowed to perturb logits (the nn-level parity suite
 //! bounds by how much), but on the clean-capture fixtures and the
 //! crafted impostor scenario the *decisions* — per-device verdict and
-//! decided module — must be identical, at any `infer_threads` split.
+//! decided module — must be identical, at any worker count.
 
 mod common;
 
@@ -29,7 +29,7 @@ fn verdict_vector(report: &EngineReport) -> Vec<(MacAddr, Verdict, Option<usize>
 
 /// Clean-capture equivalence: a trained model serving its own synthetic
 /// capture decides identically at f32 and int8, across policies and
-/// `infer_threads` — and the int8 run classifies every report (no
+/// worker counts — and the int8 run classifies every report (no
 /// rejects, no drops).
 #[test]
 fn precision_never_changes_a_clean_capture_verdict() {
@@ -41,7 +41,7 @@ fn precision_never_changes_a_clean_capture_verdict() {
     let registry = ReplaySource::registry(&ds);
 
     for kind in [PolicyKind::FixedMajority, PolicyKind::ConfidenceWeighted] {
-        let baseline = serve(kind, 1, &f32_snap, registry.clone(), &frames);
+        let baseline = serve(kind, 2, &f32_snap, registry.clone(), &frames);
         assert!(
             baseline
                 .decisions
@@ -49,15 +49,15 @@ fn precision_never_changes_a_clean_capture_verdict() {
                 .all(|d| d.verdict == Verdict::Accept),
             "clean capture must accept every registered stream ({kind:?})"
         );
-        for threads in [1usize, 2] {
-            let quantized = serve(kind, threads, &int8_snap, registry.clone(), &frames);
+        for workers in [1usize, 2] {
+            let quantized = serve(kind, workers, &int8_snap, registry.clone(), &frames);
             assert_eq!(quantized.stats.classified as usize, frames.len());
             assert_eq!(quantized.stats.rejected, 0);
             assert_eq!(quantized.stats.precision, "int8");
             assert_eq!(
                 verdict_vector(&baseline),
                 verdict_vector(&quantized),
-                "verdicts diverged at int8 (policy {kind:?}, threads {threads})"
+                "verdicts diverged at int8 (policy {kind:?}, workers {workers})"
             );
         }
     }
@@ -77,17 +77,17 @@ fn impostor_scenario_verdicts_survive_quantization() {
     } = takeover();
     let int8_snap = Arc::new(FrozenAuthenticator::quantized(&auth, &calib).unwrap());
 
-    for threads in [1usize, 2] {
+    for workers in [1usize, 2] {
         let fixed = serve(
             PolicyKind::FixedMajority,
-            threads,
+            workers,
             &int8_snap,
             registry.clone(),
             &frames,
         );
         let adaptive = serve(
             PolicyKind::AdaptiveThreshold,
-            threads,
+            workers,
             &int8_snap,
             registry.clone(),
             &frames,

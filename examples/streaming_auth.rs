@@ -4,9 +4,8 @@
 //! 2. Freeze the trained model once (`Authenticator::freeze`) and start
 //!    the streaming engine on the shared snapshot: MAC-sharded workers,
 //!    bounded queues, micro-batched inference over one
-//!    `Arc<FrozenAuthenticator>` (no per-worker weight clone, two
-//!    inference threads per micro-batch), per-device sliding-window
-//!    verdicts.
+//!    `Arc<FrozenAuthenticator>` (no per-worker weight clone),
+//!    per-device sliding-window verdicts.
 //! 3. Replay the capture as a frame stream — plus one impersonation
 //!    attempt and some over-the-air garbage — and read the verdicts.
 //!
@@ -42,11 +41,10 @@ fn main() {
     let registry = ReplaySource::registry(&dataset);
     let engine = Engine::start_frozen(
         EngineConfig {
+            // Two shards, each classifying its own devices' reports on
+            // one core. The worker count can change throughput but never
+            // a verdict.
             workers: 2,
-            // Split each worker's micro-batch across two inference
-            // threads. The lane split is bit-exact, so this can change
-            // throughput but never a verdict.
-            infer_threads: 2,
             backpressure: Backpressure::Block,
             ..EngineConfig::default()
         },
