@@ -1,9 +1,9 @@
 //! Observability overhead sweep: end-to-end engine throughput with the
 //! instrumentation at each of its settings, normalised against the
-//! default engine, plus the per-layer profiler's table for the paper
-//! CNN — as machine-readable `RESULT obs …` lines (collected by
-//! `run_all` into `BENCH_obs.json`; keys documented in
-//! `crates/bench/README.md`).
+//! default engine — as machine-readable `RESULT obs …` lines (collected
+//! by `run_all` into `BENCH_obs.json`; keys documented in
+//! `crates/bench/README.md`). The per-layer profiler's op shares for
+//! the paper CNN are the repo benchmark's `nn.op_share.paper.*` rows.
 //!
 //! The three engine rows:
 //!
@@ -32,14 +32,15 @@
 //!   interval). Budget: ≤3% below `live_dark`.
 
 use deepcsi_bench::result_line;
-use deepcsi_bench::serve_bench::{
-    engine_reports_per_sec_cfg, engine_reports_per_sec_observed, inputs, paper_cnn, serve_dataset,
+use deepcsi_core::{Authenticator, ModelConfig};
+use deepcsi_data::{generate_d1, Dataset, GenConfig, InputSpec};
+use deepcsi_obs::{http_get, TraceConfig};
+use deepcsi_serve::{
+    AuditConfig, Backpressure, Engine, EngineConfig, ObsPlane, ObsPlaneConfig, ReplaySource,
 };
-use deepcsi_obs::{format_op_table, http_get, Profiler, TraceConfig};
-use deepcsi_serve::{AuditConfig, Backpressure, EngineConfig, ObsPlane, ObsPlaneConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One row of the overhead sweep.
 struct ObsSetting {
@@ -68,6 +69,63 @@ fn settings() -> Vec<ObsSetting> {
     ]
 }
 
+/// A small synthetic capture for the throughput runs.
+fn serve_dataset(modules: u32, snapshots: usize) -> Dataset {
+    generate_d1(&GenConfig {
+        num_modules: modules,
+        snapshots_per_trace: snapshots,
+        ..GenConfig::default()
+    })
+}
+
+/// An untrained fast classifier over the dataset's input shape
+/// (throughput does not depend on trained weights).
+fn serve_authenticator(ds: &Dataset, classes: usize) -> Authenticator {
+    let spec = InputSpec {
+        stride: 4,
+        ..InputSpec::default()
+    };
+    let probe = spec.tensor(&ds.traces[0].snapshots[0]);
+    Authenticator::new(ModelConfig::fast(classes, 0).build_for(&probe), spec)
+}
+
+/// End-to-end engine throughput for `repeat` replay passes under `cfg`,
+/// reports/second.
+fn engine_reports_per_sec_cfg(ds: &Dataset, cfg: EngineConfig, repeat: usize) -> f64 {
+    engine_reports_per_sec_observed(ds, cfg, repeat, |_| (), |()| ())
+}
+
+/// [`engine_reports_per_sec_cfg`] with observer hooks: `attach` runs
+/// once the engine is up (bind a scrape plane, launch scraper threads)
+/// and `detach` runs after the replay has drained and the clock has
+/// stopped (tear the observers down before engine shutdown).
+fn engine_reports_per_sec_observed<T>(
+    ds: &Dataset,
+    cfg: EngineConfig,
+    repeat: usize,
+    attach: impl FnOnce(&Engine) -> T,
+    detach: impl FnOnce(T),
+) -> f64 {
+    let replay = ReplaySource::from_dataset(ds);
+    let engine = Engine::start_frozen(
+        cfg,
+        serve_authenticator(ds, ds.modules().len().max(2)).freeze(),
+        ReplaySource::registry(ds),
+    );
+    let observers = attach(&engine);
+    let t = Instant::now();
+    for _ in 0..repeat {
+        for frame in replay.frames() {
+            engine.ingest_frame(frame);
+        }
+    }
+    engine.drain();
+    let elapsed = t.elapsed().as_secs_f64();
+    detach(observers);
+    let report = engine.shutdown();
+    report.stats.classified as f64 / elapsed
+}
+
 fn main() {
     let mut quick = false;
     for arg in std::env::args().skip(1) {
@@ -76,10 +134,10 @@ fn main() {
             other => eprintln!("ignoring unknown argument {other:?}"),
         }
     }
-    let (snapshots, repeat, rounds, prof_batches) = if quick {
-        (6usize, 1usize, 2usize, 2usize)
+    let (snapshots, repeat, rounds) = if quick {
+        (6usize, 1usize, 2usize)
     } else {
-        (30, 2, 5, 20)
+        (30, 2, 5)
     };
 
     // --- Engine overhead sweep ---------------------------------------
@@ -202,34 +260,6 @@ fn main() {
         if i > 0 {
             result_line("obs", &format!("overhead_{name}_pct"), pct);
         }
-    }
-
-    // --- Per-layer profiler: the paper CNN ---------------------------
-    println!("\n== per-layer profile: paper_cnn, batch 32 × {prof_batches} ==");
-    let w = paper_cnn();
-    let xs = inputs(&w, 32);
-    let frozen = w.net.freeze();
-    let mut ctx = frozen.ctx();
-    let _ = frozen.infer_batch(&xs, &mut ctx); // warm-up, unprofiled
-    ctx.set_profiler(Profiler::new());
-    for _ in 0..prof_batches {
-        std::hint::black_box(frozen.infer_batch(&xs, &mut ctx));
-    }
-    let ops = ctx.take_profiler().expect("profiler attached").into_ops();
-    print!("{}", format_op_table(&ops));
-    let total_ns: u64 = ops.iter().map(|o| o.ns).sum();
-    let samples: u64 = ops.first().map_or(0, |o| o.samples);
-    result_line(
-        "obs",
-        "profile_paper_cnn_ns_per_sample",
-        total_ns as f64 / samples.max(1) as f64,
-    );
-    for (i, op) in ops.iter().enumerate() {
-        result_line(
-            "obs",
-            &format!("profile_paper_cnn_op{i}_{}_share_pct", op.name),
-            100.0 * op.ns as f64 / total_ns.max(1) as f64,
-        );
     }
 
     // --- Budget assertions (full mode only) --------------------------

@@ -1,9 +1,8 @@
 //! Runs every figure binary in sequence and collects the `RESULT` lines
 //! into `bench_results/summary.txt`.
 //! Also runs the benches whose rows the repo benchmark (`benchmark/`)
-//! does not report yet — the parallel-serving scaling sweep, the
-//! observability overhead sweep, the scenario matrix and the cluster
-//! tier (`parallel_bench`, `obs_bench`, `scenario_bench`,
+//! does not report — the observability overhead sweep, the scenario
+//! matrix and the cluster tier (`obs_bench`, `scenario_bench`,
 //! `cluster_bench`) — and emits their numbers as `BENCH_<tag>.json`
 //! (schema documented in `crates/bench/README.md`).
 
@@ -66,7 +65,6 @@ fn main() {
         summary.lines().count()
     );
 
-    run_result_bench(&exe_dir, &forwarded, &out_dir, "parallel_bench", "parallel");
     run_result_bench(&exe_dir, &forwarded, &out_dir, "obs_bench", "obs");
     run_result_bench(
         &exe_dir,

@@ -15,8 +15,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod serve_bench;
-
 use deepcsi_core::{ExperimentConfig, ModelConfig};
 use deepcsi_data::{generate_d1, generate_d2, Dataset, GenConfig, InputSpec};
 use deepcsi_nn::{ConfusionMatrix, TrainConfig};

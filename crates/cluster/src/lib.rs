@@ -43,6 +43,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod accept;
 mod client;
 pub mod codec;
 pub mod demo;

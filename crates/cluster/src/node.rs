@@ -1,6 +1,7 @@
 //! The engine node: a TCP listener multiplexing many client
 //! connections into one [`Engine`].
 
+use crate::accept::{AcceptLoop, POLL};
 use crate::codec::{
     encode_drain_reply, encode_response, DrainReply, FrameKind, RequestDecoder, RequestFrame,
     ResponseFrame, ResponseStatus, WireDecision, WireStats,
@@ -8,15 +9,9 @@ use crate::codec::{
 use crate::stats::ClusterStats;
 use deepcsi_serve::{Engine, IngestOutcome};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-/// How long a blocked `accept`/`read` waits before re-checking the
-/// stop flag.
-const POLL: Duration = Duration::from_millis(50);
+use std::sync::Arc;
 
 /// A TCP listener feeding one engine.
 ///
@@ -38,11 +33,8 @@ const POLL: Duration = Duration::from_millis(50);
 /// A codec error tears only the offending connection down.
 pub struct EngineNode {
     engine: Arc<Engine>,
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: AcceptLoop,
 }
 
 impl EngineNode {
@@ -57,57 +49,24 @@ impl EngineNode {
         engine: Arc<Engine>,
         stats: Arc<ClusterStats>,
     ) -> io::Result<EngineNode> {
-        let listener = TcpListener::bind(listen)?;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
         let shutdown = Arc::new(AtomicBool::new(false));
-        let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
+        let conns = {
             let engine = Arc::clone(&engine);
-            let stop = Arc::clone(&stop);
             let shutdown = Arc::clone(&shutdown);
-            let handlers = Arc::clone(&handlers);
-            std::thread::Builder::new()
-                .name("cluster-accept".into())
-                .spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        match listener.accept() {
-                            Ok((stream, peer)) => {
-                                let engine = Arc::clone(&engine);
-                                let stats = Arc::clone(&stats);
-                                let stop = Arc::clone(&stop);
-                                let shutdown = Arc::clone(&shutdown);
-                                let handle = std::thread::Builder::new()
-                                    .name(format!("cluster-conn-{peer}"))
-                                    .spawn(move || {
-                                        handle_conn(stream, &engine, &stats, &stop, &shutdown);
-                                    })
-                                    .expect("spawn connection handler");
-                                handlers.lock().unwrap().push(handle);
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(POLL);
-                            }
-                            Err(_) => std::thread::sleep(POLL),
-                        }
-                    }
-                })
-                .expect("spawn cluster accept loop")
+            AcceptLoop::bind(listen, "cluster", move |stream, stop| {
+                handle_conn(stream, &engine, &stats, stop, &shutdown);
+            })?
         };
         Ok(EngineNode {
             engine,
-            local_addr,
-            stop,
             shutdown,
-            accept: Some(accept),
-            handlers,
+            conns,
         })
     }
 
     /// The bound address (read the ephemeral port back).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.conns.local_addr()
     }
 
     /// The engine this node feeds.
@@ -124,14 +83,8 @@ impl EngineNode {
 
     /// Stops accepting, joins every connection handler, and returns.
     /// The engine is left running (snapshot/shutdown it separately).
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        for h in self.handlers.lock().unwrap().drain(..) {
-            let _ = h.join();
-        }
+    pub fn stop(self) {
+        self.conns.stop();
     }
 }
 

@@ -1,6 +1,7 @@
 //! The shard router: one listener fanning each client connection out
 //! across N engine nodes by MAC hash.
 
+use crate::accept::{AcceptLoop, POLL};
 use crate::codec::{
     encode_request, encode_response, DrainReply, FrameKind, RequestDecoder, RequestFrame,
     ResponseDecoder, ResponseFrame, ResponseStatus,
@@ -8,15 +9,12 @@ use crate::codec::{
 use crate::stats::ClusterStats;
 use deepcsi_serve::{shard_of, Backpressure};
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// How long a blocked `accept`/`read` waits before re-checking stop.
-const POLL: Duration = Duration::from_millis(50);
 
 /// How long a drain fan-out waits for each node's reply before
 /// merging what it has.
@@ -63,11 +61,8 @@ impl Default for RouterConfig {
 /// merge into a single ack: counters sum, disjoint decision lists
 /// concatenate and sort by MAC.
 pub struct ShardRouter {
-    local_addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: AcceptLoop,
 }
 
 impl ShardRouter {
@@ -80,56 +75,20 @@ impl ShardRouter {
     /// and panics.
     pub fn start(cfg: RouterConfig, stats: Arc<ClusterStats>) -> io::Result<ShardRouter> {
         assert!(!cfg.nodes.is_empty(), "router needs at least one node");
-        let listener = TcpListener::bind(&cfg.listen)?;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
         let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
-            let stop = Arc::clone(&stop);
+        let conns = {
             let shutdown = Arc::clone(&shutdown);
-            let conns = Arc::clone(&conns);
-            let cfg = cfg.clone();
-            std::thread::Builder::new()
-                .name("router-accept".into())
-                .spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        match listener.accept() {
-                            Ok((stream, peer)) => {
-                                let cfg = cfg.clone();
-                                let stats = Arc::clone(&stats);
-                                let stop = Arc::clone(&stop);
-                                let shutdown = Arc::clone(&shutdown);
-                                let handle = std::thread::Builder::new()
-                                    .name(format!("router-conn-{peer}"))
-                                    .spawn(move || {
-                                        route_conn(stream, &cfg, &stats, &stop, &shutdown);
-                                    })
-                                    .expect("spawn router connection");
-                                conns.lock().unwrap().push(handle);
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(POLL);
-                            }
-                            Err(_) => std::thread::sleep(POLL),
-                        }
-                    }
-                })
-                .expect("spawn router accept loop")
+            let listen = cfg.listen.clone();
+            AcceptLoop::bind(&listen, "router", move |stream, stop| {
+                route_conn(stream, &cfg, &stats, stop, &shutdown);
+            })?
         };
-        Ok(ShardRouter {
-            local_addr,
-            stop,
-            shutdown,
-            accept: Some(accept),
-            conns,
-        })
+        Ok(ShardRouter { shutdown, conns })
     }
 
     /// The bound address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.conns.local_addr()
     }
 
     /// `true` once a client's `SHUTDOWN` has been fanned out, merged
@@ -139,14 +98,8 @@ impl ShardRouter {
     }
 
     /// Stops accepting and joins every connection.
-    pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        for h in self.conns.lock().unwrap().drain(..) {
-            let _ = h.join();
-        }
+    pub fn stop(self) {
+        self.conns.stop();
     }
 }
 

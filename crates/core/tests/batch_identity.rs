@@ -11,12 +11,14 @@
 //! which a halo term that is not an exact ±0 would show. A pool that
 //! breaks the first-maximum rule shows only on a net that pools raw
 //! input, fed windows whose maximum is a `+0`/`−0` tie: the other nets
-//! pool SELU output, which is never −0.
+//! pool SELU output, which is never −0. Likewise the attention block's
+//! channel max meets cross-channel ties only on raw input.
 
 mod common;
 
 use common::{
-    bits, model_specs, network, odd_specs, raw_pool_specs, reference, samples, signed_zero_samples,
+    bits, channel_tie_samples, model_specs, network, odd_specs, raw_attention_specs,
+    raw_pool_specs, reference, samples, signed_zero_samples,
 };
 use deepcsi_core::ModelConfig;
 use deepcsi_nn::{Network, Tensor};
@@ -73,4 +75,11 @@ fn raw_input_pool_keeps_the_first_zero_at_every_batch_size() {
     let (specs, shape) = (raw_pool_specs(), (2, 1, 12));
     let xs = signed_zero_samples(shape);
     assert_every_batch_size_is_bit_exact("raw pool", network(&specs), &specs, shape, &xs);
+}
+
+#[test]
+fn raw_input_attention_is_bit_exact_at_every_batch_size() {
+    let (specs, shape) = (raw_attention_specs(), (3, 1, 8));
+    let xs = channel_tie_samples(shape);
+    assert_every_batch_size_is_bit_exact("raw attention", network(&specs), &specs, shape, &xs);
 }

@@ -179,6 +179,55 @@ pub fn signed_zero_samples((c, h, w): (usize, usize, usize)) -> Vec<Tensor> {
         .collect()
 }
 
+/// A net whose first layer is the spatial attention block on the raw
+/// input. Every other attention block follows a SELU, whose outputs
+/// rarely tie across channels and are never −0, so only here can a
+/// backward that sends the channel max's gradient to any but the first
+/// maximal channel show in the input gradients. Input `(3, 1, 8)`, 24
+/// outputs; feed it [`channel_tie_samples`].
+pub fn raw_attention_specs() -> Vec<Spec> {
+    vec![
+        Spec::SpatialAttention {
+            kernel_w: 3,
+            seed: 48,
+        },
+        Spec::Flatten,
+    ]
+}
+
+/// Positions whose three channels tie at their maximum: positive and
+/// negative pairs, a `+0`/`−0` pair on each pair of channels, and a
+/// three-way tie.
+const CHANNEL_TIES: [[f32; 3]; 7] = [
+    [1.5, 1.5, -1.0],
+    [-1.0, 0.75, 0.75],
+    [-0.5, -2.0, -0.5],
+    [0.0, -0.0, -1.0],
+    [-0.0, -1.0, 0.0],
+    [-1.0, -0.0, 0.0],
+    [-0.25, -0.25, -0.25],
+];
+
+/// 40 samples of `(3, 1, w)`: at position `p` of sample `s` the
+/// channels hold tie `(p + s) % 7` of [`CHANNEL_TIES`], except every
+/// fourth position, which holds three distinct values, so each sample
+/// mixes ties with a plain maximum.
+pub fn channel_tie_samples((c, h, w): (usize, usize, usize)) -> Vec<Tensor> {
+    assert!(c == 3 && h == 1, "three channels over one row");
+    (0..40)
+        .map(|s| {
+            let column = |p: usize| match (p + s) % 4 {
+                3 => [0.5 + p as f32, -0.25 * s as f32, 1.25],
+                _ => CHANNEL_TIES[(p + s) % CHANNEL_TIES.len()],
+            };
+            let data = (0..c)
+                .flat_map(|ci| (0..w).map(move |p| column(p)[ci]))
+                .collect();
+            Tensor::from_vec(data, vec![c, h, w])
+        })
+        .collect()
+}
+
 /// Exact zeros of both signs and subnormals of both signs.
 const TINY: [f32; 5] = [0.0, -0.0, 1e-40, -3e-39, f32::MIN_POSITIVE / 2.0];
 

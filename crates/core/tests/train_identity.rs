@@ -11,8 +11,10 @@
 //! serves every b: after sample `b − 1` its accumulators and its
 //! dropout stream stand where a b-lane batch must leave them. Every net
 //! draws dropout masks in training mode. The inputs are the ±0,
-//! subnormal and ±1e30 mix of `batch_identity.rs`, and for the net that
-//! max-pools raw input, windows whose maximum is a `+0`/`−0` tie.
+//! subnormal and ±1e30 mix of `batch_identity.rs`; for the net that
+//! max-pools raw input, windows whose maximum is a `+0`/`−0` tie; and
+//! for the net whose attention block reads raw input, positions whose
+//! channels tie at their maximum.
 //!
 //! Then whole training runs: `Trainer::fit` for three epochs with a
 //! ragged last batch against a replica of its loop on the reference
@@ -22,7 +24,8 @@
 mod common;
 
 use common::{
-    bits, model_specs, network, odd_specs, raw_pool_specs, reference, samples, signed_zero_samples,
+    bits, channel_tie_samples, model_specs, network, odd_specs, raw_attention_specs,
+    raw_pool_specs, reference, samples, signed_zero_samples,
 };
 use deepcsi_core::ModelConfig;
 use deepcsi_nn::{softmax_cross_entropy, Adam, Network, Planes, Tensor, TrainConfig, Trainer};
@@ -143,6 +146,20 @@ fn raw_input_pool_trains_bit_identically_at_every_batch_size() {
     let (specs, shape) = (raw_pool_specs(), (2, 1, 12));
     let xs = signed_zero_samples(shape);
     assert_batched_passes_match_per_sample("raw pool", network(&specs), &specs, shape, 8, &xs);
+}
+
+#[test]
+fn raw_input_attention_trains_bit_identically_at_every_batch_size() {
+    let (specs, shape) = (raw_attention_specs(), (3, 1, 8));
+    let xs = channel_tie_samples(shape);
+    assert_batched_passes_match_per_sample(
+        "raw attention",
+        network(&specs),
+        &specs,
+        shape,
+        24,
+        &xs,
+    );
 }
 
 /// `Trainer::fit`'s loop on the per-sample reference: the same seeded

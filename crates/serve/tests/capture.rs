@@ -69,7 +69,7 @@ fn serve_source(
     engine.shutdown()
 }
 
-/// The acceptance criterion: export-to-pcap + `PcapFileSource` must
+/// The headline requirement: export-to-pcap + `PcapFileSource` must
 /// produce byte-identical per-device verdicts and reconciled telemetry
 /// vs the in-memory `ReplaySource` — for both container formats.
 #[test]

@@ -12,7 +12,7 @@ use deepcsi_serve::{
     WindowConfig,
 };
 
-/// The acceptance-criterion scenario: replaying a synthetic multi-device
+/// The headline scenario: replaying a synthetic multi-device
 /// capture yields a correct (Accept, right module) verdict for every
 /// registered beamformee stream.
 #[test]

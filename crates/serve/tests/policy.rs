@@ -12,7 +12,7 @@ use deepcsi_frame::MacAddr;
 use deepcsi_impair::DeviceId;
 use deepcsi_serve::{DecisionPolicyConfig, DeviceRegistry, PolicyKind, ReplaySource, Verdict};
 
-/// The acceptance criterion: on a clean capture, `ConfidenceWeighted`
+/// The headline requirement: on a clean capture, `ConfidenceWeighted`
 /// must reach the same (all-Accept) verdicts as `FixedMajority`, never
 /// later than it, and at the median in at most half the reports.
 #[test]
