@@ -111,6 +111,39 @@ impl ModelConfig {
         Ok(())
     }
 
+    /// The length of every weight tensor [`ModelConfig::build`] would
+    /// make for `input_shape`, in `Network::weights` order, computed
+    /// with checked arithmetic and without building anything.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelConfig::validate`]'s reason, or a tensor whose size
+    /// overflows `usize`.
+    pub(crate) fn weight_lens(
+        &self,
+        input_shape: (usize, usize, usize),
+    ) -> Result<Vec<usize>, String> {
+        self.validate(input_shape)?;
+        let mul = |a: usize, b: usize| {
+            a.checked_mul(b)
+                .ok_or_else(|| format!("a weight tensor of {a} × {b} values overflows"))
+        };
+        let (mut ch, rows, mut cols) = input_shape;
+        let mut lens = Vec::new();
+        for (&filters, &kernel) in self.conv_filters.iter().zip(&self.conv_kernels) {
+            lens.extend([mul(mul(filters, ch)?, kernel)?, filters]);
+            ch = filters;
+            cols /= 2;
+        }
+        lens.extend([mul(2, self.attention_kernel)?, 1]);
+        let mut dim = mul(mul(ch, rows)?, cols)?;
+        for &units in self.dense_units.iter().chain([&self.num_classes]) {
+            lens.extend([mul(units, dim)?, units]);
+            dim = units;
+        }
+        Ok(lens)
+    }
+
     /// Builds the network for a given input shape `(channels, rows,
     /// cols)`.
     ///
@@ -239,6 +272,24 @@ mod tests {
         let ya = infer(&a, &x);
         let yb = infer(&b, &x);
         assert_ne!(ya.as_slice(), yb.as_slice());
+    }
+
+    #[test]
+    fn weight_lens_match_the_built_network() {
+        for (cfg, shape) in [
+            (ModelConfig::paper(10, 0), (5, 1, 234)),
+            (ModelConfig::demo(4), (5, 1, 59)),
+            (ModelConfig::fast(3, 1), (5, 2, 117)),
+        ] {
+            let lens: Vec<usize> = cfg.build(shape).weights().iter().map(|w| w.len()).collect();
+            assert_eq!(cfg.weight_lens(shape), Ok(lens));
+        }
+        let mut huge = ModelConfig::demo(4);
+        huge.dense_units[0] = usize::MAX / 2;
+        assert!(huge
+            .weight_lens((5, 1, 59))
+            .unwrap_err()
+            .contains("overflows"));
     }
 
     #[test]

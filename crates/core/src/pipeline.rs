@@ -13,7 +13,7 @@ use std::sync::OnceLock;
 /// Numeric backend of a frozen serving snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Precision {
-    /// The f32 reference path — bit-equal to training-time
+    /// The f32 path — bit-equal to the `deepcsi-nn-ref` reference's
     /// `forward(x, false)`.
     #[default]
     F32,
@@ -192,12 +192,6 @@ impl Authenticator {
         frozen.infer(&x, &mut frozen.ctx()).argmax()
     }
 
-    /// The wrapped network (training-side access; the serving engine
-    /// runs on [`Authenticator::freeze`]'s snapshot instead).
-    pub fn network(&self) -> &Network {
-        &self.net
-    }
-
     /// The recorded input shape `(channels, rows, cols)`, when this
     /// authenticator was built with [`Authenticator::with_config`] or
     /// loaded from disk. The serving engine uses it to pin the accepted
@@ -216,10 +210,10 @@ impl Authenticator {
     /// [`FrozenAuthenticator`] for serving.
     ///
     /// The frozen model's predictions are bit-equal to this
-    /// authenticator's (`Network::forward(x, false)` arithmetic); the
-    /// weights are copied exactly once, so any number of worker threads
-    /// can share one `Arc<FrozenAuthenticator>` with no per-worker
-    /// clone.
+    /// authenticator's and to the `deepcsi-nn-ref` reference's
+    /// `forward(x, false)`; the weights are copied exactly once, so any
+    /// number of worker threads can share one `Arc<FrozenAuthenticator>`
+    /// with no per-worker clone.
     pub fn freeze(&self) -> FrozenAuthenticator {
         FrozenAuthenticator {
             model: self.net.freeze(),
@@ -269,6 +263,10 @@ impl Authenticator {
 
     /// Loads a model saved by [`Authenticator::save`].
     ///
+    /// The file's weight tensors must have the lengths its architecture
+    /// needs before anything is built, so a corrupt or crafted
+    /// architecture costs no more memory than the file's own weights.
+    ///
     /// # Errors
     ///
     /// I/O or deserialisation failures, and [`AuthError::InvalidModel`]
@@ -278,10 +276,16 @@ impl Authenticator {
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, AuthError> {
         let file = std::fs::File::open(path)?;
         let saved: SavedModel = bincode::deserialize_from(std::io::BufReader::new(file))?;
-        saved
+        let lens = saved
             .model
-            .validate(saved.input_shape)
+            .weight_lens(saved.input_shape)
             .map_err(AuthError::InvalidModel)?;
+        if !lens.iter().copied().eq(saved.weights.iter().map(Vec::len)) {
+            return Err(AuthError::InvalidModel(format!(
+                "the weights do not fit the architecture, which needs {} tensors of {lens:?} values",
+                lens.len()
+            )));
+        }
         let mut net = saved.model.build(saved.input_shape);
         net.load_weights(&saved.weights)
             .map_err(AuthError::InvalidModel)?;
@@ -510,6 +514,29 @@ mod tests {
                 matches!(Authenticator::load(&path), Err(AuthError::InvalidModel(_))),
                 "{what} must be refused"
             );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn load_refuses_an_overflowing_architecture_before_building_it() {
+        let (mut auth, _, _) = tiny_authenticator();
+        let dir = std::env::temp_dir().join("deepcsi-auth-overflow-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.bin");
+        auth.save(&path).unwrap();
+        let mut bad: SavedModel = bincode::deserialize(&std::fs::read(&path).unwrap()).unwrap();
+        // 2⁶² filters: the first conv's weight count overflows usize.
+        bad.model.conv_filters[0] = 1 << 62;
+        std::fs::write(&path, bincode::serialize(&bad).unwrap()).unwrap();
+        match Authenticator::load(&path) {
+            Err(AuthError::InvalidModel(reason)) => {
+                assert!(reason.contains("overflows"), "{reason}")
+            }
+            other => panic!(
+                "an overflowing architecture must be refused, got {:?}",
+                other.err()
+            ),
         }
         std::fs::remove_file(&path).ok();
     }

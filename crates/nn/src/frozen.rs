@@ -1,19 +1,20 @@
 //! Frozen inference: immutable models behind `Send + Sync` ops, with all
 //! mutable scratch in a per-worker [`InferCtx`].
 //!
-//! Training keeps per-worker state — activations cached for backward,
-//! gradient accumulators, dropout streams — in a [`crate::TrainCtx`], and
-//! optimizers mutate weights. Serving needs none of that, and
+//! Training runs these same ops (each layer's forward is its frozen op)
+//! but keeps more per-worker state — each layer's input for backward,
+//! gradient accumulators, dropout streams — in a [`crate::TrainCtx`],
+//! and optimizers mutate weights. Serving needs none of that, and
 //! [`crate::Network::freeze`] leaves it all behind:
 //!
 //! * [`FrozenModel`] — a snapshot of the weights behind [`InferOp`]s that
 //!   take `&self`. It is `Send + Sync`, so one `Arc<FrozenModel>` serves
 //!   any number of worker threads.
-//! * [`InferCtx`] — one worker's scratch: the ping-pong activation planes
-//!   and op-private workspaces. Buffers grow to a high-water mark on the
-//!   first batches and are reused afterwards, so the steady-state hot
-//!   path performs no allocation beyond the output tensors handed back
-//!   to the caller.
+//! * [`InferCtx`] — one worker's scratch: the ping-pong activation
+//!   [`Planes`] and op-private workspaces. Buffers grow to a high-water
+//!   mark on the first batches and are reused afterwards, so the
+//!   steady-state hot path performs no allocation beyond the output
+//!   tensors handed back to the caller.
 //!
 //! Activations live in the batch-innermost ("planes") layout:
 //! `data[e * b + s]` — element-major, sample-minor — so every per-weight
@@ -37,6 +38,7 @@
 //! [`crate::InferPool`]'s lane split verdict-neutral by construction
 //! (property-tested in `tests/proptests.rs`).
 
+use crate::planes::Planes;
 use crate::tensor::Tensor;
 use deepcsi_obs::Profiler;
 use std::fmt;
@@ -111,8 +113,8 @@ impl std::error::Error for ShapeMismatch {}
 ///
 /// Every op must reproduce the per-sample reference's `forward(x,
 /// false)` arithmetic term-for-term — same accumulation order, same
-/// rounding — so frozen inference stays bit-equal to the training-time
-/// forward pass, which runs the same kernels.
+/// rounding. An f32 op is also its layer's training forward
+/// ([`crate::Layer::forward_batch`] runs it).
 pub trait InferOp: Send + Sync {
     /// Human-readable op name (matches the source layer's).
     fn name(&self) -> &'static str;
@@ -141,11 +143,12 @@ pub trait InferOp: Send + Sync {
 /// returned output tensors.
 #[derive(Debug, Default)]
 pub struct InferCtx {
-    /// Current activation plane, batch-innermost (`[element][sample]`).
-    pub(crate) cur: Vec<f32>,
+    /// Current activation plane. In the int8 domain only its shape and
+    /// batch size are live; the values are in `qcur`.
+    pub(crate) cur: Planes,
     /// The other half of the ping-pong pair ([`InferCtx::produce`]'s
     /// output plane, swapped into `cur` afterwards).
-    nxt: Vec<f32>,
+    nxt: Planes,
     /// Op-private workspaces (the attention block's pooled maps and
     /// logits live here).
     pub(crate) scratch0: Vec<f32>,
@@ -171,10 +174,6 @@ pub struct InferCtx {
     /// Activation scale of `qcur` when `int8` is set: real value ≈
     /// `qcur[i] as f32 * qscale`.
     pub(crate) qscale: f32,
-    /// Per-sample shape of `cur`.
-    shape: Vec<usize>,
-    /// Samples interleaved in `cur`.
-    b: usize,
     /// Optional per-op profiler. When attached,
     /// [`FrozenModel::infer_batch`] wraps every op with a timestamp pair
     /// and records wall time + activation bytes into it; when absent the
@@ -188,6 +187,18 @@ impl InferCtx {
         Self::default()
     }
 
+    /// Runs `op` over the batch `x` on a fresh context whose current
+    /// plane is `x` itself, moved in and back out rather than copied:
+    /// a training pass runs each layer's frozen op this way.
+    pub(crate) fn run(op: &dyn InferOp, x: Planes) -> Planes {
+        let mut ctx = InferCtx {
+            cur: x,
+            ..InferCtx::default()
+        };
+        op.apply(&mut ctx);
+        ctx.cur
+    }
+
     /// Interleaves `xs` into the current plane.
     ///
     /// # Panics
@@ -195,64 +206,33 @@ impl InferCtx {
     /// Panics if `xs` is empty or the samples disagree in shape.
     pub(crate) fn load(&mut self, xs: &[Tensor]) {
         self.int8 = false;
-        assert!(!xs.is_empty(), "empty batch");
-        let shape = xs[0].shape();
-        let elems = xs[0].len();
-        let b = xs.len();
-        resize_buf(&mut self.cur, elems * b);
-        for (s, x) in xs.iter().enumerate() {
-            assert_eq!(x.shape(), shape, "batch samples must share a shape");
-            for (e, &v) in x.as_slice().iter().enumerate() {
-                self.cur[e * b + s] = v;
-            }
-        }
-        self.shape.clear();
-        self.shape.extend_from_slice(shape);
-        self.b = b;
-    }
-
-    /// De-interleaves the current plane into one tensor per sample.
-    fn unload(&self) -> Vec<Tensor> {
-        assert!(
-            !self.int8,
-            "pipeline left its activation in the int8 domain (missing trailing dequantize op)"
-        );
-        let elems = self.elems();
-        (0..self.b)
-            .map(|s| {
-                let mut out = vec![0.0f32; elems];
-                for (e, o) in out.iter_mut().enumerate() {
-                    *o = self.cur[e * self.b + s];
-                }
-                Tensor::from_vec(out, self.shape.clone())
-            })
-            .collect()
+        self.cur.load(xs.iter());
     }
 
     /// Per-sample shape of the current plane.
     pub fn shape(&self) -> &[usize] {
-        &self.shape
+        self.cur.shape()
     }
 
     /// Samples interleaved in the current plane.
     pub fn batch_size(&self) -> usize {
-        self.b
+        self.cur.batch_size()
     }
 
     /// Elements per sample.
     pub fn elems(&self) -> usize {
-        self.shape.iter().product()
+        self.cur.elems()
     }
 
     /// The current plane (`[element][sample]` interleaved).
     pub fn data(&self) -> &[f32] {
-        &self.cur
+        self.cur.as_slice()
     }
 
     /// Applies an element-wise map to the current plane in place
     /// (activations).
     pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.cur {
+        for v in self.cur.as_mut_slice() {
             *v = f(*v);
         }
     }
@@ -264,13 +244,7 @@ impl InferCtx {
     ///
     /// Panics if the new shape changes the per-sample volume.
     pub fn set_shape(&mut self, shape: &[usize]) {
-        assert_eq!(
-            shape.iter().product::<usize>(),
-            self.elems(),
-            "reshape changes volume"
-        );
-        self.shape.clear();
-        self.shape.extend_from_slice(shape);
+        self.cur.set_shape(shape);
     }
 
     /// Runs a shape-changing op: hands `f` the current plane and a
@@ -284,16 +258,10 @@ impl InferCtx {
         out_shape: &[usize],
         f: impl FnOnce(&[f32], &mut [f32], &[usize], usize),
     ) {
-        let out_len = out_shape.iter().product::<usize>() * self.b;
-        resize_buf(&mut self.nxt, out_len);
-        f(&self.cur, &mut self.nxt, &self.shape, self.b);
+        let b = self.cur.b;
+        self.nxt.resize(out_shape, b);
+        f(&self.cur.data, &mut self.nxt.data, &self.cur.shape, b);
         std::mem::swap(&mut self.cur, &mut self.nxt);
-        self.set_out_shape(out_shape);
-    }
-
-    fn set_out_shape(&mut self, out_shape: &[usize]) {
-        self.shape.clear();
-        self.shape.extend_from_slice(out_shape);
     }
 
     /// `true` while the live activation is the int8 plane.
@@ -324,7 +292,7 @@ impl InferCtx {
     /// bytes/element, the i16-materialized int8 plane at 2).
     fn plane_bytes(&self) -> u64 {
         let per = if self.int8 { 2 } else { 4 };
-        (self.elems() * self.b * per) as u64
+        (self.elems() * self.batch_size() * per) as u64
     }
 
     /// Quantizes the f32 plane into the quantized plane at `scale`
@@ -338,16 +306,16 @@ impl InferCtx {
     /// Panics if the context is already in the int8 domain.
     pub(crate) fn quantize_in_place(&mut self, scale: f32) {
         assert!(!self.int8, "quantize op applied to an int8 plane");
-        resize_buf(&mut self.qnxt, self.cur.len());
-        resize_buf(&mut self.qcur, self.cur.len());
+        resize_buf(&mut self.qnxt, self.cur.data.len());
+        resize_buf(&mut self.qcur, self.cur.data.len());
         let inv = 1.0 / scale;
         // Two passes: a sequential (auto-vectorized) quantize pass, then
         // a pure-move i16 transpose — keeping the float math out of the
         // scattered-access loop.
-        for (q, &x) in self.qnxt.iter_mut().zip(&self.cur) {
+        for (q, &x) in self.qnxt.iter_mut().zip(&self.cur.data) {
             *q = (x * inv).round().clamp(-127.0, 127.0) as i16;
         }
-        let (elems, b) = (self.elems(), self.b);
+        let (elems, b) = (self.elems(), self.batch_size());
         transpose_i16(&self.qnxt, &mut self.qcur, elems, b);
         self.int8 = true;
         self.qscale = scale;
@@ -361,14 +329,14 @@ impl InferCtx {
     /// Panics if the context is not in the int8 domain.
     pub(crate) fn dequantize_in_place(&mut self) {
         assert!(self.int8, "dequantize op applied to an f32 plane");
-        resize_buf(&mut self.cur, self.qcur.len());
+        resize_buf(&mut self.cur.data, self.qcur.len());
         resize_buf(&mut self.qnxt, self.qcur.len());
         let scale = self.qscale;
         // Mirror of `quantize_in_place`: move-only i16 transpose first,
         // then a sequential (auto-vectorized) dequantize pass.
-        let (elems, b) = (self.elems(), self.b);
+        let (elems, b) = (self.elems(), self.batch_size());
         transpose_i16(&self.qcur, &mut self.qnxt, b, elems);
-        for (x, &q) in self.cur.iter_mut().zip(&self.qnxt) {
+        for (x, &q) in self.cur.data.iter_mut().zip(&self.qnxt) {
             *x = f32::from(q) * scale;
         }
         self.int8 = false;
@@ -390,12 +358,14 @@ impl InferCtx {
         f: impl FnOnce(&[i16], &mut [i16], &[usize], usize),
     ) {
         assert!(self.int8, "int8 op applied to an f32 plane");
-        let out_len = out_shape.iter().product::<usize>() * self.b;
-        resize_buf(&mut self.qnxt, out_len);
-        f(&self.qcur, &mut self.qnxt, &self.shape, self.b);
+        let b = self.cur.b;
+        resize_buf(&mut self.qnxt, out_shape.iter().product::<usize>() * b);
+        f(&self.qcur, &mut self.qnxt, &self.cur.shape, b);
         std::mem::swap(&mut self.qcur, &mut self.qnxt);
         self.qscale = out_scale;
-        self.set_out_shape(out_shape);
+        // The f32 values are stale in this domain; only the label moves.
+        self.cur.shape.clear();
+        self.cur.shape.extend_from_slice(out_shape);
     }
 }
 
@@ -547,7 +517,7 @@ impl FrozenModel {
         // so a caller that catches the panic keeps its profiler.
         if let Some(mut prof) = ctx.profiler.take() {
             prof.batch_begin();
-            let samples = ctx.b as u64;
+            let samples = ctx.batch_size() as u64;
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 for (i, op) in self.ops.iter().enumerate() {
                     let in_bytes = ctx.plane_bytes();
@@ -565,7 +535,11 @@ impl FrozenModel {
                 op.apply(ctx);
             }
         }
-        ctx.unload()
+        assert!(
+            !ctx.int8,
+            "pipeline left its activation in the int8 domain (missing trailing dequantize op)"
+        );
+        (0..ctx.batch_size()).map(|s| ctx.cur.sample(s)).collect()
     }
 }
 
@@ -649,11 +623,11 @@ mod tests {
             .map(|s| Tensor::from_vec(vec![s as f32, 1.0, -1.0], vec![3]))
             .collect();
         let _ = frozen.infer_batch(&xs, &mut ctx);
-        let caps = (ctx.cur.capacity(), ctx.nxt.capacity());
+        let caps = (ctx.cur.data.capacity(), ctx.nxt.data.capacity());
         // Same-size and smaller batches must not grow the buffers.
         let _ = frozen.infer_batch(&xs, &mut ctx);
         let _ = frozen.infer_batch(&xs[..3], &mut ctx);
-        assert_eq!(caps, (ctx.cur.capacity(), ctx.nxt.capacity()));
+        assert_eq!(caps, (ctx.cur.data.capacity(), ctx.nxt.data.capacity()));
 
         // Ragged batches: once warm, no batch at or below the warm-up
         // size grows either plane or the conv workspace. This
@@ -693,8 +667,8 @@ mod tests {
         }
         let caps = |ctx: &InferCtx| {
             (
-                ctx.cur.capacity(),
-                ctx.nxt.capacity(),
+                ctx.cur.data.capacity(),
+                ctx.nxt.data.capacity(),
                 ctx.conv_window.capacity(),
             )
         };

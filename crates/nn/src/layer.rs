@@ -7,18 +7,18 @@
 //! * inference: [`Layer::freeze`] snapshots the layer into an immutable
 //!   [`crate::InferOp`], run with the scratch of a per-worker
 //!   [`crate::InferCtx`];
-//! * training: [`Layer::forward_batch`] and [`Layer::backward_batch`]
-//!   take `&self` and a per-worker [`LayerCtx`] holding the activations
-//!   kept for backward, the gradient accumulators and the dropout
-//!   stream.
+//! * training: [`Layer::forward_batch`] runs that same op on the batch,
+//!   and [`Layer::backward_batch`] takes the batch the forward saw, the
+//!   output gradient and a per-worker [`LayerCtx`] holding the gradient
+//!   accumulators and the dropout stream.
 //!
-//! Training runs on [`Planes`], the frozen model's batch-innermost
-//! layout, in which each lane is one sample. Every lane repeats its
-//! sample's scalar operations in the order of the naive per-sample
-//! reference (the `deepcsi-nn-ref` crate), so a batched pass is
-//! bit-identical to one reference `forward`/`backward` per sample.
+//! Both run on [`Planes`], the batch-innermost layout, in which each
+//! lane is one sample. Every lane repeats its sample's scalar operations
+//! in the order of the naive per-sample reference (the `deepcsi-nn-ref`
+//! crate), so a batched pass is bit-identical to one reference
+//! `forward`/`backward` per sample.
 
-use crate::frozen::InferOp;
+use crate::frozen::{InferCtx, InferOp};
 use crate::planes::Planes;
 use crate::quant::Int8Freeze;
 use rand::rngs::StdRng;
@@ -27,12 +27,6 @@ use rand::rngs::StdRng;
 /// [`Layer::train_ctx`].
 #[derive(Default)]
 pub struct LayerCtx {
-    /// What `forward_batch` keeps for `backward_batch`. A stack, so a
-    /// block running inner layers on its own ctx (spatial attention)
-    /// nests theirs inside its own.
-    pub(crate) saved: Vec<Planes>,
-    /// The input shape a reshape restores on the way back.
-    pub(crate) in_shape: Vec<usize>,
     /// One accumulator per [`Layer::weights`] tensor, from `+0.0`.
     pub(crate) grads: Vec<Vec<f32>>,
     /// Dropout's stream, copied from the layer.
@@ -51,11 +45,6 @@ impl LayerCtx {
         }
     }
 
-    /// Pops the activation the matching forward pass kept.
-    pub(crate) fn take_saved(&mut self) -> Planes {
-        self.saved.pop().expect("backward without forward")
-    }
-
     /// The weight and bias accumulators of a conv or dense layer.
     pub(crate) fn weight_bias_grads(&mut self) -> (&mut [f32], &mut [f32]) {
         match self.grads.as_mut_slice() {
@@ -67,13 +56,12 @@ impl LayerCtx {
 
 /// A differentiable layer (the training-side trait).
 ///
-/// `forward_batch` keeps in the worker's [`LayerCtx`] whatever
-/// `backward_batch` needs; `backward_batch` consumes it, adds the
-/// parameter gradients into the ctx's accumulators and returns the
-/// gradient with respect to the input. One `forward_batch` precedes
-/// each `backward_batch`. Inference is *not* on this trait:
-/// [`Layer::freeze`] snapshots the layer into an immutable
-/// [`crate::InferOp`] instead.
+/// Its forward is its frozen [`crate::InferOp`]: [`Layer::forward_batch`]
+/// runs [`Layer::freeze`]'s op on the batch, so training and serving
+/// compute one function. `backward_batch` receives the batch that
+/// forward saw, recomputes from it whatever intermediate it needs with
+/// the forward's kernels, adds the parameter gradients into the ctx's
+/// accumulators and returns the gradient with respect to the input.
 ///
 /// # The batched contract
 ///
@@ -103,25 +91,30 @@ pub trait Layer: Send + Sync {
         LayerCtx::zeroed(&self.weights())
     }
 
-    /// Runs the layer over a batch, one sample per lane (see the trait
-    /// docs for the bit-identity contract). `train` enables stochastic
-    /// behaviour (dropout).
-    fn forward_batch(&self, x: Planes, train: bool, ctx: &mut LayerCtx) -> Planes;
+    /// Runs the layer over a batch, one sample per lane: the frozen op
+    /// of [`Layer::freeze`] on an [`InferCtx`] whose current plane is
+    /// `x` itself. `train` enables stochastic behaviour, so only
+    /// dropout overrides this.
+    fn forward_batch(&self, x: Planes, train: bool, ctx: &mut LayerCtx) -> Planes {
+        let _ = (train, ctx);
+        InferCtx::run(self.freeze().as_ref(), x)
+    }
 
-    /// Back-propagates `grad` (∂loss/∂output) over the batch of the
-    /// last [`Layer::forward_batch`] on `ctx`, adding each parameter's
-    /// per-lane contributions in lane order; returns ∂loss/∂input.
-    fn backward_batch(&self, grad: Planes, ctx: &mut LayerCtx) -> Planes;
+    /// Back-propagates `grad` (∂loss/∂output) over the batch `x` that
+    /// the last [`Layer::forward_batch`] on `ctx` saw, adding each
+    /// parameter's per-lane contributions in lane order; returns
+    /// ∂loss/∂input.
+    fn backward_batch(&self, x: &Planes, grad: Planes, ctx: &mut LayerCtx) -> Planes;
 
     /// Snapshots the layer's inference behaviour into an immutable
     /// `Send + Sync` op.
     ///
     /// The op must be element-wise **bit-equal** to the reference's
-    /// `forward` with `train = false` (and so to
-    /// [`Layer::forward_batch`] outside training) — same accumulation
-    /// order, same rounding — so frozen serving and training-time
-    /// evaluation can never disagree. Parameters are copied once; later
-    /// training steps on this layer do not affect already-frozen ops.
+    /// `forward` with `train = false` — same accumulation order, same
+    /// rounding. It equals [`Layer::forward_batch`] outside training by
+    /// construction, since that runs this op. Parameters are copied
+    /// once; later training steps on this layer do not affect
+    /// already-frozen ops.
     fn freeze(&self) -> Box<dyn InferOp>;
 
     /// Serve-only: snapshots the layer into an int8 inference op for a

@@ -10,9 +10,8 @@ use crate::planes::Planes;
 pub(crate) const SELU_LAMBDA: f32 = 1.050_701;
 pub(crate) const SELU_ALPHA: f32 = 1.673_263_2;
 
-/// The scalar SELU map, shared verbatim by the training pass and the
-/// frozen op so training and serving stay bit-identical. Uses
-/// [`poly_exp`] — the polynomial `exp` both paths agreed on.
+/// The scalar SELU map of the frozen op. Uses [`poly_exp`], the
+/// polynomial `exp` the reference is built with too.
 #[inline(always)]
 pub(crate) fn selu_val(x: f32) -> f32 {
     // Both halves are computed and a select picks one: with the
@@ -38,17 +37,8 @@ fn selu_deriv(x: f32) -> f32 {
     }
 }
 
-/// Maps every element of `x` through `f` into a new buffer.
-fn mapped(x: &Planes, f: impl Fn(f32) -> f32) -> Planes {
-    let mut out = x.clone();
-    for v in out.as_mut_slice() {
-        *v = f(*v);
-    }
-    out
-}
-
-/// The scalar logistic sigmoid, shared by the training pass and the
-/// frozen attention path (same [`poly_exp`] everywhere).
+/// The scalar logistic sigmoid of the frozen ops and of their backward
+/// passes (same [`poly_exp`] everywhere).
 #[inline(always)]
 pub(crate) fn sigmoid_val(x: f32) -> f32 {
     1.0 / (1.0 + poly_exp(-x))
@@ -83,14 +73,7 @@ impl Layer for Selu {
         "selu"
     }
 
-    fn forward_batch(&self, x: Planes, _train: bool, ctx: &mut LayerCtx) -> Planes {
-        let out = mapped(&x, selu_val);
-        ctx.saved.push(x);
-        out
-    }
-
-    fn backward_batch(&self, mut grad: Planes, ctx: &mut LayerCtx) -> Planes {
-        let x = ctx.take_saved();
+    fn backward_batch(&self, x: &Planes, mut grad: Planes, _ctx: &mut LayerCtx) -> Planes {
         for (g, &xv) in grad.as_mut_slice().iter_mut().zip(x.as_slice()) {
             *g *= selu_deriv(xv);
         }
@@ -135,16 +118,11 @@ impl Layer for Sigmoid {
         "sigmoid"
     }
 
-    fn forward_batch(&self, x: Planes, _train: bool, ctx: &mut LayerCtx) -> Planes {
-        let out = mapped(&x, sigmoid_val);
-        ctx.saved.push(out.clone());
-        out
-    }
-
-    fn backward_batch(&self, mut grad: Planes, ctx: &mut LayerCtx) -> Planes {
-        let y = ctx.take_saved();
-        for (g, &yv) in grad.as_mut_slice().iter_mut().zip(y.as_slice()) {
-            *g *= yv * (1.0 - yv);
+    /// Recomputes `σ(x)` with the forward's scalar sigmoid.
+    fn backward_batch(&self, x: &Planes, mut grad: Planes, _ctx: &mut LayerCtx) -> Planes {
+        for (g, &xv) in grad.as_mut_slice().iter_mut().zip(x.as_slice()) {
+            let y = sigmoid_val(xv);
+            *g *= y * (1.0 - y);
         }
         grad
     }

@@ -2,7 +2,7 @@
 
 use crate::frozen::{resize_buf, InferCtx, InferOp};
 use crate::layer::{Layer, LayerCtx};
-use crate::layers::activation::{sigmoid_val, Sigmoid};
+use crate::layers::activation::sigmoid_val;
 use crate::layers::conv::{Conv2d, FrozenConv2d};
 use crate::planes::Planes;
 
@@ -18,13 +18,10 @@ use crate::planes::Planes;
 /// "Thanks to the attention block, the algorithm learns where the most
 /// relevant information is located within the feature maps."
 ///
-/// In training the inner convolution and sigmoid keep their activations
-/// on the block's own [`LayerCtx`], whose gradient accumulators are the
-/// convolution's.
+/// The block's gradient accumulators are its convolution's.
 #[derive(Clone)]
 pub struct SpatialAttention {
     conv: Conv2d,
-    sigmoid: Sigmoid,
 }
 
 impl SpatialAttention {
@@ -33,7 +30,6 @@ impl SpatialAttention {
     pub fn new(kernel_w: usize, seed: u64) -> Self {
         SpatialAttention {
             conv: Conv2d::new(2, 1, (1, kernel_w), seed ^ 0xA77E),
-            sigmoid: Sigmoid::new(),
         }
     }
 }
@@ -90,7 +86,7 @@ impl InferOp for FrozenSpatialAttention {
         let b = ctx.batch_size();
         let hw = h * w;
         resize_buf(&mut ctx.scratch0, 2 * hw * b);
-        channel_pool(&ctx.cur, &mut ctx.scratch0, (c, hw, b));
+        channel_pool(&ctx.cur.data, &mut ctx.scratch0, (c, hw, b));
         // Attention logits into scratch1 (the conv overwrites every
         // element), then the sigmoid in place.
         resize_buf(&mut ctx.scratch1, self.conv.out_ch() * hw * b);
@@ -106,7 +102,7 @@ impl InferOp for FrozenSpatialAttention {
         }
         // Y = X⊙A + X, the attention map broadcast over channels — in
         // place on the activation plane.
-        let (os, avs) = (&mut ctx.cur, &ctx.scratch1);
+        let (os, avs) = (&mut ctx.cur.data, &ctx.scratch1);
         for ci in 0..c {
             for p in 0..hw {
                 let obase = (ci * hw + p) * b;
@@ -135,53 +131,34 @@ impl Layer for SpatialAttention {
         "spatial_attention"
     }
 
-    fn forward_batch(&self, x: Planes, train: bool, ctx: &mut LayerCtx) -> Planes {
-        let (c, h, w) = x.dims3("attention");
-        let b = x.batch_size();
-        let mut pooled = Planes::zeros(&[2, h, w], b);
-        channel_pool(x.as_slice(), pooled.as_mut_slice(), (c, h * w, b));
-        let logits = self.conv.forward_batch(pooled, train, ctx);
-        let a = self.sigmoid.forward_batch(logits, train, ctx);
-        // Y = X⊙A + X.
-        let mut out = x.clone();
-        for ys in out.as_mut_slice().chunks_exact_mut(h * w * b) {
-            for (v, &av) in ys.iter_mut().zip(a.as_slice()) {
-                *v = *v * av + *v;
-            }
-        }
-        ctx.saved.push(x);
-        ctx.saved.push(a);
-        out
-    }
-
-    /// The reference's `backward` per lane; the max branch's gradient
-    /// goes to the first maximal channel, found again by the strict-`>`
-    /// scan.
-    fn backward_batch(&self, grad: Planes, ctx: &mut LayerCtx) -> Planes {
-        let a = ctx.take_saved();
-        let x = ctx.take_saved();
+    /// The reference's `backward` per lane. The pooled maps, the logits
+    /// and the attention map are recomputed from `x` with the frozen
+    /// op's kernels; the max branch's gradient goes to the first maximal
+    /// channel, found again by the strict-`>` scan.
+    fn backward_batch(&self, x: &Planes, grad: Planes, ctx: &mut LayerCtx) -> Planes {
         let (c, h, w) = x.dims3("attention");
         let (b, plane) = (x.batch_size(), h * w * x.batch_size());
-        let (xs, avs, gs) = (x.as_slice(), a.as_slice(), grad.as_slice());
+        let mut pooled = Planes::zeros(&[2, h, w], b);
+        channel_pool(x.as_slice(), pooled.as_mut_slice(), (c, h * w, b));
+        let logits = self.conv.forward_batch(pooled.clone(), false, ctx);
+        let (xs, gs) = (x.as_slice(), grad.as_slice());
 
-        // Through Y = X⊙A + X: ∂/∂X = grad·(A + 1), ∂/∂A = Σ_c grad·X.
+        // Through Y = X⊙A + X: ∂/∂X = grad·(A + 1), ∂/∂A = Σ_c grad·X,
+        // then through A = σ(logits).
         let mut gx = Planes::zeros(x.shape(), b);
-        let mut ga = Planes::zeros(&[1, h, w], b);
+        let mut g_logits = Planes::zeros(&[1, h, w], b);
         let gxs = gx.as_mut_slice();
-        for (e, gav) in ga.as_mut_slice().iter_mut().enumerate() {
-            let av = avs[e];
+        for (e, gl) in g_logits.as_mut_slice().iter_mut().enumerate() {
+            let av = sigmoid_val(logits.as_slice()[e]);
             let mut gsum = 0.0f32;
             for ci in 0..c {
                 let g = gs[ci * plane + e];
                 gsum += g * xs[ci * plane + e];
                 gxs[ci * plane + e] = g * (av + 1.0);
             }
-            *gav = gsum;
+            *gl = gsum * (av * (1.0 - av));
         }
-
-        // Through the sigmoid and the attention convolution.
-        let g_logits = self.sigmoid.backward_batch(ga, ctx);
-        let g_pooled = self.conv.backward_batch(g_logits, ctx);
+        let g_pooled = self.conv.backward_batch(&pooled, g_logits, ctx);
 
         // Through the max/mean channel pooling back into X.
         let gps = g_pooled.as_slice();

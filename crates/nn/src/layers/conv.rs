@@ -85,8 +85,7 @@ impl Conv2d {
     }
 
     /// Snapshots the weights into the immutable batched-inference op
-    /// (also embedded by the frozen attention block, and run by
-    /// [`Layer::forward_batch`]).
+    /// (also embedded by the frozen attention block).
     pub(crate) fn frozen(&self) -> FrozenConv2d {
         FrozenConv2d::new(
             (self.in_ch, self.out_ch),
@@ -546,28 +545,8 @@ impl Layer for Conv2d {
         "conv2d"
     }
 
-    /// Runs the frozen kernel. Bit-equal to the reference per lane
-    /// while the weights are finite (see the module docs); a NaN or ±∞
-    /// weight, which only a diverged update leaves, reads NaN at the row
-    /// ends where the reference skips the tap, and panics nowhere.
-    fn forward_batch(&self, x: Planes, _train: bool, ctx: &mut LayerCtx) -> Planes {
-        let (c, h, w) = x.dims3("conv");
-        let b = x.batch_size();
-        let mut out = Planes::zeros(&[self.out_ch, h, w], b);
-        self.frozen().run(
-            x.as_slice(),
-            out.as_mut_slice(),
-            (c, h, w),
-            b,
-            &mut Vec::new(),
-        );
-        ctx.saved.push(x);
-        out
-    }
-
-    fn backward_batch(&self, grad: Planes, ctx: &mut LayerCtx) -> Planes {
-        let x = ctx.take_saved();
-        self.add_batch_param_grads(&x, &grad, ctx);
+    fn backward_batch(&self, x: &Planes, grad: Planes, ctx: &mut LayerCtx) -> Planes {
+        self.add_batch_param_grads(x, &grad, ctx);
         let (c, h, w) = x.dims3("conv");
         let b = grad.batch_size();
         let mut mirrored = grad;

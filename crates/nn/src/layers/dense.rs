@@ -186,17 +186,6 @@ impl InferOp for FrozenDense {
     }
 }
 
-impl Dense {
-    fn frozen(&self) -> FrozenDense {
-        FrozenDense::new(
-            self.in_dim,
-            self.out_dim,
-            |o, k| self.weight[o * self.in_dim + k],
-            &self.bias,
-        )
-    }
-}
-
 /// Adds the `b` lanes' outer products into `grad_w` (`out × in`, row
 /// major), lane by lane: `grad_w[o][i] += g[o][s]·x[i][s]` for
 /// `s = 0..b`, the order `b` successive per-sample reference `backward`
@@ -260,22 +249,12 @@ impl Layer for Dense {
         "dense"
     }
 
-    fn forward_batch(&self, x: Planes, _train: bool, ctx: &mut LayerCtx) -> Planes {
-        assert_eq!(x.elems(), self.in_dim, "dense input length mismatch");
-        let mut out = Planes::zeros(&[self.out_dim], x.batch_size());
-        self.frozen()
-            .run(x.as_slice(), out.as_mut_slice(), x.batch_size());
-        ctx.saved.push(x);
-        out
-    }
-
     /// The input gradient is the frozen forward of `Wᵀ` with a zero
     /// bias: each lane's `∂x_i` starts from `+0.0` and adds `g_o·W[o][i]`
     /// in ascending `o`, as the reference does (its `g_o·W[o][i]`
     /// products are the same floats). Each weight then adds its lanes'
     /// `g_o·x_i` in lane order (see `add_outer_products`).
-    fn backward_batch(&self, grad: Planes, ctx: &mut LayerCtx) -> Planes {
-        let x = ctx.take_saved();
+    fn backward_batch(&self, x: &Planes, grad: Planes, ctx: &mut LayerCtx) -> Planes {
         let (grad_w, grad_b) = ctx.weight_bias_grads();
         let b = x.batch_size();
         let (xs, gs) = (x.as_slice(), grad.as_slice());
@@ -297,7 +276,12 @@ impl Layer for Dense {
     }
 
     fn freeze(&self) -> Box<dyn InferOp> {
-        Box::new(self.frozen())
+        Box::new(FrozenDense::new(
+            self.in_dim,
+            self.out_dim,
+            |o, k| self.weight[o * self.in_dim + k],
+            &self.bias,
+        ))
     }
 
     fn freeze_int8(&self, in_scale: f32, out_scale: f32) -> Option<Int8Freeze> {

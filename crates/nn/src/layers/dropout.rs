@@ -93,7 +93,7 @@ impl Layer for AlphaDropout {
     }
 
     /// Kept units scale by `a`, dropped ones get no gradient.
-    fn backward_batch(&self, mut grad: Planes, ctx: &mut LayerCtx) -> Planes {
+    fn backward_batch(&self, _x: &Planes, mut grad: Planes, ctx: &mut LayerCtx) -> Planes {
         if ctx.mask.is_empty() {
             return grad;
         }
@@ -105,7 +105,7 @@ impl Layer for AlphaDropout {
     }
 
     fn freeze(&self) -> Box<dyn InferOp> {
-        // Identity at inference, like `forward_batch` with `train = false`.
+        // Identity at inference, as `forward_batch` is with `train = false`.
         Box::new(FrozenAlphaDropout)
     }
 

@@ -40,15 +40,8 @@ impl Layer for Flatten {
         "flatten"
     }
 
-    fn forward_batch(&self, x: Planes, _train: bool, ctx: &mut LayerCtx) -> Planes {
-        ctx.in_shape = x.shape().to_vec();
-        let elems = x.elems();
-        x.reshape(&[elems])
-    }
-
-    fn backward_batch(&self, grad: Planes, ctx: &mut LayerCtx) -> Planes {
-        assert!(!ctx.in_shape.is_empty(), "backward without forward");
-        grad.reshape(&ctx.in_shape)
+    fn backward_batch(&self, x: &Planes, grad: Planes, _ctx: &mut LayerCtx) -> Planes {
+        grad.reshape(x.shape())
     }
 
     fn freeze(&self) -> Box<dyn InferOp> {

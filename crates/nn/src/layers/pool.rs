@@ -39,8 +39,7 @@ fn pooled_dims((h, w): (usize, usize), (kh, kw): (usize, usize)) -> (usize, usiz
 }
 
 /// Pools the `b`-lane planes `xs` (shape `(c, h, w)`) into `os`,
-/// overwriting every element: the frozen op's kernel, which the
-/// batched training forward runs too.
+/// overwriting every element: the frozen op's kernel.
 ///
 /// Row-wise along the flat (width × sample) axis: an input row splits
 /// into `kw·b`-wide windows, and tap `(dh, dw)` of window `wi` is lanes
@@ -117,28 +116,12 @@ impl Layer for MaxPool2d {
         "maxpool2d"
     }
 
-    fn forward_batch(&self, x: Planes, _train: bool, ctx: &mut LayerCtx) -> Planes {
-        let (c, h, w) = x.dims3("pool");
-        let (oh, ow) = pooled_dims((h, w), (self.kh, self.kw));
-        let mut out = Planes::zeros(&[c, oh, ow], x.batch_size());
-        pool_rows(
-            x.as_slice(),
-            out.as_mut_slice(),
-            (c, h, w),
-            x.batch_size(),
-            (self.kh, self.kw),
-        );
-        ctx.saved.push(x);
-        out
-    }
-
     /// Routes each lane's output gradient to the first maximum of its
     /// window, found by the reference's strict-`>` scan over the taps,
     /// all lanes at once. Windows do not overlap, so each routed input
     /// gradient is `+0.0 + g`, as the reference adds it to a zeroed
     /// tensor.
-    fn backward_batch(&self, grad: Planes, ctx: &mut LayerCtx) -> Planes {
-        let x = ctx.take_saved();
+    fn backward_batch(&self, x: &Planes, grad: Planes, _ctx: &mut LayerCtx) -> Planes {
         let (c, h, w) = x.dims3("pool");
         let b = x.batch_size();
         let (kh, kw) = (self.kh, self.kw);

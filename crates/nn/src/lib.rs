@@ -20,8 +20,9 @@
 //!   [`Network::freeze`] snapshots the weights into an immutable
 //!   `Send + Sync` model (one `Arc` shared by every serving worker, no
 //!   per-worker clone) while all scratch lives in a per-worker context;
-//!   `infer`/`infer_batch` are bit-equal to the reference's
-//!   `forward(train = false)`.
+//!   `infer`/`infer_batch` are bit-equal to the `deepcsi-nn-ref`
+//!   reference's `Net::forward(x, false)`, and each layer's training
+//!   forward is its frozen op.
 //! * [`InferPool`] — one batch split across scoped threads by
 //!   [`plan_split`], bit-equal to a single context for any lane count.
 //!   Serving does not use it (each engine worker runs one context);

@@ -38,14 +38,16 @@ impl std::fmt::Debug for Network {
     }
 }
 
-/// One worker's training state for a [`Network`]: per layer, the
-/// activations kept for backward, the gradient accumulators (each
-/// summed from `+0.0`) and a copy of the dropout stream.
+/// One worker's training state for a [`Network`]: per layer, the input
+/// batch its forward saw (kept for backward), the gradient accumulators
+/// (each summed from `+0.0`) and a copy of the dropout stream.
 ///
 /// Made by [`Network::train_ctx`]; the batched passes of any number of
 /// workers borrow the one network, each with its own ctx.
 pub struct TrainCtx {
     layers: Vec<LayerCtx>,
+    /// Layer `i`'s input of the last [`Network::forward_batch`].
+    inputs: Vec<Planes>,
 }
 
 impl TrainCtx {
@@ -119,22 +121,25 @@ impl Network {
     pub fn train_ctx(&self) -> TrainCtx {
         TrainCtx {
             layers: self.layers.iter().map(|l| l.train_ctx()).collect(),
+            inputs: Vec::new(),
         }
     }
 
     /// Runs every layer's [`Layer::forward_batch`] over a batch, one
-    /// sample per lane, keeping in `ctx` what the backward pass needs.
-    /// Each lane is bit-identical to the per-sample reference
-    /// (`deepcsi-nn-ref`) running `forward` on that sample.
+    /// sample per lane, keeping each layer's input in `ctx` for the
+    /// backward pass. Each lane is bit-identical to the per-sample
+    /// reference (`deepcsi-nn-ref`) running `forward` on that sample.
     ///
     /// # Panics
     ///
     /// Panics if `ctx` was made by a different architecture.
     pub fn forward_batch(&self, x: Planes, train: bool, ctx: &mut TrainCtx) -> Planes {
         assert_eq!(ctx.layers.len(), self.layers.len(), "architecture mismatch");
+        ctx.inputs.clear();
         let mut cur = x;
         for (layer, lctx) in self.layers.iter().zip(&mut ctx.layers) {
-            cur = layer.forward_batch(cur, train, lctx);
+            let out = layer.forward_batch(cur.clone(), train, lctx);
+            ctx.inputs.push(std::mem::replace(&mut cur, out));
         }
         cur
     }
@@ -143,10 +148,20 @@ impl Network {
     /// [`Network::forward_batch`] on `ctx`: leaves every accumulator as
     /// `b` per-sample reference `backward` calls in lane order would,
     /// and returns ∂loss/∂input per lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no forward pass on `ctx` precedes it.
     pub fn backward_batch(&self, grad: Planes, ctx: &mut TrainCtx) -> Planes {
+        assert_eq!(
+            ctx.inputs.len(),
+            self.layers.len(),
+            "backward without forward"
+        );
         let mut cur = grad;
         for (layer, lctx) in self.layers.iter().zip(&mut ctx.layers).rev() {
-            cur = layer.backward_batch(cur, lctx);
+            let x = ctx.inputs.pop().expect("one input per layer");
+            cur = layer.backward_batch(&x, cur, lctx);
         }
         cur
     }

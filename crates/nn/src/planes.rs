@@ -1,21 +1,23 @@
-//! A batch of samples in the batch-innermost ("planes") layout: the unit
-//! the batched training passes ([`crate::Layer::forward_batch`],
-//! [`crate::Layer::backward_batch`]) take and return.
+//! A batch of samples in the batch-innermost ("planes") layout: the one
+//! activation type of the crate. An [`crate::InferCtx`] holds its
+//! current and spare activation as `Planes`, and a training pass
+//! ([`crate::Network::forward_batch`], [`crate::Network::backward_batch`])
+//! hands them from layer to layer.
 
+use crate::frozen::resize_buf;
 use crate::tensor::Tensor;
 
 /// `b` samples of one per-sample shape, interleaved batch-innermost:
 /// element `e` of sample (lane) `s` is `data[e * b + s]`.
 ///
-/// It is the layout of the frozen model's activation planes (see
-/// [`crate::InferCtx`]), so a training forward runs the serving kernels
-/// as they are. A rank-3 sample `[c][h][w]` becomes `[c][h][w·b]`: each
-/// input row is one flat (width × sample) axis.
-#[derive(Clone, Debug, PartialEq)]
+/// Every kernel, serving and training alike, runs on this layout. A
+/// rank-3 sample `[c][h][w]` becomes `[c][h][w·b]`: each input row is
+/// one flat (width × sample) axis.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Planes {
-    data: Vec<f32>,
-    shape: Vec<usize>,
-    b: usize,
+    pub(crate) data: Vec<f32>,
+    pub(crate) shape: Vec<usize>,
+    pub(crate) b: usize,
 }
 
 impl Planes {
@@ -39,14 +41,35 @@ impl Planes {
     ///
     /// Panics if `xs` is empty or the samples disagree in shape.
     pub fn from_samples<'a>(xs: impl ExactSizeIterator<Item = &'a Tensor>) -> Self {
+        let mut planes = Planes::default();
+        planes.load(xs);
+        planes
+    }
+
+    /// Overwrites the batch with the samples `xs`, in order, reusing the
+    /// buffer's capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` is empty or the samples disagree in shape.
+    pub(crate) fn load<'a>(&mut self, xs: impl ExactSizeIterator<Item = &'a Tensor>) {
         let b = xs.len();
         let mut xs = xs.peekable();
-        let shape = xs.peek().expect("empty batch").shape().to_vec();
-        let mut planes = Planes::zeros(&shape, b);
+        let first: &Tensor = xs.peek().expect("empty batch");
+        self.resize(first.shape(), b);
         for (s, x) in xs.enumerate() {
-            planes.set_sample(s, x);
+            self.set_sample(s, x);
         }
-        planes
+    }
+
+    /// Relabels the batch as `b` samples of `shape`, growing the buffer
+    /// to fit but never shrinking its capacity. The contents are stale:
+    /// the caller overwrites every element.
+    pub(crate) fn resize(&mut self, shape: &[usize], b: usize) {
+        resize_buf(&mut self.data, shape.iter().product::<usize>() * b);
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+        self.b = b;
     }
 
     /// Per-sample shape.
@@ -61,7 +84,7 @@ impl Planes {
 
     /// Elements per sample.
     pub fn elems(&self) -> usize {
-        self.data.len() / self.b
+        self.shape.iter().product()
     }
 
     /// The interleaved data (`[element][sample]`).
@@ -99,6 +122,22 @@ impl Planes {
         }
     }
 
+    /// Relabels the per-sample shape in place; in this layout a reshape
+    /// moves no data.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the new shape changes the per-sample volume.
+    pub(crate) fn set_shape(&mut self, shape: &[usize]) {
+        assert_eq!(
+            shape.iter().product::<usize>(),
+            self.elems(),
+            "reshape changes volume"
+        );
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+    }
+
     /// Relabels the per-sample shape; in this layout a reshape moves no
     /// data.
     ///
@@ -106,12 +145,7 @@ impl Planes {
     ///
     /// Panics if the new shape changes the per-sample volume.
     pub fn reshape(mut self, shape: &[usize]) -> Self {
-        assert_eq!(
-            shape.iter().product::<usize>(),
-            self.elems(),
-            "reshape changes volume"
-        );
-        self.shape = shape.to_vec();
+        self.set_shape(shape);
         self
     }
 

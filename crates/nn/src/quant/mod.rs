@@ -187,10 +187,10 @@ impl QuantSpec {
         let mut ctx = model.ctx();
         for chunk in sample.chunks(CALIB_CHUNK) {
             ctx.load(chunk);
-            ranges[0].absorb(&ctx.cur);
+            ranges[0].absorb(ctx.data());
             for (i, op) in model.ops.iter().enumerate() {
                 op.apply(&mut ctx);
-                ranges[i + 1].absorb(&ctx.cur);
+                ranges[i + 1].absorb(ctx.data());
             }
         }
         Ok(QuantSpec {

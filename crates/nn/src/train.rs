@@ -7,13 +7,13 @@
 //! trains bit-identical weights on every machine.
 //!
 //! Every chunk thread borrows the one `&Network` and brings its own
-//! [`TrainCtx`]: the activations kept for backward, gradient
+//! [`TrainCtx`]: each layer's input kept for backward, gradient
 //! accumulators summed from `+0.0` and a copy of each dropout stream as
 //! the network holds it. A chunk runs as batched passes of up to 16
 //! samples over the batch-innermost planes the frozen model serves from
 //! ([`Network::forward_batch`], then the backward pass), one sample per
-//! lane: the conv and dense forwards are the frozen kernels, and
-//! backward is lane-parallel. A lane repeats its sample's scalar
+//! lane: every forward is the layer's frozen op, and backward is
+//! lane-parallel. A lane repeats its sample's scalar
 //! operations in the per-sample order, and each parameter adds its
 //! lanes' contributions in sample order, so a chunk's gradient is
 //! bit-identical to the naive per-sample reference (`deepcsi-nn-ref`)
@@ -212,7 +212,7 @@ impl Trainer {
 }
 
 /// Samples per batched pass. A chunk runs in passes of up to one
-/// 16-lane block, so the activations cached for backward stay at one
+/// 16-lane block, so the layer inputs kept for backward stay at one
 /// block's worth whatever the batch size; passes go in sample order,
 /// which keeps the gradient sums and the dropout draws in that order.
 const PASS_LANES: usize = 16;
