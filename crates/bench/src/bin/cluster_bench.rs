@@ -11,27 +11,21 @@
 //! independently-trained model (the tier's determinism contract), so
 //! the sweep prices the wire + fan-out, not model variance.
 
-use deepcsi_bench::result_line;
+use deepcsi_bench::{result_line, TINY_FLAGS};
 use deepcsi_cluster::demo::{demo_dataset, demo_frames, demo_model, DemoConfig};
 use deepcsi_cluster::{ClusterClient, ClusterStats, EngineNode, RouterConfig, ShardRouter};
 use deepcsi_core::{Authenticator, FrozenAuthenticator, ModelConfig};
 use deepcsi_data::InputSpec;
 use deepcsi_frame::{BeamformingReportFrame, MacAddr};
-use deepcsi_serve::{Backpressure, Engine, EngineConfig, ReplaySource};
+use deepcsi_serve::{Backpressure, Engine, EngineConfig, Flags, ReplaySource};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(300);
 
 fn main() {
-    let mut quick = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--tiny" | "--quick" => quick = true,
-            other => eprintln!("ignoring unknown argument {other:?}"),
-        }
-    }
-    let (demo, repeat, evict_reports) = if quick {
+    let tiny = Flags::from_env(TINY_FLAGS).has("--tiny");
+    let (demo, repeat, evict_reports) = if tiny {
         (
             DemoConfig {
                 modules: 2,

@@ -8,11 +8,12 @@
 //! This is a pure-math experiment (no training): we simulate MU-MIMO
 //! soundings, quantize, reconstruct and histogram the element errors.
 
-use deepcsi_bench::result_line;
+use deepcsi_bench::{result_line, PAPER_FLAGS};
 use deepcsi_bfi::{BeamformingFeedback, VSeries};
 use deepcsi_channel::{AntennaArray, ChannelModel, Environment};
 use deepcsi_data::GenConfig;
 use deepcsi_phy::{Codebook, MimoConfig, SubcarrierLayout};
+use deepcsi_serve::Flags;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -22,7 +23,7 @@ const NUM_SOUNDINGS: usize = 400; // × 234 tones ≈ 94 k matrix samples
 
 #[allow(clippy::needless_range_loop)] // stream index addresses parallel arrays
 fn main() {
-    let paper_scale = std::env::args().any(|a| a == "--paper");
+    let paper_scale = Flags::from_env(PAPER_FLAGS).has("--paper");
     let n_soundings = if paper_scale { 2000 } else { NUM_SOUNDINGS };
 
     let gen = GenConfig::default();

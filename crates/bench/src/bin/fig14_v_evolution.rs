@@ -8,9 +8,12 @@
 use deepcsi_bench::result_line;
 use deepcsi_data::{generate_trace, GenConfig, TraceKind, TraceSpec};
 use deepcsi_impair::DeviceId;
+use deepcsi_serve::Flags;
 
 #[allow(clippy::needless_range_loop)] // stream index addresses parallel arrays
 fn main() {
+    // No flags: the parse only serves `--help` and rejects the rest.
+    Flags::from_env(&[]);
     let cfg = GenConfig {
         snapshots_per_trace: 32,
         ..GenConfig::default()

@@ -17,7 +17,7 @@
 //! Rounds are interleaved (default, sampled, always, default, …) and
 //! each config keeps its best round, so a background hiccup degrades
 //! one round of one config instead of biasing a whole row. The budget
-//! assertions run only in full mode — `--tiny`/`--quick` runs are for
+//! assertions run only in full mode — `--tiny` runs are for
 //! smoke-testing the harness, not for measuring.
 //!
 //! A second sweep prices the **live observability plane**:
@@ -31,12 +31,12 @@
 //!   (two orders of magnitude past Prometheus's default 15 s scrape
 //!   interval). Budget: ≤3% below `live_dark`.
 
-use deepcsi_bench::result_line;
+use deepcsi_bench::{result_line, TINY_FLAGS};
 use deepcsi_core::{Authenticator, ModelConfig};
 use deepcsi_data::{generate_d1, Dataset, GenConfig, InputSpec};
 use deepcsi_obs::{http_get, TraceConfig};
 use deepcsi_serve::{
-    AuditConfig, Backpressure, Engine, EngineConfig, ObsPlane, ObsPlaneConfig, ReplaySource,
+    AuditConfig, Backpressure, Engine, EngineConfig, Flags, ObsPlane, ObsPlaneConfig, ReplaySource,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -127,14 +127,8 @@ fn engine_reports_per_sec_observed<T>(
 }
 
 fn main() {
-    let mut quick = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--tiny" | "--quick" => quick = true,
-            other => eprintln!("ignoring unknown argument {other:?}"),
-        }
-    }
-    let (snapshots, repeat, rounds) = if quick {
+    let tiny = Flags::from_env(TINY_FLAGS).has("--tiny");
+    let (snapshots, repeat, rounds) = if tiny {
         (6usize, 1usize, 2usize)
     } else {
         (30, 2, 5)
@@ -263,7 +257,7 @@ fn main() {
     }
 
     // --- Budget assertions (full mode only) --------------------------
-    if !quick {
+    if !tiny {
         assert!(
             overheads[1] <= 3.0,
             "sampled-tracing overhead {:.2}% exceeds the 3% budget",

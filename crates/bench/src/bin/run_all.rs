@@ -6,41 +6,60 @@
 //! `cluster_bench`) — and emits their numbers as `BENCH_<tag>.json`
 //! (schema documented in `crates/bench/README.md`).
 
+use deepcsi_bench::{PAPER_FLAGS, SCALE_FLAGS, TINY_FLAGS};
+use deepcsi_serve::{Flag, Flags};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-const FIGURES: &[&str] = &[
-    "fig07_hyperparams",
-    "fig08_static_sets",
-    "fig09_mixed_beamformees",
-    "fig10_training_positions",
-    "fig11_swap_beamformees",
-    "fig12_phy_params",
-    "fig13_quant_error",
-    "fig14_v_evolution",
-    "fig15_stream1",
-    "fig16_offset_correction",
-    "fig17_mobility",
+/// Every figure binary, with the flag table it parses.
+const FIGURES: &[(&str, &[Flag])] = &[
+    ("fig07_hyperparams", SCALE_FLAGS),
+    ("fig08_static_sets", SCALE_FLAGS),
+    ("fig09_mixed_beamformees", SCALE_FLAGS),
+    ("fig10_training_positions", SCALE_FLAGS),
+    ("fig11_swap_beamformees", SCALE_FLAGS),
+    ("fig12_phy_params", SCALE_FLAGS),
+    ("fig13_quant_error", PAPER_FLAGS),
+    ("fig14_v_evolution", &[]),
+    ("fig15_stream1", SCALE_FLAGS),
+    ("fig16_offset_correction", SCALE_FLAGS),
+    ("fig17_mobility", SCALE_FLAGS),
+];
+
+/// Every bench binary (all parse [`TINY_FLAGS`]), with its `RESULT` tag.
+const BENCHES: &[(&str, &str)] = &[
+    ("obs_bench", "obs"),
+    ("scenario_bench", "scenarios"),
+    ("cluster_bench", "cluster"),
 ];
 
 fn main() {
+    let flags = Flags::from_env(SCALE_FLAGS);
+    // Each child gets only the flags it declares: `--paper` means
+    // nothing to a bench, `--tiny` nothing to `fig13_quant_error`.
+    let forward = |table: &[Flag]| -> Vec<&'static str> {
+        table
+            .iter()
+            .map(|(name, ..)| *name)
+            .filter(|name| flags.has(name))
+            .collect()
+    };
     let exe_dir: PathBuf = std::env::current_exe()
         .expect("current_exe")
         .parent()
         .expect("exe dir")
         .to_path_buf();
-    let forwarded: Vec<String> = std::env::args().skip(1).collect();
 
     let out_dir = PathBuf::from("bench_results");
     std::fs::create_dir_all(&out_dir).expect("create bench_results/");
     let mut summary = String::new();
 
-    for fig in FIGURES {
+    for &(fig, table) in FIGURES {
         let bin = exe_dir.join(fig);
         println!("\n================ {fig} ================");
         let start = std::time::Instant::now();
         let output = Command::new(&bin)
-            .args(&forwarded)
+            .args(forward(table))
             .output()
             .unwrap_or_else(|e| panic!("failed to run {}: {e}", bin.display()));
         let stdout = String::from_utf8_lossy(&output.stdout);
@@ -65,26 +84,14 @@ fn main() {
         summary.lines().count()
     );
 
-    run_result_bench(&exe_dir, &forwarded, &out_dir, "obs_bench", "obs");
-    run_result_bench(
-        &exe_dir,
-        &forwarded,
-        &out_dir,
-        "scenario_bench",
-        "scenarios",
-    );
-    run_result_bench(&exe_dir, &forwarded, &out_dir, "cluster_bench", "cluster");
+    for &(bin_name, tag) in BENCHES {
+        run_result_bench(&exe_dir, &forward(TINY_FLAGS), &out_dir, bin_name, tag);
+    }
 }
 
 /// Runs one bench binary and writes its `RESULT <tag> <key> <value>`
 /// lines to `BENCH_<tag>.json`.
-fn run_result_bench(
-    exe_dir: &Path,
-    forwarded: &[String],
-    out_dir: &Path,
-    bin_name: &str,
-    tag: &str,
-) {
+fn run_result_bench(exe_dir: &Path, forwarded: &[&str], out_dir: &Path, bin_name: &str, tag: &str) {
     let bin = exe_dir.join(bin_name);
     println!("\n================ {bin_name} ================");
     let start = std::time::Instant::now();

@@ -12,19 +12,12 @@
 //! and `mitigation_never_worse` pinning that augmentation never drops
 //! any scenario below the unmitigated floor.
 
-use deepcsi_bench::result_line;
+use deepcsi_bench::{result_line, TINY_FLAGS};
 use deepcsi_scenario::{MatrixConfig, ScenarioMatrix};
+use deepcsi_serve::Flags;
 
 fn main() {
-    let mut tiny = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--tiny" | "--quick" => tiny = true,
-            // Tolerate the figure-suite flags run_all forwards.
-            "--paper" => {}
-            other => eprintln!("ignoring unknown argument {other:?}"),
-        }
-    }
+    let tiny = Flags::from_env(TINY_FLAGS).has("--tiny");
 
     let matrix = if tiny {
         ScenarioMatrix::tiny()

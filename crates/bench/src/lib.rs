@@ -6,6 +6,10 @@
 //! * [`FigureScale`] — the experiment scale knobs (dataset size, model
 //!   profile, epochs), with a laptop-friendly default and a `--paper`
 //!   flag for full-scale runs.
+//! * The flag tables ([`SCALE_FLAGS`], [`PAPER_FLAGS`], [`TINY_FLAGS`]):
+//!   every binary parses its command line through one of them with
+//!   [`Flags`], so an unknown flag exits 2 before any work, and
+//!   `run_all` forwards each child only the flags the child declares.
 //! * [`d1_cached`] / [`d2_cached`] — dataset generation with on-disk
 //!   caching, so the sweep binaries do not regenerate the world.
 //! * Reporting helpers that print the same rows/series the paper reports
@@ -18,7 +22,19 @@
 use deepcsi_core::{ExperimentConfig, ModelConfig};
 use deepcsi_data::{generate_d1, generate_d2, Dataset, GenConfig, InputSpec};
 use deepcsi_nn::{ConfusionMatrix, TrainConfig};
+use deepcsi_serve::{Arg, Flag, Flags};
 use std::path::PathBuf;
+
+/// Runs at the paper's scale instead of the laptop default.
+pub const PAPER: Flag = ("--paper", Arg::Switch, "run at the paper's scale");
+/// Shrinks the run to a smoke test.
+pub const TINY: Flag = ("--tiny", Arg::Switch, "shrink everything for a smoke test");
+/// The flags of a binary that runs at a [`FigureScale`].
+pub const SCALE_FLAGS: &[Flag] = &[PAPER, TINY];
+/// The flags of a figure binary with a paper scale but no smoke scale.
+pub const PAPER_FLAGS: &[Flag] = &[PAPER];
+/// The flags of a bench binary.
+pub const TINY_FLAGS: &[Flag] = &[TINY];
 
 /// Experiment scale used by a figure binary.
 #[derive(Debug, Clone)]
@@ -52,26 +68,22 @@ impl Default for FigureScale {
 }
 
 impl FigureScale {
-    /// Parses command-line arguments: `--paper` switches to the full
-    /// paper-scale model and full-resolution inputs, `--tiny` shrinks
-    /// everything for smoke tests.
+    /// Parses the command line against [`SCALE_FLAGS`]: `--paper`
+    /// switches to the full paper-scale model and full-resolution
+    /// inputs, `--tiny` then shrinks everything for smoke tests.
     pub fn from_args() -> Self {
+        let flags = Flags::from_env(SCALE_FLAGS);
         let mut scale = FigureScale::default();
-        for arg in std::env::args().skip(1) {
-            match arg.as_str() {
-                "--paper" => {
-                    scale.spec = InputSpec::paper_default();
-                    scale.paper_model = true;
-                    scale.gen.snapshots_per_trace = 200;
-                    scale.epochs = 12;
-                }
-                "--tiny" => {
-                    scale.gen.num_modules = 4;
-                    scale.gen.snapshots_per_trace = 30;
-                    scale.epochs = 4;
-                }
-                other => eprintln!("ignoring unknown argument {other:?}"),
-            }
+        if flags.has("--paper") {
+            scale.spec = InputSpec::paper_default();
+            scale.paper_model = true;
+            scale.gen.snapshots_per_trace = 200;
+            scale.epochs = 12;
+        }
+        if flags.has("--tiny") {
+            scale.gen.num_modules = 4;
+            scale.gen.snapshots_per_trace = 30;
+            scale.epochs = 4;
         }
         scale
     }

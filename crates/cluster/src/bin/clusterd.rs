@@ -9,8 +9,9 @@
 //! ```
 //!
 //! `deepcsi-clusterd <subcommand> --help` lists the subcommand's flags
-//! (the `*_FLAGS` tables below are the whole grammar; an unknown flag
-//! exits 2).
+//! with their defaults (the `*_FLAGS` tables below are the whole
+//! grammar; an unknown flag exits 2). A flag that sets a library config
+//! field overrides that config's `Default` only when given.
 //!
 //! * `node` trains the deterministic demo model (`deepcsi_core::demo`,
 //!   the recipe `deepcsi-served` trains with — every node in a cluster
@@ -44,8 +45,8 @@ use deepcsi_cluster::{
 };
 use deepcsi_core::demo::{demo_dataset, train, DemoConfig};
 use deepcsi_serve::{
-    Backpressure, DecisionPolicyConfig, Engine, EngineConfig, EngineSnapshot, Flags, ObsPlane,
-    ObsPlaneConfig, PolicyKind, ReplaySource,
+    Arg, Backpressure, Engine, EngineConfig, EngineSnapshot, Flag, Flags, ObsPlane, ObsPlaneConfig,
+    ReplaySource,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -53,42 +54,55 @@ use std::time::{Duration, Instant};
 /// Poll interval while waiting for a shutdown request.
 const POLL: Duration = Duration::from_millis(100);
 
-/// A subcommand's flags: `(flag, takes_value, help)`.
-type FlagTable = &'static [(&'static str, bool, &'static str)];
+/// A subcommand's flags: `(flag, what it takes, help)`. A row without a
+/// default is required, optional, or overrides the library config
+/// field its help names.
+type FlagTable = &'static [Flag];
+
+/// The demo-recipe rows `node` and `send` share (each process in a
+/// cluster must train with identical values).
+#[rustfmt::skip]
+const DEMO: [Flag; 3] = [
+    ("--modules", Arg::Value, "demo model modules (default: DemoConfig's)"),
+    ("--snapshots", Arg::Value, "demo snapshots per trace (default: DemoConfig's)"),
+    ("--epochs", Arg::Value, "demo training epochs (default: DemoConfig's)"),
+];
+#[rustfmt::skip]
+const DROP: Flag = ("--drop", Arg::Switch, "drop on a full queue instead of blocking");
 
 #[rustfmt::skip]
 const NODE_FLAGS: FlagTable = &[
-    ("--listen", true, "address to serve on (required; port 0 picks one)"),
-    ("--modules", true, "demo model modules (default 2)"),
-    ("--snapshots", true, "demo snapshots per trace (default 16)"),
-    ("--epochs", true, "demo training epochs (default 2)"),
-    ("--workers", true, "shard workers (default 2)"),
-    ("--queue", true, "per-worker queue capacity (default 1024)"),
-    ("--policy", true, "fixed|confidence|adaptive (default fixed)"),
-    ("--drop", false, "drop on a full queue instead of blocking"),
-    ("--max-devices", true, "cap on live per-device states (default unbounded)"),
-    ("--snapshot-file", true, "restore device state from / write it to this file"),
-    ("--obs-listen", true, "bind the live scrape plane here"),
+    ("--listen", Arg::Value, "address to serve on (required; port 0 picks one)"),
+    DEMO[0],
+    DEMO[1],
+    DEMO[2],
+    ("--workers", Arg::Value, "shard workers (default: EngineConfig's)"),
+    ("--queue", Arg::Value, "per-worker queue capacity (default: EngineConfig's)"),
+    ("--policy", Arg::Value, "fixed|confidence|adaptive (default: PolicyKind's)"),
+    DROP,
+    ("--max-devices", Arg::Value, "cap on live per-device states (default unbounded)"),
+    ("--snapshot-file", Arg::Value, "restore device state from / write it to this file"),
+    ("--obs-listen", Arg::Value, "bind the live scrape plane here"),
 ];
 
 #[rustfmt::skip]
 const LISTEN_FLAGS: FlagTable = &[
-    ("--listen", true, "address clients connect to (required)"),
-    ("--node", true, "engine node address (required, repeatable)"),
-    ("--queue", true, "per-node queue capacity (default 1024)"),
-    ("--drop", false, "drop on a full queue instead of blocking"),
+    ("--listen", Arg::Value, "address clients connect to (required)"),
+    ("--node", Arg::Value, "engine node address (required, repeatable)"),
+    ("--queue", Arg::Value, "per-node queue capacity (default: RouterConfig's)"),
+    DROP,
 ];
 
 #[rustfmt::skip]
 const SEND_FLAGS: FlagTable = &[
-    ("--connect", true, "node or router address (required)"),
-    ("--modules", true, "demo model modules (default 2)"),
-    ("--snapshots", true, "demo snapshots per trace (default 16)"),
-    ("--epochs", true, "demo training epochs (default 2)"),
-    ("--repeat", true, "replay passes (default 1)"),
-    ("--compare-local", false, "exit non-zero unless verdicts match one process"),
-    ("--shutdown", false, "ask the peer to shut down after the drain"),
-    ("--drain-timeout", true, "seconds to wait for the drain (default 120)"),
+    ("--connect", Arg::Value, "node or router address (required)"),
+    DEMO[0],
+    DEMO[1],
+    DEMO[2],
+    ("--repeat", Arg::Default("1"), "replay passes"),
+    ("--compare-local", Arg::Switch, "exit non-zero unless verdicts match one process"),
+    ("--shutdown", Arg::Switch, "ask the peer to shut down after the drain"),
+    ("--drain-timeout", Arg::Default("120"), "seconds to wait for the drain"),
 ];
 
 /// `(name, flags, entry point)`.
@@ -101,11 +115,11 @@ const SUBCOMMANDS: [Subcommand; 3] = [
 ];
 
 fn demo(flags: &Flags) -> DemoConfig {
-    DemoConfig {
-        modules: flags.num("--modules", 2),
-        snapshots: flags.num("--snapshots", 16),
-        epochs: flags.num("--epochs", 2),
-    }
+    let mut demo = DemoConfig::default();
+    flags.set("--modules", &mut demo.modules);
+    flags.set("--snapshots", &mut demo.snapshots);
+    flags.set("--epochs", &mut demo.epochs);
+    demo
 }
 
 fn backpressure(flags: &Flags) -> Backpressure {
@@ -117,20 +131,18 @@ fn backpressure(flags: &Flags) -> Backpressure {
 }
 
 fn engine_config(flags: &Flags) -> EngineConfig {
-    EngineConfig {
-        workers: flags.num("--workers", 2),
-        queue_capacity: flags.num("--queue", 1024),
+    let mut cfg = EngineConfig {
         backpressure: backpressure(flags),
         max_device_states: flags.opt("--max-devices"),
-        decision: DecisionPolicyConfig {
-            kind: flags.num("--policy", PolicyKind::default()),
-            ..DecisionPolicyConfig::default()
-        },
         // The audit ring feeds `/audit/tail` on the plane; cheap
         // enough to keep on unconditionally.
         audit: Some(deepcsi_serve::AuditConfig::default()),
         ..EngineConfig::default()
-    }
+    };
+    flags.set("--workers", &mut cfg.workers);
+    flags.set("--queue", &mut cfg.queue_capacity);
+    flags.set("--policy", &mut cfg.decision.kind);
+    cfg
 }
 
 fn main() {
@@ -249,16 +261,14 @@ fn run_listen(flags: &Flags) {
         Flags::die("listen: at least one --node is required");
     }
     let stats = Arc::new(ClusterStats::new(nodes.len()));
-    let router = ShardRouter::start(
-        RouterConfig {
-            listen,
-            nodes,
-            queue_capacity: flags.num("--queue", 1024),
-            backpressure: backpressure(flags),
-        },
-        Arc::clone(&stats),
-    )
-    .unwrap_or_else(|e| {
+    let mut cfg = RouterConfig {
+        listen,
+        nodes,
+        backpressure: backpressure(flags),
+        ..RouterConfig::default()
+    };
+    flags.set("--queue", &mut cfg.queue_capacity);
+    let router = ShardRouter::start(cfg, Arc::clone(&stats)).unwrap_or_else(|e| {
         eprintln!("listen: {e}");
         std::process::exit(1);
     });
@@ -279,7 +289,7 @@ fn run_send(flags: &Flags) {
         .get("--connect")
         .unwrap_or_else(|| Flags::die("send: --connect is required"));
     let demo = demo(flags);
-    let repeat: usize = flags.num("--repeat", 1);
+    let repeat: usize = flags.value("--repeat");
     let ds = demo_dataset(&demo);
     let frames = demo_frames(&ds);
     let mut client = ClusterClient::connect(&connect).unwrap_or_else(|e| {
@@ -295,7 +305,7 @@ fn run_send(flags: &Flags) {
             }
         }
     }
-    let timeout = Duration::from_secs(flags.num("--drain-timeout", 120));
+    let timeout = Duration::from_secs(flags.value("--drain-timeout"));
     let reply = if flags.has("--shutdown") {
         client.shutdown(timeout)
     } else {

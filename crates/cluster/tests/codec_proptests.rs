@@ -1,7 +1,10 @@
 //! Wire-codec hardening: round-trips over arbitrary MACs, payloads
 //! and fragmentation, plus a malformed corpus — truncated frames,
 //! lying length prefixes, flipped bits, absurd sizes — asserting the
-//! decoder never panics and always poisons cleanly.
+//! decoder never panics and always poisons cleanly. The corruption
+//! properties also recompute the CRC after the edit, so the checks
+//! behind the CRC (kind, status, flags, length, the drain-reply
+//! payload) are exercised on their own.
 
 use deepcsi_cluster::codec::{
     decode_drain_reply, encode_drain_reply, encode_request, encode_response, CodecError,
@@ -9,6 +12,7 @@ use deepcsi_cluster::codec::{
     ResponseStatus, WireDecision, WireStats,
 };
 use deepcsi_frame::MacAddr;
+use deepcsi_serve::{crc32, Verdict};
 use proptest::prelude::*;
 
 fn any_mac() -> impl Strategy<Value = MacAddr> {
@@ -33,6 +37,109 @@ fn any_request() -> impl Strategy<Value = RequestFrame> {
             mac,
             payload,
         })
+}
+
+fn any_drain_reply() -> impl Strategy<Value = DrainReply> {
+    let decision = (
+        any_mac(),
+        0u8..3,
+        (0u8..2, any::<u64>()),
+        (
+            0u8..2,
+            any::<u32>(),
+            -1.0f64..2.0,
+            0.0f64..1.0,
+            any::<u64>(),
+        ),
+    )
+        .prop_map(
+            |(mac, verdict, (decided, at), (some, module, vote, ema, obs))| WireDecision {
+                mac,
+                verdict: [Verdict::Accept, Verdict::Reject, Verdict::Unknown][verdict as usize],
+                decided_at: (decided == 1).then_some(at),
+                decision: (some == 1).then_some((module, vote, ema, obs)),
+            },
+        );
+    (
+        proptest::collection::vec(any::<u64>(), 10),
+        proptest::collection::vec(decision, 0..5),
+    )
+        .prop_map(|(c, decisions)| DrainReply {
+            stats: WireStats {
+                ingested: c[0],
+                enqueued: c[1],
+                dropped: c[2],
+                decode_errors: c[3],
+                rejected: c[4],
+                classified: c[5],
+                device_states: c[6],
+                devices_evicted: c[7],
+                devices_rewarmed: c[8],
+                busy: c[9],
+            },
+            decisions,
+        })
+}
+
+/// A response as a node or router sends it: a report answered on
+/// failure with an empty payload, or a drain/shutdown acked with an
+/// encoded drain reply.
+fn any_response() -> impl Strategy<Value = ResponseFrame> {
+    (0u8..5, any::<u32>(), any_drain_reply()).prop_map(|(what, seq, reply)| {
+        let (kind, status) = match what {
+            0 => (FrameKind::Report, ResponseStatus::Busy),
+            1 => (FrameKind::Report, ResponseStatus::Drop),
+            2 => (FrameKind::Report, ResponseStatus::Reject),
+            3 => (FrameKind::Drain, ResponseStatus::Ack),
+            _ => (FrameKind::Shutdown, ResponseStatus::Ack),
+        };
+        let payload = if status == ResponseStatus::Ack {
+            encode_drain_reply(&reply)
+        } else {
+            Vec::new()
+        };
+        ResponseFrame {
+            kind,
+            status,
+            seq,
+            payload,
+        }
+    })
+}
+
+/// One single-byte edit: `(op, position, byte)` flips (`op` 0, by a
+/// non-zero mask), deletes (1) or inserts (2) one byte; positions wrap.
+type Edit = (u8, usize, u8);
+
+fn any_edit() -> impl Strategy<Value = Edit> {
+    (0u8..3, 0usize..1 << 20, any::<u8>())
+}
+
+fn apply(edit: Edit, bytes: &mut Vec<u8>) {
+    let (op, pos, byte) = edit;
+    match op {
+        0 => {
+            let i = pos % bytes.len();
+            bytes[i] ^= byte.max(1);
+        }
+        1 => drop(bytes.remove(pos % bytes.len())),
+        _ => bytes.insert(pos % (bytes.len() + 1), byte),
+    }
+}
+
+/// Edits a frame's body (everything before its CRC trailer) and
+/// re-seals it with the CRC of the edited body.
+fn corrupt_behind_crc(frame: &[u8], edit: Edit) -> Vec<u8> {
+    let mut body = frame[..frame.len() - 4].to_vec();
+    apply(edit, &mut body);
+    let crc = crc32(&body);
+    body.extend_from_slice(&crc.to_le_bytes());
+    body
+}
+
+/// Whether `b` is a valid kind byte.
+fn valid_kind(b: u8) -> bool {
+    (1..=3).contains(&b)
 }
 
 proptest! {
@@ -111,6 +218,73 @@ proptest! {
     fn drain_reply_decode_never_panics(bytes in proptest::collection::vec(0u8..=255, 0..400)) {
         let _ = decode_drain_reply(&bytes);
     }
+
+    #[test]
+    fn request_edits_behind_a_valid_crc_are_refused_or_exact(
+        (frame, edit) in (any_request(), any_edit())
+    ) {
+        let wire = corrupt_behind_crc(&encode_request(&frame), edit);
+        let mut dec = RequestDecoder::new();
+        dec.push(&wire);
+        let got = dec.try_next();
+        if wire[0] == 0xC5 && wire[1] == 0x01 && !valid_kind(wire[2]) {
+            prop_assert!(matches!(got, Err(CodecError::BadKind(k)) if k == wire[2]), "{got:?}");
+        }
+        if let Ok(Some(accepted)) = got {
+            // Accepted bytes are exactly the encoding of what was
+            // accepted: no field is silently normalized.
+            prop_assert!(wire.starts_with(&encode_request(&accepted)), "{accepted:?}");
+            prop_assert_eq!(wire[3], 0, "non-zero flags were accepted");
+        }
+    }
+
+    #[test]
+    fn response_edits_behind_a_valid_crc_are_refused_or_exact(
+        (frame, edit) in (any_response(), any_edit())
+    ) {
+        let wire = corrupt_behind_crc(&encode_response(&frame), edit);
+        let mut dec = ResponseDecoder::new();
+        dec.push(&wire);
+        let got = dec.try_next();
+        let header_ok = wire[0] == 0xC6 && wire[1] == 0x01;
+        if header_ok && !valid_kind(wire[2]) {
+            prop_assert!(matches!(got, Err(CodecError::BadKind(k)) if k == wire[2]), "{got:?}");
+        }
+        // A same-length edit keeps the length prefix honest, so only the
+        // status check stands between a bad status byte and the caller.
+        if header_ok && valid_kind(wire[2]) && edit.0 == 0 && wire[3] > 3 {
+            prop_assert!(matches!(got, Err(CodecError::BadStatus(s)) if s == wire[3]), "{got:?}");
+        }
+        if let Ok(Some(accepted)) = got {
+            prop_assert!(wire.starts_with(&encode_response(&accepted)), "{accepted:?}");
+            if let Ok(reply) = decode_drain_reply(&accepted.payload) {
+                prop_assert_eq!(encode_drain_reply(&reply), accepted.payload);
+            }
+        }
+    }
+
+    #[test]
+    fn drain_reply_edits_are_refused_or_exact(
+        (reply, edit) in (any_drain_reply(), any_edit())
+    ) {
+        let mut payload = encode_drain_reply(&reply);
+        apply(edit, &mut payload);
+        // Re-framed whole, so the response decoder hands the edited
+        // payload up and the drain-reply decoder alone judges it.
+        let frame = ResponseFrame {
+            kind: FrameKind::Drain,
+            status: ResponseStatus::Ack,
+            seq: 1,
+            payload,
+        };
+        let mut dec = ResponseDecoder::new();
+        dec.push(&encode_response(&frame));
+        let accepted = dec.try_next().expect("a sealed frame decodes").expect("one frame");
+        prop_assert_eq!(&accepted, &frame);
+        if let Ok(decoded) = decode_drain_reply(&accepted.payload) {
+            prop_assert_eq!(encode_drain_reply(&decoded), accepted.payload);
+        }
+    }
 }
 
 #[test]
@@ -150,17 +324,20 @@ fn every_response_header_byte_is_validated() {
         seq: 3,
         payload: Vec::new(),
     });
-    for (offset, name) in [
-        (0usize, "magic"),
-        (1, "version"),
-        (2, "kind"),
-        (3, "status"),
-    ] {
-        let mut bad = good.clone();
-        bad[offset] = 0xEE;
+    // The CRC is recomputed after the corruption, so each byte must be
+    // refused by its own check rather than by the CRC.
+    for offset in 0..4 {
+        let wire = corrupt_behind_crc(&good, (0, offset, good[offset] ^ 0xEE));
         let mut dec = ResponseDecoder::new();
-        dec.push(&bad);
-        assert!(dec.try_next().is_err(), "corrupt {name} byte must error");
+        dec.push(&wire);
+        let got = dec.try_next();
+        let refused = match offset {
+            0 => matches!(got, Err(CodecError::BadMagic(0xEE))),
+            1 => matches!(got, Err(CodecError::BadVersion(0xEE))),
+            2 => matches!(got, Err(CodecError::BadKind(0xEE))),
+            _ => matches!(got, Err(CodecError::BadStatus(0xEE))),
+        };
+        assert!(refused, "byte {offset}: {got:?}");
     }
 }
 

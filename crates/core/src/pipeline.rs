@@ -8,7 +8,6 @@ use deepcsi_nn::{FrozenModel, InferCtx, Network, QuantError, QuantSpec, Tensor};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
-use std::sync::OnceLock;
 
 /// Numeric backend of a frozen serving snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -108,36 +107,18 @@ struct SavedModel {
     weights: Vec<Vec<f32>>,
 }
 
-/// A trained DeepCSI classifier deployed as a real-time authenticator
-/// (the "DeepCSI Real-Time Inference" box of Fig. 1).
+/// A trained DeepCSI classifier: the network, the input spec it was
+/// trained with and, for saving, its architecture.
 ///
-/// Feed it raw captured frames ([`Authenticator::classify_frame`]) or
-/// already-parsed feedback ([`Authenticator::classify_feedback`]); it
-/// returns the inferred module identity.
+/// It trains, saves and loads; to classify, [`Authenticator::freeze`]
+/// it once into the [`FrozenAuthenticator`] that serves (the "DeepCSI
+/// Real-Time Inference" box of Fig. 1).
+#[derive(Clone)]
 pub struct Authenticator {
     net: Network,
     spec: InputSpec,
     model: Option<ModelConfig>,
     input_shape: Option<(usize, usize, usize)>,
-    /// Lazily built inference snapshot backing the one-shot
-    /// `classify_*` calls, so they never re-copy the weights. Safe to
-    /// cache: nothing in this type's API mutates `net`'s weights after
-    /// construction.
-    frozen: OnceLock<FrozenModel>,
-}
-
-impl Clone for Authenticator {
-    fn clone(&self) -> Self {
-        // The frozen cache is per-instance scratch; the clone rebuilds
-        // its own on first use.
-        Authenticator {
-            net: self.net.clone(),
-            spec: self.spec.clone(),
-            model: self.model.clone(),
-            input_shape: self.input_shape,
-            frozen: OnceLock::new(),
-        }
-    }
 }
 
 impl Authenticator {
@@ -148,7 +129,6 @@ impl Authenticator {
             spec,
             model: None,
             input_shape: None,
-            frozen: OnceLock::new(),
         }
     }
 
@@ -165,31 +145,12 @@ impl Authenticator {
             spec,
             model: Some(model),
             input_shape: Some(input_shape),
-            frozen: OnceLock::new(),
         }
-    }
-
-    /// The cached inference snapshot (built on first use).
-    fn frozen_model(&self) -> &FrozenModel {
-        self.frozen.get_or_init(|| self.net.freeze())
     }
 
     /// The input spec this authenticator tensorises feedback with.
     pub fn spec(&self) -> &InputSpec {
         &self.spec
-    }
-
-    /// Classifies a parsed beamforming feedback, returning the predicted
-    /// module id.
-    ///
-    /// Runs on a cached frozen snapshot, so repeated calls copy no
-    /// weights (only a small scratch context is built per call — batch
-    /// callers should [`Authenticator::freeze`] and reuse an
-    /// [`InferCtx`] instead).
-    pub fn classify_feedback(&self, fb: &BeamformingFeedback) -> usize {
-        let x = self.spec.tensor(fb);
-        let frozen = self.frozen_model();
-        frozen.infer(&x, &mut frozen.ctx()).argmax()
     }
 
     /// The recorded input shape `(channels, rows, cols)`, when this
@@ -209,9 +170,8 @@ impl Authenticator {
     /// Snapshots this authenticator into an immutable, `Send + Sync`
     /// [`FrozenAuthenticator`] for serving.
     ///
-    /// The frozen model's predictions are bit-equal to this
-    /// authenticator's and to the `deepcsi-nn-ref` reference's
-    /// `forward(x, false)`; the weights are copied exactly once, so any
+    /// The frozen model's predictions are bit-equal to the
+    /// `deepcsi-nn-ref` reference's `forward(x, false)`; the weights are copied exactly once, so any
     /// number of worker threads can share one `Arc<FrozenAuthenticator>`
     /// with no per-worker clone.
     pub fn freeze(&self) -> FrozenAuthenticator {
@@ -221,19 +181,6 @@ impl Authenticator {
             input_shape: self.input_shape,
             precision: Precision::F32,
         }
-    }
-
-    /// Decodes a captured frame and classifies its feedback, returning
-    /// the reporting beamformee's address and the predicted module id.
-    ///
-    /// # Errors
-    ///
-    /// [`AuthError::Frame`] when the bytes do not parse.
-    pub fn classify_frame(&self, bytes: &[u8]) -> Result<(MacAddr, usize), AuthError> {
-        let frame = BeamformingReportFrame::parse(bytes)?;
-        let source = frame.source();
-        let id = self.classify_feedback(frame.feedback());
-        Ok((source, id))
     }
 
     /// Saves the trained model (requires construction via
@@ -294,7 +241,6 @@ impl Authenticator {
             spec: saved.spec,
             model: Some(saved.model),
             input_shape: Some(saved.input_shape),
-            frozen: OnceLock::new(),
         })
     }
 }
@@ -381,10 +327,28 @@ impl FrozenAuthenticator {
     }
 
     /// Classifies a parsed beamforming feedback, returning the predicted
-    /// module id (bit-equal to [`Authenticator::classify_feedback`]).
+    /// module id.
     pub fn classify_feedback(&self, fb: &BeamformingFeedback, ctx: &mut InferCtx) -> usize {
         let x = self.spec.tensor(fb);
         self.model.infer(&x, ctx).argmax()
+    }
+
+    /// Decodes a captured frame and classifies its feedback, returning
+    /// the reporting beamformee's address and the predicted module id.
+    ///
+    /// # Errors
+    ///
+    /// [`AuthError::Frame`] when the bytes do not parse.
+    pub fn classify_frame(
+        &self,
+        bytes: &[u8],
+        ctx: &mut InferCtx,
+    ) -> Result<(MacAddr, usize), AuthError> {
+        let frame = BeamformingReportFrame::parse(bytes)?;
+        Ok((
+            frame.source(),
+            self.classify_feedback(frame.feedback(), ctx),
+        ))
     }
 }
 
@@ -426,10 +390,11 @@ mod tests {
 
     #[test]
     fn classifies_feedback_and_frames_consistently() {
-        let (auth, _, _) = tiny_authenticator();
+        let frozen = tiny_authenticator().0.freeze();
+        let mut ctx = frozen.ctx();
         let trace = tiny_trace();
         let fb = &trace.snapshots[0];
-        let direct = auth.classify_feedback(fb);
+        let direct = frozen.classify_feedback(fb, &mut ctx);
         assert!(direct < 3);
         // Through the frame path.
         let frame = deepcsi_frame::BeamformingReportFrame::new(
@@ -439,15 +404,17 @@ mod tests {
             3,
             fb.clone(),
         );
-        let (src, id) = auth.classify_frame(&frame.encode()).unwrap();
+        let (src, id) = frozen.classify_frame(&frame.encode(), &mut ctx).unwrap();
         assert_eq!(src, MacAddr::station(1));
         assert_eq!(id, direct);
     }
 
     #[test]
     fn garbage_frame_is_an_error() {
-        let (auth, _, _) = tiny_authenticator();
-        let err = auth.classify_frame(&[0u8; 10]).unwrap_err();
+        let frozen = tiny_authenticator().0.freeze();
+        let err = frozen
+            .classify_frame(&[0u8; 10], &mut frozen.ctx())
+            .unwrap_err();
         assert!(matches!(err, AuthError::Frame(_)));
         assert!(!err.to_string().is_empty());
     }
@@ -456,35 +423,35 @@ mod tests {
     fn save_load_preserves_predictions() {
         let (mut auth, _, _) = tiny_authenticator();
         let trace = tiny_trace();
-        let before: Vec<usize> = trace
-            .snapshots
-            .iter()
-            .map(|fb| auth.classify_feedback(fb))
-            .collect();
+        let predict = |auth: &Authenticator| -> Vec<usize> {
+            let frozen = auth.freeze();
+            let mut ctx = frozen.ctx();
+            trace
+                .snapshots
+                .iter()
+                .map(|fb| frozen.classify_feedback(fb, &mut ctx))
+                .collect()
+        };
+        let before = predict(&auth);
         let dir = std::env::temp_dir().join("deepcsi-auth-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.bin");
         auth.save(&path).unwrap();
         let loaded = Authenticator::load(&path).unwrap();
-        let after: Vec<usize> = trace
-            .snapshots
-            .iter()
-            .map(|fb| loaded.classify_feedback(fb))
-            .collect();
-        assert_eq!(before, after);
+        assert_eq!(before, predict(&loaded));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn frozen_authenticator_matches_source_predictions() {
+    fn a_clone_freezes_to_the_same_predictions() {
         let (auth, _, _) = tiny_authenticator();
-        let frozen = auth.freeze();
-        let mut ctx = frozen.ctx();
+        let (frozen, copy) = (auth.freeze(), auth.clone().freeze());
+        let (mut ctx, mut copy_ctx) = (frozen.ctx(), copy.ctx());
         let trace = tiny_trace();
         for fb in &trace.snapshots {
             assert_eq!(
-                auth.classify_feedback(fb),
-                frozen.classify_feedback(fb, &mut ctx)
+                frozen.classify_feedback(fb, &mut ctx),
+                copy.classify_feedback(fb, &mut copy_ctx)
             );
         }
         assert_eq!(frozen.input_shape(), auth.input_shape());

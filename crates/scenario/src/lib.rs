@@ -54,8 +54,5 @@ pub use matrix::{
     input_spec, stream_mac, CellResult, MatrixConfig, MatrixReport, Mitigations, ScenarioAccuracy,
     ScenarioMatrix,
 };
-pub use scenarios::{
-    standard_scenarios, tiny_scenarios, ChannelRedraw, CrossPosition, InterferenceBursts, Mobility,
-    MultiDayDrift, Scenario, SnrSweep,
-};
+pub use scenarios::{standard_scenarios, tiny_scenarios, Scenario};
 pub use segment::{samples, SegmentSpec};

@@ -177,7 +177,7 @@ impl MatrixReport {
 /// decision policies to drive, and which mitigation arms to compare.
 pub struct ScenarioMatrix {
     /// Scenario axes (rows).
-    pub scenarios: Vec<Box<dyn Scenario>>,
+    pub scenarios: Vec<Scenario>,
     /// Decision policies driven through the engine (columns).
     pub policies: Vec<PolicyKind>,
     /// Mitigation arms compared per cell.
@@ -262,7 +262,7 @@ impl ScenarioMatrix {
         let mut cells = Vec::new();
         for scenario in &self.scenarios {
             let segments: Vec<_> = scenario
-                .segments()
+                .segments
                 .iter()
                 .map(|s| s.dataset(self.cfg.num_modules, self.cfg.serve_snapshots))
                 .collect();
@@ -276,7 +276,7 @@ impl ScenarioMatrix {
             for augmentation in scored_arms {
                 let (top1, _) = evaluate(&nets[&augmentation], &eval.x, &eval.y);
                 accuracies.push(ScenarioAccuracy {
-                    scenario: scenario.name(),
+                    scenario: scenario.name,
                     augmentation,
                     top1,
                 });
@@ -317,7 +317,7 @@ impl ScenarioMatrix {
                     }
                     let n = self.cfg.num_modules as f64;
                     cells.push(CellResult {
-                        scenario: scenario.name(),
+                        scenario: scenario.name,
                         policy,
                         mitigations: *arm,
                         genuine_accept_rate: genuine_accepts as f64 / n,
@@ -516,7 +516,7 @@ mod tests {
     #[test]
     fn micro_matrix_runs_end_to_end() {
         let matrix = ScenarioMatrix {
-            scenarios: vec![Box::new(crate::scenarios::CrossPosition)],
+            scenarios: vec![crate::tiny_scenarios().remove(0)], // cross_position
             policies: vec![PolicyKind::FixedMajority],
             arms: vec![Mitigations::off()],
             cfg: MatrixConfig {

@@ -475,13 +475,15 @@ fn probe_adaptive_trajectory() {
 #[ignore = "tuning probe, not a regression pin; run with -- --ignored --nocapture"]
 fn probe_engine_verdicts() {
     let (auth, calib) = trained();
+    let frozen = auth.freeze();
+    let mut ctx = frozen.ctx();
     let segments = redraw_segments();
     for (si, seg) in segments.iter().enumerate() {
         for t in &seg.traces {
             let preds: Vec<usize> = t
                 .snapshots
                 .iter()
-                .map(|fb| auth.classify_feedback(fb))
+                .map(|fb| frozen.classify_feedback(fb, &mut ctx))
                 .collect();
             let mut counts = vec![0usize; MODULES as usize];
             for &p in &preds {

@@ -2,8 +2,11 @@
 //! the streaming authentication engine and report per-device verdicts
 //! plus engine telemetry.
 //!
-//! `deepcsi-served --help` lists every flag (the `FLAGS` table below is
-//! the whole grammar; an unknown flag exits 2).
+//! `deepcsi-served --help` lists every flag with its default (the
+//! `FLAGS` table below is the whole grammar; an unknown flag exits 2).
+//! A flag that sets a library config field (`--workers`, `--queue`,
+//! `--batch`, `--window`, `--policy`, `--trace-sample`, …) overrides
+//! that config's `Default` only when given.
 //!
 //! Without `--dataset` a synthetic D1 capture is generated; without
 //! `--model` a fast classifier is trained on it first (and optionally
@@ -28,34 +31,34 @@
 //!   core, and the worker count can never change a verdict — only
 //!   throughput.
 //! * `--precision f32|int8` selects the serving snapshot's numeric
-//!   backend (default `f32`, bit-identical to training). `int8`
-//!   calibrates activation scales on up to `--calib-samples` (default
-//!   256) tensorized reports from the dataset, quantizes the
-//!   conv/dense layers onto integer kernels, and serves the quantized
-//!   snapshot behind the same `Arc` — verdict plumbing untouched.
+//!   backend (`f32` is bit-identical to training). `int8` calibrates
+//!   activation scales on up to `--calib-samples` tensorized reports
+//!   from the dataset, quantizes the conv/dense layers onto integer
+//!   kernels, and serves the quantized snapshot behind the same `Arc` —
+//!   verdict plumbing untouched.
 //!
 //! Decision-policy knobs (see the crate docs for the semantics):
 //!
 //! * `--policy fixed|confidence|adaptive` selects the verdict policy
-//!   (default `fixed`, the classic majority window).
+//!   (`fixed` is the classic majority window).
 //! * `--accept-threshold MASS` sets the confidence policy's posterior
-//!   mass gate, in `(0.5, 1]` (default 0.9).
+//!   mass gate, in `(0.5, 1]`.
 //! * `--calibration N` sets the adaptive policy's warm-up length in
-//!   reports (default 20).
+//!   reports.
 //!
 //! Observability knobs (see ARCHITECTURE.md § Observability):
 //!
 //! * `--metrics-file PATH` rewrites a Prometheus text-exposition file
-//!   every `--metrics-interval` seconds (default 5) and once more at
-//!   shutdown — point a node-exporter textfile collector (or a test's
+//!   every `--metrics-interval` seconds and once more at shutdown —
+//!   point a node-exporter textfile collector (or a test's
 //!   `obs-check --prom`) at it.
 //! * `--metrics-json PATH` appends one flat JSON object per interval to
 //!   a JSONL file, including `deepcsi_interval_seconds` and interval
 //!   rates computed from consecutive snapshots (`*_per_sec` fields).
 //! * `--trace-file PATH` enables span tracing and writes a Chrome
 //!   `trace_event` JSON at shutdown — load it in `chrome://tracing` or
-//!   Perfetto. `--trace-sample N` records one micro-batch in `N`
-//!   (default 8; `1` traces everything).
+//!   Perfetto. `--trace-sample N` records one micro-batch in `N` (`1`
+//!   traces everything).
 //! * `--profile` attaches a per-layer profiler to every inference
 //!   context and prints the merged per-op table (share of inference
 //!   time, ns/sample, bytes moved) after shutdown.
@@ -73,9 +76,8 @@
 //!   `obs-check --scrape` — can read the settled counters before exit.
 //! * `--audit-file PATH` streams one JSON line per decided verdict
 //!   (source, verdict, policy, confidence trajectory) to PATH; the
-//!   in-memory ring behind `/audit/tail` is on whenever `--obs-listen`
-//!   or `--audit-file` is.
-//! * `--audit-capacity N` sizes that ring (default 4096 events).
+//!   in-memory ring behind `/audit/tail` (sized by `--audit-capacity`)
+//!   is on whenever `--obs-listen` or `--audit-file` is.
 
 use deepcsi_capture::{FollowSource, FrameSource, PcapFileSource};
 use deepcsi_core::demo::{self, DemoConfig};
@@ -83,242 +85,123 @@ use deepcsi_core::{Authenticator, FrozenAuthenticator};
 use deepcsi_data::Dataset;
 use deepcsi_obs::{format_op_table, write_chrome_trace, TraceConfig};
 use deepcsi_serve::{
-    AuditConfig, Backpressure, DecisionPolicyConfig, Engine, EngineConfig, Flags, MetricsEmitter,
-    ObsPlane, ObsPlaneConfig, PolicyKind, Precision, ReplaySource, SourceStatus, Verdict,
-    WindowConfig,
+    Arg, AuditConfig, Backpressure, Engine, EngineConfig, Flag, Flags, MetricsEmitter, ObsPlane,
+    ObsPlaneConfig, PolicyKind, Precision, ReplaySource, SourceStatus, Verdict,
 };
+use std::num::{NonZeroU32, NonZeroU64, NonZeroUsize};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Every flag: `(flag, takes_value, help)`.
+/// Every flag: `(flag, what it takes, help)`. A row without a default
+/// is optional, or overrides the library config field its help names.
 #[rustfmt::skip]
-const FLAGS: &[(&str, bool, &str)] = &[
-    ("--dataset", true, "stored dataset to serve (default: synthesize D1)"),
-    ("--model", true, "trained model to load (default: train a fast one)"),
-    ("--save-model", true, "persist the trained model here"),
-    ("--modules", true, "synthetic D1 modules (default 3)"),
-    ("--snapshots", true, "synthetic D1 snapshots per trace (default 40)"),
-    ("--epochs", true, "training epochs (default 6)"),
-    ("--workers", true, "shard workers (default 2)"),
-    ("--precision", true, "serving snapshot to build: f32|int8 (default f32)"),
-    ("--calib-samples", true, "int8 calibration reports (default 256)"),
-    ("--batch", true, "micro-batch cap (default 32)"),
-    ("--queue", true, "per-worker queue capacity (default 1024)"),
-    ("--window", true, "decision window length (default 25)"),
-    ("--policy", true, "fixed|confidence|adaptive (default fixed)"),
-    ("--accept-threshold", true, "confidence policy's mass gate, in (0.5, 1]"),
-    ("--calibration", true, "adaptive policy's warm-up, in reports"),
-    ("--repeat", true, "replay passes (default 1)"),
-    ("--drop", false, "drop on a full queue instead of blocking"),
-    ("--garbage", true, "undecodable frames appended to the replay"),
-    ("--export-pcap", true, "write the dataset as pcap/pcapng and exit"),
-    ("--pcap", true, "serve a capture file instead of the replay"),
-    ("--follow", false, "tail --pcap as it grows"),
-    ("--idle-exit", true, "stop --follow after this many idle seconds"),
-    ("--metrics-file", true, "Prometheus text file, rewritten periodically"),
-    ("--metrics-json", true, "JSONL metrics file, appended periodically"),
-    ("--metrics-interval", true, "seconds between emissions (default 5)"),
-    ("--trace-file", true, "write a Chrome trace at shutdown"),
-    ("--trace-sample", true, "trace one micro-batch in N (default 8)"),
-    ("--profile", false, "per-layer inference profile"),
-    ("--obs-listen", true, "bind the live scrape plane here"),
-    ("--obs-linger", true, "keep the plane up this many seconds after drain"),
-    ("--audit-file", true, "JSONL verdict audit trail"),
-    ("--audit-capacity", true, "audit ring size (default 4096)"),
+const FLAGS: &[Flag] = &[
+    ("--dataset", Arg::Value, "stored dataset to serve (default: synthesize D1)"),
+    ("--model", Arg::Value, "trained model to load (default: train a fast one)"),
+    ("--save-model", Arg::Value, "persist the trained model here"),
+    ("--modules", Arg::Default("3"), "synthetic D1 modules"),
+    ("--snapshots", Arg::Default("40"), "synthetic D1 snapshots per trace"),
+    ("--epochs", Arg::Default("6"), "training epochs"),
+    ("--workers", Arg::Value, "shard workers (default: EngineConfig's)"),
+    ("--precision", Arg::Value, "serving snapshot to build: f32|int8 (default: Precision's)"),
+    ("--calib-samples", Arg::Default("256"), "int8 calibration reports"),
+    ("--batch", Arg::Value, "micro-batch cap (default: EngineConfig's)"),
+    ("--queue", Arg::Value, "per-worker queue capacity (default: EngineConfig's)"),
+    ("--window", Arg::Value, "decision window length (default: WindowConfig's)"),
+    ("--policy", Arg::Value, "fixed|confidence|adaptive (default: PolicyKind's)"),
+    ("--accept-threshold", Arg::Value, "confidence policy's mass gate, in (0.5, 1]"),
+    ("--calibration", Arg::Value, "adaptive policy's warm-up, in reports"),
+    ("--repeat", Arg::Default("1"), "replay passes"),
+    ("--drop", Arg::Switch, "drop on a full queue instead of blocking"),
+    ("--garbage", Arg::Default("0"), "undecodable frames appended to the replay"),
+    ("--export-pcap", Arg::Value, "write the dataset as pcap/pcapng and exit"),
+    ("--pcap", Arg::Value, "serve a capture file instead of the replay"),
+    ("--follow", Arg::Switch, "tail --pcap as it grows"),
+    ("--idle-exit", Arg::Value, "stop --follow after this many idle seconds"),
+    ("--metrics-file", Arg::Value, "Prometheus text file, rewritten periodically"),
+    ("--metrics-json", Arg::Value, "JSONL metrics file, appended periodically"),
+    ("--metrics-interval", Arg::Default("5"), "seconds between emissions"),
+    ("--trace-file", Arg::Value, "write a Chrome trace at shutdown"),
+    ("--trace-sample", Arg::Value, "trace one micro-batch in N (default: TraceConfig's)"),
+    ("--profile", Arg::Switch, "per-layer inference profile"),
+    ("--obs-listen", Arg::Value, "bind the live scrape plane here"),
+    ("--obs-linger", Arg::Default("0"), "keep the plane up this many seconds after drain"),
+    ("--audit-file", Arg::Value, "JSONL verdict audit trail"),
+    ("--audit-capacity", Arg::Value, "audit ring size (default: AuditConfig's)"),
 ];
 
-struct Args {
-    dataset: Option<String>,
-    model: Option<String>,
-    save_model: Option<String>,
-    modules: u32,
-    snapshots: usize,
-    epochs: usize,
-    workers: usize,
-    precision: Precision,
-    calib_samples: usize,
-    batch: usize,
-    queue: usize,
-    window: usize,
-    policy: PolicyKind,
-    accept_threshold: Option<f64>,
-    calibration: Option<u64>,
-    repeat: usize,
-    drop_on_full: bool,
-    garbage: usize,
-    export_pcap: Option<String>,
-    pcap: Option<String>,
-    follow: bool,
-    idle_exit: Option<u64>,
-    metrics_file: Option<String>,
-    metrics_json: Option<String>,
-    metrics_interval: u64,
-    trace_file: Option<String>,
-    trace_sample: u32,
-    profile: bool,
-    obs_listen: Option<String>,
-    obs_linger: u64,
-    audit_file: Option<String>,
-    audit_capacity: usize,
+/// The engine configuration the flags describe. The tracing and audit
+/// counts are parsed whether or not they apply, so a zero exits 2 even
+/// when it would be ignored.
+fn engine_config(f: &Flags) -> EngineConfig {
+    let mut cfg = EngineConfig {
+        backpressure: if f.has("--drop") {
+            Backpressure::DropNewest
+        } else {
+            Backpressure::Block
+        },
+        profile: f.has("--profile"),
+        ..EngineConfig::default()
+    };
+    f.set("--workers", &mut cfg.workers);
+    f.set("--queue", &mut cfg.queue_capacity);
+    f.set("--batch", &mut cfg.max_batch);
+    f.set("--window", &mut cfg.window.len);
+    f.set("--policy", &mut cfg.decision.kind);
+    f.set("--accept-threshold", &mut cfg.decision.posterior_mass);
+    f.set("--calibration", &mut cfg.decision.warmup);
+    let trace_sample: Option<NonZeroU32> = f.opt("--trace-sample");
+    let audit_capacity: Option<NonZeroUsize> = f.opt("--audit-capacity");
+    // Tracing is disabled unless a trace file was requested.
+    if f.has("--trace-file") {
+        cfg.trace = TraceConfig::sampled();
+        if let Some(n) = trace_sample {
+            cfg.trace.sample_every = n.get();
+        }
+    }
+    // The audit trail is on whenever the scrape plane or an audit file
+    // is requested.
+    if f.has("--obs-listen") || f.has("--audit-file") {
+        let mut audit = AuditConfig {
+            file: f.get("--audit-file").map(std::path::PathBuf::from),
+            ..AuditConfig::default()
+        };
+        if let Some(n) = audit_capacity {
+            audit.capacity = n.get();
+        }
+        cfg.audit = Some(audit);
+    }
+    cfg
 }
 
-impl Args {
-    fn parse() -> Args {
-        let f = Flags::parse_or_exit("deepcsi-served", FLAGS, std::env::args().skip(1));
-        let args = Args {
-            dataset: f.get("--dataset"),
-            model: f.get("--model"),
-            save_model: f.get("--save-model"),
-            modules: f.num("--modules", 3),
-            snapshots: f.num("--snapshots", 40),
-            epochs: f.num("--epochs", 6),
-            workers: f.num("--workers", 2),
-            precision: f.num("--precision", Precision::default()),
-            calib_samples: f.num("--calib-samples", 256),
-            batch: f.num("--batch", 32),
-            queue: f.num("--queue", 1024),
-            window: f.num("--window", 25),
-            policy: f.num("--policy", PolicyKind::default()),
-            accept_threshold: f.opt("--accept-threshold"),
-            calibration: f.opt("--calibration"),
-            repeat: f.num("--repeat", 1),
-            drop_on_full: f.has("--drop"),
-            garbage: f.num("--garbage", 0),
-            export_pcap: f.get("--export-pcap"),
-            pcap: f.get("--pcap"),
-            follow: f.has("--follow"),
-            idle_exit: f.opt("--idle-exit"),
-            metrics_file: f.get("--metrics-file"),
-            metrics_json: f.get("--metrics-json"),
-            metrics_interval: f.num("--metrics-interval", 5),
-            trace_file: f.get("--trace-file"),
-            trace_sample: f.num("--trace-sample", 8),
-            profile: f.has("--profile"),
-            obs_listen: f.get("--obs-listen"),
-            obs_linger: f.num("--obs-linger", 0),
-            audit_file: f.get("--audit-file"),
-            audit_capacity: f.num("--audit-capacity", 4096),
-        };
-        // Surface flag combinations that would otherwise be silently
-        // ignored.
-        if args.pcap.is_some() && args.repeat > 1 {
-            eprintln!("warning: --repeat only applies to the in-memory replay; ignored");
+/// Surfaces flags given where they are silently ignored.
+fn warn_ignored(f: &Flags, precision: Precision, policy: PolicyKind) {
+    let replay = !f.has("--pcap");
+    #[rustfmt::skip]
+    let rules = [
+        ("--repeat", !replay, "only applies to the in-memory replay; ignored"),
+        ("--garbage", !replay, "only applies to the in-memory replay; ignored"),
+        ("--follow", replay, "requires --pcap; ignored"),
+        ("--idle-exit", !f.has("--follow"), "only applies with --follow; ignored"),
+        ("--accept-threshold", policy != PolicyKind::ConfidenceWeighted, "only applies with --policy confidence"),
+        ("--calibration", policy != PolicyKind::AdaptiveThreshold, "only applies with --policy adaptive"),
+        ("--calib-samples", precision != Precision::Int8, "only applies with --precision int8"),
+        ("--metrics-interval", !f.has("--metrics-file") && !f.has("--metrics-json"), "needs --metrics-file or --metrics-json"),
+        ("--trace-sample", !f.has("--trace-file"), "only applies with --trace-file"),
+        ("--obs-linger", !f.has("--obs-listen"), "only applies with --obs-listen; ignored"),
+        ("--audit-capacity", !f.has("--obs-listen") && !f.has("--audit-file"), "needs --obs-listen or --audit-file"),
+    ];
+    for (flag, ignored, why) in rules {
+        if ignored && f.has(flag) {
+            eprintln!("warning: {flag} {why}");
         }
-        if args.pcap.is_some() && args.garbage > 0 {
-            eprintln!("warning: --garbage only applies to the in-memory replay; ignored");
-        }
-        if args.follow && args.pcap.is_none() {
-            eprintln!("warning: --follow requires --pcap; ignored");
-        }
-        if args.idle_exit.is_some() && !args.follow {
-            eprintln!("warning: --idle-exit only applies with --follow; ignored");
-        }
-        if args.accept_threshold.is_some() && args.policy != PolicyKind::ConfidenceWeighted {
-            eprintln!("warning: --accept-threshold only applies with --policy confidence");
-        }
-        if args.calibration.is_some() && args.policy != PolicyKind::AdaptiveThreshold {
-            eprintln!("warning: --calibration only applies with --policy adaptive");
-        }
-        if args.calib_samples == 0 {
-            Flags::die("--calib-samples must be positive");
-        }
-        if args.precision != Precision::Int8 && args.calib_samples != 256 {
-            eprintln!("warning: --calib-samples only applies with --precision int8");
-        }
-        if args.metrics_interval == 0 {
-            Flags::die("--metrics-interval must be positive");
-        }
-        if args.trace_sample == 0 {
-            Flags::die("--trace-sample must be positive");
-        }
-        if args.metrics_interval != 5 && args.metrics_file.is_none() && args.metrics_json.is_none()
-        {
-            eprintln!("warning: --metrics-interval needs --metrics-file or --metrics-json");
-        }
-        if args.trace_sample != 8 && args.trace_file.is_none() {
-            eprintln!("warning: --trace-sample only applies with --trace-file");
-        }
-        if args.audit_capacity == 0 {
-            Flags::die("--audit-capacity must be positive");
-        }
-        if args.obs_linger > 0 && args.obs_listen.is_none() {
-            eprintln!("warning: --obs-linger only applies with --obs-listen; ignored");
-        }
-        if args.audit_capacity != 4096 && args.obs_listen.is_none() && args.audit_file.is_none() {
-            eprintln!("warning: --audit-capacity needs --obs-listen or --audit-file");
-        }
-        args
-    }
-
-    /// The engine configuration the flags describe.
-    fn engine_config(&self) -> EngineConfig {
-        EngineConfig {
-            workers: self.workers,
-            queue_capacity: self.queue,
-            max_batch: self.batch,
-            backpressure: if self.drop_on_full {
-                Backpressure::DropNewest
-            } else {
-                Backpressure::Block
-            },
-            window: self.window_config(),
-            decision: self.decision(),
-            trace: self.trace(),
-            profile: self.profile,
-            audit: self.audit(),
-            ..EngineConfig::default()
-        }
-    }
-
-    /// The audit-trail configuration the flags describe: on whenever the
-    /// scrape plane or an audit file is requested.
-    fn audit(&self) -> Option<AuditConfig> {
-        (self.obs_listen.is_some() || self.audit_file.is_some()).then(|| AuditConfig {
-            capacity: self.audit_capacity,
-            file: self.audit_file.as_ref().map(std::path::PathBuf::from),
-        })
-    }
-
-    /// The span-tracing configuration the flags describe: disabled
-    /// unless a trace file was requested.
-    fn trace(&self) -> TraceConfig {
-        if self.trace_file.is_none() {
-            return TraceConfig::default();
-        }
-        TraceConfig {
-            sample_every: self.trace_sample,
-            ..TraceConfig::always()
-        }
-    }
-
-    /// The smoothing window the flags describe.
-    fn window_config(&self) -> WindowConfig {
-        WindowConfig {
-            len: self.window,
-            ..WindowConfig::default()
-        }
-    }
-
-    /// The decision-policy configuration the flags describe.
-    fn decision(&self) -> DecisionPolicyConfig {
-        let mut decision = DecisionPolicyConfig {
-            kind: self.policy,
-            ..DecisionPolicyConfig::default()
-        };
-        if let Some(mass) = self.accept_threshold {
-            decision.posterior_mass = mass;
-        }
-        if let Some(warmup) = self.calibration {
-            decision.warmup = warmup;
-        }
-        decision
     }
 }
 
-fn load_or_generate_dataset(args: &Args) -> Dataset {
-    match &args.dataset {
+fn load_or_generate_dataset(f: &Flags, demo: &DemoConfig) -> Dataset {
+    match f.get("--dataset") {
         Some(path) => {
-            let ds = deepcsi_data::load_dataset(path)
+            let ds = deepcsi_data::load_dataset(&path)
                 .unwrap_or_else(|e| panic!("loading dataset {path}: {e}"));
             println!(
                 "loaded dataset {path}: {} traces, {} snapshots",
@@ -329,14 +212,10 @@ fn load_or_generate_dataset(args: &Args) -> Dataset {
         }
         None => {
             let t = Instant::now();
-            let ds = demo::demo_dataset(&DemoConfig {
-                modules: args.modules,
-                snapshots: args.snapshots,
-                epochs: args.epochs,
-            });
+            let ds = demo::demo_dataset(demo);
             println!(
                 "generated synthetic D1: {} modules, {} traces, {} snapshots ({:.1?})",
-                args.modules,
+                demo.modules,
                 ds.traces.len(),
                 ds.num_snapshots(),
                 t.elapsed()
@@ -346,23 +225,23 @@ fn load_or_generate_dataset(args: &Args) -> Dataset {
     }
 }
 
-fn load_or_train_model(args: &Args, ds: &Dataset) -> Authenticator {
-    if let Some(path) = &args.model {
+fn load_or_train_model(f: &Flags, ds: &Dataset, epochs: usize) -> Authenticator {
+    if let Some(path) = f.get("--model") {
         let auth =
-            Authenticator::load(path).unwrap_or_else(|e| panic!("loading model {path}: {e}"));
+            Authenticator::load(&path).unwrap_or_else(|e| panic!("loading model {path}: {e}"));
         println!("loaded model {path}");
         return auth;
     }
     let t = Instant::now();
-    let (mut auth, accuracy) = demo::train(ds, args.epochs);
+    let (mut auth, accuracy) = demo::train(ds, epochs);
     println!(
         "trained fast classifier: {:.2}% test accuracy over {} classes ({:.1?})",
         accuracy * 100.0,
         ds.modules().len(),
         t.elapsed()
     );
-    if let Some(path) = &args.save_model {
-        auth.save(path)
+    if let Some(path) = f.get("--save-model") {
+        auth.save(&path)
             .unwrap_or_else(|e| panic!("saving model {path}: {e}"));
         println!("saved model to {path}");
     }
@@ -389,11 +268,10 @@ fn export_capture(ds: &Dataset, path: &str) {
 }
 
 /// Feeds the engine from a capture file — finite (`--pcap`) or tailed
-/// (`--follow`, until `--idle-exit` seconds pass without a frame).
-fn serve_from_capture(engine: &Engine, args: &Args, path: &str) {
-    if args.follow {
+/// (`--follow`, until `idle_exit` seconds pass without a frame).
+fn serve_from_capture(engine: &Engine, path: &str, follow: bool, idle_exit: Option<u64>) {
+    if follow {
         let mut source = FollowSource::open(path);
-        let idle_exit = args.idle_exit.map(Duration::from_secs);
         let mut last_progress = Instant::now();
         let mut last_seen = 0u64;
         let mut last_bytes = 0u64;
@@ -404,8 +282,10 @@ fn serve_from_capture(engine: &Engine, args: &Args, path: &str) {
                     if c.packets_seen != last_seen {
                         last_seen = c.packets_seen;
                         last_progress = Instant::now();
-                    } else if idle_exit.is_some_and(|d| last_progress.elapsed() >= d) {
-                        println!("no new frames for {}s, stopping", args.idle_exit.unwrap());
+                    } else if let Some(secs) =
+                        idle_exit.filter(|&s| last_progress.elapsed() >= Duration::from_secs(s))
+                    {
+                        println!("no new frames for {secs}s, stopping");
                         return;
                     }
                     // Only sleep when the file truly stopped growing — a
@@ -438,28 +318,47 @@ fn serve_from_capture(engine: &Engine, args: &Args, path: &str) {
 }
 
 fn main() {
-    let args = Args::parse();
+    // Every flag is parsed here, before the expensive dataset and
+    // training work: a bad value or a zero count exits 2 at once.
+    let f = Flags::from_env(FLAGS);
+    let cfg = engine_config(&f);
+    let demo = DemoConfig {
+        modules: f.value("--modules"),
+        snapshots: f.value("--snapshots"),
+        epochs: f.value("--epochs"),
+    };
+    let mut precision = Precision::default();
+    f.set("--precision", &mut precision);
+    let calib_samples: NonZeroUsize = f.value("--calib-samples");
+    let repeat: usize = f.value("--repeat");
+    let garbage: usize = f.value("--garbage");
+    let idle_exit: Option<u64> = f.opt("--idle-exit");
+    let metrics_interval: NonZeroU64 = f.value("--metrics-interval");
+    let obs_linger: u64 = f.value("--obs-linger");
+    let (pcap, follow) = (f.get("--pcap"), f.has("--follow"));
+    let (metrics_file, metrics_json) = (f.get("--metrics-file"), f.get("--metrics-json"));
+    let (audit_file, trace_file) = (f.get("--audit-file"), f.get("--trace-file"));
+    warn_ignored(&f, precision, cfg.decision.kind);
     // Reject a bad engine knob before the expensive dataset/training
     // work — the engine would assert the same bounds, but only minutes
     // later.
-    let cfg = args.engine_config();
     cfg.validate();
-    let ds = load_or_generate_dataset(&args);
+    let ds = load_or_generate_dataset(&f, &demo);
 
-    if let Some(path) = &args.export_pcap {
-        export_capture(&ds, path);
+    if let Some(path) = f.get("--export-pcap") {
+        export_capture(&ds, &path);
         return;
     }
 
-    let auth = load_or_train_model(&args, &ds);
+    let auth = load_or_train_model(&f, &ds, demo.epochs);
 
     let replay = ReplaySource::from_dataset(&ds);
     let registry = ReplaySource::registry(&ds);
-    match &args.pcap {
+    match &pcap {
         Some(path) => println!(
             "serving capture {path} ({}){}",
-            if args.follow { "follow" } else { "finite" },
-            if args.follow {
+            if follow { "follow" } else { "finite" },
+            if follow {
                 " — ^C or --idle-exit to stop"
             } else {
                 ""
@@ -470,12 +369,12 @@ fn main() {
             replay.len(),
             replay.total_bytes() as f64 / (1024.0 * 1024.0),
             registry.len(),
-            args.repeat
+            repeat
         ),
     }
 
     // Freeze once: the workers all share this one immutable snapshot.
-    let frozen = std::sync::Arc::new(match args.precision {
+    let frozen = std::sync::Arc::new(match precision {
         Precision::F32 => auth.freeze(),
         Precision::Int8 => {
             // Calibrate activation scales on a representative slice of
@@ -483,12 +382,13 @@ fn main() {
             // the whole dataset — traces are ordered by module, so a
             // plain prefix would calibrate on one device's activations
             // and clamp everyone else's.
+            let calib_samples = calib_samples.get();
             let snapshots: Vec<_> = ds.traces.iter().flat_map(|t| t.snapshots.iter()).collect();
-            let step = (snapshots.len() / args.calib_samples).max(1);
+            let step = (snapshots.len() / calib_samples).max(1);
             let calib: Vec<deepcsi_nn::Tensor> = snapshots
                 .iter()
                 .step_by(step)
-                .take(args.calib_samples)
+                .take(calib_samples)
                 .map(|fb| auth.tensorize(fb))
                 .collect();
             let t = Instant::now();
@@ -502,11 +402,9 @@ fn main() {
             quantized
         }
     });
+    let (policy, workers) = (cfg.decision.kind, cfg.workers);
     let engine = Engine::start_frozen(cfg, frozen, registry.clone());
-    println!(
-        "decision policy: {} ({} workers, {} inference)",
-        args.policy, args.workers, args.precision,
-    );
+    println!("decision policy: {policy} ({workers} workers, {precision} inference)");
 
     // Observability plumbing: the file emitter publishes periodically
     // while serving (and flushes the final partial interval on stop);
@@ -514,15 +412,15 @@ fn main() {
     // HTTP. Both hold Arc handles that outlive the engine.
     let telemetry = engine.telemetry_handle();
     let audit = engine.audit_handle();
-    let emitter = (args.metrics_file.is_some() || args.metrics_json.is_some()).then(|| {
+    let emitter = (metrics_file.is_some() || metrics_json.is_some()).then(|| {
         MetricsEmitter::spawn(
             Arc::clone(&telemetry),
-            Duration::from_secs(args.metrics_interval),
-            args.metrics_file.clone(),
-            args.metrics_json.clone(),
+            Duration::from_secs(metrics_interval.get()),
+            metrics_file.clone(),
+            metrics_json.clone(),
         )
     });
-    let plane = args.obs_listen.as_ref().map(|addr| {
+    let plane = f.get("--obs-listen").map(|addr| {
         let plane = ObsPlane::start(
             ObsPlaneConfig {
                 listen: addr.clone(),
@@ -540,10 +438,10 @@ fn main() {
     });
 
     let t = Instant::now();
-    match &args.pcap {
-        Some(path) => serve_from_capture(&engine, &args, path),
+    match &pcap {
+        Some(path) => serve_from_capture(&engine, path, follow, idle_exit),
         None => {
-            for _ in 0..args.repeat {
+            for _ in 0..repeat {
                 for frame in replay.frames() {
                     engine.ingest_frame(frame);
                 }
@@ -551,7 +449,7 @@ fn main() {
             // Exercise the decode-error path on demand. Replay mode
             // only: out-of-band garbage would (correctly) break the
             // capture-layer reconciliation a file source reports.
-            for i in 0..args.garbage {
+            for i in 0..garbage {
                 engine.ingest_frame(&[i as u8; 11]);
             }
         }
@@ -561,10 +459,10 @@ fn main() {
     // Hold the plane open over the settled counters before tearing
     // anything down — CI's loopback scrape runs inside this window.
     if let Some(plane) = &plane {
-        if args.obs_linger > 0 {
+        if obs_linger > 0 {
             plane.tick_now();
-            println!("lingering {}s for scrapes (--obs-linger)", args.obs_linger);
-            std::thread::sleep(Duration::from_secs(args.obs_linger));
+            println!("lingering {obs_linger}s for scrapes (--obs-linger)");
+            std::thread::sleep(Duration::from_secs(obs_linger));
         }
         plane.set_ready(false);
     }
@@ -577,15 +475,12 @@ fn main() {
     // stop() flushes the partial interval since its last timer fire.
     if let Some(emitter) = emitter {
         emitter.stop();
-        for path in [&args.metrics_file, &args.metrics_json]
-            .into_iter()
-            .flatten()
-        {
+        for path in [&metrics_file, &metrics_json].into_iter().flatten() {
             println!("metrics written to {path}");
         }
     }
     if let Some(audit) = &audit {
-        if let Some(path) = &args.audit_file {
+        if let Some(path) = &audit_file {
             println!(
                 "audit trail: {} events written to {path} ({} write errors)",
                 audit.appended(),
@@ -593,7 +488,7 @@ fn main() {
             );
         }
     }
-    if let Some(path) = &args.trace_file {
+    if let Some(path) = &trace_file {
         let file =
             std::fs::File::create(path).unwrap_or_else(|e| panic!("creating trace {path}: {e}"));
         write_chrome_trace(std::io::BufWriter::new(file), &report.spans)
@@ -640,10 +535,10 @@ fn main() {
     println!("\n--- engine telemetry ---");
     println!("{}", report.stats);
     let rps = report.stats.classified as f64 / elapsed.as_secs_f64();
-    let stream_bytes = if args.pcap.is_some() {
+    let stream_bytes = if pcap.is_some() {
         report.stats.capture_bytes as usize
     } else {
-        replay.total_bytes() * args.repeat
+        replay.total_bytes() * repeat
     };
     let mibps = stream_bytes as f64 / (1024.0 * 1024.0) / elapsed.as_secs_f64();
     println!(

@@ -1,21 +1,37 @@
-//! Table-driven command-line flags, shared by `deepcsi-served` and
-//! `deepcsi-clusterd`.
+//! Table-driven command-line flags, shared by every binary of the
+//! workspace's serving, cluster and bench crates.
 //!
-//! Each binary declares one `(flag, takes_value, help)` table. The table
-//! is the whole grammar: a flag that is not in it is an error (a typo
-//! must not silently serve with defaults), and `--help` prints it.
+//! Each binary declares one table of [`Flag`] rows — name, what the
+//! flag takes, its default, its help — and the table is the whole
+//! grammar: a flag that is not in it is an error (a typo must not
+//! silently run with defaults), `--help` prints it, and a lookup of a
+//! flag that was not given falls back to its row's default. A default
+//! is written once: in its row, or — for a flag that overrides a library
+//! config field — in that config's `Default` (see [`Flags::set`]).
 
 use std::fmt::Display;
 use std::str::FromStr;
 
-/// One flag: `(name, takes_value, help)`.
-type Spec = (&'static str, bool, &'static str);
+/// What a flag takes after its name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arg {
+    /// Nothing: the flag is a switch, given or not.
+    Switch,
+    /// A value, with no default (the flag is optional, required, or
+    /// overrides a library default).
+    Value,
+    /// A value, defaulting to this one when the flag is not given.
+    Default(&'static str),
+}
+
+/// One row of a flag table: `(name, what it takes, help)`.
+pub type Flag = (&'static str, Arg, &'static str);
 
 /// A command line parsed against a flag table.
 #[derive(Debug)]
 pub struct Flags {
-    table: &'static [Spec],
-    /// The flags given, in order; value-less flags carry `None`.
+    table: &'static [Flag],
+    /// The flags given, in order; switches carry `None`.
     given: Vec<(&'static str, Option<String>)>,
 }
 
@@ -35,21 +51,22 @@ impl Flags {
     /// A message naming the first argument that is not a flag of
     /// `table`, or the first value-taking flag given without a value.
     pub fn parse(
-        table: &'static [Spec],
+        table: &'static [Flag],
         args: impl IntoIterator<Item = String>,
     ) -> Result<Flags, String> {
         let mut given = Vec::new();
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
-            let &(name, takes_value, _) = table
+            let &(name, takes, _) = table
                 .iter()
                 .find(|(name, ..)| *name == arg)
                 .ok_or_else(|| format!("unknown flag {arg:?}"))?;
-            let value = if takes_value {
-                let value = args.next();
-                Some(value.ok_or_else(|| format!("{name} expects a value"))?)
-            } else {
-                None
+            let value = match takes {
+                Arg::Switch => None,
+                Arg::Value | Arg::Default(_) => Some(
+                    args.next()
+                        .ok_or_else(|| format!("{name} expects a value"))?,
+                ),
             };
             given.push((name, value));
         }
@@ -61,7 +78,7 @@ impl Flags {
     /// and exits 2.
     pub fn parse_or_exit(
         synopsis: &str,
-        table: &'static [Spec],
+        table: &'static [Flag],
         args: impl IntoIterator<Item = String>,
     ) -> Flags {
         let args: Vec<String> = args.into_iter().collect();
@@ -72,28 +89,48 @@ impl Flags {
         Flags::parse(table, args).unwrap_or_else(|e| Flags::die(&e))
     }
 
-    /// The usage text: the synopsis line, then one line per flag.
-    pub fn usage(synopsis: &str, table: &[Spec]) -> String {
+    /// [`Flags::parse_or_exit`] over this process's own arguments, with
+    /// the program's file name as the synopsis.
+    pub fn from_env(table: &'static [Flag]) -> Flags {
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_default();
+        let program = std::path::Path::new(&program)
+            .file_name()
+            .map_or(program.clone(), |name| name.to_string_lossy().into_owned());
+        Flags::parse_or_exit(&program, table, args)
+    }
+
+    /// The usage text: the synopsis line, then one line per flag with
+    /// its default, if its row has one.
+    pub fn usage(synopsis: &str, table: &[Flag]) -> String {
         let mut out = format!("usage: {synopsis} [flags]\n");
-        for (name, takes_value, help) in table {
-            let value = if *takes_value { " VALUE" } else { "" };
-            out.push_str(&format!("  {:<26} {help}\n", format!("{name}{value}")));
+        for (name, takes, help) in table {
+            let (value, default) = match takes {
+                Arg::Switch => ("", String::new()),
+                Arg::Value => (" VALUE", String::new()),
+                Arg::Default(d) => (" VALUE", format!(" (default {d})")),
+            };
+            out.push_str(&format!(
+                "  {:<26} {help}{default}\n",
+                format!("{name}{value}")
+            ));
         }
         out
     }
 
-    /// A lookup of a flag the table does not declare is a bug in the
-    /// binary: the parse would have rejected it, so it could never be set.
-    fn check_declared(&self, flag: &str) {
-        debug_assert!(
-            self.table.iter().any(|(name, ..)| *name == flag),
-            "{flag} is not in the flag table"
-        );
+    /// The row of `flag`. A lookup of a flag the table does not declare
+    /// is a bug in the binary: the parse would have rejected it, so it
+    /// could never be set.
+    fn row(&self, flag: &str) -> &Flag {
+        self.table
+            .iter()
+            .find(|(name, ..)| *name == flag)
+            .unwrap_or_else(|| panic!("{flag} is not in the flag table"))
     }
 
     /// Every value of a repeatable `--flag VALUE`, in order.
     pub fn all(&self, flag: &str) -> Vec<String> {
-        self.check_declared(flag);
+        self.row(flag);
         self.given
             .iter()
             .filter(|(name, _)| *name == flag)
@@ -101,19 +138,24 @@ impl Flags {
             .collect()
     }
 
-    /// The value of `--flag VALUE` (the last one wins).
-    pub fn get(&self, flag: &str) -> Option<String> {
-        self.all(flag).pop()
-    }
-
-    /// Whether the value-less `--flag` was given.
+    /// Whether `--flag` was given (a switch, or a value flag whatever
+    /// its value).
     pub fn has(&self, flag: &str) -> bool {
-        self.check_declared(flag);
+        self.row(flag);
         self.given.iter().any(|(name, _)| *name == flag)
     }
 
-    /// The parsed value of `--flag VALUE`, if given; an unparseable
-    /// value prints a message and exits 2.
+    /// The value of `--flag VALUE` (the last one wins), else its row's
+    /// default.
+    pub fn get(&self, flag: &str) -> Option<String> {
+        self.all(flag).pop().or_else(|| match self.row(flag).1 {
+            Arg::Default(d) => Some(d.to_string()),
+            Arg::Switch | Arg::Value => None,
+        })
+    }
+
+    /// The parsed [`Flags::get`]; an unparseable value prints a message
+    /// naming the flag and exits 2.
     pub fn opt<T>(&self, flag: &str) -> Option<T>
     where
         T: FromStr,
@@ -125,13 +167,30 @@ impl Flags {
         })
     }
 
-    /// [`Flags::opt`] with a default.
-    pub fn num<T>(&self, flag: &str, default: T) -> T
+    /// The parsed value of a flag whose row has a default.
+    ///
+    /// # Panics
+    ///
+    /// When the row has no default — a bug in the binary's table.
+    pub fn value<T>(&self, flag: &str) -> T
     where
         T: FromStr,
         T::Err: Display,
     {
-        self.opt(flag).unwrap_or(default)
+        self.opt(flag)
+            .unwrap_or_else(|| panic!("{flag} has no default in its row"))
+    }
+
+    /// Overwrites `slot` — a library config field, which keeps its own
+    /// `Default` — with the parsed value of `--flag`, if given.
+    pub fn set<T>(&self, flag: &str, slot: &mut T)
+    where
+        T: FromStr,
+        T::Err: Display,
+    {
+        if let Some(v) = self.opt(flag) {
+            *slot = v;
+        }
     }
 }
 
@@ -139,11 +198,11 @@ impl Flags {
 mod tests {
     use super::*;
 
-    const TABLE: &[Spec] = &[
-        ("--listen", true, "address to bind"),
-        ("--node", true, "backend address (repeatable)"),
-        ("--workers", true, "worker threads"),
-        ("--drop", false, "drop on a full queue"),
+    const TABLE: &[Flag] = &[
+        ("--listen", Arg::Value, "address to bind"),
+        ("--node", Arg::Value, "backend address (repeatable)"),
+        ("--workers", Arg::Default("2"), "worker threads"),
+        ("--drop", Arg::Switch, "drop on a full queue"),
     ];
 
     fn parse(args: &[&str]) -> Result<Flags, String> {
@@ -164,7 +223,19 @@ mod tests {
         assert_eq!(flags.get("--node").as_deref(), Some("b:2"));
         assert!(flags.has("--drop"));
         assert_eq!(flags.get("--listen"), None);
-        assert_eq!(flags.num("--workers", 2usize), 2);
+        assert_eq!(flags.value::<usize>("--workers"), 2);
+    }
+
+    #[test]
+    fn defaults_come_from_the_row_and_given_values_win() {
+        let flags = parse(&["--workers", "5"]).unwrap();
+        assert_eq!(flags.value::<usize>("--workers"), 5);
+        assert!(flags.has("--workers"));
+        let flags = parse(&[]).unwrap();
+        assert!(!flags.has("--workers"), "a default is not a given flag");
+        let mut slot = 9usize;
+        flags.set("--listen", &mut slot);
+        assert_eq!(slot, 9, "set leaves the library default alone");
     }
 
     #[test]
@@ -174,11 +245,12 @@ mod tests {
     }
 
     #[test]
-    fn usage_lists_every_flag() {
+    fn usage_lists_every_flag_once_with_its_default() {
         let usage = Flags::usage("demo", TABLE);
         assert!(usage.starts_with("usage: demo [flags]\n"), "{usage}");
         for (name, ..) in TABLE {
-            assert!(usage.contains(name), "{usage}");
+            assert_eq!(usage.matches(name).count(), 1, "{usage}");
         }
+        assert!(usage.contains("worker threads (default 2)"), "{usage}");
     }
 }

@@ -101,7 +101,7 @@ pub use engine::{
     shard_of, AuditConfig, Backpressure, DeviceDecision, Engine, EngineConfig, EngineReport,
     IngestOutcome, LayerProfile, SourceStatus,
 };
-pub use flags::Flags;
+pub use flags::{Arg, Flag, Flags};
 pub use plane::{ExtraMetrics, ObsPlane, ObsPlaneConfig};
 pub use policy::{
     DecisionPolicy, DecisionPolicyConfig, PolicyKind, PolicySnapshot, PolicyState, Welford,

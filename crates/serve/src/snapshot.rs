@@ -21,7 +21,7 @@ use deepcsi_frame::MacAddr;
 use std::error::Error;
 use std::fmt;
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 
 /// File magic: "DCSS" (DeepCSI State Snapshot).
@@ -512,11 +512,15 @@ impl EngineSnapshot {
         })
     }
 
-    /// Writes the encoded snapshot to `path` (atomically, via a
-    /// same-directory temp file).
+    /// Writes the encoded snapshot to `path` atomically: into
+    /// `<path>.tmp` beside it (the full file name plus `.tmp`, so no
+    /// other file is touched), synced to disk, then renamed over `path`.
     pub fn write_to(&self, path: &Path) -> Result<(), SnapshotError> {
-        let tmp = path.with_extension("tmp");
-        fs::write(&tmp, self.encode())?;
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let mut file = fs::File::create(&tmp)?;
+        file.write_all(&self.encode())?;
+        file.sync_all()?;
         fs::rename(&tmp, path)?;
         Ok(())
     }
@@ -651,5 +655,22 @@ mod tests {
         for n in 0..bytes.len() {
             assert!(EngineSnapshot::decode(&bytes[..n]).is_err());
         }
+    }
+
+    #[test]
+    fn write_to_leaves_a_neighbouring_tmp_file_alone() {
+        let dir = std::env::temp_dir().join(format!("deepcsi-snapshot-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("state.dcss");
+        let neighbour = dir.join("state.tmp");
+        fs::write(&neighbour, b"not ours").unwrap();
+        sample().write_to(&path).unwrap();
+        assert_eq!(EngineSnapshot::read_from(&path).unwrap(), sample());
+        assert_eq!(fs::read(&neighbour).unwrap(), b"not ours");
+        assert!(
+            !dir.join("state.dcss.tmp").exists(),
+            "the temp file is renamed away"
+        );
+        fs::remove_dir_all(&dir).ok();
     }
 }

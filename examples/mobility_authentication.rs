@@ -44,7 +44,8 @@ fn main() {
     );
 
     // Continuous authentication of a *new* walk of module 3.
-    let auth = Authenticator::new(result.network, spec);
+    let auth = Authenticator::new(result.network, spec).freeze();
+    let mut ctx = auth.ctx();
     let target = DeviceId(3);
     let walk = generate_trace(
         &gen,
@@ -60,7 +61,7 @@ fn main() {
     let mut votes = vec![0usize; gen.num_modules as usize];
     let mut correct_so_far = 0usize;
     for (i, fb) in walk.snapshots.iter().enumerate() {
-        let id = auth.classify_feedback(fb);
+        let id = auth.classify_feedback(fb, &mut ctx);
         votes[id] += 1;
         if id == target.0 as usize {
             correct_so_far += 1;

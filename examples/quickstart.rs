@@ -49,7 +49,8 @@ fn main() {
     println!("{}", result.confusion);
 
     // --- 3. Deploy and authenticate raw captures ------------------------------
-    let auth = Authenticator::new(result.network, spec);
+    let auth = Authenticator::new(result.network, spec).freeze();
+    let mut ctx = auth.ctx();
     println!("\nauthenticating fresh over-the-air captures:");
     for module in 0..gen.num_modules {
         // A fresh trace from this module, captured as raw frame bytes.
@@ -71,7 +72,7 @@ fn main() {
             trace.snapshots[0].clone(),
         );
         let bytes = frame.encode(); // what the monitor sniffs
-        match auth.classify_frame(&bytes) {
+        match auth.classify_frame(&bytes, &mut ctx) {
             Ok((source, id)) => println!(
                 "  frame from beamformee {source}: actual module {module}, identified as module {id} {}",
                 if id == module as usize { "✓" } else { "✗" }

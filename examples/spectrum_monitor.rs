@@ -42,7 +42,8 @@ fn main() {
         "enrollment model accuracy: {:.2}%\n",
         result.accuracy * 100.0
     );
-    let auth = Authenticator::new(result.network, spec);
+    let auth = Authenticator::new(result.network, spec).freeze();
+    let mut ctx = auth.ctx();
 
     // Live monitoring: frames arrive with *claimed* beamformer MACs.
     let mut monitor = Monitor::new();
@@ -73,7 +74,7 @@ fn main() {
         )
         .encode();
         let report = monitor.observe(&bytes).expect("valid frame").clone();
-        let identified = auth.classify_feedback(&report.feedback);
+        let identified = auth.classify_feedback(&report.feedback, &mut ctx);
         let expected = registered_mac(identified as u32);
         let verdict = if expected == report.destination {
             "authentic"

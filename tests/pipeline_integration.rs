@@ -160,9 +160,10 @@ fn monitor_capture_to_classification() {
     let probe = spec.tensor(&from_bf1[0].feedback);
     let shape: [usize; 3] = probe.shape().try_into().expect("rank 3");
     let model = ModelConfig::fast(2, 0);
-    let auth = Authenticator::new(model.build((shape[0], shape[1], shape[2])), spec);
+    let auth = Authenticator::new(model.build((shape[0], shape[1], shape[2])), spec).freeze();
+    let mut ctx = auth.ctx();
     for r in from_bf1 {
-        let id = auth.classify_feedback(&r.feedback);
+        let id = auth.classify_feedback(&r.feedback, &mut ctx);
         assert!(id < 2);
     }
 }
