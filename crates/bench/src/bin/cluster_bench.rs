@@ -17,7 +17,8 @@ use deepcsi_cluster::{ClusterClient, ClusterStats, EngineNode, RouterConfig, Sha
 use deepcsi_core::{Authenticator, FrozenAuthenticator, ModelConfig};
 use deepcsi_data::InputSpec;
 use deepcsi_frame::{BeamformingReportFrame, MacAddr};
-use deepcsi_serve::{Backpressure, Engine, EngineConfig, Flags, ReplaySource};
+use deepcsi_obs::Flags;
+use deepcsi_serve::{Backpressure, Engine, EngineConfig, ReplaySource};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

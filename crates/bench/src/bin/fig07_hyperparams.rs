@@ -6,9 +6,9 @@
 //! with filter count; (5 layers, 128 filters) is picked by the elbow
 //! method.
 
-use deepcsi_bench::{d1_cached, pct, result_line, FigureScale};
+use deepcsi_bench::{pct, result_line, FigureScale};
 use deepcsi_core::{run_experiment, ExperimentConfig, ModelConfig};
-use deepcsi_data::{d1_split, D1Set};
+use deepcsi_data::{d1_split, generate_d1, D1Set};
 use deepcsi_nn::TrainConfig;
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
     // Depth 7 needs the full 234-tone width (234 → … → 1 over 7 pools),
     // exactly like the paper's input.
     scale.spec = deepcsi_data::InputSpec::paper_default();
-    let ds = d1_cached(&scale.gen);
+    let ds = generate_d1(&scale.gen);
     let split = d1_split(&ds, D1Set::S1, &[1], &scale.spec);
     let classes = scale.gen.num_modules as usize;
 

@@ -3,12 +3,12 @@
 //!
 //! Paper: S1 98.02 %, S2 75.41 %, S3 42.97 %.
 
-use deepcsi_bench::{d1_cached, run_labeled, FigureScale};
-use deepcsi_data::{d1_split, D1Set};
+use deepcsi_bench::{run_labeled, FigureScale};
+use deepcsi_data::{d1_split, generate_d1, D1Set};
 
 fn main() {
     let scale = FigureScale::from_args();
-    let ds = d1_cached(&scale.gen);
+    let ds = generate_d1(&scale.gen);
     println!("Fig. 8 — D1 static sets, beamformee 1, stream 0\n");
     for set in [D1Set::S1, D1Set::S2, D1Set::S3] {
         let split = d1_split(&ds, set, &[1], &scale.spec);

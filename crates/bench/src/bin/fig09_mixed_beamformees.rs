@@ -5,12 +5,12 @@
 //! single-beamformee training on S2/S3, at the cost of trusting another
 //! station's reports.
 
-use deepcsi_bench::{d1_cached, run_labeled, FigureScale};
-use deepcsi_data::{d1_split, D1Set};
+use deepcsi_bench::{run_labeled, FigureScale};
+use deepcsi_data::{d1_split, generate_d1, D1Set};
 
 fn main() {
     let scale = FigureScale::from_args();
-    let ds = d1_cached(&scale.gen);
+    let ds = generate_d1(&scale.gen);
     println!("Fig. 9 — mixed beamformees (train/test on both), stream 0\n");
     for set in [D1Set::S1, D1Set::S2, D1Set::S3] {
         let split = d1_split(&ds, set, &[1, 2], &scale.spec);

@@ -4,8 +4,8 @@
 //! Paper: accuracy increases monotonically with training-position
 //! diversity for every set.
 
-use deepcsi_bench::{d1_cached, run_labeled, FigureScale};
-use deepcsi_data::{d1_split_positions, D1Set};
+use deepcsi_bench::{run_labeled, FigureScale};
+use deepcsi_data::{d1_split_positions, generate_d1, D1Set};
 
 /// Nested training-position subsets, growing outward from the center so
 /// every prefix is spatially balanced.
@@ -19,7 +19,7 @@ fn growth_order(set: D1Set) -> Vec<usize> {
 
 fn main() {
     let scale = FigureScale::from_args();
-    let ds = d1_cached(&scale.gen);
+    let ds = generate_d1(&scale.gen);
     println!("Fig. 10 — accuracy vs number of training positions, beamformee 1\n");
     for set in [D1Set::S1, D1Set::S2, D1Set::S3] {
         let order = growth_order(set);

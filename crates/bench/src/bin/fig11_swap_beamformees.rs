@@ -4,12 +4,12 @@
 //! signature of *both* link ends: the learned fingerprint entangles the
 //! beamformee's own RX-chain response.
 
-use deepcsi_bench::{d1_cached, run_labeled, FigureScale};
-use deepcsi_data::d1_cross_beamformee;
+use deepcsi_bench::{run_labeled, FigureScale};
+use deepcsi_data::{d1_cross_beamformee, generate_d1};
 
 fn main() {
     let scale = FigureScale::from_args();
-    let ds = d1_cached(&scale.gen);
+    let ds = generate_d1(&scale.gen);
     println!("Fig. 11 — cross-beamformee transfer (set S1 configuration)\n");
     for (train_bf, test_bf) in [(1u8, 2u8), (2u8, 1u8)] {
         let split = d1_cross_beamformee(&ds, train_bf, test_bf, &scale.spec);

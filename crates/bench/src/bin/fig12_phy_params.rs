@@ -4,13 +4,13 @@
 //! Paper: both forms of diversity help, especially on the hard sets —
 //! 80 MHz > 40 MHz > 20 MHz (Ncol 234/110/54) and 3 > 2 > 1 antennas.
 
-use deepcsi_bench::{d1_cached, run_labeled, FigureScale};
-use deepcsi_data::{d1_split, D1Set, InputSpec};
+use deepcsi_bench::{run_labeled, FigureScale};
+use deepcsi_data::{d1_split, generate_d1, D1Set, InputSpec};
 use deepcsi_phy::{SubcarrierLayout, WifiChannel};
 
 fn main() {
     let scale = FigureScale::from_args();
-    let ds = d1_cached(&scale.gen);
+    let ds = generate_d1(&scale.gen);
     let layout = SubcarrierLayout::vht80();
 
     println!("Fig. 12a — accuracy vs channel bandwidth, beamformee 1, stream 0\n");

@@ -12,8 +12,8 @@ use deepcsi_bench::{result_line, PAPER_FLAGS};
 use deepcsi_bfi::{BeamformingFeedback, VSeries};
 use deepcsi_channel::{AntennaArray, ChannelModel, Environment};
 use deepcsi_data::GenConfig;
+use deepcsi_obs::Flags;
 use deepcsi_phy::{Codebook, MimoConfig, SubcarrierLayout};
-use deepcsi_serve::Flags;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

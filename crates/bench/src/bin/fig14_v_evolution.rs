@@ -8,7 +8,7 @@
 use deepcsi_bench::result_line;
 use deepcsi_data::{generate_trace, GenConfig, TraceKind, TraceSpec};
 use deepcsi_impair::DeviceId;
-use deepcsi_serve::Flags;
+use deepcsi_obs::Flags;
 
 #[allow(clippy::needless_range_loop)] // stream index addresses parallel arrays
 fn main() {

@@ -6,12 +6,12 @@
 //! and under low training diversity the degraded fingerprint no longer
 //! transfers across positions.
 
-use deepcsi_bench::{d1_cached, run_labeled, FigureScale};
-use deepcsi_data::{d1_split, D1Set, InputSpec};
+use deepcsi_bench::{run_labeled, FigureScale};
+use deepcsi_data::{d1_split, generate_d1, D1Set, InputSpec};
 
 fn main() {
     let scale = FigureScale::from_args();
-    let ds = d1_cached(&scale.gen);
+    let ds = generate_d1(&scale.gen);
     let spec = InputSpec {
         streams: vec![1],
         ..scale.spec.clone()

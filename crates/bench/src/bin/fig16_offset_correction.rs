@@ -6,13 +6,13 @@
 //! hardware signature, so "offset cleaning may result in their partial
 //! removal, affecting the fingerprinting quality".
 
-use deepcsi_bench::{d1_cached, run_labeled, FigureScale};
+use deepcsi_bench::{run_labeled, FigureScale};
 use deepcsi_core::baseline;
-use deepcsi_data::{d1_split, D1Set};
+use deepcsi_data::{d1_split, generate_d1, D1Set};
 
 fn main() {
     let scale = FigureScale::from_args();
-    let ds = d1_cached(&scale.gen);
+    let ds = generate_d1(&scale.gen);
     let cleaned = baseline::cleaned_spec(&scale.spec);
     println!("Fig. 16 — DeepCSI vs offset-corrected input, beamformee 1, stream 0\n");
     for set in [D1Set::S1, D1Set::S2, D1Set::S3] {

@@ -6,12 +6,12 @@
 //! mobility→static: 88.12 %. Training-set variability is what buys
 //! robustness.
 
-use deepcsi_bench::{d2_cached, run_labeled, FigureScale};
-use deepcsi_data::{d2_split, D2Set};
+use deepcsi_bench::{run_labeled, FigureScale};
+use deepcsi_data::{d2_split, generate_d2, D2Set};
 
 fn main() {
     let scale = FigureScale::from_args();
-    let ds = d2_cached(&scale.gen);
+    let ds = generate_d2(&scale.gen);
     println!("Fig. 17 — mobility (D2), beamformee 1, stream 0\n");
     let cases = [
         (D2Set::S4, "S4-full-path"),

@@ -34,9 +34,9 @@
 use deepcsi_bench::{result_line, TINY_FLAGS};
 use deepcsi_core::{Authenticator, ModelConfig};
 use deepcsi_data::{generate_d1, Dataset, GenConfig, InputSpec};
-use deepcsi_obs::{http_get, TraceConfig};
+use deepcsi_obs::{http_get, Flags, TraceConfig};
 use deepcsi_serve::{
-    AuditConfig, Backpressure, Engine, EngineConfig, Flags, ObsPlane, ObsPlaneConfig, ReplaySource,
+    AuditConfig, Backpressure, Engine, EngineConfig, ObsPlane, ObsPlaneConfig, ReplaySource,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -1,5 +1,7 @@
 //! Runs every figure binary in sequence and collects the `RESULT` lines
-//! into `bench_results/summary.txt`.
+//! into `bench_results/summary.txt`. Every child runs even when an
+//! earlier one failed; after the sweep `run_all` exits 1 if any child
+//! failed.
 //! Also runs the benches whose rows the repo benchmark (`benchmark/`)
 //! does not report — the observability overhead sweep, the scenario
 //! matrix and the cluster tier (`obs_bench`, `scenario_bench`,
@@ -7,7 +9,7 @@
 //! (schema documented in `crates/bench/README.md`).
 
 use deepcsi_bench::{PAPER_FLAGS, SCALE_FLAGS, TINY_FLAGS};
-use deepcsi_serve::{Flag, Flags};
+use deepcsi_obs::{Flag, Flags};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -53,29 +55,14 @@ fn main() {
     let out_dir = PathBuf::from("bench_results");
     std::fs::create_dir_all(&out_dir).expect("create bench_results/");
     let mut summary = String::new();
+    let mut failed = Vec::new();
 
     for &(fig, table) in FIGURES {
-        let bin = exe_dir.join(fig);
-        println!("\n================ {fig} ================");
-        let start = std::time::Instant::now();
-        let output = Command::new(&bin)
-            .args(forward(table))
-            .output()
-            .unwrap_or_else(|e| panic!("failed to run {}: {e}", bin.display()));
-        let stdout = String::from_utf8_lossy(&output.stdout);
-        print!("{stdout}");
-        if !output.status.success() {
-            eprintln!("{fig} FAILED: {}", String::from_utf8_lossy(&output.stderr));
+        let stdout = run_child(&exe_dir, &out_dir, fig, &forward(table), &mut failed);
+        for line in stdout.lines().filter(|l| l.starts_with("RESULT ")) {
+            summary.push_str(line);
+            summary.push('\n');
         }
-        std::fs::write(out_dir.join(format!("{fig}.txt")), stdout.as_bytes())
-            .expect("write figure log");
-        for line in stdout.lines() {
-            if line.starts_with("RESULT ") {
-                summary.push_str(line);
-                summary.push('\n');
-            }
-        }
-        println!("[{fig} finished in {:.1?}]", start.elapsed());
     }
 
     std::fs::write(out_dir.join("summary.txt"), &summary).expect("write summary");
@@ -85,31 +72,61 @@ fn main() {
     );
 
     for &(bin_name, tag) in BENCHES {
-        run_result_bench(&exe_dir, &forward(TINY_FLAGS), &out_dir, bin_name, tag);
+        let stdout = run_child(
+            &exe_dir,
+            &out_dir,
+            bin_name,
+            &forward(TINY_FLAGS),
+            &mut failed,
+        );
+        write_bench_json(&out_dir, &stdout, tag);
+    }
+
+    if !failed.is_empty() {
+        eprintln!(
+            "run_all: {} of {} children failed: {}",
+            failed.len(),
+            FIGURES.len() + BENCHES.len(),
+            failed.join(", ")
+        );
+        std::process::exit(1);
     }
 }
 
-/// Runs one bench binary and writes its `RESULT <tag> <key> <value>`
-/// lines to `BENCH_<tag>.json`.
-fn run_result_bench(exe_dir: &Path, forwarded: &[&str], out_dir: &Path, bin_name: &str, tag: &str) {
-    let bin = exe_dir.join(bin_name);
-    println!("\n================ {bin_name} ================");
+/// Runs the binary `name` beside this one with `args`, echoes its
+/// stdout and writes it to `<out_dir>/<name>.txt`. A child that exits
+/// unsuccessfully is reported and pushed onto `failed`, and the sweep
+/// goes on; one that cannot start at all (not built) panics.
+fn run_child(
+    exe_dir: &Path,
+    out_dir: &Path,
+    name: &'static str,
+    args: &[&str],
+    failed: &mut Vec<&'static str>,
+) -> String {
+    let bin = exe_dir.join(name);
+    println!("\n================ {name} ================");
     let start = std::time::Instant::now();
     let output = Command::new(&bin)
-        .args(forwarded)
+        .args(args)
         .output()
         .unwrap_or_else(|e| panic!("failed to run {}: {e}", bin.display()));
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    print!("{stdout}");
     if !output.status.success() {
-        eprintln!(
-            "{bin_name} FAILED: {}",
-            String::from_utf8_lossy(&output.stderr)
-        );
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        eprintln!("{name} FAILED ({}): {stderr}", output.status);
+        failed.push(name);
     }
-    std::fs::write(out_dir.join(format!("{bin_name}.txt")), stdout.as_bytes())
-        .expect("write bench log");
+    let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
+    print!("{stdout}");
+    std::fs::write(out_dir.join(format!("{name}.txt")), stdout.as_bytes())
+        .expect("write child log");
+    println!("[{name} finished in {:.1?}]", start.elapsed());
+    stdout
+}
 
+/// Writes a bench's `RESULT <tag> <key> <value>` lines to
+/// `BENCH_<tag>.json`.
+fn write_bench_json(out_dir: &Path, stdout: &str, tag: &str) {
     let mut entries = Vec::new();
     for line in stdout.lines() {
         // RESULT <tag> <key> <value>
@@ -128,10 +145,5 @@ fn run_result_bench(exe_dir: &Path, forwarded: &[&str], out_dir: &Path, bin_name
     let json = format!("{{\n{}\n}}\n", entries.join(",\n"));
     let path = out_dir.join(format!("BENCH_{tag}.json"));
     std::fs::write(&path, &json).expect("write bench json");
-    println!(
-        "wrote {} ({} metrics) [{:.1?}]",
-        path.display(),
-        entries.len(),
-        start.elapsed()
-    );
+    println!("wrote {} ({} metrics)", path.display(), entries.len());
 }

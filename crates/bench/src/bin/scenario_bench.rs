@@ -13,8 +13,8 @@
 //! any scenario below the unmitigated floor.
 
 use deepcsi_bench::{result_line, TINY_FLAGS};
+use deepcsi_obs::Flags;
 use deepcsi_scenario::{MatrixConfig, ScenarioMatrix};
-use deepcsi_serve::Flags;
 
 fn main() {
     let tiny = Flags::from_env(TINY_FLAGS).has("--tiny");

@@ -10,8 +10,9 @@
 //!   every binary parses its command line through one of them with
 //!   [`Flags`], so an unknown flag exits 2 before any work, and
 //!   `run_all` forwards each child only the flags the child declares.
-//! * [`d1_cached`] / [`d2_cached`] — dataset generation with on-disk
-//!   caching, so the sweep binaries do not regenerate the world.
+//! * Each binary generates D1/D2 itself (`deepcsi_data::generate_d1`/
+//!   `generate_d2`) and keeps nothing on disk, so every run measures the
+//!   simulator as it is built.
 //! * Reporting helpers that print the same rows/series the paper reports
 //!   and machine-readable `RESULT` lines, which `run_all` collects into
 //!   `bench_results/summary.txt`.
@@ -20,10 +21,9 @@
 #![warn(missing_docs)]
 
 use deepcsi_core::{ExperimentConfig, ModelConfig};
-use deepcsi_data::{generate_d1, generate_d2, Dataset, GenConfig, InputSpec};
+use deepcsi_data::{GenConfig, InputSpec};
 use deepcsi_nn::{ConfusionMatrix, TrainConfig};
-use deepcsi_serve::{Arg, Flag, Flags};
-use std::path::PathBuf;
+use deepcsi_obs::{Arg, Flag, Flags};
 
 /// Runs at the paper's scale instead of the laptop default.
 pub const PAPER: Flag = ("--paper", Arg::Switch, "run at the paper's scale");
@@ -109,49 +109,6 @@ impl FigureScale {
     }
 }
 
-fn cache_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join("deepcsi-dataset-cache");
-    std::fs::create_dir_all(&dir).ok();
-    dir
-}
-
-/// Names a cached dataset. The leading layout tag changes whenever the
-/// serialized `Dataset` layout does (`v2`: flat `q_phi`/`q_psi` angle
-/// vectors in `BeamformingFeedback`), so a file written by an older
-/// build is regenerated instead of being decoded as the new layout.
-fn gen_key(cfg: &GenConfig) -> String {
-    format!(
-        "v2-e{}s{}m{}f{}p{:.3}",
-        cfg.env_id,
-        cfg.snapshots_per_trace,
-        cfg.num_modules,
-        cfg.via_frames as u8,
-        cfg.profile.fingerprint_strength,
-    )
-}
-
-/// Generates (or loads from cache) dataset D1 for a configuration.
-pub fn d1_cached(cfg: &GenConfig) -> Dataset {
-    let path = cache_dir().join(format!("d1-{}.bin", gen_key(cfg)));
-    if let Ok(ds) = deepcsi_data::load_dataset(&path) {
-        return ds;
-    }
-    let ds = generate_d1(cfg);
-    deepcsi_data::save_dataset(&path, &ds).ok();
-    ds
-}
-
-/// Generates (or loads from cache) dataset D2 for a configuration.
-pub fn d2_cached(cfg: &GenConfig) -> Dataset {
-    let path = cache_dir().join(format!("d2-{}.bin", gen_key(cfg)));
-    if let Ok(ds) = deepcsi_data::load_dataset(&path) {
-        return ds;
-    }
-    let ds = generate_d2(cfg);
-    deepcsi_data::save_dataset(&path, &ds).ok();
-    ds
-}
-
 /// Prints a confusion matrix under a title (the paper's figure panels).
 pub fn print_confusion(title: &str, cm: &ConfusionMatrix) {
     println!("\n--- {title} ---");
@@ -206,14 +163,6 @@ mod tests {
         assert_eq!(s.spec.stride, 2);
         let exp = s.experiment(1);
         assert_eq!(exp.model.num_classes, 10);
-    }
-
-    #[test]
-    fn gen_key_distinguishes_configs() {
-        let a = GenConfig::default();
-        let mut b = GenConfig::default();
-        b.snapshots_per_trace += 1;
-        assert_ne!(gen_key(&a), gen_key(&b));
     }
 
     #[test]

@@ -5,7 +5,6 @@ use crate::{
 };
 use deepcsi_linalg::{CMatrix, C64};
 use deepcsi_phy::{Codebook, MimoConfig};
-use serde::{Deserialize, Serialize};
 
 /// The compressed beamforming feedback of one sounding event: quantized
 /// (φ, ψ) angles for every sounded subcarrier.
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// `GivensAngles::expected_count(M, N_SS)` entries starting at
 /// `j × count` of both `q_phi` and `q_psi`, in [`QuantizedAngles`]
 /// order. [`BeamformingFeedback::angles_at`] slices them out.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BeamformingFeedback {
     /// MIMO dimensioning of the link.
     pub mimo: MimoConfig,
@@ -179,7 +178,7 @@ impl BeamformingFeedback {
 
 /// The beamforming matrix Ṽ stacked over subcarriers: the paper's
 /// `K × M × N_SS` tensor, stored as one M×N_SS matrix per subcarrier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VSeries {
     /// Sounded subcarrier indices (ascending).
     pub subcarriers: Vec<i32>,

@@ -2,7 +2,6 @@
 //! (Eq. (7)).
 
 use deepcsi_linalg::{CMatrix, C64};
-use serde::{Deserialize, Serialize};
 
 /// The (φ, ψ) angles of one subcarrier's compressed feedback.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// block `φ_{i,i} … φ_{M−1,i}` and the ψ block `ψ_{i+1,i} … ψ_{M,i}`.
 /// For the paper's M=3, N_SS=2 feedback: `phi = [φ11, φ21, φ22]`,
 /// `psi = [ψ21, ψ31, ψ32]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GivensAngles {
     /// Number of beamformer antennas M (rows of Ṽ).
     pub m: usize,

@@ -11,12 +11,11 @@
 
 use crate::GivensAngles;
 use deepcsi_phy::Codebook;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
 /// Quantized feedback angles for one subcarrier (what actually travels in
 /// the VHT Compressed Beamforming frame).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantizedAngles {
     /// Number of beamformer antennas M.
     pub m: usize,

@@ -5,11 +5,10 @@ use crate::geometry::{Point2, Room};
 use deepcsi_phy::WifiChannel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A point scatterer contributing one additional multipath component per
 /// antenna pair (furniture, walls' irregularities, metallic objects…).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scatterer {
     /// Nominal position of the scatterer.
     pub pos: Point2,
@@ -26,7 +25,7 @@ pub struct Scatterer {
 /// layout; [`Environment::fig6`] takes an environment id that seeds the
 /// scatterer placement and wall properties, so `fig6(0)` and `fig6(1)`
 /// are "the same configuration, different room".
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Environment {
     /// The room with its reflective walls.
     pub room: Room,

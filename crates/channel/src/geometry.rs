@@ -1,11 +1,10 @@
 //! Planar geometry: points, rooms and antenna arrays.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Sub};
 
 /// A point (or displacement) in the 2-D floor plan of Fig. 6.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point2 {
     /// Horizontal coordinate \[m\]; positive to the right of the AP.
     pub x: f64,
@@ -67,7 +66,7 @@ impl fmt::Display for Point2 {
 ///
 /// First-order wall reflections are generated with the image method; the
 /// common `reflection_coeff` models the average energy loss per bounce.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Room {
     /// Left wall x-coordinate \[m\].
     pub x_min: f64,
@@ -125,7 +124,7 @@ impl Room {
 /// Elements are spaced `spacing` metres apart along the direction given by
 /// `orientation` (radians from the +x axis), centred on `center`. The AP
 /// of the paper uses M = 3 active elements at λ/2 spacing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AntennaArray {
     center: Point2,
     orientation: f64,

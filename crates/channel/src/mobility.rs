@@ -3,7 +3,6 @@
 use crate::environment::{gaussian, Environment, Scatterer};
 use crate::geometry::Point2;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A piecewise-linear waypoint path walked at constant nominal speed, with
 /// low-frequency "manual carry" wobble superimposed.
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// traces follow only approximately the same trajectory. The wobble is a
 /// sum of slow sinusoids whose amplitudes/phases are drawn per trace,
 /// reproducing that trace-to-trace variability.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MobilityPath {
     waypoints: Vec<Point2>,
     speed_mps: f64,
@@ -129,7 +128,7 @@ impl MobilityPath {
 ///
 /// Modelled as a strong scatterer orbiting the AP position with slow,
 /// seeded pseudo-random motion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PersonMotion {
     orbit_radius: f64,
     gain: f64,

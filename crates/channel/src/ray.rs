@@ -2,10 +2,9 @@
 
 use crate::environment::Scatterer;
 use crate::geometry::{Point2, Room};
-use serde::{Deserialize, Serialize};
 
 /// One propagation path between a TX and an RX antenna element.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Path {
     /// Total travelled distance \[m\].
     pub length: f64,

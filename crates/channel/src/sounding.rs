@@ -7,10 +7,9 @@ use crate::model::ChannelModel;
 use deepcsi_linalg::CMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Timing of a sounding trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SounderConfig {
     /// Seconds between consecutive NDP soundings. Under the paper's UDP
     /// downlink traffic the AP re-sounds every few tens of milliseconds;

@@ -44,9 +44,9 @@ use deepcsi_cluster::{
     ShardRouter, WireDecision,
 };
 use deepcsi_core::demo::{demo_dataset, train, DemoConfig};
+use deepcsi_obs::{Arg, Flag, Flags};
 use deepcsi_serve::{
-    Arg, Backpressure, Engine, EngineConfig, EngineSnapshot, Flag, Flags, ObsPlane, ObsPlaneConfig,
-    ReplaySource,
+    Backpressure, Engine, EngineConfig, EngineSnapshot, ObsPlane, ObsPlaneConfig, ReplaySource,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -30,8 +30,7 @@
 //! must tear the connection down, which is exactly what the node and
 //! router do.
 
-use deepcsi_frame::MacAddr;
-use deepcsi_serve::crc32;
+use deepcsi_frame::{crc32, ByteReader, ByteWriter, DecodeError, MacAddr};
 use std::fmt;
 
 /// Hard cap on a frame's payload, bytes. A VHT compressed beamforming
@@ -170,7 +169,7 @@ pub enum CodecError {
         found: u32,
     },
     /// A structured payload (drain reply) was malformed.
-    Malformed(&'static str),
+    Malformed(DecodeError),
 }
 
 impl fmt::Display for CodecError {
@@ -188,54 +187,43 @@ impl fmt::Display for CodecError {
                     "CRC mismatch: computed {expected:#010x}, frame says {found:#010x}"
                 )
             }
-            CodecError::Malformed(what) => write!(f, "malformed payload: {what}"),
+            CodecError::Malformed(e) => write!(f, "malformed drain reply: {e}"),
         }
     }
 }
 
 impl std::error::Error for CodecError {}
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
+impl From<DecodeError> for CodecError {
+    fn from(e: DecodeError) -> Self {
+        CodecError::Malformed(e)
+    }
 }
 
 /// Encodes a request frame (header + payload + CRC trailer).
 pub fn encode_request(frame: &RequestFrame) -> Vec<u8> {
-    let mut out = Vec::with_capacity(REQ_HEADER + frame.payload.len() + TRAILER);
-    out.push(REQ_MAGIC);
-    out.push(VERSION);
-    out.push(frame.kind.to_u8());
-    out.push(0); // flags
-    put_u32(&mut out, frame.seq);
-    out.extend_from_slice(&frame.mac.octets());
-    put_u32(&mut out, frame.payload.len() as u32);
-    out.extend_from_slice(&frame.payload);
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
-    out
+    let mut w = ByteWriter::with_capacity(REQ_HEADER + frame.payload.len() + TRAILER);
+    w.bytes(&[REQ_MAGIC, VERSION, frame.kind.to_u8(), 0]); // flags 0
+    w.u32(frame.seq);
+    w.bytes(&frame.mac.octets());
+    w.len_prefix(frame.payload.len());
+    w.bytes(&frame.payload);
+    w.finish()
 }
 
 /// Encodes a response frame (header + payload + CRC trailer).
 pub fn encode_response(frame: &ResponseFrame) -> Vec<u8> {
-    let mut out = Vec::with_capacity(RESP_HEADER + frame.payload.len() + TRAILER);
-    out.push(RESP_MAGIC);
-    out.push(VERSION);
-    out.push(frame.kind.to_u8());
-    out.push(frame.status.to_u8());
-    put_u32(&mut out, frame.seq);
-    put_u32(&mut out, frame.payload.len() as u32);
-    out.extend_from_slice(&frame.payload);
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
-    out
+    let mut w = ByteWriter::with_capacity(RESP_HEADER + frame.payload.len() + TRAILER);
+    w.bytes(&[
+        RESP_MAGIC,
+        VERSION,
+        frame.kind.to_u8(),
+        frame.status.to_u8(),
+    ]);
+    w.u32(frame.seq);
+    w.len_prefix(frame.payload.len());
+    w.bytes(&frame.payload);
+    w.finish()
 }
 
 /// Shared incremental framing: buffers bytes, validates the fixed
@@ -585,18 +573,18 @@ fn verdict_to_u8(v: deepcsi_serve::Verdict) -> u8 {
     }
 }
 
-fn verdict_from_u8(b: u8) -> Result<deepcsi_serve::Verdict, CodecError> {
+fn verdict_from_u8(b: u8) -> Result<deepcsi_serve::Verdict, DecodeError> {
     match b {
         0 => Ok(deepcsi_serve::Verdict::Accept),
         1 => Ok(deepcsi_serve::Verdict::Reject),
         2 => Ok(deepcsi_serve::Verdict::Unknown),
-        _ => Err(CodecError::Malformed("verdict tag")),
+        t => Err(DecodeError::BadTag(t)),
     }
 }
 
 /// Encodes a [`DrainReply`] as a response payload.
 pub fn encode_drain_reply(reply: &DrainReply) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut w = ByteWriter::default();
     for v in [
         reply.stats.ingested,
         reply.stats.enqueued,
@@ -609,64 +597,20 @@ pub fn encode_drain_reply(reply: &DrainReply) -> Vec<u8> {
         reply.stats.devices_rewarmed,
         reply.stats.busy,
     ] {
-        put_u64(&mut out, v);
+        w.u64(v);
     }
-    put_u32(&mut out, reply.decisions.len() as u32);
-    for d in &reply.decisions {
-        out.extend_from_slice(&d.mac.octets());
-        out.push(verdict_to_u8(d.verdict));
-        match d.decided_at {
-            Some(n) => {
-                out.push(1);
-                put_u64(&mut out, n);
-            }
-            None => out.push(0),
-        }
-        match &d.decision {
-            Some((module, vote, ema, obs)) => {
-                out.push(1);
-                put_u32(&mut out, *module);
-                put_f64(&mut out, *vote);
-                put_f64(&mut out, *ema);
-                put_u64(&mut out, *obs);
-            }
-            None => out.push(0),
-        }
-    }
-    out
-}
-
-/// Strict little reader over a drain-reply payload.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.buf.len() - self.pos < n {
-            return Err(CodecError::Malformed("truncated drain reply"));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4B")))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8B")))
-    }
-
-    fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8B")))
-    }
+    w.list(&reply.decisions, |w, d| {
+        w.bytes(&d.mac.octets());
+        w.u8(verdict_to_u8(d.verdict));
+        w.opt(d.decided_at, ByteWriter::u64);
+        w.opt(d.decision, |w, (module, vote, ema, obs)| {
+            w.u32(module);
+            w.f64(vote);
+            w.f64(ema);
+            w.u64(obs);
+        });
+    });
+    w.into_bytes()
 }
 
 /// Decodes a [`DrainReply`] payload.
@@ -676,10 +620,7 @@ impl<'a> Reader<'a> {
 /// [`CodecError::Malformed`] on truncation, bad tags, a lying count,
 /// or trailing bytes.
 pub fn decode_drain_reply(payload: &[u8]) -> Result<DrainReply, CodecError> {
-    let mut r = Reader {
-        buf: payload,
-        pos: 0,
-    };
+    let mut r = ByteReader::new(payload);
     let stats = WireStats {
         ingested: r.u64()?,
         enqueued: r.u64()?,
@@ -692,37 +633,18 @@ pub fn decode_drain_reply(payload: &[u8]) -> Result<DrainReply, CodecError> {
         devices_rewarmed: r.u64()?,
         busy: r.u64()?,
     };
-    let count = r.u32()? as usize;
     // 9 bytes (MAC + verdict + two None tags) is the smallest
     // possible per-device record; a count that cannot fit in the
     // remaining bytes is lying.
-    if count > (payload.len() - r.pos) / 9 {
-        return Err(CodecError::Malformed("decision count exceeds payload"));
-    }
-    let mut decisions = Vec::with_capacity(count);
-    for _ in 0..count {
-        let mac = MacAddr::new(r.take(6)?.try_into().expect("mac"));
-        let verdict = verdict_from_u8(r.u8()?)?;
-        let decided_at = match r.u8()? {
-            0 => None,
-            1 => Some(r.u64()?),
-            _ => return Err(CodecError::Malformed("decided_at tag")),
-        };
-        let decision = match r.u8()? {
-            0 => None,
-            1 => Some((r.u32()?, r.f64()?, r.f64()?, r.u64()?)),
-            _ => return Err(CodecError::Malformed("decision tag")),
-        };
-        decisions.push(WireDecision {
-            mac,
-            verdict,
-            decided_at,
-            decision,
-        });
-    }
-    if r.pos != payload.len() {
-        return Err(CodecError::Malformed("trailing bytes"));
-    }
+    let decisions = r.list(9, |r| {
+        Ok(WireDecision {
+            mac: MacAddr::new(r.array()?),
+            verdict: verdict_from_u8(r.u8()?)?,
+            decided_at: r.opt(ByteReader::u64)?,
+            decision: r.opt(|r| Ok((r.u32()?, r.f64()?, r.f64()?, r.u64()?)))?,
+        })
+    })?;
+    r.finish()?;
     Ok(DrainReply { stats, decisions })
 }
 
@@ -810,9 +732,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn drain_reply_round_trip() {
-        let reply = DrainReply {
+    fn sample_reply() -> DrainReply {
+        DrainReply {
             stats: WireStats {
                 ingested: 10,
                 enqueued: 9,
@@ -839,7 +760,53 @@ mod tests {
                     decision: None,
                 },
             ],
-        };
+        }
+    }
+
+    /// Request, response and drain-reply bytes of fixed frames, pinned
+    /// by a 64-bit FNV-1a over each encoding's length (u64 LE) and
+    /// bytes: a codec change that moves a single bit fails here.
+    #[test]
+    fn encodings_are_pinned() {
+        let reply = encode_drain_reply(&sample_reply());
+        let mut encodings = vec![
+            encode_request(&report(1)),
+            encode_request(&report(300)),
+            encode_request(&RequestFrame {
+                kind: FrameKind::Drain,
+                seq: 9,
+                mac: MacAddr::new([0; 6]),
+                payload: Vec::new(),
+            }),
+            encode_drain_reply(&DrainReply::default()),
+            reply.clone(),
+        ];
+        for (kind, status, payload) in [
+            (FrameKind::Report, ResponseStatus::Busy, Vec::new()),
+            (FrameKind::Report, ResponseStatus::Drop, Vec::new()),
+            (FrameKind::Report, ResponseStatus::Reject, Vec::new()),
+            (FrameKind::Shutdown, ResponseStatus::Ack, reply),
+        ] {
+            encodings.push(encode_response(&ResponseFrame {
+                kind,
+                status,
+                seq: 0xDEAD_BEEF,
+                payload,
+            }));
+        }
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for bytes in &encodings {
+            for &b in (bytes.len() as u64).to_le_bytes().iter().chain(bytes) {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0x82da_d465_7f66_4d79);
+    }
+
+    #[test]
+    fn drain_reply_round_trip() {
+        let reply = sample_reply();
         let bytes = encode_drain_reply(&reply);
         assert_eq!(decode_drain_reply(&bytes).expect("round trip"), reply);
         // Every truncation of the payload errors, never panics.

@@ -11,8 +11,8 @@ use deepcsi_cluster::codec::{
     DrainReply, FrameKind, RequestDecoder, RequestFrame, ResponseDecoder, ResponseFrame,
     ResponseStatus, WireDecision, WireStats,
 };
-use deepcsi_frame::MacAddr;
-use deepcsi_serve::{crc32, Verdict};
+use deepcsi_frame::{crc32, MacAddr};
+use deepcsi_serve::Verdict;
 use proptest::prelude::*;
 
 fn any_mac() -> impl Strategy<Value = MacAddr> {

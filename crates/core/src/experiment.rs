@@ -3,10 +3,9 @@
 use crate::model::ModelConfig;
 use deepcsi_data::{LabeledSamples, Split};
 use deepcsi_nn::{evaluate, ConfusionMatrix, Network, TrainConfig, TrainReport, Trainer};
-use serde::{Deserialize, Serialize};
 
 /// Everything needed to run one training/evaluation experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Classifier architecture.
     pub model: ModelConfig,

@@ -3,7 +3,6 @@
 use deepcsi_nn::{
     AlphaDropout, Conv2d, Dense, Flatten, MaxPool2d, Network, Selu, SpatialAttention, Tensor,
 };
-use serde::{Deserialize, Serialize};
 
 /// Architecture hyper-parameters of the DeepCSI classifier.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// layers of 128 and 64 units with alpha-dropout rates 0.5 and 0.2, and a
 /// 10-class softmax head. At the paper's input size this counts 489,305
 /// trainable parameters (the paper reports 489,301).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Filters per convolutional layer (one entry per layer).
     pub conv_filters: Vec<usize>,

@@ -3,9 +3,10 @@
 use crate::model::ModelConfig;
 use deepcsi_bfi::BeamformingFeedback;
 use deepcsi_data::InputSpec;
-use deepcsi_frame::{BeamformingReportFrame, FrameError, MacAddr};
+use deepcsi_frame::{
+    BeamformingReportFrame, ByteReader, ByteWriter, DecodeError, Envelope, FrameError, MacAddr,
+};
 use deepcsi_nn::{FrozenModel, InferCtx, Network, QuantError, QuantSpec, Tensor};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
 
@@ -59,8 +60,10 @@ pub enum AuthError {
     Frame(FrameError),
     /// Model persistence failed.
     Io(std::io::Error),
-    /// Model (de)serialisation failed.
-    Codec(bincode::Error),
+    /// The file is not a valid `DCSM` model image: bad magic (as a
+    /// model written by an older build has), an unknown version, a
+    /// truncated body, a CRC mismatch, a bad tag or trailing bytes.
+    Codec(DecodeError),
     /// A saved model decoded but cannot be served: its architecture does
     /// not build, its weights do not fit the architecture, or a weight
     /// is NaN or ±∞.
@@ -92,19 +95,113 @@ impl From<std::io::Error> for AuthError {
     }
 }
 
-impl From<bincode::Error> for AuthError {
-    fn from(e: bincode::Error) -> Self {
+impl From<DecodeError> for AuthError {
+    fn from(e: DecodeError) -> Self {
         AuthError::Codec(e)
     }
 }
 
-/// Serialised trained model: architecture + input spec + weights.
-#[derive(Serialize, Deserialize)]
+/// "DCSM" (DeepCSI Model), format version 1.
+const DCSM: Envelope = Envelope {
+    magic: *b"DCSM",
+    version: 1,
+};
+
+/// A saved trained model: architecture + input spec + input shape +
+/// weights, and nothing else.
+///
+/// Layout (all integers little-endian, every `usize` as a `u64`, every
+/// list as a `u32` count and its elements, every option as a `0`/`1`
+/// tag and its value):
+///
+/// ```text
+/// "DCSM" | version u16
+/// ModelConfig   conv_filters [u64] | conv_kernels [u64] | attention_kernel u64
+///               dense_units [u64] | dropout_rates [f32] | num_classes u64 | seed u64
+/// InputSpec     streams [u64] | antennas [u64] | subcarrier_positions Option<[u64]>
+///               stride u64 | offset_cleaning u8
+/// input shape   3 × u64
+/// weights       [[f32]]
+/// crc32 u32     (IEEE, over every preceding byte)
+/// ```
 struct SavedModel {
     model: ModelConfig,
     spec: InputSpec,
     input_shape: (usize, usize, usize),
     weights: Vec<Vec<f32>>,
+}
+
+fn put_usize(w: &mut ByteWriter, &x: &usize) {
+    w.u64(x as u64);
+}
+
+/// A `usize` written as a `u64`; one that does not fit this host's
+/// `usize` saturates, and the architecture checks refuse it.
+fn read_usize(r: &mut ByteReader) -> Result<usize, DecodeError> {
+    Ok(usize::try_from(r.u64()?).unwrap_or(usize::MAX))
+}
+
+impl SavedModel {
+    fn encode(&self) -> Vec<u8> {
+        let params: usize = self.weights.iter().map(Vec::len).sum();
+        let mut w = DCSM.writer(256 + 4 * params);
+        let (m, spec) = (&self.model, &self.spec);
+        w.list(&m.conv_filters, put_usize);
+        w.list(&m.conv_kernels, put_usize);
+        put_usize(&mut w, &m.attention_kernel);
+        w.list(&m.dense_units, put_usize);
+        w.list(&m.dropout_rates, |w, &x| w.f32(x));
+        put_usize(&mut w, &m.num_classes);
+        w.u64(m.seed);
+        w.list(&spec.streams, put_usize);
+        w.list(&spec.antennas, put_usize);
+        w.opt(spec.subcarrier_positions.as_deref(), |w, v| {
+            w.list(v, put_usize)
+        });
+        put_usize(&mut w, &spec.stride);
+        w.u8(spec.offset_cleaning.into());
+        let (c, h, wd) = self.input_shape;
+        for x in [c, h, wd] {
+            put_usize(&mut w, &x);
+        }
+        w.list(&self.weights, |w, t| w.list(t, |w, &x| w.f32(x)));
+        w.finish()
+    }
+
+    fn decode(buf: &[u8]) -> Result<SavedModel, DecodeError> {
+        let mut r = DCSM.open(buf)?;
+        let usizes = |r: &mut ByteReader| r.list(8, read_usize);
+        let model = ModelConfig {
+            conv_filters: usizes(&mut r)?,
+            conv_kernels: usizes(&mut r)?,
+            attention_kernel: read_usize(&mut r)?,
+            dense_units: usizes(&mut r)?,
+            dropout_rates: r.list(4, ByteReader::f32)?,
+            num_classes: read_usize(&mut r)?,
+            seed: r.u64()?,
+        };
+        let spec = InputSpec {
+            streams: usizes(&mut r)?,
+            antennas: usizes(&mut r)?,
+            subcarrier_positions: r.opt(usizes)?,
+            stride: read_usize(&mut r)?,
+            offset_cleaning: r.bool()?,
+        };
+        let input_shape = (
+            read_usize(&mut r)?,
+            read_usize(&mut r)?,
+            read_usize(&mut r)?,
+        );
+        // ≥ 4 bytes per tensor: its own length prefix.
+        let weights = r.list(4, |r| r.list(4, ByteReader::f32))?;
+        r.finish()?;
+        Ok(SavedModel {
+            model,
+            spec,
+            input_shape,
+            weights,
+        })
+    }
 }
 
 /// A trained DeepCSI classifier: the network, the input spec it was
@@ -183,18 +280,18 @@ impl Authenticator {
         }
     }
 
-    /// Saves the trained model (requires construction via
-    /// [`Authenticator::with_config`]).
+    /// Saves the trained model as a `DCSM` file (requires construction
+    /// via [`Authenticator::with_config`]).
     ///
     /// # Errors
     ///
-    /// I/O or serialisation failures.
+    /// I/O failures.
     ///
     /// # Panics
     ///
     /// Panics if the authenticator was built without a recorded
     /// architecture.
-    pub fn save<P: AsRef<Path>>(&mut self, path: P) -> Result<(), AuthError> {
+    pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), AuthError> {
         let model = self.model.clone().expect("architecture not recorded");
         let input_shape = self.input_shape.expect("input shape not recorded");
         let saved = SavedModel {
@@ -203,8 +300,7 @@ impl Authenticator {
             input_shape,
             weights: self.net.save_weights(),
         };
-        let file = std::fs::File::create(path)?;
-        bincode::serialize_into(std::io::BufWriter::new(file), &saved)?;
+        std::fs::write(path, saved.encode())?;
         Ok(())
     }
 
@@ -216,13 +312,15 @@ impl Authenticator {
     ///
     /// # Errors
     ///
-    /// I/O or deserialisation failures, and [`AuthError::InvalidModel`]
-    /// when the decoded model cannot be served (see
-    /// [`ModelConfig::validate`] and `Network::load_weights`) — a corrupt
-    /// file is refused here rather than panicking or serving NaN.
+    /// [`AuthError::Io`] when the file cannot be read,
+    /// [`AuthError::Codec`] when it is not an intact `DCSM` image (a
+    /// model saved by an older build has no `DCSM` magic and is refused
+    /// here), and [`AuthError::InvalidModel`] when the decoded model
+    /// cannot be served (see [`ModelConfig::validate`] and
+    /// `Network::load_weights`) — a corrupt file is refused here rather
+    /// than panicking or serving NaN.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, AuthError> {
-        let file = std::fs::File::open(path)?;
-        let saved: SavedModel = bincode::deserialize_from(std::io::BufReader::new(file))?;
+        let saved = SavedModel::decode(&std::fs::read(path)?)?;
         let lens = saved
             .model
             .weight_lens(saved.input_shape)
@@ -421,7 +519,7 @@ mod tests {
 
     #[test]
     fn save_load_preserves_predictions() {
-        let (mut auth, _, _) = tiny_authenticator();
+        let (auth, _, _) = tiny_authenticator();
         let trace = tiny_trace();
         let predict = |auth: &Authenticator| -> Vec<usize> {
             let frozen = auth.freeze();
@@ -459,7 +557,7 @@ mod tests {
 
     #[test]
     fn load_refuses_a_corrupt_model() {
-        let (mut auth, _, _) = tiny_authenticator();
+        let (auth, _, _) = tiny_authenticator();
         let dir = std::env::temp_dir().join("deepcsi-auth-corrupt-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.bin");
@@ -470,13 +568,13 @@ mod tests {
             "NaN weight",
             "mismatched config lengths",
         ] {
-            let mut bad: SavedModel = bincode::deserialize(&bytes).unwrap();
+            let mut bad = SavedModel::decode(&bytes).unwrap();
             match what {
                 "truncated weight vector" => drop(bad.weights[0].pop()),
                 "NaN weight" => bad.weights[1][0] = f32::NAN,
                 _ => bad.model.conv_kernels.push(3),
             }
-            std::fs::write(&path, bincode::serialize(&bad).unwrap()).unwrap();
+            std::fs::write(&path, bad.encode()).unwrap();
             assert!(
                 matches!(Authenticator::load(&path), Err(AuthError::InvalidModel(_))),
                 "{what} must be refused"
@@ -487,15 +585,15 @@ mod tests {
 
     #[test]
     fn load_refuses_an_overflowing_architecture_before_building_it() {
-        let (mut auth, _, _) = tiny_authenticator();
+        let (auth, _, _) = tiny_authenticator();
         let dir = std::env::temp_dir().join("deepcsi-auth-overflow-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.bin");
         auth.save(&path).unwrap();
-        let mut bad: SavedModel = bincode::deserialize(&std::fs::read(&path).unwrap()).unwrap();
+        let mut bad = SavedModel::decode(&std::fs::read(&path).unwrap()).unwrap();
         // 2⁶² filters: the first conv's weight count overflows usize.
         bad.model.conv_filters[0] = 1 << 62;
-        std::fs::write(&path, bincode::serialize(&bad).unwrap()).unwrap();
+        std::fs::write(&path, bad.encode()).unwrap();
         match Authenticator::load(&path) {
             Err(AuthError::InvalidModel(reason)) => {
                 assert!(reason.contains("overflows"), "{reason}")
@@ -504,6 +602,60 @@ mod tests {
                 "an overflowing architecture must be refused, got {:?}",
                 other.err()
             ),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn load_refuses_what_is_not_an_intact_dcsm_image() {
+        let (auth, _, _) = tiny_authenticator();
+        let dir = std::env::temp_dir().join("deepcsi-auth-envelope-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.bin");
+        auth.save(&path).unwrap();
+        let image = std::fs::read(&path).unwrap();
+        let load = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            Authenticator::load(&path)
+        };
+        // A model written by an older build starts with the u64 length
+        // of `conv_filters`, not with the magic.
+        let old = [&4u64.to_le_bytes()[..], &image[4..]].concat();
+        assert!(matches!(
+            load(&old),
+            Err(AuthError::Codec(DecodeError::BadMagic { .. }))
+        ));
+        let mut flipped = image.clone();
+        *flipped.last_mut().unwrap() ^= 0x01;
+        assert!(matches!(
+            load(&flipped),
+            Err(AuthError::Codec(DecodeError::BadCrc { .. }))
+        ));
+        assert!(load(&image).is_ok());
+        // Every strict prefix of a valid image, on a one-filter model
+        // small enough to load once per prefix.
+        let model = ModelConfig {
+            conv_filters: vec![1],
+            conv_kernels: vec![1],
+            attention_kernel: 1,
+            dense_units: vec![2],
+            dropout_rates: vec![0.0],
+            num_classes: 2,
+            seed: 1,
+        };
+        let image = SavedModel {
+            weights: model.build((1, 1, 2)).save_weights(),
+            model,
+            spec: InputSpec::default(),
+            input_shape: (1, 1, 2),
+        }
+        .encode();
+        assert!(load(&image).is_ok());
+        for n in 0..image.len() {
+            assert!(
+                matches!(load(&image[..n]), Err(AuthError::Codec(_))),
+                "a {n}-byte prefix must be refused"
+            );
         }
         std::fs::remove_file(&path).ok();
     }

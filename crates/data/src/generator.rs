@@ -13,10 +13,9 @@ use deepcsi_impair::{
 use deepcsi_phy::{Codebook, MimoConfig, SubcarrierLayout};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the synthetic data-collection campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenConfig {
     /// Environment (room) id; the paper uses two rooms with the same
     /// layout.
@@ -61,7 +60,7 @@ impl Default for GenConfig {
 }
 
 /// Full specification of one trace to generate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSpec {
     /// AP module under test.
     pub module: DeviceId,

@@ -3,7 +3,6 @@
 use deepcsi_bfi::{v_tilde, BeamformingFeedback};
 use deepcsi_linalg::C64;
 use deepcsi_nn::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Selection of which parts of Ṽ feed the classifier.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// Channels are the I/Q components of the selected Ṽ rows; the last TX
 /// antenna's row is real by construction so it contributes only an I
 /// channel (`Nch < 2M`, Fig. 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InputSpec {
     /// Ṽ columns (spatial streams) used, each becoming one image row.
     pub streams: Vec<usize>,

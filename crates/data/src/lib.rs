@@ -38,7 +38,6 @@ mod d2;
 mod generator;
 mod input;
 mod splits;
-mod store;
 mod trace;
 
 pub use d1::generate_d1;
@@ -48,5 +47,4 @@ pub use input::{clean_phase_offsets, InputSpec, LabeledSamples};
 pub use splits::{
     d1_cross_beamformee, d1_split, d1_split_positions, d2_split, D1Set, D2Set, Split,
 };
-pub use store::{load_dataset, save_dataset, StoreError};
 pub use trace::{Dataset, Trace, TraceKind};

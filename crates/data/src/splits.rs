@@ -2,7 +2,6 @@
 
 use crate::input::{InputSpec, LabeledSamples};
 use crate::trace::{Dataset, Trace, TraceKind};
-use serde::{Deserialize, Serialize};
 
 /// Fraction of each shared-position trace used for training (the paper:
 /// "the first 80% of the collected data is used for training and
@@ -20,7 +19,7 @@ const VAL_FRACTION: f64 = 0.2;
 /// interpolate between adjacent trained positions, S3 trains on a
 /// contiguous block of five — "the set with the largest difference
 /// between training and testing positions".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum D1Set {
     /// Train and test on all positions (time-split 80/20).
     S1,
@@ -52,7 +51,7 @@ impl D1Set {
 
 /// The D2 set definitions of Table II (plus the Fig. 17b sub-path
 /// variant).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum D2Set {
     /// Train on mob1 (four mobility traces), test on mob2 (three).
     S4,

@@ -2,10 +2,9 @@
 
 use deepcsi_bfi::BeamformingFeedback;
 use deepcsi_impair::DeviceId;
-use serde::{Deserialize, Serialize};
 
 /// What kind of measurement a trace is (mirrors §IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceKind {
     /// D1: AP fixed at A, beamformees at position index 1..=9.
     D1Static {
@@ -30,7 +29,7 @@ pub enum TraceKind {
 
 /// One captured trace: the time series of beamforming feedbacks one
 /// beamformee produced for one AP module in one configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// The AP's Wi-Fi module (the classification label).
     pub module: DeviceId,
@@ -59,7 +58,7 @@ impl Trace {
 }
 
 /// A set of traces (D1, D2, or any filtered view).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dataset {
     /// The traces.
     pub traces: Vec<Trace>,

@@ -6,7 +6,6 @@ use crate::mu_exclusive::{mu_exclusive_len, pack_mu_exclusive, unpack_mu_exclusi
 use crate::report::{pack_report, unpack_report};
 use deepcsi_bfi::{BeamformingFeedback, GivensAngles};
 use deepcsi_phy::{MimoConfig, SubcarrierLayout};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// 802.11 management / Action No Ack frame control (version 0, type 00,
@@ -75,7 +74,7 @@ impl std::error::Error for FrameError {}
 /// VHT MIMO Control, SNR bytes, LSB-first angle bitstream); parsing
 /// recovers every field, deriving the subcarrier indices from the
 /// bandwidth exactly like a real observer must.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BeamformingReportFrame {
     destination: MacAddr,
     source: MacAddr,

@@ -3,10 +3,9 @@
 use crate::action::{BeamformingReportFrame, FrameError};
 use crate::mac::MacAddr;
 use deepcsi_bfi::BeamformingFeedback;
-use serde::{Deserialize, Serialize};
 
 /// One successfully captured beamforming report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapturedReport {
     /// Beamformee that sent the feedback (frame Addr2).
     pub source: MacAddr,

@@ -18,6 +18,9 @@
 //!   and [`BeamformingReportFrame::parse`].
 //! * [`Monitor`] — a promiscuous capture point that filters beamforming
 //!   reports by source address, mirroring the Wireshark workflow of §IV.
+//! * [`ByteWriter`] / [`ByteReader`] / [`Envelope`] / [`crc32`] — the
+//!   little-endian byte codec every persisted and wire format above the
+//!   802.11 frame shares (engine snapshots, model files, cluster frames).
 //!
 //! # Example
 //!
@@ -54,6 +57,7 @@
 
 mod action;
 mod bits;
+mod byte_codec;
 mod capture;
 mod mac;
 mod mimo_ctrl;
@@ -62,6 +66,7 @@ mod report;
 
 pub use action::{BeamformingReportFrame, FrameError};
 pub use bits::{BitReader, BitWriter};
+pub use byte_codec::{crc32, ByteReader, ByteWriter, DecodeError, Envelope};
 pub use capture::{CapturedReport, Monitor};
 pub use mac::MacAddr;
 pub use mimo_ctrl::{FeedbackType, VhtMimoControl};

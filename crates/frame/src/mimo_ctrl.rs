@@ -2,10 +2,9 @@
 
 use crate::bits::{BitReader, BitWriter};
 use deepcsi_phy::{Band, Codebook};
-use serde::{Deserialize, Serialize};
 
 /// Feedback Type bit: single-user or multi-user feedback.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FeedbackType {
     /// SU feedback (Feedback Type = 0).
     Su,
@@ -30,7 +29,7 @@ pub enum FeedbackType {
 ///
 /// The paper reads exactly these bits from Wireshark captures to learn
 /// (Nc, Nr, bandwidth, bφ/bψ) before reconstructing Ṽ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VhtMimoControl {
     /// Number of columns Nc of the fed-back matrix (= N_SS), 1..=8.
     pub nc: u8,

@@ -3,7 +3,6 @@
 use deepcsi_linalg::C64;
 use deepcsi_phy::SUBCARRIER_SPACING_HZ;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Number of ripple harmonics across the sounded band. Analog filters have
 /// smooth, low-order responses; three harmonics capture the in-band
@@ -18,7 +17,7 @@ const NUM_HARMONICS: usize = 3;
 /// * a group-delay mismatch \[s\] → phase slope across subcarriers,
 /// * a phase intercept \[rad\],
 /// * low-order Fourier amplitude/phase ripple (filter imperfections).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChainResponse {
     gain_db: f64,
     delay_s: f64,

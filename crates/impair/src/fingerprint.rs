@@ -3,11 +3,10 @@
 use crate::chain::ChainResponse;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of one of the interchangeable Wi-Fi modules (the paper's 10
 /// Compex WLE1216v5-23 boards). Deterministically seeds the fingerprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DeviceId(pub u32);
 
 impl std::fmt::Display for DeviceId {
@@ -19,7 +18,7 @@ impl std::fmt::Display for DeviceId {
 /// Magnitude scales of the impairment model — the calibration knobs the
 /// `calibrate` bench binary sweeps. Defaults reflect typical consumer
 /// Wi-Fi front-ends.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImpairmentProfile {
     /// Scales every device-distinguishing magnitude at once (1.0 =
     /// calibrated default). Used in ablations.
@@ -103,7 +102,7 @@ impl ImpairmentProfile {
 /// and beamformees (RX chains, [`RadioFingerprint::generate_rx`]); the
 /// seeds are domain-separated so "module 3" the transmitter and
 /// "station 3" the receiver are unrelated devices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RadioFingerprint {
     chains: Vec<ChainResponse>,
     /// Complex image-leakage coefficient β per chain: the I/Q-imbalanced

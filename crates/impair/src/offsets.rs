@@ -3,7 +3,6 @@
 use crate::fingerprint::RadioFingerprint;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The phase-offset terms of one captured packet, per Eq. (9):
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// terms are common across antennas for a given tone and therefore cancel
 /// in the Givens canonical form of `Ṽ` — they matter for CSI-domain
 /// baselines, not for DeepCSI, which is exactly the paper's point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PacketOffsets {
     /// Residual carrier-frequency-offset phase \[rad\].
     pub theta_cfo: f64,

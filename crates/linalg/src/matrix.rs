@@ -1,7 +1,6 @@
 //! Dense complex matrices.
 
 use crate::C64;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -20,7 +19,7 @@ use std::ops::{Index, IndexMut};
 /// let a = CMatrix::from_fn(3, 3, |r, c| C64::new((r + c) as f64, 0.0));
 /// assert_eq!(a.matmul(&eye), a);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct CMatrix {
     rows: usize,
     cols: usize,

@@ -1,12 +1,11 @@
 //! Classification metrics: accuracy and confusion matrices.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A square confusion matrix over `n` classes; rows are actual labels,
 /// columns are predictions — the layout of Figs. 8, 9, 11, 15, 16b and 17
 /// in the paper.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     n: usize,
     counts: Vec<u64>,

@@ -1,13 +1,12 @@
 //! Dense row-major f32 tensors.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense, row-major tensor of `f32` values.
 ///
 /// Rank 1–3 is what the DeepCSI classifier needs: feature maps are
 /// `(channels, height, width)`, dense activations are `(features,)`.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,

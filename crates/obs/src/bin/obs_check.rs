@@ -3,34 +3,39 @@
 //!
 //! ```text
 //! obs-check [--prom FILE]... [--trace FILE]...
-//!           [--scrape ADDR [--scrape-timeout SECS]]
+//!           [--scrape ADDR]... [--scrape-timeout SECS]
 //! ```
 //!
 //! Each `--prom` file must parse as Prometheus text exposition with at
 //! least one sample and no NaNs; each `--trace` file must parse as a
-//! Chrome `trace_event` document. Exits non-zero naming the first
-//! offending file. CI points this at what `deepcsi-served
+//! Chrome `trace_event` document. Exits 1 naming the first offending
+//! file. CI points this at what `deepcsi-served
 //! --metrics-file/--trace-file` wrote.
 //!
 //! `--scrape ADDR` validates a *live* observability plane over loopback
 //! instead of (or in addition to) files: it retries `/readyz` until the
-//! plane answers 200 (up to `--scrape-timeout`, default 30 s), then
+//! plane answers 200 (up to `--scrape-timeout` seconds), then
 //! fetches `/metrics` (must parse as Prometheus text with samples),
 //! `/healthz` (must be JSON with a `state`), `/stats.json` (JSON
 //! object) and `/audit/tail?n=5` (JSON array). CI points this at a
 //! backgrounded `deepcsi-served --obs-listen ADDR --obs-linger SECS`.
+//!
+//! The command line parses through a [`Flags`] table like every other
+//! binary's: `--help` prints it and exits 0, and an unknown flag, a
+//! missing value or no check at all exits 2.
 
-use deepcsi_obs::{http_get, parse_chrome_trace, parse_prometheus, JsonValue};
+use deepcsi_obs::{http_get, parse_chrome_trace, parse_prometheus, Arg, Flag, Flags, JsonValue};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: obs-check [--prom FILE]... [--trace FILE]... \
-         [--scrape ADDR [--scrape-timeout SECS]]"
-    );
-    ExitCode::FAILURE
-}
+/// Every flag: `(flag, what it takes, help)`.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    ("--prom", Arg::Value, "Prometheus text file to check (repeatable)"),
+    ("--trace", Arg::Value, "Chrome trace JSON to check (repeatable)"),
+    ("--scrape", Arg::Value, "live plane address to check (repeatable)"),
+    ("--scrape-timeout", Arg::Default("30"), "seconds to wait for /readyz"),
+];
 
 /// Polls `/readyz` until the plane answers 200, then validates every
 /// scrape endpoint with the same parsers the file checks use. Returns
@@ -94,80 +99,44 @@ fn check_scrape(addr: &str, timeout: Duration) -> Result<(), String> {
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        return usage();
-    }
-    // --scrape-timeout applies to --scrape; find it in a first pass so
-    // flag order doesn't matter.
-    let mut scrape_timeout = Duration::from_secs(30);
-    if let Some(i) = args.iter().position(|a| a == "--scrape-timeout") {
-        let Some(secs) = args.get(i + 1).and_then(|v| v.parse::<u64>().ok()) else {
-            eprintln!("obs-check: --scrape-timeout needs a positive integer");
-            return usage();
-        };
-        scrape_timeout = Duration::from_secs(secs);
-    }
-
-    let mut checked = 0usize;
-    let mut i = 0;
-    while i < args.len() {
-        let (flag, value) = (args[i].as_str(), args.get(i + 1));
-        let Some(value) = value else {
-            eprintln!("obs-check: {flag} needs an argument");
-            return usage();
-        };
-        match flag {
-            "--scrape" => {
-                if let Err(e) = check_scrape(value, scrape_timeout) {
-                    eprintln!("obs-check: {value}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            "--scrape-timeout" => {} // consumed in the first pass
-            "--prom" | "--trace" => {
-                let path = value;
-                let text = match std::fs::read_to_string(path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("obs-check: cannot read {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                match flag {
-                    "--prom" => match parse_prometheus(&text) {
-                        Ok(samples) if samples.is_empty() => {
-                            eprintln!("obs-check: {path}: no samples");
-                            return ExitCode::FAILURE;
-                        }
-                        Ok(samples) => {
-                            println!("obs-check: {path}: {} samples ok", samples.len());
-                        }
-                        Err(e) => {
-                            eprintln!("obs-check: {path}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    },
-                    _ => match parse_chrome_trace(&text) {
-                        Ok(spans) => {
-                            println!("obs-check: {path}: {} spans ok", spans.len());
-                        }
-                        Err(e) => {
-                            eprintln!("obs-check: {path}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    },
-                }
-            }
-            other => {
-                eprintln!("obs-check: unknown flag {other}");
-                return usage();
-            }
+/// Runs every check the command line asks for, stopping at the first
+/// failure; returns how many ran.
+fn run_checks(f: &Flags) -> Result<usize, String> {
+    let read =
+        |path: &str| std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
+    let mut checked = 0;
+    for path in f.all("--prom") {
+        let samples = parse_prometheus(&read(&path)?).map_err(|e| format!("{path}: {e}"))?;
+        if samples.is_empty() {
+            return Err(format!("{path}: no samples"));
         }
+        println!("obs-check: {path}: {} samples ok", samples.len());
         checked += 1;
-        i += 2;
     }
-    println!("obs-check: {checked} check(s) ok");
-    ExitCode::SUCCESS
+    for path in f.all("--trace") {
+        let spans = parse_chrome_trace(&read(&path)?).map_err(|e| format!("{path}: {e}"))?;
+        println!("obs-check: {path}: {} spans ok", spans.len());
+        checked += 1;
+    }
+    let timeout = Duration::from_secs(f.value("--scrape-timeout"));
+    for addr in f.all("--scrape") {
+        check_scrape(&addr, timeout).map_err(|e| format!("{addr}: {e}"))?;
+        checked += 1;
+    }
+    Ok(checked)
+}
+
+fn main() -> ExitCode {
+    let f = Flags::from_env(FLAGS);
+    match run_checks(&f) {
+        Ok(0) => Flags::die("obs-check: nothing to check: give --prom, --trace or --scrape"),
+        Ok(checked) => {
+            println!("obs-check: {checked} check(s) ok");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("obs-check: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }

@@ -1,5 +1,7 @@
 //! Table-driven command-line flags, shared by every binary of the
-//! workspace's serving, cluster and bench crates.
+//! workspace: `deepcsi-served`, `deepcsi-clusterd`, `obs-check` and the
+//! bench binaries. It needs nothing but `std`, so it lives in this
+//! dependency-free crate, which every binary already reaches.
 //!
 //! Each binary declares one table of [`Flag`] rows — name, what the
 //! flag takes, its default, its help — and the table is the whole

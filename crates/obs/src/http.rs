@@ -173,7 +173,7 @@ impl HttpResponse {
         }
     }
 
-    /// Serializes status line + headers + body. Always
+    /// Renders status line + headers + body as bytes. Always
     /// `Connection: close` — one request per connection keeps the
     /// bounded-worker accounting exact.
     fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {

@@ -53,6 +53,7 @@
 
 mod audit;
 mod chrome;
+mod flags;
 mod http;
 mod json;
 mod metrics;
@@ -63,6 +64,7 @@ mod span;
 
 pub use audit::{AuditEvent, AuditLog};
 pub use chrome::{parse_chrome_trace, write_chrome_trace, ParsedSpan};
+pub use flags::{Arg, Flag, Flags};
 pub use http::{
     http_get, HttpHandler, HttpRequest, HttpResponse, ObsServer, ObsServerConfig, ServerCounters,
 };

@@ -1,6 +1,5 @@
 //! Carrier frequencies, bandwidths and timing constants.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Speed of light in vacuum \[m/s\]; used to convert path lengths to delays.
@@ -13,7 +12,7 @@ pub const SUBCARRIER_SPACING_HZ: f64 = 312_500.0;
 pub const SYMBOL_PERIOD_S: f64 = 1.0 / SUBCARRIER_SPACING_HZ;
 
 /// Channel bandwidth of a VHT transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Band {
     /// 20 MHz channel.
     Mhz20,
@@ -76,7 +75,7 @@ impl fmt::Display for Band {
 /// The paper's testbed transmits on channel 42 (`fc` = 5.21 GHz, 80 MHz)
 /// and the bandwidth ablation of Fig. 12a extracts channel 38 (40 MHz) and
 /// channel 36 (20 MHz) subsets from the same capture.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WifiChannel {
     /// IEEE channel number.
     pub number: u16,

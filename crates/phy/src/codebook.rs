@@ -1,6 +1,5 @@
 //! Angle-quantization codebooks of the VHT compressed feedback.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A (bψ, bφ) angle-quantization codebook (§III-B of the paper,
@@ -13,7 +12,7 @@ use std::fmt;
 /// φ = π (1/2^{bφ}   + qφ / 2^{bφ−1})
 /// ψ = π (1/2^{bψ+2} + qψ / 2^{bψ+1})
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Codebook {
     /// Bits for each φ angle.
     pub b_phi: u8,

@@ -1,6 +1,5 @@
 //! MIMO dimensioning: TX/RX antennas and spatial streams.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error returned when a MIMO configuration violates the standard's
@@ -21,7 +20,7 @@ impl std::error::Error for InvalidMimoConfig {}
 /// * `m_tx` — number of transmit antennas at the beamformer (paper: M = 3).
 /// * `n_rx` — number of receive antennas at the beamformee (N ∈ {1, 2}).
 /// * `n_ss` — number of spatial streams fed back (N_SS ≤ N, §III-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MimoConfig {
     m_tx: usize,
     n_rx: usize,

@@ -1,7 +1,6 @@
 //! Sounded OFDM subcarrier layouts for VHT channel sounding.
 
 use crate::{Band, WifiChannel};
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// The set of OFDM sub-channels sounded during VHT channel sounding.
@@ -16,7 +15,7 @@ use std::sync::OnceLock;
 /// which keeps only the sounded tones that fall inside the narrower
 /// channel's frequency span — mirroring how the paper extracts channels 38
 /// and 36 from the channel-42 capture.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubcarrierLayout {
     band: Band,
     indices: Vec<i32>,

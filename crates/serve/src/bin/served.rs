@@ -8,13 +8,14 @@
 //! `--batch`, `--window`, `--policy`, `--trace-sample`, …) overrides
 //! that config's `Default` only when given.
 //!
-//! Without `--dataset` a synthetic D1 capture is generated; without
-//! `--model` a fast classifier is trained on it first (and optionally
-//! persisted with `--save-model` for instant start-up next time).
+//! A synthetic D1 capture is generated (stored captures enter through
+//! `--pcap`); without `--model` a fast classifier is trained on it
+//! first (and optionally persisted with `--save-model` as a `DCSM`
+//! model file for instant start-up next time).
 //!
 //! Capture-file modes:
 //!
-//! * `--export-pcap PATH` writes the (loaded or synthesized) dataset as
+//! * `--export-pcap PATH` writes the synthesized dataset as
 //!   a radiotap pcap (`.pcapng` extension selects pcapng) and exits —
 //!   the fixture generator for the modes below.
 //! * `--pcap PATH` serves frames from a capture file instead of the
@@ -83,10 +84,10 @@ use deepcsi_capture::{FollowSource, FrameSource, PcapFileSource};
 use deepcsi_core::demo::{self, DemoConfig};
 use deepcsi_core::{Authenticator, FrozenAuthenticator};
 use deepcsi_data::Dataset;
-use deepcsi_obs::{format_op_table, write_chrome_trace, TraceConfig};
+use deepcsi_obs::{format_op_table, write_chrome_trace, Arg, Flag, Flags, TraceConfig};
 use deepcsi_serve::{
-    Arg, AuditConfig, Backpressure, Engine, EngineConfig, Flag, Flags, MetricsEmitter, ObsPlane,
-    ObsPlaneConfig, PolicyKind, Precision, ReplaySource, SourceStatus, Verdict,
+    AuditConfig, Backpressure, Engine, EngineConfig, MetricsEmitter, ObsPlane, ObsPlaneConfig,
+    PolicyKind, Precision, ReplaySource, SourceStatus, Verdict,
 };
 use std::num::{NonZeroU32, NonZeroU64, NonZeroUsize};
 use std::sync::Arc;
@@ -96,7 +97,6 @@ use std::time::{Duration, Instant};
 /// is optional, or overrides the library config field its help names.
 #[rustfmt::skip]
 const FLAGS: &[Flag] = &[
-    ("--dataset", Arg::Value, "stored dataset to serve (default: synthesize D1)"),
     ("--model", Arg::Value, "trained model to load (default: train a fast one)"),
     ("--save-model", Arg::Value, "persist the trained model here"),
     ("--modules", Arg::Default("3"), "synthetic D1 modules"),
@@ -198,31 +198,17 @@ fn warn_ignored(f: &Flags, precision: Precision, policy: PolicyKind) {
     }
 }
 
-fn load_or_generate_dataset(f: &Flags, demo: &DemoConfig) -> Dataset {
-    match f.get("--dataset") {
-        Some(path) => {
-            let ds = deepcsi_data::load_dataset(&path)
-                .unwrap_or_else(|e| panic!("loading dataset {path}: {e}"));
-            println!(
-                "loaded dataset {path}: {} traces, {} snapshots",
-                ds.traces.len(),
-                ds.num_snapshots()
-            );
-            ds
-        }
-        None => {
-            let t = Instant::now();
-            let ds = demo::demo_dataset(demo);
-            println!(
-                "generated synthetic D1: {} modules, {} traces, {} snapshots ({:.1?})",
-                demo.modules,
-                ds.traces.len(),
-                ds.num_snapshots(),
-                t.elapsed()
-            );
-            ds
-        }
-    }
+fn generate_dataset(demo: &DemoConfig) -> Dataset {
+    let t = Instant::now();
+    let ds = demo::demo_dataset(demo);
+    println!(
+        "generated synthetic D1: {} modules, {} traces, {} snapshots ({:.1?})",
+        demo.modules,
+        ds.traces.len(),
+        ds.num_snapshots(),
+        t.elapsed()
+    );
+    ds
 }
 
 fn load_or_train_model(f: &Flags, ds: &Dataset, epochs: usize) -> Authenticator {
@@ -233,7 +219,7 @@ fn load_or_train_model(f: &Flags, ds: &Dataset, epochs: usize) -> Authenticator 
         return auth;
     }
     let t = Instant::now();
-    let (mut auth, accuracy) = demo::train(ds, epochs);
+    let (auth, accuracy) = demo::train(ds, epochs);
     println!(
         "trained fast classifier: {:.2}% test accuracy over {} classes ({:.1?})",
         accuracy * 100.0,
@@ -343,7 +329,7 @@ fn main() {
     // work — the engine would assert the same bounds, but only minutes
     // later.
     cfg.validate();
-    let ds = load_or_generate_dataset(&f, &demo);
+    let ds = generate_dataset(&demo);
 
     if let Some(path) = f.get("--export-pcap") {
         export_capture(&ds, &path);

@@ -77,8 +77,9 @@
 //! }
 //! ```
 //!
-//! The `deepcsi-served` binary wraps exactly this loop around a stored
-//! or synthesized [`deepcsi_data::Dataset`]; `examples/streaming_auth.rs`
+//! The `deepcsi-served` binary wraps exactly this loop around a
+//! synthesized [`deepcsi_data::Dataset`] or a capture file;
+//! `examples/streaming_auth.rs`
 //! in the workspace root is the narrated version.
 
 #![forbid(unsafe_code)]
@@ -86,7 +87,6 @@
 
 mod emit;
 mod engine;
-mod flags;
 mod plane;
 mod policy;
 mod registry;
@@ -101,14 +101,13 @@ pub use engine::{
     shard_of, AuditConfig, Backpressure, DeviceDecision, Engine, EngineConfig, EngineReport,
     IngestOutcome, LayerProfile, SourceStatus,
 };
-pub use flags::{Arg, Flag, Flags};
 pub use plane::{ExtraMetrics, ObsPlane, ObsPlaneConfig};
 pub use policy::{
     DecisionPolicy, DecisionPolicyConfig, PolicyKind, PolicySnapshot, PolicyState, Welford,
 };
 pub use registry::{DeviceRegistry, Verdict, VerdictPolicy};
 pub use replay::ReplaySource;
-pub use snapshot::{crc32, DeviceSnapshot, EngineSnapshot, SnapshotError};
+pub use snapshot::{DeviceSnapshot, EngineSnapshot, SnapshotError};
 pub use telemetry::{
     EngineStats, LatencyHistogram, ReportCountHistogram, Stage, StageSnapshot, Telemetry,
 };

@@ -12,84 +12,31 @@
 //!
 //! The format is deliberately strict to decode: bad magic, an unknown
 //! version, a truncated buffer, a CRC mismatch, an unknown tag, or
-//! trailing garbage each produce a distinct [`SnapshotError`] instead of
-//! a best-effort partial restore.
+//! trailing garbage each produce a distinct [`DecodeError`] (as
+//! [`SnapshotError::Decode`]) instead of a best-effort partial restore.
+//! The bytes go through the workspace's one codec,
+//! `deepcsi_frame::{ByteWriter, ByteReader, Envelope}`.
 
 use crate::policy::{PolicyKind, PolicySnapshot, Welford};
 use crate::window::WindowSnapshot;
-use deepcsi_frame::MacAddr;
+use deepcsi_frame::{ByteReader, ByteWriter, DecodeError, Envelope, MacAddr};
 use std::error::Error;
 use std::fmt;
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 
-/// File magic: "DCSS" (DeepCSI State Snapshot).
-const MAGIC: [u8; 4] = *b"DCSS";
-
-/// Current format version.
-const VERSION: u16 = 1;
-
-/// Builds the standard IEEE CRC-32 table at compile time.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-const CRC32_TABLE: [u32; 256] = crc32_table();
-
-/// IEEE CRC-32 (the pcap/zlib polynomial) over `bytes`.
-///
-/// Shared by the snapshot format and the cluster wire codec, so both
-/// integrity checks agree on one implementation.
-///
-/// ```
-/// // The canonical check value for "123456789".
-/// assert_eq!(deepcsi_serve::crc32(b"123456789"), 0xCBF4_3926);
-/// ```
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    crc ^ 0xFFFF_FFFF
-}
+/// "DCSS" (DeepCSI State Snapshot), format version 1.
+const DCSS: Envelope = Envelope {
+    magic: *b"DCSS",
+    version: 1,
+};
 
 /// Why a snapshot failed to decode (or to read/write).
 #[derive(Debug)]
 pub enum SnapshotError {
-    /// The buffer does not start with the `DCSS` magic.
-    BadMagic,
-    /// A format version this build does not understand.
-    UnsupportedVersion(u16),
-    /// The buffer ended before the encoded structure did.
-    Truncated,
-    /// The trailing CRC does not match the payload.
-    BadCrc {
-        /// CRC computed over the received payload.
-        expected: u32,
-        /// CRC stored in the buffer.
-        found: u32,
-    },
-    /// An unknown policy-kind or option tag.
-    BadTag(u8),
-    /// Bytes remained after the encoded structure and its CRC.
-    TrailingBytes,
+    /// The bytes are not a valid `DCSS` image.
+    Decode(DecodeError),
     /// Reading or writing the snapshot file failed.
     Io(io::Error),
 }
@@ -97,19 +44,7 @@ pub enum SnapshotError {
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::BadMagic => write!(f, "not a DCSS snapshot (bad magic)"),
-            SnapshotError::UnsupportedVersion(v) => {
-                write!(f, "unsupported snapshot version {v} (expected {VERSION})")
-            }
-            SnapshotError::Truncated => write!(f, "snapshot truncated"),
-            SnapshotError::BadCrc { expected, found } => {
-                write!(
-                    f,
-                    "snapshot CRC mismatch (computed {expected:#010x}, stored {found:#010x})"
-                )
-            }
-            SnapshotError::BadTag(t) => write!(f, "unknown snapshot tag {t:#04x}"),
-            SnapshotError::TrailingBytes => write!(f, "trailing bytes after snapshot"),
+            SnapshotError::Decode(e) => write!(f, "snapshot: {e}"),
             SnapshotError::Io(e) => write!(f, "snapshot I/O: {e}"),
         }
     }
@@ -118,9 +53,15 @@ impl fmt::Display for SnapshotError {
 impl Error for SnapshotError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
+            SnapshotError::Decode(e) => Some(e),
             SnapshotError::Io(e) => Some(e),
-            _ => None,
         }
+    }
+}
+
+impl From<DecodeError> for SnapshotError {
+    fn from(e: DecodeError) -> Self {
+        SnapshotError::Decode(e)
     }
 }
 
@@ -134,55 +75,20 @@ impl From<io::Error> for SnapshotError {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn put_module(w: &mut ByteWriter, m: usize) {
+    w.u32(u32::try_from(m).expect("module index fits u32"));
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn put_window(w: &mut ByteWriter, win: &WindowSnapshot) {
+    w.list(&win.votes, |w, &m| put_module(w, m));
+    w.opt(win.ema, ByteWriter::f64);
+    w.u64(win.observations);
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => out.push(0),
-        Some(x) => {
-            out.push(1);
-            put_u64(out, x);
-        }
-    }
-}
-
-fn put_opt_f64(out: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        None => out.push(0),
-        Some(x) => {
-            out.push(1);
-            put_f64(out, x);
-        }
-    }
-}
-
-fn put_window(out: &mut Vec<u8>, w: &WindowSnapshot) {
-    put_u32(out, w.votes.len() as u32);
-    for &m in &w.votes {
-        put_u32(out, u32::try_from(m).expect("module index fits u32"));
-    }
-    put_opt_f64(out, w.ema);
-    put_u64(out, w.observations);
-}
-
-fn put_welford(out: &mut Vec<u8>, w: &Welford) {
-    put_u64(out, w.count);
-    put_f64(out, w.mean);
-    put_f64(out, w.m2);
+fn put_welford(w: &mut ByteWriter, wf: &Welford) {
+    w.u64(wf.count);
+    w.f64(wf.mean);
+    w.f64(wf.m2);
 }
 
 fn policy_kind_tag(kind: PolicyKind) -> u8 {
@@ -193,27 +99,23 @@ fn policy_kind_tag(kind: PolicyKind) -> u8 {
     }
 }
 
-fn put_policy(out: &mut Vec<u8>, snap: &PolicySnapshot) {
-    out.push(policy_kind_tag(snap.kind()));
+fn put_policy(w: &mut ByteWriter, snap: &PolicySnapshot) {
+    w.u8(policy_kind_tag(snap.kind()));
     match snap {
-        PolicySnapshot::Fixed { window } => put_window(out, window),
+        PolicySnapshot::Fixed { window } => put_window(w, window),
         PolicySnapshot::Confidence {
             votes,
             weights,
             ema,
             observations,
         } => {
-            put_u32(out, votes.len() as u32);
-            for &(m, w) in votes {
-                put_u32(out, u32::try_from(m).expect("module index fits u32"));
-                put_f64(out, w);
-            }
-            put_u32(out, weights.len() as u32);
-            for &w in weights {
-                put_f64(out, w);
-            }
-            put_opt_f64(out, *ema);
-            put_u64(out, *observations);
+            w.list(votes, |w, &(m, weight)| {
+                put_module(w, m);
+                w.f64(weight);
+            });
+            w.list(weights, |w, &weight| w.f64(weight));
+            w.opt(*ema, ByteWriter::f64);
+            w.u64(*observations);
         }
         PolicySnapshot::Adaptive {
             window,
@@ -223,19 +125,15 @@ fn put_policy(out: &mut Vec<u8>, snap: &PolicySnapshot) {
             threshold,
             vote_gate,
         } => {
-            put_window(out, window);
-            put_welford(out, calib);
-            put_welford(out, vote_calib);
-            match profile {
-                None => out.push(0),
-                Some((mean, sigma)) => {
-                    out.push(1);
-                    put_f64(out, *mean);
-                    put_f64(out, *sigma);
-                }
-            }
-            put_opt_f64(out, *threshold);
-            put_opt_f64(out, *vote_gate);
+            put_window(w, window);
+            put_welford(w, calib);
+            put_welford(w, vote_calib);
+            w.opt(*profile, |w, (mean, sigma)| {
+                w.f64(mean);
+                w.f64(sigma);
+            });
+            w.opt(*threshold, ByteWriter::f64);
+            w.opt(*vote_gate, ByteWriter::f64);
         }
     }
 }
@@ -244,152 +142,54 @@ fn put_policy(out: &mut Vec<u8>, snap: &PolicySnapshot) {
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Strict little-endian reader: every take checks the remaining length
-/// *before* touching (or allocating for) the payload.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn read_module(r: &mut ByteReader) -> Result<usize, DecodeError> {
+    Ok(r.u32()? as usize)
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
+fn read_window(r: &mut ByteReader) -> Result<WindowSnapshot, DecodeError> {
+    Ok(WindowSnapshot {
+        votes: r.list(4, read_module)?,
+        ema: r.opt(ByteReader::f64)?,
+        observations: r.u64()?,
+    })
+}
 
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
+fn read_welford(r: &mut ByteReader) -> Result<Welford, DecodeError> {
+    Ok(Welford {
+        count: r.u64()?,
+        mean: r.f64()?,
+        m2: r.f64()?,
+    })
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.remaining() < n {
-            return Err(SnapshotError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+fn read_policy_kind(r: &mut ByteReader) -> Result<PolicyKind, DecodeError> {
+    match r.u8()? {
+        1 => Ok(PolicyKind::FixedMajority),
+        2 => Ok(PolicyKind::ConfidenceWeighted),
+        3 => Ok(PolicyKind::AdaptiveThreshold),
+        t => Err(DecodeError::BadTag(t)),
     }
+}
 
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.u64()?)),
-            t => Err(SnapshotError::BadTag(t)),
-        }
-    }
-
-    fn opt_f64(&mut self) -> Result<Option<f64>, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
-            t => Err(SnapshotError::BadTag(t)),
-        }
-    }
-
-    /// A length prefix validated against the bytes actually present
-    /// (`elem_size` bytes per element) before any allocation — a lying
-    /// length cannot make the decoder allocate gigabytes.
-    fn checked_len(&mut self, elem_size: usize) -> Result<usize, SnapshotError> {
-        let n = self.u32()? as usize;
-        if self.remaining() / elem_size.max(1) < n {
-            return Err(SnapshotError::Truncated);
-        }
-        Ok(n)
-    }
-
-    fn window(&mut self) -> Result<WindowSnapshot, SnapshotError> {
-        let n = self.checked_len(4)?;
-        let mut votes = Vec::with_capacity(n);
-        for _ in 0..n {
-            votes.push(self.u32()? as usize);
-        }
-        let ema = self.opt_f64()?;
-        let observations = self.u64()?;
-        Ok(WindowSnapshot {
-            votes,
-            ema,
-            observations,
-        })
-    }
-
-    fn welford(&mut self) -> Result<Welford, SnapshotError> {
-        Ok(Welford {
-            count: self.u64()?,
-            mean: self.f64()?,
-            m2: self.f64()?,
-        })
-    }
-
-    fn policy(&mut self) -> Result<PolicySnapshot, SnapshotError> {
-        match self.u8()? {
-            1 => Ok(PolicySnapshot::Fixed {
-                window: self.window()?,
-            }),
-            2 => {
-                let n = self.checked_len(12)?;
-                let mut votes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let m = self.u32()? as usize;
-                    let w = self.f64()?;
-                    votes.push((m, w));
-                }
-                let k = self.checked_len(8)?;
-                let mut weights = Vec::with_capacity(k);
-                for _ in 0..k {
-                    weights.push(self.f64()?);
-                }
-                let ema = self.opt_f64()?;
-                let observations = self.u64()?;
-                Ok(PolicySnapshot::Confidence {
-                    votes,
-                    weights,
-                    ema,
-                    observations,
-                })
-            }
-            3 => {
-                let window = self.window()?;
-                let calib = self.welford()?;
-                let vote_calib = self.welford()?;
-                let profile = match self.u8()? {
-                    0 => None,
-                    1 => Some((self.f64()?, self.f64()?)),
-                    t => return Err(SnapshotError::BadTag(t)),
-                };
-                let threshold = self.opt_f64()?;
-                let vote_gate = self.opt_f64()?;
-                Ok(PolicySnapshot::Adaptive {
-                    window,
-                    calib,
-                    vote_calib,
-                    profile,
-                    threshold,
-                    vote_gate,
-                })
-            }
-            t => Err(SnapshotError::BadTag(t)),
-        }
+fn read_policy(r: &mut ByteReader) -> Result<PolicySnapshot, DecodeError> {
+    match read_policy_kind(r)? {
+        PolicyKind::FixedMajority => Ok(PolicySnapshot::Fixed {
+            window: read_window(r)?,
+        }),
+        PolicyKind::ConfidenceWeighted => Ok(PolicySnapshot::Confidence {
+            votes: r.list(12, |r| Ok((read_module(r)?, r.f64()?)))?,
+            weights: r.list(8, ByteReader::f64)?,
+            ema: r.opt(ByteReader::f64)?,
+            observations: r.u64()?,
+        }),
+        PolicyKind::AdaptiveThreshold => Ok(PolicySnapshot::Adaptive {
+            window: read_window(r)?,
+            calib: read_welford(r)?,
+            vote_calib: read_welford(r)?,
+            profile: r.opt(|r| Ok((r.f64()?, r.f64()?)))?,
+            threshold: r.opt(ByteReader::f64)?,
+            vote_gate: r.opt(ByteReader::f64)?,
+        }),
     }
 }
 
@@ -437,79 +237,36 @@ pub struct EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    /// Serializes to the `DCSS` binary format.
+    /// Encodes to the `DCSS` binary format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.devices.len() * 128);
-        out.extend_from_slice(&MAGIC);
-        put_u16(&mut out, VERSION);
-        out.push(policy_kind_tag(self.policy));
-        put_u32(&mut out, self.devices.len() as u32);
-        for dev in &self.devices {
-            out.extend_from_slice(&dev.mac.octets());
-            put_opt_u64(&mut out, dev.decided_at);
-            put_policy(&mut out, &dev.policy);
-        }
-        let crc = crc32(&out);
-        put_u32(&mut out, crc);
-        out
+        let mut w = DCSS.writer(64 + self.devices.len() * 128);
+        w.u8(policy_kind_tag(self.policy));
+        w.list(&self.devices, |w, dev| {
+            w.bytes(&dev.mac.octets());
+            w.opt(dev.decided_at, ByteWriter::u64);
+            put_policy(w, &dev.policy);
+        });
+        w.finish()
     }
 
     /// Strictly decodes a `DCSS` image produced by
     /// [`encode`](EngineSnapshot::encode).
     pub fn decode(buf: &[u8]) -> Result<EngineSnapshot, SnapshotError> {
-        // CRC first: everything after the magic/version checks assumes
-        // an intact payload.
-        if buf.len() < MAGIC.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        if buf[..MAGIC.len()] != MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        if buf.len() < MAGIC.len() + 2 {
-            return Err(SnapshotError::Truncated);
-        }
-        let version = u16::from_le_bytes(buf[4..6].try_into().expect("2 bytes"));
-        if version != VERSION {
-            return Err(SnapshotError::UnsupportedVersion(version));
-        }
-        if buf.len() < MAGIC.len() + 2 + 4 {
-            return Err(SnapshotError::Truncated);
-        }
-        let (payload, crc_bytes) = buf.split_at(buf.len() - 4);
-        let found = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        let expected = crc32(payload);
-        if expected != found {
-            return Err(SnapshotError::BadCrc { expected, found });
-        }
-        let mut r = Reader::new(&payload[6..]);
-        let kind = match r.u8()? {
-            1 => PolicyKind::FixedMajority,
-            2 => PolicyKind::ConfidenceWeighted,
-            3 => PolicyKind::AdaptiveThreshold,
-            t => return Err(SnapshotError::BadTag(t)),
-        };
+        // The envelope checks the CRC first: everything after it
+        // assumes an intact payload.
+        let mut r = DCSS.open(buf)?;
+        let policy = read_policy_kind(&mut r)?;
         // ≥ 7 bytes per device (mac + two tags) keeps a lying count from
         // allocating an absurd vector.
-        let count = r.checked_len(7)?;
-        let mut devices = Vec::with_capacity(count);
-        for _ in 0..count {
-            let mac_bytes: [u8; 6] = r.take(6)?.try_into().expect("6 bytes");
-            let mac = MacAddr::new(mac_bytes);
-            let decided_at = r.opt_u64()?;
-            let policy = r.policy()?;
-            devices.push(DeviceSnapshot {
-                mac,
-                decided_at,
-                policy,
-            });
-        }
-        if r.remaining() != 0 {
-            return Err(SnapshotError::TrailingBytes);
-        }
-        Ok(EngineSnapshot {
-            policy: kind,
-            devices,
-        })
+        let devices = r.list(7, |r| {
+            Ok(DeviceSnapshot {
+                mac: MacAddr::new(r.array()?),
+                decided_at: r.opt(ByteReader::u64)?,
+                policy: read_policy(r)?,
+            })
+        })?;
+        r.finish()?;
+        Ok(EngineSnapshot { policy, devices })
     }
 
     /// Writes the encoded snapshot to `path` atomically: into
@@ -580,15 +337,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn crc32_check_value() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn round_trips_every_policy_kind() {
-        for snap in [
+    /// One snapshot per policy kind.
+    fn every_kind() -> [EngineSnapshot; 3] {
+        [
             EngineSnapshot {
                 policy: PolicyKind::FixedMajority,
                 devices: vec![DeviceSnapshot {
@@ -617,10 +368,30 @@ mod tests {
                 }],
             },
             sample(),
-        ] {
+        ]
+    }
+
+    #[test]
+    fn round_trips_every_policy_kind() {
+        for snap in every_kind() {
             let bytes = snap.encode();
             assert_eq!(EngineSnapshot::decode(&bytes).unwrap(), snap);
         }
+    }
+
+    /// The `DCSS` bytes of one snapshot per policy kind, pinned by a
+    /// 64-bit FNV-1a over each image's length (u64 LE) and bytes: a
+    /// codec change that moves a single bit fails here.
+    #[test]
+    fn encodings_are_pinned() {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for bytes in every_kind().map(|s| s.encode()) {
+            for &b in (bytes.len() as u64).to_le_bytes().iter().chain(&bytes) {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        assert_eq!(h, 0x128a_7a4d_2fa4_e978);
     }
 
     #[test]
@@ -628,25 +399,29 @@ mod tests {
         let bytes = sample().encode();
         assert!(matches!(
             EngineSnapshot::decode(&bytes[..bytes.len() - 1]),
-            Err(SnapshotError::BadCrc { .. }) | Err(SnapshotError::Truncated)
+            Err(SnapshotError::Decode(
+                DecodeError::BadCrc { .. } | DecodeError::Truncated
+            ))
         ));
         let mut bad_magic = bytes.clone();
         bad_magic[0] = b'X';
         assert!(matches!(
             EngineSnapshot::decode(&bad_magic),
-            Err(SnapshotError::BadMagic)
+            Err(SnapshotError::Decode(DecodeError::BadMagic { .. }))
         ));
         let mut bad_version = bytes.clone();
         bad_version[4] = 0xFF;
         assert!(matches!(
             EngineSnapshot::decode(&bad_version),
-            Err(SnapshotError::UnsupportedVersion(_))
+            Err(SnapshotError::Decode(
+                DecodeError::UnsupportedVersion { .. }
+            ))
         ));
         let mut flipped = bytes.clone();
         flipped[10] ^= 0x40;
         assert!(matches!(
             EngineSnapshot::decode(&flipped),
-            Err(SnapshotError::BadCrc { .. })
+            Err(SnapshotError::Decode(DecodeError::BadCrc { .. }))
         ));
         let mut trailing = bytes.clone();
         trailing.push(0);

@@ -3,20 +3,22 @@
 //! `Authenticator::load` (the saved model) panic, whether the bytes are
 //! arbitrary or one byte away from a valid image.
 //!
-//! A changed `DCSS` image gets its trailing CRC recomputed, so the
-//! structural decoder behind the checksum is what gets exercised, and
-//! every image it accepts is restored onto a live engine of its policy
-//! kind. A changed model image is written to a file of its own and
-//! loaded; half of its changes land in the header (architecture, input
-//! spec and shape), where a bad value must be refused before anything
-//! is built.
+//! Both are `magic | version | body | crc32` envelopes. A changed image
+//! is decoded as it is and again with its trailing CRC recomputed, so
+//! the structural decoder behind the checksum is what gets exercised.
+//! Every `DCSS` image that decodes is restored onto a live engine of
+//! its policy kind. A changed model image is written to a file of its
+//! own and loaded; half of its changes land in the header
+//! (architecture, input spec and shape), where a bad value must be
+//! refused before anything is built.
 
 mod common;
 
 use common::{dataset, frames, untrained};
 use deepcsi_core::{Authenticator, FrozenAuthenticator, ModelConfig};
 use deepcsi_data::InputSpec;
-use deepcsi_serve::{crc32, DeviceRegistry, Engine, EngineSnapshot, PolicyKind, ReplaySource};
+use deepcsi_frame::crc32;
+use deepcsi_serve::{DeviceRegistry, Engine, EngineSnapshot, PolicyKind, ReplaySource};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -108,7 +110,7 @@ fn model_image() -> &'static [u8] {
     static IMAGE: OnceLock<Vec<u8>> = OnceLock::new();
     IMAGE.get_or_init(|| {
         let (model, shape) = (ModelConfig::demo(2), (2, 1, 8));
-        let mut auth =
+        let auth =
             Authenticator::with_config(model.build(shape), InputSpec::default(), model, shape);
         let path = temp_file("valid");
         auth.save(&path).expect("save the model");
@@ -175,6 +177,8 @@ proptest! {
     ) {
         let image = model_image().to_vec();
         let at = if in_header { at % 256 } else { at };
-        load_bytes("changed", &one_byte_change(image, change, at, xor));
+        let changed = one_byte_change(image, change, at, xor);
+        load_bytes("changed", &changed);
+        load_bytes("changed", &with_crc(changed));
     }
 }
