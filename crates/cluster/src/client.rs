@@ -2,7 +2,7 @@
 //! refusals, collect merged drain replies.
 
 use crate::codec::{
-    decode_drain_reply, encode_request, DrainReply, FrameKind, RequestFrame, ResponseDecoder,
+    decode_drain_reply, encode_request_parts, DrainReply, FrameKind, ResponseDecoder,
     ResponseStatus,
 };
 use deepcsi_frame::MacAddr;
@@ -127,16 +127,11 @@ impl ClusterClient {
         })
     }
 
-    fn send(&mut self, kind: FrameKind, mac: MacAddr, payload: Vec<u8>) -> io::Result<u32> {
+    fn send(&mut self, kind: FrameKind, mac: MacAddr, payload: &[u8]) -> io::Result<u32> {
         let seq = self.seq;
         self.seq = self.seq.wrapping_add(1);
-        let frame = RequestFrame {
-            kind,
-            seq,
-            mac,
-            payload,
-        };
-        self.stream.write_all(&encode_request(&frame))?;
+        self.stream
+            .write_all(&encode_request_parts(kind, seq, mac, payload))?;
         Ok(seq)
     }
 
@@ -150,7 +145,7 @@ impl ClusterClient {
     ///
     /// Returns the socket write error.
     pub fn send_report(&mut self, mac: MacAddr, mpdu: &[u8]) -> io::Result<()> {
-        self.send(FrameKind::Report, mac, mpdu.to_vec())?;
+        self.send(FrameKind::Report, mac, mpdu)?;
         self.sent += 1;
         Ok(())
     }
@@ -163,7 +158,7 @@ impl ClusterClient {
     /// The socket write error, or `TimedOut` if no ack arrives within
     /// `timeout`.
     pub fn drain(&mut self, timeout: Duration) -> io::Result<DrainReply> {
-        self.send(FrameKind::Drain, MacAddr::new([0; 6]), Vec::new())?;
+        self.send(FrameKind::Drain, MacAddr::new([0; 6]), &[])?;
         self.wait_reply(timeout)
     }
 
@@ -175,7 +170,7 @@ impl ClusterClient {
     /// The socket write error, or `TimedOut` if no ack arrives within
     /// `timeout`.
     pub fn shutdown(&mut self, timeout: Duration) -> io::Result<DrainReply> {
-        self.send(FrameKind::Shutdown, MacAddr::new([0; 6]), Vec::new())?;
+        self.send(FrameKind::Shutdown, MacAddr::new([0; 6]), &[])?;
         self.wait_reply(timeout)
     }
 

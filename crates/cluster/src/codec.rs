@@ -29,6 +29,16 @@
 //! handing a frame up. Any error poisons the decoder — the transport
 //! must tear the connection down, which is exactly what the node and
 //! router do.
+//!
+//! ## Copies per hop
+//!
+//! A report's payload is copied once per hop. The client encodes
+//! straight from the caller's borrowed MPDU. A decoder verifies a frame
+//! where it lies in its receive buffer and copies the payload once,
+//! into the decoded frame's `payload`. The router re-encodes each
+//! decoded report for its node link ([`encode_request`]), so the bytes
+//! pass the CRC four times between client and node: client encode,
+//! router decode, router encode, node decode.
 
 use deepcsi_frame::{crc32, ByteReader, ByteWriter, DecodeError, MacAddr};
 use std::fmt;
@@ -202,12 +212,23 @@ impl From<DecodeError> for CodecError {
 
 /// Encodes a request frame (header + payload + CRC trailer).
 pub fn encode_request(frame: &RequestFrame) -> Vec<u8> {
-    let mut w = ByteWriter::with_capacity(REQ_HEADER + frame.payload.len() + TRAILER);
-    w.bytes(&[REQ_MAGIC, VERSION, frame.kind.to_u8(), 0]); // flags 0
-    w.u32(frame.seq);
-    w.bytes(&frame.mac.octets());
-    w.len_prefix(frame.payload.len());
-    w.bytes(&frame.payload);
+    encode_request_parts(frame.kind, frame.seq, frame.mac, &frame.payload)
+}
+
+/// [`encode_request`] from a borrowed payload: the client encodes a
+/// report straight from the caller's MPDU, with no owned copy first.
+pub(crate) fn encode_request_parts(
+    kind: FrameKind,
+    seq: u32,
+    mac: MacAddr,
+    payload: &[u8],
+) -> Vec<u8> {
+    let mut w = ByteWriter::with_capacity(REQ_HEADER + payload.len() + TRAILER);
+    w.bytes(&[REQ_MAGIC, VERSION, kind.to_u8(), 0]); // flags 0
+    w.u32(seq);
+    w.bytes(&mac.octets());
+    w.len_prefix(payload.len());
+    w.bytes(payload);
     w.finish()
 }
 
@@ -227,8 +248,10 @@ pub fn encode_response(frame: &ResponseFrame) -> Vec<u8> {
 }
 
 /// Shared incremental framing: buffers bytes, validates the fixed
-/// header fields *before* trusting the length prefix, checks the CRC,
-/// and yields `(header bytes, payload)` slices to the typed decoders.
+/// header fields *before* trusting the length prefix and checks the
+/// CRC. A verified frame stays at the front of [`Framer::pending`]
+/// until its typed decoder has read it and called [`Framer::consume`],
+/// so the payload is copied once, straight into the decoded frame.
 struct Framer {
     buf: Vec<u8>,
     /// Bytes already consumed from the front of `buf` (compacted
@@ -266,15 +289,22 @@ impl Framer {
         Err(e)
     }
 
-    /// Tries to cut one complete frame off the front of the buffer.
-    /// Returns the frame's bytes (header + payload, CRC already
-    /// verified and stripped).
+    /// Drops a frame of `len` bytes (as [`Framer::next_frame`]
+    /// returned it) and its CRC trailer off the front of the buffer.
+    fn consume(&mut self, len: usize) {
+        self.consumed += len + TRAILER;
+    }
+
+    /// Tries to verify one complete frame at the front of
+    /// [`Framer::pending`]. Returns its length without the CRC trailer
+    /// (header + payload, CRC verified); the bytes stay in place until
+    /// [`Framer::consume`].
     fn next_frame(
         &mut self,
         magic: u8,
         header_len: usize,
         len_offset: usize,
-    ) -> Result<Option<Vec<u8>>, CodecError> {
+    ) -> Result<Option<usize>, CodecError> {
         if self.poisoned {
             return Ok(None);
         }
@@ -312,8 +342,7 @@ impl Framer {
         if pending.len() < total {
             return Ok(None);
         }
-        let body = &pending[..total - TRAILER];
-        let expected = crc32(body);
+        let expected = crc32(&pending[..total - TRAILER]);
         let found = u32::from_le_bytes(
             pending[total - TRAILER..total]
                 .try_into()
@@ -322,9 +351,7 @@ impl Framer {
         if expected != found {
             return self.poison(CodecError::BadCrc { expected, found });
         }
-        let frame = body.to_vec();
-        self.consumed += total;
-        Ok(Some(frame))
+        Ok(Some(total - TRAILER))
     }
 }
 
@@ -365,21 +392,23 @@ impl RequestDecoder {
     /// Any [`CodecError`] is terminal: the decoder is poisoned and the
     /// connection must close.
     pub fn try_next(&mut self) -> Result<Option<RequestFrame>, CodecError> {
-        let Some(frame) = self.framer.next_frame(REQ_MAGIC, REQ_HEADER, 14)? else {
+        let Some(len) = self.framer.next_frame(REQ_MAGIC, REQ_HEADER, 14)? else {
             return Ok(None);
         };
+        let frame = &self.framer.pending()[..len];
         let kind = FrameKind::from_u8(frame[2])?;
-        if frame[3] != 0 {
-            return self.framer.poison(CodecError::BadFlags(frame[3]));
+        let flags = frame[3];
+        if flags != 0 {
+            return self.framer.poison(CodecError::BadFlags(flags));
         }
-        let seq = u32::from_le_bytes(frame[4..8].try_into().expect("seq"));
-        let mac = MacAddr::new(frame[8..14].try_into().expect("mac"));
-        Ok(Some(RequestFrame {
+        let decoded = RequestFrame {
             kind,
-            seq,
-            mac,
+            seq: u32::from_le_bytes(frame[4..8].try_into().expect("seq")),
+            mac: MacAddr::new(frame[8..14].try_into().expect("mac")),
             payload: frame[REQ_HEADER..].to_vec(),
-        }))
+        };
+        self.framer.consume(len);
+        Ok(Some(decoded))
     }
 }
 
@@ -416,21 +445,23 @@ impl ResponseDecoder {
     /// Any [`CodecError`] is terminal: the decoder is poisoned and the
     /// connection must close.
     pub fn try_next(&mut self) -> Result<Option<ResponseFrame>, CodecError> {
-        let Some(frame) = self.framer.next_frame(RESP_MAGIC, RESP_HEADER, 8)? else {
+        let Some(len) = self.framer.next_frame(RESP_MAGIC, RESP_HEADER, 8)? else {
             return Ok(None);
         };
+        let frame = &self.framer.pending()[..len];
         let kind = FrameKind::from_u8(frame[2])?;
         let status = match ResponseStatus::from_u8(frame[3]) {
             Ok(s) => s,
             Err(e) => return self.framer.poison(e),
         };
-        let seq = u32::from_le_bytes(frame[4..8].try_into().expect("seq"));
-        Ok(Some(ResponseFrame {
+        let decoded = ResponseFrame {
             kind,
             status,
-            seq,
+            seq: u32::from_le_bytes(frame[4..8].try_into().expect("seq")),
             payload: frame[RESP_HEADER..].to_vec(),
-        }))
+        };
+        self.framer.consume(len);
+        Ok(Some(decoded))
     }
 }
 

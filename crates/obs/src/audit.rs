@@ -21,7 +21,14 @@
 //!    the push) makes gaps detectable: `appended()` equals the
 //!    engine's `verdicts_decided` counter, and tests pin it.
 //! 3. **Bounded memory.** The ring holds the last `capacity` events;
-//!    the file, when configured, is the unbounded record.
+//!    the file, when configured, is the unbounded record. A slot is a
+//!    packed record, not an [`AuditEvent`]: `seq` is implied by the
+//!    slot's position, the three options are bare values plus a
+//!    presence mask, and the four strings share one exact-sized
+//!    allocation. That is 88 B inline plus one heap block per event
+//!    (48 B for a MAC source and the usual names), ≈ 136 B against
+//!    ≈ 312 B (184 B inline plus four `String`s) for the event itself.
+//!    [`AuditLog::tail`] rebuilds the events exactly.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -112,8 +119,78 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
+/// One ring slot: an [`AuditEvent`] without its `seq` (the ring
+/// position implies it), with its three options as bare values plus a
+/// presence mask, and with its four strings concatenated into one
+/// allocation, the event's only heap block.
+#[derive(Debug)]
+struct Packed {
+    unix_ms: u64,
+    vote_fraction: f64,
+    confidence: f64,
+    observations: u64,
+    /// `expected`, `module` and `reports_to_verdict`, `0` when `None`.
+    opts: [u64; 3],
+    /// Bit `i` set when `opts[i]` is `Some`.
+    present: u8,
+    /// `source`, `verdict`, `policy` and `precision`, back to back.
+    names: Box<str>,
+    /// Where `verdict`, `policy` and `precision` start in `names`.
+    splits: [u32; 3],
+}
+
+impl Packed {
+    /// # Panics
+    ///
+    /// When the four strings together exceed 4 GiB.
+    fn new(e: &AuditEvent) -> Packed {
+        let rest = [&e.verdict, &e.policy, &e.precision];
+        let len = e.source.len() + e.verdict.len() + e.policy.len() + e.precision.len();
+        let mut names = String::with_capacity(len);
+        names.push_str(&e.source);
+        let mut splits = [0u32; 3];
+        for (split, part) in splits.iter_mut().zip(rest) {
+            *split = u32::try_from(names.len()).expect("audit strings fit in 4 GiB");
+            names.push_str(part);
+        }
+        let opts = [e.expected, e.module, e.reports_to_verdict];
+        Packed {
+            unix_ms: e.unix_ms,
+            vote_fraction: e.vote_fraction,
+            confidence: e.confidence,
+            observations: e.observations,
+            opts: opts.map(|o| o.unwrap_or(0)),
+            present: (0..3).fold(0, |bits, i| bits | u8::from(opts[i].is_some()) << i),
+            names: names.into_boxed_str(),
+            splits,
+        }
+    }
+
+    fn event(&self, seq: u64) -> AuditEvent {
+        let [a, b, c] = self.splits.map(|s| s as usize);
+        let n = &self.names;
+        let opt = |i: usize| (self.present >> i & 1 != 0).then_some(self.opts[i]);
+        AuditEvent {
+            seq,
+            unix_ms: self.unix_ms,
+            source: n[..a].to_string(),
+            verdict: n[a..b].to_string(),
+            expected: opt(0),
+            module: opt(1),
+            vote_fraction: self.vote_fraction,
+            confidence: self.confidence,
+            observations: self.observations,
+            reports_to_verdict: opt(2),
+            policy: n[b..c].to_string(),
+            precision: n[c..].to_string(),
+        }
+    }
+}
+
 struct AuditInner {
-    ring: VecDeque<AuditEvent>,
+    ring: VecDeque<Packed>,
+    /// The `seq` of `ring[0]`; slot `i` holds `front_seq + i`.
+    front_seq: u64,
     writer: Option<BufWriter<File>>,
 }
 
@@ -142,6 +219,7 @@ impl AuditLog {
         AuditLog {
             inner: Mutex::new(AuditInner {
                 ring: VecDeque::with_capacity(capacity.min(1024)),
+                front_seq: 0,
                 writer: None,
             }),
             capacity,
@@ -167,7 +245,14 @@ impl AuditLog {
     /// sequence number. Pops the oldest ring entry when full; file
     /// write failures are counted in [`AuditLog::write_errors`] rather
     /// than surfaced.
+    ///
+    /// # Panics
+    ///
+    /// When the event's four strings together exceed 4 GiB.
     pub fn append(&self, mut event: AuditEvent) -> u64 {
+        // Packed before the lock: the copy stays out of the critical
+        // section, and its one panic cannot leave a seq without a slot.
+        let packed = Packed::new(&event);
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         let seq = self.appended.fetch_add(1, Ordering::Relaxed);
         event.seq = seq;
@@ -182,8 +267,9 @@ impl AuditLog {
         }
         if inner.ring.len() == self.capacity {
             inner.ring.pop_front();
+            inner.front_seq += 1;
         }
-        inner.ring.push_back(event);
+        inner.ring.push_back(packed);
         seq
     }
 
@@ -201,7 +287,13 @@ impl AuditLog {
     pub fn tail(&self, n: usize) -> Vec<AuditEvent> {
         let inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         let skip = inner.ring.len().saturating_sub(n);
-        inner.ring.iter().skip(skip).cloned().collect()
+        inner
+            .ring
+            .iter()
+            .zip(inner.front_seq..)
+            .skip(skip)
+            .map(|(packed, seq)| packed.event(seq))
+            .collect()
     }
 
     /// Flushes the JSONL writer, if any (call on shutdown and on the
@@ -309,5 +401,74 @@ mod tests {
         assert_eq!(tail.len(), 64);
         // Ring order is append order: seqs are strictly increasing.
         assert!(tail.windows(2).all(|w| w[0].seq < w[1].seq));
+        // ... and gapless, ending at the last one assigned.
+        let seqs: Vec<u64> = tail.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (136..200).collect::<Vec<_>>());
+    }
+
+    /// Asserts `got == want` with `confidence` compared bit for bit,
+    /// so a NaN round-trips as the same NaN.
+    fn assert_same(got: &AuditEvent, want: &AuditEvent) {
+        assert_eq!(got.confidence.to_bits(), want.confidence.to_bits());
+        let (mut got, mut want) = (got.clone(), want.clone());
+        got.confidence = 0.0;
+        want.confidence = 0.0;
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn tail_rebuilds_every_field_after_the_ring_wraps() {
+        let mut events = vec![event("aa:bb:cc:dd:ee:ff")];
+        let mut e = event("");
+        e.verdict.clear();
+        e.policy.clear();
+        e.precision.clear();
+        events.push(e);
+        let mut e = event("Zürich-äp-😀");
+        e.verdict = "rejét".into();
+        e.policy = "ポリシー".into();
+        e.precision = "ınt8".into();
+        events.push(e);
+        let mut e = event(&"x".repeat(100_000));
+        e.expected = None;
+        e.module = None;
+        e.reports_to_verdict = None;
+        e.confidence = f64::NAN;
+        e.vote_fraction = -0.0;
+        e.observations = u64::MAX;
+        e.unix_ms = u64::MAX;
+        events.push(e);
+        let mut e = event("tail");
+        e.confidence = f64::from_bits(0x7ff8_dead_beef_0001); // a NaN with a payload
+        e.expected = Some(u64::MAX);
+        events.push(e);
+
+        // Capacity 3 over 2 + 5 + 5 appends: the ring wraps several
+        // times, and the last three appends are the last three events.
+        let log = AuditLog::new(3);
+        for e in events.iter().take(2).chain(&events).chain(&events) {
+            log.append(e.clone());
+        }
+        assert_eq!(log.appended(), 12);
+        let tail = log.tail(10);
+        assert_eq!(tail.len(), 3);
+        for (i, (got, want)) in tail.iter().zip(&events[2..]).enumerate() {
+            let mut want = want.clone();
+            want.seq = 9 + i as u64;
+            assert_same(got, &want);
+        }
+    }
+
+    /// The ring's per-event footprint: the record stays within 88 B
+    /// inline, and its one heap block (`names`, the record's only
+    /// owning field) holds exactly the four strings' bytes.
+    #[test]
+    fn a_ring_slot_is_88_bytes_and_one_exact_allocation() {
+        assert!(std::mem::size_of::<Packed>() <= 88);
+        let e = event("aa:bb:cc:dd:ee:ff");
+        let packed = Packed::new(&e);
+        let total = e.source.len() + e.verdict.len() + e.policy.len() + e.precision.len();
+        assert_eq!(packed.names.len(), total);
+        assert_eq!(packed.event(5), AuditEvent { seq: 5, ..e });
     }
 }

@@ -2,15 +2,17 @@
 //! a Prometheus server in the loop.
 //!
 //! ```text
-//! obs-check [--prom FILE]... [--trace FILE]...
+//! obs-check [--prom FILE]... [--trace FILE]... [--audit FILE]...
 //!           [--scrape ADDR]... [--scrape-timeout SECS]
 //! ```
 //!
 //! Each `--prom` file must parse as Prometheus text exposition with at
 //! least one sample and no NaNs; each `--trace` file must parse as a
-//! Chrome `trace_event` document. Exits 1 naming the first offending
-//! file. CI points this at what `deepcsi-served
-//! --metrics-file/--trace-file` wrote.
+//! Chrome `trace_event` document; each `--audit` file must hold at
+//! least one JSONL line, every line a JSON object, whose `seq`s run
+//! 0, 1, 2, … with no gap. Exits 1 naming the first offending file.
+//! CI points this at what `deepcsi-served
+//! --metrics-file/--trace-file/--audit-file` wrote.
 //!
 //! `--scrape ADDR` validates a *live* observability plane over loopback
 //! instead of (or in addition to) files: it retries `/readyz` until the
@@ -33,9 +35,32 @@ use std::time::{Duration, Instant};
 const FLAGS: &[Flag] = &[
     ("--prom", Arg::Value, "Prometheus text file to check (repeatable)"),
     ("--trace", Arg::Value, "Chrome trace JSON to check (repeatable)"),
+    ("--audit", Arg::Value, "JSONL audit trail to check for a gapless seq (repeatable)"),
     ("--scrape", Arg::Value, "live plane address to check (repeatable)"),
     ("--scrape-timeout", Arg::Default("30"), "seconds to wait for /readyz"),
 ];
+
+/// Checks a JSONL audit trail: at least one line, each a JSON object
+/// whose `seq` is its line index. Returns the event count.
+fn check_audit(text: &str) -> Result<usize, String> {
+    let mut events = 0;
+    for (i, line) in text.lines().enumerate() {
+        let at = i + 1;
+        let event = JsonValue::parse(line).map_err(|e| format!("line {at}: {e}"))?;
+        if !matches!(event, JsonValue::Object(_)) {
+            return Err(format!("line {at}: not a JSON object"));
+        }
+        match event.get("seq").and_then(JsonValue::as_f64) {
+            Some(seq) if seq == i as f64 => events += 1,
+            Some(seq) => return Err(format!("line {at}: seq {seq}, expected {i}")),
+            None => return Err(format!("line {at}: no numeric seq")),
+        }
+    }
+    if events == 0 {
+        return Err("no events".to_string());
+    }
+    Ok(events)
+}
 
 /// Polls `/readyz` until the plane answers 200, then validates every
 /// scrape endpoint with the same parsers the file checks use. Returns
@@ -118,6 +143,11 @@ fn run_checks(f: &Flags) -> Result<usize, String> {
         println!("obs-check: {path}: {} spans ok", spans.len());
         checked += 1;
     }
+    for path in f.all("--audit") {
+        let events = check_audit(&read(&path)?).map_err(|e| format!("{path}: {e}"))?;
+        println!("obs-check: {path}: {events} events, seq gapless ok");
+        checked += 1;
+    }
     let timeout = Duration::from_secs(f.value("--scrape-timeout"));
     for addr in f.all("--scrape") {
         check_scrape(&addr, timeout).map_err(|e| format!("{addr}: {e}"))?;
@@ -129,7 +159,9 @@ fn run_checks(f: &Flags) -> Result<usize, String> {
 fn main() -> ExitCode {
     let f = Flags::from_env(FLAGS);
     match run_checks(&f) {
-        Ok(0) => Flags::die("obs-check: nothing to check: give --prom, --trace or --scrape"),
+        Ok(0) => {
+            Flags::die("obs-check: nothing to check: give --prom, --trace, --audit or --scrape")
+        }
         Ok(checked) => {
             println!("obs-check: {checked} check(s) ok");
             ExitCode::SUCCESS

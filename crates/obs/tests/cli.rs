@@ -28,7 +28,13 @@ fn help_lists_each_declared_flag_once() {
     assert!(out.status.success(), "{out:?}");
     let usage = String::from_utf8_lossy(&out.stdout);
     assert!(usage.starts_with("usage: obs-check "), "{usage}");
-    let flags = ["--prom ", "--trace ", "--scrape ", "--scrape-timeout "];
+    let flags = [
+        "--prom ",
+        "--trace ",
+        "--audit ",
+        "--scrape ",
+        "--scrape-timeout ",
+    ];
     for flag in flags {
         assert_eq!(usage.matches(flag).count(), 1, "{usage}");
     }
@@ -60,5 +66,30 @@ fn a_failed_check_exits_1_naming_the_file() {
     );
     let out = obs_check(&["--prom", good]);
     assert!(out.status.success(), "{out:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_audit_trail_passes_only_with_a_gapless_seq() {
+    let dir = std::env::temp_dir().join(format!("deepcsi-obs-audit-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let line = |seq: u64| format!("{{\"seq\":{seq},\"source\":\"aa:bb:cc:dd:ee:ff\"}}\n");
+    let (good, gap) = (dir.join("good.jsonl"), dir.join("gap.jsonl"));
+    std::fs::write(&good, [0, 1, 2].map(line).concat()).unwrap();
+    std::fs::write(&gap, [0, 1, 3].map(line).concat()).unwrap();
+    let (good, gap) = (good.to_str().unwrap(), gap.to_str().unwrap());
+    let out = obs_check(&["--audit", good]);
+    assert!(out.status.success(), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("3 events"),
+        "{out:?}"
+    );
+    let out = obs_check(&["--audit", gap]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("gap.jsonl") && stderr.contains("line 3: seq 3, expected 2"),
+        "{stderr}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
