@@ -1,9 +1,26 @@
 //! Per-sounding feedback containers spanning all sounded subcarriers.
+//!
+//! [`BeamformingFeedback::from_cfr`] is the beamformee's per-tone
+//! computation, run for every tone of every generated sounding. It calls
+//! the stack-array bodies directly, with the antenna count M ≤ 8 as a
+//! const generic chosen once per sounding: the Gram matrix and Jacobi of
+//! [`right_singular_vectors_array`] for `V_k`, then Algorithm 1's
+//! `decompose_array`, then Eq. (8). No heap matrix is built per tone.
+//!
+//! The angles are bit-identical to those of the dense `CMatrix` pipeline
+//! ([`beamforming_matrix`] → [`decompose`] → [`quantize`](crate::quantize))
+//! that the bodies replaced, because they repeat its floating-point
+//! operations in order (see the `givens` module and
+//! [`herm_eig_array`](deepcsi_linalg::herm_eig_array)).
+//! `tests/dense_reference.rs` keeps that pipeline and pins the equality on
+//! every valid shape and on degenerate CFRs.
 
+use crate::givens::decompose_array;
+use crate::quant::{quantize_phi, quantize_psi};
 use crate::{
-    beamforming_matrix, decompose, quantize, v_from_angles, v_tilde, GivensAngles, QuantizedAngles,
+    beamforming_matrix, decompose, v_from_angles, v_tilde, GivensAngles, QuantizedAngles, MAX_M,
 };
-use deepcsi_linalg::{CMatrix, C64};
+use deepcsi_linalg::{right_singular_vectors_array, CMatrix, C64};
 use deepcsi_phy::{Codebook, MimoConfig};
 
 /// The compressed beamforming feedback of one sounding event: quantized
@@ -52,20 +69,17 @@ impl BeamformingFeedback {
             subcarriers.len(),
             "one CFR matrix per subcarrier required"
         );
-        let count = GivensAngles::expected_count(mimo.m_tx(), mimo.n_ss());
-        let mut q_phi = Vec::with_capacity(cfr.len() * count);
-        let mut q_psi = Vec::with_capacity(cfr.len() * count);
-        for h_k in cfr {
-            assert_eq!(
-                h_k.shape(),
-                (mimo.m_tx(), mimo.n_rx()),
-                "CFR shape must be M×N"
-            );
-            let v = beamforming_matrix(h_k, mimo.n_ss());
-            let q = quantize(&decompose(&v).angles, codebook);
-            q_phi.extend_from_slice(&q.q_phi);
-            q_psi.extend_from_slice(&q.q_psi);
-        }
+        let (q_phi, q_psi) = match mimo.m_tx() {
+            1 => quantized_angles::<1>(cfr, mimo, codebook),
+            2 => quantized_angles::<2>(cfr, mimo, codebook),
+            3 => quantized_angles::<3>(cfr, mimo, codebook),
+            4 => quantized_angles::<4>(cfr, mimo, codebook),
+            5 => quantized_angles::<5>(cfr, mimo, codebook),
+            6 => quantized_angles::<6>(cfr, mimo, codebook),
+            7 => quantized_angles::<7>(cfr, mimo, codebook),
+            8 => quantized_angles::<8>(cfr, mimo, codebook),
+            m => unreachable!("MimoConfig bounds M to 1..=8, got {m}"),
+        };
         BeamformingFeedback {
             mimo,
             codebook,
@@ -176,6 +190,35 @@ impl BeamformingFeedback {
     }
 }
 
+/// The flat `(q_phi, q_psi)` of [`BeamformingFeedback::from_cfr`] for a
+/// fixed M: every tone of `cfr` (M×N each) through the stack-array bodies
+/// of Eq. (3) and Algorithm 1, then Eq. (8).
+fn quantized_angles<const M: usize>(
+    cfr: &[CMatrix],
+    mimo: MimoConfig,
+    cb: Codebook,
+) -> (Vec<u16>, Vec<u16>) {
+    let (n, n_ss) = (mimo.n_rx(), mimo.n_ss());
+    let count = GivensAngles::expected_count(M, n_ss);
+    let mut q_phi = Vec::with_capacity(cfr.len() * count);
+    let mut q_psi = Vec::with_capacity(cfr.len() * count);
+    let mut h_t = [[C64::ZERO; M]; MAX_M];
+    for h_k in cfr {
+        assert_eq!(h_k.shape(), (M, n), "CFR shape must be M×N");
+        // H_kᵀ (N×M), whose right singular vectors give V_k.
+        for (k, row) in h_t[..n].iter_mut().enumerate() {
+            for (c, x) in row.iter_mut().enumerate() {
+                *x = h_k[(c, k)];
+            }
+        }
+        let v = right_singular_vectors_array(&h_t[..n]);
+        let dec = decompose_array(&v, n_ss);
+        q_phi.extend(dec.phi().iter().map(|&a| quantize_phi(a, cb)));
+        q_psi.extend(dec.psi().iter().map(|&a| quantize_psi(a, cb)));
+    }
+    (q_phi, q_psi)
+}
+
 /// The beamforming matrix Ṽ stacked over subcarriers: the paper's
 /// `K × M × N_SS` tensor, stored as one M×N_SS matrix per subcarrier.
 #[derive(Debug, Clone, PartialEq)]
@@ -248,6 +291,7 @@ impl VSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quantize;
 
     fn random_cfr(seed: u64, n_sc: usize, m: usize, n: usize) -> Vec<CMatrix> {
         // Small deterministic pseudo-random CFR series (xorshift).

@@ -1,6 +1,25 @@
 //! Algorithm 1: Givens-rotation decomposition of `V_k` and its inverse
 //! (Eq. (7)).
+//!
+//! Algorithm 1 has one implementation, [`decompose_array`]: stack arrays,
+//! const-generic over the antenna count M ≤ 8 (the standard's maximum).
+//! [`BeamformingFeedback::from_cfr`](crate::BeamformingFeedback::from_cfr)
+//! calls it for every tone, and [`decompose`] is its copy-in/copy-out
+//! wrapper for a [`CMatrix`].
+//!
+//! Its bits are those of the dense heap code it replaced, which kept every
+//! matrix in a `CMatrix` and multiplied with [`CMatrix::matmul`]. The body
+//! repeats those floating-point operations in the same order and does not
+//! exploit the structure of the factors: `D̃†`, `D_i†` and `G` are built
+//! as dense M×M matrices, with the `(0, −0)` that `hermitian()` makes of a
+//! zero, and every product is the same zero-skipping (r, k, c) loop
+//! starting from `C64::ZERO`. A product by a structured rotation would
+//! drop or re-sign zero terms and, on NaN, ±0 or overflowing inputs,
+//! change bits. `tests/dense_reference.rs` keeps the heap code and holds
+//! the two equal by `to_bits` (a NaN matches any NaN, because Rust leaves
+//! the sign and payload of a NaN result unspecified).
 
+use crate::MAX_M;
 use deepcsi_linalg::{CMatrix, C64};
 
 /// The (φ, ψ) angles of one subcarrier's compressed feedback.
@@ -87,54 +106,176 @@ fn wrap_2pi(a: f64) -> f64 {
 /// The decomposition is exact: [`v_from_angles`] applied to the returned
 /// (unquantized) angles rebuilds `Ṽ_k` with `V_k = Ṽ_k D̃_k` to machine
 /// precision, and the last row of `Ṽ_k` is real and non-negative by
-/// construction.
+/// construction. The work runs in the stack-array body the beamformee's
+/// per-tone feedback uses; this copies `v` in and the result out.
 ///
 /// # Panics
 ///
-/// Panics if `v` has more columns than rows.
+/// Panics if `v` has more columns than rows, or unless it has 1 to 8
+/// rows.
 pub fn decompose(v: &CMatrix) -> GivensDecomposition {
     let (m, n_ss) = v.shape();
     assert!(n_ss <= m, "V must be tall: {m}x{n_ss}");
+    assert!(
+        (1..=MAX_M).contains(&m),
+        "decompose needs 1 ≤ M ≤ {MAX_M} rows, got {m}"
+    );
+    match m {
+        1 => copied::<1>(v),
+        2 => copied::<2>(v),
+        3 => copied::<3>(v),
+        4 => copied::<4>(v),
+        5 => copied::<5>(v),
+        6 => copied::<6>(v),
+        7 => copied::<7>(v),
+        8 => copied::<8>(v),
+        _ => unreachable!("M was checked above"),
+    }
+}
+
+/// [`decompose`] for a fixed `M`.
+fn copied<const M: usize>(v: &CMatrix) -> GivensDecomposition {
+    let n_ss = v.cols();
+    let a: [[C64; M]; M] = std::array::from_fn(|r| {
+        std::array::from_fn(|c| if c < n_ss { v[(r, c)] } else { C64::ZERO })
+    });
+    let dec = decompose_array(&a, n_ss);
+    GivensDecomposition {
+        angles: GivensAngles {
+            m: M,
+            n_ss,
+            phi: dec.phi().to_vec(),
+            psi: dec.psi().to_vec(),
+        },
+        d_tilde: dec.d_tilde[..n_ss].to_vec(),
+    }
+}
+
+/// Most (φ, ψ) angles one subcarrier carries: M = 8 with N_SS ≥ 7.
+const MAX_ANGLES: usize = 28;
+
+/// Algorithm 1's output for one subcarrier, held on the stack.
+pub(crate) struct Decomposed<const M: usize> {
+    phi: [f64; MAX_ANGLES],
+    psi: [f64; MAX_ANGLES],
+    count: usize,
+    /// Diagonal of `D̃_k`; entries from N_SS on are unused.
+    pub(crate) d_tilde: [C64; M],
+}
+
+impl<const M: usize> Decomposed<M> {
+    /// The φ angles, in [`GivensAngles`] order.
+    pub(crate) fn phi(&self) -> &[f64] {
+        &self.phi[..self.count]
+    }
+
+    /// The ψ angles, in [`GivensAngles`] order.
+    pub(crate) fn psi(&self) -> &[f64] {
+        &self.psi[..self.count]
+    }
+}
+
+/// `a · b` as [`CMatrix::matmul`] computes it, for an `a` with `inner`
+/// columns and a `b` with `cols` columns: each output entry starts at
+/// zero and adds `a[r][k]·b[k][c]` for k in order, skipping every k whose
+/// `a[r][k]` is zero (of either sign). Entries from column `cols` on stay
+/// zero.
+fn matmul<const M: usize>(
+    a: &[[C64; M]; M],
+    b: &[[C64; M]; M],
+    inner: usize,
+    cols: usize,
+) -> [[C64; M]; M] {
+    let mut out = [[C64::ZERO; M]; M];
+    for (out_r, a_r) in out.iter_mut().zip(a) {
+        for (&x, b_k) in a_r[..inner].iter().zip(b) {
+            if x == C64::ZERO {
+                continue;
+            }
+            for (o, &y) in out_r[..cols].iter_mut().zip(b_k) {
+                *o += x * y;
+            }
+        }
+    }
+    out
+}
+
+/// The conjugate transpose of a square matrix, as [`CMatrix::hermitian`]
+/// computes it: a zero becomes `(0, −0)`.
+fn hermitian<const M: usize>(a: &[[C64; M]; M]) -> [[C64; M]; M] {
+    std::array::from_fn(|r| std::array::from_fn(|c| a[c][r].conj()))
+}
+
+/// The M×M identity.
+fn identity<const M: usize>() -> [[C64; M]; M] {
+    std::array::from_fn(|r| std::array::from_fn(|c| if r == c { C64::ONE } else { C64::ZERO }))
+}
+
+/// Algorithm 1 on the first `n_ss` columns of `v`: the body behind
+/// [`decompose`] and the beamformee's per-tone feedback.
+///
+/// It is bit-identical to the dense heap algorithm it replaced (see the
+/// module docs): `D̃†`, each `D_i†` and each `G` are built as dense
+/// matrices, zeros included, and applied by [`matmul`].
+pub(crate) fn decompose_array<const M: usize>(v: &[[C64; M]; M], n_ss: usize) -> Decomposed<M> {
+    let mut out = Decomposed {
+        phi: [0.0; MAX_ANGLES],
+        psi: [0.0; MAX_ANGLES],
+        count: 0,
+        d_tilde: [C64::ZERO; M],
+    };
 
     // D̃ = diag(e^{j∠[V]_{M,c}}); factoring it out makes the last row of
     // Ω real non-negative.
-    let d_tilde: Vec<C64> = (0..n_ss).map(|c| C64::cis(v[(m - 1, c)].arg())).collect();
-    let d_tilde_h = CMatrix::diag(&d_tilde).hermitian();
-    let mut omega = v.matmul(&d_tilde_h);
+    for (d, &z) in out.d_tilde[..n_ss].iter_mut().zip(&v[M - 1]) {
+        *d = C64::cis(z.arg());
+    }
+    let mut d_tilde_diag = [[C64::ZERO; M]; M];
+    for (r, row) in d_tilde_diag.iter_mut().enumerate().take(n_ss) {
+        row[r] = out.d_tilde[r];
+    }
+    let mut omega = matmul(v, &hermitian(&d_tilde_diag), n_ss, n_ss);
 
-    let imax = n_ss.min(m - 1);
-    let mut phi = Vec::with_capacity(GivensAngles::expected_count(m, n_ss));
-    let mut psi = Vec::with_capacity(phi.capacity());
-
+    let imax = n_ss.min(M - 1);
+    let mut n_phi = 0;
+    let mut n_psi = 0;
     for i in 1..=imax {
-        // φ block: phases of column i, rows i..M−1 (1-based).
-        let phis: Vec<f64> = (i..m)
-            .map(|l| wrap_2pi(omega[(l - 1, i - 1)].arg()))
-            .collect();
-        let d_i = d_matrix(m, i, &phis);
-        omega = d_i.hermitian().matmul(&omega);
-        phi.extend_from_slice(&phis);
+        let p = i - 1;
+        // φ block: phases of column i, rows i..M−1 (1-based), gathered
+        // into D_{k,i} (Eq. (4)).
+        let mut d_i = identity::<M>();
+        for row in p..M - 1 {
+            let phi = wrap_2pi(omega[row][p].arg());
+            d_i[row][row] = C64::cis(phi);
+            out.phi[n_phi] = phi;
+            n_phi += 1;
+        }
+        omega = matmul(&hermitian(&d_i), &omega, M, n_ss);
 
-        // ψ block: plane rotations zeroing rows i+1..M of column i.
-        for l in (i + 1)..=m {
-            let a = omega[(i - 1, i - 1)].re; // real after D† rotation
-            let b = omega[(l - 1, i - 1)].re; // real after D† rotation
+        // ψ block: plane rotations G_{k,ℓ,i} (Eq. (5)) zeroing rows
+        // i+1..M of column i.
+        for t in i..M {
+            let a = omega[p][p].re; // real after D† rotation
+            let b = omega[t][p].re; // real after D† rotation
             let denom = (a * a + b * b).sqrt();
-            let p = if denom < 1e-300 {
+            let psi = if denom < 1e-300 {
                 0.0
             } else {
                 (a / denom).clamp(-1.0, 1.0).acos()
             };
-            let g = g_matrix(m, l, i, p);
-            omega = g.matmul(&omega);
-            psi.push(p);
+            let (c, s) = (psi.cos(), psi.sin());
+            let mut g = identity::<M>();
+            g[p][p] = C64::real(c);
+            g[p][t] = C64::real(s);
+            g[t][p] = C64::real(-s);
+            g[t][t] = C64::real(c);
+            omega = matmul(&g, &omega, M, n_ss);
+            out.psi[n_psi] = psi;
+            n_psi += 1;
         }
     }
-
-    GivensDecomposition {
-        angles: GivensAngles { m, n_ss, phi, psi },
-        d_tilde,
-    }
+    out.count = n_phi;
+    out
 }
 
 /// Eq. (7): rebuilds `Ṽ_k` from the feedback angles:

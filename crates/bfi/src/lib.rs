@@ -52,6 +52,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// Largest number of beamformer antennas M the standard allows.
+const MAX_M: usize = 8;
+
 mod feedback;
 mod givens;
 pub mod quant;

@@ -37,15 +37,12 @@
 //! feedback can carry) evaluate the same expressions inline.
 
 use crate::quant::{dequantize_phi, dequantize_psi};
-use crate::GivensAngles;
+use crate::{GivensAngles, MAX_M};
 use deepcsi_linalg::{CMatrix, C64};
 use deepcsi_phy::Codebook;
 use std::ops::Index;
 use std::slice::Iter;
 use std::sync::OnceLock;
-
-/// Largest number of beamformer antennas M the standard allows.
-const MAX_M: usize = 8;
 
 /// `Ṽ_k` of one subcarrier: an M×N_SS matrix held inline (no heap), as
 /// returned by [`v_tilde`]. Index it with `(row, col)`.

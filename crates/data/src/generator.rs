@@ -183,19 +183,18 @@ pub(crate) fn generate_traces(cfg: &GenConfig, specs: &[TraceSpec]) -> Vec<Trace
         return specs.iter().map(|s| generate_trace(cfg, s)).collect();
     }
     let chunk = specs.len().div_ceil(threads);
-    let nested: Vec<Vec<Trace>> = crossbeam::thread::scope(|scope| {
+    let nested: Vec<Vec<Trace>> = std::thread::scope(|scope| {
         let handles: Vec<_> = specs
             .chunks(chunk)
             .map(|shard| {
-                scope.spawn(move |_| shard.iter().map(|s| generate_trace(cfg, s)).collect())
+                scope.spawn(move || shard.iter().map(|s| generate_trace(cfg, s)).collect())
             })
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("generation worker panicked"))
             .collect()
-    })
-    .expect("crossbeam scope failed");
+    });
     nested.into_iter().flatten().collect()
 }
 

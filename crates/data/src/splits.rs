@@ -100,11 +100,11 @@ fn assemble(jobs: Vec<Job<'_>>, spec: &InputSpec) -> Split {
         .unwrap_or(4)
         .clamp(1, 16);
     let chunk = jobs.len().div_ceil(threads).max(1);
-    let parts: Vec<Vec<(Dest, usize, LabeledSamples, usize)>> = crossbeam::thread::scope(|scope| {
+    let parts: Vec<Vec<(Dest, usize, LabeledSamples, usize)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = jobs
             .chunks(chunk)
             .map(|shard| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     shard
                         .iter()
                         .map(|job| {
@@ -126,8 +126,7 @@ fn assemble(jobs: Vec<Job<'_>>, spec: &InputSpec) -> Split {
             .into_iter()
             .map(|h| h.join().expect("tensorize worker panicked"))
             .collect()
-    })
-    .expect("crossbeam scope failed");
+    });
 
     let mut split = Split::default();
     for (dest, _, samples, n) in parts.into_iter().flatten() {

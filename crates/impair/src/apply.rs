@@ -111,50 +111,54 @@ pub fn apply_impairments(
     // Mirror-tone lookup for the I/Q image term.
     let pos_of = |k: i32| tones.binary_search(&k).ok();
 
-    // Stage 1+2a: per-chain responses.
-    let g: Vec<CMatrix> = cfr
+    // Stage 1+2a: per-chain responses, tone-major in one buffer (stage 2b
+    // reads the mirror tone's).
+    let mn = m * n;
+    let mut g = Vec::with_capacity(cfr.len() * mn);
+    for (h_k, (t_resp, r_resp)) in cfr
         .iter()
         .zip(chains.tx.chunks_exact(m).zip(chains.rx.chunks_exact(n)))
-        .map(|(h_k, (t_resp, r_resp))| {
-            CMatrix::from_fn(m, n, |mi, ni| t_resp[mi] * h_k[(mi, ni)] * r_resp[ni])
-        })
-        .collect();
-
-    // Stage 2b: RX I/Q image leakage mixes in conj(G(−k)).
-    let mut out: Vec<CMatrix> = g
-        .iter()
-        .zip(tones.iter())
-        .map(|(g_k, &k)| {
-            let s = ltf_mirror_sign(k);
-            match pos_of(-k) {
-                Some(mp) => {
-                    let mirror = &g[mp];
-                    CMatrix::from_fn(m, n, |mi, ni| {
-                        let (bre, bim) = chains.rx_beta[ni];
-                        let beta = C64::new(bre, bim) * s;
-                        g_k[(mi, ni)] + beta * mirror[(mi, ni)].conj()
-                    })
-                }
-                None => g_k.clone(),
-            }
-        })
-        .collect();
-
-    // Stage 3: Eq. (9) offsets.
-    let tau = packet.tau_sfo + packet.tau_pdd;
-    for (h_k, &k) in out.iter_mut().zip(tones.iter()) {
-        let common = C64::cis(
-            packet.theta_cfo - std::f64::consts::TAU * k as f64 * tau / SYMBOL_PERIOD_S
-                + packet.theta_ppo,
-        );
-        for mi in 0..m {
-            let row_phase = common * C64::cis(packet.theta_pa[mi] + packet.phase_noise[mi]);
-            for ni in 0..n {
-                let v = h_k[(mi, ni)];
-                h_k[(mi, ni)] = v * row_phase;
+    {
+        for (mi, &t) in t_resp.iter().enumerate() {
+            for (ni, &r) in r_resp.iter().enumerate() {
+                g.push(t * h_k[(mi, ni)] * r);
             }
         }
     }
+
+    // The per-chain PA ambiguity and phase noise of stage 3 depend only on
+    // the packet.
+    let row_phasors: Vec<C64> = (0..m)
+        .map(|mi| C64::cis(packet.theta_pa[mi] + packet.phase_noise[mi]))
+        .collect();
+
+    // Stage 2b: RX I/Q image leakage mixes in conj(G(−k)); then stage 3,
+    // the Eq. (9) offsets.
+    let tau = packet.tau_sfo + packet.tau_pdd;
+    let mut out: Vec<CMatrix> = g
+        .chunks_exact(mn)
+        .zip(tones.iter())
+        .map(|(g_k, &k)| {
+            let s = ltf_mirror_sign(k);
+            let mirror = pos_of(-k).map(|mp| &g[mp * mn..(mp + 1) * mn]);
+            let common = C64::cis(
+                packet.theta_cfo - std::f64::consts::TAU * k as f64 * tau / SYMBOL_PERIOD_S
+                    + packet.theta_ppo,
+            );
+            CMatrix::from_fn(m, n, |mi, ni| {
+                let i = mi * n + ni;
+                let v = match mirror {
+                    Some(mirror) => {
+                        let (bre, bim) = chains.rx_beta[ni];
+                        let beta = C64::new(bre, bim) * s;
+                        g_k[i] + beta * mirror[i].conj()
+                    }
+                    None => g_k[i],
+                };
+                v * (common * row_phasors[mi])
+            })
+        })
+        .collect();
 
     // Stage 4: estimation noise at the packet SNR, scaled to the
     // snapshot's rms amplitude.

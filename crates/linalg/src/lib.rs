@@ -9,7 +9,10 @@
 //! * [`C64`] — a `f64` complex number with the full arithmetic surface.
 //! * [`CMatrix`] — a dense row-major complex matrix.
 //! * [`herm_eig`] — Hermitian eigendecomposition via the complex Jacobi
-//!   method (exact to machine precision for the small matrices used here).
+//!   method (exact to machine precision for the small matrices used here),
+//!   up to 8×8. Its body [`herm_eig_array`] runs on stack arrays, as does
+//!   [`right_singular_vectors_array`], the per-tone path of the
+//!   beamformee's feedback.
 //! * [`svd`] — full complex singular value decomposition built on
 //!   [`herm_eig`], returning `A = U Σ V†` with singular values sorted in
 //!   descending order.
@@ -38,6 +41,6 @@ mod matrix;
 mod svd;
 
 pub use complex::C64;
-pub use eig::{herm_eig, HermEig};
+pub use eig::{herm_eig, herm_eig_array, HermEig};
 pub use matrix::CMatrix;
-pub use svd::{right_singular_vectors, svd, Svd};
+pub use svd::{right_singular_vectors, right_singular_vectors_array, svd, Svd};

@@ -1,5 +1,6 @@
 //! Complex singular value decomposition.
 
+use crate::eig::{herm_eig_array, MAX_EIG_N};
 use crate::{herm_eig, CMatrix, C64};
 
 /// Result of a singular value decomposition `A = U Σ V†`.
@@ -92,10 +93,65 @@ pub fn svd(a: &CMatrix) -> Svd {
 ///
 /// This is the `Z_k` of the paper's Eq. (3): the beamforming matrix `V_k`
 /// is its first `N_SS` columns. Cheaper than [`svd`] because the left
-/// factor is never formed.
+/// factor is never formed. The work runs in
+/// [`right_singular_vectors_array`]; this copies `a` in and the result
+/// out.
+///
+/// # Panics
+///
+/// Panics if `a` has more than 8 columns.
 pub fn right_singular_vectors(a: &CMatrix) -> CMatrix {
-    let gram = a.hermitian().matmul(a);
-    herm_eig(&gram).vectors
+    let m = a.cols();
+    assert!(
+        m <= MAX_EIG_N,
+        "right_singular_vectors handles up to {MAX_EIG_N} columns, got {m}"
+    );
+    match m {
+        0 => CMatrix::zeros(0, 0),
+        1 => copied::<1>(a),
+        2 => copied::<2>(a),
+        3 => copied::<3>(a),
+        4 => copied::<4>(a),
+        5 => copied::<5>(a),
+        6 => copied::<6>(a),
+        7 => copied::<7>(a),
+        8 => copied::<8>(a),
+        _ => unreachable!("the column count was checked above"),
+    }
+}
+
+/// [`right_singular_vectors`] for a fixed column count `M`.
+fn copied<const M: usize>(a: &CMatrix) -> CMatrix {
+    let rows: Vec<[C64; M]> = (0..a.rows())
+        .map(|r| std::array::from_fn(|c| a[(r, c)]))
+        .collect();
+    let z = right_singular_vectors_array(&rows);
+    CMatrix::from_fn(M, M, |r, c| z[r][c])
+}
+
+/// The right singular vectors of the matrix whose rows are `rows`, on the
+/// stack: the eigenvectors of the Gram matrix `A†A`, by
+/// [`herm_eig_array`].
+///
+/// `A†A` is formed as `a.hermitian().matmul(&a)` forms it: the entry
+/// `(r, c)` starts at zero and adds `conj(A[k][r])·A[k][c]` for k in
+/// order, skipping the k whose `conj(A[k][r])` is zero. So the result
+/// has the bits of that dense product followed by the heap Jacobi this
+/// crate used before [`herm_eig_array`].
+pub fn right_singular_vectors_array<const M: usize>(rows: &[[C64; M]]) -> [[C64; M]; M] {
+    let mut gram = [[C64::ZERO; M]; M];
+    for (r, out) in gram.iter_mut().enumerate() {
+        for a_k in rows {
+            let a = a_k[r].conj();
+            if a == C64::ZERO {
+                continue;
+            }
+            for (o, &b) in out.iter_mut().zip(a_k) {
+                *o += a * b;
+            }
+        }
+    }
+    herm_eig_array(&gram).1
 }
 
 /// Builds the left factor from `A`, its right singular vectors and the

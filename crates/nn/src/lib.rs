@@ -33,7 +33,7 @@
 //!   agreement ≥ 99%, same split bit-exactness).
 //! * [`softmax_cross_entropy`] — fused loss/gradient.
 //! * [`Adam`] — the optimizer.
-//! * [`Trainer`] — seeded mini-batch training with crossbeam-based
+//! * [`Trainer`] — seeded mini-batch training with scoped-thread
 //!   multi-threaded gradient computation.
 //! * [`ConfusionMatrix`] — the evaluation artifact every figure of the
 //!   paper reports.

@@ -260,11 +260,11 @@ fn grad_batch(net: &mut Network, x: &[Tensor], y: &[usize], batch: &[usize]) -> 
         return (ctx, loss);
     }
     let net = &*net;
-    let chunks: Vec<(TrainCtx, f32)> = crossbeam::thread::scope(|scope| {
+    let chunks: Vec<(TrainCtx, f32)> = std::thread::scope(|scope| {
         let handles: Vec<_> = batch
             .chunks(batch.len().div_ceil(GRAD_SHARDS))
             .map(|shard| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut ctx = net.train_ctx();
                     let loss = grad_shard(net, &mut ctx, x, y, shard);
                     (ctx, loss)
@@ -275,8 +275,7 @@ fn grad_batch(net: &mut Network, x: &[Tensor], y: &[usize], batch: &[usize]) -> 
             .into_iter()
             .map(|h| h.join().expect("worker thread panicked"))
             .collect()
-    })
-    .expect("crossbeam scope failed");
+    });
 
     let mut chunks = chunks.into_iter();
     let (mut total, mut total_loss) = chunks.next().expect("a non-empty batch");
@@ -331,12 +330,12 @@ pub fn evaluate(net: &Network, x: &[Tensor], y: &[usize]) -> (f64, ConfusionMatr
     } else {
         let shard_size = x.len().div_ceil(threads).max(EVAL_BATCH);
         let shared = &frozen;
-        let preds: Vec<Vec<(usize, usize)>> = crossbeam::thread::scope(|scope| {
+        let preds: Vec<Vec<(usize, usize)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = x
                 .chunks(shard_size)
                 .zip(y.chunks(shard_size))
                 .map(|(xs, ys)| {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let mut ctx = shared.ctx();
                         xs.chunks(EVAL_BATCH)
                             .zip(ys.chunks(EVAL_BATCH))
@@ -356,8 +355,7 @@ pub fn evaluate(net: &Network, x: &[Tensor], y: &[usize]) -> (f64, ConfusionMatr
                 .into_iter()
                 .map(|h| h.join().expect("eval worker panicked"))
                 .collect()
-        })
-        .expect("crossbeam scope failed");
+        });
         for shard in preds {
             for (actual, pred) in shard {
                 cm.add(actual, pred);
