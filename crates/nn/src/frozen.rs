@@ -20,7 +20,9 @@
 //! `data[e * b + s]` — element-major, sample-minor — so every per-weight
 //! inner loop walks a contiguous run of `b` floats and autovectorizes to
 //! whatever SIMD width the build host offers (`-C target-cpu=native` is
-//! set workspace-wide). One weight fetch serves the whole batch.
+//! set workspace-wide, with `-slp-max-reg-size=512` so that the conv and
+//! dense tiles' [`LANES`]-wide accumulator arrays take one 512-bit
+//! register each on AVX-512). One weight fetch serves the whole batch.
 //!
 //! No kernel pads a batch, so a batch costs in proportion to its
 //! samples and every plane (element-wise ops, pooling, the int8 domain)
@@ -370,7 +372,9 @@ impl InferCtx {
 }
 
 /// SIMD width of the batched conv/dense kernels: one full AVX-512
-/// vector of `f32` (narrower ISAs use two or four registers). Dense runs
+/// vector of `f32`, which the SLP vectorizer keeps in one zmm register
+/// under the workspace's `-slp-max-reg-size=512` (narrower ISAs, or a
+/// build without the flag, use two or four registers). Dense runs
 /// whole blocks of it on the lane tile and the `b % LANES` leftover
 /// samples of a batch on the per-sample tail kernel; conv's flat tiles
 /// are three vectors of it wide.

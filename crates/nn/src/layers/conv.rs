@@ -243,7 +243,11 @@ impl Conv2d {
 }
 
 /// Input channels per weight-gradient register tile: with [`TILE_CH`]
-/// output channels, eight 16-lane accumulators share each input load.
+/// output channels, eight 16-lane accumulators share each input load,
+/// one zmm register each under the workspace's `-slp-max-reg-size=512`
+/// (two ymm without it). Measured under zmm: 4 (sixteen accumulators)
+/// made the paper model's 16-lane training pass about four times as
+/// slow.
 const GRAD_IB: usize = 2;
 
 /// Adds `g·x` lane-wise over `n` consecutive output positions (flat
@@ -290,11 +294,18 @@ fn mirror_positions(data: &mut [f32], hw: usize, b: usize) {
 /// Output channels per register tile: one broadcast weight per channel
 /// and per tap, packed contiguously at freeze time.
 ///
-/// The tile shape is measured, not derived. With `-C target-cpu=native`
-/// on an AVX-512 host LLVM still prefers 256-bit vectors, so a 16-wide
-/// vector is two ymm registers and 4 × 3 holds 24 accumulators of the
-/// 32. 8 × 2 needs all 32 and spills, and 8 × 1, 2 × 4 and 4 × 4 fall
-/// off a vectorizer cliff at roughly a tenth of the speed.
+/// The tile shape is measured, not derived. On an AVX-512 host the
+/// workspace's `-slp-max-reg-size=512` (`.cargo/config.toml`) lets the
+/// SLP vectorizer put each 16-wide accumulator in one zmm register, so
+/// 4 × 3 holds 12 accumulators of the 32, with a separate multiply and
+/// add per tap as before. Under zmm, 8 × 3 (24 accumulators) ran the
+/// paper model's b32 inference about 5 % faster (10 of 12 alternations)
+/// but its 16-lane training pass about 10 % slower (8 of 12), since the
+/// weight-gradient tile shares this width; with that tile kept at four
+/// channels, b1 and the training pass were slower in 5 of 6. So 4 × 3
+/// stays. Without the flag (256-bit vectors, two ymm per accumulator)
+/// 4 × 3 held 24 of the 32 registers, 8 × 2 spilled, and 8 × 1, 2 × 4
+/// and 4 × 4 fell off a vectorizer cliff at roughly a tenth of the speed.
 const TILE_CH: usize = 4;
 /// [`LANES`]-wide vectors of consecutive flat outputs per register tile
 /// (see [`TILE_CH`]).

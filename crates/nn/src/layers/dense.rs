@@ -149,9 +149,14 @@ impl FrozenDense {
     ///
     /// The split is measured: run over whole blocks too, the tail kernel
     /// loads a weight row per FMA where the lane tile loads one input
-    /// row per eight, and the op takes 2.3–2.7× as long at b = 16 and
-    /// b = 32 in both the demo and the paper model (AVX-512 host,
-    /// alternated in one process).
+    /// row per eight, and the op took 2.3–2.7× as long at b = 16 and
+    /// b = 32 in both the demo and the paper model (AVX-512 host with
+    /// 256-bit vectors, alternated in one process). Under the
+    /// workspace's `-slp-max-reg-size=512` each lane-tile accumulator is
+    /// one zmm register, so the 8-row tile holds 8 of the 32. Re-measured
+    /// there on the paper model's dense stack at b = 16 and 32, 8 rows
+    /// beat 4 in 11 of 12 alternations (about 7 % faster), and 16 rows
+    /// fell off a vectorizer cliff at a tenth of the speed.
     fn run(&self, xs: &[f32], os: &mut [f32], b: usize) {
         let r = b % LANES;
         for s0 in (0..b - r).step_by(LANES) {

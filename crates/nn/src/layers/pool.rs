@@ -87,6 +87,72 @@ fn pool_rows(
     }
 }
 
+/// The max-pool backward over `b`-lane planes: writes into the zeroed
+/// `gxs` (shape `(c, h, w)`) each lane's output gradient `gs` routed to
+/// the first maximum of its window in `xs`.
+///
+/// Row passes in the shape of [`pool_rows`], with the same tap offsets.
+/// The scan passes keep each output lane's running maximum and winning
+/// tap in two row buffers: the first seeds them from taps 0 and 1 (tap 0
+/// twice for a 1×1 kernel) and every later tap folds in, all with the
+/// reference's strict `>`, so a NaN first tap, or the first of tied ±0,
+/// keeps its place. One routing pass per tap then writes `+0.0 + g`
+/// where the tap won and `+0.0` elsewhere. Windows do not overlap, so
+/// that is what the reference's `+=` into a zeroed tensor leaves.
+fn route_rows(
+    xs: &[f32],
+    gs: &[f32],
+    gxs: &mut [f32],
+    (c, h, w): (usize, usize, usize),
+    b: usize,
+    (kh, kw): (usize, usize),
+) {
+    let (oh, ow) = pooled_dims((h, w), (kh, kw));
+    debug_assert_eq!(gs.len(), c * oh * ow * b);
+    let (taps, win) = (kh * kw, kw * b);
+    let taps_u32 = u32::try_from(taps).expect("pooling kernel too large");
+    let (mut best, mut arg) = (vec![0.0f32; ow * b], vec![0u32; ow * b]);
+    for (orow_idx, grow) in gs.chunks_exact(ow * b).enumerate() {
+        let (ci, hi) = (orow_idx / oh, orow_idx % oh);
+        // Tap k: the flat start of its input row's windows, and its lane
+        // offset within a window.
+        let tap = |k: usize| ((ci * h + hi * kh + k / kw) * w * b, k % kw * b);
+        let ((r0, d0), (r1, d1)) = (tap(0), tap(1.min(taps - 1)));
+        let rows = |r: usize| xs[r..r + ow * win].chunks_exact(win);
+        let lanes = best.chunks_exact_mut(b).zip(arg.chunks_exact_mut(b));
+        for (((bw, aw), w0), w1) in lanes.zip(rows(r0)).zip(rows(r1)) {
+            for (((bl, al), &a), &x) in bw.iter_mut().zip(aw).zip(&w0[d0..]).zip(&w1[d1..]) {
+                let take = x > a;
+                *bl = if take { x } else { a };
+                *al = u32::from(take);
+            }
+        }
+        for k in 2..taps_u32 {
+            let (rk, dk) = tap(k as usize);
+            let lanes = best.chunks_exact_mut(b).zip(arg.chunks_exact_mut(b));
+            for ((bw, aw), wk) in lanes.zip(rows(rk)) {
+                for ((bl, al), &x) in bw.iter_mut().zip(aw).zip(&wk[dk..]) {
+                    let take = x > *bl;
+                    *bl = if take { x } else { *bl };
+                    *al = if take { k } else { *al };
+                }
+            }
+        }
+        for k in 0..taps_u32 {
+            let (rk, dk) = tap(k as usize);
+            let gx_windows = gxs[rk..rk + ow * win].chunks_exact_mut(win);
+            for ((gxw, aw), gw) in gx_windows
+                .zip(arg.chunks_exact(b))
+                .zip(grow.chunks_exact(b))
+            {
+                for ((gl, &al), &g) in gxw[dk..].iter_mut().zip(aw).zip(gw) {
+                    *gl = if al == k { 0.0 + g } else { 0.0 };
+                }
+            }
+        }
+    }
+}
+
 /// The frozen pool: kernel dims only (no parameters, no cache).
 struct FrozenMaxPool2d {
     kh: usize,
@@ -118,46 +184,13 @@ impl Layer for MaxPool2d {
 
     /// Routes each lane's output gradient to the first maximum of its
     /// window, found by the reference's strict-`>` scan over the taps,
-    /// all lanes at once. Windows do not overlap, so each routed input
-    /// gradient is `+0.0 + g`, as the reference adds it to a zeroed
-    /// tensor.
+    /// in row passes over all lanes at once (`route_rows`).
     fn backward_batch(&self, x: &Planes, grad: Planes, _ctx: &mut LayerCtx) -> Planes {
-        let (c, h, w) = x.dims3("pool");
+        let dims = x.dims3("pool");
         let b = x.batch_size();
-        let (kh, kw) = (self.kh, self.kw);
-        let (oh, ow) = pooled_dims((h, w), (kh, kw));
-        let (xs, gs) = (x.as_slice(), grad.as_slice());
         let mut gx = Planes::zeros(x.shape(), b);
-        let gxs = gx.as_mut_slice();
-        let (mut best, mut arg) = (vec![0.0f32; b], vec![0usize; b]);
-        for ci in 0..c {
-            for hi in 0..oh {
-                for wi in 0..ow {
-                    // Flat start of tap k's lanes.
-                    let tap = |k: usize| ((ci * h + hi * kh + k / kw) * w + wi * kw + k % kw) * b;
-                    best.copy_from_slice(&xs[tap(0)..][..b]);
-                    arg.fill(0);
-                    for k in 1..kh * kw {
-                        let xk = &xs[tap(k)..][..b];
-                        for ((bv, a), &v) in best.iter_mut().zip(&mut arg).zip(xk) {
-                            if v > *bv {
-                                *bv = v;
-                                *a = k;
-                            }
-                        }
-                    }
-                    let g = &gs[((ci * oh + hi) * ow + wi) * b..][..b];
-                    for k in 0..kh * kw {
-                        let gk = &mut gxs[tap(k)..][..b];
-                        for ((gv, &a), &g) in gk.iter_mut().zip(&arg).zip(g) {
-                            if a == k {
-                                *gv += g;
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let (xs, gs, gxs) = (x.as_slice(), grad.as_slice(), gx.as_mut_slice());
+        route_rows(xs, gs, gxs, dims, b, (self.kh, self.kw));
         gx
     }
 
@@ -276,6 +309,52 @@ mod tests {
         let want = bits(&reference(&net, &specs, &[1, 1, 4]).forward(x.as_slice(), false));
         assert_eq!(got, want);
         assert_eq!(got, vec![0.0f32.to_bits(), (-0.0f32).to_bits()]);
+    }
+
+    #[test]
+    fn backward_matches_reference_with_ties_and_nan() {
+        // Inputs drawn from {+0, −0, NaN, ±1, 2}, so windows hold tied
+        // signed zeros, tied ones, a NaN at the first tap and NaNs at
+        // later taps; output gradients include −0, which the routed
+        // `+0.0 + g` turns to +0. Kernels as in `frozen_matches_reference`,
+        // plus the paper's 1×2 with a ragged edge.
+        const VALUES: [f32; 6] = [0.0, -0.0, f32::NAN, 1.0, -1.0, 2.0];
+        let kernels = [
+            ((1, 3), (1, 7)),
+            ((2, 2), (3, 5)),
+            ((1, 1), (1, 3)),
+            ((1, 2), (2, 9)),
+        ];
+        for (kernel, (h, w)) in kernels {
+            let specs = [Spec::MaxPool2d { kernel }];
+            let net = testkit::network(&specs);
+            let in_shape = [2, h, w];
+            let mut oracle = reference(&net, &specs, &in_shape);
+            let out_shape = vec![2, h / kernel.0, w / kernel.1];
+            for b in [1usize, 7, 16, 19, 32] {
+                let xs: Vec<Tensor> = (0..b)
+                    .map(|s| {
+                        let x = (0..2 * h * w).map(|e| VALUES[(e * 5 + s * 3 + e / 4) % 6]);
+                        Tensor::from_vec(x.collect(), in_shape.to_vec())
+                    })
+                    .collect();
+                let grads: Vec<Tensor> = (0..b)
+                    .map(|s| {
+                        let g = (0..out_shape.iter().product()).map(|e| match (e * 7 + s) % 5 {
+                            0 => -0.0,
+                            v => v as f32 - 2.5,
+                        });
+                        Tensor::from_vec(g.collect(), out_shape.clone())
+                    })
+                    .collect();
+                let (_, gx, _) = testkit::batch_pass(&net, &xs, &grads, true);
+                for ((x, g), got) in xs.iter().zip(&grads).zip(&gx) {
+                    oracle.forward(x.as_slice(), true);
+                    let want = oracle.backward(g.as_slice());
+                    assert_eq!(bits(got.as_slice()), bits(&want), "{kernel:?} b={b}");
+                }
+            }
+        }
     }
 
     #[test]
